@@ -148,7 +148,13 @@ class SpinGuard {
   int line_;
 };
 
-#define USK_SPIN_GUARD(l) ::usk::base::SpinGuard guard_##__LINE__((l), __FILE__, __LINE__)
+// Two-level paste so __LINE__ expands first: every guard gets its own
+// name, and two guards in one scope (or nested ones) never collide.
+#define USK_CONCAT_IMPL(a, b) a##b
+#define USK_CONCAT(a, b) USK_CONCAT_IMPL(a, b)
+#define USK_SPIN_GUARD(l)                                      \
+  ::usk::base::SpinGuard USK_CONCAT(usk_spin_guard_, __LINE__)( \
+      (l), __FILE__, __LINE__)
 #define USK_LOCK(l) (l).lock(__FILE__, __LINE__)
 #define USK_UNLOCK(l) (l).unlock(__FILE__, __LINE__)
 

@@ -9,20 +9,6 @@ namespace usk::consolidation {
 using uk::Kernel;
 using uk::Process;
 
-namespace {
-
-/// Copy a user path into a kernel buffer; negative SysRet on failure.
-std::int64_t fetch_path(Kernel& k, Process& p, const char* upath,
-                        char* kpath) {
-  if (upath == nullptr) return sysret_err(Errno::kEFAULT);
-  Result<std::size_t> len =
-      k.boundary().strncpy_from_user(p.task, kpath, upath, Kernel::kMaxPath);
-  if (!len) return sysret_err(len.error());
-  return static_cast<std::int64_t>(len.value());
-}
-
-}  // namespace
-
 SysRet sys_readdirplus(Kernel& k, Process& p, const char* upath, void* ubuf,
                        std::size_t n, std::uint64_t* ucookie) {
   Kernel::Scope scope(k, p, uk::Sys::kReaddirPlus);
@@ -31,8 +17,9 @@ SysRet sys_readdirplus(Kernel& k, Process& p, const char* upath, void* ubuf,
     return scope.fail(Errno::kEFAULT);
   }
   char kpath[Kernel::kMaxPath];
-  std::int64_t len = fetch_path(k, p, upath, kpath);
-  if (len < 0) return scope.done(len);
+  Result<std::string_view> path =
+      k.fetch_path(p, uk::BufMode::kUser, Kernel::uarg(upath), kpath);
+  if (!path) return scope.fail(path.error());
 
   std::uint64_t cookie = 0;
   if (Result<std::size_t> c =
@@ -41,8 +28,7 @@ SysRet sys_readdirplus(Kernel& k, Process& p, const char* upath, void* ubuf,
     return scope.fail(c.error());
   }
 
-  Result<fs::Vfs::Loc> dir = k.vfs().resolve_loc(
-      std::string_view(kpath, static_cast<std::size_t>(len)));
+  Result<fs::Vfs::Loc> dir = k.vfs().resolve_loc(path.value());
   if (!dir) return scope.fail(dir.error());
 
   n = std::min(n, Kernel::kMaxIo);
@@ -89,41 +75,29 @@ SysRet sys_readdirplus(Kernel& k, Process& p, const char* upath, void* ubuf,
   return scope.done(static_cast<SysRet>(off));
 }
 
+// The three open-*-close calls below are sequences of the kernel's own
+// handlers under one Scope: one crossing, classic semantics per step.
+
+namespace {
+SysRet step(Kernel& k, Process& p, uk::Sys nr, std::uint64_t a0,
+            std::uint64_t a1 = 0, std::uint64_t a2 = 0) {
+  return k.dispatch_nested(p, nr, {a0, a1, a2, 0});
+}
+}  // namespace
+
 SysRet sys_open_read_close(Kernel& k, Process& p, const char* upath,
                            void* ubuf, std::size_t n, std::uint64_t offset) {
   Kernel::Scope scope(k, p, uk::Sys::kOpenReadClose);
   if (SysRet g = scope.gate(); g != 0) return g;
   if (ubuf == nullptr) return scope.fail(Errno::kEFAULT);
-  char kpath[Kernel::kMaxPath];
-  std::int64_t len = fetch_path(k, p, upath, kpath);
-  if (len < 0) return scope.done(len);
-
-  Result<int> fd =
-      k.vfs().open(p.fds, std::string_view(kpath, static_cast<std::size_t>(len)),
-                   fs::kORdOnly, 0);
-  if (!fd) return scope.fail(fd.error());
-
-  n = std::min(n, Kernel::kMaxIo);
-  std::vector<std::byte> kbuf(n);
-  Result<std::uint64_t> pos = k.vfs().lseek(p.fds, fd.value(),
-                                            static_cast<std::int64_t>(offset),
-                                            fs::kSeekSet);
-  if (!pos) {
-    k.vfs().close(p.fds, fd.value());
-    return scope.fail(pos.error());
-  }
-  Result<std::size_t> r = k.vfs().read(p.fds, fd.value(),
-                                       std::span(kbuf.data(), n));
-  k.vfs().close(p.fds, fd.value());
-  if (!r) return scope.fail(r.error());
-  if (r.value() > 0) {
-    if (Result<std::size_t> c =
-            k.boundary().copy_to_user(p.task, ubuf, kbuf.data(), r.value());
-        !c) {
-      return scope.fail(c.error());
-    }
-  }
-  return scope.done(static_cast<SysRet>(r.value()));
+  const SysRet fd =
+      step(k, p, uk::Sys::kOpen, Kernel::uarg(upath), fs::kORdOnly);
+  if (fd < 0) return scope.done(fd);
+  const auto ufd = static_cast<std::uint64_t>(fd);
+  SysRet r = step(k, p, uk::Sys::kLseek, ufd, offset, fs::kSeekSet);
+  if (r >= 0) r = step(k, p, uk::Sys::kRead, ufd, Kernel::uarg(ubuf), n);
+  step(k, p, uk::Sys::kClose, ufd);
+  return scope.done(r);
 }
 
 SysRet sys_open_write_close(Kernel& k, Process& p, const char* upath,
@@ -132,38 +106,19 @@ SysRet sys_open_write_close(Kernel& k, Process& p, const char* upath,
   Kernel::Scope scope(k, p, uk::Sys::kOpenWriteClose);
   if (SysRet g = scope.gate(); g != 0) return g;
   if (ubuf == nullptr) return scope.fail(Errno::kEFAULT);
-  char kpath[Kernel::kMaxPath];
-  std::int64_t len = fetch_path(k, p, upath, kpath);
-  if (len < 0) return scope.done(len);
-
-  int open_flags = fs::kOWrOnly | (flags & (fs::kOCreat | fs::kOTrunc |
-                                            fs::kOAppend));
-  Result<int> fd =
-      k.vfs().open(p.fds, std::string_view(kpath, static_cast<std::size_t>(len)),
-                   open_flags, 0644);
-  if (!fd) return scope.fail(fd.error());
-
-  n = std::min(n, Kernel::kMaxIo);
-  std::vector<std::byte> kbuf(n);
-  if (Result<std::size_t> c =
-          k.boundary().copy_from_user(p.task, kbuf.data(), ubuf, n);
-      !c) {
-    k.vfs().close(p.fds, fd.value());
-    return scope.fail(c.error());
-  }
+  const int open_flags =
+      fs::kOWrOnly | (flags & (fs::kOCreat | fs::kOTrunc | fs::kOAppend));
+  const SysRet fd = step(k, p, uk::Sys::kOpen, Kernel::uarg(upath),
+                         static_cast<std::uint64_t>(open_flags), 0644);
+  if (fd < 0) return scope.done(fd);
+  const auto ufd = static_cast<std::uint64_t>(fd);
+  SysRet r = 0;
   if ((flags & fs::kOAppend) == 0) {
-    Result<std::uint64_t> pos = k.vfs().lseek(
-        p.fds, fd.value(), static_cast<std::int64_t>(offset), fs::kSeekSet);
-    if (!pos) {
-      k.vfs().close(p.fds, fd.value());
-      return scope.fail(pos.error());
-    }
+    r = step(k, p, uk::Sys::kLseek, ufd, offset, fs::kSeekSet);
   }
-  Result<std::size_t> r = k.vfs().write(p.fds, fd.value(),
-                                        std::span(kbuf.data(), n));
-  k.vfs().close(p.fds, fd.value());
-  if (!r) return scope.fail(r.error());
-  return scope.done(static_cast<SysRet>(r.value()));
+  if (r >= 0) r = step(k, p, uk::Sys::kWrite, ufd, Kernel::uarg(ubuf), n);
+  step(k, p, uk::Sys::kClose, ufd);
+  return scope.done(r);
 }
 
 SysRet sys_open_fstat(Kernel& k, Process& p, const char* upath,
@@ -171,24 +126,13 @@ SysRet sys_open_fstat(Kernel& k, Process& p, const char* upath,
   Kernel::Scope scope(k, p, uk::Sys::kOpenFstat);
   if (SysRet g = scope.gate(); g != 0) return g;
   if (ust == nullptr) return scope.fail(Errno::kEFAULT);
-  char kpath[Kernel::kMaxPath];
-  std::int64_t len = fetch_path(k, p, upath, kpath);
-  if (len < 0) return scope.done(len);
-
-  Result<int> fd =
-      k.vfs().open(p.fds, std::string_view(kpath, static_cast<std::size_t>(len)),
-                   fs::kORdOnly, 0);
-  if (!fd) return scope.fail(fd.error());
-  fs::StatBuf st;
-  Errno e = k.vfs().fstat(p.fds, fd.value(), &st);
-  k.vfs().close(p.fds, fd.value());
-  if (e != Errno::kOk) return scope.fail(e);
-  if (Result<std::size_t> c =
-          k.boundary().copy_to_user(p.task, ust, &st, sizeof(st));
-      !c) {
-    return scope.fail(c.error());
-  }
-  return scope.done(0);
+  const SysRet fd =
+      step(k, p, uk::Sys::kOpen, Kernel::uarg(upath), fs::kORdOnly);
+  if (fd < 0) return scope.done(fd);
+  const auto ufd = static_cast<std::uint64_t>(fd);
+  const SysRet r = step(k, p, uk::Sys::kFstat, ufd, Kernel::uarg(ust));
+  step(k, p, uk::Sys::kClose, ufd);
+  return scope.done(r);
 }
 
 }  // namespace usk::consolidation

@@ -58,7 +58,6 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
   }
 
   out.results.assign(c.ops.size(), 0);
-  auto& vfs = k_.vfs();
   auto& engine = k_.engine();
   auto& sched = k_.scheduler();
 
@@ -84,9 +83,38 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
     }
     return 0;
   };
-  auto sv = [&](const Arg& a) -> std::string_view {
-    return std::string_view(c.strpool.data() + a.a,
-                            static_cast<std::size_t>(a.b));
+  auto uval = [&](const Arg& a) {
+    return static_cast<std::uint64_t>(val(a));
+  };
+  auto len_of = [&](const Arg& a) {
+    return static_cast<std::size_t>(std::max<std::int64_t>(0, val(a)));
+  };
+
+  // Every syscall op runs the kernel's own handler, in kernel-buffer mode:
+  // buffers and paths below already point at kernel-reachable memory.
+  auto sys = [&](uk::Sys nr, std::uint64_t a0, std::uint64_t a1 = 0,
+                 std::uint64_t a2 = 0) {
+    return k_.dispatch_nested(p, nr, {a0, a1, a2, 0}, uk::BufMode::kKernel);
+  };
+  // A shared-buffer argument as a handler pointer: static (kShared) or
+  // computed at run time (local/imm/result). An out-of-range window, or
+  // an argument that is no buffer at all, becomes nullptr, so the
+  // handler's own check order (EBADF before EFAULT) decides the errno.
+  auto shared_arg = [&](const Arg& a, std::size_t len) -> std::uint64_t {
+    if (a.kind == ArgKind::kNone || a.kind == ArgKind::kStr) return 0;
+    std::span<std::byte> s = shared.range(val(a), len);
+    return s.size() == len ? uk::Kernel::uarg(s.data()) : 0;
+  };
+  // A string-pool path as a NUL-terminated kernel string. Anything past
+  // kMaxPath is cut off; the handler then sees a kMaxPath-long string
+  // and answers ENAMETOOLONG, as it does for a classic caller.
+  char kpath[uk::Kernel::kMaxPath + 1];
+  auto path_arg = [&](const Arg& a) -> std::uint64_t {
+    const std::size_t n =
+        std::min(static_cast<std::size_t>(a.b), uk::Kernel::kMaxPath);
+    std::memcpy(kpath, c.strpool.data() + a.a, n);
+    kpath[n] = '\0';
+    return uk::Kernel::uarg(kpath);
   };
 
   std::size_t pc = 0;
@@ -100,7 +128,9 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
   std::vector<int> opened_fds;
   auto rollback_fds = [&] {
     for (int ofd : opened_fds) {
-      if (vfs.close(p.fds, ofd) == Errno::kOk) ++stats_.fds_rolled_back;
+      if (sys(uk::Sys::kClose, static_cast<std::uint64_t>(ofd)) == 0) {
+        ++stats_.fds_rolled_back;
+      }
     }
   };
   auto fault_abort = [&](Errno e) {
@@ -182,200 +212,99 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
           ++stats_.aborted;
           return out;
         }
-        Result<int> fd = vfs.open(p.fds, sv(rec.args[0]),
-                                  static_cast<int>(val(rec.args[1])),
-                                  static_cast<std::uint32_t>(val(rec.args[2])));
-        if (fd) opened_fds.push_back(fd.value());
+        r = sys(uk::Sys::kOpen, path_arg(rec.args[0]), uval(rec.args[1]),
+                uval(rec.args[2]));
+        if (r >= 0) opened_fds.push_back(static_cast<int>(r));
         if (guard != nullptr && !guard->check_fds(opened_fds.size())) {
           return quota_abort();
         }
-        r = fd ? fd.value() : sysret_err(fd.error());
         break;
       }
       case Op::kClose: {
         const int cfd = static_cast<int>(val(rec.args[0]));
-        Errno e = vfs.close(p.fds, cfd);
-        if (e == Errno::kOk) {
+        r = sys(uk::Sys::kClose, static_cast<std::uint64_t>(cfd));
+        if (r == 0) {
           opened_fds.erase(
               std::remove(opened_fds.begin(), opened_fds.end(), cfd),
               opened_fds.end());
         }
-        r = e == Errno::kOk ? 0 : sysret_err(e);
         break;
       }
       case Op::kRead: {
-        int fd = static_cast<int>(val(rec.args[0]));
-        std::size_t len = static_cast<std::size_t>(
-            std::max<std::int64_t>(0, val(rec.args[2])));
+        const std::uint64_t fd = uval(rec.args[0]);
+        const std::size_t len = len_of(rec.args[2]);
         if (rec.args[1].kind != ArgKind::kNone) {
-          // Destination is a shared-buffer offset: static (kShared) or
-          // computed at run time (local/imm/result). range() bounds-checks
-          // dynamic offsets.
-          std::span<std::byte> dst = shared.range(val(rec.args[1]), len);
-          if (dst.size() != len) {
-            r = sysret_err(Errno::kEFAULT);
+          // Zero copy: the filesystem writes straight into shared memory.
+          r = sys(uk::Sys::kRead, fd, shared_arg(rec.args[1], len), len);
+          if (r > 0) shared.bytes_via_shared += static_cast<std::uint64_t>(r);
+          break;
+        }
+        // Discard mode: data is consumed in-kernel (scratch buffer).
+        std::byte scratch[4096];
+        std::size_t total = 0;
+        while (total < len) {
+          const std::size_t chunk = std::min(len - total, sizeof(scratch));
+          const SysRet n =
+              sys(uk::Sys::kRead, fd, uk::Kernel::uarg(scratch), chunk);
+          if (n < 0) {
+            r = n;
             break;
           }
-          // Zero copy: the filesystem writes straight into shared memory.
-          Result<std::size_t> n = vfs.read(p.fds, fd, dst);
-          if (n) shared.bytes_via_shared += n.value();
-          r = n ? static_cast<SysRet>(n.value()) : sysret_err(n.error());
-        } else {
-          // Discard mode: data is consumed in-kernel (scratch buffer).
-          std::byte scratch[4096];
-          std::size_t total = 0;
-          while (total < len) {
-            std::size_t chunk = std::min(len - total, sizeof(scratch));
-            Result<std::size_t> n =
-                vfs.read(p.fds, fd, std::span(scratch, chunk));
-            if (!n) {
-              r = sysret_err(n.error());
-              break;
-            }
-            total += n.value();
-            if (n.value() < chunk) break;
-          }
-          if (r == 0) r = static_cast<SysRet>(total);
+          total += static_cast<std::size_t>(n);
+          if (static_cast<std::size_t>(n) < chunk) break;
         }
+        if (r == 0) r = static_cast<SysRet>(total);
         break;
       }
       case Op::kWrite: {
-        int fd = static_cast<int>(val(rec.args[0]));
-        std::size_t len = static_cast<std::size_t>(
-            std::max<std::int64_t>(0, val(rec.args[2])));
-        if (rec.args[1].kind == ArgKind::kNone ||
-            rec.args[1].kind == ArgKind::kStr) {
-          r = sysret_err(Errno::kEFAULT);
-          break;
-        }
-        std::span<std::byte> src = shared.range(val(rec.args[1]), len);
-        if (src.size() != len) {
-          r = sysret_err(Errno::kEFAULT);
-          break;
-        }
-        Result<std::size_t> n = vfs.write(
-            p.fds, fd, std::span<const std::byte>(src.data(), src.size()));
-        if (n) shared.bytes_via_shared += n.value();
-        r = n ? static_cast<SysRet>(n.value()) : sysret_err(n.error());
+        const std::size_t len = len_of(rec.args[2]);
+        r = sys(uk::Sys::kWrite, uval(rec.args[0]),
+                shared_arg(rec.args[1], len), len);
+        if (r > 0) shared.bytes_via_shared += static_cast<std::uint64_t>(r);
         break;
       }
-      case Op::kLseek: {
-        Result<std::uint64_t> pos = vfs.lseek(
-            p.fds, static_cast<int>(val(rec.args[0])), val(rec.args[1]),
-            static_cast<int>(val(rec.args[2])));
-        r = pos ? static_cast<SysRet>(pos.value()) : sysret_err(pos.error());
+      case Op::kLseek:
+        r = sys(uk::Sys::kLseek, uval(rec.args[0]), uval(rec.args[1]),
+                uval(rec.args[2]));
         break;
-      }
-      case Op::kStat: {
-        if (rec.args[0].kind != ArgKind::kStr ||
-            rec.args[1].kind == ArgKind::kNone ||
-            rec.args[1].kind == ArgKind::kStr) {
+      case Op::kStat:
+        if (rec.args[0].kind != ArgKind::kStr) {
           r = sysret_err(Errno::kEINVAL);
           break;
         }
-        fs::StatBuf st;
-        Errno e = vfs.stat(sv(rec.args[0]), &st);
-        if (e != Errno::kOk) {
-          r = sysret_err(e);
-          break;
-        }
-        std::span<std::byte> dst = shared.range(val(rec.args[1]), sizeof(st));
-        if (dst.size() != sizeof(st)) {
-          r = sysret_err(Errno::kEFAULT);
-          break;
-        }
-        std::memcpy(dst.data(), &st, sizeof(st));
-        shared.bytes_via_shared += sizeof(st);
+        r = sys(uk::Sys::kStat, path_arg(rec.args[0]),
+                shared_arg(rec.args[1], sizeof(fs::StatBuf)));
+        if (r == 0) shared.bytes_via_shared += sizeof(fs::StatBuf);
         break;
-      }
-      case Op::kFstat: {
-        if (rec.args[1].kind == ArgKind::kNone ||
-            rec.args[1].kind == ArgKind::kStr) {
-          r = sysret_err(Errno::kEINVAL);
-          break;
-        }
-        fs::StatBuf st;
-        Errno e = vfs.fstat(p.fds, static_cast<int>(val(rec.args[0])), &st);
-        if (e != Errno::kOk) {
-          r = sysret_err(e);
-          break;
-        }
-        std::span<std::byte> dst = shared.range(val(rec.args[1]), sizeof(st));
-        if (dst.size() != sizeof(st)) {
-          r = sysret_err(Errno::kEFAULT);
-          break;
-        }
-        std::memcpy(dst.data(), &st, sizeof(st));
-        shared.bytes_via_shared += sizeof(st);
+      case Op::kFstat:
+        r = sys(uk::Sys::kFstat, uval(rec.args[0]),
+                shared_arg(rec.args[1], sizeof(fs::StatBuf)));
+        if (r == 0) shared.bytes_via_shared += sizeof(fs::StatBuf);
         break;
-      }
       case Op::kGetpid:
-        r = static_cast<SysRet>(p.task.pid());
+        r = sys(uk::Sys::kGetpid, 0);
         break;
       case Op::kReaddir: {
-        int fd = static_cast<int>(val(rec.args[0]));
-        fs::OpenFile* f = p.fds.get(fd);
-        if (f == nullptr) {
-          r = sysret_err(Errno::kEBADF);
-          break;
-        }
-        if (rec.args[1].kind == ArgKind::kNone ||
-            rec.args[1].kind == ArgKind::kStr) {
-          r = sysret_err(Errno::kEFAULT);
-          break;
-        }
-        std::size_t max_bytes = static_cast<std::size_t>(
-            std::max<std::int64_t>(0, val(rec.args[2])));
-        std::span<std::byte> dst = shared.range(val(rec.args[1]), max_bytes);
-        if (dst.size() != max_bytes) {
-          r = sysret_err(Errno::kEFAULT);
-          break;
-        }
-        std::size_t max_entries =
-            std::max<std::size_t>(1, max_bytes / sizeof(uk::DirentHdr));
-        Result<std::vector<fs::DirEntry>> win =
-            vfs.readdir_window(p.fds, fd, f->pos, max_entries);
-        if (!win) {
-          r = sysret_err(win.error());
-          break;
-        }
-        std::size_t off = 0;
-        std::size_t taken = 0;
-        for (const fs::DirEntry& de : win.value()) {
-          std::size_t need = sizeof(uk::DirentHdr) + de.name.size();
-          if (off + need > max_bytes) break;
-          uk::DirentHdr hdr{de.ino, static_cast<std::uint8_t>(de.type),
-                            static_cast<std::uint8_t>(de.name.size())};
-          std::memcpy(dst.data() + off, &hdr, sizeof(hdr));
-          std::memcpy(dst.data() + off + sizeof(hdr), de.name.data(),
-                      de.name.size());
-          off += need;
-          ++taken;
-        }
-        f->pos += taken;
-        shared.bytes_via_shared += off;
-        r = static_cast<SysRet>(off);
+        const std::size_t len = len_of(rec.args[2]);
+        r = sys(uk::Sys::kReaddir, uval(rec.args[0]),
+                shared_arg(rec.args[1], len), len);
+        if (r > 0) shared.bytes_via_shared += static_cast<std::uint64_t>(r);
         break;
       }
-      case Op::kUnlink: {
+      case Op::kUnlink:
         if (rec.args[0].kind != ArgKind::kStr) {
           r = sysret_err(Errno::kEINVAL);
           break;
         }
-        Errno e = vfs.unlink(sv(rec.args[0]));
-        r = e == Errno::kOk ? 0 : sysret_err(e);
+        r = sys(uk::Sys::kUnlink, path_arg(rec.args[0]));
         break;
-      }
-      case Op::kMkdir: {
+      case Op::kMkdir:
         if (rec.args[0].kind != ArgKind::kStr) {
           r = sysret_err(Errno::kEINVAL);
           break;
         }
-        Errno e = vfs.mkdir(sv(rec.args[0]),
-                            static_cast<std::uint32_t>(val(rec.args[1])));
-        r = e == Errno::kOk ? 0 : sysret_err(e);
+        r = sys(uk::Sys::kMkdir, path_arg(rec.args[0]), uval(rec.args[1]));
         break;
-      }
 
       case Op::kSet:
         out.locals[rec.aux] = val(rec.args[0]);

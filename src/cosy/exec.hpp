@@ -6,10 +6,12 @@
 // kernel module is the same as a normal process and hence all the
 // necessary checks are performed."
 //
-// sys_cosy costs exactly ONE boundary crossing; every op inside runs
-// against the VFS directly, and reads/writes move data through the shared
-// buffer with no user copies. Back-edges are preemption points, so the
-// scheduler watchdog terminates compounds that loop forever.
+// sys_cosy costs exactly ONE boundary crossing; every syscall op inside
+// runs the kernel's own handler (Kernel::dispatch_nested) in kernel-buffer
+// mode, so it behaves exactly like the classic call while reads/writes
+// move data through the shared buffer with no user copies. Back-edges are
+// preemption points, so the scheduler watchdog terminates compounds that
+// loop forever.
 #pragma once
 
 #include "cosy/compound.hpp"

@@ -21,10 +21,14 @@ enum class FileType : std::uint8_t {
 struct StatBuf {
   InodeNum ino = 0;
   FileType type = FileType::kRegular;
+  // Explicit, zeroed padding: a StatBuf is copied out whole, so implicit
+  // padding would carry stale kernel stack bytes into user memory.
+  std::uint8_t pad0[3] = {};
   std::uint32_t mode = 0644;
   std::uint32_t nlink = 1;
   std::uint32_t uid = 0;
   std::uint32_t gid = 0;
+  std::uint32_t pad1 = 0;
   std::uint64_t size = 0;
   std::uint64_t blocks = 0;
   std::uint64_t atime = 0;

@@ -96,8 +96,13 @@ class WaitQueue {
       // Dekker handshake with Scheduler::kill: our parked_on store and
       // the killer's state store are both seq_cst, so either the pred
       // below sees kKilled or the killer sees parked_on and wakes us.
+      // The park itself is a CAS for the same reason as the restore
+      // below: a kill landing between the read and a plain store would
+      // be overwritten, and the killer's wake would then report kWoken.
       prev = t->state();
-      if (prev != TaskState::kKilled) t->set_state(TaskState::kParked);
+      while (prev != TaskState::kKilled &&
+             !t->cas_state(prev, TaskState::kParked)) {
+      }
     }
     ws.parks.fetch_add(1, std::memory_order_relaxed);
     ws.parked_now.fetch_add(1, std::memory_order_relaxed);

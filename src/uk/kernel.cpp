@@ -121,21 +121,68 @@ Kernel::Scope::~Scope() {
 }
 
 // --- helpers ----------------------------------------------------------------
+// fetch_path() and CallerBuf are the only places the copy-or-share
+// decision is made (see BufMode); the handlers below never branch on it.
 
 namespace {
 template <typename T>
 T* uptr(std::uint64_t v) {
   return reinterpret_cast<T*>(static_cast<std::uintptr_t>(v));
 }
+
+/// One caller buffer of `n` bytes, as a handler sees it. kUser stages the
+/// bytes in a kernel bounce buffer and moves them with copy_{from,to}_user;
+/// kKernel hands out the caller's memory itself, so moving bytes between
+/// it and data() costs nothing.
+class CallerBuf {
+ public:
+  CallerBuf(Boundary& b, sched::Task& t, BufMode m, std::uint64_t buf,
+            std::size_t n)
+      : b_(b), t_(t), shared_(m == BufMode::kKernel),
+        buf_(uptr<std::byte>(buf)), n_(n) {}
+
+  /// Kernel-side bytes for the handler to fill or consume.
+  std::byte* data() {
+    if (shared_) return buf_;
+    bounce_.resize(n_);
+    return bounce_.data();
+  }
+  /// Buffer in: the caller's n bytes into data().
+  Result<std::size_t> in() {
+    if (shared_) return n_;
+    return b_.copy_from_user(t_, data(), buf_, n_);
+  }
+  /// Buffer out: `len` bytes of kernel memory (data() or a kernel object)
+  /// into the caller's buffer.
+  Result<std::size_t> out(const void* ksrc, std::size_t len) {
+    if (!shared_) return b_.copy_to_user(t_, buf_, ksrc, len);
+    if (ksrc != buf_) std::memcpy(buf_, ksrc, len);
+    return len;
+  }
+
+ private:
+  Boundary& b_;
+  sched::Task& t_;
+  const bool shared_;
+  std::byte* const buf_;
+  const std::size_t n_;
+  std::vector<std::byte> bounce_;
+};
 }  // namespace
 
-std::int64_t Kernel::get_user_path(Process& p, const char* upath,
-                                   char* kpath) {
-  if (upath == nullptr) return sysret_err(Errno::kEFAULT);
+Result<std::string_view> Kernel::fetch_path(Process& p, BufMode m,
+                                            std::uint64_t path, char* kpath) {
+  const char* src = uptr<const char>(path);
+  if (src == nullptr) return Errno::kEFAULT;
+  if (m == BufMode::kKernel) {
+    const std::size_t len = strnlen(src, kMaxPath);
+    if (len == kMaxPath) return Errno::kENAMETOOLONG;
+    return std::string_view(src, len);
+  }
   Result<std::size_t> len =
-      boundary_.strncpy_from_user(p.task, kpath, upath, kMaxPath);
-  if (!len) return sysret_err(len.error());
-  return static_cast<std::int64_t>(len.value());
+      boundary_.strncpy_from_user(p.task, kpath, src, kMaxPath);
+  if (!len) return len.error();
+  return std::string_view(kpath, len.value());
 }
 
 // --- the gateway --------------------------------------------------------------
@@ -179,7 +226,7 @@ SysRet Kernel::syscall(Process& p, Sys nr, const SysArgs& a) {
     // crossing, one audit record, one ktrace sample per entry.
     Scope scope(*this, p, nr);
     if (SysRet g = scope.gate(); g != 0) return g;
-    return scope.done((this->*h)(p, a));
+    return scope.done((this->*h)(p, a, BufMode::kUser));
   }
   if (idx < external_.size()) {
     if (ExternalSysFn fn = external_[idx].fn.load(std::memory_order_acquire)) {
@@ -206,11 +253,12 @@ void Kernel::register_syscall(Sys nr, ExternalSysFn fn, void* ctx) {
   external_[idx].fn.store(fn, std::memory_order_release);
 }
 
-SysRet Kernel::dispatch_nested(Process& p, Sys nr, const SysArgs& a) {
+SysRet Kernel::dispatch_nested(Process& p, Sys nr, const SysArgs& a,
+                               BufMode mode) {
   const std::size_t idx = static_cast<std::size_t>(nr);
   const SysHandler h = idx < handlers().size() ? handlers()[idx] : nullptr;
   if (h == nullptr) return sysret_err(Errno::kENOSYS);
-  return (this->*h)(p, a);
+  return (this->*h)(p, a, mode);
 }
 
 // --- typed wrappers (the userlib-facing ABI) ----------------------------------
@@ -283,37 +331,36 @@ SysRet Kernel::sys_chmod(Process& p, const char* upath, std::uint32_t mode) {
   return syscall(p, Sys::kChmod, {uarg(upath), mode, 0, 0});
 }
 
+
 // --- handlers -----------------------------------------------------------------
 // Error-path discipline (audited, regression-tested in test_uk.cpp):
 // descriptor validity (EBADF) is decided BEFORE any user-memory copy or
 // kernel buffer allocation, and user copies are fallible -- a faulted
 // copy-out rewinds file position so no data is silently consumed.
 
-SysRet Kernel::do_open(Process& p, const SysArgs& a) {
+SysRet Kernel::do_open(Process& p, const SysArgs& a, BufMode m) {
   char kpath[kMaxPath];
-  std::int64_t len = get_user_path(p, uptr<const char>(a.a0), kpath);
-  if (len < 0) return len;
-  Result<int> r = vfs_.open(
-      p.fds, std::string_view(kpath, static_cast<std::size_t>(len)),
-      static_cast<int>(a.a1), static_cast<std::uint32_t>(a.a2));
+  Result<std::string_view> path = fetch_path(p, m, a.a0, kpath);
+  if (!path) return sysret_err(path.error());
+  Result<int> r = vfs_.open(p.fds, path.value(), static_cast<int>(a.a1),
+                            static_cast<std::uint32_t>(a.a2));
   if (!r) return sysret_err(r.error());
   return r.value();
 }
 
-SysRet Kernel::do_close(Process& p, const SysArgs& a) {
+SysRet Kernel::do_close(Process& p, const SysArgs& a, BufMode /*m*/) {
   Result<void> r = vfs_.close(p.fds, static_cast<int>(a.a0));
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_dup(Process& p, const SysArgs& a) {
+SysRet Kernel::do_dup(Process& p, const SysArgs& a, BufMode /*m*/) {
   Result<int> r = vfs_.dup(p.fds, static_cast<int>(a.a0));
   if (!r) return sysret_err(r.error());
   return r.value();
 }
 
-SysRet Kernel::do_read(Process& p, const SysArgs& a) {
+SysRet Kernel::do_read(Process& p, const SysArgs& a, BufMode m) {
   const int fd = static_cast<int>(a.a0);
-  void* ubuf = uptr<void>(a.a1);
   std::size_t n = std::min(static_cast<std::size_t>(a.a2), kMaxIo);
   // EBADF before EFAULT, and before any buffer allocation: a bad
   // descriptor must not cost a kernel allocation or touch user memory.
@@ -321,14 +368,13 @@ SysRet Kernel::do_read(Process& p, const SysArgs& a) {
   if (f == nullptr || (f->flags & fs::kAccessMode) == fs::kOWrOnly) {
     return sysret_err(Errno::kEBADF);
   }
-  if (ubuf == nullptr) return sysret_err(Errno::kEFAULT);
-  std::vector<std::byte> kbuf(n);
-  Result<std::size_t> r = vfs_.read(p.fds, fd, std::span(kbuf.data(), n));
+  if (a.a1 == 0) return sysret_err(Errno::kEFAULT);
+  CallerBuf buf(boundary_, p.task, m, a.a1, n);
+  std::byte* kbuf = buf.data();
+  Result<std::size_t> r = vfs_.read(p.fds, fd, std::span(kbuf, n));
   if (!r) return sysret_err(r.error());
   if (r.value() > 0) {
-    if (Result<std::size_t> c =
-            boundary_.copy_to_user(p.task, ubuf, kbuf.data(), r.value());
-        !c) {
+    if (Result<std::size_t> c = buf.out(kbuf, r.value()); !c) {
       // The user never saw the bytes: rewind the position the VFS
       // advanced so the data is not silently consumed.
       f->pos -= r.value();
@@ -338,9 +384,8 @@ SysRet Kernel::do_read(Process& p, const SysArgs& a) {
   return static_cast<SysRet>(r.value());
 }
 
-SysRet Kernel::do_write(Process& p, const SysArgs& a) {
+SysRet Kernel::do_write(Process& p, const SysArgs& a, BufMode m) {
   const int fd = static_cast<int>(a.a0);
-  const void* ubuf = uptr<const void>(a.a1);
   std::size_t n = std::min(static_cast<std::size_t>(a.a2), kMaxIo);
   // Validate the descriptor before paying for the copy-in: a bad or
   // read-only fd must fail without charging the caller for user->kernel
@@ -349,19 +394,15 @@ SysRet Kernel::do_write(Process& p, const SysArgs& a) {
   if (f == nullptr || (f->flags & fs::kAccessMode) == fs::kORdOnly) {
     return sysret_err(Errno::kEBADF);
   }
-  if (ubuf == nullptr) return sysret_err(Errno::kEFAULT);
-  std::vector<std::byte> kbuf(n);
-  if (Result<std::size_t> c =
-          boundary_.copy_from_user(p.task, kbuf.data(), ubuf, n);
-      !c) {
-    return sysret_err(c.error());
-  }
-  Result<std::size_t> r = vfs_.write(p.fds, fd, std::span(kbuf.data(), n));
+  if (a.a1 == 0) return sysret_err(Errno::kEFAULT);
+  CallerBuf buf(boundary_, p.task, m, a.a1, n);
+  if (Result<std::size_t> c = buf.in(); !c) return sysret_err(c.error());
+  Result<std::size_t> r = vfs_.write(p.fds, fd, std::span(buf.data(), n));
   if (!r) return sysret_err(r.error());
   return static_cast<SysRet>(r.value());
 }
 
-SysRet Kernel::do_lseek(Process& p, const SysArgs& a) {
+SysRet Kernel::do_lseek(Process& p, const SysArgs& a, BufMode /*m*/) {
   Result<std::uint64_t> r =
       vfs_.lseek(p.fds, static_cast<int>(a.a0),
                  static_cast<std::int64_t>(a.a1), static_cast<int>(a.a2));
@@ -369,48 +410,42 @@ SysRet Kernel::do_lseek(Process& p, const SysArgs& a) {
   return static_cast<SysRet>(r.value());
 }
 
-SysRet Kernel::do_stat(Process& p, const SysArgs& a) {
-  fs::StatBuf* ust = uptr<fs::StatBuf>(a.a1);
-  if (ust == nullptr) return sysret_err(Errno::kEFAULT);
+SysRet Kernel::do_stat(Process& p, const SysArgs& a, BufMode m) {
+  if (a.a1 == 0) return sysret_err(Errno::kEFAULT);
   char kpath[kMaxPath];
-  std::int64_t len = get_user_path(p, uptr<const char>(a.a0), kpath);
-  if (len < 0) return len;
+  Result<std::string_view> path = fetch_path(p, m, a.a0, kpath);
+  if (!path) return sysret_err(path.error());
   fs::StatBuf st;
-  Result<void> r = vfs_.stat(
-      std::string_view(kpath, static_cast<std::size_t>(len)), &st);
+  Result<void> r = vfs_.stat(path.value(), &st);
   if (!r.ok()) return sysret_err(r.error());
-  if (Result<std::size_t> c =
-          boundary_.copy_to_user(p.task, ust, &st, sizeof(st));
-      !c) {
+  CallerBuf buf(boundary_, p.task, m, a.a1, sizeof(st));
+  if (Result<std::size_t> c = buf.out(&st, sizeof(st)); !c) {
     return sysret_err(c.error());
   }
   return 0;
 }
 
-SysRet Kernel::do_fstat(Process& p, const SysArgs& a) {
-  fs::StatBuf* ust = uptr<fs::StatBuf>(a.a1);
+SysRet Kernel::do_fstat(Process& p, const SysArgs& a, BufMode m) {
   // EBADF before EFAULT: descriptor validity is decided first, like
   // Linux's fstat (fdget before copy_to_user can fault).
   fs::StatBuf st;
   Result<void> r = vfs_.fstat(p.fds, static_cast<int>(a.a0), &st);
   if (!r.ok()) return sysret_err(r.error());
-  if (ust == nullptr) return sysret_err(Errno::kEFAULT);
-  if (Result<std::size_t> c =
-          boundary_.copy_to_user(p.task, ust, &st, sizeof(st));
-      !c) {
+  if (a.a1 == 0) return sysret_err(Errno::kEFAULT);
+  CallerBuf buf(boundary_, p.task, m, a.a1, sizeof(st));
+  if (Result<std::size_t> c = buf.out(&st, sizeof(st)); !c) {
     return sysret_err(c.error());
   }
   return 0;
 }
 
-SysRet Kernel::do_readdir(Process& p, const SysArgs& a) {
+SysRet Kernel::do_readdir(Process& p, const SysArgs& a, BufMode m) {
   const int fd = static_cast<int>(a.a0);
-  void* ubuf = uptr<void>(a.a1);
   std::size_t n = std::min(static_cast<std::size_t>(a.a2), kMaxIo);
   // EBADF before EFAULT (see do_read).
   fs::OpenFile* f = p.fds.get(fd);
   if (f == nullptr) return sysret_err(Errno::kEBADF);
-  if (ubuf == nullptr) return sysret_err(Errno::kEFAULT);
+  if (a.a1 == 0) return sysret_err(Errno::kEFAULT);
 
   // Estimate how many entries can fit, fetch a window, pack what fits.
   std::size_t max_entries = std::max<std::size_t>(1, n / sizeof(DirentHdr));
@@ -418,7 +453,8 @@ SysRet Kernel::do_readdir(Process& p, const SysArgs& a) {
       vfs_.readdir_window(p.fds, fd, f->pos, max_entries);
   if (!win) return sysret_err(win.error());
 
-  std::vector<std::byte> kbuf(n);
+  CallerBuf buf(boundary_, p.task, m, a.a1, n);
+  std::byte* kbuf = buf.data();
   std::size_t off = 0;
   std::size_t taken = 0;
   for (const fs::DirEntry& de : win.value()) {
@@ -426,16 +462,13 @@ SysRet Kernel::do_readdir(Process& p, const SysArgs& a) {
     if (off + rec > n) break;
     DirentHdr hdr{de.ino, static_cast<std::uint8_t>(de.type),
                   static_cast<std::uint8_t>(de.name.size())};
-    std::memcpy(kbuf.data() + off, &hdr, sizeof(hdr));
-    std::memcpy(kbuf.data() + off + sizeof(hdr), de.name.data(),
-                de.name.size());
+    std::memcpy(kbuf + off, &hdr, sizeof(hdr));
+    std::memcpy(kbuf + off + sizeof(hdr), de.name.data(), de.name.size());
     off += rec;
     ++taken;
   }
   if (off > 0) {
-    if (Result<std::size_t> c =
-            boundary_.copy_to_user(p.task, ubuf, kbuf.data(), off);
-        !c) {
+    if (Result<std::size_t> c = buf.out(kbuf, off); !c) {
       // Position was not advanced yet: the faulted batch is re-readable.
       return sysret_err(c.error());
     }
@@ -444,97 +477,87 @@ SysRet Kernel::do_readdir(Process& p, const SysArgs& a) {
   return static_cast<SysRet>(off);
 }
 
-SysRet Kernel::do_unlink(Process& p, const SysArgs& a) {
+SysRet Kernel::do_unlink(Process& p, const SysArgs& a, BufMode m) {
   char kpath[kMaxPath];
-  std::int64_t len = get_user_path(p, uptr<const char>(a.a0), kpath);
-  if (len < 0) return len;
-  Result<void> r =
-      vfs_.unlink(std::string_view(kpath, static_cast<std::size_t>(len)));
+  Result<std::string_view> path = fetch_path(p, m, a.a0, kpath);
+  if (!path) return sysret_err(path.error());
+  Result<void> r = vfs_.unlink(path.value());
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_mkdir(Process& p, const SysArgs& a) {
+SysRet Kernel::do_mkdir(Process& p, const SysArgs& a, BufMode m) {
   char kpath[kMaxPath];
-  std::int64_t len = get_user_path(p, uptr<const char>(a.a0), kpath);
-  if (len < 0) return len;
-  Result<void> r =
-      vfs_.mkdir(std::string_view(kpath, static_cast<std::size_t>(len)),
-                 static_cast<std::uint32_t>(a.a1));
+  Result<std::string_view> path = fetch_path(p, m, a.a0, kpath);
+  if (!path) return sysret_err(path.error());
+  Result<void> r = vfs_.mkdir(path.value(), static_cast<std::uint32_t>(a.a1));
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_rmdir(Process& p, const SysArgs& a) {
+SysRet Kernel::do_rmdir(Process& p, const SysArgs& a, BufMode m) {
   char kpath[kMaxPath];
-  std::int64_t len = get_user_path(p, uptr<const char>(a.a0), kpath);
-  if (len < 0) return len;
-  Result<void> r =
-      vfs_.rmdir(std::string_view(kpath, static_cast<std::size_t>(len)));
+  Result<std::string_view> path = fetch_path(p, m, a.a0, kpath);
+  if (!path) return sysret_err(path.error());
+  Result<void> r = vfs_.rmdir(path.value());
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_rename(Process& p, const SysArgs& a) {
+SysRet Kernel::do_rename(Process& p, const SysArgs& a, BufMode m) {
   char kfrom[kMaxPath];
   char kto[kMaxPath];
-  std::int64_t fl = get_user_path(p, uptr<const char>(a.a0), kfrom);
-  if (fl < 0) return fl;
-  std::int64_t tl = get_user_path(p, uptr<const char>(a.a1), kto);
-  if (tl < 0) return tl;
-  Result<void> r =
-      vfs_.rename(std::string_view(kfrom, static_cast<std::size_t>(fl)),
-                  std::string_view(kto, static_cast<std::size_t>(tl)));
+  Result<std::string_view> from = fetch_path(p, m, a.a0, kfrom);
+  if (!from) return sysret_err(from.error());
+  Result<std::string_view> to = fetch_path(p, m, a.a1, kto);
+  if (!to) return sysret_err(to.error());
+  Result<void> r = vfs_.rename(from.value(), to.value());
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_truncate(Process& p, const SysArgs& a) {
+SysRet Kernel::do_truncate(Process& p, const SysArgs& a, BufMode m) {
   char kpath[kMaxPath];
-  std::int64_t len = get_user_path(p, uptr<const char>(a.a0), kpath);
-  if (len < 0) return len;
-  Result<void> r = vfs_.truncate(
-      std::string_view(kpath, static_cast<std::size_t>(len)), a.a1);
+  Result<std::string_view> path = fetch_path(p, m, a.a0, kpath);
+  if (!path) return sysret_err(path.error());
+  Result<void> r = vfs_.truncate(path.value(), a.a1);
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_getpid(Process& p, const SysArgs& /*a*/) {
+SysRet Kernel::do_getpid(Process& p, const SysArgs& /*a*/, BufMode /*m*/) {
   return static_cast<SysRet>(p.task.pid());
 }
 
-SysRet Kernel::do_sync(Process& /*p*/, const SysArgs& /*a*/) {
+SysRet Kernel::do_sync(Process& /*p*/, const SysArgs& /*a*/, BufMode /*m*/) {
   Result<void> r = vfs_.filesystem().sync();
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_fsync(Process& p, const SysArgs& a) {
+SysRet Kernel::do_fsync(Process& p, const SysArgs& a, BufMode /*m*/) {
   Result<void> r = vfs_.fsync(p.fds, static_cast<int>(a.a0),
                               /*datasync=*/false);
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_fdatasync(Process& p, const SysArgs& a) {
+SysRet Kernel::do_fdatasync(Process& p, const SysArgs& a, BufMode /*m*/) {
   Result<void> r = vfs_.fsync(p.fds, static_cast<int>(a.a0),
                               /*datasync=*/true);
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_link(Process& p, const SysArgs& a) {
+SysRet Kernel::do_link(Process& p, const SysArgs& a, BufMode m) {
   char kfrom[kMaxPath];
   char kto[kMaxPath];
-  std::int64_t fl = get_user_path(p, uptr<const char>(a.a0), kfrom);
-  if (fl < 0) return fl;
-  std::int64_t tl = get_user_path(p, uptr<const char>(a.a1), kto);
-  if (tl < 0) return tl;
-  Result<void> r =
-      vfs_.link(std::string_view(kfrom, static_cast<std::size_t>(fl)),
-                std::string_view(kto, static_cast<std::size_t>(tl)));
+  Result<std::string_view> from = fetch_path(p, m, a.a0, kfrom);
+  if (!from) return sysret_err(from.error());
+  Result<std::string_view> to = fetch_path(p, m, a.a1, kto);
+  if (!to) return sysret_err(to.error());
+  Result<void> r = vfs_.link(from.value(), to.value());
   return r.ok() ? 0 : sysret_err(r.error());
 }
 
-SysRet Kernel::do_chmod(Process& p, const SysArgs& a) {
+SysRet Kernel::do_chmod(Process& p, const SysArgs& a, BufMode m) {
   char kpath[kMaxPath];
-  std::int64_t len = get_user_path(p, uptr<const char>(a.a0), kpath);
-  if (len < 0) return len;
+  Result<std::string_view> path = fetch_path(p, m, a.a0, kpath);
+  if (!path) return sysret_err(path.error());
   Result<void> r =
-      vfs_.chmod(std::string_view(kpath, static_cast<std::size_t>(len)),
-                 static_cast<std::uint32_t>(a.a1));
+      vfs_.chmod(path.value(), static_cast<std::uint32_t>(a.a1));
   return r.ok() ? 0 : sysret_err(r.error());
 }
 

@@ -66,6 +66,18 @@ struct DirentHdr {
   std::uint8_t namelen;
 } __attribute__((packed));
 
+/// Where a syscall handler's buffer and path arguments point. The calling
+/// vehicle passes it; the handlers never look at it themselves, only the
+/// path-fetch and buffer helpers in kernel.cpp do.
+///  - kUser: user memory, reached through copy_{from,to}_user with their
+///    charges, copy-byte counts and kfail sites (classic, consolidated
+///    and ring calls).
+///  - kKernel: memory the kernel may touch directly -- a Cosy shared
+///    buffer or a NUL-terminated kernel path. Handlers read and write it
+///    in place: no copy, no copy charge, no copy-byte count. An
+///    out-of-range buffer arrives as nullptr.
+enum class BufMode : std::uint8_t { kUser, kKernel };
+
 /// Wire format for sys_readdirplus: stat + header + name bytes.
 struct DirentPlusHdr {
   fs::StatBuf st;
@@ -211,11 +223,14 @@ class Kernel {
 
   /// Dispatch a table handler WITHOUT constructing a Scope: no boundary
   /// crossing, no audit record -- the caller's enclosing Scope owns both.
-  /// This is how the ring submission engine executes N queued syscalls
-  /// for the cost of one crossing. Unknown numbers return ENOSYS;
-  /// externally registered numbers are NOT reachable here (an external
-  /// handler expects to manage its own crossing).
-  SysRet dispatch_nested(Process& p, Sys nr, const SysArgs& a = SysArgs{});
+  /// This is how the ring, Cosy compounds and consolidated calls execute
+  /// N syscalls for the cost of one crossing, with the classic calls'
+  /// exact semantics. `mode` says where the buffer and path arguments
+  /// point (see BufMode). Unknown numbers return ENOSYS; externally
+  /// registered numbers are NOT reachable here (an external handler
+  /// expects to manage its own crossing).
+  SysRet dispatch_nested(Process& p, Sys nr, const SysArgs& a = SysArgs{},
+                         BufMode mode = BufMode::kUser);
 
   // --- classic system calls (typed wrappers over syscall()) --------------------
   SysRet sys_open(Process& p, const char* upath, int flags,
@@ -246,40 +261,45 @@ class Kernel {
   static constexpr std::size_t kMaxPath = 4096;
   static constexpr std::size_t kMaxIo = 1 << 20;
 
- private:
-  /// Copy a user path into `kpath`; returns length or negative errno.
-  std::int64_t get_user_path(Process& p, const char* upath, char* kpath);
+  /// Path fetch for every handler (and readdirplus): with kUser,
+  /// strncpy_from_user into `kpath` (kMaxPath bytes); with kKernel, the
+  /// NUL-terminated kernel string is used in place. EFAULT for nullptr,
+  /// ENAMETOOLONG at kMaxPath either way.
+  Result<std::string_view> fetch_path(Process& p, BufMode m,
+                                      std::uint64_t path, char* kpath);
 
+ private:
   // --- numbered syscall table ------------------------------------------------
-  // Handlers are Scope-free: they take the process and the packed args
-  // and return a SysRet. syscall() wraps the call in a Scope (crossing +
-  // audit); dispatch_nested() calls them bare so a batched submitter
-  // (src/ring) re-uses the exact same code with zero extra crossings.
-  using SysHandler = SysRet (Kernel::*)(Process&, const SysArgs&);
+  // Handlers are Scope-free: they take the process, the packed args and
+  // the buffer mode, and return a SysRet. syscall() wraps the call in a
+  // Scope (crossing + audit); dispatch_nested() calls them bare so every
+  // batching vehicle re-uses the exact same code with zero extra
+  // crossings.
+  using SysHandler = SysRet (Kernel::*)(Process&, const SysArgs&, BufMode);
   using HandlerTable =
       std::array<SysHandler, static_cast<std::size_t>(Sys::kMaxSys)>;
   static const HandlerTable& handlers();
 
-  SysRet do_open(Process& p, const SysArgs& a);
-  SysRet do_close(Process& p, const SysArgs& a);
-  SysRet do_dup(Process& p, const SysArgs& a);
-  SysRet do_read(Process& p, const SysArgs& a);
-  SysRet do_write(Process& p, const SysArgs& a);
-  SysRet do_lseek(Process& p, const SysArgs& a);
-  SysRet do_stat(Process& p, const SysArgs& a);
-  SysRet do_fstat(Process& p, const SysArgs& a);
-  SysRet do_readdir(Process& p, const SysArgs& a);
-  SysRet do_unlink(Process& p, const SysArgs& a);
-  SysRet do_mkdir(Process& p, const SysArgs& a);
-  SysRet do_rmdir(Process& p, const SysArgs& a);
-  SysRet do_rename(Process& p, const SysArgs& a);
-  SysRet do_truncate(Process& p, const SysArgs& a);
-  SysRet do_getpid(Process& p, const SysArgs& a);
-  SysRet do_sync(Process& p, const SysArgs& a);
-  SysRet do_fsync(Process& p, const SysArgs& a);
-  SysRet do_fdatasync(Process& p, const SysArgs& a);
-  SysRet do_link(Process& p, const SysArgs& a);
-  SysRet do_chmod(Process& p, const SysArgs& a);
+  SysRet do_open(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_close(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_dup(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_read(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_write(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_lseek(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_stat(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_fstat(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_readdir(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_unlink(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_mkdir(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_rmdir(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_rename(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_truncate(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_getpid(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_sync(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_fsync(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_fdatasync(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_link(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_chmod(Process& p, const SysArgs& a, BufMode m);
 
   /// One runtime-registered slot; fn/ctx are read on the syscall hot path
   /// (two acquire loads only when the static table misses).

@@ -354,6 +354,24 @@ TEST(SpinLockTest, TryLock) {
   lock.unlock();
 }
 
+TEST(SpinLockTest, TwoGuardsInOneScope) {
+  base::SpinLock outer("outer");
+  base::SpinLock inner("inner");
+  {
+    USK_SPIN_GUARD(outer);
+    USK_SPIN_GUARD(inner);
+    EXPECT_FALSE(outer.try_lock());
+    EXPECT_FALSE(inner.try_lock());
+  }
+  // Both guards released at scope exit.
+  EXPECT_TRUE(outer.try_lock());
+  EXPECT_TRUE(inner.try_lock());
+  outer.unlock();
+  inner.unlock();
+  EXPECT_EQ(outer.acquisitions(), 2u);
+  EXPECT_EQ(inner.acquisitions(), 2u);
+}
+
 struct HookCapture {
   std::vector<std::pair<void*, base::SyncEvent>> events;
   static void fn(void* ctx, void* obj, base::SyncEvent ev, const char*,

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "base/rng.hpp"
 #include "cosy/compound.hpp"
@@ -564,6 +567,77 @@ TEST_F(VmTest, FuzzedBytecodeNeverEscapes) {
   // All three outcomes occur across the corpus; none crashed the host.
   EXPECT_GT(returns + kills + faults, 0u);
   EXPECT_GT(faults + kills, 0u);  // some programs misbehaved and were stopped
+}
+
+// Cosy ops run the kernel's own handlers, so a one-op compound returns
+// exactly what the classic call returns -- including the error order
+// (EBADF before EFAULT, EFAULT before the path walk), the kMaxPath limit
+// and the kMaxIo clamp.
+TEST_F(CosyTest, OneOpCompoundMatchesClassicCall) {
+  constexpr std::size_t k3MiB = 3u << 20;
+  SharedBuffer big(4u << 20);
+  const std::int64_t oob = static_cast<std::int64_t>(big.size());
+  const std::string long_path = "/" + std::string(4999, 'x');
+  std::vector<std::byte> blob(k3MiB, std::byte{0x5a});
+  {
+    int fd = proc_.open("/big", fs::kOWrOnly | fs::kOCreat);
+    ASSERT_GE(fd, 0);
+    for (std::size_t off = 0; off < blob.size(); off += uk::Kernel::kMaxIo) {
+      ASSERT_EQ(proc_.write(fd, blob.data() + off, uk::Kernel::kMaxIo),
+                static_cast<SysRet>(uk::Kernel::kMaxIo));
+    }
+    proc_.close(fd);
+  }
+  uk::Kernel& k = kernel_;
+  uk::Process& p = proc_.process();
+  fs::StatBuf st;
+
+  struct Case {
+    const char* name;
+    std::function<SysRet()> classic;
+    std::function<void(CompoundBuilder&)> compound;
+  };
+  const Case cases[] = {
+      {"read, closed fd 7, out-of-range buffer",
+       [&] { return k.sys_read(p, 7, nullptr, 16); },
+       [&](CompoundBuilder& b) { b.read(imm(7), shared(oob), imm(16)); }},
+      {"write, closed fd 7, out-of-range buffer",
+       [&] { return k.sys_write(p, 7, nullptr, 16); },
+       [&](CompoundBuilder& b) { b.write(imm(7), shared(oob), imm(16)); }},
+      {"stat, missing path, out-of-range buffer",
+       [&] { return k.sys_stat(p, "/missing", nullptr); },
+       [&](CompoundBuilder& b) { b.stat(b.str("/missing"), shared(oob)); }},
+      {"stat, 5000-byte path",
+       [&] { return k.sys_stat(p, long_path.c_str(), &st); },
+       [&](CompoundBuilder& b) { b.stat(b.str(long_path), shared(0)); }},
+      {"read of 3 MiB in one call",
+       [&] {
+         const int fd = proc_.open("/big", fs::kORdOnly);
+         const SysRet r = k.sys_read(p, fd, blob.data(), k3MiB);
+         proc_.close(fd);
+         return r;
+       },
+       [&](CompoundBuilder& b) {
+         const int o = b.open(b.str("/big"), imm(fs::kORdOnly), imm(0));
+         b.read(result_of(o), shared(0),
+                imm(static_cast<std::int64_t>(k3MiB)));
+         b.close(result_of(o));
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SysRet want = c.classic();
+    CompoundBuilder b;
+    c.compound(b);
+    const Compound comp = b.finish();
+    CosyResult r = ext_.execute(p, comp, big);
+    ASSERT_EQ(r.ret, 0);
+    // The case's syscall is the compound's only op, or the middle one
+    // of open/read/close.
+    const std::size_t op = comp.ops.size() == 2 ? 0 : 1;
+    EXPECT_EQ(r.results[op], want);
+  }
+  EXPECT_EQ(p.fds.open_count(), 0u);
 }
 
 TEST_F(CosyTest, CompoundCallsVmFunction) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <tuple>
 
 #include "base/rng.hpp"
@@ -214,6 +215,11 @@ struct CosyProgram {
   const char* src;
   std::int64_t expect;
 };
+
+// Name each case by its program: gtest would otherwise print the raw
+// bytes, string pointers included, so the test names would change with
+// every load address.
+void PrintTo(const CosyProgram& prog, std::ostream* os) { *os << prog.name; }
 
 class CosyProgramTest : public ::testing::TestWithParam<CosyProgram> {};
 

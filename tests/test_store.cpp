@@ -6,14 +6,12 @@
 // dirty-page budgets through the cache's dirty gate, and the
 // /proc/blockdev/cache + /proc/store/** renderers.
 //
-// Image files are created with RELATIVE paths (ctest runs inside the
-// build tree) and removed per test; every name is unique to the test so
-// parallel ctest shards never collide.
+// Image files live in a per-test mkdtemp directory (tests/temp_dir.hpp),
+// so parallel ctest shards never share a file.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -33,6 +31,7 @@
 #include "uk/kernel.hpp"
 #include "uk/kproc.hpp"
 #include "uk/userlib.hpp"
+#include "temp_dir.hpp"
 
 namespace usk {
 namespace {
@@ -55,15 +54,10 @@ class StoreTest : public ::testing::Test {
   ~StoreTest() override {
     fault::kfail().disarm_all();
     fault::kfail().reset_stats();
-    for (const std::string& f : files_) std::remove(f.c_str());
   }
 
-  /// Register an image file for removal and return its (relative) path.
-  std::string img(const std::string& name) {
-    files_.push_back(name);
-    std::remove(name.c_str());
-    return name;
-  }
+  /// Path of an image file in this test's temporary directory.
+  std::string img(const std::string& name) { return dir_.file(name); }
 
   static std::vector<std::uint8_t> pattern(std::uint8_t tag) {
     std::vector<std::uint8_t> b(store::kBlockBytes);
@@ -73,7 +67,7 @@ class StoreTest : public ::testing::Test {
     return b;
   }
 
-  std::vector<std::string> files_;
+  testutil::TempDir dir_;
 };
 
 /// In-memory BlockBackend that records write order -- the observation

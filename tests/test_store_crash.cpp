@@ -37,6 +37,7 @@
 #include "fs/journalfs.hpp"
 #include "store/image.hpp"
 #include "store/store.hpp"
+#include "temp_dir.hpp"
 
 namespace usk {
 namespace {
@@ -196,9 +197,8 @@ class StoreCrashTest : public ::testing::Test {
     fault::kfail().disarm_all();
     fault::kfail().reset_stats();
   }
-  ~StoreCrashTest() override { std::remove(path_.c_str()); }
-
-  std::string path_ = "ts_crash_oracle.img";
+  testutil::TempDir dir_;
+  std::string path_ = dir_.file("ts_crash_oracle.img");
 };
 
 // A quick pass over the early cut positions -- kept cheap so tier-1 always

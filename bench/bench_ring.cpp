@@ -51,7 +51,7 @@ RunOut run(workload::ServeMode mode, std::size_t workers,
   uk::Kernel kernel(memfs);
   memfs.set_cost_hook(kernel.charge_hook());
   net::Net net(kernel);
-  ring::RingDev rdev(kernel, net);
+  ring::RingDev rdev(kernel);
 
   workload::WebServerConfig cfg;
   cfg.mode = mode;
@@ -101,7 +101,7 @@ StormOut run_storm(double rate, bool quick) {
   uk::Kernel kernel(memfs);
   memfs.set_cost_hook(kernel.charge_hook());
   net::Net net(kernel);
-  ring::RingDev rdev(kernel, net);
+  ring::RingDev rdev(kernel);
 
   sup::Supervisor s(kernel);
   sup::BreakerPolicy pol;

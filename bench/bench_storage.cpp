@@ -157,9 +157,11 @@ int main(int argc, char** argv) {
 
   bench::print_title("S1a", "group commit: concurrent writers share one fsync");
   const int txns = quick ? 200 : 600;
+  const bench::TempDir tmp;
   CommitOut per_upd = run_commit(false, 8, quick ? 25 : 60,
-                                 "bench_storage_perupd.img");
-  CommitOut grouped = run_commit(true, 8, txns, "bench_storage_group.img");
+                                 tmp.file("perupd.img").c_str());
+  CommitOut grouped =
+      run_commit(true, 8, txns, tmp.file("group.img").c_str());
   std::printf("  %-28s %12s %16s\n", "config", "txns/sec", "txns per flush");
   std::printf("  %-28s %12.0f %16.2f\n", "per-update commit (8w)",
               per_upd.txns_per_sec, per_upd.txns_per_flush);
@@ -180,8 +182,8 @@ int main(int argc, char** argv) {
                           // dwarfs the store's real cost; alternating the
                           // two sides makes a load spike hit both, and the
                           // per-side min is the honest read
-  const char* img = "bench_storage_pm.img";
-  std::remove(img);
+  const std::string pm_img = tmp.file("pm.img");
+  const char* img = pm_img.c_str();
 
   // Baseline: PR-4 in-memory journaling with the io cost model attached.
   // Fresh stack per rep -- run_postmark creates the pool from scratch.

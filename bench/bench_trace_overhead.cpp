@@ -56,7 +56,7 @@ int main() {
     for (int i = 0; i < kCheckLoops; ++i) {
       acc += static_cast<unsigned>(trace::enabled());
     }
-    sink += acc;
+    sink = sink + acc;
   });
   const double check_ns = check_s * 1e9 / kCheckLoops;
 

@@ -9,10 +9,15 @@
 // reported measurement to that file, for plotting/regression scripts.
 #pragma once
 
+#include <stdlib.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace usk::bench {
 
@@ -38,6 +43,34 @@ inline double time_best(int n, Fn&& fn) {
   }
   return best;
 }
+
+/// Per-run temporary directory for benches and examples that need real
+/// files (store images): a fresh mkdtemp directory under the system temp
+/// dir, removed with its contents on destruction, so concurrent runs
+/// never share a file and nothing is left in the working directory.
+class TempDir {
+ public:
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "usk-bench-XXXXXX").string();
+    if (mkdtemp(tmpl.data()) != nullptr) dir_ = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!dir_.empty()) std::filesystem::remove_all(dir_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  /// Path of `name` inside the directory (a path that fails to open if
+  /// mkdtemp failed, so callers see an ordinary open error).
+  [[nodiscard]] std::string file(std::string_view name) const {
+    return (dir_.empty() ? "/nonexistent" : dir_) + "/" + std::string(name);
+  }
+
+ private:
+  std::string dir_;
+};
 
 /// Percentage improvement of `better` over `baseline` (paper convention:
 /// "improved 60%" means the new time is 40% of the old).

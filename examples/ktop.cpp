@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "blockdev/buffer_cache.hpp"
 #include "blockdev/disk.hpp"
 #include "dl/dl.hpp"
@@ -352,16 +353,16 @@ int main() {
   supervisor.register_proc(kernel.mount_procfs());
   sup::SloMonitor slo(supervisor);
   slo.register_proc(kernel.mount_procfs());
-  ring::RingDev rdev(kernel, net);
+  ring::RingDev rdev(kernel);
   rdev.register_proc(kernel.mount_procfs());
 
   // Storage tier: a real backing image file under a writeback page cache
   // and group-commit journal, surfaced at /proc/{blockdev,store}/**.
   blockdev::Disk disk(4096);
   blockdev::BufferCache cache(disk, 128);
+  const bench::TempDir tmp;
   store::Store store;
-  std::remove("ktop_store.img");
-  const bool store_up = store.open("ktop_store.img").ok();
+  const bool store_up = store.open(tmp.file("ktop_store.img")).ok();
   if (store_up) store.attach_cache(&cache);
   uk::register_storage_proc(kernel.mount_procfs(),
                             store_up ? &store : nullptr, &cache);
@@ -419,7 +420,6 @@ int main() {
                 read_proc_file(top, "/proc/store/journal").c_str());
     store.close();
   }
-  std::remove("ktop_store.img");
 
   // Scheduler panel: per-CPU runqueue depths, steal/migration counters,
   // and the park/wake ledger, fed by a pooled-dispatch burst on the

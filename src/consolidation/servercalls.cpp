@@ -8,118 +8,97 @@
 
 namespace usk::consolidation {
 
+using uk::BufMode;
 using uk::Kernel;
 using uk::Process;
+using uk::Sys;
 
-SysRet sys_accept_recv(net::Net& net, Kernel& k, Process& p, int listenfd,
+// Both calls are sequences of the kernel's own handlers (accept, recv;
+// open, lseek, read, send, close) under one Scope: one crossing, classic
+// semantics per step.
+
+SysRet sys_accept_recv(net::Net& /*net*/, Kernel& k, Process& p, int listenfd,
                        void* ubuf, std::size_t n, int* uconnfd) {
   // Span before Scope: destruction order lets the Scope epilogue
   // attribute the kAcceptRecv crossing to this span before it publishes.
   trace::SpanScope span("net.accept_recv",
                         trace::SpanVehicle::kConsolidated);
-  Kernel::Scope scope(k, p, uk::Sys::kAcceptRecv);
+  Kernel::Scope scope(k, p, Sys::kAcceptRecv);
   if (SysRet g = scope.gate(); g != 0) return g;
   USK_TRACE_LATENCY("net", "accept_recv");
   if (ubuf == nullptr || uconnfd == nullptr) {
     return scope.fail(Errno::kEFAULT);
   }
-  Result<std::shared_ptr<net::Socket>> ls = net.socket_of(p, listenfd);
-  if (!ls) return scope.fail(ls.error());
-
-  Result<int> connfd = net.accept_pop(p, *ls.value());
-  if (!connfd) return scope.fail(connfd.error());
-
-  std::shared_ptr<net::Socket> conn = net.find_socket(
-      p.fds.get(connfd.value())->ino);
-  n = std::min(n, Kernel::kMaxIo);
-  std::vector<std::byte> kbuf(n);
-  Result<std::size_t> r = net.recv_into(*conn, std::span(kbuf.data(), n));
-  if (!r) {
-    // The accept succeeded; hand the fd back even though the first read
-    // failed (EAGAIN on a nonblocking empty connection is normal). A
-    // faulted fd copy-out trumps the recv error -- the user can't learn
-    // the fd, so EFAULT is what they must see.
-    if (Result<std::size_t> c = k.boundary().copy_to_user(
-            p.task, uconnfd, &connfd.value(), sizeof(int));
-        !c) {
-      return scope.fail(c.error());
-    }
-    return scope.fail(r.error());
-  }
-  if (Result<std::size_t> c = k.boundary().copy_to_user(
-          p.task, uconnfd, &connfd.value(), sizeof(int));
+  const SysRet connfd =
+      k.dispatch_nested(p, Sys::kAccept, {Kernel::iarg(listenfd)});
+  if (connfd < 0) return scope.done(connfd);
+  const SysRet r = k.dispatch_nested(
+      p, Sys::kRecv, {Kernel::iarg(connfd), Kernel::uarg(ubuf), n});
+  // The accept succeeded; hand the fd back even when the first read
+  // failed (EAGAIN on a nonblocking empty connection is normal). A
+  // faulted fd copy-out trumps the recv result -- the user can't learn
+  // the fd, so EFAULT is what they must see.
+  const int fd = static_cast<int>(connfd);
+  if (Result<std::size_t> c =
+          k.boundary().copy_to_user(p.task, uconnfd, &fd, sizeof(int));
       !c) {
     return scope.fail(c.error());
   }
-  if (r.value() > 0) {
-    if (Result<std::size_t> c =
-            k.boundary().copy_to_user(p.task, ubuf, kbuf.data(), r.value());
-        !c) {
-      return scope.fail(c.error());
-    }
-  }
-  return scope.done(static_cast<SysRet>(r.value()));
+  return scope.done(r);
 }
 
 SysRet sys_sendfile(net::Net& net, Kernel& k, Process& p, int sockfd,
                     const char* upath, std::uint64_t offset,
                     std::size_t count) {
   trace::SpanScope span("net.sendfile", trace::SpanVehicle::kConsolidated);
-  Kernel::Scope scope(k, p, uk::Sys::kSendfile);
+  Kernel::Scope scope(k, p, Sys::kSendfile);
   if (SysRet g = scope.gate(); g != 0) return g;
   USK_TRACE_LATENCY("net", "sendfile");
   // Descriptor first, path copy-in second: a bad fd must be reported
-  // before any boundary copy work is charged (the uniform-EBADF rule;
-  // contrast the pre-fix sys_write, which charged the copy on EBADF).
-  Result<std::shared_ptr<net::Socket>> rs = net.socket_of(p, sockfd);
-  if (!rs) return scope.fail(rs.error());
-  if (upath == nullptr) return scope.fail(Errno::kEFAULT);
-  char kpath[Kernel::kMaxPath];
-  Result<std::size_t> plen =
-      k.boundary().strncpy_from_user(p.task, kpath, upath, Kernel::kMaxPath);
-  if (!plen) return scope.fail(plen.error());
-  const std::size_t len = plen.value();
-
-  Result<int> fd = k.vfs().open(
-      p.fds, std::string_view(kpath, len),
-      fs::kORdOnly, 0);
-  if (!fd) return scope.fail(fd.error());
+  // before any boundary copy work is charged (the uniform-EBADF rule).
+  if (Result<std::shared_ptr<net::Socket>> rs = net.socket_of(p, sockfd);
+      !rs) {
+    return scope.fail(rs.error());
+  }
+  const SysRet fd = k.dispatch_nested(
+      p, Sys::kOpen, {Kernel::uarg(upath), fs::kORdOnly});
+  if (fd < 0) return scope.done(fd);
+  const std::uint64_t ufd = Kernel::iarg(fd);
 
   // Pump file -> socket entirely kernel-side, one page-sized chunk at a
-  // time. No copy_{from,to}_user: this is the zero-copy path the paper's
-  // consolidated calls point toward.
+  // time: read and send share one kernel page in kernel-buffer mode, so
+  // no byte of the payload is copied to or from user space.
   constexpr std::size_t kChunk = 4096;
-  std::vector<std::byte> kbuf(kChunk);
+  std::vector<std::byte> page(kChunk);
+  const std::uint64_t kpage = Kernel::uarg(page.data());
   std::uint64_t pos = offset;
   std::size_t total = 0;
-  Errno err = Errno::kOk;
+  SysRet err = 0;
   while (total < count) {
-    std::size_t want = std::min(kChunk, count - total);
-    Result<std::uint64_t> sk = k.vfs().lseek(
-        p.fds, fd.value(), static_cast<std::int64_t>(pos), fs::kSeekSet);
-    if (!sk) {
-      err = sk.error();
+    const std::size_t want = std::min(kChunk, count - total);
+    SysRet rd = k.dispatch_nested(p, Sys::kLseek, {ufd, pos, fs::kSeekSet});
+    if (rd >= 0) {
+      rd = k.dispatch_nested(p, Sys::kRead, {ufd, kpage, want},
+                             BufMode::kKernel);
+    }
+    if (rd <= 0) {
+      err = rd;  // 0 = EOF
       break;
     }
-    Result<std::size_t> rd =
-        k.vfs().read(p.fds, fd.value(), std::span(kbuf.data(), want));
-    if (!rd) {
-      err = rd.error();
+    const SysRet sn =
+        k.dispatch_nested(p, Sys::kSend,
+                          {Kernel::iarg(sockfd), kpage, Kernel::iarg(rd)},
+                          BufMode::kKernel);
+    if (sn < 0) {
+      err = sn;
       break;
     }
-    if (rd.value() == 0) break;  // EOF
-    Result<std::size_t> sn =
-        net.send_from(*rs.value(), std::span(kbuf.data(), rd.value()));
-    if (!sn) {
-      err = sn.error();
-      break;
-    }
-    total += sn.value();
-    pos += sn.value();
-    if (sn.value() < rd.value()) break;  // nonblocking short send
+    total += static_cast<std::size_t>(sn);
+    pos += static_cast<std::uint64_t>(sn);
+    if (sn < rd) break;  // nonblocking short send
   }
-  k.vfs().close(p.fds, fd.value());
-  if (total == 0 && err != Errno::kOk) return scope.fail(err);
+  k.dispatch_nested(p, Sys::kClose, {ufd});
+  if (total == 0 && err < 0) return scope.done(err);
   net.note_sendfile(total);
   return scope.done(static_cast<SysRet>(total));
 }

@@ -33,9 +33,8 @@ Result<std::shared_ptr<Epoll>> epoll_of(Net& net, uk::Process& p, int epfd) {
 
 }  // namespace
 
-SysRet Net::sys_epoll_create(uk::Process& p) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kEpollCreate);
-  if (SysRet g = scope.gate(); g != 0) return g;
+SysRet Net::handle_epoll_create(uk::Process& p, const SysArgs& /*a*/,
+                                uk::BufMode /*m*/) {
   std::shared_ptr<Epoll> ep;
   fs::InodeNum ino = 0;
   {
@@ -52,20 +51,22 @@ SysRet Net::sys_epoll_create(uk::Process& p) {
   Result<int> fd = p.fds.install(f);
   if (!fd) {
     drop_epoll(ep);
-    return scope.fail(fd.error());
+    return sysret_err(fd.error());
   }
-  return scope.done(fd.value());
+  return fd.value();
 }
 
-SysRet Net::sys_epoll_ctl(uk::Process& p, int epfd, int op, int fd,
-                              std::uint32_t events) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kEpollCtl);
-  if (SysRet g = scope.gate(); g != 0) return g;
+SysRet Net::handle_epoll_ctl(uk::Process& p, const SysArgs& a,
+                             uk::BufMode /*m*/) {
+  const int epfd = static_cast<int>(a.a0);
+  const int op = static_cast<int>(a.a1);
+  const int fd = static_cast<int>(a.a2);
+  const auto events = static_cast<std::uint32_t>(a.a3);
   Result<std::shared_ptr<Epoll>> rep = epoll_of(*this, p, epfd);
-  if (!rep) return scope.fail(rep.error());
+  if (!rep) return sysret_err(rep.error());
   Epoll& ep = *rep.value();
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
-  if (!rs) return scope.fail(rs.error());
+  if (!rs) return sysret_err(rs.error());
   std::shared_ptr<Socket> s = rs.value();
 
   switch (op) {
@@ -77,7 +78,7 @@ SysRet Net::sys_epoll_ctl(uk::Process& p, int epfd, int op, int fd,
         // whose socket was closed (close removes the watch, as in real
         // epoll) that a reused fd number may take over.
         if (it != ep.entries_.end() && !it->second.sock.expired()) {
-          return scope.fail(Errno::kEEXIST);
+          return sysret_err(Errno::kEEXIST);
         }
         ep.entries_[fd] = Epoll::Entry{s, events};
       }
@@ -87,44 +88,45 @@ SysRet Net::sys_epoll_ctl(uk::Process& p, int epfd, int op, int fd,
       }
       // A parked wait must rescan: the new fd may already be ready.
       ep.signal();
-      return scope.done(0);
+      return 0;
     }
     case kEpollCtlMod: {
       {
         std::lock_guard elk(ep.mu_);
         auto it = ep.entries_.find(fd);
-        if (it == ep.entries_.end()) return scope.fail(Errno::kENOENT);
+        if (it == ep.entries_.end()) return sysret_err(Errno::kENOENT);
         it->second.events = events;
       }
       ep.signal();  // the widened mask may match already-pending state
-      return scope.done(0);
+      return 0;
     }
     case kEpollCtlDel: {
       {
         std::lock_guard elk(ep.mu_);
-        if (ep.entries_.erase(fd) == 0) return scope.fail(Errno::kENOENT);
+        if (ep.entries_.erase(fd) == 0) return sysret_err(Errno::kENOENT);
       }
       std::lock_guard slk(s->mu_);
       std::erase_if(s->watchers_, [&](const auto& w) {
         return w.second == fd &&
                (w.first.expired() || w.first.lock() == rep.value());
       });
-      return scope.done(0);
+      return 0;
     }
     default:
-      return scope.fail(Errno::kEINVAL);
+      return sysret_err(Errno::kEINVAL);
   }
 }
 
-SysRet Net::sys_epoll_wait(uk::Process& p, int epfd, EpollEvent* uevents,
-                               int maxevents, int timeout_ms) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kEpollWait);
-  if (SysRet g = scope.gate(); g != 0) return g;
+SysRet Net::handle_epoll_wait(uk::Process& p, const SysArgs& a,
+                              uk::BufMode m) {
+  const int epfd = static_cast<int>(a.a0);
+  const int maxevents = static_cast<int>(a.a2);
+  const int timeout_ms = static_cast<int>(a.a3);
   USK_TRACE_LATENCY("net", "epoll_wait");
   USK_TRACEPOINT("net", "epoll_wait", static_cast<std::uint64_t>(epfd));
-  if (uevents == nullptr || maxevents <= 0) return scope.fail(Errno::kEINVAL);
+  if (a.a1 == 0 || maxevents <= 0) return sysret_err(Errno::kEINVAL);
   Result<std::shared_ptr<Epoll>> rep = epoll_of(*this, p, epfd);
-  if (!rep) return scope.fail(rep.error());
+  if (!rep) return sysret_err(rep.error());
   Epoll& ep = *rep.value();
 
   using clock = std::chrono::steady_clock;
@@ -191,7 +193,7 @@ SysRet Net::sys_epoll_wait(uk::Process& p, int epfd, EpollEvent* uevents,
     const clock::time_point* eff = dl::effective_deadline(
         forever ? nullptr : &deadline, &dl_storage, &dl_bound);
     if (dl_bound && dl_storage <= clock::now()) {
-      return scope.fail(Errno::kETIMEDOUT);
+      return sysret_err(Errno::kETIMEDOUT);
     }
     if (dl::spurious_wake()) continue;  // kfail: re-scan, never sleep late
 
@@ -199,17 +201,17 @@ SysRet Net::sys_epoll_wait(uk::Process& p, int epfd, EpollEvent* uevents,
     // (the watchdog runs at the park, as at every schedule-out).
     sched::WaitQueue::Wait w = k_.scheduler().block(ep.wq_, tok, eff);
     if (w == sched::WaitQueue::Wait::kKilled) {
-      return scope.fail(Errno::kEINTR);
+      return sysret_err(Errno::kEINTR);
     }
     if (w == sched::WaitQueue::Wait::kCanceled) {
       dl::Kdl::instance().stats().park_canceled.fetch_add(
           1, std::memory_order_relaxed);
-      return scope.fail(Errno::kECANCELED);
+      return sysret_err(Errno::kECANCELED);
     }
     if (w == sched::WaitQueue::Wait::kTimeout && dl_bound) {
       dl::Kdl::instance().stats().park_expired.fetch_add(
           1, std::memory_order_relaxed);
-      return scope.fail(Errno::kETIMEDOUT);
+      return sysret_err(Errno::kETIMEDOUT);
     }
   }
 
@@ -217,13 +219,13 @@ SysRet Net::sys_epoll_wait(uk::Process& p, int epfd, EpollEvent* uevents,
   if (n > 0) {
     // Readiness is level-triggered here, so a faulted copy-out loses no
     // events: the next wait re-reports them.
-    if (Result<std::size_t> c = k_.boundary().copy_to_user(
-            p.task, uevents, out.data(), n * sizeof(EpollEvent));
-        !c) {
-      return scope.fail(c.error());
+    const std::size_t bytes = n * sizeof(EpollEvent);
+    uk::CallerBuf buf(k_.boundary(), p.task, m, a.a1, bytes);
+    if (Result<std::size_t> c = buf.out(out.data(), bytes); !c) {
+      return sysret_err(c.error());
     }
   }
-  return scope.done(static_cast<SysRet>(n));
+  return static_cast<SysRet>(n);
 }
 
 }  // namespace usk::net

@@ -29,8 +29,73 @@ namespace {
 constexpr std::uint32_t kSockFsId = 0xFFFFFFFFu;
 }  // namespace
 
+using uk::Kernel;
+using uk::Sys;
+
 Net::Net(uk::Kernel& k, NetCosts costs)
-    : k_(k), costs_(costs), sockfs_(*this) {}
+    : k_(k), costs_(costs), sockfs_(*this) {
+  k_.register_syscall<&Net::handle_socket>(Sys::kSocket, this);
+  k_.register_syscall<&Net::handle_bind>(Sys::kBind, this);
+  k_.register_syscall<&Net::handle_listen>(Sys::kListen, this);
+  k_.register_syscall<&Net::handle_accept>(Sys::kAccept, this);
+  k_.register_syscall<&Net::handle_connect>(Sys::kConnect, this);
+  k_.register_syscall<&Net::handle_send>(Sys::kSend, this);
+  k_.register_syscall<&Net::handle_recv>(Sys::kRecv, this);
+  k_.register_syscall<&Net::handle_shutdown>(Sys::kShutdown, this);
+  k_.register_syscall<&Net::handle_epoll_create>(Sys::kEpollCreate, this);
+  k_.register_syscall<&Net::handle_epoll_ctl>(Sys::kEpollCtl, this);
+  k_.register_syscall<&Net::handle_epoll_wait>(Sys::kEpollWait, this);
+}
+
+Net::~Net() {
+  for (Sys nr : {Sys::kSocket, Sys::kBind, Sys::kListen, Sys::kAccept,
+                 Sys::kConnect, Sys::kSend, Sys::kRecv, Sys::kShutdown,
+                 Sys::kEpollCreate, Sys::kEpollCtl, Sys::kEpollWait}) {
+    k_.unregister_syscall(nr);
+  }
+}
+
+// --- typed wrappers (the userlib-facing ABI) --------------------------------
+
+SysRet Net::sys_socket(uk::Process& p, int flags) {
+  return k_.syscall(p, Sys::kSocket, {Kernel::iarg(flags)});
+}
+SysRet Net::sys_bind(uk::Process& p, int fd, std::uint16_t port) {
+  return k_.syscall(p, Sys::kBind, {Kernel::iarg(fd), port});
+}
+SysRet Net::sys_listen(uk::Process& p, int fd, int backlog) {
+  return k_.syscall(p, Sys::kListen, {Kernel::iarg(fd), Kernel::iarg(backlog)});
+}
+SysRet Net::sys_accept(uk::Process& p, int fd) {
+  return k_.syscall(p, Sys::kAccept, {Kernel::iarg(fd)});
+}
+SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
+  return k_.syscall(p, Sys::kConnect, {Kernel::iarg(fd), port});
+}
+SysRet Net::sys_send(uk::Process& p, int fd, const void* ubuf,
+                     std::size_t n) {
+  return k_.syscall(p, Sys::kSend, {Kernel::iarg(fd), Kernel::uarg(ubuf), n});
+}
+SysRet Net::sys_recv(uk::Process& p, int fd, void* ubuf, std::size_t n) {
+  return k_.syscall(p, Sys::kRecv, {Kernel::iarg(fd), Kernel::uarg(ubuf), n});
+}
+SysRet Net::sys_shutdown(uk::Process& p, int fd, int how) {
+  return k_.syscall(p, Sys::kShutdown, {Kernel::iarg(fd), Kernel::iarg(how)});
+}
+SysRet Net::sys_epoll_create(uk::Process& p) {
+  return k_.syscall(p, Sys::kEpollCreate);
+}
+SysRet Net::sys_epoll_ctl(uk::Process& p, int epfd, int op, int fd,
+                          std::uint32_t events) {
+  return k_.syscall(p, Sys::kEpollCtl, {Kernel::iarg(epfd), Kernel::iarg(op),
+                                        Kernel::iarg(fd), events});
+}
+SysRet Net::sys_epoll_wait(uk::Process& p, int epfd, EpollEvent* uevents,
+                           int maxevents, int timeout_ms) {
+  return k_.syscall(p, Sys::kEpollWait,
+                    {Kernel::iarg(epfd), Kernel::uarg(uevents),
+                     Kernel::iarg(maxevents), Kernel::iarg(timeout_ms)});
+}
 
 void Net::charge(std::uint64_t units) {
   k_.engine().alu(units);
@@ -139,65 +204,68 @@ void Net::notify_watchers_locked(Socket& s) {
 
 // --- socket / bind / listen ------------------------------------------------
 
-SysRet Net::sys_socket(uk::Process& p, int flags) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kSocket);
-  if (SysRet g = scope.gate(); g != 0) return g;
+SysRet Net::handle_socket(uk::Process& p, const SysArgs& a,
+                          uk::BufMode /*m*/) {
+  const int flags = static_cast<int>(a.a0);
   std::shared_ptr<Socket> s = make_socket((flags & kSockNonblock) != 0);
   Result<int> fd = install_fd(p, s);
   if (!fd) {
     drop_socket(s);
-    return scope.fail(fd.error());
+    return sysret_err(fd.error());
   }
-  return scope.done(fd.value());
+  return fd.value();
 }
 
-SysRet Net::sys_bind(uk::Process& p, int fd, std::uint16_t port) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kBind);
-  if (SysRet g = scope.gate(); g != 0) return g;
+SysRet Net::handle_bind(uk::Process& p, const SysArgs& a,
+                        uk::BufMode /*m*/) {
+  const int fd = static_cast<int>(a.a0);
+  const auto port = static_cast<std::uint16_t>(a.a1);
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
-  if (!rs) return scope.fail(rs.error());
+  if (!rs) return sysret_err(rs.error());
   Socket& s = *rs.value();
-  if (port == 0) return scope.fail(Errno::kEINVAL);
+  if (port == 0) return sysret_err(Errno::kEINVAL);
   std::lock_guard tlk(tab_mu_);
   std::lock_guard slk(s.mu_);
-  if (s.state_ != SockState::kNew) return scope.fail(Errno::kEINVAL);
+  if (s.state_ != SockState::kNew) return sysret_err(Errno::kEINVAL);
   auto it = ports_.find(port);
   if (it != ports_.end() && !it->second.expired()) {
-    return scope.fail(Errno::kEADDRINUSE);
+    return sysret_err(Errno::kEADDRINUSE);
   }
   ports_[port] = rs.value();
   s.port_ = port;
   s.state_ = SockState::kBound;
-  return scope.done(0);
+  return 0;
 }
 
-SysRet Net::sys_listen(uk::Process& p, int fd, int backlog) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kListen);
-  if (SysRet g = scope.gate(); g != 0) return g;
+SysRet Net::handle_listen(uk::Process& p, const SysArgs& a,
+                          uk::BufMode /*m*/) {
+  const int fd = static_cast<int>(a.a0);
+  const int backlog = static_cast<int>(a.a1);
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
-  if (!rs) return scope.fail(rs.error());
+  if (!rs) return sysret_err(rs.error());
   Socket& s = *rs.value();
   std::lock_guard slk(s.mu_);
-  if (s.state_ != SockState::kBound) return scope.fail(Errno::kEINVAL);
+  if (s.state_ != SockState::kBound) return sysret_err(Errno::kEINVAL);
   s.backlog_ = std::clamp(backlog, 1, costs_.backlog_max);
   s.state_ = SockState::kListening;
-  return scope.done(0);
+  return 0;
 }
 
 // --- connect ---------------------------------------------------------------
 
-SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kConnect);
-  if (SysRet g = scope.gate(); g != 0) return g;
+SysRet Net::handle_connect(uk::Process& p, const SysArgs& a,
+                           uk::BufMode /*m*/) {
+  const int fd = static_cast<int>(a.a0);
+  const auto port = static_cast<std::uint16_t>(a.a1);
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
-  if (!rs) return scope.fail(rs.error());
+  if (!rs) return sysret_err(rs.error());
   std::shared_ptr<Socket> cli = rs.value();
   {
     std::lock_guard clk(cli->mu_);
     if (cli->state_ == SockState::kConnected) {
-      return scope.fail(Errno::kEISCONN);
+      return sysret_err(Errno::kEISCONN);
     }
-    if (cli->state_ != SockState::kNew) return scope.fail(Errno::kEINVAL);
+    if (cli->state_ != SockState::kNew) return sysret_err(Errno::kEINVAL);
   }
 
   std::shared_ptr<Socket> lsn;
@@ -214,7 +282,7 @@ SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
   if (refused) {
     std::lock_guard slk(stats_mu_);
     ++nstats_.conns_refused;
-    return scope.fail(Errno::kECONNREFUSED);
+    return sysret_err(Errno::kECONNREFUSED);
   }
 
   // Build the server-side half. Not yet published, so no lock needed.
@@ -242,7 +310,7 @@ SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
            static_cast<std::size_t>(lsn->backlog_)) {
       if (cli_nonblock) {
         drop_socket(srv);
-        return scope.fail(Errno::kEAGAIN);
+        return sysret_err(Errno::kEAGAIN);
       }
       Errno be = block_on(llk, lsn->wq_, [&] {
         return lsn->state_ != SockState::kListening ||
@@ -251,11 +319,11 @@ SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
       });
       if (be != Errno::kOk) {
         drop_socket(srv);
-        return scope.fail(be);
+        return sysret_err(be);
       }
       if (lsn->state_ != SockState::kListening) {
         drop_socket(srv);
-        return scope.fail(Errno::kECONNREFUSED);
+        return sysret_err(Errno::kECONNREFUSED);
       }
     }
     lsn->accept_q_.push_back(srv);
@@ -269,7 +337,7 @@ SysRet Net::sys_connect(uk::Process& p, int fd, std::uint16_t port) {
     cli->peer_ = srv;
     cli->peer_port_ = port;
   }
-  return scope.done(0);
+  return 0;
 }
 
 // --- accept ----------------------------------------------------------------
@@ -306,27 +374,20 @@ Result<int> Net::accept_pop(uk::Process& p, Socket& ls) {
   return fd;
 }
 
-SysRet Net::do_accept(uk::Process& p, int fd) {
+SysRet Net::handle_accept(uk::Process& p, const SysArgs& a,
+                          uk::BufMode /*m*/) {
+  const int fd = static_cast<int>(a.a0);
+  USK_TRACE_LATENCY("net", "accept");
+  USK_TRACEPOINT("net", "accept", static_cast<std::uint64_t>(fd));
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
   if (!rs) return sysret_err(rs.error());
   Result<int> r = accept_pop(p, *rs.value());
   if (!r) return sysret_err(r.error());
+  // Request ingress: stamp the event stream with the enclosing span, so a
+  // drained trace can join point events to the span tree.
+  USK_TRACEPOINT("span", "ingress", trace::SpanScope::current_id(),
+                 static_cast<std::uint64_t>(r.value()));
   return r.value();
-}
-
-SysRet Net::sys_accept(uk::Process& p, int fd) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kAccept);
-  if (SysRet g = scope.gate(); g != 0) return g;
-  USK_TRACE_LATENCY("net", "accept");
-  USK_TRACEPOINT("net", "accept", static_cast<std::uint64_t>(fd));
-  SysRet r = do_accept(p, fd);
-  if (r >= 0) {
-    // Request ingress: stamp the event stream with the enclosing span,
-    // so a drained trace can join point events to the span tree.
-    USK_TRACEPOINT("span", "ingress", trace::SpanScope::current_id(),
-                   static_cast<std::uint64_t>(r));
-  }
-  return scope.done(r);
 }
 
 // --- send / recv -----------------------------------------------------------
@@ -424,69 +485,56 @@ Result<std::size_t> Net::recv_into(Socket& s, std::span<std::byte> out) {
   }
 }
 
-SysRet Net::do_send(uk::Process& p, int fd, const void* ubuf,
-                    std::size_t n) {
+SysRet Net::handle_send(uk::Process& p, const SysArgs& a, uk::BufMode m) {
+  const int fd = static_cast<int>(a.a0);
+  USK_TRACE_LATENCY("net", "send");
+  USK_TRACEPOINT("net", "send", static_cast<std::uint64_t>(fd), a.a2);
   // Validate the descriptor before even looking at the user pointer (the
   // uniform EBADF discipline: send(-1, NULL, n) is EBADF, not EFAULT,
   // and no boundary work is charged on a bad fd).
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
   if (!rs) return sysret_err(rs.error());
-  if (ubuf == nullptr) return sysret_err(Errno::kEFAULT);
-  n = std::min(n, uk::Kernel::kMaxIo);
-  std::vector<std::byte> kbuf(n);
-  if (Result<std::size_t> c =
-          k_.boundary().copy_from_user(p.task, kbuf.data(), ubuf, n);
-      !c) {
-    return sysret_err(c.error());
-  }
-  Result<std::size_t> r = send_from(*rs.value(), std::span(kbuf.data(), n));
+  if (a.a1 == 0) return sysret_err(Errno::kEFAULT);
+  const std::size_t n =
+      std::min(static_cast<std::size_t>(a.a2), uk::Kernel::kMaxIo);
+  uk::CallerBuf buf(k_.boundary(), p.task, m, a.a1, n);
+  if (Result<std::size_t> c = buf.in(); !c) return sysret_err(c.error());
+  Result<std::size_t> r = send_from(*rs.value(), std::span(buf.data(), n));
   if (!r) return sysret_err(r.error());
   return static_cast<SysRet>(r.value());
 }
 
-SysRet Net::sys_send(uk::Process& p, int fd, const void* ubuf,
-                         std::size_t n) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kSend);
-  if (SysRet g = scope.gate(); g != 0) return g;
-  USK_TRACE_LATENCY("net", "send");
-  USK_TRACEPOINT("net", "send", static_cast<std::uint64_t>(fd), n);
-  return scope.done(do_send(p, fd, ubuf, n));
-}
-
-SysRet Net::do_recv(uk::Process& p, int fd, void* ubuf, std::size_t n) {
+SysRet Net::handle_recv(uk::Process& p, const SysArgs& a, uk::BufMode m) {
+  const int fd = static_cast<int>(a.a0);
+  USK_TRACE_LATENCY("net", "recv");
+  USK_TRACEPOINT("net", "recv", static_cast<std::uint64_t>(fd), a.a2);
   // fd first, user pointer second: recv(-1, NULL, n) is EBADF, not
-  // EFAULT (same discipline as do_send).
+  // EFAULT (same discipline as send).
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
   if (!rs) return sysret_err(rs.error());
-  if (ubuf == nullptr) return sysret_err(Errno::kEFAULT);
-  n = std::min(n, uk::Kernel::kMaxIo);
-  std::vector<std::byte> kbuf(n);
-  Result<std::size_t> r = recv_into(*rs.value(), std::span(kbuf.data(), n));
+  if (a.a1 == 0) return sysret_err(Errno::kEFAULT);
+  const std::size_t n =
+      std::min(static_cast<std::size_t>(a.a2), uk::Kernel::kMaxIo);
+  uk::CallerBuf buf(k_.boundary(), p.task, m, a.a1, n);
+  std::byte* kbuf = buf.data();
+  Result<std::size_t> r = recv_into(*rs.value(), std::span(kbuf, n));
   if (!r) return sysret_err(r.error());
   if (r.value() > 0) {
     // The bytes were already drained from the socket; a faulted copy-out
     // loses them, exactly like a real recv whose user page vanished.
-    if (Result<std::size_t> c =
-            k_.boundary().copy_to_user(p.task, ubuf, kbuf.data(), r.value());
-        !c) {
+    if (Result<std::size_t> c = buf.out(kbuf, r.value()); !c) {
       return sysret_err(c.error());
     }
   }
   return static_cast<SysRet>(r.value());
 }
 
-SysRet Net::sys_recv(uk::Process& p, int fd, void* ubuf, std::size_t n) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kRecv);
-  if (SysRet g = scope.gate(); g != 0) return g;
-  USK_TRACE_LATENCY("net", "recv");
-  USK_TRACEPOINT("net", "recv", static_cast<std::uint64_t>(fd), n);
-  return scope.done(do_recv(p, fd, ubuf, n));
-}
-
 // --- shutdown / close ------------------------------------------------------
 
-SysRet Net::do_shutdown(uk::Process& p, int fd, int how) {
-  Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
+SysRet Net::handle_shutdown(uk::Process& p, const SysArgs& a,
+                            uk::BufMode /*m*/) {
+  const int how = static_cast<int>(a.a1);
+  Result<std::shared_ptr<Socket>> rs = socket_of(p, static_cast<int>(a.a0));
   if (!rs) return sysret_err(rs.error());
   if (how != kShutRd && how != kShutWr && how != kShutRdWr) {
     return sysret_err(Errno::kEINVAL);
@@ -511,12 +559,6 @@ SysRet Net::do_shutdown(uk::Process& p, int fd, int how) {
     peer->wq_.wake_all();
   }
   return 0;
-}
-
-SysRet Net::sys_shutdown(uk::Process& p, int fd, int how) {
-  uk::Kernel::Scope scope(k_, p, uk::Sys::kShutdown);
-  if (SysRet g = scope.gate(); g != 0) return g;
-  return scope.done(do_shutdown(p, fd, how));
 }
 
 void Net::drop_socket(const std::shared_ptr<Socket>& s) {

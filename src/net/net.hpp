@@ -1,18 +1,16 @@
 // The in-kernel network stack: loopback transport, server socket
 // syscalls, and the epoll multiplexer.
 //
-// Net owns the socket/epoll tables and the port namespace and implements
-// the syscall family (socket/bind/listen/accept/connect/send/recv/
-// shutdown, epoll_create/ctl/wait) with the same Kernel::Scope discipline
-// as the classic calls: one boundary crossing per call, every user buffer
-// through copy_{from,to}_user, audit records mined by the consolidation
-// module. SocketFs adapts sockets to fs::FileSystem so a socket fd is a
-// first-class VFS descriptor -- read(2)/write(2)/close(2)/dup(2) and Cosy
-// compound kRead/kWrite ops work on connections with no special cases.
-//
-// Kernel-side helpers (accept_pop, recv_into, send_from, read_file_into)
-// expose the transport without crossings or user copies; the consolidated
-// accept_recv/sendfile calls in src/consolidation are built on them.
+// Net owns the socket/epoll tables and the port namespace and fills the
+// kernel's numbered syscall table with the socket family (socket/bind/
+// listen/accept/connect/send/recv/shutdown, epoll_create/ctl/wait), so
+// every vehicle reaches them the way it reaches the file calls: syscall()
+// for one crossing, dispatch_nested() inside a ring drain or a
+// consolidated call. Buffers move through uk::CallerBuf, so the copy
+// accounting is the file handlers'. SocketFs adapts sockets to
+// fs::FileSystem so a socket fd is a first-class VFS descriptor --
+// read(2)/write(2)/close(2)/dup(2) and Cosy compound kRead/kWrite ops
+// work on connections with no special cases.
 #pragma once
 
 #include <cstdint>
@@ -134,53 +132,28 @@ struct NetStats {
 
 class Net {
  public:
+  /// Registers the socket family in `k`'s syscall table (one Net per
+  /// Kernel); the destructor releases it.
   explicit Net(uk::Kernel& k, NetCosts costs = NetCosts{});
+  ~Net();
 
-  // --- the server syscall family -------------------------------------------
+  // --- the server syscall family (typed wrappers over Kernel::syscall) -----
   SysRet sys_socket(uk::Process& p, int flags = 0);
   SysRet sys_bind(uk::Process& p, int fd, std::uint16_t port);
   SysRet sys_listen(uk::Process& p, int fd, int backlog);
   SysRet sys_accept(uk::Process& p, int fd);
   SysRet sys_connect(uk::Process& p, int fd, std::uint16_t port);
-  SysRet sys_send(uk::Process& p, int fd, const void* ubuf,
-                      std::size_t n);
+  SysRet sys_send(uk::Process& p, int fd, const void* ubuf, std::size_t n);
   SysRet sys_recv(uk::Process& p, int fd, void* ubuf, std::size_t n);
   SysRet sys_shutdown(uk::Process& p, int fd, int how);
   SysRet sys_epoll_create(uk::Process& p);
   SysRet sys_epoll_ctl(uk::Process& p, int epfd, int op, int fd,
-                           std::uint32_t events);
+                       std::uint32_t events);
   SysRet sys_epoll_wait(uk::Process& p, int epfd, EpollEvent* uevents,
-                            int maxevents, int timeout_ms);
-
-  // --- Scope-free syscall bodies --------------------------------------------
-  // The exact logic of sys_accept/send/recv/shutdown (EBADF before
-  // EFAULT, fallible copies, position/stream semantics) minus the
-  // crossing: the ring submission engine (src/ring) dispatches these so
-  // a drained batch re-uses the audited error paths under its caller's
-  // single Scope. The sys_* wrappers above are Scope + body.
-  SysRet do_accept(uk::Process& p, int fd);
-  SysRet do_send(uk::Process& p, int fd, const void* ubuf, std::size_t n);
-  SysRet do_recv(uk::Process& p, int fd, void* ubuf, std::size_t n);
-  SysRet do_shutdown(uk::Process& p, int fd, int how);
-
-  // --- kernel-side primitives (no crossing, no user copies) ----------------
-  // The consolidated calls (src/consolidation) and SocketFs build on
-  // these; each charges the modelled network work to the current task.
+                        int maxevents, int timeout_ms);
 
   /// The socket behind `fd`, or kEBADF / kENOTSOCK.
   Result<std::shared_ptr<Socket>> socket_of(uk::Process& p, int fd);
-  /// Pop one queued connection off listener `ls` (blocking per the
-  /// listener's nonblock flag) and install an fd for it.
-  Result<int> accept_pop(uk::Process& p, Socket& ls);
-  /// Drain up to out.size() bytes into a kernel buffer. Returns 0 at EOF.
-  Result<std::size_t> recv_into(Socket& s, std::span<std::byte> out);
-  /// Push a kernel buffer into the peer's rx queue (blocking on a full
-  /// queue unless the socket is nonblocking).
-  Result<std::size_t> send_from(Socket& s, std::span<const std::byte> in);
-
-  /// Make a socket fd visible through the VFS (used internally and by
-  /// consolidation for the accepted-connection fd).
-  Result<int> install_fd(uk::Process& p, const std::shared_ptr<Socket>& s);
 
   // --- lifetime hooks (SocketFs) -------------------------------------------
   void fd_released(fs::InodeNum ino);
@@ -218,6 +191,35 @@ class Net {
 
  private:
   friend class SocketFs;
+
+  // --- table handlers (Scope-free; see uk::Kernel::register_syscall) -------
+  using SysArgs = uk::Kernel::SysArgs;
+  SysRet handle_socket(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_bind(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_listen(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_accept(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_connect(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_send(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_recv(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_shutdown(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_epoll_create(uk::Process& p, const SysArgs& a,
+                             uk::BufMode m);
+  SysRet handle_epoll_ctl(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_epoll_wait(uk::Process& p, const SysArgs& a, uk::BufMode m);
+
+  // --- kernel-side transport (no crossing, no user copies) -----------------
+  // Each charges the modelled network work to the current task.
+
+  /// Pop one queued connection off listener `ls` (blocking per the
+  /// listener's nonblock flag) and install an fd for it.
+  Result<int> accept_pop(uk::Process& p, Socket& ls);
+  /// Drain up to out.size() bytes into a kernel buffer. Returns 0 at EOF.
+  Result<std::size_t> recv_into(Socket& s, std::span<std::byte> out);
+  /// Push a kernel buffer into the peer's rx queue (blocking on a full
+  /// queue unless the socket is nonblocking).
+  Result<std::size_t> send_from(Socket& s, std::span<const std::byte> in);
+  /// Make a socket fd visible through the VFS.
+  Result<int> install_fd(uk::Process& p, const std::shared_ptr<Socket>& s);
 
   /// Park the current task on `wq` until pred() holds. `lk` must guard
   /// the state pred() reads AND be the lock wakers hold when they mutate

@@ -125,10 +125,11 @@ void RingFs::dup_file(fs::InodeNum ino) { dev_.fd_duped(ino); }
 
 // --- RingDev lifecycle ------------------------------------------------------
 
-RingDev::RingDev(uk::Kernel& k, net::Net& net)
-    : k_(k), net_(net), ringfs_(*this) {
-  k_.register_syscall(uk::Sys::kRingSetup, &RingDev::sysc_setup, this);
-  k_.register_syscall(uk::Sys::kRingEnter, &RingDev::sysc_enter, this);
+RingDev::RingDev(uk::Kernel& k) : k_(k), ringfs_(*this) {
+  k_.register_syscall<&RingDev::handle_setup>(uk::Sys::kRingSetup, this,
+                                              /*owns_crossing=*/true);
+  k_.register_syscall<&RingDev::handle_enter>(uk::Sys::kRingEnter, this,
+                                              /*owns_crossing=*/true);
 }
 
 RingDev::~RingDev() {
@@ -136,18 +137,18 @@ RingDev::~RingDev() {
   k_.unregister_syscall(uk::Sys::kRingEnter);
 }
 
-SysRet RingDev::sysc_setup(void* ctx, uk::Kernel& /*k*/, uk::Process& p,
-                           const uk::Kernel::SysArgs& a) {
-  return static_cast<RingDev*>(ctx)->sys_ring_setup(
-      p, static_cast<std::uint32_t>(a.a0), static_cast<std::uint32_t>(a.a1));
+SysRet RingDev::handle_setup(uk::Process& p, const uk::Kernel::SysArgs& a,
+                             uk::BufMode /*m*/) {
+  return sys_ring_setup(p, static_cast<std::uint32_t>(a.a0),
+                        static_cast<std::uint32_t>(a.a1));
 }
 
-SysRet RingDev::sysc_enter(void* ctx, uk::Kernel& /*k*/, uk::Process& p,
-                           const uk::Kernel::SysArgs& a) {
-  return static_cast<RingDev*>(ctx)->sys_ring_enter(
-      p, static_cast<int>(a.a0), static_cast<std::uint32_t>(a.a1),
-      static_cast<std::uint32_t>(a.a2),
-      static_cast<int>(static_cast<std::int64_t>(a.a3)));
+SysRet RingDev::handle_enter(uk::Process& p, const uk::Kernel::SysArgs& a,
+                             uk::BufMode /*m*/) {
+  return sys_ring_enter(p, static_cast<int>(a.a0),
+                        static_cast<std::uint32_t>(a.a1),
+                        static_cast<std::uint32_t>(a.a2),
+                        static_cast<int>(a.a3));
 }
 
 void RingDev::charge(std::uint64_t units) {
@@ -268,6 +269,13 @@ SysRet RingDev::exec_sqe(uk::Process& p, Ring& r, const Sqe& e, int fd,
                          bool classic) {
   using uk::Kernel;
   using uk::Sys;
+  const auto ufd = static_cast<std::uint64_t>(fd);
+  // Buffer ops name their arena window by pointer, nullptr when it
+  // escapes the arena: EBADF-before-EFAULT is the handler's job
+  // (regression-tested), so the engine passes a bad window through.
+  const std::uint64_t buf = Kernel::uarg(r.user_data(e.addr, e.len));
+  Sys nr;
+  Kernel::SysArgs a;
   switch (e.op) {
     case RingOp::kNop:
       return 0;
@@ -279,60 +287,27 @@ SysRet RingDev::exec_sqe(uk::Process& p, Ring& r, const Sqe& e, int fd,
       if (std::memchr(path, 0, e.len) == nullptr) {
         return sysret_err(Errno::kEFAULT);
       }
-      const char* cpath = reinterpret_cast<const char*>(path);
-      const int flags = static_cast<int>(e.aux);
-      if (classic) return k_.sys_open(p, cpath, flags, 0644);
-      return k_.dispatch_nested(
-          p, Sys::kOpen,
-          {Kernel::uarg(cpath), static_cast<std::uint64_t>(flags), 0644, 0});
+      nr = Sys::kOpen;
+      a = {Kernel::uarg(path), e.aux, 0644};
+      break;
     }
-    case RingOp::kClose:
-      if (classic) return k_.sys_close(p, fd);
-      return k_.dispatch_nested(p, Sys::kClose,
-                                {static_cast<std::uint64_t>(fd), 0, 0, 0});
-    case RingOp::kRead: {
-      std::byte* buf = r.user_data(e.addr, e.len);
-      // EBADF-before-EFAULT is the handler's job (regression-tested):
-      // pass the out-of-window buffer through as nullptr.
-      if (classic) return k_.sys_read(p, fd, buf, e.len);
-      return k_.dispatch_nested(p, Sys::kRead,
-                                {static_cast<std::uint64_t>(fd),
-                                 Kernel::uarg(buf), e.len, 0});
-    }
-    case RingOp::kWrite: {
-      std::byte* buf = r.user_data(e.addr, e.len);
-      if (classic) return k_.sys_write(p, fd, buf, e.len);
-      return k_.dispatch_nested(p, Sys::kWrite,
-                                {static_cast<std::uint64_t>(fd),
-                                 Kernel::uarg(buf), e.len, 0});
-    }
-    case RingOp::kFstat: {
-      std::byte* buf = r.user_data(e.addr, sizeof(fs::StatBuf));
-      if (classic) {
-        return k_.sys_fstat(p, fd, reinterpret_cast<fs::StatBuf*>(buf));
-      }
-      return k_.dispatch_nested(
-          p, Sys::kFstat,
-          {static_cast<std::uint64_t>(fd), Kernel::uarg(buf), 0, 0});
-    }
-    case RingOp::kAccept:
-      if (classic) return net_.sys_accept(p, fd);
-      return net_.do_accept(p, fd);
-    case RingOp::kRecv: {
-      std::byte* buf = r.user_data(e.addr, e.len);
-      if (classic) return net_.sys_recv(p, fd, buf, e.len);
-      return net_.do_recv(p, fd, buf, e.len);
-    }
-    case RingOp::kSend: {
-      std::byte* buf = r.user_data(e.addr, e.len);
-      if (classic) return net_.sys_send(p, fd, buf, e.len);
-      return net_.do_send(p, fd, buf, e.len);
-    }
-    case RingOp::kShutdown:
-      if (classic) return net_.sys_shutdown(p, fd, static_cast<int>(e.aux));
-      return net_.do_shutdown(p, fd, static_cast<int>(e.aux));
+    case RingOp::kClose: nr = Sys::kClose; a = {ufd}; break;
+    case RingOp::kRead: nr = Sys::kRead; a = {ufd, buf, e.len}; break;
+    case RingOp::kWrite: nr = Sys::kWrite; a = {ufd, buf, e.len}; break;
+    case RingOp::kFstat:
+      nr = Sys::kFstat;
+      a = {ufd, Kernel::uarg(r.user_data(e.addr, sizeof(fs::StatBuf)))};
+      break;
+    case RingOp::kAccept: nr = Sys::kAccept; a = {ufd}; break;
+    case RingOp::kRecv: nr = Sys::kRecv; a = {ufd, buf, e.len}; break;
+    case RingOp::kSend: nr = Sys::kSend; a = {ufd, buf, e.len}; break;
+    case RingOp::kShutdown: nr = Sys::kShutdown; a = {ufd, e.aux}; break;
+    default:
+      return sysret_err(Errno::kEINVAL);  // unknown opcode
   }
-  return sysret_err(Errno::kEINVAL);  // unknown opcode
+  // The one vehicle branch: a full syscall per op (quarantine fallback)
+  // or the same handler under the enclosing ring_enter's crossing.
+  return classic ? k_.syscall(p, nr, a) : k_.dispatch_nested(p, nr, a);
 }
 
 void RingDev::exec_chain(uk::Process& p, Ring& r,
@@ -427,13 +402,7 @@ void RingDev::exec_chain(uk::Process& p, Ring& r,
     // whatever it opened and rewrite those CQEs to -ECANCELED so the
     // user cannot key off a stale fd number.
     for (std::size_t i = 0; i < cc.opened.size(); ++i) {
-      if (classic) {
-        (void)k_.sys_close(p, cc.opened[i]);
-      } else {
-        (void)k_.dispatch_nested(
-            p, uk::Sys::kClose,
-            {static_cast<std::uint64_t>(cc.opened[i]), 0, 0, 0});
-      }
+      (void)exec_sqe(p, r, Sqe{.op = RingOp::kClose}, cc.opened[i], classic);
       r.n_.fds_rolled_back.fetch_add(1, std::memory_order_relaxed);
       out[cc.opened_at[i]].res = sysret_err(Errno::kECANCELED);
       r.n_.cqes_canceled.fetch_add(1, std::memory_order_relaxed);
@@ -625,17 +594,15 @@ SysRet RingDev::sys_ring_enter(uk::Process& p, int ringfd,
                                std::uint32_t to_submit,
                                std::uint32_t min_complete, int timeout_ms) {
   Result<std::shared_ptr<Ring>> rr = ring_of(p, ringfd);
-  if (!rr) {
+  const Errno bad = !rr ? rr.error()
+                    : min_complete > rr.value()->cq_capacity() ? Errno::kEINVAL
+                                                               : Errno::kOk;
+  if (bad != Errno::kOk) {
     uk::Kernel::Scope scope(k_, p, uk::Sys::kRingEnter);
     if (SysRet g = scope.gate(); g != 0) return g;
-    return scope.fail(rr.error());
+    return scope.fail(bad);
   }
   Ring& r = *rr.value();
-  if (min_complete > r.cq_capacity()) {
-    uk::Kernel::Scope scope(k_, p, uk::Sys::kRingEnter);
-    if (SysRet g = scope.gate(); g != 0) return g;
-    return scope.fail(Errno::kEINVAL);
-  }
 
   sup::Supervisor* sup = r.sup_.load(std::memory_order_acquire);
   const int ext = r.ext_.load(std::memory_order_acquire);

@@ -7,9 +7,9 @@
 // point into. The user side writes SQEs and reads CQEs with plain
 // loads and stores (user_prepare / user_reap: zero crossings, the
 // mmap'd-rings discipline of io_uring); ONE ring_enter syscall drains
-// the whole backlog kernel-side, dispatching the existing numbered
-// syscall handlers via Kernel::dispatch_nested and net's Scope-free
-// bodies, so N operations cost one boundary crossing.
+// the whole backlog kernel-side: each SQE names a (Sys, SysArgs) pair
+// and runs the kernel's numbered syscall handler (file or net) via
+// Kernel::dispatch_nested, so N operations cost one boundary crossing.
 //
 // Linked ops: an SQE with kSqeLink chains into the next SQE. A chain
 // executes left to right with cancel-on-error semantics -- the failing
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "base/mpmc_ring.hpp"
-#include "net/net.hpp"
 #include "uk/kernel.hpp"
 
 namespace usk::fs {
@@ -269,13 +268,15 @@ class RingFs final : public fs::FileSystem {
 /// The ring device: setup/enter syscalls, the kernel-side submission
 /// engine, and the /proc/ring surface. Registers its syscall numbers
 /// with the numbered gateway at construction, releases them at
-/// destruction.
+/// destruction. Both own their crossing (see Kernel::register_syscall),
+/// so neither is reachable from a nested dispatch. Accept/recv/send/
+/// shutdown SQEs run the handlers net::Net registered with the Kernel.
 class RingDev {
  public:
   static constexpr std::size_t kMaxSqEntries = 4096;
   static constexpr std::size_t kMaxDataBytes = 1 << 20;
 
-  RingDev(uk::Kernel& k, net::Net& net);
+  explicit RingDev(uk::Kernel& k);
   ~RingDev();
   RingDev(const RingDev&) = delete;
   RingDev& operator=(const RingDev&) = delete;
@@ -328,10 +329,10 @@ class RingDev {
     std::vector<std::size_t> opened_at;///< CQE index that produced each
   };
 
-  static SysRet sysc_setup(void* ctx, uk::Kernel& k, uk::Process& p,
-                           const uk::Kernel::SysArgs& a);
-  static SysRet sysc_enter(void* ctx, uk::Kernel& k, uk::Process& p,
-                           const uk::Kernel::SysArgs& a);
+  SysRet handle_setup(uk::Process& p, const uk::Kernel::SysArgs& a,
+                      uk::BufMode m);
+  SysRet handle_enter(uk::Process& p, const uk::Kernel::SysArgs& a,
+                      uk::BufMode m);
 
   Result<std::shared_ptr<Ring>> ring_of(uk::Process& p, int fd);
   void charge(std::uint64_t units);
@@ -357,7 +358,6 @@ class RingDev {
   void close_ring(const std::shared_ptr<Ring>& r);
 
   uk::Kernel& k_;
-  net::Net& net_;
   RingFs ringfs_;
   mutable std::mutex tab_mu_;
   std::map<fs::InodeNum, std::shared_ptr<Ring>> rings_;

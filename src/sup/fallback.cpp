@@ -11,11 +11,6 @@
 
 namespace usk::sup {
 
-namespace {
-
-/// Classic user-space accept + recv: two crossings, plain syscalls. The
-/// connection fd lands in *uconnfd by ordinary user-space assignment
-/// (this code IS the user-space implementation; no boundary copy).
 SysRet classic_accept_recv(net::Net& net, uk::Process& p, int listenfd,
                            void* ubuf, std::size_t n, int* uconnfd) {
   const SysRet afd = net.sys_accept(p, listenfd);
@@ -24,9 +19,6 @@ SysRet classic_accept_recv(net::Net& net, uk::Process& p, int listenfd,
   return net.sys_recv(p, static_cast<int>(afd), ubuf, n);
 }
 
-/// Classic user-space sendfile: open/lseek/read.../send.../close through
-/// a user-space bounce buffer -- the exact pattern §2.2's consolidation
-/// collapsed, reinstated as the degraded mode.
 SysRet classic_sendfile(net::Net& net, uk::Kernel& k, uk::Process& p,
                         int sockfd, const char* upath, std::uint64_t offset,
                         std::size_t count) {
@@ -70,8 +62,6 @@ SysRet classic_sendfile(net::Net& net, uk::Kernel& k, uk::Process& p,
   if (total == 0 && sysret_is_err(err)) return err;
   return static_cast<SysRet>(total);
 }
-
-}  // namespace
 
 SysRet supervised_accept_recv(Supervisor& s, ExtId id, net::Net& net,
                               uk::Kernel& k, uk::Process& p, int listenfd,

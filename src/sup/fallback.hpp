@@ -21,6 +21,19 @@
 
 namespace usk::sup {
 
+/// Classic user-space accept + recv: two crossings, plain syscalls. The
+/// connection fd lands in *uconnfd by ordinary user-space assignment
+/// (this code IS the user-space implementation; no boundary copy).
+SysRet classic_accept_recv(net::Net& net, uk::Process& p, int listenfd,
+                           void* ubuf, std::size_t n, int* uconnfd);
+
+/// Classic user-space sendfile: open/lseek/read.../send.../close through
+/// a user-space bounce buffer -- the exact pattern §2.2's consolidation
+/// collapsed, reinstated as the degraded mode.
+SysRet classic_sendfile(net::Net& net, uk::Kernel& k, uk::Process& p,
+                        int sockfd, const char* upath, std::uint64_t offset,
+                        std::size_t count);
+
 /// Supervised consolidation::sys_accept_recv. The caller must initialize
 /// *uconnfd to -1 (the webserver's idiom already): the wrapper reads it
 /// back to distinguish "failed before accepting" (safe to retry

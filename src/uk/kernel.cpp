@@ -18,7 +18,28 @@ Kernel::Kernel(fs::FileSystem& rootfs, KernelConfig cfg)
       vmalloc_(kernel_as_, cfg.vmalloc_base, cfg.vmalloc_pages),
       sched_(cfg.sched_quantum),
       boundary_(engine_, cfg.boundary),
-      vfs_(rootfs, cfg.dcache_capacity, cfg.dcache_shards) {}
+      vfs_(rootfs, cfg.dcache_capacity, cfg.dcache_shards) {
+  register_syscall<&Kernel::do_open>(Sys::kOpen, this);
+  register_syscall<&Kernel::do_close>(Sys::kClose, this);
+  register_syscall<&Kernel::do_dup>(Sys::kDup, this);
+  register_syscall<&Kernel::do_read>(Sys::kRead, this);
+  register_syscall<&Kernel::do_write>(Sys::kWrite, this);
+  register_syscall<&Kernel::do_lseek>(Sys::kLseek, this);
+  register_syscall<&Kernel::do_stat>(Sys::kStat, this);
+  register_syscall<&Kernel::do_fstat>(Sys::kFstat, this);
+  register_syscall<&Kernel::do_readdir>(Sys::kReaddir, this);
+  register_syscall<&Kernel::do_unlink>(Sys::kUnlink, this);
+  register_syscall<&Kernel::do_mkdir>(Sys::kMkdir, this);
+  register_syscall<&Kernel::do_rmdir>(Sys::kRmdir, this);
+  register_syscall<&Kernel::do_rename>(Sys::kRename, this);
+  register_syscall<&Kernel::do_truncate>(Sys::kTruncate, this);
+  register_syscall<&Kernel::do_getpid>(Sys::kGetpid, this);
+  register_syscall<&Kernel::do_sync>(Sys::kSync, this);
+  register_syscall<&Kernel::do_fsync>(Sys::kFsync, this);
+  register_syscall<&Kernel::do_fdatasync>(Sys::kFdatasync, this);
+  register_syscall<&Kernel::do_link>(Sys::kLink, this);
+  register_syscall<&Kernel::do_chmod>(Sys::kChmod, this);
+}
 
 Kernel::~Kernel() = default;
 
@@ -121,58 +142,14 @@ Kernel::Scope::~Scope() {
 }
 
 // --- helpers ----------------------------------------------------------------
-// fetch_path() and CallerBuf are the only places the copy-or-share
-// decision is made (see BufMode); the handlers below never branch on it.
-
-namespace {
-template <typename T>
-T* uptr(std::uint64_t v) {
-  return reinterpret_cast<T*>(static_cast<std::uintptr_t>(v));
-}
-
-/// One caller buffer of `n` bytes, as a handler sees it. kUser stages the
-/// bytes in a kernel bounce buffer and moves them with copy_{from,to}_user;
-/// kKernel hands out the caller's memory itself, so moving bytes between
-/// it and data() costs nothing.
-class CallerBuf {
- public:
-  CallerBuf(Boundary& b, sched::Task& t, BufMode m, std::uint64_t buf,
-            std::size_t n)
-      : b_(b), t_(t), shared_(m == BufMode::kKernel),
-        buf_(uptr<std::byte>(buf)), n_(n) {}
-
-  /// Kernel-side bytes for the handler to fill or consume.
-  std::byte* data() {
-    if (shared_) return buf_;
-    bounce_.resize(n_);
-    return bounce_.data();
-  }
-  /// Buffer in: the caller's n bytes into data().
-  Result<std::size_t> in() {
-    if (shared_) return n_;
-    return b_.copy_from_user(t_, data(), buf_, n_);
-  }
-  /// Buffer out: `len` bytes of kernel memory (data() or a kernel object)
-  /// into the caller's buffer.
-  Result<std::size_t> out(const void* ksrc, std::size_t len) {
-    if (!shared_) return b_.copy_to_user(t_, buf_, ksrc, len);
-    if (ksrc != buf_) std::memcpy(buf_, ksrc, len);
-    return len;
-  }
-
- private:
-  Boundary& b_;
-  sched::Task& t_;
-  const bool shared_;
-  std::byte* const buf_;
-  const std::size_t n_;
-  std::vector<std::byte> bounce_;
-};
-}  // namespace
+// fetch_path() and CallerBuf (kernel.hpp) are the only places the
+// copy-or-share decision is made (see BufMode); the handlers below never
+// branch on it.
 
 Result<std::string_view> Kernel::fetch_path(Process& p, BufMode m,
                                             std::uint64_t path, char* kpath) {
-  const char* src = uptr<const char>(path);
+  const auto* src =
+      reinterpret_cast<const char*>(static_cast<std::uintptr_t>(path));
   if (src == nullptr) return Errno::kEFAULT;
   if (m == BufMode::kKernel) {
     const std::size_t len = strnlen(src, kMaxPath);
@@ -187,150 +164,118 @@ Result<std::string_view> Kernel::fetch_path(Process& p, BufMode m,
 
 // --- the gateway --------------------------------------------------------------
 
-const Kernel::HandlerTable& Kernel::handlers() {
-  static const HandlerTable table = [] {
-    HandlerTable t{};
-    auto set = [&t](Sys nr, SysHandler h) {
-      t[static_cast<std::size_t>(nr)] = h;
-    };
-    set(Sys::kOpen, &Kernel::do_open);
-    set(Sys::kClose, &Kernel::do_close);
-    set(Sys::kDup, &Kernel::do_dup);
-    set(Sys::kRead, &Kernel::do_read);
-    set(Sys::kWrite, &Kernel::do_write);
-    set(Sys::kLseek, &Kernel::do_lseek);
-    set(Sys::kStat, &Kernel::do_stat);
-    set(Sys::kFstat, &Kernel::do_fstat);
-    set(Sys::kReaddir, &Kernel::do_readdir);
-    set(Sys::kUnlink, &Kernel::do_unlink);
-    set(Sys::kMkdir, &Kernel::do_mkdir);
-    set(Sys::kRmdir, &Kernel::do_rmdir);
-    set(Sys::kRename, &Kernel::do_rename);
-    set(Sys::kTruncate, &Kernel::do_truncate);
-    set(Sys::kGetpid, &Kernel::do_getpid);
-    set(Sys::kSync, &Kernel::do_sync);
-    set(Sys::kFsync, &Kernel::do_fsync);
-    set(Sys::kFdatasync, &Kernel::do_fdatasync);
-    set(Sys::kLink, &Kernel::do_link);
-    set(Sys::kChmod, &Kernel::do_chmod);
-    return t;
-  }();
-  return table;
-}
-
 SysRet Kernel::syscall(Process& p, Sys nr, const SysArgs& a) {
   const std::size_t idx = static_cast<std::size_t>(nr);
-  const SysHandler h = idx < handlers().size() ? handlers()[idx] : nullptr;
-  if (h != nullptr) {
-    // The Scope is constructed HERE for every table-dispatched call: one
-    // crossing, one audit record, one ktrace sample per entry.
-    Scope scope(*this, p, nr);
-    if (SysRet g = scope.gate(); g != 0) return g;
-    return scope.done((this->*h)(p, a, BufMode::kUser));
-  }
-  if (idx < external_.size()) {
-    if (ExternalSysFn fn = external_[idx].fn.load(std::memory_order_acquire)) {
-      // Runtime-registered slot: the handler owns its Scope discipline.
-      return fn(external_[idx].ctx.load(std::memory_order_acquire), *this, p,
-                a);
+  if (idx < table_.size()) {
+    const SysEntry& e = table_[idx];
+    if (const SysFn fn = e.fn.load(std::memory_order_acquire)) {
+      void* ctx = e.ctx.load(std::memory_order_relaxed);
+      if (e.owns_crossing.load(std::memory_order_relaxed)) {
+        return fn(ctx, p, a, BufMode::kUser);
+      }
+      // The Scope is constructed HERE for every other entry: one
+      // crossing, one audit record, one ktrace sample per call.
+      Scope scope(*this, p, nr);
+      if (SysRet g = scope.gate(); g != 0) return g;
+      return scope.done(fn(ctx, p, a, BufMode::kUser));
     }
   }
   Scope scope(*this, p, nr);
   return scope.fail(Errno::kENOSYS);
 }
 
-void Kernel::register_syscall(Sys nr, ExternalSysFn fn, void* ctx) {
-  const std::size_t idx = static_cast<std::size_t>(nr);
-  if (idx >= external_.size() || handlers()[idx] != nullptr) return;
-  if (fn == nullptr) {
-    // Disarm the function first so a racing dispatch never pairs the old
-    // fn with a cleared ctx.
-    external_[idx].fn.store(nullptr, std::memory_order_release);
-    external_[idx].ctx.store(nullptr, std::memory_order_release);
-    return;
-  }
-  external_[idx].ctx.store(ctx, std::memory_order_release);
-  external_[idx].fn.store(fn, std::memory_order_release);
-}
-
 SysRet Kernel::dispatch_nested(Process& p, Sys nr, const SysArgs& a,
                                BufMode mode) {
   const std::size_t idx = static_cast<std::size_t>(nr);
-  const SysHandler h = idx < handlers().size() ? handlers()[idx] : nullptr;
-  if (h == nullptr) return sysret_err(Errno::kENOSYS);
-  return (this->*h)(p, a, mode);
+  if (idx >= table_.size()) return sysret_err(Errno::kENOSYS);
+  const SysEntry& e = table_[idx];
+  const SysFn fn = e.fn.load(std::memory_order_acquire);
+  if (fn == nullptr || e.owns_crossing.load(std::memory_order_relaxed)) {
+    return sysret_err(Errno::kENOSYS);
+  }
+  return fn(e.ctx.load(std::memory_order_relaxed), p, a, mode);
+}
+
+void Kernel::install(Sys nr, SysFn fn, void* ctx, bool owns_crossing) {
+  const std::size_t idx = static_cast<std::size_t>(nr);
+  if (idx >= table_.size()) return;
+  SysEntry& e = table_[idx];
+  if (e.fn.load(std::memory_order_acquire) != nullptr) return;
+  // fn is published last (release), so a dispatch that sees it also sees
+  // its ctx and crossing flag.
+  e.ctx.store(ctx, std::memory_order_relaxed);
+  e.owns_crossing.store(owns_crossing, std::memory_order_relaxed);
+  e.fn.store(fn, std::memory_order_release);
+}
+
+void Kernel::unregister_syscall(Sys nr) {
+  const std::size_t idx = static_cast<std::size_t>(nr);
+  if (idx < table_.size()) {
+    table_[idx].fn.store(nullptr, std::memory_order_release);
+  }
 }
 
 // --- typed wrappers (the userlib-facing ABI) ----------------------------------
 
 SysRet Kernel::sys_open(Process& p, const char* upath, int flags,
                         std::uint32_t mode) {
-  return syscall(p, Sys::kOpen,
-                 {uarg(upath), static_cast<std::uint64_t>(flags), mode, 0});
+  return syscall(p, Sys::kOpen, {uarg(upath), iarg(flags), mode});
 }
 SysRet Kernel::sys_close(Process& p, int fd) {
-  return syscall(p, Sys::kClose, {static_cast<std::uint64_t>(fd)});
+  return syscall(p, Sys::kClose, {iarg(fd)});
 }
 SysRet Kernel::sys_dup(Process& p, int fd) {
-  return syscall(p, Sys::kDup, {static_cast<std::uint64_t>(fd)});
+  return syscall(p, Sys::kDup, {iarg(fd)});
 }
 SysRet Kernel::sys_read(Process& p, int fd, void* ubuf, std::size_t n) {
-  return syscall(p, Sys::kRead,
-                 {static_cast<std::uint64_t>(fd), uarg(ubuf), n, 0});
+  return syscall(p, Sys::kRead, {iarg(fd), uarg(ubuf), n});
 }
 SysRet Kernel::sys_write(Process& p, int fd, const void* ubuf,
                          std::size_t n) {
-  return syscall(p, Sys::kWrite,
-                 {static_cast<std::uint64_t>(fd), uarg(ubuf), n, 0});
+  return syscall(p, Sys::kWrite, {iarg(fd), uarg(ubuf), n});
 }
 SysRet Kernel::sys_lseek(Process& p, int fd, std::int64_t off, int whence) {
-  return syscall(p, Sys::kLseek,
-                 {static_cast<std::uint64_t>(fd),
-                  static_cast<std::uint64_t>(off),
-                  static_cast<std::uint64_t>(whence), 0});
+  return syscall(p, Sys::kLseek, {iarg(fd), iarg(off), iarg(whence)});
 }
 SysRet Kernel::sys_stat(Process& p, const char* upath, fs::StatBuf* ust) {
-  return syscall(p, Sys::kStat, {uarg(upath), uarg(ust), 0, 0});
+  return syscall(p, Sys::kStat, {uarg(upath), uarg(ust)});
 }
 SysRet Kernel::sys_fstat(Process& p, int fd, fs::StatBuf* ust) {
-  return syscall(p, Sys::kFstat,
-                 {static_cast<std::uint64_t>(fd), uarg(ust), 0, 0});
+  return syscall(p, Sys::kFstat, {iarg(fd), uarg(ust)});
 }
 SysRet Kernel::sys_readdir(Process& p, int fd, void* ubuf, std::size_t n) {
-  return syscall(p, Sys::kReaddir,
-                 {static_cast<std::uint64_t>(fd), uarg(ubuf), n, 0});
+  return syscall(p, Sys::kReaddir, {iarg(fd), uarg(ubuf), n});
 }
 SysRet Kernel::sys_unlink(Process& p, const char* upath) {
   return syscall(p, Sys::kUnlink, {uarg(upath)});
 }
 SysRet Kernel::sys_mkdir(Process& p, const char* upath, std::uint32_t mode) {
-  return syscall(p, Sys::kMkdir, {uarg(upath), mode, 0, 0});
+  return syscall(p, Sys::kMkdir, {uarg(upath), mode});
 }
 SysRet Kernel::sys_rmdir(Process& p, const char* upath) {
   return syscall(p, Sys::kRmdir, {uarg(upath)});
 }
 SysRet Kernel::sys_rename(Process& p, const char* ufrom, const char* uto) {
-  return syscall(p, Sys::kRename, {uarg(ufrom), uarg(uto), 0, 0});
+  return syscall(p, Sys::kRename, {uarg(ufrom), uarg(uto)});
 }
 SysRet Kernel::sys_truncate(Process& p, const char* upath,
                             std::uint64_t size) {
-  return syscall(p, Sys::kTruncate, {uarg(upath), size, 0, 0});
+  return syscall(p, Sys::kTruncate, {uarg(upath), size});
 }
 SysRet Kernel::sys_getpid(Process& p) { return syscall(p, Sys::kGetpid); }
 SysRet Kernel::sys_sync(Process& p) { return syscall(p, Sys::kSync); }
 SysRet Kernel::sys_fsync(Process& p, int fd) {
-  return syscall(p, Sys::kFsync, {static_cast<std::uint64_t>(fd)});
+  return syscall(p, Sys::kFsync, {iarg(fd)});
 }
 SysRet Kernel::sys_fdatasync(Process& p, int fd) {
-  return syscall(p, Sys::kFdatasync, {static_cast<std::uint64_t>(fd)});
+  return syscall(p, Sys::kFdatasync, {iarg(fd)});
 }
 SysRet Kernel::sys_link(Process& p, const char* ufrom, const char* uto) {
-  return syscall(p, Sys::kLink, {uarg(ufrom), uarg(uto), 0, 0});
+  return syscall(p, Sys::kLink, {uarg(ufrom), uarg(uto)});
 }
 SysRet Kernel::sys_chmod(Process& p, const char* upath, std::uint32_t mode) {
-  return syscall(p, Sys::kChmod, {uarg(upath), mode, 0, 0});
+  return syscall(p, Sys::kChmod, {uarg(upath), mode});
 }
-
 
 // --- handlers -----------------------------------------------------------------
 // Error-path discipline (audited, regression-tested in test_uk.cpp):

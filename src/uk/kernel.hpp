@@ -11,6 +11,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -77,6 +78,57 @@ struct DirentHdr {
 ///    in place: no copy, no copy charge, no copy-byte count. An
 ///    out-of-range buffer arrives as nullptr.
 enum class BufMode : std::uint8_t { kUser, kKernel };
+
+/// One caller buffer of `n` bytes, as a handler sees it. kUser stages the
+/// bytes in a kernel bounce buffer and moves them with copy_{from,to}_user;
+/// kKernel hands out the caller's memory itself, so moving bytes between
+/// it and data() costs nothing. With Kernel::fetch_path, the only place
+/// the copy-or-share decision is made: every table handler (file and
+/// net) moves its buffers through here and never branches on the mode.
+class CallerBuf {
+ public:
+  CallerBuf(Boundary& b, sched::Task& t, BufMode m, std::uint64_t buf,
+            std::size_t n)
+      : b_(b), t_(t), shared_(m == BufMode::kKernel),
+        buf_(reinterpret_cast<std::byte*>(static_cast<std::uintptr_t>(buf))),
+        n_(n) {}
+
+  /// Kernel-side bytes for the handler to fill or consume.
+  std::byte* data() {
+    if (shared_) return buf_;
+    bounce_.resize(n_);
+    return bounce_.data();
+  }
+  /// Buffer in: the caller's n bytes into data().
+  Result<std::size_t> in() {
+    if (shared_) return n_;
+    return b_.copy_from_user(t_, data(), buf_, n_);
+  }
+  /// Buffer out: `len` bytes of kernel memory (data() or a kernel object)
+  /// into the caller's buffer.
+  Result<std::size_t> out(const void* ksrc, std::size_t len) {
+    if (!shared_) return b_.copy_to_user(t_, buf_, ksrc, len);
+    if (ksrc != buf_) std::memcpy(buf_, ksrc, len);
+    return len;
+  }
+
+ private:
+  Boundary& b_;
+  sched::Task& t_;
+  const bool shared_;
+  std::byte* const buf_;
+  const std::size_t n_;
+  std::vector<std::byte> bounce_;
+};
+
+/// Register-file argument block, the simulated syscall ABI: up to four
+/// u64s, pointers reinterpreted.
+struct SysArgs {
+  std::uint64_t a0 = 0;
+  std::uint64_t a1 = 0;
+  std::uint64_t a2 = 0;
+  std::uint64_t a3 = 0;
+};
 
 /// Wire format for sys_readdirplus: stat + header + name bytes.
 struct DirentPlusHdr {
@@ -185,52 +237,51 @@ class Kernel {
   };
 
   // --- the syscall gateway -----------------------------------------------------
-  /// Register-file argument block, the simulated ABI: up to four u64s,
-  /// pointers reinterpreted. Every classic call funnels through
-  /// syscall() -- ONE place owns the Scope (crossing, audit, ktrace), one
-  /// numbered table routes to handlers, unknown numbers get ENOSYS. The
-  /// typed sys_* wrappers below are the "userlib-facing" ABI and just
-  /// pack arguments.
-  struct SysArgs {
-    std::uint64_t a0;
-    std::uint64_t a1;
-    std::uint64_t a2;
-    std::uint64_t a3;
-  };
+  /// Every call funnels through syscall() -- ONE place owns the Scope
+  /// (crossing, audit, ktrace), one numbered table routes to handlers,
+  /// unknown numbers get ENOSYS. The typed sys_* wrappers (here and
+  /// net::Net's) are the "userlib-facing" ABI and just pack arguments.
+  using SysArgs = uk::SysArgs;
 
-  /// Pack a user pointer into a syscall argument register.
+  /// Pack a user pointer / a signed integer into an argument register.
   static std::uint64_t uarg(const void* p) {
     return reinterpret_cast<std::uint64_t>(p);
   }
+  static std::uint64_t iarg(std::int64_t v) {
+    return static_cast<std::uint64_t>(v);
+  }
 
   SysRet syscall(Process& p, Sys nr, const SysArgs& a = SysArgs{});
-
-  // --- external syscall slots ---------------------------------------------------
-  /// Subsystems layered above uk (net-like modules such as src/ring) can
-  /// claim unused syscall numbers at runtime so their calls route through
-  /// the same numbered gateway. An external handler owns its own Scope
-  /// discipline -- exactly like net::Net's syscall family, which
-  /// constructs Kernel::Scope directly -- because some of them (ring's
-  /// quarantine fallback) must decompose into nested full syscalls
-  /// instead of paying one crossing up front.
-  using ExternalSysFn = SysRet (*)(void* ctx, Kernel& k, Process& p,
-                                   const SysArgs& a);
-  /// Claim `nr` (must not collide with a table handler). Passing
-  /// fn == nullptr releases the slot. The registrant must outlive its
-  /// registration window.
-  void register_syscall(Sys nr, ExternalSysFn fn, void* ctx);
-  void unregister_syscall(Sys nr) { register_syscall(nr, nullptr, nullptr); }
 
   /// Dispatch a table handler WITHOUT constructing a Scope: no boundary
   /// crossing, no audit record -- the caller's enclosing Scope owns both.
   /// This is how the ring, Cosy compounds and consolidated calls execute
   /// N syscalls for the cost of one crossing, with the classic calls'
   /// exact semantics. `mode` says where the buffer and path arguments
-  /// point (see BufMode). Unknown numbers return ENOSYS; externally
-  /// registered numbers are NOT reachable here (an external handler
-  /// expects to manage its own crossing).
+  /// point (see BufMode). Unknown numbers, and handlers that own their
+  /// crossing, return ENOSYS.
   SysRet dispatch_nested(Process& p, Sys nr, const SysArgs& a = SysArgs{},
                          BufMode mode = BufMode::kUser);
+
+  // --- the numbered syscall table ---------------------------------------------
+  /// A subsystem layered above uk (net::Net, ring::RingDev) fills its
+  /// syscall numbers with member handlers `SysRet (T::*)(Process&, const
+  /// SysArgs&, BufMode)` on `self`, the way the Kernel fills the file
+  /// calls at construction. A slot that is already taken is left alone.
+  /// `owns_crossing` marks a handler that builds its own Scope: syscall()
+  /// calls it bare and dispatch_nested() answers ENOSYS. Only ring_setup
+  /// and ring_enter need it, because a quarantined ring_enter decomposes
+  /// into one full syscall per op instead of paying one crossing up
+  /// front. The registrant must outlive its registration window.
+  template <auto H, class T>
+  void register_syscall(Sys nr, T* self, bool owns_crossing = false) {
+    install(nr,
+            [](void* ctx, Process& p, const SysArgs& a, BufMode m) -> SysRet {
+              return (static_cast<T*>(ctx)->*H)(p, a, m);
+            },
+            self, owns_crossing);
+  }
+  void unregister_syscall(Sys nr);
 
   // --- classic system calls (typed wrappers over syscall()) --------------------
   SysRet sys_open(Process& p, const char* upath, int flags,
@@ -274,11 +325,15 @@ class Kernel {
   // the buffer mode, and return a SysRet. syscall() wraps the call in a
   // Scope (crossing + audit); dispatch_nested() calls them bare so every
   // batching vehicle re-uses the exact same code with zero extra
-  // crossings.
-  using SysHandler = SysRet (Kernel::*)(Process&, const SysArgs&, BufMode);
-  using HandlerTable =
-      std::array<SysHandler, static_cast<std::size_t>(Sys::kMaxSys)>;
-  static const HandlerTable& handlers();
+  // crossings. One entry per number, read on the syscall hot path.
+  using SysFn = SysRet (*)(void* ctx, Process& p, const SysArgs& a,
+                           BufMode m);
+  struct SysEntry {
+    std::atomic<SysFn> fn{nullptr};
+    std::atomic<void*> ctx{nullptr};
+    std::atomic<bool> owns_crossing{false};
+  };
+  void install(Sys nr, SysFn fn, void* ctx, bool owns_crossing);
 
   SysRet do_open(Process& p, const SysArgs& a, BufMode m);
   SysRet do_close(Process& p, const SysArgs& a, BufMode m);
@@ -301,13 +356,6 @@ class Kernel {
   SysRet do_link(Process& p, const SysArgs& a, BufMode m);
   SysRet do_chmod(Process& p, const SysArgs& a, BufMode m);
 
-  /// One runtime-registered slot; fn/ctx are read on the syscall hot path
-  /// (two acquire loads only when the static table misses).
-  struct ExternalSys {
-    std::atomic<ExternalSysFn> fn{nullptr};
-    std::atomic<void*> ctx{nullptr};
-  };
-
   base::WorkEngine engine_;
   vm::PhysMem phys_;
   vm::AddressSpace kernel_as_;
@@ -317,7 +365,7 @@ class Kernel {
   Boundary boundary_;
   Audit audit_;
   fs::Vfs vfs_;
-  std::array<ExternalSys, static_cast<std::size_t>(Sys::kMaxSys)> external_{};
+  std::array<SysEntry, static_cast<std::size_t>(Sys::kMaxSys)> table_{};
   std::unique_ptr<fs::ProcFs> procfs_;  ///< created by mount_procfs()
   std::mutex spawn_mu_;
   std::vector<std::unique_ptr<Process>> procs_;

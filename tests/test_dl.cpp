@@ -38,7 +38,7 @@ using namespace std::chrono_literals;
 class DlTest : public ::testing::Test {
  protected:
   DlTest()
-      : kernel_(fs_), net_(kernel_), rdev_(kernel_, net_),
+      : kernel_(fs_), net_(kernel_), rdev_(kernel_),
         proc_(kernel_, "dl-test") {
     fs_.set_cost_hook(kernel_.charge_hook());
     fault::kfail().disarm_all();

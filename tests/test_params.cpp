@@ -136,6 +136,14 @@ struct GuardLayout {
   bool align_end;
 };
 
+// Name each case by its fields: gtest would otherwise print the raw
+// bytes, whose padding is uninitialised, so the names would change from
+// run to run.
+void PrintTo(const GuardLayout& l, std::ostream* os) {
+  *os << "before" << l.before << "_after" << l.after
+      << (l.align_end ? "_alignend" : "");
+}
+
 class VmallocLayoutTest : public ::testing::TestWithParam<GuardLayout> {};
 
 TEST_P(VmallocLayoutTest, GuardsLandWhereConfigured) {

@@ -15,6 +15,7 @@
 
 #include "fault/kfail.hpp"
 #include "fs/procfs.hpp"
+#include "net/net.hpp"
 #include "ring/ring.hpp"
 #include "sup/supervisor.hpp"
 #include "uk/userlib.hpp"
@@ -25,7 +26,7 @@ namespace {
 class RingTest : public ::testing::Test {
  protected:
   RingTest()
-      : kernel_(fs_), net_(kernel_), rdev_(kernel_, net_),
+      : kernel_(fs_), net_(kernel_), rdev_(kernel_),
         proc_(kernel_, "ring-test") {
     fs_.set_cost_hook(kernel_.charge_hook());
   }

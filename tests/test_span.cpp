@@ -86,7 +86,7 @@ class SpanTest : public ::testing::Test {
                                  sup::Supervisor* sup = nullptr,
                                  std::size_t conns = 4) {
     net::Net net(kernel_);
-    ring::RingDev rdev(kernel_, net);
+    ring::RingDev rdev(kernel_);
     workload::WebServerConfig cfg;
     cfg.mode = mode;
     cfg.workers = 1;  // deterministic span counts

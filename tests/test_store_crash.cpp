@@ -111,7 +111,9 @@ void run_one_crash(const std::string& path, std::uint64_t seed,
       marks[k] = st.image().pending_writes();
       // Periodic checkpoints put superblock + home-writeback writes into
       // the log so cuts can tear a checkpoint mid-flight.
-      if (k % 4 == 0) ASSERT_TRUE(st.checkpoint().ok());
+      if (k % 4 == 0) {
+        ASSERT_TRUE(st.checkpoint().ok());
+      }
     }
 
     const std::size_t total = st.image().pending_writes();

@@ -129,7 +129,9 @@ TEST_F(KtraceTest, EnabledTracepointEmitsAndDrainsInOrder) {
   EXPECT_EQ(trace::ktrace().emitted(), 50u);
   EXPECT_EQ(trace::ktrace().dropped(), 0u);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) EXPECT_LT(events[i - 1].seq, events[i].seq);
+    if (i > 0) {
+      EXPECT_LT(events[i - 1].seq, events[i].seq);
+    }
     EXPECT_EQ(events[i].arg0, i);
     EXPECT_EQ(events[i].arg1, i * 2);
     EXPECT_STREQ(trace::ktrace().site_name(events[i].site), "ordered_site");

@@ -22,7 +22,8 @@
 #           transient injection at the storage fault sites plus the crash
 #           oracle sweep (label `storage`), then bench_storage --quick
 #           gated by the group-commit amortization (>= 3 txns/flush at 8
-#           writers) and PostMark persistence (<= 1.10x) budgets
+#           writers); its PostMark store-vs-memory slowdown is recorded
+#           unbounded
 #   dl      the request-path suites re-run with kdl armed end to end
 #           (label `dl`: USK_DL=1 plus seeded transient clock skew and
 #           spurious park wakeups at the dl fault sites), then
@@ -44,14 +45,18 @@
 #           injected error paths free everything they unwind past
 #   ubsan   the fault + sup soaks under UndefinedBehaviorSanitizer
 #           (halt_on_error: any UB report is a red run)
+#   tsan    the SMP suites under ThreadSanitizer
+#   repeat  the whole suite in the default build, 20 consecutive parallel
+#           runs (ctest --repeat until-fail:20): a flaky test is a red run
 #
 # Usage: scripts/run_tier1.sh [plain|faults|sup|ring|obs|storage|sched|
-#                              dl|asan|ubsan|tsan|all]  (default: all)
+#                              dl|asan|ubsan|tsan|repeat|all]
+#                              (default: all)
 #
 # Build trees: build/ (plain + faults + sup + ring + obs + storage +
-# sched), build-asan/, build-ubsan/, build-tsan/. TSan is optional
-# (heavyweight); `all` runs plain+faults+sup+ring+obs+storage+sched+
-# asan+ubsan, matching the checked-in acceptance gates.
+# sched + dl + repeat), build-asan/, build-ubsan/, build-tsan/. `all`
+# runs plain+faults+sup+ring+obs+storage+sched+dl+asan+ubsan+tsan,
+# matching the checked-in acceptance gates; `repeat` is run on its own.
 # Fails fast: the first red suite stops the script with a nonzero exit.
 set -euo pipefail
 
@@ -92,7 +97,6 @@ run_storage(){ build build; (cd build && ctest -L storage -j "$jobs" --output-on
                python3 scripts/check_bench_json.py \
                  --expect bench_storage \
                  --expect-min 'bench_storage:commits-per-flush-8w:3.0' \
-                 --expect-max 'bench_storage:postmark-store-slowdown-x100:110' \
                  "$json"
                rm -f "$json"; }
 run_sched()  { build build; (cd build && ctest -L sched -j "$jobs" --output-on-failure);
@@ -128,6 +132,8 @@ run_ubsan()  { build build-ubsan -DUSK_SANITIZE=undefined;
                   ctest -L 'faults|sup' -j "$jobs" --output-on-failure); }
 run_tsan()   { build build-tsan -DUSK_SANITIZE=thread;
                (cd build-tsan && ctest -R Smp -j "$jobs" --output-on-failure); }
+run_repeat() { build build;
+               (cd build && ctest -j "$jobs" --repeat until-fail:20 --output-on-failure); }
 
 case "$mode" in
   plain)  run_plain ;;
@@ -141,7 +147,8 @@ case "$mode" in
   asan)   run_asan ;;
   ubsan)  run_ubsan ;;
   tsan)   run_tsan ;;
-  all)    run_plain; run_faults; run_sup; run_ring; run_obs; run_storage; run_sched; run_dl; run_asan; run_ubsan ;;
-  *) echo "usage: $0 [plain|faults|sup|ring|obs|storage|sched|dl|asan|ubsan|tsan|all]" >&2; exit 2 ;;
+  repeat) run_repeat ;;
+  all)    run_plain; run_faults; run_sup; run_ring; run_obs; run_storage; run_sched; run_dl; run_asan; run_ubsan; run_tsan ;;
+  *) echo "usage: $0 [plain|faults|sup|ring|obs|storage|sched|dl|asan|ubsan|tsan|repeat|all]" >&2; exit 2 ;;
 esac
 echo "run_tier1: $mode OK"

@@ -56,7 +56,7 @@ enum class Site : std::uint8_t {
   kVmalloc,       ///< mm::Vmalloc::alloc        -> ENOMEM
   kDiskRead,      ///< blockdev::Disk::read      -> EIO
   kDiskWrite,     ///< blockdev::Disk::write     -> EIO
-  kDiskTorn,      ///< fs::JournalFs journal append -> torn record
+  kDiskTorn,      ///< store journal unit payload write -> torn on media
   kDiskLatency,   ///< blockdev::Disk access     -> seek-storm latency spike
   kCopyIn,        ///< uk::Boundary::copy_from_user -> EFAULT
   kCopyOut,       ///< uk::Boundary::copy_to_user   -> EFAULT

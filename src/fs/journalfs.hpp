@@ -16,6 +16,14 @@
 //   journal      : circular log; every metadata update appends a record
 //                  containing a copy of the touched block
 //
+// Every mutating operation is one transaction: its block, inode and
+// bitmap records fully redo it, a commit record closes it, and
+// checkpoints only happen at transaction boundaries. Without a store the
+// in-memory journal is the E5 cost model -- written, never replayed. With
+// a store attached (attach_store) every record also flows into the
+// store's group-commit journal, and Store::recover replaying those
+// records through apply_store_record is the one recovery path.
+//
 // Files use 12 direct block pointers plus one single-indirect block,
 // giving a max file size of 12*4K + 1024*4K = 4.2 MB, plenty for the
 // PostMark and compile workloads.
@@ -29,7 +37,6 @@
 #include <vector>
 
 #include "base/errno.hpp"
-#include "fault/kfail.hpp"
 #include "fs/filesystem.hpp"
 #include "blockdev/buffer_cache.hpp"
 #include "fs/memfs.hpp"  // FsCosts
@@ -65,8 +72,6 @@ struct JournalFsStats {
   std::uint64_t blocks_allocated = 0;
   std::uint64_t blocks_freed = 0;
   std::uint64_t bitmap_scan_steps = 0;
-  std::uint64_t commit_markers = 0;  ///< txn commit records (crash-sim mode)
-  std::uint64_t torn_records = 0;    ///< kfail disk.torn injections absorbed
   std::uint64_t store_commits = 0;   ///< group-commit units paid (store mode)
   std::uint64_t store_home_writes = 0; ///< post-commit home blocks dirtied
 };
@@ -108,12 +113,10 @@ class JournalFs final : public FileSystem {
     kBlock = 0,   ///< post-image of data block `target`
     kInode = 1,   ///< post-image of inode `target`
     kBitmap = 2,  ///< bitmap delta: block `target` -> payload[0]
-    kCommit = 3,  ///< transaction commit marker
+    kCommit = 3,  ///< transaction commit record (the commit-block write)
   };
 
   struct JournalRecord {
-    std::uint64_t seq;
-    std::uint64_t checksum;  ///< FNV-1a over header + payload[0..len)
     std::uint32_t target;
     std::uint32_t len;  ///< valid payload bytes
     std::uint8_t kind;
@@ -457,7 +460,6 @@ class JournalFs final : public FileSystem {
     store_ = s;
     io_ = cache;
     s->attach_cache(cache);
-    if (!crash_sim_) enable_crash_sim();
     // Fresh vs existing image: the root inode's home bytes decide.
     std::vector<std::uint8_t> blk(kBlockSize);
     USK_TRY(io_->read_data(0, blk.data()));
@@ -474,81 +476,6 @@ class JournalFs final : public FileSystem {
   }
 
   [[nodiscard]] const JournalFsStats& jstats() const { return jstats_; }
-
-  // --- crash consistency -----------------------------------------------------
-  /// Turn on crash simulation. From here on:
-  ///   * every mutating operation is one transaction, closed by a
-  ///     checksummed commit-marker record in the journal;
-  ///   * bitmap deltas and every touched inode are journaled, so a
-  ///     transaction's records fully redo it;
-  ///   * checkpoints (which reclaim the journal and advance the "stable"
-  ///     on-platter image) happen only at transaction boundaries;
-  ///   * kfail's disk.torn site can tear any journal record as it is
-  ///     written -- the corruption is invisible until recovery.
-  void enable_crash_sim() {
-    crash_sim_ = true;
-    (void)commit_journal();  // checkpoint: current state becomes stable
-  }
-  [[nodiscard]] bool crash_sim_enabled() const { return crash_sim_; }
-
-  struct CrashReport {
-    std::size_t records_scanned = 0;
-    std::size_t txns_applied = 0;    ///< complete, checksum-clean txns redone
-    std::size_t txns_discarded = 0;  ///< torn or uncommitted tail txns
-    bool found_torn = false;         ///< a record failed checksum validation
-  };
-
-  /// Simulated power loss + journal recovery. Live memory is discarded:
-  /// the filesystem reverts to the stable image of the last checkpoint,
-  /// then the journal is replayed in sequence order. A transaction is
-  /// redone only if every one of its records is checksum-clean and a
-  /// valid commit marker terminates it; the first torn record ends the
-  /// usable log (everything after it is discarded), exactly the contract
-  /// of a physical redo journal. The recovered state becomes the new
-  /// stable image. Requires enable_crash_sim().
-  CrashReport simulate_crash() {
-    CrashReport rep;
-    if (!crash_sim_ || !stable_valid_) return rep;
-    // The journal strip survives the crash; copy it out before reverting.
-    std::size_t nrec = std::min(journal_head_, journal_slots_);
-    std::vector<JournalRecord> log(nrec);
-    for (std::size_t i = 0; i < nrec; ++i) log[i] = journal_[i];
-    restore_stable();
-
-    std::size_t txn_start = 0;  // index of first record of the open txn
-    std::size_t stop = nrec;
-    for (std::size_t i = 0; i < nrec; ++i) {
-      ++rep.records_scanned;
-      if (!record_valid(log[i])) {
-        rep.found_torn = true;
-        stop = i;
-        break;
-      }
-      if (static_cast<JRecKind>(log[i].kind) == JRecKind::kCommit) {
-        for (std::size_t r = txn_start; r < i; ++r) apply_record(log[r]);
-        ++rep.txns_applied;
-        txn_start = i + 1;
-      }
-    }
-    // Count what the crash cost: commit markers at/after the stop point
-    // plus a trailing marker-less fragment.
-    bool open_txn = txn_start < stop;
-    for (std::size_t i = stop; i < nrec; ++i) {
-      if (static_cast<JRecKind>(log[i].kind) == JRecKind::kCommit) {
-        ++rep.txns_discarded;
-        open_txn = false;
-      } else {
-        open_txn = true;
-      }
-    }
-    if (open_txn) ++rep.txns_discarded;
-
-    journal_head_ = 0;
-    txn_dirty_ = false;
-    commit_pending_ = false;
-    snapshot_stable();  // recovered state is the new on-platter truth
-    return rep;
-  }
 
   // --- fsck ------------------------------------------------------------------
   /// Offline consistency check, like e2fsck in read-only mode: validates
@@ -709,9 +636,8 @@ class JournalFs final : public FileSystem {
     // journal (real image writes); the LBA-strip pricing would double-
     // charge them.
     if (io_ == nullptr || store_ != nullptr) return;
-    // Journal-strip write errors are absorbed: in this model the journal
-    // only prices the sequential append; a lost record shows up at
-    // recovery as a torn/short log, which replay already tolerates.
+    // Journal-strip write errors are absorbed: the in-memory journal only
+    // prices the sequential append and is never replayed.
     (void)io_->write(static_cast<blockdev::Lba>(slot) % io_->disk().size());
   }
 
@@ -813,7 +739,7 @@ class JournalFs final : public FileSystem {
       if (!any_left) {
         free_block(n.indirect);
         n.indirect = 0;
-      } else if (crash_sim_) {
+      } else {
         // The surviving indirect block was modified in place; journal its
         // post-image or replay resurrects the freed pointers.
         journal_block(n.indirect);
@@ -921,21 +847,21 @@ class JournalFs final : public FileSystem {
     }
     d->mtime = ++clock_;
     journal_inode(dir);
-    // Crash-sim: the victim's new state (nlink drop or deallocation) must
-    // replay, or recovery resurrects it half-dead.
-    if (crash_sim_) journal_inode(de.ino);
+    // The victim's new state (nlink drop or deallocation) must replay, or
+    // recovery resurrects it half-dead.
+    journal_inode(de.ino);
     return Errno::kOk;
   }
 
   // --- journaling ------------------------------------------------------------------
   /// One transaction per mutating public operation. Depth-counted so
   /// nested mutations (rename -> remove_entry) stay one transaction; the
-  /// commit marker is appended when the outermost scope exits.
+  /// commit record is appended when the outermost scope exits.
   struct TxnScope {
     JournalFs& fs;
     explicit TxnScope(JournalFs& f) : fs(f) { ++fs.txn_depth_; }
     ~TxnScope() {
-      if (--fs.txn_depth_ == 0 && fs.crash_sim_) fs.end_txn();
+      if (--fs.txn_depth_ == 0) fs.end_txn();
     }
   };
 
@@ -946,27 +872,16 @@ class JournalFs final : public FileSystem {
   JournalRecord& next_record(JRecKind kind, std::uint32_t target,
                              std::uint32_t len) {
     JournalRecord& rec = journal_[journal_head_ % journal_slots_];
-    rec.seq = ++journal_seq_;
+    ++journal_seq_;
     rec.kind = static_cast<std::uint8_t>(kind);
     rec.target = target;
     rec.len = len;
     return rec;
   }
 
-  /// Finish an append: checksum it, let kfail's disk.torn site tear it
-  /// (silently -- the damage only shows at recovery), touch the journal
-  /// strip on the io model, and advance the head.
-  void seal_record(JournalRecord& rec) {
-    if (crash_sim_) {
-      rec.checksum = record_checksum(rec);
-      if (auto f = USK_FAIL_POINT(fault::Site::kDiskTorn);
-          f.fail || f.transient) {
-        // Torn write: the tail of the record never hit the platter.
-        for (std::size_t i = rec.len / 2; i < rec.len; ++i) rec.payload[i] = 0;
-        rec.checksum ^= 0x5bd1e9955bd1e995ull;
-        ++jstats_.torn_records;
-      }
-    }
+  /// Finish an append: touch the journal strip on the io model and
+  /// advance the head.
+  void seal_record() {
     io_touch_journal(journal_head_ % journal_slots_);
     ++journal_head_;
   }
@@ -977,23 +892,14 @@ class JournalFs final : public FileSystem {
     JournalRecord& rec = next_record(JRecKind::kBlock, blk, kBlockSize);
     Ptr<std::uint8_t> src = data_ + (blk - 1) * kBlockSize;
     for (std::size_t i = 0; i < kBlockSize; ++i) rec.payload[i] = src[i];
-    // The store gets the CLEAN post-image (before kfail's disk.torn can
-    // mutate the in-memory record): media tears are the store's own
-    // fault sites' job.
     store_append(rec);
-    seal_record(rec);
+    seal_record();
     ++jstats_.journal_records;
     txn_dirty_ = true;
     charge(journal_cost_);
-    if (journal_seq_ % commit_interval_ == 0) {
-      // Crash-sim defers the checkpoint to the transaction boundary so the
-      // stable image never contains half a transaction.
-      if (crash_sim_) {
-        commit_pending_ = true;
-      } else {
-        (void)commit_journal();
-      }
-    }
+    // The checkpoint waits for the transaction boundary, so a commit
+    // never carries half a transaction.
+    if (journal_seq_ % commit_interval_ == 0) commit_pending_ = true;
   }
 
   /// Journal an inode update (the inode table region).
@@ -1004,29 +910,27 @@ class JournalFs final : public FileSystem {
     const auto* src = reinterpret_cast<const std::uint8_t*>(&n);
     for (std::size_t i = 0; i < sizeof(DiskInode); ++i) rec.payload[i] = src[i];
     store_append(rec);
-    seal_record(rec);
+    seal_record();
     ++jstats_.journal_records;
     txn_dirty_ = true;
   }
 
-  /// Journal a bitmap delta (crash-sim only: block allocation state must
-  /// replay or recovered inodes would point into "free" blocks).
+  /// Journal a bitmap delta: block allocation state must replay or
+  /// recovered inodes would point into "free" blocks.
   void journal_bitmap(std::uint32_t blk, std::uint8_t used) {
-    if (!crash_sim_) return;
     JournalRecord& rec = next_record(JRecKind::kBitmap, blk, 1);
     rec.payload[0] = used;
     store_append(rec);
-    seal_record(rec);
+    seal_record();
     txn_dirty_ = true;
   }
 
-  /// Outermost mutation scope exit (crash-sim): append the commit marker
-  /// and run any deferred checkpoint.
+  /// Outermost mutation scope exit: append the commit record and run any
+  /// deferred checkpoint.
   void end_txn() {
     if (!txn_dirty_) return;
-    JournalRecord& rec = next_record(JRecKind::kCommit, 0, 0);
-    seal_record(rec);
-    ++jstats_.commit_markers;
+    (void)next_record(JRecKind::kCommit, 0, 0);
+    seal_record();
     txn_dirty_ = false;
     if (commit_pending_ || journal_head_ + kJournalMargin >= journal_slots_) {
       commit_pending_ = false;
@@ -1043,8 +947,7 @@ class JournalFs final : public FileSystem {
     if (store_ != nullptr) {
       // Store mode: commit the accumulated transaction batch to the
       // group-commit journal. The store checkpoints itself on region
-      // pressure; the image -- not an in-memory snapshot -- is the
-      // stable truth, so snapshot_stable() is skipped below.
+      // pressure.
       r = store_commit();
     } else if (io_ != nullptr) {
       r = io_->flush();
@@ -1052,7 +955,6 @@ class JournalFs final : public FileSystem {
     ++jstats_.journal_commits;
     journal_head_ = 0;
     txn_dirty_ = false;
-    if (crash_sim_ && store_ == nullptr) snapshot_stable();
     return r;
   }
 
@@ -1177,9 +1079,9 @@ class JournalFs final : public FileSystem {
     for (std::size_t i = 0; i < kBlockSize; ++i) out[i] = src[i];
   }
 
-  /// Replay one recovered journal record into the live arrays (the store
-  /// flavour of apply_record; targets re-validated since the record comes
-  /// off the medium).
+  /// Replay one recovered journal record into the live arrays: the one
+  /// replay routine (targets re-validated since the record comes off the
+  /// medium).
   void apply_store_record(const store::JRecord& r) {
     switch (static_cast<JRecKind>(r.kind)) {
       case JRecKind::kBlock: {
@@ -1258,85 +1160,6 @@ class JournalFs final : public FileSystem {
     return store_->checkpoint();
   }
 
-  // --- crash-sim internals ---------------------------------------------------
-  static std::uint64_t record_checksum(const JournalRecord& rec) {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (b * 8)) & 0xff;
-        h *= 1099511628211ull;
-      }
-    };
-    mix(rec.seq);
-    mix(rec.target);
-    mix(rec.len);
-    mix(rec.kind);
-    for (std::size_t i = 0; i < rec.len && i < kBlockSize; ++i) {
-      h ^= rec.payload[i];
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-
-  bool record_valid(const JournalRecord& rec) const {
-    if (rec.kind > static_cast<std::uint8_t>(JRecKind::kCommit)) return false;
-    if (rec.len > kBlockSize) return false;
-    switch (static_cast<JRecKind>(rec.kind)) {
-      case JRecKind::kBlock:
-      case JRecKind::kBitmap:
-        if (rec.target == 0 || rec.target > data_blocks_) return false;
-        break;
-      case JRecKind::kInode:
-        if (rec.target == 0 || rec.target > max_inodes_) return false;
-        break;
-      case JRecKind::kCommit:
-        break;
-    }
-    return rec.checksum == record_checksum(rec);
-  }
-
-  void apply_record(const JournalRecord& rec) {
-    switch (static_cast<JRecKind>(rec.kind)) {
-      case JRecKind::kBlock: {
-        Ptr<std::uint8_t> dst = data_ + (rec.target - 1) * kBlockSize;
-        for (std::size_t i = 0; i < kBlockSize; ++i) dst[i] = rec.payload[i];
-        break;
-      }
-      case JRecKind::kInode: {
-        DiskInode n;
-        std::memcpy(&n, rec.payload, sizeof(DiskInode));
-        inodes_[rec.target - 1] = n;
-        break;
-      }
-      case JRecKind::kBitmap:
-        bitmap_[rec.target - 1] = rec.payload[0];
-        break;
-      case JRecKind::kCommit:
-        break;
-    }
-  }
-
-  /// Copy the live arrays into the stable ("on-platter") image.
-  void snapshot_stable() {
-    stable_inodes_.resize(max_inodes_);
-    for (std::size_t i = 0; i < max_inodes_; ++i) stable_inodes_[i] = inodes_[i];
-    stable_bitmap_.resize(data_blocks_);
-    for (std::size_t i = 0; i < data_blocks_; ++i) stable_bitmap_[i] = bitmap_[i];
-    stable_data_.resize(data_blocks_ * kBlockSize);
-    for (std::size_t i = 0; i < data_blocks_ * kBlockSize; ++i) {
-      stable_data_[i] = data_[i];
-    }
-    stable_valid_ = true;
-  }
-
-  void restore_stable() {
-    for (std::size_t i = 0; i < max_inodes_; ++i) inodes_[i] = stable_inodes_[i];
-    for (std::size_t i = 0; i < data_blocks_; ++i) bitmap_[i] = stable_bitmap_[i];
-    for (std::size_t i = 0; i < data_blocks_ * kBlockSize; ++i) {
-      data_[i] = stable_data_[i];
-    }
-  }
-
   std::size_t max_inodes_;
   std::size_t data_blocks_;
   std::size_t journal_slots_;
@@ -1349,15 +1172,10 @@ class JournalFs final : public FileSystem {
   std::uint64_t clock_ = 0;
   std::uint64_t journal_seq_ = 0;
   std::size_t journal_head_ = 0;
-  // --- crash-sim state ---
-  bool crash_sim_ = false;
-  bool txn_dirty_ = false;      ///< records appended since last marker
+  // --- transaction state ---
+  bool txn_dirty_ = false;      ///< records appended since last commit record
   bool commit_pending_ = false; ///< checkpoint deferred to txn boundary
   int txn_depth_ = 0;
-  bool stable_valid_ = false;
-  std::vector<DiskInode> stable_inodes_;
-  std::vector<std::uint8_t> stable_bitmap_;
-  std::vector<std::uint8_t> stable_data_;
   JournalFsStats jstats_;
   FsCosts costs_;
   std::uint64_t journal_cost_ = 40;

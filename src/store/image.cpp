@@ -219,7 +219,7 @@ ImageStats BackingImage::stats() const {
 
 // --- crash capture -----------------------------------------------------------
 
-Result<void> BackingImage::snapshot_stable_locked() {
+Result<void> BackingImage::capture_snapshot_locked() {
   stable_.resize(blocks_ * kBlockBytes);
   USK_TRY(pread_raw(0, stable_.data(), stable_.size()));
   write_log_.clear();
@@ -230,7 +230,7 @@ Result<void> BackingImage::snapshot_stable_locked() {
 void BackingImage::enable_crash_capture() {
   std::lock_guard lk(mu_);
   capture_ = true;
-  (void)snapshot_stable_locked();
+  (void)capture_snapshot_locked();
 }
 
 void BackingImage::disable_crash_capture() {

@@ -3,7 +3,7 @@
 // Everything below this line in the storage stack is REAL: a block written
 // here lands in an actual file via pwrite (or a store into an mmap'd
 // region), and flush() is a genuine fsync/msync. This is what makes the
-// PR-4 torn-write/replay oracle honest -- recovery reads back whatever the
+// torn-write/replay oracle honest -- recovery reads back whatever the
 // simulated power cut left in the file, not an in-memory stand-in.
 //
 // Two access modes, chosen at open:
@@ -127,7 +127,7 @@ class BackingImage {
                           std::size_t len);
   Result<void> pread_raw(std::uint64_t offset, void* buf, std::size_t len);
   void log_write(std::uint64_t offset, const void* buf, std::size_t len);
-  Result<void> snapshot_stable_locked();
+  Result<void> capture_snapshot_locked();
 
   mutable std::mutex mu_;
   std::string path_;

@@ -234,16 +234,37 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
   std::memcpy(buf.data(), &h, sizeof(h));
 
   const std::uint64_t base = region_off_ + tail;
+  const std::uint8_t* payload = buf.data() + sizeof(CommitHeader);
   // Records first. The header is the unit's validity bit: until it is on
   // the medium, the records are garbage to recovery.
-  USK_TRY(img_.write_bytes(base + sizeof(CommitHeader),
-                           buf.data() + sizeof(CommitHeader), payload_bytes));
+  bool payload_torn = false;
+  if (auto f = USK_FAIL_POINT(fault::Site::kDiskTorn);
+      f.fail || f.transient) {
+    // Torn payload: the second half of the records reaches the medium
+    // garbled (every byte inverted, so the tear can never match the real
+    // bytes). SILENT -- the header still goes out and the commit appears
+    // to succeed; recovery's payload checksum discards the unit (and
+    // everything after it).
+    ++stats_.torn_payloads;
+    std::vector<std::uint8_t> torn(payload, payload + payload_bytes);
+    for (std::uint64_t i = payload_bytes / 2; i < payload_bytes; ++i) {
+      torn[i] = static_cast<std::uint8_t>(~torn[i]);
+    }
+    USK_TRY(img_.write_bytes(base + sizeof(CommitHeader), torn.data(),
+                             payload_bytes));
+    // Transient: the retry rewrites the whole payload below.
+    payload_torn = f.fail;
+  }
+  if (!payload_torn) {
+    USK_TRY(img_.write_bytes(base + sizeof(CommitHeader), payload,
+                             payload_bytes));
+  }
   if (auto f = USK_FAIL_POINT(fault::Site::kStoreTornHeader);
       f.fail || f.transient) {
     // Torn commit header: only the first half reaches the medium. Like
-    // disk.torn this is SILENT -- the commit appears to succeed and the
-    // damage only shows at recovery, where the unit (and everything
-    // after it) is discarded: committed-prefix semantics.
+    // the torn payload this is SILENT -- the commit appears to succeed
+    // and the damage only shows at recovery, where the unit (and
+    // everything after it) is discarded: committed-prefix semantics.
     ++stats_.torn_headers;
     USK_TRY(img_.write_bytes(base, buf.data(), sizeof(CommitHeader) / 2));
     if (f.fail) {

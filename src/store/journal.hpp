@@ -1,8 +1,9 @@
 // Group-committed journal over the backing image.
 //
-// JournalFs's PR-4 journal appended one in-memory record per metadata
-// update and never paid a durability cost. This journal is the real
-// thing: transactions from CONCURRENT writers are batched into one commit
+// JournalFs's in-memory journal appends one record per metadata update
+// and never pays a durability cost (it is the E5 cost model, never
+// replayed). This journal is the real thing and the one recovery path:
+// transactions from CONCURRENT writers are batched into one commit
 // unit -- records serialized sequentially into the image's journal
 // region, closed by a checksummed commit header, made durable by a
 // SINGLE fsync -- so N writers share one flush instead of paying N
@@ -30,8 +31,10 @@
 // covers reordering by the medium, so one ordered flush suffices.
 // Recovery scans units in order, requiring strictly increasing unit_seq;
 // the first invalid unit ends the usable log (committed-prefix
-// semantics). kfail's store.torn_commit_header tears the header as it is
-// written -- silently, like disk.torn: the damage only shows at recovery.
+// semantics). Two kfail sites tear a unit as it is written, both
+// silently -- the commit is acked and the damage only shows at recovery:
+// store.torn_commit_header tears the header, disk.torn the second half of
+// the record payload.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +81,7 @@ struct JournalStats {
   std::uint64_t bytes_written = 0;
   std::uint64_t max_batch_txns = 0; ///< largest single commit unit (txns)
   std::uint64_t torn_headers = 0;   ///< kfail store.torn_commit_header hits
+  std::uint64_t torn_payloads = 0;  ///< kfail disk.torn hits
   std::uint64_t resets = 0;         ///< checkpoint tail resets
 
   [[nodiscard]] double txns_per_flush() const {

@@ -544,8 +544,8 @@ void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
             s.bytes_written);
     appendf(out,
             "max_batch_txns %" PRIu64 "\ntorn_headers %" PRIu64
-            "\nresets %" PRIu64 "\n",
-            s.max_batch_txns, s.torn_headers, s.resets);
+            "\ntorn_payloads %" PRIu64 "\nresets %" PRIu64 "\n",
+            s.max_batch_txns, s.torn_headers, s.torn_payloads, s.resets);
     appendf(out, "txns_per_flush_x100 %" PRIu64 "\n",
             static_cast<std::uint64_t>(s.txns_per_flush() * 100.0));
     appendf(out, "tail_bytes %" PRIu64 "\nregion_bytes %" PRIu64 "\n",

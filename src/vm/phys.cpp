@@ -6,7 +6,10 @@
 namespace usk::vm {
 
 PhysMem::PhysMem(std::size_t frames)
-    : backing_(std::make_unique<std::byte[]>(frames * kPageSize)),
+    // Left unzeroed: alloc_frame/alloc_contiguous zero every frame they
+    // hand out, and nothing reads a frame that was never allocated.
+    : backing_(
+          std::make_unique_for_overwrite<std::byte[]>(frames * kPageSize)),
       allocated_(frames, false) {
   free_list_.reserve(frames);
   // Hand out low frames first (push high frames first).

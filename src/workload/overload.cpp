@@ -441,9 +441,13 @@ void client_worker(uk::Kernel& k, net::Net& net, const OverloadConfig& cfg,
 void canceller(uk::Kernel& k, const OverloadConfig& cfg, SrvShared& sh,
                std::atomic<std::uint64_t>& issued) {
   std::uint64_t x = cfg.seed != 0 ? cfg.seed : 0x9E3779B97F4A7C15ull;
+  // Absolute schedule: a loaded host oversleeps short sleeps, and the
+  // periods a late wakeup missed are caught up, so the storm keeps its
+  // configured rate instead of slowing with the host.
+  auto next = std::chrono::steady_clock::now();
   while (!sh.stop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(cfg.cancel_period_us));
+    next += std::chrono::microseconds(cfg.cancel_period_us);
+    std::this_thread::sleep_until(next);
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;

@@ -1,7 +1,7 @@
 // Tests for kfail: deterministic fault injection, the p=1 error-path
-// sweeps (right errno, nothing leaked), torn-write crash recovery in
-// JournalFs, compound rollback in Cosy, and the EBADF-before-copy
-// ordering audit of the syscall layer.
+// sweeps (right errno, nothing leaked), torn-write crash recovery of a
+// store-attached JournalFs, compound rollback in Cosy, and the
+// EBADF-before-copy ordering audit of the syscall layer.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,9 +19,11 @@
 #include "fs/procfs.hpp"
 #include "mm/kmalloc.hpp"
 #include "net/net.hpp"
+#include "store/store.hpp"
 #include "uk/kernel.hpp"
 #include "uk/userlib.hpp"
 #include "vm/phys.hpp"
+#include "temp_dir.hpp"
 
 namespace usk {
 namespace {
@@ -371,32 +373,65 @@ TEST_F(FaultTest, CosyAbortRollsBackOpenedFds) {
 }
 
 // --- journalfs: torn-write crash consistency ----------------------------------
+// Both cases crash a store-attached JournalFs (kill -9 at the end of the
+// image's write log) and remount a fresh stack over the image: the
+// store's journal is the only recovery path, so these assert through the
+// recovery report of the remount.
 
 using JFs = fs::JournalFs<fs::RawPtrPolicy>;
 
-std::unique_ptr<JFs> make_jfs() {
-  return std::make_unique<JFs>(/*max_inodes=*/128, /*data_blocks=*/512,
-                               /*journal_slots=*/256);
+store::StoreConfig crash_store_config() {
+  store::StoreConfig cfg;
+  cfg.data_blocks = 520;  // inode table (3) + bitmap (1) + 512 fs blocks
+  cfg.journal_blocks = 256;
+  return cfg;
 }
 
+/// One boot: a fresh cache, Store and JournalFs over the image at `path`.
+/// A new image is formatted; an existing one is recovered.
+struct JfsMount {
+  blockdev::Disk disk{4096};
+  blockdev::BufferCache cache{disk, 256};
+  store::Store st;
+  JFs jfs{/*max_inodes=*/128, /*data_blocks=*/512, /*journal_slots=*/256};
+
+  explicit JfsMount(const std::string& path) {
+    EXPECT_TRUE(st.open(path, crash_store_config()).ok());
+    EXPECT_TRUE(jfs.attach_store(&st, &cache).ok());
+  }
+
+  /// Power loss right after the last logged image write.
+  void crash() {
+    ASSERT_TRUE(
+        st.image().simulate_crash(st.image().pending_writes(), 0).ok());
+  }
+};
+
 TEST_F(FaultTest, CrashRecoveryWithoutTearIsConsistent) {
-  auto fsp = make_jfs();
-  JFs& jfs = *fsp;
-  jfs.enable_crash_sim();
+  testutil::TempDir dir;
+  const std::string path = dir.file("crash.img");
+  {
+    JfsMount m(path);
+    JFs& jfs = m.jfs;
+    m.st.image().enable_crash_capture();
 
-  auto ino = jfs.create(jfs.root(), "a", fs::FileType::kRegular, 0644);
-  ASSERT_TRUE(ino.ok());
-  std::vector<std::byte> data(5000, std::byte{0x5a});
-  ASSERT_TRUE(jfs.write(ino.value(), 0, data).ok());
-  ASSERT_TRUE(
-      jfs.create(jfs.root(), "d", fs::FileType::kDirectory, 0755).ok());
-
-  JFs::CrashReport rep = jfs.simulate_crash();
-  EXPECT_FALSE(rep.found_torn);
-  EXPECT_GT(rep.txns_applied, 0u);
+    auto ino = jfs.create(jfs.root(), "a", fs::FileType::kRegular, 0644);
+    ASSERT_TRUE(ino.ok());
+    std::vector<std::byte> data(5000, std::byte{0x5a});
+    ASSERT_TRUE(jfs.write(ino.value(), 0, data).ok());
+    ASSERT_TRUE(
+        jfs.create(jfs.root(), "d", fs::FileType::kDirectory, 0755).ok());
+    ASSERT_TRUE(jfs.fsync(ino.value(), false).ok());
+    m.crash();
+  }
+  JfsMount m(path);
+  JFs& jfs = m.jfs;
+  const store::GroupCommitJournal::ScanReport& scan =
+      jfs.last_recovery().scan;
+  EXPECT_FALSE(scan.torn);
+  EXPECT_GT(scan.units_applied, 0u);
   EXPECT_TRUE(jfs.fsck().clean);
-  // Everything before the crash was committed at txn granularity, so the
-  // whole history replays.
+  // Everything before the crash was fsynced, so the whole history replays.
   EXPECT_TRUE(jfs.lookup(jfs.root(), "a").ok());
   EXPECT_TRUE(jfs.lookup(jfs.root(), "d").ok());
 }
@@ -405,39 +440,51 @@ TEST_F(FaultTest, TornWritesNeverBreakConsistency) {
   // The R1 sweep in miniature: several seeds x several tear rates, a
   // mixed metadata+data workload, a crash after every schedule. The
   // invariant is consistency (fsck-clean), not durability of the tail.
+  testutil::TempDir dir;
+  const std::vector<std::byte> blob(3000, std::byte{0x77});
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     for (double p : {0.05, 0.25, 1.0}) {
-      auto fsp = make_jfs();
-      JFs& jfs = *fsp;
-      jfs.enable_crash_sim();
+      const std::string path = dir.file("torn-" + std::to_string(seed) +
+                                        "-" + std::to_string(p) + ".img");
+      {
+        JfsMount m(path);
+        JFs& jfs = m.jfs;
+        m.st.image().enable_crash_capture();
 
-      fault::kfail().set_seed(seed);
-      SiteConfig cfg;
-      cfg.p = p;
-      fault::kfail().arm(Site::kDiskTorn, cfg);
+        fault::kfail().set_seed(seed);
+        SiteConfig cfg;
+        cfg.p = p;
+        fault::kfail().arm(Site::kDiskTorn, cfg);
 
-      std::vector<std::byte> blob(3000, std::byte{0x77});
-      for (int i = 0; i < 8; ++i) {
-        std::string name = "f" + std::to_string(i);
-        auto ino = jfs.create(jfs.root(), name, fs::FileType::kRegular, 0644);
-        if (ino.ok()) {
-          (void)jfs.write(ino.value(), 0, blob);
+        for (int i = 0; i < 8; ++i) {
+          std::string name = "f" + std::to_string(i);
+          auto ino =
+              jfs.create(jfs.root(), name, fs::FileType::kRegular, 0644);
+          if (ino.ok()) {
+            (void)jfs.write(ino.value(), 0, blob);
+          }
+          if (i % 3 == 2) {
+            (void)jfs.unlink(jfs.root(), "f" + std::to_string(i - 1));
+          }
+          // One commit unit per iteration: each is a chance to tear.
+          (void)jfs.fsync(jfs.root(), false);
         }
-        if (i % 3 == 2) {
-          (void)jfs.unlink(jfs.root(), "f" + std::to_string(i - 1));
-        }
+        fault::kfail().disarm_all();
+        m.crash();
       }
-      fault::kfail().disarm_all();
 
-      JFs::CrashReport rep = jfs.simulate_crash();
+      JfsMount m(path);
+      JFs& jfs = m.jfs;
+      const store::GroupCommitJournal::ScanReport& scan =
+          jfs.last_recovery().scan;
       JFs::FsckReport chk = jfs.fsck();
       EXPECT_TRUE(chk.clean)
-          << "seed=" << seed << " p=" << p << " torn=" << rep.found_torn
+          << "seed=" << seed << " p=" << p << " torn=" << scan.torn
           << " first problem: "
           << (chk.problems.empty() ? "-" : chk.problems.front());
       if (p == 1.0) {
-        // Every journal append torn: recovery must have discarded work.
-        EXPECT_TRUE(rep.found_torn);
+        // Every commit unit torn: recovery must have discarded work.
+        EXPECT_TRUE(scan.torn);
       }
       // The filesystem is usable after recovery.
       auto post =

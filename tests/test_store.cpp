@@ -1,10 +1,10 @@
 // Tests for kstore, the persistent storage tier: BackingImage persistence
 // and mode parity, buffer-cache LRU/writeback/data-plane behaviour,
 // group-commit amortization, ENOSPC auto-checkpoint, dual-slot superblock
-// survival, committed-prefix recovery, the store.* kfail sites, the
-// JournalFs<->Store bridge (format/restore round trip), supervisor
-// dirty-page budgets through the cache's dirty gate, and the
-// /proc/blockdev/cache + /proc/store/** renderers.
+// survival, committed-prefix recovery, the store.* kfail sites and
+// disk.torn's payload tear, the JournalFs<->Store bridge (format/restore
+// round trip), supervisor dirty-page budgets through the cache's dirty
+// gate, and the /proc/blockdev/cache + /proc/store/** renderers.
 //
 // Image files live in a per-test mkdtemp directory (tests/temp_dir.hpp),
 // so parallel ctest shards never share a file.
@@ -576,6 +576,82 @@ TEST_F(StoreTest, JournalFsSurvivesRemountFromBackingImage) {
   }
 }
 
+TEST_F(StoreTest, TornPayloadDiscardsItsUnitAndEverythingAfter) {
+  const std::string path = img("ts_torn_payload.img");
+  StoreConfig cfg;
+  cfg.data_blocks = 192;  // >= inode table (2) + bitmap (1) + 128 fs blocks
+  cfg.journal_blocks = 64;
+  constexpr int kUnits = 5;
+  constexpr int kTorn = 3;  // disk.torn tears exactly this commit unit
+  auto body = [](int k) {
+    std::vector<std::byte> b(700 + std::size_t(k) * 900);
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      b[j] = static_cast<std::byte>((k * 13 + j * 5) & 0xff);
+    }
+    return b;
+  };
+  auto name = [](int k) { return "f" + std::to_string(k); };
+  {
+    blockdev::Disk disk(4096);
+    blockdev::BufferCache cache(disk, 256);
+    Store st;
+    ASSERT_TRUE(st.open(path, cfg).ok());
+    // Commit interval out of reach: every fsync is exactly one unit.
+    fs::JournalFs<fs::RawPtrPolicy> jfs(64, 128, 512, 1 << 20);
+    ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+    st.image().enable_crash_capture();
+
+    fault::SiteConfig c;
+    c.nth = kTorn;
+    fault::kfail().arm(fault::Site::kDiskTorn, c);
+    for (int k = 1; k <= kUnits; ++k) {
+      auto ino = jfs.create(jfs.root(), name(k), fs::FileType::kRegular, 0644);
+      ASSERT_TRUE(ino.ok());
+      ASSERT_TRUE(jfs.write(ino.value(), 0, body(k)).ok());
+      // SILENT: the torn unit's fsync is acked like every other.
+      ASSERT_TRUE(jfs.fsync(ino.value(), false).ok());
+    }
+    fault::kfail().disarm_all();
+    const store::JournalStats js = st.journal()->stats();
+    EXPECT_EQ(js.commit_units, std::uint64_t(kUnits));
+    EXPECT_EQ(js.torn_payloads, 1u);
+    EXPECT_EQ(js.torn_headers, 0u);
+    ASSERT_TRUE(
+        st.image().simulate_crash(st.image().pending_writes(), 0).ok());
+    st.close();
+  }
+  blockdev::Disk disk(4096);
+  blockdev::BufferCache cache(disk, 256);
+  Store st;
+  ASSERT_TRUE(st.open(path, cfg).ok());
+  fs::JournalFs<fs::RawPtrPolicy> jfs(64, 128, 512, 1 << 20);
+  ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+
+  // Units before the tear replay; the torn unit ends the usable log.
+  const store::GroupCommitJournal::ScanReport& scan = jfs.last_recovery().scan;
+  EXPECT_TRUE(scan.torn);
+  EXPECT_EQ(scan.units_applied, std::uint64_t(kTorn - 1));
+  EXPECT_EQ(scan.units_discarded, 1u);
+  EXPECT_EQ(scan.last_seq, std::uint64_t(kTorn - 1));
+  auto fsck = jfs.fsck();
+  EXPECT_TRUE(fsck.clean) << (fsck.problems.empty() ? "" : fsck.problems[0]);
+
+  for (int k = 1; k < kTorn; ++k) {
+    auto ino = jfs.lookup(jfs.root(), name(k));
+    ASSERT_TRUE(ino.ok()) << name(k);
+    const std::vector<std::byte> want = body(k);
+    std::vector<std::byte> got(want.size());
+    auto r = jfs.read(ino.value(), 0, got);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), want.size());
+    EXPECT_EQ(got, want) << name(k);
+  }
+  for (int k = kTorn; k <= kUnits; ++k) {
+    EXPECT_FALSE(jfs.lookup(jfs.root(), name(k)).ok()) << name(k);
+  }
+  st.close();
+}
+
 // --- supervisor dirty-page budget ----------------------------------------------
 
 TEST_F(StoreTest, DirtyQuotaRejectsThirdDirtyPageWithEdquot) {
@@ -678,6 +754,7 @@ TEST_F(StoreTest, ProcFilesRenderCacheAndStoreCounters) {
   const std::string journalf = cat("/proc/store/journal");
   EXPECT_NE(journalf.find("txns_committed 1"), std::string::npos);
   EXPECT_NE(journalf.find("commit_units 1"), std::string::npos);
+  EXPECT_NE(journalf.find("torn_payloads 0"), std::string::npos);
 
   const std::string metrics = metrics::kmetrics().expose();
   EXPECT_NE(metrics.find("usk_cache_hits"), std::string::npos);

@@ -109,7 +109,11 @@ int main() {
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back([&kernel, t] {
-        uk::Proc p(kernel, "w" + std::to_string(t));
+        // Appended, not "w" + std::to_string(t): GCC 12 at -O3 misreads
+        // that front insert as an overlapping memcpy (-Wrestrict).
+        std::string name = "w";
+        name += std::to_string(t);
+        uk::Proc p(kernel, name);
         std::string path = "/t" + std::to_string(t);
         int fd = p.open(path.c_str(), fs::kOWrOnly | fs::kOCreat);
         char block[256] = {};

@@ -194,24 +194,20 @@ void ring_workload(ring::RingDev& rdev, uk::Proc& p) {
   for (std::uint64_t c = 0; c < 4; ++c) {
     ring::Sqe open{};
     open.user_data = c * 3;
-    open.op = ring::RingOp::kOpen;
+    open.nr = uk::Sys::kOpen;
     open.flags = ring::kSqeLink;
-    open.addr = 0;
-    open.len = static_cast<std::uint32_t>(std::strlen(path) + 1);
-    open.aux = fs::kORdOnly;
+    open.args = {0, fs::kORdOnly, 0644};
     rg->user_prepare(open);
     ring::Sqe read{};
     read.user_data = c * 3 + 1;
-    read.op = ring::RingOp::kRead;
+    read.nr = uk::Sys::kRead;
     read.flags = ring::kSqeLink;
-    read.fd = ring::kFdChain;
-    read.addr = 64 + c * 256;
-    read.len = 256;
+    read.args = {ring::kFdChain, 64 + c * 256, 256};
     rg->user_prepare(read);
     ring::Sqe close{};
     close.user_data = c * 3 + 2;
-    close.op = ring::RingOp::kClose;
-    close.fd = ring::kFdChain;
+    close.nr = uk::Sys::kClose;
+    close.args = {ring::kFdChain};
     rg->user_prepare(close);
   }
   rdev.sys_ring_enter(proc, rfd, ring::RingDev::kDrainAll, 0, 0);

@@ -8,7 +8,7 @@
 #include <cstring>
 #include <thread>
 
-#include "consolidation/servercalls.hpp"
+#include "consolidation/newcalls.hpp"
 #include "net/net.hpp"
 #include "uk/userlib.hpp"
 
@@ -35,10 +35,10 @@ int main() {
     // the page's bytes never visit user space.
     char req[64] = {};
     int conn = -1;
-    consolidation::sys_accept_recv(net, kernel, p, lfd, req, sizeof(req),
+    consolidation::sys_accept_recv(kernel, p, lfd, req, sizeof(req),
                                    &conn);
     std::printf("[server] request: %s\n", req);
-    consolidation::sys_sendfile(net, kernel, p, conn, "/www/index.html", 0,
+    consolidation::sys_sendfile(kernel, p, conn, "/www/index.html", 0,
                                 sizeof(page) - 1);
     srv.close(conn);
     srv.close(lfd);

@@ -46,16 +46,19 @@
 #   ubsan   the fault + sup soaks under UndefinedBehaviorSanitizer
 #           (halt_on_error: any UB report is a red run)
 #   tsan    the SMP suites under ThreadSanitizer
+#   release the required suite in an optimised (-O3) build with the default
+#           USK_WERROR=ON: the Release build must be warning-free too
 #   repeat  the whole suite in the default build, 20 consecutive parallel
 #           runs (ctest --repeat until-fail:20): a flaky test is a red run
 #
 # Usage: scripts/run_tier1.sh [plain|faults|sup|ring|obs|storage|sched|
-#                              dl|asan|ubsan|tsan|repeat|all]
+#                              dl|asan|ubsan|tsan|release|repeat|all]
 #                              (default: all)
 #
 # Build trees: build/ (plain + faults + sup + ring + obs + storage +
-# sched + dl + repeat), build-asan/, build-ubsan/, build-tsan/. `all`
-# runs plain+faults+sup+ring+obs+storage+sched+dl+asan+ubsan+tsan,
+# sched + dl + repeat), build-asan/, build-ubsan/, build-tsan/,
+# build-release/. `all` runs
+# plain+faults+sup+ring+obs+storage+sched+dl+asan+ubsan+tsan+release,
 # matching the checked-in acceptance gates; `repeat` is run on its own.
 # Fails fast: the first red suite stops the script with a nonzero exit.
 set -euo pipefail
@@ -132,6 +135,8 @@ run_ubsan()  { build build-ubsan -DUSK_SANITIZE=undefined;
                   ctest -L 'faults|sup' -j "$jobs" --output-on-failure); }
 run_tsan()   { build build-tsan -DUSK_SANITIZE=thread;
                (cd build-tsan && ctest -R Smp -j "$jobs" --output-on-failure); }
+run_release(){ build build-release -DCMAKE_BUILD_TYPE=Release;
+               (cd build-release && ctest -L tier1 -j "$jobs" --output-on-failure); }
 run_repeat() { build build;
                (cd build && ctest -j "$jobs" --repeat until-fail:20 --output-on-failure); }
 
@@ -147,8 +152,9 @@ case "$mode" in
   asan)   run_asan ;;
   ubsan)  run_ubsan ;;
   tsan)   run_tsan ;;
+  release) run_release ;;
   repeat) run_repeat ;;
-  all)    run_plain; run_faults; run_sup; run_ring; run_obs; run_storage; run_sched; run_dl; run_asan; run_ubsan; run_tsan ;;
-  *) echo "usage: $0 [plain|faults|sup|ring|obs|storage|sched|dl|asan|ubsan|tsan|repeat|all]" >&2; exit 2 ;;
+  all)    run_plain; run_faults; run_sup; run_ring; run_obs; run_storage; run_sched; run_dl; run_asan; run_ubsan; run_tsan; run_release ;;
+  *) echo "usage: $0 [plain|faults|sup|ring|obs|storage|sched|dl|asan|ubsan|tsan|release|repeat|all]" >&2; exit 2 ;;
 esac
 echo "run_tier1: $mode OK"

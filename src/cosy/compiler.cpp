@@ -235,6 +235,16 @@ class Lexer {
 
 // --- parser / code generator --------------------------------------------------------
 
+/// The compound-callable syscall with table name `name`.
+std::optional<uk::Sys> syscall_named(const std::string& name) {
+  for (std::size_t nr = 0; nr < static_cast<std::size_t>(uk::Sys::kMaxSys);
+       ++nr) {
+    const uk::SysSig& sig = uk::sys_sig(static_cast<uk::Sys>(nr));
+    if (sig.nestable && name == sig.name) return static_cast<uk::Sys>(nr);
+  }
+  return std::nullopt;
+}
+
 class Compiler {
  public:
   explicit Compiler(std::string_view src) : lex_(src) { advance(); }
@@ -497,69 +507,31 @@ class Compiler {
     expect(Tok::kRParen, "')'");
     if (failed_) return imm(0);
 
-    auto need = [&](std::size_t n) {
-      if (args.size() != n) {
-        fail("'" + name + "' expects " + std::to_string(n) + " arguments");
-        return false;
-      }
-      return true;
-    };
-
     int t = temp();
-    if (name == "open") {
-      if (args.size() == 2) args.push_back(imm(0644));
-      if (!need(3)) return imm(0);
-      b_.open(args[0], args[1], args[2], t);
-    } else if (name == "close") {
-      if (!need(1)) return imm(0);
-      b_.close(args[0]);
-      return imm(0);
-    } else if (name == "read") {
-      if (!need(3)) return imm(0);
-      b_.read(args[0], args[1], args[2], t);
-    } else if (name == "readdir") {
-      if (!need(3)) return imm(0);
-      b_.readdir(args[0], args[1], args[2], t);
-    } else if (name == "read_discard") {
-      if (!need(2)) return imm(0);
-      b_.read_discard(args[0], args[1], t);
-    } else if (name == "write") {
-      if (!need(3)) return imm(0);
-      b_.write(args[0], args[1], args[2], t);
-    } else if (name == "lseek") {
-      if (!need(3)) return imm(0);
-      b_.lseek(args[0], args[1], args[2], t);
-    } else if (name == "stat") {
-      if (!need(2)) return imm(0);
-      b_.stat(args[0], args[1]);
-      return imm(0);
-    } else if (name == "fstat") {
-      if (!need(2)) return imm(0);
-      b_.fstat(args[0], args[1]);
-      return imm(0);
-    } else if (name == "getpid") {
-      if (!need(0)) return imm(0);
-      b_.getpid(t);
-    } else if (name == "unlink") {
-      if (!need(1)) return imm(0);
-      b_.unlink(args[0]);
-      return imm(0);
-    } else if (name == "mkdir") {
-      if (args.size() == 1) args.push_back(imm(0755));
-      if (!need(2)) return imm(0);
-      b_.mkdir(args[0], args[1]);
-      return imm(0);
-    } else if (name == "callf") {
+    if (name == "callf") {
       if (args.empty() || args[0].kind != ArgKind::kImm) {
         fail("callf needs a constant function id first");
         return imm(0);
       }
       int fid = static_cast<int>(args[0].a);
       b_.call_func(fid, std::vector<Arg>(args.begin() + 1, args.end()), t);
-    } else {
+      return local(t);
+    }
+    // Every other name is a syscall: any nestable table entry, with the
+    // arguments its signature lists (open and mkdir may omit the mode).
+    const std::optional<uk::Sys> nr = syscall_named(name);
+    if (!nr) {
       fail("unknown function '" + name + "'");
       return imm(0);
     }
+    if (name == "open" && args.size() == 2) args.push_back(imm(0644));
+    if (name == "mkdir" && args.size() == 1) args.push_back(imm(0755));
+    const std::size_t n = uk::sys_sig(*nr).nargs;
+    if (args.size() != n) {
+      fail("'" + name + "' expects " + std::to_string(n) + " arguments");
+      return imm(0);
+    }
+    b_.sys(*nr, args, t);
     return local(t);
   }
 

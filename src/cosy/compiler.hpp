@@ -21,9 +21,12 @@
 //   expr     := term (('+'|'-') term)*        (also unary '-')
 //   term     := factor (('*'|'/'|'%') factor)*
 //   factor   := INT | IDENT | call | '(' expr ')' | '@' INT | STRING-ARG
-//   call     := open|close|read|write|lseek|stat|fstat|getpid|unlink|
-//               mkdir|callf '(' args ')'
+//   call     := SYSCALL '(' args ')' | 'callf' '(' INT (',' expr)* ')'
 //
+// SYSCALL is any compound-callable entry of the syscall table, by its
+// table name (uk::sys_name), with the arguments its signature lists (the
+// validator requires a string literal exactly where a path goes).
+// open(path, flags) and mkdir(path) default the mode to 0644 and 0755.
 // '@N' denotes offset N in the shared zero-copy buffer. String literals
 // are interned into the compound's string pool. Named flag constants
 // (O_RDONLY, O_WRONLY, O_RDWR, O_CREAT, O_TRUNC, O_APPEND, SEEK_SET,

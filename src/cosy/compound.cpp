@@ -1,5 +1,7 @@
 #include "cosy/compound.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace usk::cosy {
@@ -17,115 +19,52 @@ int CompoundBuilder::emit(OpRecord rec) {
   return static_cast<int>(c_.ops.size()) - 1;
 }
 
+int CompoundBuilder::sys(uk::Sys nr, std::span<const Arg> args,
+                         int dst_local) {
+  OpRecord r;
+  r.op = Op::kSys;
+  r.nargs = static_cast<std::uint8_t>(std::min(args.size(), kMaxArgs));
+  for (std::size_t i = 0; i < r.nargs; ++i) r.args[i] = args[i];
+  r.aux = static_cast<std::int32_t>(nr);
+  r.aux2 = dst_local;
+  return emit(r);
+}
+
+using uk::Sys;
+
 int CompoundBuilder::open(Arg path, Arg flags, Arg mode, int dst_local) {
-  OpRecord r;
-  r.op = Op::kOpen;
-  r.nargs = 3;
-  r.args[0] = path;
-  r.args[1] = flags;
-  r.args[2] = mode;
-  r.aux2 = dst_local;
-  return emit(r);
+  return sys(Sys::kOpen, std::array{path, flags, mode}, dst_local);
 }
-
 int CompoundBuilder::close(Arg fd) {
-  OpRecord r;
-  r.op = Op::kClose;
-  r.nargs = 1;
-  r.args[0] = fd;
-  return emit(r);
+  return sys(Sys::kClose, std::array{fd});
 }
-
 int CompoundBuilder::read(Arg fd, Arg shared_dst, Arg len, int dst_local) {
-  OpRecord r;
-  r.op = Op::kRead;
-  r.nargs = 3;
-  r.args[0] = fd;
-  r.args[1] = shared_dst;
-  r.args[2] = len;
-  r.aux2 = dst_local;
-  return emit(r);
+  return sys(Sys::kRead, std::array{fd, shared_dst, len}, dst_local);
 }
-
-int CompoundBuilder::read_discard(Arg fd, Arg len, int dst_local) {
-  return read(fd, Arg{ArgKind::kNone, 0, 0}, len, dst_local);
-}
-
 int CompoundBuilder::write(Arg fd, Arg shared_src, Arg len, int dst_local) {
-  OpRecord r;
-  r.op = Op::kWrite;
-  r.nargs = 3;
-  r.args[0] = fd;
-  r.args[1] = shared_src;
-  r.args[2] = len;
-  r.aux2 = dst_local;
-  return emit(r);
+  return sys(Sys::kWrite, std::array{fd, shared_src, len}, dst_local);
 }
-
 int CompoundBuilder::lseek(Arg fd, Arg off, Arg whence, int dst_local) {
-  OpRecord r;
-  r.op = Op::kLseek;
-  r.nargs = 3;
-  r.args[0] = fd;
-  r.args[1] = off;
-  r.args[2] = whence;
-  r.aux2 = dst_local;
-  return emit(r);
+  return sys(Sys::kLseek, std::array{fd, off, whence}, dst_local);
 }
-
 int CompoundBuilder::stat(Arg path, Arg shared_dst) {
-  OpRecord r;
-  r.op = Op::kStat;
-  r.nargs = 2;
-  r.args[0] = path;
-  r.args[1] = shared_dst;
-  return emit(r);
+  return sys(Sys::kStat, std::array{path, shared_dst});
 }
-
 int CompoundBuilder::fstat(Arg fd, Arg shared_dst) {
-  OpRecord r;
-  r.op = Op::kFstat;
-  r.nargs = 2;
-  r.args[0] = fd;
-  r.args[1] = shared_dst;
-  return emit(r);
+  return sys(Sys::kFstat, std::array{fd, shared_dst});
 }
-
 int CompoundBuilder::getpid(int dst_local) {
-  OpRecord r;
-  r.op = Op::kGetpid;
-  r.nargs = 0;
-  r.aux2 = dst_local;
-  return emit(r);
+  return sys(Sys::kGetpid, {}, dst_local);
 }
-
 int CompoundBuilder::unlink(Arg path) {
-  OpRecord r;
-  r.op = Op::kUnlink;
-  r.nargs = 1;
-  r.args[0] = path;
-  return emit(r);
+  return sys(Sys::kUnlink, std::array{path});
 }
-
 int CompoundBuilder::mkdir(Arg path, Arg mode) {
-  OpRecord r;
-  r.op = Op::kMkdir;
-  r.nargs = 2;
-  r.args[0] = path;
-  r.args[1] = mode;
-  return emit(r);
+  return sys(Sys::kMkdir, std::array{path, mode});
 }
-
 int CompoundBuilder::readdir(Arg fd, Arg shared_dst, Arg max_bytes,
                              int dst_local) {
-  OpRecord r;
-  r.op = Op::kReaddir;
-  r.nargs = 3;
-  r.args[0] = fd;
-  r.args[1] = shared_dst;
-  r.args[2] = max_bytes;
-  r.aux2 = dst_local;
-  return emit(r);
+  return sys(Sys::kReaddir, std::array{fd, shared_dst, max_bytes}, dst_local);
 }
 
 int CompoundBuilder::set_local(int dst_local, Arg v) {
@@ -186,8 +125,7 @@ int CompoundBuilder::call_func(int func_id, std::vector<Arg> fargs,
                                int dst_local) {
   OpRecord r;
   r.op = Op::kCallFunc;
-  r.nargs = static_cast<std::uint8_t>(
-      fargs.size() > kMaxArgs ? kMaxArgs : fargs.size());
+  r.nargs = static_cast<std::uint8_t>(std::min(fargs.size(), kMaxFuncArgs));
   for (std::size_t i = 0; i < r.nargs; ++i) r.args[i] = fargs[i];
   r.aux = func_id;
   r.aux2 = dst_local;
@@ -220,7 +158,7 @@ Compound CompoundBuilder::finish() {
 
 namespace {
 constexpr std::uint32_t kCompoundMagic = 0x59534F43;  // "COSY"
-constexpr std::uint32_t kCompoundVersion = 1;
+constexpr std::uint32_t kCompoundVersion = 2;
 
 struct WireHeader {
   std::uint32_t magic;
@@ -323,17 +261,7 @@ bool arg_ok(const Compound& c, const OpRecord& rec, const Arg& a,
 bool is_known_op(Op op) {
   switch (op) {
     case Op::kEnd:
-    case Op::kOpen:
-    case Op::kClose:
-    case Op::kRead:
-    case Op::kWrite:
-    case Op::kLseek:
-    case Op::kStat:
-    case Op::kFstat:
-    case Op::kGetpid:
-    case Op::kUnlink:
-    case Op::kMkdir:
-    case Op::kReaddir:
+    case Op::kSys:
     case Op::kSet:
     case Op::kArith:
     case Op::kJmp:
@@ -344,6 +272,30 @@ bool is_known_op(Op op) {
       return true;
   }
   return false;
+}
+
+/// A syscall op against its table signature, the way eBPF's verifier
+/// checks a helper call against its prototype.
+bool sys_ok(const OpRecord& rec, std::string* reason) {
+  if (rec.aux < 0 || rec.aux >= static_cast<std::int32_t>(uk::Sys::kMaxSys) ||
+      !uk::sys_sig(static_cast<uk::Sys>(rec.aux)).nestable) {
+    *reason = "syscall not callable from a compound";
+    return false;
+  }
+  const uk::SysSig& sig = uk::sys_sig(static_cast<uk::Sys>(rec.aux));
+  if (rec.nargs != sig.nargs) {
+    *reason = std::string("wrong argument count for ") + sig.name;
+    return false;
+  }
+  for (std::size_t i = 0; i < rec.nargs; ++i) {
+    const bool is_path = sig.args[i].type == uk::ArgType::kPath;
+    if (is_path != (rec.args[i].kind == ArgKind::kStr)) {
+      *reason = is_path ? "path argument is not a string"
+                        : "string where no path goes";
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -365,10 +317,11 @@ ValidationResult validate(const Compound& c, std::size_t shared_size) {
     if (!is_known_op(rec.op)) {
       return {false, i, "unknown opcode"};
     }
-    if (rec.nargs > kMaxArgs) {
+    if (rec.nargs > (rec.op == Op::kCallFunc ? kMaxFuncArgs : kMaxArgs)) {
       return {false, i, "too many args"};
     }
     std::string reason;
+    if (rec.op == Op::kSys && !sys_ok(rec, &reason)) return {false, i, reason};
     for (std::size_t a = 0; a < rec.nargs; ++a) {
       if (!arg_ok(c, rec, rec.args[a], i, shared_size, &reason)) {
         return {false, i, reason};

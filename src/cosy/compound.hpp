@@ -11,6 +11,7 @@
 // first line of defence against hand-crafted malicious compounds.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,9 +49,11 @@ std::vector<std::uint8_t> serialize(const Compound& c);
 bool deserialize(const std::vector<std::uint8_t>& image, Compound* out);
 
 /// Static checks the kernel extension runs before executing a compound:
-/// opcode known, arg kinds legal for the op, locals in range, result
-/// references point backwards, string refs inside the pool, jump targets
-/// in range. `shared_size` bounds kShared references.
+/// opcode known, a syscall op's number nestable and its arguments matching
+/// the call's uk::sys_sig() signature (count, and a string exactly where a
+/// path goes), locals in range, result references point backwards, string
+/// refs inside the pool, jump targets in range. `shared_size` bounds
+/// kShared references.
 ValidationResult validate(const Compound& c, std::size_t shared_size);
 
 /// Cosy-Lib: fluent builder used both by hand-written code and by the
@@ -61,12 +64,15 @@ class CompoundBuilder {
   /// Intern a string into the pool, returning a kStr argument.
   Arg str(std::string_view s);
 
+  /// A syscall op: table entry `nr` with `args`, laid out as
+  /// uk::sys_sig(nr) says (validate() checks it); the result also lands
+  /// in locals[dst_local] (-1 = none).
+  int sys(uk::Sys nr, std::span<const Arg> args, int dst_local = -1);
+
+  // Named forms of sys() for the file calls.
   int open(Arg path, Arg flags, Arg mode, int dst_local = -1);
   int close(Arg fd);
   int read(Arg fd, Arg shared_dst, Arg len, int dst_local = -1);
-  /// read that discards data in-kernel (for scan loops that only need
-  /// side effects / byte counts).
-  int read_discard(Arg fd, Arg len, int dst_local = -1);
   int write(Arg fd, Arg shared_src, Arg len, int dst_local = -1);
   int lseek(Arg fd, Arg off, Arg whence, int dst_local = -1);
   int stat(Arg path, Arg shared_dst);

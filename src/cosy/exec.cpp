@@ -90,26 +90,20 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
     return static_cast<std::size_t>(std::max<std::int64_t>(0, val(a)));
   };
 
-  // Every syscall op runs the kernel's own handler, in kernel-buffer mode:
-  // buffers and paths below already point at kernel-reachable memory.
-  auto sys = [&](uk::Sys nr, std::uint64_t a0, std::uint64_t a1 = 0,
-                 std::uint64_t a2 = 0) {
-    return k_.dispatch_nested(p, nr, {a0, a1, a2, 0}, uk::BufMode::kKernel);
-  };
   // A shared-buffer argument as a handler pointer: static (kShared) or
   // computed at run time (local/imm/result). An out-of-range window, or
   // an argument that is no buffer at all, becomes nullptr, so the
   // handler's own check order (EBADF before EFAULT) decides the errno.
   auto shared_arg = [&](const Arg& a, std::size_t len) -> std::uint64_t {
-    if (a.kind == ArgKind::kNone || a.kind == ArgKind::kStr) return 0;
+    if (a.kind == ArgKind::kNone) return 0;
     std::span<std::byte> s = shared.range(val(a), len);
     return s.size() == len ? uk::Kernel::uarg(s.data()) : 0;
   };
   // A string-pool path as a NUL-terminated kernel string. Anything past
   // kMaxPath is cut off; the handler then sees a kMaxPath-long string
   // and answers ENAMETOOLONG, as it does for a classic caller.
-  char kpath[uk::Kernel::kMaxPath + 1];
-  auto path_arg = [&](const Arg& a) -> std::uint64_t {
+  char kpaths[uk::kMaxPathArgs][uk::Kernel::kMaxPath + 1];
+  auto path_arg = [&](const Arg& a, char* kpath) -> std::uint64_t {
     const std::size_t n =
         std::min(static_cast<std::size_t>(a.b), uk::Kernel::kMaxPath);
     std::memcpy(kpath, c.strpool.data() + a.a, n);
@@ -121,33 +115,27 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
   std::uint64_t executed = 0;
   bool done = false;
 
-  // Descriptors opened by THIS compound, for rollback if the compound is
-  // aborted mid-stream (kfail, quota overrun, watchdog kill): a half-run
-  // compound must not leak fds into the process (the caller never learned
-  // their numbers, so nobody would close them).
-  std::vector<int> opened_fds;
-  auto rollback_fds = [&] {
-    for (int ofd : opened_fds) {
-      if (sys(uk::Sys::kClose, static_cast<std::uint64_t>(ofd)) == 0) {
-        ++stats_.fds_rolled_back;
-      }
-    }
-  };
-  auto fault_abort = [&](Errno e) {
-    rollback_fds();
-    ++stats_.fault_aborts;
+  // Every syscall op runs the kernel's own handler through the ledger, in
+  // kernel-buffer mode. The ledger holds the descriptors THIS compound
+  // opened, so an abort after any prefix (kfail, quota overrun, watchdog
+  // kill, a faulting op) closes them: the caller never learned their
+  // numbers, so nobody else would.
+  uk::Kernel::FdLedger ledger(k_, p);
+  auto abort = [&](Errno e) {
+    stats_.fds_rolled_back += ledger.rollback().size();
     ++stats_.aborted;
     out.ret = scope.fail(e);
     return out;
   };
+  auto fault_abort = [&](Errno e) {
+    ++stats_.fault_aborts;
+    return abort(e);
+  };
   // A quota overrun kills only the offending invocation: same rollback as
   // a fault abort, surfaced as EDQUOT and counted separately.
   auto quota_abort = [&] {
-    rollback_fds();
     ++stats_.quota_aborts;
-    ++stats_.aborted;
-    out.ret = scope.fail(Errno::kEDQUOT);
-    return out;
+    return abort(Errno::kEDQUOT);
   };
 
   // Deterministic fuel exhaustion: the harness can void this compound's
@@ -161,12 +149,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
   }
 
   while (!done) {
-    if (executed++ > kMaxExecutedOps) {
-      rollback_fds();
-      out.ret = scope.fail(Errno::kETIME);
-      ++stats_.aborted;
-      return out;
-    }
+    if (executed++ > kMaxExecutedOps) return abort(Errno::kETIME);
     // The injection point sits BETWEEN ops: a compound can die after any
     // prefix, which is exactly the partial-completion schedule the
     // rollback above must survive.
@@ -206,105 +189,48 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
         done = true;
         continue;
 
-      case Op::kOpen: {
-        if (rec.args[0].kind != ArgKind::kStr) {
-          out.ret = scope.fail(Errno::kEINVAL);
-          ++stats_.aborted;
-          return out;
+      case Op::kSys: {
+        // Arguments by signature: values first (a buffer's length as a
+        // non-negative count), then paths and buffers as kernel pointers.
+        const auto nr = static_cast<uk::Sys>(rec.aux);
+        const uk::SysSig& sig = uk::sys_sig(nr);
+        uk::SysArgs regs;
+        for (std::size_t i = 0; i < rec.nargs; ++i) {
+          regs.at(i) = uval(rec.args[i]);
         }
-        r = sys(uk::Sys::kOpen, path_arg(rec.args[0]), uval(rec.args[1]),
-                uval(rec.args[2]));
-        if (r >= 0) opened_fds.push_back(static_cast<int>(r));
-        if (guard != nullptr && !guard->check_fds(opened_fds.size())) {
+        std::size_t paths = 0;
+        for (std::size_t i = 0; i < rec.nargs; ++i) {
+          const uk::ArgSig& as = sig.args[i];
+          if (as.type == uk::ArgType::kPath) {
+            regs.at(i) = path_arg(rec.args[i], kpaths[paths++]);
+          } else if (uk::SysSig::is_buffer(as.type)) {
+            if (as.len_arg >= 0) {
+              const auto li = static_cast<std::size_t>(as.len_arg);
+              regs.at(li) = len_of(rec.args[li]);
+            }
+            regs.at(i) = shared_arg(rec.args[i], sig.buf_bytes(i, regs));
+          }
+        }
+        const std::size_t held = ledger.live();
+        r = ledger.call(nr, regs, uk::BufMode::kKernel);
+        // Zero copy: the bytes the call moved through shared memory.
+        for (std::size_t i = 0; i < rec.nargs; ++i) {
+          const uk::ArgSig& as = sig.args[i];
+          if (!uk::SysSig::is_buffer(as.type)) continue;
+          if (as.len_arg >= 0 && r > 0) {
+            shared.bytes_via_shared += static_cast<std::uint64_t>(r) * as.size;
+          } else if (as.len_arg < 0 && r >= 0) {
+            shared.bytes_via_shared += as.size;
+          }
+        }
+        // The fd quota counts every descriptor the compound holds, also
+        // one a call hands back through an out slot (accept_recv).
+        if (ledger.live() > held && guard != nullptr &&
+            !guard->check_fds(ledger.live())) {
           return quota_abort();
         }
         break;
       }
-      case Op::kClose: {
-        const int cfd = static_cast<int>(val(rec.args[0]));
-        r = sys(uk::Sys::kClose, static_cast<std::uint64_t>(cfd));
-        if (r == 0) {
-          opened_fds.erase(
-              std::remove(opened_fds.begin(), opened_fds.end(), cfd),
-              opened_fds.end());
-        }
-        break;
-      }
-      case Op::kRead: {
-        const std::uint64_t fd = uval(rec.args[0]);
-        const std::size_t len = len_of(rec.args[2]);
-        if (rec.args[1].kind != ArgKind::kNone) {
-          // Zero copy: the filesystem writes straight into shared memory.
-          r = sys(uk::Sys::kRead, fd, shared_arg(rec.args[1], len), len);
-          if (r > 0) shared.bytes_via_shared += static_cast<std::uint64_t>(r);
-          break;
-        }
-        // Discard mode: data is consumed in-kernel (scratch buffer).
-        std::byte scratch[4096];
-        std::size_t total = 0;
-        while (total < len) {
-          const std::size_t chunk = std::min(len - total, sizeof(scratch));
-          const SysRet n =
-              sys(uk::Sys::kRead, fd, uk::Kernel::uarg(scratch), chunk);
-          if (n < 0) {
-            r = n;
-            break;
-          }
-          total += static_cast<std::size_t>(n);
-          if (static_cast<std::size_t>(n) < chunk) break;
-        }
-        if (r == 0) r = static_cast<SysRet>(total);
-        break;
-      }
-      case Op::kWrite: {
-        const std::size_t len = len_of(rec.args[2]);
-        r = sys(uk::Sys::kWrite, uval(rec.args[0]),
-                shared_arg(rec.args[1], len), len);
-        if (r > 0) shared.bytes_via_shared += static_cast<std::uint64_t>(r);
-        break;
-      }
-      case Op::kLseek:
-        r = sys(uk::Sys::kLseek, uval(rec.args[0]), uval(rec.args[1]),
-                uval(rec.args[2]));
-        break;
-      case Op::kStat:
-        if (rec.args[0].kind != ArgKind::kStr) {
-          r = sysret_err(Errno::kEINVAL);
-          break;
-        }
-        r = sys(uk::Sys::kStat, path_arg(rec.args[0]),
-                shared_arg(rec.args[1], sizeof(fs::StatBuf)));
-        if (r == 0) shared.bytes_via_shared += sizeof(fs::StatBuf);
-        break;
-      case Op::kFstat:
-        r = sys(uk::Sys::kFstat, uval(rec.args[0]),
-                shared_arg(rec.args[1], sizeof(fs::StatBuf)));
-        if (r == 0) shared.bytes_via_shared += sizeof(fs::StatBuf);
-        break;
-      case Op::kGetpid:
-        r = sys(uk::Sys::kGetpid, 0);
-        break;
-      case Op::kReaddir: {
-        const std::size_t len = len_of(rec.args[2]);
-        r = sys(uk::Sys::kReaddir, uval(rec.args[0]),
-                shared_arg(rec.args[1], len), len);
-        if (r > 0) shared.bytes_via_shared += static_cast<std::uint64_t>(r);
-        break;
-      }
-      case Op::kUnlink:
-        if (rec.args[0].kind != ArgKind::kStr) {
-          r = sysret_err(Errno::kEINVAL);
-          break;
-        }
-        r = sys(uk::Sys::kUnlink, path_arg(rec.args[0]));
-        break;
-      case Op::kMkdir:
-        if (rec.args[0].kind != ArgKind::kStr) {
-          r = sysret_err(Errno::kEINVAL);
-          break;
-        }
-        r = sys(uk::Sys::kMkdir, path_arg(rec.args[0]), uval(rec.args[1]));
-        break;
 
       case Op::kSet:
         out.locals[rec.aux] = val(rec.args[0]);
@@ -327,19 +253,11 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
             res = static_cast<std::int64_t>(u(lhs) * u(rhs));
             break;
           case ArithOp::kDiv:
-            if (rhs == 0) {
-              out.ret = scope.fail(Errno::kEINVAL);
-              ++stats_.aborted;
-              return out;
-            }
+            if (rhs == 0) return abort(Errno::kEINVAL);
             res = lhs / rhs;
             break;
           case ArithOp::kMod:
-            if (rhs == 0) {
-              out.ret = scope.fail(Errno::kEINVAL);
-              ++stats_.aborted;
-              return out;
-            }
+            if (rhs == 0) return abort(Errno::kEINVAL);
             res = lhs % rhs;
             break;
           case ArithOp::kLt: res = lhs < rhs ? 1 : 0; break;
@@ -373,13 +291,10 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
               // The watchdog kill is a mid-compound abort like any other:
               // roll back this compound's fds so the kill cannot leak
               // descriptors into the process.
-              rollback_fds();
               ++stats_.watchdog_rollbacks;
               base::klogf(base::LogLevel::kCrit,
                           "cosy: compound killed by watchdog at op %zu", cur);
-              out.ret = scope.fail(Errno::kEKILLED);
-              ++stats_.aborted;
-              return out;
+              return abort(Errno::kEKILLED);
             }
           }
           pc = target;
@@ -390,12 +305,8 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
 
       case Op::kCallFunc: {
         VmFunction* fn = funcs_.get(rec.aux);
-        if (fn == nullptr) {
-          out.ret = scope.fail(Errno::kEINVAL);
-          ++stats_.aborted;
-          return out;
-        }
-        std::int64_t fargs[kMaxArgs] = {};
+        if (fn == nullptr) return abort(Errno::kEINVAL);
+        std::int64_t fargs[kMaxFuncArgs] = {};
         for (std::size_t i = 0; i < rec.nargs; ++i) fargs[i] = val(rec.args[i]);
         VmRunStats vstats;
         Result<std::int64_t> res =
@@ -417,10 +328,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
             if (sup_ != nullptr) sup_->record_reisolation(sup_id_, fn->name());
           }
           fn->clean_runs = 0;
-          rollback_fds();
-          out.ret = scope.fail(res.error());
-          ++stats_.aborted;
-          return out;
+          return abort(res.error());
         }
         // Every interpreted VM instruction burns one fuel unit.
         if (guard != nullptr && !guard->charge_fuel(vstats.instructions)) {

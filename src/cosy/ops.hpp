@@ -14,22 +14,16 @@
 
 #include <cstdint>
 
+#include "uk/syscall.hpp"
+
 namespace usk::cosy {
 
 enum class Op : std::uint8_t {
   kEnd = 0,
-  // System calls (executed in-kernel, no boundary crossing per op):
-  kOpen = 1,    // args: path(str), flags, mode           -> fd
-  kClose = 2,   // args: fd
-  kRead = 3,    // args: fd, dst(shared)|kDiscard, len    -> bytes
-  kWrite = 4,   // args: fd, src(shared), len             -> bytes
-  kLseek = 5,   // args: fd, offset, whence               -> pos
-  kStat = 6,    // args: path(str), dst(shared)           -> 0
-  kFstat = 7,   // args: fd, dst(shared)                  -> 0
-  kGetpid = 8,  //                                        -> pid
-  kUnlink = 9,  // args: path(str)
-  kMkdir = 10,  // args: path(str), mode
-  kReaddir = 11,  // args: fd, dst(shared), max_bytes -> bytes (0 = end)
+  // System call (executed in-kernel, no boundary crossing per op): the
+  // table entry aux (a uk::Sys number), its arguments laid out by
+  // uk::sys_sig(aux) -> locals[aux2] (-1 = none).
+  kSys = 1,
   // Data flow / control flow:
   kSet = 16,    // locals[aux] = arg0
   kArith = 17,  // locals[aux] = arg0 <aux2-op> arg1
@@ -38,7 +32,7 @@ enum class Op : std::uint8_t {
   kJnz = 20,    // if (arg0 != 0) goto aux
   kJneg = 21,   // if (arg0 < 0) goto aux
   // User functions:
-  kCallFunc = 24,  // call registered function aux with args0..3 -> r0
+  kCallFunc = 24,  // call registered function aux with the args -> r0
 };
 
 enum class ArithOp : std::int32_t {
@@ -61,7 +55,7 @@ enum class ArgKind : std::uint8_t {
   kImm = 1,       ///< immediate 64-bit value
   kLocal = 2,     ///< locals[a]
   kResultOf = 3,  ///< result of op index a (must precede this op)
-  kShared = 4,    ///< offset a (length from op context) in the shared buffer
+  kShared = 4,    ///< offset a (length from the signature) in the shared buffer
   kStr = 5,       ///< string pool offset a, length b
 };
 
@@ -71,7 +65,9 @@ struct Arg {
   std::int64_t b = 0;
 };
 
-inline constexpr std::size_t kMaxArgs = 4;
+inline constexpr std::size_t kMaxArgs = uk::kSysArgs;
+/// kCallFunc passes at most this many arguments (VmFunction::run's r1..r4).
+inline constexpr std::size_t kMaxFuncArgs = 4;
 inline constexpr std::size_t kMaxLocals = 64;
 inline constexpr std::size_t kMaxOps = 4096;
 inline constexpr std::size_t kMaxStrPool = 1 << 16;
@@ -80,8 +76,8 @@ inline constexpr std::size_t kMaxStrPool = 1 << 16;
 struct OpRecord {
   Op op = Op::kEnd;
   std::uint8_t nargs = 0;
-  /// Per-op extra: dst local (kSet/kArith), jump target (kJmp family),
-  /// function id (kCallFunc).
+  /// Per-op extra: syscall number (kSys), dst local (kSet/kArith), jump
+  /// target (kJmp family), function id (kCallFunc).
   std::int32_t aux = 0;
   /// Second extra: ArithOp for kArith, dst local for syscall results
   /// (-1 = none).

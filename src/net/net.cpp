@@ -32,6 +32,9 @@ constexpr std::uint32_t kSockFsId = 0xFFFFFFFFu;
 using uk::Kernel;
 using uk::Sys;
 
+// The signature table sizes epoll_wait's event array without naming net.
+static_assert(sizeof(EpollEvent) == uk::kEpollEventBytes);
+
 Net::Net(uk::Kernel& k, NetCosts costs)
     : k_(k), costs_(costs), sockfs_(*this) {
   k_.register_syscall<&Net::handle_socket>(Sys::kSocket, this);
@@ -45,12 +48,15 @@ Net::Net(uk::Kernel& k, NetCosts costs)
   k_.register_syscall<&Net::handle_epoll_create>(Sys::kEpollCreate, this);
   k_.register_syscall<&Net::handle_epoll_ctl>(Sys::kEpollCtl, this);
   k_.register_syscall<&Net::handle_epoll_wait>(Sys::kEpollWait, this);
+  k_.register_syscall<&Net::handle_accept_recv>(Sys::kAcceptRecv, this);
+  k_.register_syscall<&Net::handle_sendfile>(Sys::kSendfile, this);
 }
 
 Net::~Net() {
   for (Sys nr : {Sys::kSocket, Sys::kBind, Sys::kListen, Sys::kAccept,
                  Sys::kConnect, Sys::kSend, Sys::kRecv, Sys::kShutdown,
-                 Sys::kEpollCreate, Sys::kEpollCtl, Sys::kEpollWait}) {
+                 Sys::kEpollCreate, Sys::kEpollCtl, Sys::kEpollWait,
+                 Sys::kAcceptRecv, Sys::kSendfile}) {
     k_.unregister_syscall(nr);
   }
 }
@@ -100,11 +106,6 @@ SysRet Net::sys_epoll_wait(uk::Process& p, int epfd, EpollEvent* uevents,
 void Net::charge(std::uint64_t units) {
   k_.engine().alu(units);
   if (sched::Task* t = k_.scheduler().current()) t->charge_kernel(units);
-}
-
-void Net::note_sendfile(std::uint64_t bytes) {
-  std::lock_guard lk(stats_mu_);
-  nstats_.sendfile_bytes += bytes;
 }
 
 NetStats Net::stats() const {
@@ -527,6 +528,89 @@ SysRet Net::handle_recv(uk::Process& p, const SysArgs& a, uk::BufMode m) {
     }
   }
   return static_cast<SysRet>(r.value());
+}
+
+// --- consolidated calls ----------------------------------------------------
+// Both are sequences of the kernel's own handlers (accept, recv; open,
+// lseek, read, send, close) under the one Scope syscall() built: one
+// crossing, classic semantics per step.
+
+SysRet Net::handle_accept_recv(uk::Process& p, const SysArgs& a,
+                               uk::BufMode m) {
+  USK_TRACE_LATENCY("net", "accept_recv");
+  if (a.a1 == 0 || a.a3 == 0) return sysret_err(Errno::kEFAULT);
+  Kernel::FdLedger ledger(k_, p);
+  const SysRet connfd = ledger.call(Sys::kAccept, {a.a0}, m);
+  if (connfd < 0) return connfd;
+  const SysRet r =
+      k_.dispatch_nested(p, Sys::kRecv, {Kernel::iarg(connfd), a.a1, a.a2}, m);
+  // The accept succeeded; hand the fd back even when the first read
+  // failed (EAGAIN on a nonblocking empty connection is normal). A
+  // faulted fd copy-out trumps the recv result: the caller can't learn
+  // the fd, so the connection is closed again and EFAULT is what they
+  // see, as when Linux's accept4 fails to copy out the peer address.
+  const int fd = static_cast<int>(connfd);
+  uk::CallerBuf slot(k_.boundary(), p.task, m, a.a3, sizeof(fd));
+  if (Result<std::size_t> c = slot.out(&fd, sizeof(fd)); !c) {
+    ledger.rollback();
+    return sysret_err(c.error());
+  }
+  return r;
+}
+
+SysRet Net::handle_sendfile(uk::Process& p, const SysArgs& a, uk::BufMode m) {
+  USK_TRACE_LATENCY("net", "sendfile");
+  const std::uint64_t sockfd = a.a0;
+  const std::uint64_t count = a.a3;
+  // Descriptor first, path copy-in second: a bad fd must be reported
+  // before any boundary copy work is charged (the uniform-EBADF rule).
+  if (Result<std::shared_ptr<Socket>> rs =
+          socket_of(p, static_cast<int>(sockfd));
+      !rs) {
+    return sysret_err(rs.error());
+  }
+  const SysRet fd = k_.dispatch_nested(p, Sys::kOpen, {a.a1, fs::kORdOnly}, m);
+  if (fd < 0) return fd;
+  const auto ufd = static_cast<std::uint64_t>(fd);
+
+  // Pump file -> socket entirely kernel-side, one page-sized chunk at a
+  // time: read and send share one kernel page in kernel-buffer mode, so
+  // no byte of the payload is copied to or from the caller.
+  constexpr std::size_t kChunk = 4096;
+  std::vector<std::byte> page(kChunk);
+  const std::uint64_t kpage = Kernel::uarg(page.data());
+  std::uint64_t pos = a.a2;
+  std::uint64_t total = 0;
+  SysRet err = 0;
+  while (total < count) {
+    const std::uint64_t want = std::min<std::uint64_t>(kChunk, count - total);
+    SysRet rd = k_.dispatch_nested(p, Sys::kLseek, {ufd, pos, fs::kSeekSet}, m);
+    if (rd >= 0) {
+      rd = k_.dispatch_nested(p, Sys::kRead, {ufd, kpage, want},
+                              uk::BufMode::kKernel);
+    }
+    if (rd <= 0) {
+      err = rd;  // 0 = EOF
+      break;
+    }
+    const SysRet sn = k_.dispatch_nested(
+        p, Sys::kSend, {sockfd, kpage, static_cast<std::uint64_t>(rd)},
+        uk::BufMode::kKernel);
+    if (sn < 0) {
+      err = sn;
+      break;
+    }
+    total += static_cast<std::uint64_t>(sn);
+    pos += static_cast<std::uint64_t>(sn);
+    if (sn < rd) break;  // nonblocking short send
+  }
+  k_.dispatch_nested(p, Sys::kClose, {ufd}, m);
+  if (total == 0 && err < 0) return err;
+  {
+    std::lock_guard lk(stats_mu_);
+    nstats_.sendfile_bytes += total;
+  }
+  return static_cast<SysRet>(total);
 }
 
 // --- shutdown / close ------------------------------------------------------

@@ -38,7 +38,7 @@ inline constexpr int kEpollCtlAdd = 1;
 inline constexpr int kEpollCtlDel = 2;
 inline constexpr int kEpollCtlMod = 3;
 
-/// Wire format copied to user by epoll_wait.
+/// Wire format copied to user by epoll_wait (uk::kEpollEventBytes).
 struct EpollEvent {
   std::int32_t fd = -1;
   std::uint32_t events = 0;
@@ -186,9 +186,6 @@ class Net {
   /// Charge modelled network work to the engine + current task.
   void charge(std::uint64_t units);
 
-  /// Account bytes moved kernel-side by sendfile (no user copies).
-  void note_sendfile(std::uint64_t bytes);
-
  private:
   friend class SocketFs;
 
@@ -206,6 +203,10 @@ class Net {
                              uk::BufMode m);
   SysRet handle_epoll_ctl(uk::Process& p, const SysArgs& a, uk::BufMode m);
   SysRet handle_epoll_wait(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  // Consolidated server calls (§2.2): accept+recv and the whole response
+  // path, each behind one crossing.
+  SysRet handle_accept_recv(uk::Process& p, const SysArgs& a, uk::BufMode m);
+  SysRet handle_sendfile(uk::Process& p, const SysArgs& a, uk::BufMode m);
 
   // --- kernel-side transport (no crossing, no user copies) -----------------
   // Each charges the modelled network work to the current task.

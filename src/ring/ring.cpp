@@ -37,22 +37,6 @@ std::size_t round_pow2(std::size_t n) {
 
 }  // namespace
 
-const char* ring_op_name(RingOp op) {
-  switch (op) {
-    case RingOp::kNop: return "nop";
-    case RingOp::kOpen: return "open";
-    case RingOp::kClose: return "close";
-    case RingOp::kRead: return "read";
-    case RingOp::kWrite: return "write";
-    case RingOp::kFstat: return "fstat";
-    case RingOp::kAccept: return "accept";
-    case RingOp::kRecv: return "recv";
-    case RingOp::kSend: return "send";
-    case RingOp::kShutdown: return "shutdown";
-  }
-  return "?";
-}
-
 RingStats& RingStats::operator+=(const RingStats& o) {
   enters += o.enters;
   enters_fallback += o.enters_fallback;
@@ -126,10 +110,8 @@ void RingFs::dup_file(fs::InodeNum ino) { dev_.fd_duped(ino); }
 // --- RingDev lifecycle ------------------------------------------------------
 
 RingDev::RingDev(uk::Kernel& k) : k_(k), ringfs_(*this) {
-  k_.register_syscall<&RingDev::handle_setup>(uk::Sys::kRingSetup, this,
-                                              /*owns_crossing=*/true);
-  k_.register_syscall<&RingDev::handle_enter>(uk::Sys::kRingEnter, this,
-                                              /*owns_crossing=*/true);
+  k_.register_syscall<&RingDev::handle_setup>(uk::Sys::kRingSetup, this);
+  k_.register_syscall<&RingDev::handle_enter>(uk::Sys::kRingEnter, this);
 }
 
 RingDev::~RingDev() {
@@ -265,49 +247,50 @@ Result<void> RingDev::supervise(uk::Process& p, int ringfd,
 
 // --- the submission engine --------------------------------------------------
 
-SysRet RingDev::exec_sqe(uk::Process& p, Ring& r, const Sqe& e, int fd,
-                         bool classic) {
-  using uk::Kernel;
-  using uk::Sys;
-  const auto ufd = static_cast<std::uint64_t>(fd);
-  // Buffer ops name their arena window by pointer, nullptr when it
-  // escapes the arena: EBADF-before-EFAULT is the handler's job
-  // (regression-tested), so the engine passes a bad window through.
-  const std::uint64_t buf = Kernel::uarg(r.user_data(e.addr, e.len));
-  Sys nr;
-  Kernel::SysArgs a;
-  switch (e.op) {
-    case RingOp::kNop:
-      return 0;
-    case RingOp::kOpen: {
-      const std::byte* path = r.user_data(e.addr, e.len);
-      if (path == nullptr || e.len == 0) return sysret_err(Errno::kEFAULT);
-      // The path must be NUL-terminated inside its window: an
-      // unterminated string would walk the engine off the shared arena.
-      if (std::memchr(path, 0, e.len) == nullptr) {
-        return sysret_err(Errno::kEFAULT);
+SysRet RingDev::exec_sqe(Ring& r, const Sqe& e, bool classic,
+                         uk::Kernel::FdLedger& ledger, std::size_t tag) {
+  if (e.nr == uk::Sys{}) return 0;  // no-op
+  const uk::SysSig& sig = uk::sys_sig(e.nr);
+  // Only nestable calls: an SQE can never re-enter a ring.
+  if (!sig.nestable) return sysret_err(Errno::kENOSYS);
+  // Registers by signature. A buffer names its arena window by pointer,
+  // nullptr when it escapes the arena, and a path must be NUL-terminated
+  // inside the arena (an unterminated string would walk the engine off
+  // it): the handler then answers EFAULT in its own check order
+  // (EBADF before EFAULT, regression-tested).
+  uk::SysArgs a = e.args;
+  for (std::size_t i = 0; i < sig.nargs; ++i) {
+    std::uint64_t& reg = a.at(i);
+    switch (sig.args[i].type) {
+      case uk::ArgType::kFd:
+        if (reg == kFdChain) {
+          if (ledger.latest() < 0) return sysret_err(Errno::kEBADF);
+          reg = static_cast<std::uint64_t>(ledger.latest());
+        }
+        break;
+      case uk::ArgType::kPath: {
+        const std::size_t room =
+            reg < r.data_bytes() ? r.data_bytes() - reg : 0;
+        const std::byte* path = r.user_data(reg, room);
+        reg = room > 0 && std::memchr(path, 0, room) != nullptr
+                  ? uk::Kernel::uarg(path)
+                  : 0;
+        break;
       }
-      nr = Sys::kOpen;
-      a = {Kernel::uarg(path), e.aux, 0644};
-      break;
+      case uk::ArgType::kIn:
+      case uk::ArgType::kOut:
+      case uk::ArgType::kInOut:
+        reg = uk::Kernel::uarg(r.user_data(reg, sig.buf_bytes(i, e.args)));
+        break;
+      case uk::ArgType::kNone:
+      case uk::ArgType::kImm:
+        break;
     }
-    case RingOp::kClose: nr = Sys::kClose; a = {ufd}; break;
-    case RingOp::kRead: nr = Sys::kRead; a = {ufd, buf, e.len}; break;
-    case RingOp::kWrite: nr = Sys::kWrite; a = {ufd, buf, e.len}; break;
-    case RingOp::kFstat:
-      nr = Sys::kFstat;
-      a = {ufd, Kernel::uarg(r.user_data(e.addr, sizeof(fs::StatBuf)))};
-      break;
-    case RingOp::kAccept: nr = Sys::kAccept; a = {ufd}; break;
-    case RingOp::kRecv: nr = Sys::kRecv; a = {ufd, buf, e.len}; break;
-    case RingOp::kSend: nr = Sys::kSend; a = {ufd, buf, e.len}; break;
-    case RingOp::kShutdown: nr = Sys::kShutdown; a = {ufd, e.aux}; break;
-    default:
-      return sysret_err(Errno::kEINVAL);  // unknown opcode
   }
   // The one vehicle branch: a full syscall per op (quarantine fallback)
   // or the same handler under the enclosing ring_enter's crossing.
-  return classic ? k_.syscall(p, nr, a) : k_.dispatch_nested(p, nr, a);
+  return classic ? ledger.syscall(e.nr, a, tag)
+                 : ledger.call(e.nr, a, uk::BufMode::kUser, tag);
 }
 
 void RingDev::exec_chain(uk::Process& p, Ring& r,
@@ -323,7 +306,7 @@ void RingDev::exec_chain(uk::Process& p, Ring& r,
                                 : trace::SpanVehicle::kRing,
                         g != nullptr ? g->ext() : -1);
   const std::uint64_t kunits0 = p.task.times().kernel;
-  ChainCtx cc;
+  uk::Kernel::FdLedger ledger(k_, p);  ///< its latest() is kFdChain
   bool failed = false;
   out.reserve(out.size() + chain.size());
   for (const Sqe& e : chain) {
@@ -363,34 +346,11 @@ void RingDev::exec_chain(uk::Process& p, Ring& r,
         charge(kSqeRevalidateUnits);  // re-read + re-validate the SQE
       }
     }
-    int fd = e.fd;
-    if (!corrupted && e.op != RingOp::kNop && e.op != RingOp::kOpen &&
-        fd == kFdChain) {
-      if (cc.fd < 0) {
-        res = sysret_err(Errno::kEBADF);
-        corrupted = true;  // skip exec; not a corruption, just resolved
-      } else {
-        fd = cc.fd;
-      }
+    if (!corrupted) {
+      res = exec_sqe(r, e, classic, ledger, out.size());
     }
-    if (!corrupted) res = exec_sqe(p, r, e, fd, classic);
-    if (res < 0) span.set_status(res);
-    if (res >= 0) {
-      if (e.op == RingOp::kOpen || e.op == RingOp::kAccept) {
-        cc.fd = static_cast<int>(res);
-        cc.opened.push_back(cc.fd);
-        cc.opened_at.push_back(out.size());
-      } else if (e.op == RingOp::kClose) {
-        for (std::size_t i = 0; i < cc.opened.size(); ++i) {
-          if (cc.opened[i] == fd) {
-            cc.opened.erase(cc.opened.begin() + static_cast<long>(i));
-            cc.opened_at.erase(cc.opened_at.begin() + static_cast<long>(i));
-            break;
-          }
-        }
-        if (cc.fd == fd) cc.fd = -1;
-      }
-    } else {
+    if (res < 0) {
+      span.set_status(res);
       failed = true;
     }
     out.push_back(Cqe{e.user_data, res});
@@ -398,13 +358,12 @@ void RingDev::exec_chain(uk::Process& p, Ring& r,
   if (failed) {
     r.n_.chains_failed.fetch_add(1, std::memory_order_relaxed);
     USK_TRACEPOINT("ring", "chain_cancel", chain.size());
-    // fd rollback: a failed chain never hands out descriptors. Close
-    // whatever it opened and rewrite those CQEs to -ECANCELED so the
-    // user cannot key off a stale fd number.
-    for (std::size_t i = 0; i < cc.opened.size(); ++i) {
-      (void)exec_sqe(p, r, Sqe{.op = RingOp::kClose}, cc.opened[i], classic);
+    // fd rollback: a failed chain never hands out descriptors. The
+    // ledger closes whatever it opened; those CQEs are rewritten to
+    // -ECANCELED so the user cannot key off a stale fd number.
+    for (std::size_t at : ledger.rollback(classic)) {
       r.n_.fds_rolled_back.fetch_add(1, std::memory_order_relaxed);
-      out[cc.opened_at[i]].res = sysret_err(Errno::kECANCELED);
+      out[at].res = sysret_err(Errno::kECANCELED);
       r.n_.cqes_canceled.fetch_add(1, std::memory_order_relaxed);
     }
   }

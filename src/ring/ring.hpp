@@ -8,17 +8,18 @@
 // loads and stores (user_prepare / user_reap: zero crossings, the
 // mmap'd-rings discipline of io_uring); ONE ring_enter syscall drains
 // the whole backlog kernel-side: each SQE names a (Sys, SysArgs) pair
-// and runs the kernel's numbered syscall handler (file or net) via
-// Kernel::dispatch_nested, so N operations cost one boundary crossing.
+// and runs the kernel's numbered syscall handler (file, net or
+// consolidated) via Kernel::dispatch_nested, so N operations cost one
+// boundary crossing.
 //
 // Linked ops: an SQE with kSqeLink chains into the next SQE. A chain
 // executes left to right with cancel-on-error semantics -- the failing
 // op's CQE carries the real errno, every later op completes with
-// -ECANCELED, and any fd the chain opened (open/accept) is closed by
-// the engine and its CQE rewritten to -ECANCELED (fd rollback), so a
-// failed chain never leaks descriptors into user hands. kFdChain as an
-// SQE's fd resolves to the most recent open/accept result in the same
-// chain, which is what lets accept->recv and open->read->send->close
+// -ECANCELED, and any fd the chain opened is closed through the kernel's
+// fd ledger and its CQE rewritten to -ECANCELED (fd rollback), so a
+// failed chain never leaks descriptors into user hands. kFdChain in an
+// SQE's descriptor register resolves to the chain's latest fd-producing
+// result, which is what lets accept->recv and open->read->send->close
 // subsume accept_recv and sendfile generically.
 //
 // Supervision: a ring bound to a ksup extension runs every drain under
@@ -51,39 +52,25 @@ class InvocationGuard;
 
 namespace usk::ring {
 
-enum class RingOp : std::uint8_t {
-  kNop = 0,
-  kOpen,      ///< addr/len = NUL-terminated path in the arena, aux = flags
-  kClose,
-  kRead,      ///< addr/len = destination window in the arena
-  kWrite,     ///< addr/len = source window in the arena
-  kFstat,     ///< addr = StatBuf-sized window in the arena
-  kAccept,    ///< fd = listener
-  kRecv,      ///< addr/len = destination window in the arena
-  kSend,      ///< addr/len = source window in the arena
-  kShutdown,  ///< aux = how (net::kShut*)
-};
-
-[[nodiscard]] const char* ring_op_name(RingOp op);
-
 /// SQE flag: this op links into the next SQE (same chain).
 inline constexpr std::uint8_t kSqeLink = 0x1;
 
-/// Sentinel fd: resolve to the fd produced by the most recent
-/// open/accept earlier in this chain.
-inline constexpr int kFdChain = -2;
+/// Sentinel for any descriptor register (the register value of fd -2):
+/// resolve to the fd produced by the most recent fd-producing call (open,
+/// accept, socket, dup, accept_recv, ...) earlier in this chain, while
+/// the chain has not closed it.
+inline constexpr std::uint64_t kFdChain = static_cast<std::uint64_t>(-2);
 
-/// Submission queue entry -- the ring ABI's "register file". addr is an
-/// OFFSET into the ring's shared byte arena, never a raw pointer: the
-/// engine bounds-checks it like access_ok before dispatch.
+/// Submission queue entry: one syscall by number, the ring ABI's
+/// "register file". Path and buffer registers hold OFFSETS into the
+/// ring's shared byte arena, never raw pointers: the engine translates
+/// them by the call's uk::sys_sig() signature and bounds-checks them like
+/// access_ok before dispatch. Sqe{} (nr 0) is a no-op.
 struct Sqe {
   std::uint64_t user_data = 0;  ///< echoed in the CQE, engine-opaque
-  RingOp op = RingOp::kNop;
+  uk::Sys nr{};
   std::uint8_t flags = 0;
-  std::int32_t fd = -1;
-  std::uint64_t addr = 0;  ///< arena offset of the op's buffer/path
-  std::uint32_t len = 0;   ///< buffer/path window length
-  std::uint64_t aux = 0;   ///< open flags / shutdown how
+  uk::SysArgs args;
 };
 
 /// Completion queue entry: the op's SysRet (negative = -errno).
@@ -268,9 +255,9 @@ class RingFs final : public fs::FileSystem {
 /// The ring device: setup/enter syscalls, the kernel-side submission
 /// engine, and the /proc/ring surface. Registers its syscall numbers
 /// with the numbered gateway at construction, releases them at
-/// destruction. Both own their crossing (see Kernel::register_syscall),
-/// so neither is reachable from a nested dispatch. Accept/recv/send/
-/// shutdown SQEs run the handlers net::Net registered with the Kernel.
+/// destruction. Neither is nestable (they own their crossing, see
+/// Kernel::register_syscall), so no SQE can re-enter a ring. Net SQEs run
+/// the handlers net::Net registered with the Kernel.
 class RingDev {
  public:
   static constexpr std::size_t kMaxSqEntries = 4096;
@@ -321,14 +308,6 @@ class RingDev {
   std::shared_ptr<Ring> find_ring(fs::InodeNum ino) const;
 
  private:
-  /// Execution context threaded through one chain: the fd register and
-  /// the rollback set.
-  struct ChainCtx {
-    int fd = -1;                       ///< kFdChain resolves here
-    std::vector<int> opened;           ///< fds opened by this chain
-    std::vector<std::size_t> opened_at;///< CQE index that produced each
-  };
-
   SysRet handle_setup(uk::Process& p, const uk::Kernel::SysArgs& a,
                       uk::BufMode m);
   SysRet handle_enter(uk::Process& p, const uk::Kernel::SysArgs& a,
@@ -352,7 +331,9 @@ class RingDev {
                     std::size_t* posted, bool* stop);
   void exec_chain(uk::Process& p, Ring& r, const std::vector<Sqe>& chain,
                   bool classic, Errno* violation, std::vector<Cqe>& out);
-  SysRet exec_sqe(uk::Process& p, Ring& r, const Sqe& e, int fd, bool classic);
+  /// One SQE through `ledger`, its registers translated by signature.
+  SysRet exec_sqe(Ring& r, const Sqe& e, bool classic,
+                  uk::Kernel::FdLedger& ledger, std::size_t tag);
   std::size_t post_cqes(Ring& r, std::vector<Cqe>& cqes, bool classic,
                         Errno* violation);
   void close_ring(const std::shared_ptr<Ring>& r);

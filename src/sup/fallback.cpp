@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "consolidation/servercalls.hpp"
+#include "consolidation/newcalls.hpp"
 #include "fault/kfail.hpp"
 #include "fs/types.hpp"
 #include "trace/span.hpp"
@@ -82,7 +82,7 @@ SysRet supervised_accept_recv(Supervisor& s, ExtId id, net::Net& net,
       if (!g.charge_kmalloc(n)) {
         ret = sysret_err(InvocationGuard::quota_errno());
       } else {
-        ret = consolidation::sys_accept_recv(net, k, p, listenfd, ubuf, n,
+        ret = consolidation::sys_accept_recv(k, p, listenfd, ubuf, n,
                                              uconnfd);
       }
     }
@@ -126,7 +126,7 @@ SysRet supervised_sendfile(Supervisor& s, ExtId id, net::Net& net,
       if (!g.charge_kmalloc(4096)) {
         ret = sysret_err(InvocationGuard::quota_errno());
       } else {
-        ret = consolidation::sys_sendfile(net, k, p, sockfd, upath, offset,
+        ret = consolidation::sys_sendfile(k, p, sockfd, upath, offset,
                                           count);
       }
     }

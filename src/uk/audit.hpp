@@ -13,62 +13,9 @@
 
 #include "base/errno.hpp"
 #include "base/percpu.hpp"
+#include "uk/syscall.hpp"
 
 namespace usk::uk {
-
-/// System call numbers. Includes both the classic calls and the new
-/// consolidated calls this reproduction adds (§2.2) plus the Cosy entry
-/// point (§2.3).
-enum class Sys : std::uint16_t {
-  kOpen = 1,
-  kClose = 2,
-  kRead = 3,
-  kWrite = 4,
-  kLseek = 5,
-  kStat = 6,
-  kFstat = 7,
-  kReaddir = 8,  // getdents-style
-  kUnlink = 9,
-  kMkdir = 10,
-  kRmdir = 11,
-  kRename = 12,
-  kTruncate = 13,
-  kGetpid = 14,
-  kSync = 15,
-  kLink = 16,
-  kChmod = 17,
-  kDup = 18,
-  kFsync = 19,
-  kFdatasync = 20,
-  // Consolidated calls:
-  kReaddirPlus = 32,
-  kOpenReadClose = 33,
-  kOpenWriteClose = 34,
-  kOpenFstat = 35,
-  // Server-side consolidated calls (src/net + src/consolidation):
-  kAcceptRecv = 36,
-  kSendfile = 37,
-  // Compound execution:
-  kCosy = 48,
-  // Network family (src/net):
-  kSocket = 50,
-  kBind = 51,
-  kListen = 52,
-  kAccept = 53,
-  kConnect = 54,
-  kSend = 55,
-  kRecv = 56,
-  kShutdown = 57,
-  kEpollCreate = 58,
-  kEpollCtl = 59,
-  kEpollWait = 60,
-  // Ring syscalls (src/ring): batched submission, the third vehicle.
-  kRingSetup = 61,
-  kRingEnter = 62,
-  kMaxSys = 64,
-};
-
-const char* sys_name(Sys nr);
 
 struct AuditRecord {
   std::uint32_t pid = 0;

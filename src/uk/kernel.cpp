@@ -39,6 +39,10 @@ Kernel::Kernel(fs::FileSystem& rootfs, KernelConfig cfg)
   register_syscall<&Kernel::do_fdatasync>(Sys::kFdatasync, this);
   register_syscall<&Kernel::do_link>(Sys::kLink, this);
   register_syscall<&Kernel::do_chmod>(Sys::kChmod, this);
+  register_syscall<&Kernel::do_readdirplus>(Sys::kReaddirPlus, this);
+  register_syscall<&Kernel::do_open_read_close>(Sys::kOpenReadClose, this);
+  register_syscall<&Kernel::do_open_write_close>(Sys::kOpenWriteClose, this);
+  register_syscall<&Kernel::do_open_fstat>(Sys::kOpenFstat, this);
 }
 
 Kernel::~Kernel() = default;
@@ -170,9 +174,9 @@ SysRet Kernel::syscall(Process& p, Sys nr, const SysArgs& a) {
     const SysEntry& e = table_[idx];
     if (const SysFn fn = e.fn.load(std::memory_order_acquire)) {
       void* ctx = e.ctx.load(std::memory_order_relaxed);
-      if (e.owns_crossing.load(std::memory_order_relaxed)) {
-        return fn(ctx, p, a, BufMode::kUser);
-      }
+      // A call that is not nestable owns its crossing (see
+      // register_syscall).
+      if (!sys_sig(nr).nestable) return fn(ctx, p, a, BufMode::kUser);
       // The Scope is constructed HERE for every other entry: one
       // crossing, one audit record, one ktrace sample per call.
       Scope scope(*this, p, nr);
@@ -187,24 +191,23 @@ SysRet Kernel::syscall(Process& p, Sys nr, const SysArgs& a) {
 SysRet Kernel::dispatch_nested(Process& p, Sys nr, const SysArgs& a,
                                BufMode mode) {
   const std::size_t idx = static_cast<std::size_t>(nr);
-  if (idx >= table_.size()) return sysret_err(Errno::kENOSYS);
-  const SysEntry& e = table_[idx];
-  const SysFn fn = e.fn.load(std::memory_order_acquire);
-  if (fn == nullptr || e.owns_crossing.load(std::memory_order_relaxed)) {
+  if (idx >= table_.size() || !sys_sig(nr).nestable) {
     return sysret_err(Errno::kENOSYS);
   }
+  const SysEntry& e = table_[idx];
+  const SysFn fn = e.fn.load(std::memory_order_acquire);
+  if (fn == nullptr) return sysret_err(Errno::kENOSYS);
   return fn(e.ctx.load(std::memory_order_relaxed), p, a, mode);
 }
 
-void Kernel::install(Sys nr, SysFn fn, void* ctx, bool owns_crossing) {
+void Kernel::install(Sys nr, SysFn fn, void* ctx) {
   const std::size_t idx = static_cast<std::size_t>(nr);
   if (idx >= table_.size()) return;
   SysEntry& e = table_[idx];
   if (e.fn.load(std::memory_order_acquire) != nullptr) return;
   // fn is published last (release), so a dispatch that sees it also sees
-  // its ctx and crossing flag.
+  // its ctx.
   e.ctx.store(ctx, std::memory_order_relaxed);
-  e.owns_crossing.store(owns_crossing, std::memory_order_relaxed);
   e.fn.store(fn, std::memory_order_release);
 }
 
@@ -213,6 +216,59 @@ void Kernel::unregister_syscall(Sys nr) {
   if (idx < table_.size()) {
     table_[idx].fn.store(nullptr, std::memory_order_release);
   }
+}
+
+// --- the fd ledger ----------------------------------------------------------
+
+/// The innermost live ledger on this thread (FdLedger nesting).
+static thread_local Kernel::FdLedger* t_ledger = nullptr;
+
+Kernel::FdLedger::FdLedger(Kernel& k, Process& p)
+    : k_(k), p_(p), outer_(t_ledger) {
+  t_ledger = this;
+}
+
+Kernel::FdLedger::~FdLedger() {
+  t_ledger = outer_;
+  if (outer_ != nullptr) {
+    for (const Held& h : held_) outer_->hold(h.fd);
+  }
+}
+
+void Kernel::FdLedger::hold(int fd) {
+  held_.push_back(Held{fd, tag_});
+  latest_ = fd;
+}
+
+SysRet Kernel::FdLedger::note(Sys nr, const SysArgs& a, SysRet ret) {
+  if (ret < 0) return ret;
+  switch (sys_sig(nr).ret) {
+    case RetType::kFdNew:
+      hold(static_cast<int>(ret));
+      break;
+    case RetType::kFdClose: {
+      const auto fd = static_cast<int>(a.a0);
+      std::erase_if(held_, [fd](const Held& h) { return h.fd == fd; });
+      if (latest_ == fd) latest_ = -1;
+      break;
+    }
+    case RetType::kCount:
+      break;
+  }
+  return ret;
+}
+
+std::vector<std::size_t> Kernel::FdLedger::rollback(bool classic) {
+  std::vector<std::size_t> closed;
+  for (const Held& h : held_) {
+    const SysArgs a{static_cast<std::uint64_t>(h.fd)};
+    const SysRet r = classic ? k_.syscall(p_, Sys::kClose, a)
+                             : k_.dispatch_nested(p_, Sys::kClose, a);
+    if (r == 0) closed.push_back(h.tag);
+  }
+  held_.clear();
+  latest_ = -1;
+  return closed;
 }
 
 // --- typed wrappers (the userlib-facing ABI) ----------------------------------
@@ -504,6 +560,98 @@ SysRet Kernel::do_chmod(Process& p, const SysArgs& a, BufMode m) {
   Result<void> r =
       vfs_.chmod(path.value(), static_cast<std::uint32_t>(a.a1));
   return r.ok() ? 0 : sysret_err(r.error());
+}
+
+// --- consolidated calls (§2.2) -----------------------------------------------
+// Each runs a whole sequence under the one Scope syscall() built: the
+// three open-*-close calls are sequences of the handlers above (see
+// open_io_close), passing their own BufMode to every step, so each step
+// keeps its classic semantics.
+
+SysRet Kernel::do_readdirplus(Process& p, const SysArgs& a, BufMode m) {
+  if (a.a1 == 0 || a.a3 == 0) return sysret_err(Errno::kEFAULT);
+  char kpath[kMaxPath];
+  Result<std::string_view> path = fetch_path(p, m, a.a0, kpath);
+  if (!path) return sysret_err(path.error());
+  CallerBuf ucookie(boundary_, p.task, m, a.a3, sizeof(std::uint64_t));
+  if (Result<std::size_t> c = ucookie.in(); !c) return sysret_err(c.error());
+  std::uint64_t cookie = 0;
+  std::memcpy(&cookie, ucookie.data(), sizeof(cookie));
+
+  Result<fs::Vfs::Loc> dir = vfs_.resolve_loc(path.value());
+  if (!dir) return sysret_err(dir.error());
+
+  const std::size_t n = std::min(static_cast<std::size_t>(a.a2), kMaxIo);
+  const std::size_t max_entries =
+      std::max<std::size_t>(1, n / sizeof(DirentPlusHdr));
+  Result<std::vector<fs::DirEntry>> win =
+      vfs_.readdir_window_at(dir.value(), cookie, max_entries);
+  if (!win) return sysret_err(win.error());
+
+  CallerBuf buf(boundary_, p.task, m, a.a1, n);
+  std::byte* kbuf = buf.data();
+  std::size_t off = 0;
+  std::uint64_t taken = 0;
+  for (const fs::DirEntry& de : win.value()) {
+    const std::size_t rec = sizeof(DirentPlusHdr) + de.name.size();
+    if (off + rec > n) break;
+    DirentPlusHdr hdr{};
+    // In-kernel stat: no extra crossing, no path re-walk (we already hold
+    // the inode number).
+    Errno e = vfs_.getattr_at(
+        fs::Vfs::Loc{dir.value().fs, de.ino, dir.value().fs_id}, &hdr.st);
+    if (e != Errno::kOk) continue;  // raced with unlink; skip
+    hdr.namelen = static_cast<std::uint8_t>(de.name.size());
+    std::memcpy(kbuf + off, &hdr, sizeof(hdr));
+    std::memcpy(kbuf + off + sizeof(hdr), de.name.data(), de.name.size());
+    off += rec;
+    ++taken;
+  }
+  // Entries first, cookie second: if either copy-out faults the cookie in
+  // the caller's memory still matches what the caller actually received.
+  if (off > 0) {
+    if (Result<std::size_t> c = buf.out(kbuf, off); !c) {
+      return sysret_err(c.error());
+    }
+  }
+  cookie += taken;
+  if (Result<std::size_t> c = ucookie.out(&cookie, sizeof(cookie)); !c) {
+    return sysret_err(c.error());
+  }
+  return static_cast<SysRet>(off);
+}
+
+SysRet Kernel::open_io_close(Process& p, const SysArgs& a, BufMode m,
+                             Sys io, int flags, std::uint32_t mode,
+                             bool seek) {
+  if (a.a1 == 0) return sysret_err(Errno::kEFAULT);
+  const SysRet fd = dispatch_nested(
+      p, Sys::kOpen, {a.a0, static_cast<std::uint64_t>(flags), mode}, m);
+  if (fd < 0) return fd;
+  const auto ufd = static_cast<std::uint64_t>(fd);
+  SysRet r = 0;
+  if (seek) {
+    r = dispatch_nested(p, Sys::kLseek, {ufd, a.a3, fs::kSeekSet}, m);
+  }
+  if (r >= 0) r = dispatch_nested(p, io, {ufd, a.a1, a.a2}, m);
+  dispatch_nested(p, Sys::kClose, {ufd}, m);
+  return r;
+}
+
+SysRet Kernel::do_open_read_close(Process& p, const SysArgs& a, BufMode m) {
+  return open_io_close(p, a, m, Sys::kRead, fs::kORdOnly, 0, true);
+}
+
+SysRet Kernel::do_open_write_close(Process& p, const SysArgs& a, BufMode m) {
+  const auto flags = static_cast<int>(a.a4);
+  return open_io_close(
+      p, a, m, Sys::kWrite,
+      fs::kOWrOnly | (flags & (fs::kOCreat | fs::kOTrunc | fs::kOAppend)),
+      0644, (flags & fs::kOAppend) == 0);
+}
+
+SysRet Kernel::do_open_fstat(Process& p, const SysArgs& a, BufMode m) {
+  return open_io_close(p, a, m, Sys::kFstat, fs::kORdOnly, 0, false);
 }
 
 }  // namespace usk::uk

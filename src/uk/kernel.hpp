@@ -2,9 +2,9 @@
 //
 // A Kernel is assembled around a caller-provided root FileSystem (so
 // benchmarks can stack WrapFs/JournalFs/MemFs as the paper's experiments
-// require). Classic system calls are implemented here; the consolidated
-// calls (§2.2) live in src/consolidation and the compound executor (§2.3)
-// in src/cosy, both built on the same Scope discipline so every call pays
+// require). The classic file calls and the file consolidations (§2.2) are
+// implemented here as table handlers, the compound executor (§2.3) in
+// src/cosy; all are built on the same Scope discipline so every call pays
 // exactly one boundary crossing and its copies are accounted.
 #pragma once
 
@@ -121,15 +121,6 @@ class CallerBuf {
   std::vector<std::byte> bounce_;
 };
 
-/// Register-file argument block, the simulated syscall ABI: up to four
-/// u64s, pointers reinterpreted.
-struct SysArgs {
-  std::uint64_t a0 = 0;
-  std::uint64_t a1 = 0;
-  std::uint64_t a2 = 0;
-  std::uint64_t a3 = 0;
-};
-
 /// Wire format for sys_readdirplus: stat + header + name bytes.
 struct DirentPlusHdr {
   fs::StatBuf st;
@@ -198,7 +189,7 @@ class Kernel {
   }
 
   /// RAII syscall prologue/epilogue: one crossing, audit record with the
-  /// copy-byte deltas. Shared with the consolidation and Cosy modules.
+  /// copy-byte deltas. Built by syscall(), the ring and Cosy entry points.
   class Scope {
    public:
     Scope(Kernel& k, Process& p, Sys nr);
@@ -221,9 +212,6 @@ class Kernel {
     [[nodiscard]] SysRet gate() {
       return gate_err_ == Errno::kOk ? 0 : done(sysret_err(gate_err_));
     }
-
-    [[nodiscard]] Kernel& kernel() { return k_; }
-    [[nodiscard]] Process& process() { return p_; }
 
    private:
     Kernel& k_;
@@ -263,23 +251,78 @@ class Kernel {
   SysRet dispatch_nested(Process& p, Sys nr, const SysArgs& a = SysArgs{},
                          BufMode mode = BufMode::kUser);
 
+  /// The fd ledger of one nested invocation: a Cosy compound, a ring
+  /// chain, a consolidated call's steps. The invocation makes its calls
+  /// through call() (nested, under its own crossing) or syscall() (a full
+  /// syscall: the ring's quarantine fallback). By each callee's signature
+  /// the ledger records the descriptor a call produces and drops the one
+  /// a call releases, so it always holds exactly the fds the invocation
+  /// opened and still owns. rollback() is the one abort path: an aborted
+  /// invocation never leaks a descriptor its caller has not learned.
+  /// Ledgers nest on the calling thread: one that ends without rollback
+  /// hands what it holds to the enclosing ledger (accept_recv's connection,
+  /// returned through an out slot, is then counted and rolled back too).
+  class FdLedger {
+   public:
+    FdLedger(Kernel& k, Process& p);
+    ~FdLedger();
+    FdLedger(const FdLedger&) = delete;
+    FdLedger& operator=(const FdLedger&) = delete;
+
+    /// dispatch_nested(), recording the result under `tag`.
+    SysRet call(Sys nr, const SysArgs& a, BufMode m = BufMode::kUser,
+                std::size_t tag = 0) {
+      tag_ = tag;
+      return note(nr, a, k_.dispatch_nested(p_, nr, a, m));
+    }
+    /// A full syscall (one crossing), recording the result under `tag`.
+    SysRet syscall(Sys nr, const SysArgs& a, std::size_t tag = 0) {
+      tag_ = tag;
+      return note(nr, a, k_.syscall(p_, nr, a));
+    }
+    /// Descriptors held now.
+    [[nodiscard]] std::size_t live() const { return held_.size(); }
+    /// The descriptor most recently produced, while it is still held;
+    /// -1 once it is closed (or before any call produced one).
+    [[nodiscard]] int latest() const { return latest_; }
+    /// Close every descriptor still held -- nested, or through the full
+    /// gateway when `classic` -- and return the tags of the calls whose
+    /// descriptors were closed, in the order they were produced.
+    std::vector<std::size_t> rollback(bool classic = false);
+
+   private:
+    SysRet note(Sys nr, const SysArgs& a, SysRet ret);
+    void hold(int fd);
+
+    struct Held {
+      int fd;
+      std::size_t tag;
+    };
+    Kernel& k_;
+    Process& p_;
+    FdLedger* const outer_;  ///< the enclosing ledger on this thread
+    std::size_t tag_ = 0;    ///< tag of the call in progress
+    int latest_ = -1;
+    std::vector<Held> held_;
+  };
+
   // --- the numbered syscall table ---------------------------------------------
   /// A subsystem layered above uk (net::Net, ring::RingDev) fills its
   /// syscall numbers with member handlers `SysRet (T::*)(Process&, const
   /// SysArgs&, BufMode)` on `self`, the way the Kernel fills the file
   /// calls at construction. A slot that is already taken is left alone.
-  /// `owns_crossing` marks a handler that builds its own Scope: syscall()
-  /// calls it bare and dispatch_nested() answers ENOSYS. Only ring_setup
-  /// and ring_enter need it, because a quarantined ring_enter decomposes
-  /// into one full syscall per op instead of paying one crossing up
-  /// front. The registrant must outlive its registration window.
+  /// A handler whose signature is not nestable (ring_setup, ring_enter)
+  /// builds its own Scope: syscall() calls it bare and dispatch_nested()
+  /// answers ENOSYS, because a quarantined ring_enter decomposes into one
+  /// full syscall per op instead of paying one crossing up front. The
+  /// registrant must outlive its registration window.
   template <auto H, class T>
-  void register_syscall(Sys nr, T* self, bool owns_crossing = false) {
+  void register_syscall(Sys nr, T* self) {
     install(nr,
             [](void* ctx, Process& p, const SysArgs& a, BufMode m) -> SysRet {
               return (static_cast<T*>(ctx)->*H)(p, a, m);
             },
-            self, owns_crossing);
+            self);
   }
   void unregister_syscall(Sys nr);
 
@@ -312,10 +355,10 @@ class Kernel {
   static constexpr std::size_t kMaxPath = 4096;
   static constexpr std::size_t kMaxIo = 1 << 20;
 
-  /// Path fetch for every handler (and readdirplus): with kUser,
-  /// strncpy_from_user into `kpath` (kMaxPath bytes); with kKernel, the
-  /// NUL-terminated kernel string is used in place. EFAULT for nullptr,
-  /// ENAMETOOLONG at kMaxPath either way.
+  /// Path fetch for every handler: with kUser, strncpy_from_user into
+  /// `kpath` (kMaxPath bytes); with kKernel, the NUL-terminated kernel
+  /// string is used in place. EFAULT for nullptr, ENAMETOOLONG at kMaxPath
+  /// either way.
   Result<std::string_view> fetch_path(Process& p, BufMode m,
                                       std::uint64_t path, char* kpath);
 
@@ -331,9 +374,8 @@ class Kernel {
   struct SysEntry {
     std::atomic<SysFn> fn{nullptr};
     std::atomic<void*> ctx{nullptr};
-    std::atomic<bool> owns_crossing{false};
   };
-  void install(Sys nr, SysFn fn, void* ctx, bool owns_crossing);
+  void install(Sys nr, SysFn fn, void* ctx);
 
   SysRet do_open(Process& p, const SysArgs& a, BufMode m);
   SysRet do_close(Process& p, const SysArgs& a, BufMode m);
@@ -355,6 +397,14 @@ class Kernel {
   SysRet do_fdatasync(Process& p, const SysArgs& a, BufMode m);
   SysRet do_link(Process& p, const SysArgs& a, BufMode m);
   SysRet do_chmod(Process& p, const SysArgs& a, BufMode m);
+  // Consolidated calls (§2.2): one crossing for a whole sequence.
+  SysRet do_readdirplus(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_open_read_close(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_open_write_close(Process& p, const SysArgs& a, BufMode m);
+  SysRet do_open_fstat(Process& p, const SysArgs& a, BufMode m);
+  /// open(a0, flags, mode), [lseek to a3,] io(fd, a1, a2), close.
+  SysRet open_io_close(Process& p, const SysArgs& a, BufMode m, Sys io,
+                       int flags, std::uint32_t mode, bool seek);
 
   base::WorkEngine engine_;
   vm::PhysMem phys_;

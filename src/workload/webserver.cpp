@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "consolidation/servercalls.hpp"
+#include "consolidation/newcalls.hpp"
 #include "cosy/exec.hpp"
 #include "ring/ring.hpp"
 #include "sup/fallback.hpp"
@@ -27,6 +27,9 @@ const char* serve_mode_name(ServeMode m) {
 }
 
 namespace {
+
+using uk::Kernel;
+using uk::Sys;
 
 /// Server-side read/send chunk: a classic 4 KiB stack buffer, so files
 /// larger than one page take several read+send rounds in plain mode.
@@ -195,25 +198,17 @@ int serve_ring_conn(RingConn& rc, const WebServerConfig& cfg,
 
   // Prologue: [close prev conn] + accept -> first recv, one crossing.
   if (prev_conn >= 0) {
-    ring::Sqe c{};
-    c.user_data = kUdPrevClose;
-    c.op = ring::RingOp::kClose;
-    c.fd = prev_conn;
-    ring_push(rc, c);
+    ring_push(rc, ring::Sqe{.user_data = kUdPrevClose,
+                            .nr = Sys::kClose,
+                            .args = {Kernel::iarg(prev_conn)}});
   }
-  ring::Sqe a{};
-  a.user_data = kUdAccept;
-  a.op = ring::RingOp::kAccept;
-  a.flags = ring::kSqeLink;
-  a.fd = rc.lfd;
-  ring_push(rc, a);
-  ring::Sqe fr{};
-  fr.user_data = kUdFirstRecv;
-  fr.op = ring::RingOp::kRecv;
-  fr.fd = ring::kFdChain;
-  fr.addr = req_base;
-  fr.len = kRequestBytes;
-  ring_push(rc, fr);
+  ring_push(rc, ring::Sqe{.user_data = kUdAccept,
+                          .nr = Sys::kAccept,
+                          .flags = ring::kSqeLink,
+                          .args = {Kernel::iarg(rc.lfd)}});
+  ring_push(rc, ring::Sqe{.user_data = kUdFirstRecv,
+                          .nr = Sys::kRecv,
+                          .args = {ring::kFdChain, req_base, kRequestBytes}});
   ring_round(rc, cqes);
 
   // Classic rescues (only under faults). A hard-failed accept left the
@@ -239,6 +234,7 @@ int serve_ring_conn(RingConn& rc, const WebServerConfig& cfg,
     return -1;
   }
   path = parse_path(req);
+  const std::uint64_t conn = Kernel::iarg(connfd);
   std::byte* ppath = rc.rg->user_data(path_off, path.size() + 1);
   if (ppath == nullptr) {
     rc.srv.close(connfd);
@@ -257,44 +253,27 @@ int serve_ring_conn(RingConn& rc, const WebServerConfig& cfg,
     for (std::size_t i = 0; i < w; ++i, ++next) {
       has_recv[i] = next > 0;
       if (has_recv[i]) {
-        ring::Sqe s{};
-        s.user_data = slot_ud(i, 0);
-        s.op = ring::RingOp::kRecv;
-        s.flags = ring::kSqeLink;
-        s.fd = connfd;
-        s.addr = req_base + i * kRequestBytes;
-        s.len = kRequestBytes;
-        ring_push(rc, s);
+        ring_push(rc, ring::Sqe{.user_data = slot_ud(i, 0),
+                                .nr = Sys::kRecv,
+                                .flags = ring::kSqeLink,
+                                .args = {conn, req_base + i * kRequestBytes,
+                                         kRequestBytes}});
       }
-      ring::Sqe o{};
-      o.user_data = slot_ud(i, 1);
-      o.op = ring::RingOp::kOpen;
-      o.flags = ring::kSqeLink;
-      o.addr = path_off;
-      o.len = static_cast<std::uint32_t>(path.size() + 1);
-      o.aux = static_cast<std::uint64_t>(fs::kORdOnly);
-      ring_push(rc, o);
-      ring::Sqe rd{};
-      rd.user_data = slot_ud(i, 2);
-      rd.op = ring::RingOp::kRead;
-      rd.flags = ring::kSqeLink;
-      rd.fd = ring::kFdChain;
-      rd.addr = i * fb;
-      rd.len = static_cast<std::uint32_t>(fb);
-      ring_push(rc, rd);
-      ring::Sqe sn{};
-      sn.user_data = slot_ud(i, 3);
-      sn.op = ring::RingOp::kSend;
-      sn.flags = ring::kSqeLink;
-      sn.fd = connfd;
-      sn.addr = i * fb;
-      sn.len = static_cast<std::uint32_t>(fb);
-      ring_push(rc, sn);
-      ring::Sqe cl{};
-      cl.user_data = slot_ud(i, 4);
-      cl.op = ring::RingOp::kClose;
-      cl.fd = ring::kFdChain;
-      ring_push(rc, cl);
+      ring_push(rc, ring::Sqe{.user_data = slot_ud(i, 1),
+                              .nr = Sys::kOpen,
+                              .flags = ring::kSqeLink,
+                              .args = {path_off, fs::kORdOnly}});
+      ring_push(rc, ring::Sqe{.user_data = slot_ud(i, 2),
+                              .nr = Sys::kRead,
+                              .flags = ring::kSqeLink,
+                              .args = {ring::kFdChain, i * fb, fb}});
+      ring_push(rc, ring::Sqe{.user_data = slot_ud(i, 3),
+                              .nr = Sys::kSend,
+                              .flags = ring::kSqeLink,
+                              .args = {conn, i * fb, fb}});
+      ring_push(rc, ring::Sqe{.user_data = slot_ud(i, 4),
+                              .nr = Sys::kClose,
+                              .args = {ring::kFdChain}});
     }
     cqes.clear();
     ring_round(rc, cqes);
@@ -438,7 +417,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
                     ? sup::supervised_accept_recv(*sup, ext_id, net, k, p,
                                                   lfd, req, kRequestBytes,
                                                   &connfd)
-                    : consolidation::sys_accept_recv(net, k, p, lfd, req,
+                    : consolidation::sys_accept_recv(k, p, lfd, req,
                                                      kRequestBytes, &connfd);
             if (connfd < 0) break;
             if (r > 0) {
@@ -448,7 +427,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
                                          parse_path(req).c_str(), 0,
                                          cfg.file_bytes);
               } else {
-                consolidation::sys_sendfile(net, k, p, connfd,
+                consolidation::sys_sendfile(k, p, connfd,
                                             parse_path(req).c_str(), 0,
                                             cfg.file_bytes);
               }
@@ -535,7 +514,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
                                      parse_path(req).c_str(), 0,
                                      cfg.file_bytes);
           } else {
-            consolidation::sys_sendfile(net, k, p, connfd,
+            consolidation::sys_sendfile(k, p, connfd,
                                         parse_path(req).c_str(), 0,
                                         cfg.file_bytes);
           }

@@ -12,6 +12,7 @@
 #include "evmon/profiler.hpp"
 #include "fs/journalfs.hpp"
 #include "fs/memfs.hpp"
+#include "numbered.hpp"
 
 namespace usk {
 namespace {
@@ -175,7 +176,7 @@ TEST(JournalFsIoModelTest, JournalWritesAreSequentialCheckpointsSeek) {
 
   // Metadata-heavy activity: many journal records, no commits yet.
   for (int i = 0; i < 40; ++i) {
-    auto f = jfs.create(jfs.root(), "f" + std::to_string(i),
+    auto f = jfs.create(jfs.root(), testutil::numbered("f", i),
                         fs::FileType::kRegular, 0644);
     ASSERT_TRUE(f.ok());
     std::vector<std::byte> data(600, std::byte{1});

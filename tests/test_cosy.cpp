@@ -53,7 +53,8 @@ TEST_F(CosyTest, ValidCompoundPasses) {
 TEST_F(CosyTest, MissingEndRejected) {
   Compound c;
   OpRecord r;
-  r.op = Op::kGetpid;
+  r.op = Op::kSys;
+  r.aux = static_cast<std::int32_t>(uk::Sys::kGetpid);
   c.ops.push_back(r);
   auto v = validate(c, 0);
   EXPECT_FALSE(v.ok);
@@ -303,6 +304,20 @@ TEST_F(CosyTest, DivisionByZeroAborts) {
   Compound c = b.finish();
   CosyResult r = ext_.execute(proc_.process(), c, shared_);
   EXPECT_EQ(sysret_errno(r.ret), Errno::kEINVAL);
+}
+
+// Every mid-compound abort closes the descriptors the compound opened
+// (the kernel's fd ledger): a division by zero after an open...
+TEST_F(CosyTest, DivisionByZeroAbortClosesOpenedFd) {
+  make_file("/leak-div", "x");
+  const std::size_t fds0 = proc_.process().fds.open_count();
+  CompoundBuilder b;
+  b.open(b.str("/leak-div"), imm(fs::kORdOnly), imm(0));
+  b.arith(0, ArithOp::kMod, imm(10), imm(0));
+  CosyResult r = ext_.execute(proc_.process(), b.finish(), shared_);
+  EXPECT_EQ(sysret_errno(r.ret), Errno::kEINVAL);
+  EXPECT_EQ(proc_.process().fds.open_count(), fds0);
+  EXPECT_EQ(ext_.stats().fds_rolled_back, 1u);
 }
 
 TEST_F(CosyTest, WatchdogKillsInfiniteLoop) {
@@ -675,6 +690,52 @@ TEST_F(CosyTest, UnknownFunctionIdAborts) {
   Compound c = b.finish();
   CosyResult r = ext_.execute(proc_.process(), c, shared_);
   EXPECT_EQ(sysret_errno(r.ret), Errno::kEINVAL);
+}
+
+// callf passes at most four arguments (the VM's r1..r4), although a
+// syscall op takes five registers.
+TEST_F(CosyTest, CallFuncTakesAtMostFourArgs) {
+  CompoundBuilder b;
+  b.call_func(42, {imm(1), imm(2), imm(3), imm(4), imm(5)}, 0);
+  Compound c = b.finish();
+  EXPECT_EQ(c.ops[0].nargs, kMaxFuncArgs);
+  EXPECT_TRUE(validate(c, shared_.size()).ok);
+  c.ops[0].nargs = kMaxFuncArgs + 1;
+  ValidationResult v = validate(c, shared_.size());
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.reason, "too many args");
+}
+
+// ...a call to an unknown function after an open...
+TEST_F(CosyTest, UnknownFunctionIdAbortClosesOpenedFd) {
+  make_file("/leak-fn", "x");
+  const std::size_t fds0 = proc_.process().fds.open_count();
+  CompoundBuilder b;
+  b.open(b.str("/leak-fn"), imm(fs::kORdOnly), imm(0));
+  b.call_func(42, {imm(1)}, 0);
+  CosyResult r = ext_.execute(proc_.process(), b.finish(), shared_);
+  EXPECT_EQ(sysret_errno(r.ret), Errno::kEINVAL);
+  EXPECT_EQ(proc_.process().fds.open_count(), fds0);
+  EXPECT_EQ(ext_.stats().fds_rolled_back, 1u);
+}
+
+// ...while a path argument that is not a string never gets that far:
+// the signature check rejects the compound before anything runs.
+TEST_F(CosyTest, NonStringPathIsRejectedBeforeAnyOpRuns) {
+  make_file("/leak-path", "x");
+  const std::size_t fds0 = proc_.process().fds.open_count();
+  CompoundBuilder b;
+  b.open(b.str("/leak-path"), imm(fs::kORdOnly), imm(0));
+  b.open(imm(0), imm(fs::kORdOnly), imm(0));
+  Compound c = b.finish();
+  ValidationResult v = validate(c, shared_.size());
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.bad_op, 1u);
+  EXPECT_NE(v.reason.find("path"), std::string::npos) << v.reason;
+  CosyResult r = ext_.execute(proc_.process(), c, shared_);
+  EXPECT_EQ(sysret_errno(r.ret), Errno::kEINVAL);
+  EXPECT_EQ(r.ops_run, 0u);
+  EXPECT_EQ(proc_.process().fds.open_count(), fds0);
 }
 
 }  // namespace

@@ -137,7 +137,10 @@ TEST_F(CompilerExecTest, ShortCircuitSkipsSyscalls) {
   // slot stays 0 and the pid (nonzero) never appears in the results.
   bool pid_ran = false;
   for (std::size_t i = 0; i < cr.compound.ops.size(); ++i) {
-    if (cr.compound.ops[i].op == Op::kGetpid && r.results[i] != 0) {
+    const OpRecord& op = cr.compound.ops[i];
+    if (op.op == Op::kSys &&
+        op.aux == static_cast<std::int32_t>(uk::Sys::kGetpid) &&
+        r.results[i] != 0) {
       pid_ran = true;
     }
   }

@@ -316,24 +316,20 @@ TEST_F(DlTest, RingChainDeadlineAbortRollsBackOpenedFd) {
 
   ring::Sqe o{};
   o.user_data = 1;
-  o.op = ring::RingOp::kOpen;
+  o.nr = uk::Sys::kOpen;
   o.flags = ring::kSqeLink;
-  o.addr = 0;
-  o.len = sizeof path;
-  o.aux = fs::kORdOnly;
+  o.args = {0, fs::kORdOnly, 0644};
   ASSERT_TRUE(r.user_prepare(o));
   ring::Sqe rd{};
   rd.user_data = 2;
-  rd.op = ring::RingOp::kRead;
+  rd.nr = uk::Sys::kRead;
   rd.flags = ring::kSqeLink;
-  rd.fd = ring::kFdChain;
-  rd.addr = 256;
-  rd.len = 16;
+  rd.args = {ring::kFdChain, 256, 16};
   ASSERT_TRUE(r.user_prepare(rd));
   ring::Sqe cl{};
   cl.user_data = 3;
-  cl.op = ring::RingOp::kClose;
-  cl.fd = ring::kFdChain;
+  cl.nr = uk::Sys::kClose;
+  cl.args = {ring::kFdChain};
   ASSERT_TRUE(r.user_prepare(cl));
 
   const std::size_t fds0 = p().fds.open_count();

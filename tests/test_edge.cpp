@@ -10,6 +10,7 @@
 #include "consolidation/newcalls.hpp"
 #include "fs/dcache.hpp"
 #include "uk/userlib.hpp"
+#include "numbered.hpp"
 
 namespace usk {
 namespace {
@@ -147,7 +148,7 @@ TEST(DcacheConcurrency, ParallelMixedOperations) {
       base::Rng rng(static_cast<std::uint64_t>(t) + 1);
       for (int i = 0; i < 20000; ++i) {
         fs::InodeNum parent = rng.below(8) + 1;
-        std::string name = "e" + std::to_string(rng.below(64));
+        std::string name = testutil::numbered("e", rng.below(64));
         switch (rng.below(10)) {
           case 0:
             dc.invalidate(parent, name);

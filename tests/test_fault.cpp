@@ -24,6 +24,7 @@
 #include "uk/userlib.hpp"
 #include "vm/phys.hpp"
 #include "temp_dir.hpp"
+#include "numbered.hpp"
 
 namespace usk {
 namespace {
@@ -457,14 +458,14 @@ TEST_F(FaultTest, TornWritesNeverBreakConsistency) {
         fault::kfail().arm(Site::kDiskTorn, cfg);
 
         for (int i = 0; i < 8; ++i) {
-          std::string name = "f" + std::to_string(i);
+          std::string name = testutil::numbered("f", i);
           auto ino =
               jfs.create(jfs.root(), name, fs::FileType::kRegular, 0644);
           if (ino.ok()) {
             (void)jfs.write(ino.value(), 0, blob);
           }
           if (i % 3 == 2) {
-            (void)jfs.unlink(jfs.root(), "f" + std::to_string(i - 1));
+            (void)jfs.unlink(jfs.root(), testutil::numbered("f", i - 1));
           }
           // One commit unit per iteration: each is a chance to tear.
           (void)jfs.fsync(jfs.root(), false);
@@ -556,9 +557,12 @@ TEST_F(OrderingTest, WriteChecksFdBeforeCopyIn) {
 // --- the numbered gateway -----------------------------------------------------
 
 TEST_F(OrderingTest, UnknownSyscallNumberIsEnosys) {
-  // Holes in the table (consolidated numbers are dispatched elsewhere)
-  // and out-of-range numbers both get ENOSYS through the one gateway.
-  EXPECT_EQ(kernel_.syscall(proc_.process(), uk::Sys::kReaddirPlus),
+  // Holes in the table -- a number without a signature, and cosy, whose
+  // entry point is CosyExtension::execute rather than a table handler --
+  // and out-of-range numbers all get ENOSYS through the one gateway.
+  EXPECT_EQ(kernel_.syscall(proc_.process(), static_cast<uk::Sys>(40)),
+            sysret_err(Errno::kENOSYS));
+  EXPECT_EQ(kernel_.syscall(proc_.process(), uk::Sys::kCosy),
             sysret_err(Errno::kENOSYS));
   EXPECT_EQ(kernel_.syscall(proc_.process(), static_cast<uk::Sys>(63)),
             sysret_err(Errno::kENOSYS));

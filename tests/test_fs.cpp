@@ -10,6 +10,7 @@
 #include "fs/vfs.hpp"
 #include "fs/wrapfs.hpp"
 #include "mm/kmalloc.hpp"
+#include "numbered.hpp"
 
 namespace usk::fs {
 namespace {
@@ -209,7 +210,8 @@ TEST_F(MemFsTest, ReaddirSortedAndComplete) {
 
 TEST_F(MemFsTest, ReaddirWindowMatchesFullListing) {
   for (int i = 0; i < 25; ++i) {
-    fs_.create(fs_.root(), "f" + std::to_string(i), FileType::kRegular, 0644);
+    fs_.create(fs_.root(), testutil::numbered("f", i), FileType::kRegular,
+               0644);
   }
   auto all = fs_.readdir(fs_.root());
   ASSERT_TRUE(all.ok());

@@ -9,6 +9,7 @@
 #include "bcc/checked_ptr.hpp"
 #include "fs/journalfs.hpp"
 #include "fs/vfs.hpp"
+#include "numbered.hpp"
 
 namespace usk::fs {
 namespace {
@@ -103,7 +104,7 @@ TYPED_TEST(JournalFsTest, DirectoriesNestAndList) {
   auto d = fs.create(fs.root(), "sub", FileType::kDirectory, 0755);
   ASSERT_TRUE(d.ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(fs.create(d.value(), "f" + std::to_string(i),
+    ASSERT_TRUE(fs.create(d.value(), testutil::numbered("f", i),
                           FileType::kRegular, 0644).ok());
   }
   auto entries = fs.readdir(d.value());
@@ -265,7 +266,7 @@ TYPED_TEST(JournalFsTest, FsckCleanAfterHeavyChurn) {
                        FileType::kDirectory, 0755);
     ASSERT_TRUE(d.ok());
     for (int i = 0; i < 15; ++i) {
-      auto f = fs.create(d.value(), "f" + std::to_string(i),
+      auto f = fs.create(d.value(), testutil::numbered("f", i),
                          FileType::kRegular, 0644);
       ASSERT_TRUE(f.ok());
       std::vector<std::byte> data(static_cast<std::size_t>(i) * 700,

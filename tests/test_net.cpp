@@ -10,7 +10,8 @@
 #include <thread>
 #include <vector>
 
-#include "consolidation/servercalls.hpp"
+#include "consolidation/newcalls.hpp"
+#include "fault/kfail.hpp"
 #include "net/net.hpp"
 #include "uk/userlib.hpp"
 
@@ -356,7 +357,7 @@ TEST_F(NetTest, ConsolidatedAcceptRecv) {
   std::uint64_t crossings0 = kernel_.boundary().stats().crossings;
   char buf[32] = {};
   int connfd = -1;
-  SysRet n = consolidation::sys_accept_recv(net_, kernel_, p, lfd, buf,
+  SysRet n = consolidation::sys_accept_recv(kernel_, p, lfd, buf,
                                             sizeof(buf), &connfd);
   EXPECT_EQ(n, static_cast<SysRet>(sizeof(req)));
   EXPECT_STREQ(buf, req);
@@ -365,6 +366,37 @@ TEST_F(NetTest, ConsolidatedAcceptRecv) {
   EXPECT_EQ(kernel_.boundary().stats().crossings, crossings0 + 1);
 
   proc_.close(connfd);
+  proc_.close(cli);
+  proc_.close(lfd);
+}
+
+// A faulted fd copy-out: the caller cannot learn the connection's fd,
+// so accept_recv closes it again (Linux's accept4 drops the new file the
+// same way) instead of leaking it into the process.
+TEST_F(NetTest, ConsolidatedAcceptRecvFdCopyFaultClosesTheConnection) {
+  uk::Process& p = proc_.process();
+  int lfd = static_cast<int>(net_.sys_socket(p, kSockNonblock));
+  ASSERT_EQ(net_.sys_bind(p, lfd, 7105), 0);
+  ASSERT_EQ(net_.sys_listen(p, lfd, 4), 0);
+  int cli = static_cast<int>(net_.sys_socket(p, kSockNonblock));
+  ASSERT_EQ(net_.sys_connect(p, cli, 7105), 0);
+  const std::size_t fds0 = p.fds.open_count();
+
+  // Nothing was sent, so the recv is EAGAIN and copies nothing: the first
+  // copy-out is the fd slot's.
+  fault::SiteConfig cfg;
+  cfg.nth = 1;
+  fault::kfail().arm(fault::Site::kCopyOut, cfg);
+  char buf[32] = {};
+  int connfd = -1;
+  const SysRet r = consolidation::sys_accept_recv(kernel_, p, lfd, buf,
+                                                  sizeof(buf), &connfd);
+  fault::kfail().disarm_all();
+  EXPECT_EQ(r, sysret_err(Errno::kEFAULT));
+  EXPECT_EQ(connfd, -1);
+  EXPECT_EQ(p.fds.open_count(), fds0);
+  // The dropped connection reads as closed to its client.
+  EXPECT_EQ(net_.sys_recv(p, cli, buf, sizeof(buf)), 0);
   proc_.close(cli);
   proc_.close(lfd);
 }
@@ -383,7 +415,7 @@ TEST_F(NetTest, ConsolidatedSendfileMovesBytesKernelSide) {
   Trio t = make_pair_on(7110);
   std::uint64_t from0 = proc_.task().bytes_from_user;
   std::uint64_t to0 = proc_.task().bytes_to_user;
-  SysRet n = consolidation::sys_sendfile(net_, kernel_, p, t.srv, "/doc.bin",
+  SysRet n = consolidation::sys_sendfile(kernel_, p, t.srv, "/doc.bin",
                                          0, kSize);
   EXPECT_EQ(n, static_cast<SysRet>(kSize));
   // Only the path crossed the boundary; the payload moved kernel-side.
@@ -402,10 +434,10 @@ TEST_F(NetTest, ConsolidatedSendfileMovesBytesKernelSide) {
   EXPECT_EQ(buf[0], 'd');
 
   // Errno paths stay uniform: bad socket fd first, then bad path.
-  EXPECT_EQ(consolidation::sys_sendfile(net_, kernel_, p, 99, "/doc.bin", 0,
+  EXPECT_EQ(consolidation::sys_sendfile(kernel_, p, 99, "/doc.bin", 0,
                                         16),
             sysret_err(Errno::kEBADF));
-  EXPECT_EQ(consolidation::sys_sendfile(net_, kernel_, p, t.srv, "/missing",
+  EXPECT_EQ(consolidation::sys_sendfile(kernel_, p, t.srv, "/missing",
                                         0, 16),
             sysret_err(Errno::kENOENT));
   proc_.close(t.cli);

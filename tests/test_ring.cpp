@@ -49,11 +49,10 @@ class RingTest : public ::testing::Test {
   }
 
   /// Write a NUL-terminated path into the arena at `off`.
-  std::uint32_t put_path(Ring& rg, std::uint64_t off, const std::string& s) {
+  void put_path(Ring& rg, std::uint64_t off, const std::string& s) {
     std::byte* d = rg.user_data(off, s.size() + 1);
     EXPECT_NE(d, nullptr);
     std::memcpy(d, s.c_str(), s.size() + 1);
-    return static_cast<std::uint32_t>(s.size() + 1);
   }
 
   std::vector<Cqe> reap_all(Ring& rg) {
@@ -137,10 +136,8 @@ TEST_F(RingTest, OneCrossingPerEnterAndCopyAttribution) {
   for (std::uint64_t i = 0; i < 6; ++i) {
     Sqe s{};
     s.user_data = i;
-    s.op = RingOp::kRead;
-    s.fd = rfd;
-    s.addr = i * 64;
-    s.len = 64;
+    s.nr = uk::Sys::kRead;
+    s.args = {uk::Kernel::iarg(rfd), i * 64, 64};
     ASSERT_TRUE(m.rg->user_prepare(s));
   }
   const std::uint64_t sys0 = proc_.task().syscalls;
@@ -166,18 +163,15 @@ TEST_F(RingTest, EbadfBeforeEfaultThroughDrain) {
   Mapped m = make_ring(8, 256);
   // Bad fd AND an out-of-arena buffer: the descriptor check must win,
   // exactly as it does through the classic gateway.
-  struct Case {
-    RingOp op;
-  } cases[] = {{RingOp::kRead}, {RingOp::kWrite}, {RingOp::kRecv},
-               {RingOp::kSend}};
   std::uint64_t ud = 0;
-  for (const Case& c : cases) {
+  for (uk::Sys nr :
+       {uk::Sys::kRead, uk::Sys::kWrite, uk::Sys::kRecv, uk::Sys::kSend}) {
     Sqe s{};
     s.user_data = ud++;
-    s.op = c.op;
-    s.fd = 777;           // no such descriptor
-    s.addr = 1 << 20;     // far outside the 256-byte arena -> nullptr
-    s.len = 64;
+    s.nr = nr;
+    // No such descriptor, and a buffer far outside the 256-byte arena
+    // (-> nullptr).
+    s.args = {777, 1 << 20, 64};
     ASSERT_TRUE(m.rg->user_prepare(s));
   }
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 4);
@@ -192,10 +186,8 @@ TEST_F(RingTest, EbadfBeforeEfaultThroughDrain) {
   ASSERT_GE(fd, 0);
   Sqe s{};
   s.user_data = 90;
-  s.op = RingOp::kWrite;
-  s.fd = fd;
-  s.addr = 1 << 20;
-  s.len = 64;
+  s.nr = uk::Sys::kWrite;
+  s.args = {uk::Kernel::iarg(fd), 1 << 20, 64};
   ASSERT_TRUE(m.rg->user_prepare(s));
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 1);
   std::vector<Cqe> c2 = reap_all(*m.rg);
@@ -210,7 +202,6 @@ TEST_F(RingTest, EbadfBeforeEfaultThroughDrain) {
 TEST_F(RingTest, SqBackpressureWhenFull) {
   Mapped m = make_ring(8, 256);
   Sqe s{};
-  s.op = RingOp::kNop;
   for (std::uint64_t i = 0; i < 8; ++i) {
     s.user_data = i;
     EXPECT_TRUE(m.rg->user_prepare(s));
@@ -229,7 +220,6 @@ TEST_F(RingTest, CqOverflowStallsDrainInsteadOfDroppping) {
     for (std::size_t i = 0; i < n; ++i) {
       Sqe s{};
       s.user_data = base + i;
-      s.op = RingOp::kNop;
       ASSERT_TRUE(m.rg->user_prepare(s));
     }
   };
@@ -257,7 +247,6 @@ TEST_F(RingTest, CloseWithInflightCancelsQueuedSqes) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     Sqe s{};
     s.user_data = i;
-    s.op = RingOp::kNop;
     ASSERT_TRUE(m.rg->user_prepare(s));
   }
   EXPECT_EQ(proc_.close(m.fd), 0);
@@ -282,7 +271,6 @@ TEST_F(RingTest, DupHoldsRingOpen) {
   EXPECT_EQ(proc_.close(m.fd), 0);
   EXPECT_FALSE(m.rg->closed());  // the dup still references it
   Sqe s{};
-  s.op = RingOp::kNop;
   ASSERT_TRUE(m.rg->user_prepare(s));
   EXPECT_EQ(rdev_.sys_ring_enter(p(), d, RingDev::kDrainAll, 0, 0), 1);
   EXPECT_EQ(proc_.close(d), 0);
@@ -293,29 +281,25 @@ TEST_F(RingTest, DupHoldsRingOpen) {
 
 TEST_F(RingTest, LinkedChainCancelsAfterError) {
   Mapped m = make_ring(8, 512);
-  std::uint32_t plen = put_path(*m.rg, 0, "/does-not-exist");
+  put_path(*m.rg, 0, "/does-not-exist");
   // open(ENOENT) -> read -> close: the failure's errno lands on op 0,
   // everything linked behind it is -ECANCELED.
   Sqe o{};
   o.user_data = 1;
-  o.op = RingOp::kOpen;
+  o.nr = uk::Sys::kOpen;
   o.flags = kSqeLink;
-  o.addr = 0;
-  o.len = plen;
-  o.aux = fs::kORdOnly;
+  o.args = {0, fs::kORdOnly, 0644};
   ASSERT_TRUE(m.rg->user_prepare(o));
   Sqe r{};
   r.user_data = 2;
-  r.op = RingOp::kRead;
+  r.nr = uk::Sys::kRead;
   r.flags = kSqeLink;
-  r.fd = kFdChain;
-  r.addr = 256;
-  r.len = 64;
+  r.args = {kFdChain, 256, 64};
   ASSERT_TRUE(m.rg->user_prepare(r));
   Sqe c{};
   c.user_data = 3;
-  c.op = RingOp::kClose;
-  c.fd = kFdChain;
+  c.nr = uk::Sys::kClose;
+  c.args = {kFdChain};
   ASSERT_TRUE(m.rg->user_prepare(c));
 
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 3);
@@ -332,7 +316,7 @@ TEST_F(RingTest, FailedChainRollsBackOpenedFds) {
   int f = proc_.open("/roll", fs::kOWrOnly | fs::kOCreat);
   ASSERT_GE(f, 0);
   proc_.close(f);
-  std::uint32_t plen = put_path(*m.rg, 0, "/roll");
+  put_path(*m.rg, 0, "/roll");
   const std::size_t fds0 = p().fds.open_count();
 
   // open(ok) -> read -> write(bad fd, EBADF): cancel-on-error fires
@@ -341,26 +325,20 @@ TEST_F(RingTest, FailedChainRollsBackOpenedFds) {
   // chain, and the user never sees a number they must not use.
   Sqe o{};
   o.user_data = 1;
-  o.op = RingOp::kOpen;
+  o.nr = uk::Sys::kOpen;
   o.flags = kSqeLink;
-  o.addr = 0;
-  o.len = plen;
-  o.aux = fs::kORdOnly;
+  o.args = {0, fs::kORdOnly, 0644};
   ASSERT_TRUE(m.rg->user_prepare(o));
   Sqe r{};
   r.user_data = 2;
-  r.op = RingOp::kRead;
+  r.nr = uk::Sys::kRead;
   r.flags = kSqeLink;
-  r.fd = kFdChain;
-  r.addr = 256;
-  r.len = 64;
+  r.args = {kFdChain, 256, 64};
   ASSERT_TRUE(m.rg->user_prepare(r));
   Sqe w{};
   w.user_data = 3;
-  w.op = RingOp::kWrite;
-  w.fd = 912;  // nonsense fd: fails with EBADF
-  w.addr = 256;
-  w.len = 64;
+  w.nr = uk::Sys::kWrite;
+  w.args = {uk::Kernel::iarg(912), 256, 64};
   ASSERT_TRUE(m.rg->user_prepare(w));
 
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 3);
@@ -377,7 +355,6 @@ TEST_F(RingTest, DanglingLinkIsMalformed) {
   Mapped m = make_ring(8, 256);
   Sqe s{};
   s.user_data = 7;
-  s.op = RingOp::kNop;
   s.flags = kSqeLink;  // links into... nothing
   ASSERT_TRUE(m.rg->user_prepare(s));
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 1);
@@ -385,6 +362,74 @@ TEST_F(RingTest, DanglingLinkIsMalformed) {
   ASSERT_EQ(cqes.size(), 1u);
   EXPECT_EQ(cqes[0].res, sysret_err(Errno::kEINVAL));
   EXPECT_EQ(m.rg->stats().chains_malformed, 1u);
+  proc_.close(m.fd);
+}
+
+// A path register must name a string that ends inside the arena: one
+// that runs off its end, or starts past it, fails EFAULT like a wild
+// classic pointer -- for every path register of every call.
+TEST_F(RingTest, PathMustEndInsideTheArena) {
+  Mapped m = make_ring(8, 256);
+  put_path(*m.rg, 0, "/p");
+  std::memset(m.rg->user_data(200, 56), 'x', 56);  // no NUL up to the end
+  const std::uint64_t kStat = 64;  // StatBuf window
+  const Sqe cases[] = {
+      {.user_data = 1, .nr = uk::Sys::kOpen, .args = {200, fs::kORdOnly}},
+      {.user_data = 2, .nr = uk::Sys::kStat, .args = {256, kStat}},
+      {.user_data = 3, .nr = uk::Sys::kMkdir, .args = {1 << 20, 0755}},
+      {.user_data = 4, .nr = uk::Sys::kRename, .args = {0, 200}},
+  };
+  for (const Sqe& s : cases) ASSERT_TRUE(m.rg->user_prepare(s));
+  EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 4);
+  std::vector<Cqe> cqes = reap_all(*m.rg);
+  ASSERT_EQ(cqes.size(), 4u);
+  for (const Cqe& c : cqes) {
+    EXPECT_EQ(c.res, sysret_err(Errno::kEFAULT)) << "ud=" << c.user_data;
+  }
+  // The same calls with terminated paths reach the filesystem.
+  const Sqe ok[] = {
+      {.user_data = 5, .nr = uk::Sys::kMkdir, .args = {0, 0755}},
+      {.user_data = 6, .nr = uk::Sys::kStat, .args = {0, kStat}},
+  };
+  for (const Sqe& s : ok) ASSERT_TRUE(m.rg->user_prepare(s));
+  EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 2);
+  for (const Cqe& c : reap_all(*m.rg)) EXPECT_EQ(c.res, 0);
+  proc_.close(m.fd);
+}
+
+// kFdChain resolves in any descriptor register, not only the first:
+// socket -> bind -> listen on the chain's socket, then register it with
+// an epoll instance as epoll_ctl's third argument.
+TEST_F(RingTest, FdChainResolvesInAnyDescriptorRegister) {
+  Mapped m = make_ring(8, 256);
+  const int ep = static_cast<int>(net_.sys_epoll_create(p()));
+  ASSERT_GE(ep, 0);
+  const Sqe chain[] = {
+      {.user_data = 1, .nr = uk::Sys::kSocket, .flags = kSqeLink,
+       .args = {net::kSockNonblock}},
+      {.user_data = 2, .nr = uk::Sys::kBind, .flags = kSqeLink,
+       .args = {kFdChain, 7210}},
+      {.user_data = 3, .nr = uk::Sys::kListen, .flags = kSqeLink,
+       .args = {kFdChain, 4}},
+      {.user_data = 4, .nr = uk::Sys::kEpollCtl,
+       .args = {uk::Kernel::iarg(ep), net::kEpollCtlAdd, kFdChain,
+                net::kEpollIn}},
+  };
+  for (const Sqe& s : chain) ASSERT_TRUE(m.rg->user_prepare(s));
+  EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 4);
+  std::vector<Cqe> cqes = reap_all(*m.rg);
+  const SysRet lfd = res_of(cqes, 1);
+  ASSERT_GE(lfd, 0);
+  for (std::uint64_t ud = 2; ud <= 4; ++ud) EXPECT_EQ(res_of(cqes, ud), 0);
+  // The listener is live and watched: a connect makes it readable.
+  const int cli = static_cast<int>(net_.sys_socket(p(), net::kSockNonblock));
+  ASSERT_EQ(net_.sys_connect(p(), cli, 7210), 0);
+  net::EpollEvent ev[2];
+  EXPECT_EQ(net_.sys_epoll_wait(p(), ep, ev, 2, 0), 1);
+  EXPECT_EQ(ev[0].fd, lfd);
+  proc_.close(cli);
+  proc_.close(static_cast<int>(lfd));
+  proc_.close(ep);
   proc_.close(m.fd);
 }
 
@@ -403,16 +448,14 @@ TEST_F(RingTest, AcceptRecvChainOverLoopback) {
   // accept -> recv(kFdChain): the chain subsumes accept_recv.
   Sqe a{};
   a.user_data = 1;
-  a.op = RingOp::kAccept;
+  a.nr = uk::Sys::kAccept;
   a.flags = kSqeLink;
-  a.fd = lfd;
+  a.args = {uk::Kernel::iarg(lfd)};
   ASSERT_TRUE(m.rg->user_prepare(a));
   Sqe r{};
   r.user_data = 2;
-  r.op = RingOp::kRecv;
-  r.fd = kFdChain;
-  r.addr = 0;
-  r.len = 64;
+  r.nr = uk::Sys::kRecv;
+  r.args = {kFdChain, 0, 64};
   ASSERT_TRUE(m.rg->user_prepare(r));
 
   const std::uint64_t sys0 = proc_.task().syscalls;
@@ -429,6 +472,69 @@ TEST_F(RingTest, AcceptRecvChainOverLoopback) {
   proc_.close(m.fd);
 }
 
+// accept_recv's connection comes back through its out slot, yet it is
+// the chain's fd: kFdChain names it, and a failed chain closes it.
+TEST_F(RingTest, AcceptRecvConnectionIsTheChainFd) {
+  Mapped m = make_ring(8, 512);
+  const int lfd = static_cast<int>(net_.sys_socket(p(), net::kSockNonblock));
+  ASSERT_EQ(net_.sys_bind(p(), lfd, 7201), 0);
+  ASSERT_EQ(net_.sys_listen(p(), lfd, 4), 0);
+  int clis[2];
+  for (int& cli : clis) {
+    cli = static_cast<int>(net_.sys_socket(p(), net::kSockNonblock));
+    ASSERT_EQ(net_.sys_connect(p(), cli, 7201), 0);
+    ASSERT_EQ(net_.sys_send(p(), cli, "ping", 4), 4);
+  }
+  const std::size_t fds0 = p().fds.open_count();
+  auto accept_recv = [&](std::uint64_t ud) {
+    Sqe a{};
+    a.user_data = ud;
+    a.nr = uk::Sys::kAcceptRecv;
+    a.flags = kSqeLink;
+    a.args = {uk::Kernel::iarg(lfd), 0, 64, 128};
+    ASSERT_TRUE(m.rg->user_prepare(a));
+  };
+
+  // accept_recv -> send(kFdChain): the reply reaches the first client.
+  accept_recv(1);
+  std::memcpy(m.rg->user_data(256, 4), "pong", 4);
+  Sqe s{};
+  s.user_data = 2;
+  s.nr = uk::Sys::kSend;
+  s.args = {kFdChain, 256, 4};
+  ASSERT_TRUE(m.rg->user_prepare(s));
+  EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 2);
+  std::vector<Cqe> cqes = reap_all(*m.rg);
+  EXPECT_EQ(res_of(cqes, 1), 4);
+  EXPECT_EQ(res_of(cqes, 2), 4);
+  int connfd = -1;
+  std::memcpy(&connfd, m.rg->user_data(128, sizeof connfd), sizeof connfd);
+  ASSERT_GE(connfd, 0);
+  char buf[8] = {};
+  EXPECT_EQ(net_.sys_recv(p(), clis[0], buf, sizeof buf), 4);
+  EXPECT_EQ(std::memcmp(buf, "pong", 4), 0);
+  proc_.close(connfd);
+
+  // accept_recv -> read(bad fd): the chain fails and its connection is
+  // closed again, its CQE rewritten to -ECANCELED.
+  accept_recv(3);
+  Sqe bad{};
+  bad.user_data = 4;
+  bad.nr = uk::Sys::kRead;
+  bad.args = {999, 256, 4};
+  ASSERT_TRUE(m.rg->user_prepare(bad));
+  EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 2);
+  cqes = reap_all(*m.rg);
+  EXPECT_EQ(res_of(cqes, 3), sysret_err(Errno::kECANCELED));
+  EXPECT_EQ(res_of(cqes, 4), sysret_err(Errno::kEBADF));
+  EXPECT_EQ(m.rg->stats().fds_rolled_back, 1u);
+  EXPECT_EQ(p().fds.open_count(), fds0);
+  EXPECT_EQ(net_.sys_recv(p(), clis[1], buf, sizeof buf), 0);
+  for (int cli : clis) proc_.close(cli);
+  proc_.close(lfd);
+  proc_.close(m.fd);
+}
+
 // --- fault injection ---------------------------------------------------------
 
 TEST_F(RingTest, SqeCorruptHardFailsTheChain) {
@@ -439,7 +545,6 @@ TEST_F(RingTest, SqeCorruptHardFailsTheChain) {
   Mapped m = make_ring(8, 256);
   Sqe s{};
   s.user_data = 1;
-  s.op = RingOp::kNop;
   s.flags = kSqeLink;
   ASSERT_TRUE(m.rg->user_prepare(s));
   s.user_data = 2;
@@ -464,7 +569,6 @@ TEST_F(RingTest, SqeCorruptTransientRecovers) {
   for (std::uint64_t i = 0; i < 4; ++i) {
     Sqe s{};
     s.user_data = i;
-    s.op = RingOp::kNop;
     ASSERT_TRUE(m.rg->user_prepare(s));
   }
   const std::uint64_t k0 = proc_.task().times().kernel;
@@ -485,7 +589,6 @@ TEST_F(RingTest, CqeDropHardLosesExactlyOneCompletion) {
   for (std::uint64_t i = 0; i < 3; ++i) {
     Sqe s{};
     s.user_data = i;
-    s.op = RingOp::kNop;
     ASSERT_TRUE(m.rg->user_prepare(s));
   }
   // Three ops ran; the first completion vanished before posting.
@@ -506,7 +609,6 @@ TEST_F(RingTest, CqeDropTransientRepostsEverything) {
   for (std::uint64_t i = 0; i < 3; ++i) {
     Sqe s{};
     s.user_data = i;
-    s.op = RingOp::kNop;
     ASSERT_TRUE(m.rg->user_prepare(s));
   }
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 3);
@@ -532,29 +634,25 @@ TEST_F(RingTest, QuarantineDegradesToClassicDecomposition) {
   int f = proc_.open("/q", fs::kOWrOnly | fs::kOCreat);
   proc_.write(f, "xxxxxxxx", 8);
   proc_.close(f);
-  std::uint32_t plen = put_path(*m.rg, 512, "/q");
+  put_path(*m.rg, 512, "/q");
 
   auto submit_read_chain = [&](std::uint64_t base) {
     Sqe o{};
     o.user_data = base;
-    o.op = RingOp::kOpen;
+    o.nr = uk::Sys::kOpen;
     o.flags = kSqeLink;
-    o.addr = 512;
-    o.len = plen;
-    o.aux = fs::kORdOnly;
+    o.args = {512, fs::kORdOnly, 0644};
     ASSERT_TRUE(m.rg->user_prepare(o));
     Sqe r{};
     r.user_data = base + 1;
-    r.op = RingOp::kRead;
+    r.nr = uk::Sys::kRead;
     r.flags = kSqeLink;
-    r.fd = kFdChain;
-    r.addr = 0;
-    r.len = 8;
+    r.args = {kFdChain, 0, 8};
     ASSERT_TRUE(m.rg->user_prepare(r));
     Sqe c{};
     c.user_data = base + 2;
-    c.op = RingOp::kClose;
-    c.fd = kFdChain;
+    c.nr = uk::Sys::kClose;
+    c.args = {kFdChain};
     ASSERT_TRUE(m.rg->user_prepare(c));
   };
 
@@ -611,7 +709,6 @@ TEST_F(RingTest, FuelQuotaTripsEdquot) {
   for (std::uint64_t i = 0; i < 4; ++i) {
     Sqe sq{};
     sq.user_data = i;
-    sq.op = RingOp::kNop;
     ASSERT_TRUE(m.rg->user_prepare(sq));
   }
   // Chains 1+2 fit the fuel; chain 3 trips the cap and completes with
@@ -634,7 +731,6 @@ TEST_F(RingTest, MinCompleteParksUntilProducerSubmits) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     Sqe s{};
     s.user_data = 1;
-    s.op = RingOp::kNop;
     // Flag BEFORE the prepare: the doorbell in user_prepare wakes the
     // parked enter instantly, so a store after it races the drain.
     submitted.store(true, std::memory_order_release);
@@ -665,7 +761,6 @@ TEST_F(RingTest, ProcRingSurface) {
   rdev_.register_proc(pfs);
   Mapped m = make_ring(8, 256);
   Sqe s{};
-  s.op = RingOp::kNop;
   ASSERT_TRUE(m.rg->user_prepare(s));
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 1);
 
@@ -700,7 +795,6 @@ TEST_F(RingTest, SmpProducersAndDrainerStress) {
       for (std::size_t i = 0; i < kPerProducer; ++i) {
         Sqe s{};
         s.user_data = t * 1000 + i;
-        s.op = RingOp::kNop;
         while (!m.rg->user_prepare(s)) std::this_thread::yield();
       }
     });

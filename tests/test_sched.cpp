@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sched/scheduler.hpp"
+#include "numbered.hpp"
 
 namespace usk::sched {
 namespace {
@@ -294,7 +295,7 @@ TEST(SmpTest, SmpStealStressKeepsEveryTaskRunningOnce) {
     std::vector<Task*> tasks;
     tasks.reserve(kTasks);
     for (int i = 0; i < kTasks; ++i) {
-      Task& t = s.spawn("w" + std::to_string(i));
+      Task& t = s.spawn(testutil::numbered("w", i));
       s.bind(t, static_cast<std::size_t>(i % 2));  // skew: 2 home queues
       tasks.push_back(&t);
     }

@@ -18,6 +18,7 @@
 #include "fs/dcache.hpp"
 #include "mm/kmalloc.hpp"
 #include "uk/userlib.hpp"
+#include "numbered.hpp"
 
 namespace usk {
 namespace {
@@ -53,7 +54,7 @@ TEST(SmpDcacheTest, ShardsPartitionTheNamespace) {
   EXPECT_EQ(dc.shard_count(), 16u);
   EXPECT_EQ(dc.shard_capacity(), 64u);
   for (int i = 0; i < 500; ++i) {
-    dc.insert(1, "f" + std::to_string(i), 100 + i);
+    dc.insert(1, testutil::numbered("f", i), 100 + i);
   }
   std::size_t total = 0;
   std::size_t populated = 0;
@@ -83,7 +84,7 @@ TEST(SmpDcacheTest, ConcurrentMixedOperationsKeepInvariants) {
         x ^= x >> 17;
         x ^= x << 5;
         fs::InodeNum parent = 1 + (x % 4);
-        std::string name = "n" + std::to_string(x % 200);
+        std::string name = testutil::numbered("n", x % 200);
         switch (x % 10) {
           case 0:
             dc.invalidate(parent, name);
@@ -181,7 +182,7 @@ TEST(SmpDcacheTest, OneShardMatchesGlobalLockReferenceModel) {
     x ^= x >> 17;
     x ^= x << 5;
     fs::InodeNum parent = 1 + (x % 3);
-    std::string name = "e" + std::to_string(x % 60);
+    std::string name = testutil::numbered("e", x % 60);
     switch (x % 12) {
       case 0:
         dc.invalidate(parent, name);
@@ -312,7 +313,7 @@ TEST(SmpDispatchTest, ParallelSyscallsKeepGlobalAccounting) {
   std::vector<std::unique_ptr<uk::Proc>> procs;
   for (int t = 0; t < kThreads; ++t) {
     procs.push_back(
-        std::make_unique<uk::Proc>(kernel, "w" + std::to_string(t)));
+        std::make_unique<uk::Proc>(kernel, testutil::numbered("w", t)));
     char path[32];
     std::snprintf(path, sizeof(path), "/d/f%d", t);
     int fd = setup.open(path, fs::kOWrOnly | fs::kOCreat);

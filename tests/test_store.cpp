@@ -32,6 +32,7 @@
 #include "uk/kproc.hpp"
 #include "uk/userlib.hpp"
 #include "temp_dir.hpp"
+#include "numbered.hpp"
 
 namespace usk {
 namespace {
@@ -590,7 +591,7 @@ TEST_F(StoreTest, TornPayloadDiscardsItsUnitAndEverythingAfter) {
     }
     return b;
   };
-  auto name = [](int k) { return "f" + std::to_string(k); };
+  auto name = [](int k) { return testutil::numbered("f", k); };
   {
     blockdev::Disk disk(4096);
     blockdev::BufferCache cache(disk, 256);

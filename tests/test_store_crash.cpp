@@ -38,6 +38,7 @@
 #include "store/image.hpp"
 #include "store/store.hpp"
 #include "temp_dir.hpp"
+#include "numbered.hpp"
 
 namespace usk {
 namespace {
@@ -65,7 +66,7 @@ std::vector<std::byte> file_body(int k) {
   return b;
 }
 
-std::string file_name(int k) { return "f" + std::to_string(k); }
+std::string file_name(int k) { return testutil::numbered("f", k); }
 
 /// What kind of write would the cut destroy first?
 enum class CutKind {

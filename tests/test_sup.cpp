@@ -9,6 +9,7 @@
 // perturb the expected counts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -316,6 +317,91 @@ TEST_F(SupTest, FdQuotaAbortsCompound) {
     if (e.vkind == ViolationKind::kQuotaFds) saw = true;
   }
   EXPECT_TRUE(saw);
+}
+
+// accept_recv hands its connection back through an out slot, not its
+// result; the compound's fd ledger still owns it, so the fd quota counts
+// it and the quota abort closes it.
+TEST_F(SupTest, FdQuotaCountsAcceptRecvConnections) {
+  net::Net net(kernel_);
+  uk::Process& p = proc_.process();
+  const int lfd = static_cast<int>(net.sys_socket(p, net::kSockNonblock));
+  ASSERT_EQ(net.sys_bind(p, lfd, 7310), 0);
+  ASSERT_EQ(net.sys_listen(p, lfd, 4), 0);
+  std::vector<int> clis;
+  for (int i = 0; i < 3; ++i) {
+    clis.push_back(static_cast<int>(net.sys_socket(p, net::kSockNonblock)));
+    ASSERT_EQ(net.sys_connect(p, clis.back(), 7310), 0);
+    ASSERT_EQ(net.sys_send(p, clis.back(), "GET", 3), 3);
+  }
+  const std::size_t fds0 = p.fds.open_count();
+
+  Supervisor s(kernel_);
+  cosy::CosyExtension ext(kernel_);
+  Quota q;
+  q.invocation_fds = 2;
+  ExtId id = s.register_extension("arecv-fds", Vehicle::kCosy, q);
+  s.set_policy(quick_policy());
+  ext.supervise(&s, id);
+
+  cosy::CompoundBuilder b;
+  for (int i = 0; i < 3; ++i) {
+    const std::array<cosy::Arg, 4> args = {
+        cosy::imm(lfd), cosy::shared(64 * i), cosy::imm(32),
+        cosy::shared(256 + 8 * i)};
+    b.sys(uk::Sys::kAcceptRecv, args);
+  }
+  cosy::SharedBuffer shared(1 << 12);
+  cosy::CosyResult r = ext.execute(p, b.finish(), shared);
+  EXPECT_EQ(r.ret, sysret_err(Errno::kEDQUOT));
+  EXPECT_EQ(r.results[0], 3);
+  EXPECT_EQ(r.results[1], 3);
+  EXPECT_EQ(ext.stats().fds_rolled_back, 3u);
+  EXPECT_EQ(p.fds.open_count(), fds0);
+  bool saw = false;
+  for (const sup::SupEvent& e : s.events()) {
+    if (e.vkind == ViolationKind::kQuotaFds) saw = true;
+  }
+  EXPECT_TRUE(saw);
+  // The closed connections read as closed to their clients.
+  char buf[8];
+  for (int cli : clis) {
+    EXPECT_EQ(net.sys_recv(p, cli, buf, sizeof(buf)), 0);
+    proc_.close(cli);
+  }
+  proc_.close(lfd);
+}
+
+// An unsupervised compound that accepts a connection and then aborts
+// closes it, like any descriptor the compound opened.
+TEST_F(SupTest, CompoundAbortClosesAcceptRecvConnection) {
+  net::Net net(kernel_);
+  uk::Process& p = proc_.process();
+  const int lfd = static_cast<int>(net.sys_socket(p, net::kSockNonblock));
+  ASSERT_EQ(net.sys_bind(p, lfd, 7311), 0);
+  ASSERT_EQ(net.sys_listen(p, lfd, 4), 0);
+  const int cli = static_cast<int>(net.sys_socket(p, net::kSockNonblock));
+  ASSERT_EQ(net.sys_connect(p, cli, 7311), 0);
+  const std::size_t fds0 = p.fds.open_count();
+
+  cosy::CosyExtension ext(kernel_);
+  cosy::CompoundBuilder b;
+  // Nothing was sent: the recv half is EAGAIN, the connection still
+  // comes back through the slot.
+  const std::array<cosy::Arg, 4> args = {cosy::imm(lfd), cosy::shared(0),
+                                         cosy::imm(32), cosy::shared(64)};
+  b.sys(uk::Sys::kAcceptRecv, args);
+  b.arith(0, cosy::ArithOp::kDiv, cosy::imm(1), cosy::imm(0));
+  cosy::SharedBuffer shared(1 << 12);
+  cosy::CosyResult r = ext.execute(p, b.finish(), shared);
+  EXPECT_EQ(r.results[0], sysret_err(Errno::kEAGAIN));
+  EXPECT_EQ(r.ret, sysret_err(Errno::kEINVAL));
+  EXPECT_EQ(ext.stats().fds_rolled_back, 1u);
+  EXPECT_EQ(p.fds.open_count(), fds0);
+  char buf[8];
+  EXPECT_EQ(net.sys_recv(p, cli, buf, sizeof(buf)), 0);
+  proc_.close(cli);
+  proc_.close(lfd);
 }
 
 TEST_F(SupTest, UnitQuotaAbortsCompound) {

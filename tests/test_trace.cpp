@@ -19,6 +19,7 @@
 #include "trace/ktrace.hpp"
 #include "trace/tracepoint.hpp"
 #include "uk/userlib.hpp"
+#include "numbered.hpp"
 
 namespace usk {
 namespace {
@@ -209,7 +210,7 @@ TEST_F(KtraceTest, LosslessUnderParallelSyscallDispatch) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&kernel, t] {
-      uk::Proc p(kernel, "w" + std::to_string(t));
+      uk::Proc p(kernel, testutil::numbered("w", t));
       std::string path = "/f" + std::to_string(t);
       int fd = p.open(path.c_str(), fs::kOWrOnly | fs::kOCreat);
       char block[64] = {};

@@ -1,23 +1,25 @@
-// Cross-vehicle differential oracle: one syscall semantics for every
-// vehicle.
+// Cross-vehicle differential oracle: one syscall vocabulary, one semantics
+// for every vehicle.
 //
-// Seeded random programs of file syscalls -- bad descriptors, out-of-range
-// buffers, missing and over-long paths included -- run as classic calls,
-// as one Cosy compound, and (for the ops the ring supports: open, close,
-// read, write, fstat) as unlinked ring SQEs. Every run gets a fresh
-// Kernel + MemFs. All vehicles must return the same per-op results and
-// errnos and leave the same tree (paths, types, bytes), the same open
-// descriptors and the same bytes in their data window.
+// Programs are generated from the syscall signature table: each op is a
+// nestable table entry, and each argument register gets a value picked by
+// its kind -- a descriptor (a setup fd, an earlier op's result, or a bad
+// one), a path (missing and over-long ones included), a buffer window in
+// the data window (sometimes past its end), or a bounded immediate.
+// Sockets are nonblocking and epoll_wait never waits, so nothing parks.
+// Every run gets a fresh Kernel + MemFs + Net + ring. Classic calls, one
+// Cosy compound and unlinked ring SQEs must return the same per-op results
+// and errnos and leave the same tree (paths, types, bytes), the same open
+// descriptors, the same socket table and queued bytes, and the same bytes
+// in their data window. The oracle asserts that it ran, and saw succeed,
+// every nestable table entry in every vehicle.
 //
-// The abort oracle kills a compound (kfail `cosy` site, before op k) and
-// the same program run as one linked ring chain (kfail `ring.sqe_corrupt`,
-// at op k). Neither may leave a descriptor the program opened, and both
-// must leave the tree exactly as ops 0..k-1 left it.
-//
-// The net oracle runs seeded accept/recv/send/shutdown programs on
-// nonblocking loopback pairs (nothing parks) as classic Net::sys_* calls
-// and as unlinked ring SQEs, comparing results, the socket table, the
-// bytes each socket still holds and the open descriptors.
+// The abort oracle kills a compound (kfail `cosy` site before op k; a kdl
+// deadline expiry before op k) and the same program run as one linked
+// ring chain (kfail `ring.sqe_corrupt` at op k; kdl expiry at op k).
+// Neither may leave behind a descriptor the program opened -- the
+// kernel's fd ledger closes them -- and both must leave the tree exactly
+// as ops 0..k-1 left it.
 //
 // The consolidation oracle runs seeded open_read_close / open_write_close
 // / open_fstat requests against their classic open/lseek/io/close
@@ -29,19 +31,23 @@
 // ConsolidatedUpFrontChecksAreTheIntendedDifference asserts them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "base/rng.hpp"
 #include "consolidation/newcalls.hpp"
-#include "consolidation/servercalls.hpp"
 #include "cosy/compound.hpp"
 #include "cosy/exec.hpp"
 #include "cosy/shared_buffer.hpp"
+#include "dl/dl.hpp"
 #include "fault/kfail.hpp"
 #include "net/net.hpp"
 #include "ring/ring.hpp"
@@ -51,6 +57,7 @@
 namespace usk {
 namespace {
 
+using uk::ArgType;
 using uk::Kernel;
 using uk::Sys;
 
@@ -58,71 +65,127 @@ using uk::Sys;
 /// array (classic), the shared buffer (Cosy), the ring arena above the
 /// path slot (ring).
 constexpr std::size_t kWindow = 4096;
-/// Ring arena bytes below the data window, holding the open path.
-constexpr std::size_t kPathSlot = 8192;
-/// Stands in for the fd of a failed open and for "no fd at all".
+/// Ring arena bytes below the data window, holding the SQEs' paths.
+constexpr std::size_t kPathSlot = 16384;
+/// Stands in for the fd of a failed call and for "no fd at all".
 constexpr int kBadFd = 999;
+constexpr std::uint16_t kPort = 7000;
 
-enum class Kind {
-  kOpen, kClose, kRead, kWrite, kFstat,  // the ring's subset comes first
-  kLseek, kStat, kReaddir, kUnlink, kMkdir,
+/// Every nestable table entry. The oracles must run each one in every
+/// vehicle, so a new table entry fails here until the test covers it.
+const std::set<Sys>& all_calls() {
+  static const std::set<Sys> kCalls = {
+      Sys::kOpen,          Sys::kClose,          Sys::kRead,
+      Sys::kWrite,         Sys::kLseek,          Sys::kStat,
+      Sys::kFstat,         Sys::kReaddir,        Sys::kUnlink,
+      Sys::kMkdir,         Sys::kRmdir,          Sys::kRename,
+      Sys::kTruncate,      Sys::kGetpid,         Sys::kSync,
+      Sys::kLink,          Sys::kChmod,          Sys::kDup,
+      Sys::kFsync,         Sys::kFdatasync,      Sys::kReaddirPlus,
+      Sys::kOpenReadClose, Sys::kOpenWriteClose, Sys::kOpenFstat,
+      Sys::kAcceptRecv,    Sys::kSendfile,       Sys::kSocket,
+      Sys::kBind,          Sys::kListen,         Sys::kAccept,
+      Sys::kConnect,       Sys::kSend,           Sys::kRecv,
+      Sys::kShutdown,      Sys::kEpollCreate,    Sys::kEpollCtl,
+      Sys::kEpollWait,
+  };
+  return kCalls;
+}
+
+/// The nestable entries as the table itself lists them.
+std::set<Sys> table_nestable() {
+  std::set<Sys> out;
+  for (std::size_t nr = 0; nr < static_cast<std::size_t>(Sys::kMaxSys);
+       ++nr) {
+    if (uk::sys_sig(static_cast<Sys>(nr)).nestable) {
+      out.insert(static_cast<Sys>(nr));
+    }
+  }
+  return out;
+}
+
+std::vector<Sys> every_call() {
+  return std::vector<Sys>(all_calls().begin(), all_calls().end());
+}
+
+/// The net family, plus the calls that create and drop its descriptors.
+std::vector<Sys> net_calls() {
+  return {Sys::kSocket,   Sys::kBind,        Sys::kListen,
+          Sys::kAccept,   Sys::kConnect,     Sys::kSend,
+          Sys::kRecv,     Sys::kShutdown,    Sys::kEpollCreate,
+          Sys::kEpollCtl, Sys::kEpollWait,   Sys::kAcceptRecv,
+          Sys::kSendfile, Sys::kClose,       Sys::kDup};
+}
+
+/// One argument register of a generated op; which field counts depends
+/// on the register's ArgType.
+struct Reg {
+  std::int64_t imm = 0;  ///< kImm; kFd with neither source below: kBadFd
+  int fd_op = -1;        ///< kFd: the op whose result names the fd
+  int setup = -1;        ///< kFd: an index into Machine::setup
+  std::string path;      ///< kPath
+  std::size_t off = 0;   ///< buffers: offset in the data window
 };
-constexpr std::size_t kRingKinds = 5;
-constexpr std::size_t kAllKinds = 10;
-
 struct POp {
-  Kind kind = Kind::kOpen;
-  std::string path;        ///< open, stat, unlink, mkdir
-  int flags = 0;           ///< open
-  int fd_op = -1;          ///< fd = what op fd_op returned; -1 = kBadFd
-  std::size_t off = 0;     ///< buffer offset in the data window
-  std::size_t len = 0;     ///< read/write/readdir length
-  std::int64_t seek = 0;   ///< lseek offset
-  int whence = 0;          ///< lseek whence
+  Sys nr{};
+  std::array<Reg, uk::kSysArgs> regs;
 };
 using Program = std::vector<POp>;
-
-std::size_t buf_len(const POp& op) {
-  return op.kind == Kind::kStat || op.kind == Kind::kFstat
-             ? sizeof(fs::StatBuf)
-             : op.len;
-}
-bool buf_ok(const POp& op) { return op.off + buf_len(op) <= kWindow; }
-
-/// The fd an op names, resolved against one run's own results.
-int fd_of(const POp& op, const std::vector<SysRet>& res) {
-  if (op.fd_op < 0 || res[static_cast<std::size_t>(op.fd_op)] < 0) {
-    return kBadFd;
-  }
-  return static_cast<int>(res[static_cast<std::size_t>(op.fd_op)]);
-}
 
 std::vector<std::byte> window_pattern() {
   std::vector<std::byte> w(kWindow);
   for (std::size_t i = 0; i < w.size(); ++i) {
     w[i] = static_cast<std::byte>(i * 7 + 3);
   }
+  // A zeroed head, so readdirplus cookies can start at 0.
+  std::fill(w.begin(), w.begin() + 64, std::byte{0});
   return w;
 }
 
-/// A fresh machine: kernel, root MemFs, and a ring device with one ring
-/// set up. Every vehicle's run builds the ring, so fd numbers line up.
+/// A fresh machine: kernel, root MemFs, a ring device with one ring set
+/// up, and the setup descriptors -- a nonblocking listener with three
+/// nonblocking clients connected to it (queued, not yet accepted; the
+/// first and the last have sent a request), a plain file and a directory
+/// open read-only, a bound socket and an epoll instance. Every vehicle's
+/// run builds the same machine, so fd numbers line up.
 struct Machine {
   Machine() {
     for (const char* d : {"/d", "/d/sub"}) {
       EXPECT_EQ(k.sys_mkdir(p, d, 0755), 0);
     }
-    std::vector<std::byte> seed = window_pattern();
+    const std::vector<std::byte> seed = window_pattern();
     for (auto [path, n] : {std::pair{"/a", 300}, std::pair{"/d/x", 100}}) {
       const SysRet fd = k.sys_open(p, path, fs::kOWrOnly | fs::kOCreat, 0644);
       EXPECT_GE(fd, 0);
-      EXPECT_EQ(k.sys_write(p, static_cast<int>(fd), seed.data(), n), n);
+      EXPECT_EQ(k.sys_write(p, static_cast<int>(fd), seed.data() + 64, n),
+                n);
       EXPECT_EQ(k.sys_close(p, static_cast<int>(fd)), 0);
     }
-    ringfd = static_cast<int>(
-        rdev.sys_ring_setup(p, 8, kPathSlot + kWindow));
+    ringfd = static_cast<int>(rdev.sys_ring_setup(p, 8, kPathSlot + kWindow));
     EXPECT_GE(ringfd, 0);
     ring = rdev.user_map(p, ringfd).value();
+
+    const int lsn = static_cast<int>(net.sys_socket(p, net::kSockNonblock));
+    EXPECT_EQ(net.sys_bind(p, lsn, kPort), 0);
+    EXPECT_EQ(net.sys_listen(p, lsn, 8), 0);
+    setup.push_back(lsn);
+    for (int i = 0; i < 3; ++i) {
+      const int c = static_cast<int>(net.sys_socket(p, net::kSockNonblock));
+      EXPECT_EQ(net.sys_connect(p, c, kPort), 0);
+      setup.push_back(c);
+    }
+    setup.push_back(static_cast<int>(k.sys_open(p, "/a", fs::kORdOnly, 0)));
+    setup.push_back(static_cast<int>(k.sys_open(p, "/d", fs::kORdOnly, 0)));
+    const int bound = static_cast<int>(net.sys_socket(p, net::kSockNonblock));
+    EXPECT_EQ(net.sys_bind(p, bound, kPort + 1), 0);
+    setup.push_back(bound);
+    setup.push_back(static_cast<int>(net.sys_epoll_create(p)));
+    EXPECT_EQ(net.sys_epoll_ctl(p, setup.back(), net::kEpollCtlAdd, lsn,
+                                net::kEpollIn),
+              0);
+    for (int fd : setup) EXPECT_GE(fd, 0);
+    EXPECT_EQ(net.sys_send(p, setup[1], seed.data() + 64, 200), 200);
+    EXPECT_EQ(net.sys_send(p, setup[3], seed.data() + 71, 300), 300);
   }
 
   static uk::KernelConfig config() {
@@ -132,6 +195,11 @@ struct Machine {
     return cfg;
   }
 
+  /// The descriptors the setup left open.
+  [[nodiscard]] std::set<int> setup_fds() const {
+    return std::set<int>(setup.begin(), setup.end());
+  }
+
   fs::MemFs fs;
   Kernel k{fs, config()};
   net::Net net{k};
@@ -139,7 +207,34 @@ struct Machine {
   uk::Process& p = k.spawn("diff");
   int ringfd = -1;
   std::shared_ptr<ring::Ring> ring;
+  /// The listener, the three clients, the read-only file, the directory
+  /// /d, a socket bound to kPort + 1 (not listening), and an epoll
+  /// instance watching the listener.
+  std::vector<int> setup;
 };
+constexpr std::size_t kSetupFds = 8;
+
+/// The descriptor a register names, resolved against one run's results.
+int fd_of(const Reg& r, const std::vector<SysRet>& res, const Machine& m) {
+  if (r.setup >= 0) return m.setup[static_cast<std::size_t>(r.setup)];
+  if (r.fd_op < 0) return static_cast<int>(r.imm);
+  const SysRet v = res[static_cast<std::size_t>(r.fd_op)];
+  return v < 0 ? kBadFd : static_cast<int>(v);
+}
+
+/// Bytes the buffer in register `i` spans: its length registers are
+/// immediates, the same in every vehicle.
+std::size_t buf_bytes(const POp& op, std::size_t i) {
+  uk::SysArgs a;
+  for (std::size_t j = 0; j < uk::kSysArgs; ++j) {
+    a.at(j) = static_cast<std::uint64_t>(op.regs[j].imm);
+  }
+  return uk::sys_sig(op.nr).buf_bytes(i, a);
+}
+bool in_window(const POp& op, std::size_t i) {
+  const std::size_t off = op.regs[i].off;
+  return off <= kWindow && buf_bytes(op, i) <= kWindow - off;
+}
 
 using Tree = std::map<std::string, std::string>;
 
@@ -181,14 +276,86 @@ struct Outcome {
   Tree tree;
   std::set<int> fds;  ///< open descriptors, the ring's own fd excluded
   std::vector<std::byte> window;
+  std::string sockets;                 ///< Net::format_sockets()
+  std::map<int, std::string> pending;  ///< fd -> bytes still queued
 };
 
+/// The tree, the descriptors, the socket table, and every open socket's
+/// unread bytes (drained straight from its receive queue, so a SHUT_RD
+/// socket counts too).
 void capture(Machine& m, Outcome& out) {
   walk(m.k.vfs(), "", out.tree);
   for (int fd = 0; fd < 1024; ++fd) {
     if (fd != m.ringfd && m.p.fds.get(fd) != nullptr) out.fds.insert(fd);
   }
+  out.sockets = m.net.format_sockets();
+  for (int fd : out.fds) {
+    const fs::OpenFile* f = m.p.fds.get(fd);
+    std::shared_ptr<net::Socket> s = m.net.find_socket(f->ino);
+    if (s == nullptr) continue;
+    std::lock_guard lk(s->mu_);
+    std::string bytes(s->rx_.size(), '\0');
+    s->rx_.pop(std::as_writable_bytes(std::span(bytes)));
+    out.pending[fd] = bytes;
+  }
 }
+
+/// The names of the calls in `want` but not in `got`.
+std::string missing(const std::set<Sys>& want, const std::set<Sys>& got) {
+  std::string out;
+  for (Sys nr : want) {
+    if (got.count(nr) == 0) out += std::string(uk::sys_name(nr)) + " ";
+  }
+  return out;
+}
+
+/// The calls a vehicle ran, and those that succeeded.
+struct Coverage {
+  std::set<Sys> ran;
+  std::set<Sys> ok;
+  void add(const Program& prog, const std::vector<SysRet>& res) {
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+      ran.insert(prog[i].nr);
+      if (res[i] >= 0) ok.insert(prog[i].nr);
+    }
+  }
+};
+
+/// An abort injected into a run: kfail `site` armed at check `nth`; a kdl
+/// expiry when the site is the dl clock (under a DeadlineScope).
+struct Kill {
+  fault::Site site;
+  std::uint64_t nth;
+  Errno err;  ///< what the aborted op reports
+};
+
+/// Arms `kill` (if any) for the lifetime of the guard.
+class Armed {
+ public:
+  explicit Armed(const Kill* kill) : kill_(kill) {
+    if (kill_ == nullptr) return;
+    if (kill_->site == fault::Site::kDlClockSkew) {
+      dl::Kdl::instance().set_enabled(true);
+      scope_.emplace(std::chrono::seconds(10));
+    }
+    fault::SiteConfig cfg;
+    cfg.nth = kill_->nth;
+    cfg.budget = 1;
+    fault::kfail().arm(kill_->site, cfg);
+  }
+  ~Armed() {
+    if (kill_ == nullptr) return;
+    fault::kfail().disarm_all();
+    scope_.reset();
+    dl::Kdl::instance().set_enabled(false);
+  }
+  Armed(const Armed&) = delete;
+  Armed& operator=(const Armed&) = delete;
+
+ private:
+  const Kill* kill_;
+  std::optional<dl::DeadlineScope> scope_;
+};
 
 // --- the three vehicles ------------------------------------------------------
 
@@ -197,42 +364,40 @@ Outcome run_classic(const Program& prog) {
   Outcome out;
   out.window = window_pattern();
   for (const POp& op : prog) {
-    const std::uint64_t fd =
-        static_cast<std::uint64_t>(fd_of(op, out.res));
-    const std::uint64_t buf =
-        buf_ok(op) ? Kernel::uarg(out.window.data() + op.off) : 0;
-    const std::uint64_t path = Kernel::uarg(op.path.c_str());
-    Kernel::SysArgs a{};
-    Sys nr = Sys::kOpen;
-    switch (op.kind) {
-      case Kind::kOpen:
-        a = {path, static_cast<std::uint64_t>(op.flags), 0644, 0};
-        break;
-      case Kind::kClose: nr = Sys::kClose; a = {fd, 0, 0, 0}; break;
-      case Kind::kRead: nr = Sys::kRead; a = {fd, buf, op.len, 0}; break;
-      case Kind::kWrite: nr = Sys::kWrite; a = {fd, buf, op.len, 0}; break;
-      case Kind::kFstat: nr = Sys::kFstat; a = {fd, buf, 0, 0}; break;
-      case Kind::kLseek:
-        nr = Sys::kLseek;
-        a = {fd, static_cast<std::uint64_t>(op.seek),
-             static_cast<std::uint64_t>(op.whence), 0};
-        break;
-      case Kind::kStat: nr = Sys::kStat; a = {path, buf, 0, 0}; break;
-      case Kind::kReaddir: nr = Sys::kReaddir; a = {fd, buf, op.len, 0}; break;
-      case Kind::kUnlink: nr = Sys::kUnlink; a = {path, 0, 0, 0}; break;
-      case Kind::kMkdir: nr = Sys::kMkdir; a = {path, 0755, 0, 0}; break;
+    const uk::SysSig& sig = uk::sys_sig(op.nr);
+    Kernel::SysArgs a;
+    for (std::size_t i = 0; i < sig.nargs; ++i) {
+      const Reg& r = op.regs[i];
+      switch (sig.args[i].type) {
+        case ArgType::kFd:
+          a.at(i) = Kernel::iarg(fd_of(r, out.res, m));
+          break;
+        case ArgType::kPath:
+          a.at(i) = Kernel::uarg(r.path.c_str());
+          break;
+        case ArgType::kIn:
+        case ArgType::kOut:
+        case ArgType::kInOut:
+          a.at(i) =
+              in_window(op, i) ? Kernel::uarg(out.window.data() + r.off) : 0;
+          break;
+        case ArgType::kImm:
+        case ArgType::kNone:
+          a.at(i) = Kernel::iarg(r.imm);
+          break;
+      }
     }
-    out.res.push_back(m.k.syscall(m.p, nr, a));
+    out.res.push_back(m.k.syscall(m.p, op.nr, a));
   }
   capture(m, out);
   return out;
 }
 
 /// One compound for the whole program. Descriptor arguments come from
-/// the classic run's results: result_of(op) where the classic open
+/// the classic run's results: result_of(op) where the classic call
 /// succeeded, kBadFd where it failed.
 Outcome run_cosy(const Program& prog, const std::vector<SysRet>& classic,
-                 SysRet* compound_ret = nullptr) {
+                 const Kill* kill = nullptr, SysRet* compound_ret = nullptr) {
   Machine m;
   cosy::CosyExtension ext(m.k);
   cosy::SharedBuffer shared(kWindow);
@@ -241,39 +406,50 @@ Outcome run_cosy(const Program& prog, const std::vector<SysRet>& classic,
 
   cosy::CompoundBuilder b;
   std::map<std::string, cosy::Arg> strs;  // the pool holds each path once
-  auto str = [&](const std::string& s) {
-    auto it = strs.find(s);
-    if (it == strs.end()) it = strs.emplace(s, b.str(s)).first;
-    return it->second;
-  };
   for (const POp& op : prog) {
-    const cosy::Arg fd =
-        fd_of(op, classic) == kBadFd ? cosy::imm(kBadFd)
-                                     : cosy::result_of(op.fd_op);
-    // Past the window's end the offset goes in as a computed value, so
-    // both the static and the run-time bounds checks are exercised.
-    const auto off = static_cast<std::int64_t>(op.off);
-    const cosy::Arg buf =
-        op.off <= kWindow ? cosy::shared(off) : cosy::imm(off);
-    const cosy::Arg len = cosy::imm(static_cast<std::int64_t>(op.len));
-    switch (op.kind) {
-      case Kind::kOpen:
-        b.open(str(op.path), cosy::imm(op.flags), cosy::imm(0644));
-        break;
-      case Kind::kClose: b.close(fd); break;
-      case Kind::kRead: b.read(fd, buf, len); break;
-      case Kind::kWrite: b.write(fd, buf, len); break;
-      case Kind::kFstat: b.fstat(fd, buf); break;
-      case Kind::kLseek:
-        b.lseek(fd, cosy::imm(op.seek), cosy::imm(op.whence));
-        break;
-      case Kind::kStat: b.stat(str(op.path), buf); break;
-      case Kind::kReaddir: b.readdir(fd, buf, len); break;
-      case Kind::kUnlink: b.unlink(str(op.path)); break;
-      case Kind::kMkdir: b.mkdir(str(op.path), cosy::imm(0755)); break;
+    const uk::SysSig& sig = uk::sys_sig(op.nr);
+    std::vector<cosy::Arg> args;
+    for (std::size_t i = 0; i < sig.nargs; ++i) {
+      const Reg& r = op.regs[i];
+      switch (sig.args[i].type) {
+        case ArgType::kFd: {
+          const bool from_op =
+              r.setup < 0 && r.fd_op >= 0 &&
+              classic[static_cast<std::size_t>(r.fd_op)] >= 0;
+          args.push_back(from_op ? cosy::result_of(r.fd_op)
+                                 : cosy::imm(fd_of(r, classic, m)));
+          break;
+        }
+        case ArgType::kPath: {
+          auto it = strs.find(r.path);
+          if (it == strs.end()) it = strs.emplace(r.path, b.str(r.path)).first;
+          args.push_back(it->second);
+          break;
+        }
+        case ArgType::kIn:
+        case ArgType::kOut:
+        case ArgType::kInOut: {
+          // Past the window's end the offset goes in as a computed value,
+          // so both the static and the run-time bounds checks run.
+          const auto off = static_cast<std::int64_t>(r.off);
+          args.push_back(r.off <= kWindow ? cosy::shared(off)
+                                          : cosy::imm(off));
+          break;
+        }
+        case ArgType::kImm:
+        case ArgType::kNone:
+          args.push_back(cosy::imm(r.imm));
+          break;
+      }
     }
+    b.sys(op.nr, args);
   }
-  cosy::CosyResult r = ext.execute(m.p, b.finish(), shared);
+  const cosy::Compound c = b.finish();
+  cosy::CosyResult r;
+  {
+    Armed armed(kill);
+    r = ext.execute(m.p, c, shared);
+  }
   if (compound_ret != nullptr) *compound_ret = r.ret;
   Outcome out;
   out.res = r.results;
@@ -283,28 +459,36 @@ Outcome run_cosy(const Program& prog, const std::vector<SysRet>& classic,
   return out;
 }
 
-/// The SQE for `op`; an open's path goes into the path slot at `path_at`.
-ring::Sqe make_sqe(Machine& m, const POp& op, int fd, std::uint64_t ud,
-                   std::uint64_t path_at = 0) {
+/// The SQE for `op`, its descriptors resolved against `res`; its paths go
+/// into the path slot from *path_at on.
+ring::Sqe make_sqe(Machine& m, const POp& op, const std::vector<SysRet>& res,
+                   std::uint64_t ud, std::size_t* path_at) {
   ring::Sqe s{};
   s.user_data = ud;
-  s.fd = fd;
-  s.addr = kPathSlot + op.off;
-  s.len = static_cast<std::uint32_t>(op.len);
-  switch (op.kind) {
-    case Kind::kOpen:
-      std::memcpy(m.ring->user_data(path_at, op.path.size() + 1),
-                  op.path.c_str(), op.path.size() + 1);
-      s.op = ring::RingOp::kOpen;
-      s.addr = path_at;
-      s.len = static_cast<std::uint32_t>(op.path.size() + 1);
-      s.aux = static_cast<std::uint64_t>(op.flags);
-      break;
-    case Kind::kClose: s.op = ring::RingOp::kClose; break;
-    case Kind::kRead: s.op = ring::RingOp::kRead; break;
-    case Kind::kWrite: s.op = ring::RingOp::kWrite; break;
-    case Kind::kFstat: s.op = ring::RingOp::kFstat; break;
-    default: ADD_FAILURE() << "op outside the ring's subset";
+  s.nr = op.nr;
+  const uk::SysSig& sig = uk::sys_sig(op.nr);
+  for (std::size_t i = 0; i < sig.nargs; ++i) {
+    const Reg& r = op.regs[i];
+    switch (sig.args[i].type) {
+      case ArgType::kFd:
+        s.args.at(i) = Kernel::iarg(fd_of(r, res, m));
+        break;
+      case ArgType::kPath:
+        std::memcpy(m.ring->user_data(*path_at, r.path.size() + 1),
+                    r.path.c_str(), r.path.size() + 1);
+        s.args.at(i) = *path_at;
+        *path_at += r.path.size() + 1;
+        break;
+      case ArgType::kIn:
+      case ArgType::kOut:
+      case ArgType::kInOut:
+        s.args.at(i) = kPathSlot + r.off;
+        break;
+      case ArgType::kImm:
+      case ArgType::kNone:
+        s.args.at(i) = Kernel::iarg(r.imm);
+        break;
+    }
   }
   return s;
 }
@@ -327,8 +511,9 @@ Outcome run_ring(const Program& prog) {
   ring_init_window(m);
   Outcome out;
   for (std::size_t i = 0; i < prog.size(); ++i) {
-    EXPECT_TRUE(m.ring->user_prepare(
-        make_sqe(m, prog[i], fd_of(prog[i], out.res), i)));
+    std::size_t path_at = 0;
+    EXPECT_TRUE(
+        m.ring->user_prepare(make_sqe(m, prog[i], out.res, i, &path_at)));
     EXPECT_EQ(m.rdev.sys_ring_enter(m.p, m.ringfd, ring::RingDev::kDrainAll,
                                     0, 0),
               1);
@@ -337,6 +522,30 @@ Outcome run_ring(const Program& prog) {
     EXPECT_EQ(c.user_data, i);
     out.res.push_back(c.res);
   }
+  ring_finish(m, out);
+  return out;
+}
+
+/// The program as one linked chain, its descriptors taken from `res`,
+/// drained under `kill`.
+Outcome run_ring_chain(const Program& prog, const std::vector<SysRet>& res,
+                       const Kill& kill) {
+  Machine m;
+  ring_init_window(m);
+  std::size_t path_at = 0;
+  for (std::size_t i = 0; i < prog.size(); ++i) {
+    ring::Sqe s = make_sqe(m, prog[i], res, i, &path_at);
+    if (i + 1 < prog.size()) s.flags = ring::kSqeLink;
+    EXPECT_TRUE(m.ring->user_prepare(s));
+  }
+  {
+    Armed armed(&kill);
+    m.rdev.sys_ring_enter(m.p, m.ringfd, ring::RingDev::kDrainAll, 0, 0);
+  }
+  Outcome out;
+  ring::Cqe cqes[ring::kMaxChain];
+  const std::size_t n = m.ring->user_reap(cqes, ring::kMaxChain);
+  for (std::size_t i = 0; i < n; ++i) out.res.push_back(cqes[i].res);
   ring_finish(m, out);
   return out;
 }
@@ -356,67 +565,152 @@ std::string pick_path(base::Rng& rng) {
   return kPaths[rng.below(std::size(kPaths))];
 }
 
-Program gen_program(std::uint64_t seed, std::size_t kinds, std::size_t n) {
-  static const int kFlags[] = {
-      fs::kORdOnly,
-      fs::kOWrOnly | fs::kOCreat,
+/// A bounded immediate: half the time a small value (a selector -- open
+/// access mode, whence, shutdown how, epoll op -- or a short length or a
+/// free port), otherwise a length, a mode, open flags or the listener's
+/// port.
+std::int64_t pick_imm(base::Rng& rng) {
+  static const std::int64_t kImms[] = {
+      64, 300, 0644,
       fs::kORdWr | fs::kOCreat,
       fs::kOWrOnly | fs::kOCreat | fs::kOTrunc,
       fs::kORdWr | fs::kOAppend,
-      fs::kORdWr,
+      kPort,
   };
+  if (rng.chance(1, 2)) return static_cast<std::int64_t>(rng.below(4));
+  return kImms[rng.below(std::size(kImms))];
+}
+
+Program gen_program(std::uint64_t seed, const std::vector<Sys>& calls,
+                    std::size_t n) {
+  // The calls that produce a descriptor come up more often, so most
+  // programs have live descriptors to work on.
+  std::vector<Sys> producers;
+  for (Sys nr : calls) {
+    if (uk::sys_sig(nr).ret == uk::RetType::kFdNew) producers.push_back(nr);
+  }
   base::Rng rng(seed);
   Program prog;
-  std::vector<int> opens;
-  for (std::size_t i = 0; i < n; ++i) {
+  std::vector<int> fd_ops;  // ops whose result is a descriptor
+  for (std::size_t k = 0; k < n; ++k) {
     POp op;
-    // Opens twice as often, so most programs have live descriptors.
-    const std::size_t pick = rng.below(kinds + 1);
-    op.kind = pick == kinds ? Kind::kOpen : static_cast<Kind>(pick);
-    op.path = pick_path(rng);
-    op.flags = kFlags[rng.below(std::size(kFlags))];
-    if (!opens.empty() && !rng.chance(1, 6)) {
-      op.fd_op = opens[rng.below(opens.size())];
+    op.nr = rng.chance(1, 4) ? producers[rng.below(producers.size())]
+                             : calls[rng.below(calls.size())];
+    const uk::SysSig& sig = uk::sys_sig(op.nr);
+    for (std::size_t i = 0; i < sig.nargs; ++i) {
+      Reg& r = op.regs[i];
+      switch (sig.args[i].type) {
+        case ArgType::kFd:
+          if (!fd_ops.empty() && rng.chance(1, 2)) {
+            r.fd_op = fd_ops[rng.below(fd_ops.size())];
+          } else if (rng.chance(5, 6)) {
+            r.setup = static_cast<int>(rng.below(kSetupFds));
+          } else {
+            r.imm = kBadFd;
+          }
+          break;
+        case ArgType::kPath:
+          r.path = pick_path(rng);
+          break;
+        case ArgType::kImm:
+          r.imm = pick_imm(rng);
+          break;
+        default:
+          break;
+      }
     }
-    op.len = rng.below(513);
-    if (rng.chance(1, 5)) {
-      // Out of range: the window runs past the data window's end.
-      op.len += 64;
-      op.off = kWindow - 32 + rng.below(64);
-    } else {
-      op.off = rng.below(kWindow - std::max(op.len, sizeof(fs::StatBuf)) + 1);
+    // Nothing parks: sockets are nonblocking, epoll_wait never waits.
+    if (op.nr == Sys::kSocket) op.regs[0].imm = net::kSockNonblock;
+    if (op.nr == Sys::kEpollWait) op.regs[3].imm = 0;
+    // Buffers last: their windows depend on the length registers.
+    for (std::size_t i = 0; i < sig.nargs; ++i) {
+      if (!uk::SysSig::is_buffer(sig.args[i].type)) continue;
+      const std::size_t bytes = std::min(buf_bytes(op, i), kWindow);
+      Reg& r = op.regs[i];
+      if (rng.chance(1, 5)) {
+        // Out of range: the window runs past the data window's end.
+        r.off = kWindow - 32 + rng.below(64);
+      } else if (sig.args[i].type == ArgType::kInOut && rng.chance(1, 2)) {
+        r.off = rng.below(8) * 8;  // a zeroed readdirplus cookie
+      } else {
+        r.off = rng.below(kWindow - bytes + 1);
+      }
     }
-    op.seek = static_cast<std::int64_t>(rng.below(600)) - 8;
-    op.whence = static_cast<int>(rng.below(3));
-    if (op.kind == Kind::kOpen) opens.push_back(static_cast<int>(i));
+    if (sig.ret == uk::RetType::kFdNew) fd_ops.push_back(static_cast<int>(k));
     prog.push_back(op);
   }
   return prog;
 }
 
-/// A program of ring-subset ops that all succeed, at most one ring chain
-/// long: opens that create or reuse a file, I/O and fstat on live fds
-/// with in-range buffers, closes.
+/// A program whose every call succeeds, at most one ring chain long:
+/// creating opens, sockets, epoll instances, accepts (and accept_recvs)
+/// of the queued connections and dups, then I/O, fstat, fsync, lseek and
+/// close on the live descriptors.
 Program gen_clean_program(std::uint64_t seed) {
   static const char* kPaths[] = {"/a", "/b", "/d/x", "/d/n"};
+  static const Sys kFileOps[] = {Sys::kRead,  Sys::kWrite, Sys::kFstat,
+                                 Sys::kFsync, Sys::kLseek, Sys::kFdatasync};
   base::Rng rng(seed);
   Program prog;
-  std::vector<int> live;
+  struct Live {
+    int op;
+    bool file;
+  };
+  std::vector<Live> live;
+  int accepts = 3;  // connections queued on the setup listener
   for (std::size_t i = 0; i < ring::kMaxChain; ++i) {
     POp op;
-    if (live.empty() || rng.chance(1, 4)) {
-      op.kind = Kind::kOpen;
-      op.path = kPaths[rng.below(std::size(kPaths))];
-      op.flags = fs::kORdWr | fs::kOCreat;
-      live.push_back(static_cast<int>(i));
+    const int self = static_cast<int>(i);
+    if (live.empty() || rng.chance(1, 3)) {
+      const std::uint64_t pick = rng.below(5);
+      if (pick == 0) {
+        op.nr = Sys::kSocket;
+        op.regs[0].imm = net::kSockNonblock;
+      } else if (pick == 1) {
+        op.nr = Sys::kEpollCreate;
+      } else if (pick == 2 && accepts > 0) {
+        // The first and the last queued client have sent a request, so
+        // accept_recv of their connection succeeds. Its fd comes back
+        // through the slot, where no later op looks for it: only the
+        // abort oracle's rollback has to find it.
+        const bool has_request = accepts != 2;
+        --accepts;
+        op.regs[0].setup = 0;
+        op.nr = Sys::kAccept;
+        if (has_request && rng.chance(1, 2)) {
+          op.nr = Sys::kAcceptRecv;
+          op.regs[1].off = rng.below(kWindow - 64);
+          op.regs[2].imm = 64;
+          op.regs[3].off = rng.below(kWindow - sizeof(int));
+        }
+      } else {
+        op.nr = Sys::kOpen;
+        op.regs[0].path = kPaths[rng.below(std::size(kPaths))];
+        op.regs[1].imm = fs::kORdWr | fs::kOCreat;
+        op.regs[2].imm = 0644;
+      }
+      if (op.nr != Sys::kAcceptRecv) {
+        live.push_back({self, op.nr == Sys::kOpen});
+      }
     } else {
       const std::size_t j = rng.below(live.size());
-      op.fd_op = live[j];
-      op.kind = static_cast<Kind>(1 + rng.below(4));  // close/read/write/fstat
-      op.len = 1 + rng.below(256);
-      op.off = rng.below(kWindow - 256);
-      if (op.kind == Kind::kClose) {
+      const Live l = live[j];
+      op.regs[0].fd_op = l.op;
+      const std::uint64_t pick = rng.below(l.file ? 8 : 2);
+      if (pick == 0) {
+        op.nr = Sys::kClose;
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(j));
+      } else if (pick == 1) {
+        op.nr = Sys::kDup;
+        live.push_back({self, l.file});
+      } else {
+        op.nr = kFileOps[pick - 2];
+        op.regs[1].off = rng.below(kWindow - 256);
+        op.regs[2].imm = static_cast<std::int64_t>(1 + rng.below(256));
+        if (op.nr == Sys::kLseek) {
+          op.regs[1].imm = static_cast<std::int64_t>(rng.below(300));
+          op.regs[2].imm = fs::kSeekSet;
+        }
       }
     }
     prog.push_back(op);
@@ -435,184 +729,6 @@ void expect_same(const Outcome& want, const Outcome& got, const char* who,
   EXPECT_EQ(want.fds, got.fds) << who << " seed " << seed << ": fds";
   EXPECT_TRUE(want.window == got.window)
       << who << " seed " << seed << ": data window";
-}
-
-// --- net programs: classic calls vs ring SQEs -------------------------------
-
-/// Descriptors every net run sets up the same way: a nonblocking listener
-/// with three nonblocking clients connected to it (queued, not yet
-/// accepted) and a plain file.
-struct NetFds {
-  int lsn = -1;
-  int cli[3] = {-1, -1, -1};
-  int file = -1;
-};
-
-constexpr std::uint16_t kPort = 7000;
-
-NetFds net_setup(Machine& m) {
-  NetFds f;
-  f.lsn = static_cast<int>(m.net.sys_socket(m.p, net::kSockNonblock));
-  EXPECT_EQ(m.net.sys_bind(m.p, f.lsn, kPort), 0);
-  EXPECT_EQ(m.net.sys_listen(m.p, f.lsn, 8), 0);
-  for (int& c : f.cli) {
-    c = static_cast<int>(m.net.sys_socket(m.p, net::kSockNonblock));
-    EXPECT_EQ(m.net.sys_connect(m.p, c, kPort), 0);
-  }
-  f.file = static_cast<int>(m.k.sys_open(m.p, "/a", fs::kORdOnly, 0));
-  EXPECT_GE(f.file, 0);
-  return f;
-}
-
-enum class NKind { kAccept, kRecv, kSend, kShutdown };
-/// Which descriptor a net op names.
-enum class NRef { kLsn, kCli0, kCli1, kCli2, kFile, kBad, kAccepted };
-
-struct NOp {
-  NKind kind = NKind::kAccept;
-  NRef ref = NRef::kLsn;
-  int fd_op = -1;        ///< kAccepted: the op whose result is the fd
-  std::size_t off = 0;   ///< buffer offset in the data window
-  std::size_t len = 0;   ///< recv/send length
-  int how = 0;           ///< shutdown mode (3 is invalid)
-};
-using NetProgram = std::vector<NOp>;
-
-int net_fd(const NOp& op, const NetFds& f, const std::vector<SysRet>& res) {
-  switch (op.ref) {
-    case NRef::kLsn: return f.lsn;
-    case NRef::kCli0: return f.cli[0];
-    case NRef::kCli1: return f.cli[1];
-    case NRef::kCli2: return f.cli[2];
-    case NRef::kFile: return f.file;
-    case NRef::kBad: return kBadFd;
-    case NRef::kAccepted: break;
-  }
-  const SysRet r = res[static_cast<std::size_t>(op.fd_op)];
-  return r < 0 ? kBadFd : static_cast<int>(r);
-}
-
-bool net_buf_ok(const NOp& op) { return op.off + op.len <= kWindow; }
-
-/// What a net run left behind, beyond the file-vehicle Outcome.
-struct NetOutcome {
-  Outcome base;
-  std::string sockets;                 ///< Net::format_sockets()
-  std::map<int, std::string> pending;  ///< fd -> bytes still queued
-};
-
-/// The socket table plus every open socket's unread bytes (drained
-/// straight from its receive queue, so a SHUT_RD socket counts too).
-void capture_net(Machine& m, NetOutcome& out) {
-  capture(m, out.base);
-  out.sockets = m.net.format_sockets();
-  for (int fd : out.base.fds) {
-    const fs::OpenFile* f = m.p.fds.get(fd);
-    std::shared_ptr<net::Socket> s = m.net.find_socket(f->ino);
-    if (s == nullptr) continue;
-    std::lock_guard lk(s->mu_);
-    std::string bytes(s->rx_.size(), '\0');
-    s->rx_.pop(std::as_writable_bytes(std::span(bytes)));
-    out.pending[fd] = bytes;
-  }
-}
-
-NetOutcome run_net_classic(const NetProgram& prog) {
-  Machine m;
-  const NetFds f = net_setup(m);
-  NetOutcome out;
-  out.base.window = window_pattern();
-  for (const NOp& op : prog) {
-    const int fd = net_fd(op, f, out.base.res);
-    std::byte* buf = net_buf_ok(op) ? out.base.window.data() + op.off : nullptr;
-    SysRet r = 0;
-    switch (op.kind) {
-      case NKind::kAccept: r = m.net.sys_accept(m.p, fd); break;
-      case NKind::kRecv: r = m.net.sys_recv(m.p, fd, buf, op.len); break;
-      case NKind::kSend: r = m.net.sys_send(m.p, fd, buf, op.len); break;
-      case NKind::kShutdown: r = m.net.sys_shutdown(m.p, fd, op.how); break;
-    }
-    out.base.res.push_back(r);
-  }
-  capture_net(m, out);
-  return out;
-}
-
-NetOutcome run_net_ring(const NetProgram& prog) {
-  Machine m;
-  const NetFds f = net_setup(m);
-  ring_init_window(m);
-  NetOutcome out;
-  for (std::size_t i = 0; i < prog.size(); ++i) {
-    const NOp& op = prog[i];
-    ring::Sqe s{};
-    s.user_data = i;
-    s.fd = net_fd(op, f, out.base.res);
-    s.addr = kPathSlot + op.off;
-    s.len = static_cast<std::uint32_t>(op.len);
-    s.aux = static_cast<std::uint64_t>(op.how);
-    switch (op.kind) {
-      case NKind::kAccept: s.op = ring::RingOp::kAccept; break;
-      case NKind::kRecv: s.op = ring::RingOp::kRecv; break;
-      case NKind::kSend: s.op = ring::RingOp::kSend; break;
-      case NKind::kShutdown: s.op = ring::RingOp::kShutdown; break;
-    }
-    EXPECT_TRUE(m.ring->user_prepare(s));
-    EXPECT_EQ(m.rdev.sys_ring_enter(m.p, m.ringfd, ring::RingDev::kDrainAll,
-                                    0, 0),
-              1);
-    ring::Cqe c{};
-    EXPECT_EQ(m.ring->user_reap(&c, 1), 1u);
-    EXPECT_EQ(c.user_data, i);
-    out.base.res.push_back(c.res);
-  }
-  ring_finish(m, out.base);
-  capture_net(m, out);
-  return out;
-}
-
-NetProgram gen_net_program(std::uint64_t seed, std::size_t n) {
-  base::Rng rng(seed);
-  NetProgram prog;
-  std::vector<int> accepts;
-  const NRef kClients[] = {NRef::kCli0, NRef::kCli1, NRef::kCli2};
-  const NRef kOdd[] = {NRef::kLsn, NRef::kFile, NRef::kBad};
-  for (std::size_t i = 0; i < n; ++i) {
-    NOp op;
-    const std::uint64_t pick = rng.below(12);
-    op.kind = pick < 3    ? NKind::kAccept
-              : pick < 7  ? NKind::kRecv
-              : pick < 11 ? NKind::kSend
-                          : NKind::kShutdown;
-    if (op.kind == NKind::kAccept && !rng.chance(1, 5)) {
-      op.ref = NRef::kLsn;
-    } else if (!accepts.empty() && rng.chance(2, 5)) {
-      op.ref = NRef::kAccepted;
-      op.fd_op = accepts[rng.below(accepts.size())];
-    } else if (rng.chance(3, 4)) {
-      op.ref = kClients[rng.below(3)];
-    } else {
-      op.ref = kOdd[rng.below(3)];
-    }
-    op.len = 1 + rng.below(512);
-    op.off = rng.below(kWindow - op.len + 1);
-    if (rng.chance(1, 6)) {
-      // Out of range: the buffer runs past the data window's end.
-      op.off = kWindow - 32 + rng.below(64);
-    } else if (rng.chance(1, 10)) {
-      op.off = 0;
-      op.len = Kernel::kMaxIo + 1 + rng.below(4096);
-    }
-    op.how = static_cast<int>(rng.below(4));
-    if (op.kind == NKind::kAccept) accepts.push_back(static_cast<int>(i));
-    prog.push_back(op);
-  }
-  return prog;
-}
-
-void expect_same_net(const NetOutcome& want, const NetOutcome& got,
-                     const char* who, std::uint64_t seed) {
-  expect_same(want.base, got.base, who, seed);
   EXPECT_EQ(want.sockets, got.sockets) << who << " seed " << seed;
   EXPECT_TRUE(want.pending == got.pending)
       << who << " seed " << seed << ": queued bytes";
@@ -628,6 +744,10 @@ enum class CKind {
   kOpenReadClose, kOpenWriteClose, kOpenFstat,  // file calls come first
   kAcceptRecv, kSendfile, kShutdown,
 };
+
+/// Which descriptor a consolidation op names: a setup fd (in the order of
+/// Machine::setup), a bad one, or an earlier accept_recv's connection.
+enum class NRef { kLsn, kCli0, kCli1, kCli2, kFile, kBad, kAccepted };
 
 struct COp {
   CKind kind = CKind::kOpenReadClose;
@@ -646,13 +766,14 @@ using ConsProgram = std::vector<COp>;
 /// Result of one consolidation run: per-op results plus, per op, the
 /// connection fd accept_recv handed back (-1 otherwise).
 struct ConsOutcome {
-  NetOutcome net;
+  Outcome out;
   std::vector<int> connfds;
 };
 
-int cons_fd(const COp& op, const NetFds& f, const std::vector<int>& conns) {
+int cons_fd(const COp& op, const Machine& m, const std::vector<int>& conns) {
+  if (op.ref == NRef::kBad) return kBadFd;
   if (op.ref != NRef::kAccepted) {
-    return net_fd(NOp{.ref = op.ref}, f, {});
+    return m.setup[static_cast<std::size_t>(op.ref)];
   }
   const int c = conns[static_cast<std::size_t>(op.fd_op)];
   return c < 0 ? kBadFd : c;
@@ -711,26 +832,14 @@ SysRet run_file_call(Machine& m, const COp& op, std::byte* buf,
   return r;
 }
 
-/// Every consolidation run starts from the net setup, with two of the
-/// three clients' requests already sent (the third stays silent, so its
-/// accept_recv meets an empty connection).
-NetFds cons_setup(Machine& m) {
-  const NetFds f = net_setup(m);
-  const std::vector<std::byte> req = window_pattern();
-  EXPECT_EQ(m.net.sys_send(m.p, f.cli[0], req.data(), 200), 200);
-  EXPECT_EQ(m.net.sys_send(m.p, f.cli[2], req.data() + 7, 300), 300);
-  return f;
-}
-
 ConsOutcome run_cons(const ConsProgram& prog, bool consolidated) {
   Machine m;
-  const NetFds f = cons_setup(m);
-  ConsOutcome out;
+  ConsOutcome co;
   std::vector<std::byte> window(kBigWindow);
   for (std::size_t i = 0; i < window.size(); ++i) {
     window[i] = static_cast<std::byte>(i * 13 + 5);
   }
-  std::vector<SysRet>& res = out.net.base.res;
+  std::vector<SysRet>& res = co.out.res;
   for (const COp& op : prog) {
     std::byte* buf = op.null_buf ? nullptr : window.data() + op.off;
     int connfd = -1;
@@ -747,14 +856,14 @@ ConsOutcome run_cons(const ConsProgram& prog, bool consolidated) {
         r = run_file_call(m, op, buf, consolidated);
         break;
       case CKind::kAcceptRecv: {
-        const int lfd = cons_fd(op, f, out.connfds);
+        const int lfd = cons_fd(op, m, co.connfds);
         // A null request nulls either the buffer or the fd slot.
         const bool null_slot = op.null_buf && op.len % 2 == 0;
         int* uconn = null_slot ? nullptr : &connfd;
         void* ubuf = null_slot ? window.data() + op.off : buf;
         if (consolidated) {
-          r = consolidation::sys_accept_recv(m.net, m.k, m.p, lfd, ubuf,
-                                             op.len, uconn);
+          r = consolidation::sys_accept_recv(m.k, m.p, lfd, ubuf, op.len,
+                                             uconn);
         } else if (ubuf == nullptr || uconn == nullptr) {
           r = sysret_err(Errno::kEFAULT);  // intended difference
         } else {
@@ -763,11 +872,11 @@ ConsOutcome run_cons(const ConsProgram& prog, bool consolidated) {
         break;
       }
       case CKind::kSendfile: {
-        const int sfd = cons_fd(op, f, out.connfds);
+        const int sfd = cons_fd(op, m, co.connfds);
         Result<std::shared_ptr<net::Socket>> sock = m.net.socket_of(m.p, sfd);
         if (consolidated) {
-          r = consolidation::sys_sendfile(m.net, m.k, m.p, sfd,
-                                          op.path.c_str(), op.foff, op.len);
+          r = consolidation::sys_sendfile(m.k, m.p, sfd, op.path.c_str(),
+                                          op.foff, op.len);
         } else if (!sock) {
           r = sysret_err(sock.error());  // intended difference
         } else {
@@ -777,15 +886,15 @@ ConsOutcome run_cons(const ConsProgram& prog, bool consolidated) {
         break;
       }
       case CKind::kShutdown:
-        r = m.net.sys_shutdown(m.p, cons_fd(op, f, out.connfds), op.how);
+        r = m.net.sys_shutdown(m.p, cons_fd(op, m, co.connfds), op.how);
         break;
     }
     res.push_back(r);
-    out.connfds.push_back(connfd);
+    co.connfds.push_back(connfd);
   }
-  out.net.base.window = std::move(window);
-  capture_net(m, out.net);
-  return out;
+  co.out.window = std::move(window);
+  capture(m, co.out);
+  return co;
 }
 
 ConsProgram gen_cons_program(std::uint64_t seed, std::size_t kinds,
@@ -832,40 +941,52 @@ ConsProgram gen_cons_program(std::uint64_t seed, std::size_t kinds,
   return prog;
 }
 
-void expect_same_cons(const ConsOutcome& want, const ConsOutcome& got,
-                      std::uint64_t seed) {
-  expect_same_net(want.net, got.net, "consolidated", seed);
-  EXPECT_EQ(want.connfds, got.connfds) << "consolidated seed " << seed;
-}
-
 // --- the oracles -------------------------------------------------------------
 
 TEST(VehicleDifferential, ClassicAndCosyAgreeOnEveryOp) {
+  fault::kfail().disarm_all();
+  ASSERT_EQ(all_calls(), table_nestable());
   std::map<SysRet, int> seen;  // errno -> count; 1 = any success
-  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    const Program prog = gen_program(seed, kAllKinds, 24);
+  Coverage classic_cov;
+  Coverage cosy_cov;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    const Program prog = gen_program(seed, every_call(), 24);
     const Outcome classic = run_classic(prog);
     for (SysRet r : classic.res) ++seen[r < 0 ? r : 1];
-    expect_same(classic, run_cosy(prog, classic.res), "cosy", seed);
+    const Outcome cosy = run_cosy(prog, classic.res);
+    expect_same(classic, cosy, "cosy", seed);
+    classic_cov.add(prog, classic.res);
+    cosy_cov.add(prog, cosy.res);
     if (HasFailure()) return;
   }
+  EXPECT_EQ(missing(all_calls(), classic_cov.ran), "");
+  EXPECT_EQ(missing(all_calls(), cosy_cov.ran), "");
+  EXPECT_EQ(missing(all_calls(), classic_cov.ok), "") << "never succeeded";
   // The generator reaches every outcome the vehicles could disagree on.
   for (Errno e : {Errno::kEBADF, Errno::kEFAULT, Errno::kENOENT,
                   Errno::kENAMETOOLONG, Errno::kEEXIST, Errno::kEISDIR,
-                  Errno::kENOTDIR, Errno::kEINVAL}) {
+                  Errno::kENOTDIR, Errno::kEINVAL, Errno::kENOTSOCK,
+                  Errno::kEAGAIN}) {
     EXPECT_GT(seen[sysret_err(e)], 0) << errno_name(e);
   }
   EXPECT_GT(seen[1], 1000);
 }
 
 TEST(VehicleDifferential, RingSubsetAgreesWithClassicAndCosy) {
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const Program prog = gen_program(seed ^ 0xa5a5, kRingKinds, 16);
+  // Every nestable table entry, in all three vehicles.
+  fault::kfail().disarm_all();
+  Coverage ring_cov;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    const Program prog = gen_program(seed ^ 0xa5a5, every_call(), 32);
     const Outcome classic = run_classic(prog);
     expect_same(classic, run_cosy(prog, classic.res), "cosy", seed);
-    expect_same(classic, run_ring(prog), "ring", seed);
+    const Outcome ring = run_ring(prog);
+    expect_same(classic, ring, "ring", seed);
+    ring_cov.add(prog, ring.res);
     if (HasFailure()) return;
   }
+  EXPECT_EQ(missing(all_calls(), ring_cov.ran), "");
+  EXPECT_EQ(missing(all_calls(), ring_cov.ok), "") << "never succeeded";
 }
 
 TEST(VehicleDifferential, AbortBeforeOpKLeavesPrefixState) {
@@ -874,42 +995,35 @@ TEST(VehicleDifferential, AbortBeforeOpKLeavesPrefixState) {
     const Program prog = gen_clean_program(seed);
     const Outcome full = run_classic(prog);
     for (SysRet r : full.res) ASSERT_GE(r, 0) << "seed " << seed;
+    const std::set<int> setup = Machine().setup_fds();
     for (std::size_t k = 0; k < prog.size(); ++k) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " k " + std::to_string(k));
       const Program prefix(prog.begin(),
                            prog.begin() + static_cast<std::ptrdiff_t>(k));
       const Tree want = run_classic(prefix).tree;
 
-      fault::SiteConfig cfg;
-      cfg.nth = k + 1;  // the check before op k
-      fault::kfail().arm(fault::Site::kCosyOp, cfg);
-      SysRet ret = 0;
-      const Outcome cosy = run_cosy(prog, full.res, &ret);
-      fault::kfail().disarm_all();
-      EXPECT_EQ(ret, sysret_err(Errno::kEINTR));
-      EXPECT_TRUE(cosy.tree == want) << "cosy tree";
-      EXPECT_TRUE(cosy.fds.empty()) << "cosy leaked an fd";
-
-      // The same program as one linked chain, corrupt at SQE k.
-      Machine m;
-      ring_init_window(m);
-      for (std::size_t i = 0; i < prog.size(); ++i) {
-        // Every open of the chain gets its own place in the path slot.
-        ring::Sqe s =
-            make_sqe(m, prog[i], fd_of(prog[i], full.res), i, 64 * i);
-        if (i + 1 < prog.size()) s.flags = ring::kSqeLink;
-        ASSERT_TRUE(m.ring->user_prepare(s));
+      // The compound: kfail before op k; a kdl deadline expiry before op k
+      // (dl check #1 is the compound's own gateway, #k+2 precedes op k).
+      for (const Kill& kill :
+           {Kill{fault::Site::kCosyOp, k + 1, Errno::kEINTR},
+            Kill{fault::Site::kDlClockSkew, k + 2, Errno::kETIMEDOUT}}) {
+        SysRet ret = 0;
+        const Outcome cosy = run_cosy(prog, full.res, &kill, &ret);
+        EXPECT_EQ(ret, sysret_err(kill.err));
+        EXPECT_TRUE(cosy.tree == want) << "cosy tree";
+        EXPECT_EQ(cosy.fds, setup) << "cosy leaked an fd";
       }
-      fault::kfail().arm(fault::Site::kRingSqeCorrupt, cfg);
-      m.rdev.sys_ring_enter(m.p, m.ringfd, ring::RingDev::kDrainAll, 0, 0);
-      fault::kfail().disarm_all();
-      ring::Cqe cqes[ring::kMaxChain];
-      ASSERT_EQ(m.ring->user_reap(cqes, ring::kMaxChain), prog.size());
-      EXPECT_EQ(cqes[k].res, sysret_err(Errno::kEFAULT));
-      Outcome ring;
-      ring_finish(m, ring);
-      EXPECT_TRUE(ring.tree == want) << "ring tree";
-      EXPECT_TRUE(ring.fds.empty()) << "ring leaked an fd";
+      // The same program as one linked chain, corrupt at SQE k, then
+      // expired at SQE k.
+      for (const Kill& kill :
+           {Kill{fault::Site::kRingSqeCorrupt, k + 1, Errno::kEFAULT},
+            Kill{fault::Site::kDlClockSkew, k + 2, Errno::kETIMEDOUT}}) {
+        const Outcome ring = run_ring_chain(prog, full.res, kill);
+        ASSERT_EQ(ring.res.size(), prog.size());
+        EXPECT_EQ(ring.res[k], sysret_err(kill.err));
+        EXPECT_TRUE(ring.tree == want) << "ring tree";
+        EXPECT_EQ(ring.fds, setup) << "ring leaked an fd";
+      }
       if (HasFailure()) return;
     }
   }
@@ -918,16 +1032,17 @@ TEST(VehicleDifferential, AbortBeforeOpKLeavesPrefixState) {
 TEST(VehicleDifferential, NetOpsAgreeClassicAndRing) {
   fault::kfail().disarm_all();
   std::map<SysRet, int> seen;  // errno -> count; 1 = any success, 0 = EOF
-  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
-    const NetProgram prog = gen_net_program(seed, 24);
-    const NetOutcome classic = run_net_classic(prog);
-    for (SysRet r : classic.base.res) ++seen[r <= 0 ? r : 1];
-    expect_same_net(classic, run_net_ring(prog), "ring", seed);
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const Program prog = gen_program(seed, net_calls(), 32);
+    const Outcome classic = run_classic(prog);
+    for (SysRet r : classic.res) ++seen[r <= 0 ? r : 1];
+    expect_same(classic, run_ring(prog), "ring", seed);
+    expect_same(classic, run_cosy(prog, classic.res), "cosy", seed);
     if (HasFailure()) return;
   }
   for (Errno e : {Errno::kEBADF, Errno::kENOTSOCK, Errno::kEFAULT,
                   Errno::kEAGAIN, Errno::kEINVAL, Errno::kENOTCONN,
-                  Errno::kEPIPE, Errno::kECONNRESET}) {
+                  Errno::kEPIPE, Errno::kECONNRESET, Errno::kECONNREFUSED}) {
     EXPECT_GT(seen[sysret_err(e)], 0) << errno_name(e);
   }
   EXPECT_GT(seen[0], 0) << "recv after shutdown";
@@ -942,8 +1057,10 @@ TEST(VehicleDifferential, ConsolidatedCallsAgreeWithClassicExpansion) {
     for (std::size_t kinds : {std::size_t{3}, std::size_t{6}}) {
       const ConsProgram prog = gen_cons_program(seed * 2 + kinds, kinds, 20);
       const ConsOutcome classic = run_cons(prog, false);
-      for (SysRet r : classic.net.base.res) ++seen[r < 0 ? r : 1];
-      expect_same_cons(classic, run_cons(prog, true), seed);
+      for (SysRet r : classic.out.res) ++seen[r < 0 ? r : 1];
+      const ConsOutcome cons = run_cons(prog, true);
+      expect_same(classic.out, cons.out, "consolidated", seed);
+      EXPECT_EQ(classic.connfds, cons.connfds) << "consolidated seed " << seed;
       if (HasFailure()) return;
     }
   }
@@ -998,16 +1115,16 @@ TEST(VehicleDifferential, ConsolidatedUpFrontChecksAreTheIntendedDifference) {
     // accept_recv with a null buffer or fd slot leaves the connection
     // queued; the classic accept installs its fd before recv faults.
     Machine m;
-    const NetFds f = cons_setup(m);
-    EXPECT_EQ(consolidation::sys_accept_recv(m.net, m.k, m.p, f.lsn, nullptr,
+    const int lsn = m.setup[0];
+    EXPECT_EQ(consolidation::sys_accept_recv(m.k, m.p, lsn, nullptr,
                                              8, &connfd),
               sysret_err(Errno::kEFAULT));
-    EXPECT_EQ(consolidation::sys_accept_recv(m.net, m.k, m.p, f.lsn, buf, 8,
+    EXPECT_EQ(consolidation::sys_accept_recv(m.k, m.p, lsn, buf, 8,
                                              nullptr),
               sysret_err(Errno::kEFAULT));
     EXPECT_EQ(connfd, -1);
     const std::string queued = m.net.format_listeners();
-    EXPECT_EQ(sup::classic_accept_recv(m.net, m.p, f.lsn, nullptr, 8,
+    EXPECT_EQ(sup::classic_accept_recv(m.net, m.p, lsn, nullptr, 8,
                                        &connfd),
               sysret_err(Errno::kEFAULT));
     EXPECT_GE(connfd, 0);
@@ -1017,13 +1134,13 @@ TEST(VehicleDifferential, ConsolidatedUpFrontChecksAreTheIntendedDifference) {
     // sendfile checks the socket before it opens the file, and even when
     // there is nothing to send; the classic expansion opens first.
     Machine m;
-    EXPECT_EQ(consolidation::sys_sendfile(m.net, m.k, m.p, kBadFd,
+    EXPECT_EQ(consolidation::sys_sendfile(m.k, m.p, kBadFd,
                                           "/missing", 0, 16),
               sysret_err(Errno::kEBADF));
     EXPECT_EQ(sup::classic_sendfile(m.net, m.k, m.p, kBadFd, "/missing", 0,
                                     16),
               sysret_err(Errno::kENOENT));
-    EXPECT_EQ(consolidation::sys_sendfile(m.net, m.k, m.p, kBadFd, "/a", 0,
+    EXPECT_EQ(consolidation::sys_sendfile(m.k, m.p, kBadFd, "/a", 0,
                                           0),
               sysret_err(Errno::kEBADF));
     EXPECT_EQ(sup::classic_sendfile(m.net, m.k, m.p, kBadFd, "/a", 0, 0), 0);

@@ -13,7 +13,7 @@
 //
 //  2. ENABLED spans cost <= 5% webserver throughput. The N1 workload
 //     runs A/B (spans off / spans on): every request allocates its
-//     ingress span, the consolidated servercalls open children, every
+//     ingress span, the consolidated network calls open children, every
 //     retiring syscall Scope attributes crossings and bytes, and each
 //     finished span takes the store mutex once.
 //

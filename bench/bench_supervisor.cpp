@@ -16,12 +16,13 @@
 //      re-admitted ones keep the consolidation win.
 //   3. The injection schedule and the breaker are deterministic: two
 //      runs with the same seed produce byte-identical event ledgers.
-//   4. The healthy-path cost every unsupervised syscall pays -- the
-//      uk::sup_gateway_armed relaxed load in the Scope epilogue -- is
-//      <= 0.5% of a 1668 ns null syscall.
+//   4. The healthy-path cost every syscall on an unsupervised Kernel
+//      pays -- the relaxed load of the Kernel's subscriber armed word in
+//      the Scope epilogue -- is <= 0.5% of a 1668 ns null syscall.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "bench/common.hpp"
@@ -149,16 +150,19 @@ workload::WebServerReport run_classic(bool quick) {
   return workload::run_webserver(kernel, net, cfg);
 }
 
-/// The cost every syscall pays for having the supervisor compiled in:
-/// one relaxed load in the Kernel::Scope epilogue. Measured like R1's
-/// disarmed fault point and T1's disabled tracepoint.
+/// The cost every syscall on an unsupervised Kernel pays for the
+/// supervisor being possible: the one relaxed load of the Kernel's
+/// subscriber armed word in the Kernel::Scope epilogue. Measured like
+/// R1's disarmed fault point and T1's disabled tracepoint.
 double gateway_check_ns() {
+  fs::MemFs memfs;
+  uk::Kernel kernel(memfs);
   const int kChecks = 50'000'000;
   static volatile std::uint64_t sink;
   double secs = bench::time_best(3, [&] {
     std::uint64_t armed = 0;
     for (int i = 0; i < kChecks; ++i) {
-      armed += uk::sup_gateway_armed() ? 1 : 0;
+      armed += kernel.has_subscribers() ? 1 : 0;
     }
     sink = armed;
   });
@@ -166,23 +170,27 @@ double gateway_check_ns() {
   return secs / kChecks * 1e9;
 }
 
-/// Null-syscall throughput with and without a healthy supervised guard
-/// bound to the calling thread (armed gateway + per-syscall attribution):
-/// the full healthy-path cost for SUPERVISED code, reported for context.
-double getpid_ops_per_sec(sup::Supervisor* s, sup::ExtId id) {
+/// Null-syscall throughput with and without a supervisor on the Kernel
+/// and a healthy guard bound to the calling thread (subscription +
+/// per-syscall attribution): the full healthy-path cost for SUPERVISED
+/// code, reported for context.
+double getpid_ops_per_sec(bool supervised) {
   fs::MemFs memfs;
   uk::Kernel kernel(memfs);
   memfs.set_cost_hook(kernel.charge_hook());
   uk::Proc proc(kernel, "nuller");
+  std::optional<sup::Supervisor> s;
+  sup::ExtId id = 0;
+  if (supervised) {
+    s.emplace(kernel);
+    id = s->register_extension("nuller", sup::Vehicle::kCosy);
+  }
   const int kOps = 200000;
   double secs = bench::time_best(3, [&] {
-    if (s != nullptr) {
-      sup::InvocationGuard g(*s, id, nullptr, sup::Route::kKernel);
-      for (int i = 0; i < kOps; ++i) (void)proc.getpid();
-      g.set_result(0);
-    } else {
-      for (int i = 0; i < kOps; ++i) (void)proc.getpid();
-    }
+    std::optional<sup::InvocationGuard> g;
+    if (s) g.emplace(*s, id, nullptr, sup::Route::kKernel);
+    for (int i = 0; i < kOps; ++i) (void)proc.getpid();
+    if (g) g->set_result(0);
   });
   return static_cast<double>(kOps) / secs;
 }
@@ -264,15 +272,12 @@ int main(int argc, char** argv) {
               ns, ns / null_syscall_ns * 100.0, null_syscall_ns);
   json.record("gateway-check", 1, 1e9 / ns, 0.0);
 
-  // Context: the SUPERVISED healthy path (armed gateway, bound guard,
-  // per-syscall unit attribution) against the unsupervised null syscall.
+  // Context: the SUPERVISED healthy path (subscribed supervisor, bound
+  // guard, per-syscall unit attribution) against the unsupervised null
+  // syscall.
   {
-    double plain = getpid_ops_per_sec(nullptr, 0);
-    fs::MemFs memfs;
-    uk::Kernel kernel(memfs);
-    sup::Supervisor s(kernel);
-    sup::ExtId id = s.register_extension("nuller", sup::Vehicle::kCosy);
-    double guarded = getpid_ops_per_sec(&s, id);
+    double plain = getpid_ops_per_sec(false);
+    double guarded = getpid_ops_per_sec(true);
     std::printf("guarded getpid: %.0f/s vs %.0f/s plain (attribution cost "
                 "%.2f%%)\n",
                 guarded, plain,

@@ -60,10 +60,10 @@ int main() {
     // 8 KiB documents) and fold accept->recv into accept_recv and
     // open-read-send-close into sendfile.
     if (src.kind == workload::TraceKind::kSocketServer) {
-      std::vector<uk::AuditRecord> records;
+      std::vector<uk::SyscallRecord> records;
       records.reserve(trace.size());
       for (uk::Sys s : trace) {
-        uk::AuditRecord r;
+        uk::SyscallRecord r;
         r.pid = 1;
         r.nr = s;
         switch (s) {

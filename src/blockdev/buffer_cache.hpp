@@ -27,12 +27,12 @@
 //     policy). sync_barrier() is the foreground barrier: all dirty blocks
 //     written back and the backend flushed before it returns.
 //
-//   * Dirty accounting for ksup. Each clean->dirty transition consults a
-//     process-wide dirty gate (set_dirty_gate) so the supervisor can
-//     charge per-extension dirty-page budgets; a rejecting gate fails the
-//     write with EDQUOT before any state changes. Registration is a raw
-//     fn+ctx pair for the same reason as uk::set_sup_gateway: blockdev
-//     cannot depend on sup.
+//   * Dirty accounting for ksup. Each clean->dirty transition consults
+//     the calling thread's dirty-charge hook (tl_dirty_charge), which a
+//     supervised invocation installs for its lifetime to charge its
+//     dirty-page budget; a rejecting hook fails the write with EDQUOT
+//     before any state changes. The hook is a raw fn+ctx pair because
+//     blockdev cannot depend on sup.
 //
 // Writeback failure semantics are unchanged from the seed: a block whose
 // writeback fails STAYS cached and dirty -- sync can be retried; no data
@@ -79,21 +79,15 @@ struct WritebackConfig {
   std::uint32_t max_batch = 64;       ///< blocks per wakeup
 };
 
-/// Process-wide dirty gate (supervisor dirty-page budgets). Called on
-/// every clean->dirty transition with the number of blocks about to be
-/// dirtied; a non-ok return fails the write (EDQUOT surfaces to the
-/// caller). Raw fn+ctx: blockdev cannot depend on sup.
-using DirtyGateFn = Result<void> (*)(void* ctx, std::uint64_t blocks);
-
-namespace detail {
-inline std::atomic<DirtyGateFn> g_dirty_gate{nullptr};
-inline std::atomic<void*> g_dirty_gate_ctx{nullptr};
-}  // namespace detail
-
-inline void set_dirty_gate(DirtyGateFn fn, void* ctx) {
-  detail::g_dirty_gate_ctx.store(ctx, std::memory_order_release);
-  detail::g_dirty_gate.store(fn, std::memory_order_release);
-}
+/// Per-thread dirty-charge hook (supervisor dirty-page budgets), called
+/// with the blocks a clean->dirty transition is about to dirty; false
+/// fails the write with EDQUOT. sup::InvocationGuard installs one for its
+/// lifetime and restores the previous one at exit; none = no charge.
+struct DirtyCharge {
+  bool (*fn)(void* ctx, std::uint64_t blocks) = nullptr;
+  void* ctx = nullptr;
+};
+inline thread_local DirtyCharge tl_dirty_charge;
 
 class BufferCache {
  public:
@@ -260,14 +254,9 @@ class BufferCache {
         USK_TRY(backend_->backend_read(lba, e.data.data()));
       }
     }
-    // The dirty gate runs BEFORE the entry is inserted so a rejected
+    // The dirty charge runs BEFORE the entry is inserted so a rejected
     // write leaves no trace.
-    if (dirty) {
-      if (Result<void> g = gate_check(1); !g.ok()) {
-        ++stats_.gate_rejects;
-        return g.error();
-      }
-    }
+    if (dirty) USK_TRY(charge_dirty_locked(1));
     lru_.push_front(lba);
     auto pos = map_.emplace(lba, std::move(e)).first;
     pos->second.lru_it = lru_.begin();
@@ -281,21 +270,20 @@ class BufferCache {
 
   Result<void> mark_dirty_locked(Entry& e, bool dirty) {
     if (!dirty || e.dirty) return {};
-    if (Result<void> g = gate_check(1); !g.ok()) {
-      ++stats_.gate_rejects;
-      return g;
-    }
+    USK_TRY(charge_dirty_locked(1));
     e.dirty = true;
     e.dirty_since = Clock::now();
     ++dirty_count_;
     return {};
   }
 
-  static Result<void> gate_check(std::uint64_t blocks) {
-    DirtyGateFn fn = detail::g_dirty_gate.load(std::memory_order_acquire);
-    if (fn == nullptr) return {};
-    return fn(detail::g_dirty_gate_ctx.load(std::memory_order_acquire),
-              blocks);
+  /// Consult the thread's dirty-charge hook; a refusal is counted and
+  /// fails the write with EDQUOT.
+  Result<void> charge_dirty_locked(std::uint64_t blocks) {
+    const DirtyCharge& c = tl_dirty_charge;
+    if (c.fn == nullptr || c.fn(c.ctx, blocks)) return {};
+    ++stats_.gate_rejects;
+    return Errno::kEDQUOT;
   }
 
   /// Write one dirty block back: Disk-model charge first (cost + fault

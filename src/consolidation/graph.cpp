@@ -152,7 +152,7 @@ std::vector<NGram> mine_ngrams(std::span<const uk::Sys> trace, std::size_t n,
   return out;
 }
 
-WhatIfSavings readdirplus_whatif(const std::vector<uk::AuditRecord>& records) {
+WhatIfSavings readdirplus_whatif(const std::vector<uk::SyscallRecord>& records) {
   WhatIfSavings s;
   // Wire-format cost of one readdirplus record vs. the dirent + stat pair
   // it replaces: the stat's path copy-in and statbuf copy-out disappear;
@@ -162,7 +162,7 @@ WhatIfSavings readdirplus_whatif(const std::vector<uk::AuditRecord>& records) {
   std::size_t i = 0;
   const std::size_t n = records.size();
   while (i < n) {
-    const uk::AuditRecord& r = records[i];
+    const uk::SyscallRecord& r = records[i];
     s.calls_before += 1;
     s.bytes_before += r.bytes_in + r.bytes_out;
     if (r.nr == uk::Sys::kReaddir) {
@@ -210,18 +210,18 @@ WhatIfSavings readdirplus_whatif(const std::vector<uk::AuditRecord>& records) {
 }
 
 WhatIfSavings server_consolidation_whatif(
-    const std::vector<uk::AuditRecord>& records) {
+    const std::vector<uk::SyscallRecord>& records) {
   WhatIfSavings s;
   std::size_t i = 0;
   const std::size_t n = records.size();
   while (i < n) {
-    const uk::AuditRecord& r = records[i];
+    const uk::SyscallRecord& r = records[i];
 
     // accept followed by recv on the new connection -> one accept_recv.
     if (r.nr == uk::Sys::kAccept && i + 1 < n &&
         records[i + 1].nr == uk::Sys::kRecv &&
         records[i + 1].pid == r.pid) {
-      const uk::AuditRecord& rv = records[i + 1];
+      const uk::SyscallRecord& rv = records[i + 1];
       s.calls_before += 2;
       s.bytes_before += r.bytes_in + r.bytes_out + rv.bytes_in + rv.bytes_out;
       s.calls_after += 1;

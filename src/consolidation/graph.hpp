@@ -74,7 +74,7 @@ struct WhatIfSavings {
   std::uint64_t bytes_before = 0;
   std::uint64_t bytes_after = 0;
 };
-WhatIfSavings readdirplus_whatif(const std::vector<uk::AuditRecord>& records);
+WhatIfSavings readdirplus_whatif(const std::vector<uk::SyscallRecord>& records);
 
 /// What-if analysis for the server heavy path (E8): savings if every
 /// accept->recv pair had been one accept_recv, and every
@@ -82,6 +82,6 @@ WhatIfSavings readdirplus_whatif(const std::vector<uk::AuditRecord>& records);
 /// saved crossings, sendfile's bytes_after drops the file payload
 /// entirely -- the data would have moved kernel-side.
 WhatIfSavings server_consolidation_whatif(
-    const std::vector<uk::AuditRecord>& records);
+    const std::vector<uk::SyscallRecord>& records);
 
 }  // namespace usk::consolidation

@@ -119,10 +119,9 @@ class Task {
   /// Wall-clock nanoseconds spent inside system calls (accumulated by the
   /// syscall Scope); the "system time" a 2005 /usr/bin/time would report.
   std::uint64_t kernel_wall_ns = 0;
-  /// Cumulative user<->kernel copy bytes for THIS task. The audit Scope
-  /// diffs these per call; they are per-task (one dispatching thread per
-  /// task) so concurrent syscalls never interleave another task's copies
-  /// into a record, which the old global-counter snapshot would do.
+  /// Cumulative user<->kernel copy bytes for THIS task, which the syscall
+  /// Scope diffs into each SyscallRecord; per-task, so concurrent
+  /// syscalls never interleave another task's copies into a record.
   std::uint64_t bytes_from_user = 0;
   std::uint64_t bytes_to_user = 0;
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "base/klog.hpp"
-#include "blockdev/buffer_cache.hpp"
 #include "fault/kfail.hpp"
 #include "sup/slo.hpp"
 #include "trace/ktrace.hpp"
@@ -15,13 +15,9 @@ namespace usk::sup {
 
 namespace {
 
-/// The innermost active guard on this thread; the gateway hook reads it
-/// to attribute syscall work units to the running invocation.
+/// The innermost active guard on this thread; Supervisor::on_syscall
+/// reads it to attribute work units to the running invocation.
 thread_local InvocationGuard* tl_guard = nullptr;
-
-/// The supervisor currently owning the uk gateway hook (last registrant
-/// wins; its destructor only disarms if it is still the owner).
-std::atomic<Supervisor*> g_gateway_owner{nullptr};
 
 bool parse_u64(std::string_view s, std::uint64_t* out) {
   if (s.empty()) return false;
@@ -32,6 +28,11 @@ bool parse_u64(std::string_view s, std::uint64_t* out) {
   }
   *out = v;
   return true;
+}
+
+/// The dirty-charge hook a supervised invocation installs.
+bool charge_dirty(void* guard, std::uint64_t blocks) {
+  return static_cast<InvocationGuard*>(guard)->charge_dirty_pages(blocks);
 }
 
 }  // namespace
@@ -107,6 +108,12 @@ InvocationGuard::InvocationGuard(Supervisor& s, ExtId id, sched::Task* task,
     : s_(s), id_(id), task_(task), route_(route), ret_ptr_(ret),
       prev_(tl_guard) {
   tl_guard = this;
+  // The buffer cache charges this invocation's dirty-page budget on every
+  // clean->dirty transition the thread causes; a fallback run is classic
+  // user-space code, exempt.
+  blockdev::DirtyCharge charge;
+  if (route_ != Route::kFallback) charge = {&charge_dirty, this};
+  prev_dirty_ = std::exchange(blockdev::tl_dirty_charge, charge);
   wall0_ = trace::ktrace().now_ns();
   if (task_ != nullptr) {
     units0_ = task_->times().kernel;
@@ -126,6 +133,7 @@ InvocationGuard::InvocationGuard(Supervisor& s, ExtId id, sched::Task* task,
 
 InvocationGuard::~InvocationGuard() {
   tl_guard = prev_;
+  blockdev::tl_dirty_charge = prev_dirty_;
   std::uint64_t units = 0;
   if (task_ != nullptr) {
     if (narrowed_) task_->set_kernel_budget(old_budget_);
@@ -144,7 +152,7 @@ InvocationGuard::~InvocationGuard() {
     }
   }
   const std::uint64_t wall_ns = trace::ktrace().now_ns() - wall0_;
-  s_.finish_invocation(id_, route_, result, units, wall_ns, forced);
+  s_.finish_invocation(id_, route_, result, wall_ns, forced);
 }
 
 bool InvocationGuard::charge_fuel(std::uint64_t n) {
@@ -215,28 +223,13 @@ Supervisor::Supervisor(uk::Kernel& k) : k_(k) {
                spec);
     }
   }
-  g_gateway_owner.store(this, std::memory_order_release);
-  uk::set_sup_gateway(&Supervisor::gateway_thunk, this);
-  blockdev::set_dirty_gate(&Supervisor::dirty_gate_thunk, this);
+  uk::g_live_supervisors.fetch_add(1, std::memory_order_relaxed);
+  k_.subscribe(*this);
 }
 
 Supervisor::~Supervisor() {
-  Supervisor* self = this;
-  if (g_gateway_owner.compare_exchange_strong(self, nullptr,
-                                              std::memory_order_acq_rel)) {
-    uk::set_sup_gateway(nullptr, nullptr);
-    blockdev::set_dirty_gate(nullptr, nullptr);
-  }
-}
-
-Result<void> Supervisor::dirty_gate_thunk(void* /*ctx*/,
-                                          std::uint64_t blocks) {
-  InvocationGuard* g = InvocationGuard::current();
-  // No supervised invocation on this thread (or a fallback run, which is
-  // classic user-space code): the dirtying is the kernel's own.
-  if (g == nullptr || g->route() == Route::kFallback) return {};
-  if (!g->charge_dirty_pages(blocks)) return Errno::kEDQUOT;
-  return {};
+  k_.unsubscribe(*this);
+  uk::g_live_supervisors.fetch_sub(1, std::memory_order_relaxed);
 }
 
 ExtId Supervisor::register_extension(std::string name, Vehicle vehicle,
@@ -386,19 +379,13 @@ bool Supervisor::policy_from_spec(std::string_view spec, BreakerPolicy* out) {
   return true;
 }
 
-void Supervisor::gateway_thunk(void* ctx, uk::Process& /*p*/, uk::Sys /*nr*/,
-                               SysRet /*ret*/, std::uint64_t units) {
-  auto* self = static_cast<Supervisor*>(ctx);
+void Supervisor::on_syscall(const uk::SyscallRecord& r) {
   InvocationGuard* g = tl_guard;
-  if (g == nullptr || &g->supervisor() != self) return;
-  self->attribute(g->ext(), units);
-}
-
-void Supervisor::attribute(ExtId id, std::uint64_t units) {
+  if (g == nullptr || &g->supervisor() != this) return;
   std::lock_guard lk(mu_);
-  Ext& e = exts_.at(static_cast<std::size_t>(id));
-  e.stats.units_total += units;
-  e.window_units += units;
+  Ext& e = exts_.at(static_cast<std::size_t>(g->ext()));
+  e.stats.units_total += r.kunits;
+  e.window_units += r.kunits;
   if (e.quota.window_units != 0 && e.window_units > e.quota.window_units) {
     // Can't abort a syscall from its epilogue; flag the overrun and let
     // the invocation epilogue turn it into a violation.
@@ -439,7 +426,6 @@ ViolationKind Supervisor::classify(Vehicle vehicle, Errno e) {
 }
 
 void Supervisor::finish_invocation(ExtId id, Route route, SysRet result,
-                                   std::uint64_t units,
                                    std::uint64_t wall_ns,
                                    ViolationKind forced) {
   {
@@ -451,7 +437,6 @@ void Supervisor::finish_invocation(ExtId id, Route route, SysRet result,
                                    ? forced
                                    : classify(e.vehicle, err);
     finish_invocation_locked(e, id, route, result, kind, err);
-    (void)units;
   }
   // SLO observation outside mu_: the monitor records into kmetrics and a
   // breach verdict calls record_violation(), which takes mu_ again. Only

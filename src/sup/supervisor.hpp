@@ -13,9 +13,10 @@
 //     healthy -> probation -> quarantined; clean runs earn the way back.
 //   * resource quotas -- per-invocation caps on kernel work units (ride
 //     the scheduler watchdog's per-visit kernel budget), kmalloc bytes,
-//     open fds and Cosy VM fuel, plus a rolling-window work-unit cap fed
-//     by the syscall-gateway hook (uk::set_sup_gateway). An overrun kills
-//     only the offending invocation, with the executor's fd rollback.
+//     open fds, Cosy VM fuel and dirty pages, plus a rolling-window
+//     work-unit cap fed by the supervisor's subscription to its Kernel's
+//     syscall records (uk::Kernel::subscribe). An overrun kills only the
+//     offending invocation, with the executor's fd rollback.
 //   * graceful degradation -- a quarantined extension's entry point
 //     re-routes to its classic user-space implementation (AdaptiveRegion
 //     classic form, consolidated calls decomposed into their component
@@ -27,8 +28,8 @@
 //     probe doubles the backoff (capped).
 //
 // Observability: /proc/sup/{extensions,quotas,events} (register_proc) and
-// "sup" tracepoints. Disarmed cost: a kernel with no supervisor pays one
-// relaxed load per syscall (the uk::sup_gateway_armed check).
+// "sup" tracepoints. Disarmed cost: a Kernel with no subscriber pays one
+// relaxed load per syscall (Kernel::has_subscribers).
 #pragma once
 
 #include <atomic>
@@ -40,6 +41,7 @@
 #include <vector>
 
 #include "base/errno.hpp"
+#include "blockdev/buffer_cache.hpp"
 #include "sched/task.hpp"
 #include "uk/kernel.hpp"
 
@@ -140,15 +142,16 @@ struct ExtStats {
   std::uint64_t readmissions = 0;
   std::uint64_t reisolations = 0;
   std::uint64_t fallback_errors = 0;
-  std::uint64_t units_total = 0;  ///< gateway-attributed work units
+  std::uint64_t units_total = 0;  ///< work units of enclosed syscalls
 };
 
 class Supervisor;
 class SloMonitor;
 
 /// RAII for one supervised invocation. Create it AROUND the vehicle's
-/// syscall Scope (the guard binds the calling thread so the gateway hook
-/// attributes every enclosed syscall's work units to the extension), give
+/// syscall Scope (the guard binds the calling thread so the supervisor's
+/// subscription attributes every enclosed syscall's work units to the
+/// extension, and installs the thread's blockdev dirty-charge hook), give
 /// it a place to read the result from, and let the destructor classify
 /// the outcome and drive the breaker. Vehicles running the classic
 /// fallback create one with Route::kFallback so degraded work is
@@ -173,10 +176,10 @@ class InvocationGuard {
   /// reported as the violation kind.
   [[nodiscard]] bool charge_fuel(std::uint64_t n);
   [[nodiscard]] bool charge_kmalloc(std::uint64_t bytes);
-  /// Dirty-page budget: fed by the buffer cache's dirty gate (the
-  /// supervisor registers blockdev::set_dirty_gate) on every clean->dirty
-  /// transition the invocation causes. A false return fails the write
-  /// with EDQUOT before any cache state changes.
+  /// Dirty-page budget: fed by the buffer cache through the dirty-charge
+  /// hook this guard installs (blockdev::tl_dirty_charge) on every
+  /// clean->dirty transition the invocation causes. A false return fails
+  /// the write with EDQUOT before any cache state changes.
   [[nodiscard]] bool charge_dirty_pages(std::uint64_t blocks);
   [[nodiscard]] bool check_fds(std::size_t open_count);
   /// Straight-line work-unit check (loops are caught by the narrowed
@@ -191,7 +194,6 @@ class InvocationGuard {
 
   [[nodiscard]] Supervisor& supervisor() const { return s_; }
   [[nodiscard]] ExtId ext() const { return id_; }
-  [[nodiscard]] Route route() const { return route_; }
   [[nodiscard]] bool matches(const Supervisor& s, ExtId id) const {
     return &s_ == &s && id_ == id;
   }
@@ -207,6 +209,7 @@ class InvocationGuard {
   const SysRet* ret_ptr_;
   SysRet result_ = 0;
   InvocationGuard* prev_;           ///< previous tl guard (nesting)
+  blockdev::DirtyCharge prev_dirty_;  ///< restored at exit
   std::uint64_t units0_ = 0;        ///< task kernel units at entry
   std::uint64_t wall0_ = 0;         ///< ktrace timebase ns at entry (SLO)
   std::uint64_t old_budget_ = 0;    ///< restored at exit
@@ -217,8 +220,10 @@ class InvocationGuard {
   ViolationKind forced_kind_ = ViolationKind::kNone;
 };
 
-class Supervisor {
+class Supervisor final : private uk::SyscallSubscriber {
  public:
+  /// Subscribes to `k`'s syscall records until destruction; `k` must
+  /// outlive the supervisor.
   explicit Supervisor(uk::Kernel& k);
   ~Supervisor();
   Supervisor(const Supervisor&) = delete;
@@ -269,8 +274,6 @@ class Supervisor {
   /// Mount /sup/{extensions,quotas,events} on a ProcFs (sup/proc.cpp).
   void register_proc(fs::ProcFs& pfs);
 
-  [[nodiscard]] uk::Kernel& kernel() { return k_; }
-
   /// Parse a BreakerPolicy spec ("threshold=N,window=N,probation=N,
   /// backoff=N,mult=N,cap=N", clauses optional). Returns false on a
   /// malformed spec (out-policy untouched).
@@ -295,13 +298,9 @@ class Supervisor {
     ExtStats stats;
   };
 
-  /// Gateway hook (uk::set_sup_gateway): attribute one syscall's units to
-  /// the invocation bound to this thread, if any.
-  static void gateway_thunk(void* ctx, uk::Process& p, uk::Sys nr,
-                            SysRet ret, std::uint64_t units);
-  /// blockdev::DirtyGateFn: charge the innermost guard's dirty budget.
-  static Result<void> dirty_gate_thunk(void* ctx, std::uint64_t blocks);
-  void attribute(ExtId id, std::uint64_t units);
+  /// Attribute one syscall's units to this supervisor's invocation bound
+  /// to the thread, if the innermost guard is one.
+  void on_syscall(const uk::SyscallRecord& r) override;
 
   /// Classify a finished invocation's result for `vehicle`.
   static ViolationKind classify(Vehicle vehicle, Errno e);
@@ -310,8 +309,7 @@ class Supervisor {
   /// under mu_; the SLO observation runs AFTER mu_ is released because
   /// the monitor may call straight back into record_violation().
   void finish_invocation(ExtId id, Route route, SysRet result,
-                         std::uint64_t units, std::uint64_t wall_ns,
-                         ViolationKind forced);
+                         std::uint64_t wall_ns, ViolationKind forced);
   void finish_invocation_locked(Ext& e, ExtId id, Route route,
                                 SysRet result, ViolationKind kind,
                                 Errno err);

@@ -10,13 +10,13 @@
 // every syscall Scope that retires while it is the innermost span on
 // the thread.
 //
-// Discipline (same as USK_TRACEPOINT and the sup gateway):
+// Discipline (same as USK_TRACEPOINT and the syscall subscribers):
 //   * Disabled cost is ONE relaxed atomic load in the SpanScope
 //     constructor and one thread-local load in the syscall epilogue --
 //     no clock reads, no allocation, no id traffic.
 //   * Propagation is the thread-local span stack. Every vehicle in this
 //     kernel executes a request's work on the thread that accepted it
-//     (nested dispatch, servercalls, ring drains, and the classic
+//     (nested dispatch, consolidated calls, ring drains, and the classic
 //     fallback decomposition all included), so parent links come for
 //     free and a quarantined extension's decomposed syscalls land in a
 //     child span of the original request -- one tree, never orphans.

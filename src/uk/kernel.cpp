@@ -1,7 +1,10 @@
 #include "uk/kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <stdexcept>
+#include <thread>
 
 #include "dl/dl.hpp"
 #include "fs/procfs.hpp"
@@ -18,6 +21,7 @@ Kernel::Kernel(fs::FileSystem& rootfs, KernelConfig cfg)
       vmalloc_(kernel_as_, cfg.vmalloc_base, cfg.vmalloc_pages),
       sched_(cfg.sched_quantum),
       boundary_(engine_, cfg.boundary),
+      audit_(*this),
       vfs_(rootfs, cfg.dcache_capacity, cfg.dcache_shards) {
   register_syscall<&Kernel::do_open>(Sys::kOpen, this);
   register_syscall<&Kernel::do_close>(Sys::kClose, this);
@@ -47,29 +51,50 @@ Kernel::Kernel(fs::FileSystem& rootfs, KernelConfig cfg)
 
 Kernel::~Kernel() = default;
 
-// --- supervisor gateway -------------------------------------------------------
+// --- subscribers ------------------------------------------------------------
+// A subscriber owns one slot; armed_ has a bit per live slot. publish()
+// counts itself into a slot's `active` BEFORE loading its pointer, and
+// unsubscribe() clears the pointer BEFORE waiting for `active` to drain
+// (both seq_cst): a dispatcher either sees the cleared slot or is waited
+// for, so a subscriber is never called after unsubscribe returns.
 
-namespace {
-std::atomic<SupGatewayFn> g_sup_fn{nullptr};
-std::atomic<void*> g_sup_ctx{nullptr};
-}  // namespace
+void Audit::enable() { k_.subscribe(*this); }
+void Audit::disable() { k_.unsubscribe(*this); }
 
-void set_sup_gateway(SupGatewayFn fn, void* ctx) {
-  if (fn == nullptr) {
-    // Disarm first so in-flight Scopes stop consulting the pointer pair
-    // before it is cleared.
-    supdetail::g_armed.store(false, std::memory_order_release);
-    g_sup_fn.store(nullptr, std::memory_order_release);
-    g_sup_ctx.store(nullptr, std::memory_order_release);
-    return;
+void Kernel::subscribe(SyscallSubscriber& s) {
+  std::lock_guard lk(mu_);
+  for (const SubSlot& slot : subs_) {
+    if (slot.sub.load(std::memory_order_relaxed) == &s) return;
   }
-  g_sup_ctx.store(ctx, std::memory_order_release);
-  g_sup_fn.store(fn, std::memory_order_release);
-  supdetail::g_armed.store(true, std::memory_order_release);
+  // Under mu_, armed_ holds exactly the taken slots.
+  const auto i = static_cast<std::size_t>(std::countr_one(armed_.load()));
+  if (i >= kMaxSubscribers) throw std::length_error("syscall subscribers");
+  subs_[i].sub.store(&s);
+  armed_.fetch_or(1u << i);
+}
+
+void Kernel::unsubscribe(SyscallSubscriber& s) {
+  std::lock_guard lk(mu_);
+  for (std::size_t i = 0; i < kMaxSubscribers; ++i) {
+    if (subs_[i].sub.load(std::memory_order_relaxed) != &s) continue;
+    armed_.fetch_and(~(1u << i));
+    subs_[i].sub.store(nullptr);
+    while (subs_[i].active.load() != 0) std::this_thread::yield();
+  }
+}
+
+void Kernel::publish(const SyscallRecord& r) {
+  for (std::uint32_t m = armed_.load(std::memory_order_relaxed); m != 0;
+       m &= m - 1) {
+    SubSlot& slot = subs_[static_cast<std::size_t>(std::countr_zero(m))];
+    slot.active.fetch_add(1);
+    if (SyscallSubscriber* s = slot.sub.load()) s->on_syscall(r);
+    slot.active.fetch_sub(1, std::memory_order_release);
+  }
 }
 
 fs::ProcFs& Kernel::mount_procfs() {
-  std::lock_guard lk(spawn_mu_);
+  std::lock_guard lk(mu_);
   if (!procfs_) {
     procfs_ = std::make_unique<fs::ProcFs>();
     register_kernel_proc(*this, *procfs_);
@@ -82,7 +107,7 @@ fs::ProcFs& Kernel::mount_procfs() {
 
 Process& Kernel::spawn(std::string name) {
   sched::Task& t = sched_.spawn(std::move(name));
-  std::lock_guard lk(spawn_mu_);
+  std::lock_guard lk(mu_);
   // Round-robin affinity: pooled dispatchers enqueue onto the task's home
   // runqueue; direct dispatch ignores it (enter() runs wherever called).
   sched_.bind(t, procs_.size() % sched_.cpu_count());
@@ -112,37 +137,27 @@ Kernel::Scope::Scope(Kernel& k, Process& p, Sys nr)
 
 Kernel::Scope::~Scope() {
   k_.boundary_.exit_kernel(p_.task);
-  const std::uint64_t wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall0_)
-          .count());
-  p_.task.kernel_wall_ns += wall_ns;
+  sched::Task& t = p_.task;
+  const std::chrono::nanoseconds wall =
+      std::chrono::steady_clock::now() - wall0_;
+  const SyscallRecord r{t.pid(), nr_, ret_,
+                        static_cast<std::uint32_t>(t.bytes_from_user - in0_),
+                        static_cast<std::uint32_t>(t.bytes_to_user - out0_),
+                        t.times().kernel - kunits0_,
+                        static_cast<std::uint64_t>(wall.count())};
+  t.kernel_wall_ns += r.wall_ns;
   // Always-on log2 latency histogram (the wall time is already in hand,
   // so this is one relaxed increment -- see trace::Ktrace).
-  trace::ktrace().record_syscall(static_cast<std::uint16_t>(nr_), wall_ns);
-  USK_TRACEPOINT("syscall", "exit", static_cast<std::uint64_t>(nr_),
-                 static_cast<std::uint64_t>(ret_));
-  AuditRecord r;
-  r.pid = p_.task.pid();
-  r.nr = nr_;
-  r.ret = ret_;
-  r.bytes_in = static_cast<std::uint32_t>(p_.task.bytes_from_user - in0_);
-  r.bytes_out = static_cast<std::uint32_t>(p_.task.bytes_to_user - out0_);
-  k_.audit_.record(r);
+  trace::ktrace().record_syscall(static_cast<std::uint16_t>(r.nr), r.wall_ns);
+  USK_TRACEPOINT("syscall", "exit", static_cast<std::uint64_t>(r.nr),
+                 static_cast<std::uint64_t>(r.ret));
   // Span attribution: the innermost open span (if any) absorbs this
-  // call's crossing and its byte/unit deltas. No span -> one
-  // thread-local load, same discipline as the gateway check below.
+  // call's crossing and deltas. No span -> one thread-local load.
   if (trace::SpanScope* sp = trace::SpanScope::current()) {
-    sp->attribute_syscall(r.bytes_in, r.bytes_out,
-                          p_.task.times().kernel - kunits0_, ret_);
+    sp->attribute_syscall(r.bytes_in, r.bytes_out, r.kunits, r.ret);
   }
-  // Supervisor gateway: one relaxed load when no supervisor is registered.
-  if (sup_gateway_armed()) {
-    if (SupGatewayFn fn = g_sup_fn.load(std::memory_order_acquire)) {
-      fn(g_sup_ctx.load(std::memory_order_acquire), p_, nr_, ret_,
-         p_.task.times().kernel - kunits0_);
-    }
-  }
+  // Subscribers (audit, supervisors): one relaxed load when there are none.
+  if (k_.has_subscribers()) k_.publish(r);
 }
 
 // --- helpers ----------------------------------------------------------------

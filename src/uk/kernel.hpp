@@ -127,27 +127,12 @@ struct DirentPlusHdr {
   std::uint8_t namelen;
 };
 
-// --- supervisor gateway hook --------------------------------------------------
-// The extension supervisor (src/sup) watches every syscall from the Scope
-// epilogue: the per-call kernel work units feed the rolling-window quotas
-// of whatever extension invocation is bound to the calling thread. The
-// layering runs uk <- sup, so sup registers a raw function here instead of
-// the kernel naming it. Disarmed (no supervisor registered), the check is
-// ONE relaxed load -- the same discipline as USK_TRACEPOINT and
-// USK_FAIL_POINT, so an unsupervised kernel measures identically.
-using SupGatewayFn = void (*)(void* ctx, Process& p, Sys nr, SysRet ret,
-                              std::uint64_t kernel_units);
-
-namespace supdetail {
-inline std::atomic<bool> g_armed{false};
-}  // namespace supdetail
-
-/// Register (fn != nullptr) or clear (fn == nullptr) the gateway hook.
-/// One registration at a time; the registrant must outlive its arming.
-void set_sup_gateway(SupGatewayFn fn, void* ctx);
-
+/// Live sup::Supervisors in this process, counted by their constructor
+/// and destructor as a report for bench headers. Each supervisor observes
+/// its own Kernel through a subscription; the Scope never reads this.
+inline std::atomic<int> g_live_supervisors{0};
 [[nodiscard]] inline bool sup_gateway_armed() {
-  return supdetail::g_armed.load(std::memory_order_relaxed);
+  return g_live_supervisors.load(std::memory_order_relaxed) != 0;
 }
 
 class Kernel {
@@ -188,8 +173,22 @@ class Kernel {
     };
   }
 
-  /// RAII syscall prologue/epilogue: one crossing, audit record with the
-  /// copy-byte deltas. Built by syscall(), the ring and Cosy entry points.
+  /// Observers of every syscall this Kernel retires: each Scope epilogue
+  /// hands its SyscallRecord to every subscriber, lock-free. Both calls
+  /// are safe while other threads dispatch, in any lifetime order;
+  /// subscribing twice is a no-op, and unsubscribe returns once no thread
+  /// is still inside the subscriber's on_syscall.
+  void subscribe(SyscallSubscriber& s);
+  void unsubscribe(SyscallSubscriber& s);
+  /// The one load every Scope epilogue makes (all it pays with none).
+  [[nodiscard]] bool has_subscribers() const {
+    return armed_.load(std::memory_order_relaxed) != 0;
+  }
+  static constexpr std::size_t kMaxSubscribers = 16;
+
+  /// RAII syscall prologue/epilogue: one crossing, one SyscallRecord for
+  /// the accounting and the subscribers. Built by syscall(), the ring and
+  /// Cosy entry points.
   class Scope {
    public:
     Scope(Kernel& k, Process& p, Sys nr);
@@ -220,7 +219,7 @@ class Kernel {
     Errno gate_err_ = Errno::kOk;
     SysRet ret_ = 0;
     std::uint64_t in0_, out0_;
-    std::uint64_t kunits0_;  ///< kernel units at entry (supervisor delta)
+    std::uint64_t kunits0_;  ///< kernel units at entry
     std::chrono::steady_clock::time_point wall0_;
   };
 
@@ -377,6 +376,13 @@ class Kernel {
   };
   void install(Sys nr, SysFn fn, void* ctx);
 
+  struct SubSlot {
+    std::atomic<SyscallSubscriber*> sub{nullptr};
+    std::atomic<std::uint32_t> active{0};  ///< threads in sub->on_syscall
+  };
+  /// The Scope epilogue's slow path: hand `r` to every live subscriber.
+  void publish(const SyscallRecord& r);
+
   SysRet do_open(Process& p, const SysArgs& a, BufMode m);
   SysRet do_close(Process& p, const SysArgs& a, BufMode m);
   SysRet do_dup(Process& p, const SysArgs& a, BufMode m);
@@ -416,8 +422,10 @@ class Kernel {
   Audit audit_;
   fs::Vfs vfs_;
   std::array<SysEntry, static_cast<std::size_t>(Sys::kMaxSys)> table_{};
+  std::atomic<std::uint32_t> armed_{0};  ///< bit i: subs_[i] is live
+  std::array<SubSlot, kMaxSubscribers> subs_{};
   std::unique_ptr<fs::ProcFs> procfs_;  ///< created by mount_procfs()
-  std::mutex spawn_mu_;
+  std::mutex mu_;  ///< guards procs_, procfs_ and subscription changes
   std::vector<std::unique_ptr<Process>> procs_;
 };
 

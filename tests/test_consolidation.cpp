@@ -74,11 +74,12 @@ TEST(SyscallGraphTest, PathToStringReadable) {
 }
 
 TEST(SyscallGraphTest, AuditIngestion) {
-  uk::Audit audit;
-  audit.enable();
-  audit.record({1, Sys::kOpen, 0, 10, 0});
-  audit.record({1, Sys::kRead, 100, 0, 100});
-  audit.record({1, Sys::kClose, 0, 0, 0});
+  fs::MemFs fs;
+  uk::Kernel kernel(fs);
+  uk::Audit& audit = kernel.audit();
+  audit.on_syscall({1, Sys::kOpen, 0, 10, 0});
+  audit.on_syscall({1, Sys::kRead, 100, 0, 100});
+  audit.on_syscall({1, Sys::kClose, 0, 0, 0});
   SyscallGraph g;
   g.add_audit(audit);
   EXPECT_EQ(g.edge(Sys::kOpen, Sys::kRead), 1u);
@@ -126,7 +127,7 @@ TEST(NGramTest, SyntheticTracesContainPaperPatterns) {
 // --- what-if ----------------------------------------------------------------------------
 
 TEST(WhatIfTest, CollapsesReaddirStatBursts) {
-  std::vector<uk::AuditRecord> recs;
+  std::vector<uk::SyscallRecord> recs;
   // One readdir returning a 4 KiB buffer followed by 100 stats.
   recs.push_back({1, Sys::kReaddir, 4096, 8, 4096});
   for (int i = 0; i < 100; ++i) {
@@ -140,7 +141,7 @@ TEST(WhatIfTest, CollapsesReaddirStatBursts) {
 }
 
 TEST(WhatIfTest, NonBurstTrafficUntouched) {
-  std::vector<uk::AuditRecord> recs = {
+  std::vector<uk::SyscallRecord> recs = {
       {1, Sys::kOpen, 3, 12, 0},
       {1, Sys::kRead, 100, 0, 100},
       {1, Sys::kClose, 0, 0, 0},

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <list>
 #include <map>
@@ -17,6 +18,7 @@
 #include "base/percpu.hpp"
 #include "fs/dcache.hpp"
 #include "mm/kmalloc.hpp"
+#include "sup/supervisor.hpp"
 #include "uk/userlib.hpp"
 #include "numbered.hpp"
 
@@ -387,6 +389,119 @@ TEST(SmpDispatchTest, ParallelSyscallsKeepGlobalAccounting) {
     EXPECT_EQ(procs[t]->task().syscalls,
               static_cast<std::uint64_t>(kCallsPerThread) * 7 / 4);
   }
+}
+
+// --- per-Kernel syscall subscribers ---------------------------------------------
+
+TEST(SmpDispatchTest, TwoKernelsKeepTheirSubscribersApart) {
+  constexpr int kCalls = 400;
+  fs::MemFs fs_a;
+  fs::MemFs fs_b;
+  uk::Kernel a(fs_a);
+  uk::Kernel b(fs_b);
+  fs_a.set_cost_hook(a.charge_hook());
+  fs_b.set_cost_hook(b.charge_hook());
+  uk::Proc pa(a, "a");
+  uk::Proc pb(b, "b");
+  ASSERT_EQ(pa.mkdir("/d"), 0);
+  ASSERT_EQ(pb.mkdir("/d"), 0);
+
+  // Only A is audited and supervised. B's thread binds a guard of A's
+  // supervisor too, so only the per-Kernel subscription keeps B's
+  // calls out of A's accounting.
+  sup::Supervisor sup_a(a);
+  const sup::ExtId on_a =
+      sup_a.register_extension("on-a", sup::Vehicle::kConsolidated);
+  const sup::ExtId on_b =
+      sup_a.register_extension("on-b", sup::Vehicle::kConsolidated);
+  a.audit().enable();
+  a.audit().clear();
+
+  // A second supervisor subscribes to and unsubscribes from A while A
+  // dispatches: the dispatchers start once the churn has.
+  std::atomic<std::uint64_t> churns{0};
+  auto work = [&churns](uk::Proc& p) {
+    while (churns.load() == 0) std::this_thread::yield();
+    fs::StatBuf st;
+    for (int i = 0; i < kCalls; ++i) {
+      if (i % 2 == 0) {
+        EXPECT_EQ(p.stat("/d", &st), 0);
+      } else {
+        EXPECT_EQ(p.getpid(), static_cast<SysRet>(p.task().pid()));
+      }
+    }
+  };
+  std::atomic<int> running{2};
+  std::thread ta([&] {
+    sup::InvocationGuard g(sup_a, on_a, &pa.task(), sup::Route::kKernel);
+    work(pa);
+    --running;
+  });
+  std::thread tb([&] {
+    sup::InvocationGuard g(sup_a, on_b, &pb.task(), sup::Route::kKernel);
+    work(pb);
+    --running;
+  });
+  std::thread tc([&] {
+    while (running.load() != 0) {
+      sup::Supervisor second(a);
+      (void)second.register_extension("churn", sup::Vehicle::kCosy);
+      ++churns;
+    }
+  });
+  ta.join();
+  tb.join();
+  tc.join();
+  a.audit().disable();
+
+  EXPECT_GT(churns.load(), 0u);
+  EXPECT_TRUE(a.has_subscribers());  // sup_a, still alive
+  EXPECT_FALSE(b.has_subscribers());
+  // A's log holds exactly A's calls, and the units A's supervisor was
+  // handed are exactly the units those records carry.
+  const std::vector<uk::SyscallRecord>& recs = a.audit().records();
+  EXPECT_EQ(recs.size(), static_cast<std::size_t>(kCalls));
+  std::uint64_t units = 0;
+  for (const uk::SyscallRecord& r : recs) units += r.kunits;
+  EXPECT_GT(units, 0u);
+  EXPECT_EQ(sup_a.stats(on_a).units_total, units);
+  EXPECT_EQ(sup_a.stats(on_b).units_total, 0u);
+  EXPECT_TRUE(b.audit().records().empty());
+}
+
+/// Counts calls that run, or are still running, once unsubscribe returned.
+struct SlowSubscriber final : uk::SyscallSubscriber {
+  std::atomic<bool> unsubscribed{false};
+  std::atomic<int> calls{0};
+  std::atomic<int> late{0};
+  void on_syscall(const uk::SyscallRecord&) override {
+    ++calls;
+    if (unsubscribed.load()) ++late;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (unsubscribed.load()) ++late;
+  }
+};
+
+TEST(SmpDispatchTest, UnsubscribeWaitsForInFlightCalls) {
+  fs::MemFs fs;
+  uk::Kernel kernel(fs);
+  uk::Proc p(kernel, "p");
+  std::atomic<bool> stop{false};
+  std::thread dispatcher([&] {
+    while (!stop.load()) (void)p.getpid();
+  });
+  for (int round = 0; round < 20; ++round) {
+    SlowSubscriber s;
+    kernel.subscribe(s);
+    while (s.calls.load() == 0) std::this_thread::yield();
+    kernel.unsubscribe(s);
+    s.unsubscribed = true;
+    // A call unsubscribe failed to wait for would finish in this window.
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    EXPECT_EQ(s.late.load(), 0);
+  }
+  stop = true;
+  dispatcher.join();
 }
 
 }  // namespace

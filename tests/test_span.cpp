@@ -238,7 +238,7 @@ TEST_F(SpanTest, WebserverConsolidatedOneSpanTreePerRequest) {
       run_ws(workload::ServeMode::kConsolidated, 8410);
   expect_well_formed(spans);
   EXPECT_EQ(count_name(spans, "ws.request"), 32u);
-  // The consolidated servercalls open CHILD spans inside the ingress
+  // The consolidated network calls open CHILD spans inside the ingress
   // span: none of them may be a root.
   EXPECT_GT(count_name(spans, "net.sendfile"), 0u);
   for (const SpanRecord& s : spans) {

@@ -699,6 +699,34 @@ TEST_F(StoreTest, DirtyQuotaRejectsThirdDirtyPageWithEdquot) {
   ASSERT_TRUE(cache.sync_barrier().ok());
 }
 
+TEST_F(StoreTest, DirtyQuotaOutlivesANestedSupervisor) {
+  fs::MemFs rootfs;
+  uk::Kernel kernel(rootfs);
+  sup::Supervisor s(kernel);
+  { sup::Supervisor inner(kernel); }  // its death must not drop s's budget
+  sup::Quota q;
+  q.invocation_dirty = 2;
+  sup::ExtId id = s.register_extension("dirty-hog", sup::Vehicle::kCosy, q);
+
+  blockdev::Disk disk(64);
+  blockdev::BufferCache cache(disk, 16);
+  TestBackend be(64);
+  cache.set_backend(&be);
+  {
+    sup::InvocationGuard g(s, id, nullptr, sup::Route::kKernel);
+    ASSERT_TRUE(cache.write_data(0, pattern(0).data()).ok());
+    ASSERT_TRUE(cache.write_data(1, pattern(1).data()).ok());
+    Result<void> r = cache.write_data(2, pattern(2).data());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), Errno::kEDQUOT);
+    g.set_result(sysret_err(Errno::kEDQUOT));
+  }
+  EXPECT_EQ(cache.dirty_count(), 2u);
+  // Outside any invocation the thread's hook is gone: no charge.
+  ASSERT_TRUE(cache.write_data(2, pattern(2).data()).ok());
+  ASSERT_TRUE(cache.sync_barrier().ok());
+}
+
 // --- /proc + kmetrics -----------------------------------------------------------
 
 TEST_F(StoreTest, ProcFilesRenderCacheAndStoreCounters) {

@@ -90,6 +90,34 @@ class SupTest : public ::testing::Test {
     g.set_result(result);
   }
 
+  /// Run two syscalls under a guard of a fresh `window_units = 1`
+  /// extension on `s`: the subscription must attribute their units and
+  /// the rolling-window cap must surface as one quota violation.
+  void expect_window_quota_trips(Supervisor& s) {
+    Quota q;
+    q.window_units = 1;  // any real syscall overruns the window
+    ExtId id = s.register_extension("window", Vehicle::kConsolidated, q);
+    s.set_policy(quick_policy());
+    make_file("/w", "w");
+    {
+      SysRet ret = 0;
+      InvocationGuard g(s, id, &proc_.task(), Route::kKernel, &ret);
+      int fd = proc_.open("/w", fs::kORdOnly);
+      ASSERT_GE(fd, 0);
+      proc_.close(fd);
+    }
+    // The subscription attributed the enclosed syscalls' work units...
+    EXPECT_GT(s.stats(id).units_total, 0u);
+    // ...and the rolling-window cap surfaced as a quota violation.
+    EXPECT_EQ(s.stats(id).quota_overruns, 1u);
+    EXPECT_EQ(s.health(id), Health::kProbation);
+    bool saw = false;
+    for (const sup::SupEvent& e : s.events()) {
+      if (e.vkind == ViolationKind::kQuotaWindow) saw = true;
+    }
+    EXPECT_TRUE(saw);
+  }
+
   fs::MemFs fs_;
   uk::Kernel kernel_;
   uk::Proc proc_;
@@ -465,30 +493,21 @@ TEST_F(SupTest, CosyFuelInjectionVoidsBudgetDeterministically) {
 
 TEST_F(SupTest, GatewayAttributesUnitsAndEnforcesWindowQuota) {
   Supervisor s(kernel_);
-  Quota q;
-  q.window_units = 1;  // any real syscall overruns the window
-  ExtId id = s.register_extension("window", Vehicle::kConsolidated, q);
-  s.set_policy(quick_policy());
-  make_file("/w", "w");
+  expect_window_quota_trips(s);
+}
 
-  {
-    SysRet ret = 0;
-    InvocationGuard g(s, id, &proc_.task(), Route::kKernel, &ret);
-    int fd = proc_.open("/w", fs::kORdOnly);
-    ASSERT_GE(fd, 0);
-    proc_.close(fd);
-  }
+TEST_F(SupTest, GatewayKeepsAttributingWhileAnotherKernelIsSupervised) {
+  Supervisor s(kernel_);
+  fs::MemFs other_fs;
+  uk::Kernel other(other_fs);
+  Supervisor later(other);  // built last: must not steal s's syscalls
+  expect_window_quota_trips(s);
+}
 
-  // The gateway attributed the enclosed syscalls' work units...
-  EXPECT_GT(s.stats(id).units_total, 0u);
-  // ...and the rolling-window cap surfaced as a quota violation.
-  EXPECT_EQ(s.stats(id).quota_overruns, 1u);
-  EXPECT_EQ(s.health(id), Health::kProbation);
-  bool saw = false;
-  for (const sup::SupEvent& e : s.events()) {
-    if (e.vkind == ViolationKind::kQuotaWindow) saw = true;
-  }
-  EXPECT_TRUE(saw);
+TEST_F(SupTest, GatewayKeepsAttributingAfterANestedSupervisorDies) {
+  Supervisor s(kernel_);
+  { Supervisor inner(kernel_); }
+  expect_window_quota_trips(s);
 }
 
 TEST_F(SupTest, GatewayArmsAndDisarmsWithSupervisorLifetime) {
@@ -497,15 +516,17 @@ TEST_F(SupTest, GatewayArmsAndDisarmsWithSupervisorLifetime) {
     Supervisor s1(kernel_);
     EXPECT_TRUE(uk::sup_gateway_armed());
     {
-      // Last registrant wins; destroying the old owner must not disarm
-      // the new one.
       Supervisor s2(kernel_);
       EXPECT_TRUE(uk::sup_gateway_armed());
     }
+    // Destroying the inner supervisor leaves the outer one live.
+    EXPECT_TRUE(uk::sup_gateway_armed());
+    EXPECT_TRUE(kernel_.has_subscribers());
   }
   EXPECT_FALSE(uk::sup_gateway_armed());
+  EXPECT_FALSE(kernel_.has_subscribers());
 
-  // Unsupervised syscalls run normally with the gateway disarmed.
+  // Unsupervised syscalls run normally with no subscriber.
   make_file("/plain", "x");
   int fd = proc_.open("/plain", fs::kORdOnly);
   EXPECT_GE(fd, 0);

@@ -40,13 +40,6 @@ using namespace usk;
 constexpr int kNullCalls = 200000;
 constexpr int kSpanLoops = 2000000;
 
-double null_syscall_ns(uk::Proc& proc, int calls) {
-  double s = bench::time_best(3, [&] {
-    for (int i = 0; i < calls; ++i) proc.getpid();
-  });
-  return s * 1e9 / calls;
-}
-
 /// One N1 webserver run on a fresh kernel with spans on or off.
 workload::WebServerReport run_ws(bool spans_on, bool quick) {
   fs::MemFs memfs;
@@ -91,7 +84,7 @@ int main(int argc, char** argv) {
 
   // --- 1. disabled span site vs the null syscall ---------------------------
   trace::kspan().disable();
-  const double null_ns = null_syscall_ns(proc, kNullCalls);
+  const double null_ns = bench::null_syscall_ns(proc, kNullCalls);
   double span_s = bench::time_best(3, [] {
     for (int i = 0; i < kSpanLoops; ++i) {
       trace::SpanScope s("bench.site", trace::SpanVehicle::kNone);

@@ -40,13 +40,6 @@ using namespace usk;
 constexpr int kNullCalls = 200000;
 constexpr int kSiteLoops = 2000000;
 
-double null_syscall_ns(uk::Proc& proc, int calls) {
-  double s = bench::time_best(3, [&] {
-    for (int i = 0; i < calls; ++i) proc.getpid();
-  });
-  return s * 1e9 / calls;
-}
-
 workload::OverloadConfig base_cfg(bool quick) {
   workload::OverloadConfig cfg;
   (void)quick;
@@ -76,8 +69,8 @@ std::size_t executors_for(double offered_rps, std::uint64_t deadline_ms) {
   return std::clamp<std::size_t>(static_cast<std::size_t>(demand), 16, 64);
 }
 
-/// One overload episode on a fresh kernel. kdl arming is process-global,
-/// so each episode sets it explicitly and disarms on the way out.
+/// One overload episode on a fresh kernel, with that kernel's kdl armed
+/// or not.
 workload::OverloadReport run_episode(const workload::OverloadConfig& cfg,
                                      bool dl_on) {
   fs::MemFs memfs;
@@ -86,11 +79,8 @@ workload::OverloadReport run_episode(const workload::OverloadConfig& cfg,
   net::Net net(kernel);
   uk::Proc setup(kernel, "setup");
   workload::populate_overload_www(setup, cfg);
-  dl::Kdl::instance().set_enabled(dl_on);
-  dl::Kdl::instance().reset();
-  workload::OverloadReport rep = workload::run_overload(kernel, net, cfg);
-  dl::Kdl::instance().set_enabled(false);
-  return rep;
+  kernel.dl().set_enabled(dl_on);
+  return workload::run_overload(kernel, net, cfg);
 }
 
 void print_run(const char* name, const workload::OverloadReport& r) {
@@ -118,11 +108,11 @@ int main(int argc, char** argv) {
     uk::Kernel kernel(rootfs);
     rootfs.set_cost_hook(kernel.charge_hook());
     uk::Proc proc(kernel, "dl-bench");
-    dl::Kdl::instance().set_enabled(false);
-    const double null_ns = null_syscall_ns(proc, kNullCalls);
-    const double site_s = bench::time_best(3, [] {
+    kernel.dl().set_enabled(false);
+    const double null_ns = bench::null_syscall_ns(proc, kNullCalls);
+    const double site_s = bench::time_best(3, [&kernel] {
       for (int i = 0; i < kSiteLoops; ++i) {
-        dl::DeadlineScope s(std::chrono::milliseconds(5));
+        dl::DeadlineScope s(kernel.dl(), std::chrono::milliseconds(5));
       }
     });
     const double site_ns = site_s * 1e9 / kSiteLoops;
@@ -153,7 +143,7 @@ int main(int argc, char** argv) {
     net::Net net(kernel);
     uk::Proc setup(kernel, "setup");
     workload::populate_overload_www(setup, cal);
-    dl::Kdl::instance().set_enabled(false);
+    kernel.dl().set_enabled(false);
     workload::calibrate_overload(kernel, net, cal, &cal_rps, &cal_p99);
   }
   // Pool capacity: workers only add throughput up to the core count --

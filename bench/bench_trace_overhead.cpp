@@ -29,13 +29,6 @@ using namespace usk;
 constexpr int kNullCalls = 200000;
 constexpr int kCheckLoops = 20000000;
 
-double null_syscall_ns(uk::Proc& proc, int calls) {
-  double s = bench::time_best(3, [&] {
-    for (int i = 0; i < calls; ++i) proc.getpid();
-  });
-  return s * 1e9 / calls;
-}
-
 }  // namespace
 
 int main() {
@@ -73,7 +66,7 @@ int main() {
 
   // --- 1c. null syscall with tracing disabled ------------------------------
   trace::ktrace().reset();
-  const double null_ns = null_syscall_ns(proc, kNullCalls);
+  const double null_ns = bench::null_syscall_ns(proc, kNullCalls);
   const double overhead_pct =
       100.0 * (static_cast<double>(checks_per_call) * check_ns) / null_ns;
 
@@ -91,7 +84,7 @@ int main() {
   trace::ktrace().reset();
   trace::ktrace().configure(1 << 16);
   trace::ktrace().enable();
-  const double null_on_ns = null_syscall_ns(proc, 20000);
+  const double null_on_ns = bench::null_syscall_ns(proc, 20000);
   trace::ktrace().disable();
   trace::ktrace().reset();
   std::printf("%-34s %12.1f ns  (x%.2f)\n", "null syscall (tracing on)",

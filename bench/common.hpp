@@ -72,6 +72,17 @@ class TempDir {
   std::string dir_;
 };
 
+/// Best-of-3 wall time of one getpid() through `proc`'s full gateway, in
+/// ns: the null syscall the disarmed-instrument budgets are measured
+/// against.
+template <class Proc>
+double null_syscall_ns(Proc& proc, int calls) {
+  const double s = time_best(3, [&] {
+    for (int i = 0; i < calls; ++i) proc.getpid();
+  });
+  return s * 1e9 / calls;
+}
+
 /// Percentage improvement of `better` over `baseline` (paper convention:
 /// "improved 60%" means the new time is 40% of the old).
 inline double improvement_pct(double baseline, double better) {

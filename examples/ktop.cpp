@@ -231,14 +231,15 @@ void deadline_workload(uk::Proc& p, dl::RetryBudget& tenant) {
   }
   using namespace std::chrono_literals;
   for (int i = 0; i < 8; ++i) {
-    dl::DeadlineScope scope(50ms, &p.task(), /*tenant=*/0);
+    dl::DeadlineScope scope(p.kernel().dl(), 50ms, &p.task(), /*tenant=*/0);
     (void)p.getpid();
   }
   {
-    dl::DeadlineScope expired(std::chrono::nanoseconds(0), &p.task());
+    dl::DeadlineScope expired(p.kernel().dl(), std::chrono::nanoseconds(0),
+                              &p.task());
     (void)p.getpid();  // gateway fail-fast: -ETIMEDOUT, counted
   }
-  dl::Admission adm;
+  dl::Admission adm(p.kernel().dl());
   for (int i = 0; i < 40; ++i) {
     if (adm.try_admit(1'000'000'000)) adm.depart(2'000'000);
   }
@@ -444,7 +445,7 @@ int main() {
   // budgets, and a destroyed one leaves the table.
   dl::RetryBudgetConfig tenant_cfg;
   tenant_cfg.budget = 2;
-  dl::RetryBudget tenant("ktop.tenant", tenant_cfg);
+  dl::RetryBudget tenant(kernel.dl(), "ktop.tenant", tenant_cfg);
   deadline_workload(top, tenant);
   std::printf("\ndeadline enforcement (/proc/dl/stats):\n%s",
               read_proc_file(top, "/proc/dl/stats").c_str());

@@ -45,8 +45,9 @@
 #           injected error paths free everything they unwind past
 #   ubsan   the fault + sup soaks under UndefinedBehaviorSanitizer
 #           (halt_on_error: any UB report is a red run)
-#   tsan    the SMP and supervisor suites under ThreadSanitizer (subscribers
-#           join and leave a Kernel while other threads dispatch)
+#   tsan    the SMP, supervisor and kdl suites under ThreadSanitizer
+#           (subscribers join and leave a Kernel while other threads
+#           dispatch; cancels race parks in the kdl cancellation storm)
 #   release the required suite in an optimised (-O3) build with the default
 #           USK_WERROR=ON: the Release build must be warning-free too
 #   repeat  the whole suite in the default build, 20 consecutive parallel
@@ -135,7 +136,7 @@ run_ubsan()  { build build-ubsan -DUSK_SANITIZE=undefined;
                 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
                   ctest -L 'faults|sup' -j "$jobs" --output-on-failure); }
 run_tsan()   { build build-tsan -DUSK_SANITIZE=thread;
-               (cd build-tsan && ctest -R 'Smp|SupTest' -j "$jobs" --output-on-failure); }
+               (cd build-tsan && ctest -R 'Smp|SupTest|DlTest' -j "$jobs" --output-on-failure); }
 run_release(){ build build-release -DCMAKE_BUILD_TYPE=Release;
                (cd build-release && ctest -L tier1 -j "$jobs" --output-on-failure); }
 run_repeat() { build build;

@@ -159,12 +159,9 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
     // kdl: deadline/cancel is checked at the same between-op boundary --
     // the abort reuses the fault path's fd rollback, so an expired
     // compound leaves nothing behind after any prefix either.
-    if (dl::dl_enabled()) {
-      if (Errno de = dl::check(&p.task); de != Errno::kOk) {
-        dl::Kdl::instance().stats().cosy_aborts.fetch_add(
-            1, std::memory_order_relaxed);
-        return fault_abort(de);
-      }
+    if (Errno de = k_.dl().fail_fast(&p.task, dl::Kdl::Site::kCosy);
+        de != Errno::kOk) {
+      return fault_abort(de);
     }
     const std::size_t cur = pc;
     const OpRecord& rec = c.ops[cur];

@@ -25,6 +25,35 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
 
 // --- Kdl ---------------------------------------------------------------------
 
+namespace {
+
+/// The counters /proc/dl/stats prints after `enabled` and `active`, in
+/// order; reset() zeroes the same list.
+struct NamedCounter {
+  const char* name;
+  std::atomic<std::uint64_t> DlStats::*field;
+};
+constexpr NamedCounter kCounters[] = {
+    {"attached", &DlStats::attached},
+    {"completed", &DlStats::completed},
+    {"retired_expired", &DlStats::retired_expired},
+    {"retired_canceled", &DlStats::retired_canceled},
+    {"gateway_expired", &DlStats::gateway_expired},
+    {"gateway_canceled", &DlStats::gateway_canceled},
+    {"park_expired", &DlStats::park_expired},
+    {"park_canceled", &DlStats::park_canceled},
+    {"ring_aborts", &DlStats::ring_aborts},
+    {"cosy_aborts", &DlStats::cosy_aborts},
+    {"admits", &DlStats::admits},
+    {"sheds", &DlStats::sheds},
+    {"retries", &DlStats::retries},
+    {"budget_exhausted", &DlStats::budget_exhausted},
+    {"clock_skew_injected", &DlStats::clock_skew_injected},
+    {"spurious_wakes", &DlStats::spurious_wakes},
+};
+
+}  // namespace
+
 Kdl::Kdl() {
   if (const char* env = std::getenv("USK_DL");
       env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0') {
@@ -32,35 +61,39 @@ Kdl::Kdl() {
   }
 }
 
-Kdl& Kdl::instance() {
-  static Kdl kdl;
-  return kdl;
+Kdl::~Kdl() { set_enabled(false); }
+
+void Kdl::set_enabled(bool on) {
+  if (enabled_.exchange(on) != on) {
+    detail::g_armed_kdls.fetch_add(on ? 1 : -1, std::memory_order_relaxed);
+  }
 }
 
 void Kdl::reset() {
-  DlStats fresh;
-  auto copy = [](std::atomic<std::uint64_t>& dst,
-                 const std::atomic<std::uint64_t>& src) {
-    dst.store(src.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  };
-  copy(stats_.attached, fresh.attached);
-  copy(stats_.completed, fresh.completed);
-  copy(stats_.retired_expired, fresh.retired_expired);
-  copy(stats_.retired_canceled, fresh.retired_canceled);
-  copy(stats_.gateway_expired, fresh.gateway_expired);
-  copy(stats_.gateway_canceled, fresh.gateway_canceled);
-  copy(stats_.park_expired, fresh.park_expired);
-  copy(stats_.park_canceled, fresh.park_canceled);
-  copy(stats_.ring_aborts, fresh.ring_aborts);
-  copy(stats_.cosy_aborts, fresh.cosy_aborts);
-  copy(stats_.admits, fresh.admits);
-  copy(stats_.sheds, fresh.sheds);
-  copy(stats_.retries, fresh.retries);
-  copy(stats_.budget_exhausted, fresh.budget_exhausted);
-  copy(stats_.clock_skew_injected, fresh.clock_skew_injected);
-  copy(stats_.spurious_wakes, fresh.spurious_wakes);
+  for (const NamedCounter& c : kCounters) {
+    (stats_.*c.field).store(0, std::memory_order_relaxed);
+  }
   stats_.active.store(0, std::memory_order_relaxed);
   service_hist_.reset();
+}
+
+Errno Kdl::fail_fast_armed(sched::Task* task, Site site) {
+  Errno e = Errno::kOk;
+  if (task != nullptr && task->cancel_pending()) {
+    e = Errno::kECANCELED;
+  } else if (DeadlineScope* ds = DeadlineScope::current();
+             ds != nullptr && ds->expired()) {
+    e = Errno::kETIMEDOUT;
+  } else {
+    return e;
+  }
+  std::atomic<std::uint64_t>& n =
+      site == Site::kRing   ? stats_.ring_aborts
+      : site == Site::kCosy ? stats_.cosy_aborts
+      : e == Errno::kECANCELED ? stats_.gateway_canceled
+                               : stats_.gateway_expired;
+  n.fetch_add(1, std::memory_order_relaxed);
+  return e;
 }
 
 void Kdl::register_tenant(RetryBudget* t) {
@@ -75,47 +108,23 @@ void Kdl::unregister_tenant(RetryBudget* t) {
 }
 
 std::string Kdl::format_stats() const {
-  auto ld = [](const std::atomic<std::uint64_t>& a) {
-    return static_cast<unsigned long long>(a.load(std::memory_order_relaxed));
+  std::string out;
+  auto add = [&out](const char* name, auto v) {
+    out += name;
+    out += ' ';
+    out += std::to_string(v);
+    out += '\n';
   };
-  trace::HistogramSnapshot h = service_hist_.snapshot();
-  char buf[1024];
-  int n = std::snprintf(
-      buf, sizeof buf,
-      "enabled %d\n"
-      "active %lld\n"
-      "attached %llu\n"
-      "completed %llu\n"
-      "retired_expired %llu\n"
-      "retired_canceled %llu\n"
-      "gateway_expired %llu\n"
-      "gateway_canceled %llu\n"
-      "park_expired %llu\n"
-      "park_canceled %llu\n"
-      "ring_aborts %llu\n"
-      "cosy_aborts %llu\n"
-      "admits %llu\n"
-      "sheds %llu\n"
-      "retries %llu\n"
-      "budget_exhausted %llu\n"
-      "clock_skew_injected %llu\n"
-      "spurious_wakes %llu\n"
-      "service_p50_ns %llu\n"
-      "service_p99_ns %llu\n"
-      "service_count %llu\n",
-      enabled() ? 1 : 0,
-      static_cast<long long>(stats_.active.load(std::memory_order_relaxed)),
-      ld(stats_.attached), ld(stats_.completed), ld(stats_.retired_expired),
-      ld(stats_.retired_canceled), ld(stats_.gateway_expired),
-      ld(stats_.gateway_canceled), ld(stats_.park_expired),
-      ld(stats_.park_canceled), ld(stats_.ring_aborts), ld(stats_.cosy_aborts),
-      ld(stats_.admits), ld(stats_.sheds), ld(stats_.retries),
-      ld(stats_.budget_exhausted), ld(stats_.clock_skew_injected),
-      ld(stats_.spurious_wakes),
-      static_cast<unsigned long long>(h.percentile(50)),
-      static_cast<unsigned long long>(h.percentile(99)),
-      static_cast<unsigned long long>(h.count));
-  return std::string(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
+  add("enabled", enabled() ? 1 : 0);
+  add("active", stats_.active.load(std::memory_order_relaxed));
+  for (const NamedCounter& c : kCounters) {
+    add(c.name, (stats_.*c.field).load(std::memory_order_relaxed));
+  }
+  const trace::HistogramSnapshot h = service_hist_.snapshot();
+  add("service_p50_ns", h.percentile(50));
+  add("service_p99_ns", h.percentile(99));
+  add("service_count", h.count);
+  return out;
 }
 
 std::string Kdl::format_tenants() const {
@@ -136,9 +145,9 @@ std::string Kdl::format_tenants() const {
 
 // --- DeadlineScope -----------------------------------------------------------
 
-DeadlineScope::DeadlineScope(std::chrono::nanoseconds budget,
+DeadlineScope::DeadlineScope(Kdl& kdl, std::chrono::nanoseconds budget,
                              sched::Task* task, std::uint32_t tenant)
-    : armed_(dl_enabled()) {
+    : kdl_(kdl), armed_(kdl.enabled()) {
   if (!armed_) return;
   start_ = Clock::now();
   deadline_ = start_ + budget;
@@ -146,7 +155,7 @@ DeadlineScope::DeadlineScope(std::chrono::nanoseconds budget,
   tenant_ = tenant;
   prev_ = t_current;
   t_current = this;
-  DlStats& st = Kdl::instance().stats();
+  DlStats& st = kdl_.stats();
   st.attached.fetch_add(1, std::memory_order_relaxed);
   st.active.fetch_add(1, std::memory_order_relaxed);
 }
@@ -154,8 +163,7 @@ DeadlineScope::DeadlineScope(std::chrono::nanoseconds budget,
 DeadlineScope::~DeadlineScope() {
   if (!armed_) return;
   t_current = prev_;
-  Kdl& kdl = Kdl::instance();
-  DlStats& st = kdl.stats();
+  DlStats& st = kdl_.stats();
   st.active.fetch_sub(1, std::memory_order_relaxed);
   // The unwind is over: a pending cancel must not leak into the serving
   // thread's next request.
@@ -185,8 +193,7 @@ std::int64_t DeadlineScope::remaining_ns() const {
     // A skewed clock read lands past the deadline: the request expires
     // spuriously. Callers must unwind leak-free exactly as for a real
     // expiry -- that symmetry is what the soak checks.
-    Kdl::instance().stats().clock_skew_injected.fetch_add(
-        1, std::memory_order_relaxed);
+    kdl_.stats().clock_skew_injected.fetch_add(1, std::memory_order_relaxed);
     return -1;
   } else if (f.transient) {
     // Recovered skew: the sanity re-read costs one extra now().
@@ -197,54 +204,6 @@ std::int64_t DeadlineScope::remaining_ns() const {
       .count();
 }
 
-// --- free helpers ------------------------------------------------------------
-
-Errno check(sched::Task* task) {
-  if (task != nullptr && task->cancel_pending()) return Errno::kECANCELED;
-  if (DeadlineScope* ds = DeadlineScope::current();
-      ds != nullptr && ds->expired()) {
-    return Errno::kETIMEDOUT;
-  }
-  return Errno::kOk;
-}
-
-Errno gate_check(sched::Task* task) {
-  Errno e = check(task);
-  if (e == Errno::kECANCELED) {
-    Kdl::instance().stats().gateway_canceled.fetch_add(
-        1, std::memory_order_relaxed);
-  } else if (e == Errno::kETIMEDOUT) {
-    Kdl::instance().stats().gateway_expired.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  return e;
-}
-
-const Clock::time_point* effective_deadline(const Clock::time_point* user,
-                                            Clock::time_point* storage,
-                                            bool* dl_bound) {
-  *dl_bound = false;
-  if (!dl_enabled()) return user;
-  DeadlineScope* ds = DeadlineScope::current();
-  if (ds == nullptr) return user;
-  if (user == nullptr || ds->deadline() < *user) {
-    *storage = ds->deadline();
-    *dl_bound = true;
-    return storage;
-  }
-  return user;
-}
-
-bool spurious_wake() {
-  auto f = USK_FAIL_POINT(fault::Site::kDlSpuriousWake);
-  if (f.fail || f.transient) {
-    Kdl::instance().stats().spurious_wakes.fetch_add(
-        1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
 // --- Admission ---------------------------------------------------------------
 
 std::uint64_t Admission::service_estimate_ns() const {
@@ -253,7 +212,7 @@ std::uint64_t Admission::service_estimate_ns() const {
 }
 
 bool Admission::try_admit(std::int64_t remaining_ns) {
-  DlStats& st = Kdl::instance().stats();
+  DlStats& st = kdl_.stats();
   std::size_t cur = inflight_.load(std::memory_order_relaxed);
   for (;;) {
     if (cur >= cfg_.max_inflight) break;
@@ -279,37 +238,36 @@ bool Admission::try_admit(std::int64_t remaining_ns) {
 
 void Admission::depart(std::uint64_t service_ns) {
   inflight_.fetch_sub(1, std::memory_order_relaxed);
-  Kdl::instance().service_hist().record(service_ns);
+  kdl_.service_hist().record(service_ns);
   // Refresh the cached percentile off the per-request path: snapshotting
   // 44 buckets every departure would put a loop in the serving loop.
   std::uint64_t n = departs_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (n % 32 == 1) {
     est_ns_.store(
-        Kdl::instance().service_hist().snapshot().percentile(cfg_.percentile),
+        kdl_.service_hist().snapshot().percentile(cfg_.percentile),
         std::memory_order_relaxed);
   }
 }
 
 // --- RetryBudget -------------------------------------------------------------
 
-RetryBudget::RetryBudget(std::string name, RetryBudgetConfig cfg)
-    : name_(std::move(name)), cfg_(cfg) {
-  Kdl::instance().register_tenant(this);
+RetryBudget::RetryBudget(Kdl& kdl, std::string name, RetryBudgetConfig cfg)
+    : kdl_(kdl), name_(std::move(name)), cfg_(cfg) {
+  kdl_.register_tenant(this);
 }
 
-RetryBudget::~RetryBudget() { Kdl::instance().unregister_tenant(this); }
+RetryBudget::~RetryBudget() { kdl_.unregister_tenant(this); }
 
 RetryBudget::Decision RetryBudget::on_reject() {
   std::uint32_t streak = streak_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (streak > cfg_.budget) {
     exhausted_.fetch_add(1, std::memory_order_relaxed);
-    Kdl::instance().stats().budget_exhausted.fetch_add(
-        1, std::memory_order_relaxed);
+    kdl_.stats().budget_exhausted.fetch_add(1, std::memory_order_relaxed);
     streak_.store(0, std::memory_order_relaxed);  // next request starts fresh
     return {false, 0};
   }
   retries_.fetch_add(1, std::memory_order_relaxed);
-  Kdl::instance().stats().retries.fetch_add(1, std::memory_order_relaxed);
+  kdl_.stats().retries.fetch_add(1, std::memory_order_relaxed);
   // Exponential backoff with full deterministic jitter: uniform in
   // (cap/2, cap] where cap doubles per consecutive reject. Jitter
   // decorrelates tenants that were rejected in the same shed burst so

@@ -9,9 +9,11 @@
 //     entry). The scope rides the same thread-local mechanism as kspan
 //     (trace::SpanScope): synchronous kernel work on the serving thread
 //     sees it for free, with zero per-request allocation. The syscall
-//     gateway (uk::Kernel::Scope) and every WaitQueue park consult it;
-//     an expired request fails fast with ETIMEDOUT instead of consuming
-//     kernel units it can no longer convert into goodput.
+//     gateway (uk::Kernel::Scope), ring chains and Cosy compounds check
+//     it through Kdl::fail_fast, and every blocking vehicle parks
+//     through uk::Kernel::park, which the deadline bounds; an expired
+//     request fails fast with ETIMEDOUT instead of consuming kernel
+//     units it can no longer convert into goodput.
 //
 //  2. Cooperative cancellation. Scheduler::cancel(task) reuses PR 9's
 //     kill/parked_on seq_cst handshake but leaves the task schedulable:
@@ -29,6 +31,11 @@
 //     request's deadline budget. Clients hold per-tenant RetryBudgets
 //     (exponential backoff, deterministic jitter); an exhausted budget
 //     is the ksup hook that trips the tenant's breaker.
+//
+// Per-Kernel: every uk::Kernel owns one Kdl (Kernel::dl()) -- its arming
+// flag, stats, tenant list and admission service histogram -- so arming
+// kdl on one Kernel (echo 1 > /proc/dl/enable) leaves every other Kernel
+// in the process untouched.
 //
 // Disarmed discipline (matches kspan/kfail/ksup): with kdl disabled,
 // the gateway check is ONE relaxed atomic load and a predicted branch;
@@ -53,18 +60,19 @@ namespace usk::dl {
 using Clock = std::chrono::steady_clock;
 
 namespace detail {
-/// Process-wide arming flag. Relaxed loads on every consult; exactness
-/// during the enable/disable transition is not required (same contract
-/// as trace::detail::g_span_enabled).
-inline std::atomic<bool> g_enabled{false};
+/// Enabled Kdls in this process. A report for bench headers only: no
+/// kernel path reads it.
+inline std::atomic<int> g_armed_kdls{0};
 }  // namespace detail
 
-/// One relaxed load: the only cost kdl adds to a disarmed kernel.
+/// True while some Kernel in this process has kdl enabled (bench headers
+/// refuse to measure an armed build). Each Kernel gates on its own
+/// Kdl::enabled().
 inline bool dl_enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
+  return detail::g_armed_kdls.load(std::memory_order_relaxed) != 0;
 }
 
-/// Process-wide kdl accounting, reported via /proc/dl and kmetrics.
+/// One Kernel's kdl accounting, reported via /proc/dl and /proc/metrics.
 struct DlStats {
   // Request lifecycle (DeadlineScope attach/retire).
   std::atomic<std::uint64_t> attached{0};
@@ -76,7 +84,7 @@ struct DlStats {
   // Fail-fast exits, by site.
   std::atomic<std::uint64_t> gateway_expired{0};   ///< Scope gate ETIMEDOUT
   std::atomic<std::uint64_t> gateway_canceled{0};  ///< Scope gate ECANCELED
-  std::atomic<std::uint64_t> park_expired{0};      ///< timed park ETIMEDOUT
+  std::atomic<std::uint64_t> park_expired{0};      ///< park ETIMEDOUT
   std::atomic<std::uint64_t> park_canceled{0};     ///< park ECANCELED
   std::atomic<std::uint64_t> ring_aborts{0};  ///< chain cancel-on-deadline
   std::atomic<std::uint64_t> cosy_aborts{0};  ///< between-op compound abort
@@ -96,15 +104,36 @@ struct DlStats {
 
 class RetryBudget;
 
-/// Singleton owner of kdl state: the arming flag, global stats, the
-/// served-latency histogram feeding admission estimates, and the tenant
-/// registry behind /proc/dl/tenants.
+/// One Kernel's kdl state: the arming flag, stats, the served-latency
+/// histogram feeding admission estimates, and the tenant registry behind
+/// /proc/dl/tenants. Built armed when USK_DL is set (non-empty, not "0").
 class Kdl {
  public:
-  static Kdl& instance();
+  Kdl();
+  ~Kdl();
+  Kdl(const Kdl&) = delete;
+  Kdl& operator=(const Kdl&) = delete;
 
-  void set_enabled(bool on) { detail::g_enabled.store(on); }
-  [[nodiscard]] bool enabled() const { return dl_enabled(); }
+  void set_enabled(bool on);
+  /// One relaxed load: the only cost kdl adds to a disarmed kernel.
+  [[nodiscard]] bool enabled() const {
+    return enabled_.load(std::memory_order_relaxed);
+  }
+
+  /// Where a request is failed fast; picks the counter fail_fast ticks.
+  enum class Site : std::uint8_t {
+    kGateway,  ///< Kernel::Scope: gateway_expired / gateway_canceled
+    kRing,     ///< between ring SQEs: ring_aborts
+    kCosy,     ///< between Cosy ops: cosy_aborts
+  };
+
+  /// The one fail-fast check: with kdl enabled, a pending cancel ->
+  /// ECANCELED, an expired current DeadlineScope -> ETIMEDOUT (cancel
+  /// outranks expiry: the canceler asked for a deterministic ECANCELED),
+  /// ticking `site`'s counter; else kOk. Disabled, one relaxed load.
+  [[nodiscard]] Errno fail_fast(sched::Task* task, Site site) {
+    return enabled() ? fail_fast_armed(task, site) : Errno::kOk;
+  }
 
   DlStats& stats() { return stats_; }
   [[nodiscard]] const DlStats& stats() const { return stats_; }
@@ -125,7 +154,9 @@ class Kdl {
   [[nodiscard]] std::string format_tenants() const;
 
  private:
-  Kdl();
+  Errno fail_fast_armed(sched::Task* task, Site site);
+
+  std::atomic<bool> enabled_{false};
   DlStats stats_;
   trace::Histogram service_hist_;
   mutable std::mutex tenants_mu_;
@@ -133,15 +164,16 @@ class Kdl {
 };
 
 /// RAII per-request deadline, stacked on a thread-local exactly like
-/// trace::SpanScope. Construct at ingress with the request's budget and
-/// the serving Task (nullable for non-task contexts); nested scopes
-/// shadow the outer one (a sub-operation may run under a tighter
-/// deadline). When kdl is disabled at construction the scope is inert:
-/// no clock read, no stack push, no destructor work.
+/// trace::SpanScope. Construct at ingress with the Kdl it reports to
+/// (the serving Kernel's), the request's budget and the serving Task
+/// (nullable for non-task contexts); nested scopes shadow the outer one
+/// (a sub-operation may run under a tighter deadline). When that Kdl is
+/// disabled at construction the scope is inert: no clock read, no stack
+/// push, no destructor work.
 class DeadlineScope {
  public:
-  DeadlineScope(std::chrono::nanoseconds budget, sched::Task* task = nullptr,
-                std::uint32_t tenant = 0);
+  DeadlineScope(Kdl& kdl, std::chrono::nanoseconds budget,
+                sched::Task* task = nullptr, std::uint32_t tenant = 0);
   ~DeadlineScope();
 
   DeadlineScope(const DeadlineScope&) = delete;
@@ -164,6 +196,7 @@ class DeadlineScope {
   }
 
  private:
+  Kdl& kdl_;
   bool armed_;
   DeadlineScope* prev_ = nullptr;
   Clock::time_point start_{};
@@ -172,35 +205,8 @@ class DeadlineScope {
   std::uint32_t tenant_ = 0;
 };
 
-/// Raw deadline/cancel evaluation: pending cancel -> ECANCELED, expired
-/// deadline -> ETIMEDOUT, else kOk. Cancel outranks expiry (the canceler
-/// asked for a deterministic ECANCELED; the request unwinds either way).
-/// No counters -- vehicles with their own abort accounting (ring chains,
-/// Cosy compounds) call this directly.
-Errno check(sched::Task* task);
-
-/// Syscall-gateway wrapper around check(), called by uk::Kernel::Scope
-/// only when dl_enabled(); ticks the gateway_expired/gateway_canceled
-/// stats.
-Errno gate_check(sched::Task* task);
-
-/// Effective park deadline: min(caller-supplied user deadline, the
-/// current dl deadline). Returns nullptr when neither applies, `storage`
-/// when one does. `*dl_bound` is set when the dl deadline is the binding
-/// one, so the caller can tell ETIMEDOUT (dl expiry) from the user
-/// timeout's own semantics (e.g. epoll_wait returning 0).
-const Clock::time_point* effective_deadline(const Clock::time_point* user,
-                                            Clock::time_point* storage,
-                                            bool* dl_bound);
-
-/// kfail dl.spurious_wake hook for park loops: when it fires, the caller
-/// should treat the park as spuriously woken -- skip the sleep and
-/// re-check its wait condition. Wake-safe loops absorb this by
-/// construction; the soak proves it.
-bool spurious_wake();
-
 /// Bounded, feasibility-checked ingress admission. One instance per
-/// serving pool (the workload owns it); counters roll up into Kdl.
+/// serving pool (the workload owns it); counters roll up into its Kdl.
 struct AdmissionConfig {
   std::size_t max_inflight = 64;  ///< hard inflight bound
   double percentile = 90.0;       ///< service-estimate percentile
@@ -209,7 +215,8 @@ struct AdmissionConfig {
 
 class Admission {
  public:
-  explicit Admission(AdmissionConfig cfg = {}) : cfg_(cfg) {}
+  explicit Admission(Kdl& kdl, AdmissionConfig cfg = {})
+      : kdl_(kdl), cfg_(cfg) {}
 
   /// Admit a request with `remaining_ns` of deadline budget left.
   /// Sheds (returns false) when the inflight bound is hit or the
@@ -227,6 +234,7 @@ class Admission {
   [[nodiscard]] std::uint64_t service_estimate_ns() const;
 
  private:
+  Kdl& kdl_;
   AdmissionConfig cfg_;
   std::atomic<std::size_t> inflight_{0};
   std::atomic<std::uint64_t> est_ns_{0};    ///< cached percentile
@@ -255,7 +263,7 @@ class RetryBudget {
     std::uint64_t backoff_ns = 0;
   };
 
-  RetryBudget(std::string name, RetryBudgetConfig cfg = {});
+  RetryBudget(Kdl& kdl, std::string name, RetryBudgetConfig cfg = {});
   ~RetryBudget();
 
   RetryBudget(const RetryBudget&) = delete;
@@ -285,6 +293,7 @@ class RetryBudget {
   }
 
  private:
+  Kdl& kdl_;
   std::string name_;
   RetryBudgetConfig cfg_;
   std::atomic<std::uint32_t> streak_{0};  ///< consecutive rejects

@@ -100,6 +100,34 @@ InodeNum ProcFs::add_dir(std::string_view path) {
   return cur;
 }
 
+void ProcFs::add_gauge(const char* name, const char* help, GaugeFn fn) {
+  std::lock_guard lk(gauges_mu_);
+  gauges_.push_back(Gauge{name, help, std::move(fn)});
+}
+
+std::string ProcFs::expose_gauges() const {
+  std::vector<Gauge> gauges;
+  {
+    std::lock_guard lk(gauges_mu_);
+    gauges = gauges_;
+  }
+  std::string out;
+  for (const Gauge& g : gauges) {
+    out += "# HELP ";
+    out += g.name;
+    out += ' ';
+    out += g.help;
+    out += "\n# TYPE ";
+    out += g.name;
+    out += " gauge\n";
+    out += g.name;
+    out += ' ';
+    out += std::to_string(g.fn());
+    out += '\n';
+  }
+  return out;
+}
+
 Result<InodeNum> ProcFs::lookup(InodeNum dir, std::string_view name) {
   std::lock_guard lk(mu_);
   Node* d = get(dir);

@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "fs/filesystem.hpp"
 
@@ -43,6 +44,16 @@ class ProcFs final : public FileSystem {
 
   /// Create a directory (and parents). Idempotent.
   InodeNum add_dir(std::string_view path);
+
+  /// A gauge whose value is owned by what registered this filesystem (its
+  /// Kernel, store or cache), read at scrape time. It lives exactly as
+  /// long as this ProcFs, so two Kernels never read each other's values.
+  /// `name` and `help` must be literals; names are not de-duplicated.
+  using GaugeFn = std::function<std::int64_t()>;
+  void add_gauge(const char* name, const char* help, GaugeFn fn);
+  /// Prometheus text (# HELP / # TYPE / value) of every gauge, in
+  /// registration order: the head of /metrics.
+  [[nodiscard]] std::string expose_gauges() const;
 
   // --- FileSystem -----------------------------------------------------------
   [[nodiscard]] InodeNum root() const override { return kRootIno; }
@@ -81,9 +92,18 @@ class ProcFs final : public FileSystem {
   std::pair<InodeNum, std::string> ensure_parents(std::string_view path);
   void render_locked(InodeNum ino, Node& n);
 
+  struct Gauge {
+    const char* name;
+    const char* help;
+    GaugeFn fn;
+  };
+
   mutable std::mutex mu_;
   std::unordered_map<InodeNum, Node> nodes_;
   InodeNum next_ino_ = 2;
+  /// Its own lock: /metrics renders the gauges while holding mu_.
+  mutable std::mutex gauges_mu_;
+  std::vector<Gauge> gauges_;
 };
 
 }  // namespace usk::fs

@@ -64,7 +64,6 @@ const char* kind_name(int k) {
     case 0: return "counter";
     case 1: return "gauge";
     case 2: return "histogram";
-    case 3: return "gauge";
     default: return "untyped";
   }
 }
@@ -121,14 +120,6 @@ Histogram& Registry::histogram(const char* name, const char* help,
   return *s.hist;
 }
 
-void Registry::gauge_fn(const char* name, const char* help, Labels labels,
-                        std::function<std::int64_t()> fn) {
-  std::lock_guard lk(mu_);
-  Series& s = series_locked(family_locked(name, help, Kind::kGaugeFn),
-                            std::move(labels));
-  s.fn = std::move(fn);  // replace: per-Kernel wiring re-runs
-}
-
 void Registry::add_scrape_fn(const char* id,
                              std::function<void(std::string&)> fn) {
   std::lock_guard lk(mu_);
@@ -167,12 +158,6 @@ std::string Registry::expose() const {
           out += f.name;
           append_labels(out, s.labels);
           appendf(out, " %" PRId64 "\n", s.gauge->value());
-          break;
-        }
-        case Kind::kGaugeFn: {
-          out += f.name;
-          append_labels(out, s.labels);
-          appendf(out, " %" PRId64 "\n", s.fn ? s.fn() : 0);
           break;
         }
         case Kind::kHistogram: {

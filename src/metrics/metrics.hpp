@@ -101,13 +101,6 @@ class Registry {
   Histogram& histogram(const char* name, const char* help,
                        Labels labels = {});
 
-  /// Callback-backed gauge for values owned elsewhere (ktrace drop
-  /// counters, span stats): `fn` runs at scrape time. Re-registering the
-  /// same (name, labels) replaces the callback, so per-Kernel proc
-  /// wiring can re-run without duplicating series.
-  void gauge_fn(const char* name, const char* help, Labels labels,
-                std::function<std::int64_t()> fn);
-
   /// Raw exposition provider appended after the typed families, keyed by
   /// `id` (re-registration replaces). For series whose label sets are
   /// only known at scrape time (per-syscall latency quantiles bridged
@@ -126,14 +119,13 @@ class Registry {
  private:
   Registry() = default;
 
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram, kGaugeFn };
+  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 
   struct Series {
     Labels labels;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> hist;
-    std::function<std::int64_t()> fn;
   };
   struct Family {
     const char* name = "";

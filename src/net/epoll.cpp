@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "dl/dl.hpp"
 #include "net/net.hpp"
 #include "trace/tracepoint.hpp"
 
@@ -185,34 +184,13 @@ SysRet Net::handle_epoll_wait(uk::Process& p, const SysArgs& a,
     if (!out.empty()) break;
     if (!forever && (timeout_ms == 0 || clock::now() >= deadline)) break;
 
-    // kdl: the request deadline tightens the park bound. A dl expiry is
-    // an error (ETIMEDOUT) where the user's own timeout is a normal
-    // return of 0 events, so track which deadline is binding.
-    dl::Clock::time_point dl_storage;
-    bool dl_bound = false;
-    const clock::time_point* eff = dl::effective_deadline(
-        forever ? nullptr : &deadline, &dl_storage, &dl_bound);
-    if (dl_bound && dl_storage <= clock::now()) {
-      return sysret_err(Errno::kETIMEDOUT);
-    }
-    if (dl::spurious_wake()) continue;  // kfail: re-scan, never sleep late
-
     // 4. Park until a socket signals or the caller's deadline passes
-    // (the watchdog runs at the park, as at every schedule-out).
-    sched::WaitQueue::Wait w = k_.scheduler().block(ep.wq_, tok, eff);
-    if (w == sched::WaitQueue::Wait::kKilled) {
-      return sysret_err(Errno::kEINTR);
-    }
-    if (w == sched::WaitQueue::Wait::kCanceled) {
-      dl::Kdl::instance().stats().park_canceled.fetch_add(
-          1, std::memory_order_relaxed);
-      return sysret_err(Errno::kECANCELED);
-    }
-    if (w == sched::WaitQueue::Wait::kTimeout && dl_bound) {
-      dl::Kdl::instance().stats().park_expired.fetch_add(
-          1, std::memory_order_relaxed);
-      return sysret_err(Errno::kETIMEDOUT);
-    }
+    // (the watchdog runs at the park, as at every schedule-out). The
+    // caller's own timeout ending the park re-scans and returns 0 events
+    // above; a request deadline ending it is ETIMEDOUT.
+    Result<uk::Kernel::Parked> w =
+        k_.park(ep.wq_, tok, forever ? nullptr : &deadline);
+    if (!w) return sysret_err(w.error());
   }
 
   std::size_t n = std::min(out.size(), static_cast<std::size_t>(maxevents));

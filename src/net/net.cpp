@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "dl/dl.hpp"
 #include "fault/kfail.hpp"
 #include "trace/span.hpp"
 #include "trace/tracepoint.hpp"
@@ -123,35 +122,15 @@ Errno Net::block_on(std::unique_lock<std::mutex>& lk, sched::WaitQueue& wq,
     // returns immediately. No readiness re-poll interval exists.
     sched::WaitQueue::Token tok = wq.prepare();
     if (pred()) return Errno::kOk;
-    // kdl: the request's deadline bounds the park. Expiry checked here
-    // too, so an already-late request fails fast instead of sleeping out
-    // its full deadline first. Errno contract (shared with every other
-    // blocking vehicle): expiry -> ETIMEDOUT, cancel -> ECANCELED,
-    // kill -> EINTR.
-    dl::Clock::time_point storage;
-    bool dl_bound = false;
-    const dl::Clock::time_point* deadline =
-        dl::effective_deadline(nullptr, &storage, &dl_bound);
-    if (dl_bound && storage <= dl::Clock::now()) return Errno::kETIMEDOUT;
-    if (dl::spurious_wake()) continue;  // kfail: re-check, never sleep late
     lk.unlock();
     // Park = schedule out: the watchdog runs here, so a task blocked on a
     // socket that will never become ready is killed by the same kernel
     // budget policy as any runaway in-kernel loop (paper §3: user code in
     // the kernel must stay preemptible and killable even when it waits).
-    sched::WaitQueue::Wait w = k_.scheduler().block(wq, tok, deadline);
+    // The request's deadline bounds the park (no timeout of its own).
+    Result<uk::Kernel::Parked> w = k_.park(wq, tok);
     lk.lock();
-    if (w == sched::WaitQueue::Wait::kKilled) return Errno::kEINTR;
-    if (w == sched::WaitQueue::Wait::kCanceled) {
-      dl::Kdl::instance().stats().park_canceled.fetch_add(
-          1, std::memory_order_relaxed);
-      return Errno::kECANCELED;
-    }
-    if (w == sched::WaitQueue::Wait::kTimeout) {
-      dl::Kdl::instance().stats().park_expired.fetch_add(
-          1, std::memory_order_relaxed);
-      return Errno::kETIMEDOUT;
-    }
+    if (!w) return w.error();
   }
 }
 

@@ -319,14 +319,11 @@ void RingDev::exec_chain(uk::Process& p, Ring& r,
     // ETIMEDOUT/ECANCELED reuses the cancel cascade and fd rollback
     // below, so an expired or canceled chain unwinds through exactly
     // the machinery any mid-chain error already exercises.
-    if (dl::dl_enabled()) {
-      if (Errno de = dl::check(&p.task); de != Errno::kOk) {
-        dl::Kdl::instance().stats().ring_aborts.fetch_add(
-            1, std::memory_order_relaxed);
-        out.push_back(Cqe{e.user_data, sysret_err(de)});
-        failed = true;
-        continue;
-      }
+    if (Errno de = k_.dl().fail_fast(&p.task, dl::Kdl::Site::kRing);
+        de != Errno::kOk) {
+      out.push_back(Cqe{e.user_data, sysret_err(de)});
+      failed = true;
+      continue;
     }
     charge(kSqeDispatchUnits);
     SysRet res = 0;
@@ -514,36 +511,15 @@ SysRet RingDev::do_enter(uk::Process& p, Ring& r, std::uint32_t to_submit,
     // deadline passes. Blocking socket ops inside the drain park on their
     // sockets' WaitQueues wired to peer readiness; no polling anywhere on
     // this path.
-    // kdl: the request deadline tightens the wait bound. Work already
-    // posted always beats the error (like a partial recv); an expiry or
-    // cancel with nothing posted surfaces ETIMEDOUT/ECANCELED.
-    dl::Clock::time_point dl_storage;
-    bool dl_bound = false;
-    const sched::WaitQueue::Deadline* eff = dl::effective_deadline(
-        bounded_wait ? &deadline : nullptr, &dl_storage, &dl_bound);
-    if (dl_bound && dl_storage <= std::chrono::steady_clock::now()) {
-      dl::Kdl::instance().stats().park_expired.fetch_add(
-          1, std::memory_order_relaxed);
-      if (posted > 0) return static_cast<SysRet>(posted);
-      return sysret_err(Errno::kETIMEDOUT);
-    }
-    if (dl::spurious_wake()) continue;  // kfail: re-drain, never sleep late
-    sched::WaitQueue::Wait w = k_.scheduler().block(r.wq_, tok, eff);
-    if (w == sched::WaitQueue::Wait::kKilled) {
-      if (posted > 0) return static_cast<SysRet>(posted);
-      return sysret_err(Errno::kEINTR);
-    }
-    if (w == sched::WaitQueue::Wait::kCanceled) {
-      dl::Kdl::instance().stats().park_canceled.fetch_add(
-          1, std::memory_order_relaxed);
-      if (posted > 0) return static_cast<SysRet>(posted);
-      return sysret_err(Errno::kECANCELED);
-    }
-    if (w == sched::WaitQueue::Wait::kTimeout && dl_bound) {
-      dl::Kdl::instance().stats().park_expired.fetch_add(
-          1, std::memory_order_relaxed);
-      if (posted > 0) return static_cast<SysRet>(posted);
-      return sysret_err(Errno::kETIMEDOUT);
+    // The request deadline tightens the wait bound. Work already posted
+    // always beats the error (like a partial recv); a kill, cancel or
+    // request expiry with nothing posted surfaces EINTR/ECANCELED/
+    // ETIMEDOUT.
+    Result<uk::Kernel::Parked> w =
+        k_.park(r.wq_, tok, bounded_wait ? &deadline : nullptr);
+    if (!w) {
+      return posted > 0 ? static_cast<SysRet>(posted)
+                        : sysret_err(w.error());
     }
   }
   return static_cast<SysRet>(posted);

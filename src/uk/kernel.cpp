@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "dl/dl.hpp"
 #include "fs/procfs.hpp"
 #include "trace/span.hpp"
 #include "trace/tracepoint.hpp"
@@ -131,8 +130,8 @@ Kernel::Scope::Scope(Kernel& k, Process& p, Sys nr)
   k_.sched_.enter(p_.task);
   // kdl gateway: an expired or canceled request fails fast here instead
   // of spending kernel units on work whose answer nobody will take.
-  // Disarmed, this whole block is one relaxed load.
-  if (dl::dl_enabled()) gate_err_ = dl::gate_check(&p_.task);
+  // Disarmed, this is one relaxed load.
+  gate_err_ = k_.dl_.fail_fast(&p_.task, dl::Kdl::Site::kGateway);
 }
 
 Kernel::Scope::~Scope() {
@@ -158,6 +157,52 @@ Kernel::Scope::~Scope() {
   }
   // Subscribers (audit, supervisors): one relaxed load when there are none.
   if (k_.has_subscribers()) k_.publish(r);
+}
+
+// --- park -------------------------------------------------------------------
+
+Result<Kernel::Parked> Kernel::park(sched::WaitQueue& wq,
+                                    sched::WaitQueue::Token tok,
+                                    const sched::WaitQueue::Deadline* user) {
+  // kdl: the request's deadline tightens the caller's own bound. Which
+  // one binds decides what its expiry means: the request's is an error
+  // (ETIMEDOUT), the caller's its own normal return (kUserDeadline).
+  const sched::WaitQueue::Deadline* bound = user;
+  sched::WaitQueue::Deadline request_deadline;
+  bool request_bound = false;
+  if (const dl::DeadlineScope* ds = dl::DeadlineScope::current();
+      ds != nullptr && (user == nullptr || ds->deadline() < *user)) {
+    request_deadline = ds->deadline();
+    bound = &request_deadline;
+    request_bound = true;
+  }
+  // A request already late fails fast instead of sleeping first.
+  const bool late = request_bound &&
+                    request_deadline <= std::chrono::steady_clock::now();
+  if (!late) {
+    // kfail: a spurious wake re-checks the caller's predicate instead of
+    // sleeping; wake-safe park loops absorb it by construction.
+    if (auto f = USK_FAIL_POINT(fault::Site::kDlSpuriousWake);
+        f.fail || f.transient) {
+      dl_.stats().spurious_wakes.fetch_add(1, std::memory_order_relaxed);
+      return Parked::kWoken;
+    }
+  }
+  switch (late ? sched::WaitQueue::Wait::kTimeout
+               : sched_.block(wq, tok, bound)) {
+    case sched::WaitQueue::Wait::kWoken:
+      return Parked::kWoken;
+    case sched::WaitQueue::Wait::kKilled:
+      return Errno::kEINTR;
+    case sched::WaitQueue::Wait::kCanceled:
+      dl_.stats().park_canceled.fetch_add(1, std::memory_order_relaxed);
+      return Errno::kECANCELED;
+    case sched::WaitQueue::Wait::kTimeout:
+      break;
+  }
+  if (!request_bound) return Parked::kUserDeadline;
+  dl_.stats().park_expired.fetch_add(1, std::memory_order_relaxed);
+  return Errno::kETIMEDOUT;
 }
 
 // --- helpers ----------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "base/work.hpp"
+#include "dl/dl.hpp"
 #include "fs/memfs.hpp"
 #include "fs/vfs.hpp"
 #include "mm/kmalloc.hpp"
@@ -157,6 +158,25 @@ class Kernel {
   [[nodiscard]] vm::AddressSpace& kernel_as() { return kernel_as_; }
   [[nodiscard]] mm::Kmalloc& kmalloc() { return kmalloc_; }
   [[nodiscard]] mm::Vmalloc& vmalloc() { return vmalloc_; }
+  /// This Kernel's kdl: deadlines, cancellation and admission (dl/dl.hpp).
+  [[nodiscard]] dl::Kdl& dl() { return dl_; }
+
+  /// What a park ended with, when it did not fail.
+  enum class Parked : std::uint8_t {
+    kWoken,         ///< woken, maybe spuriously: re-check the predicate
+    kUserDeadline,  ///< the caller's own deadline passed (not an error)
+  };
+  /// The one deadline-aware park for every blocking vehicle (socket
+  /// recv/accept, epoll_wait, ring_enter). Parks the current task on `wq`
+  /// until a wake newer than `tok`, a kill, a cancel, or the earlier of
+  /// `user` (the caller's own timeout; nullptr = none) and the current
+  /// DeadlineScope's deadline. The task schedules out, so the watchdog
+  /// runs at every park. Errors: EINTR (killed), ECANCELED (cancel
+  /// pending; ticks park_canceled), ETIMEDOUT (the request deadline is
+  /// the binding one and has passed -- already before the park, too;
+  /// ticks park_expired).
+  Result<Parked> park(sched::WaitQueue& wq, sched::WaitQueue::Token tok,
+                      const sched::WaitQueue::Deadline* user = nullptr);
 
   /// Create (once) a kernel-backed ProcFs -- see uk/kproc.hpp for the
   /// file tree -- make the /proc directory on the root filesystem, and
@@ -204,10 +224,12 @@ class Kernel {
     SysRet fail(Errno e) { return done(sysret_err(e)); }
 
     /// kdl gateway gate. The constructor evaluates the dispatching
-    /// request's deadline/cancel state once at entry (one relaxed load
-    /// when kdl is disarmed); a non-zero return is the recorded failure
-    /// (-ECANCELED / -ETIMEDOUT) and the handler must not run. Usage:
-    /// `if (SysRet g = scope.gate(); g != 0) return g;`.
+    /// request's deadline/cancel state once at entry through this
+    /// Kernel's Kdl::fail_fast -- the Kernel's own kdl, so arming kdl on
+    /// another Kernel never gates this one; disarmed, it is one relaxed
+    /// load of this Kernel's flag. A non-zero return is the recorded
+    /// failure (-ECANCELED / -ETIMEDOUT) and the handler must not run.
+    /// Usage: `if (SysRet g = scope.gate(); g != 0) return g;`.
     [[nodiscard]] SysRet gate() {
       return gate_err_ == Errno::kOk ? 0 : done(sysret_err(gate_err_));
     }
@@ -420,6 +442,7 @@ class Kernel {
   sched::Scheduler sched_;
   Boundary boundary_;
   Audit audit_;
+  dl::Kdl dl_;
   fs::Vfs vfs_;
   std::array<SysEntry, static_cast<std::size_t>(Sys::kMaxSys)> table_{};
   std::atomic<std::uint32_t> armed_{0};  ///< bit i: subs_[i] is live

@@ -64,6 +64,12 @@ void append_hist(std::string& out, const trace::HistogramSnapshot& h) {
   }
 }
 
+/// A ProcFs gauge from any callable returning an integer.
+template <class Fn>
+void gauge(fs::ProcFs& pfs, const char* name, const char* help, Fn fn) {
+  pfs.add_gauge(name, help, [fn] { return static_cast<std::int64_t>(fn()); });
+}
+
 }  // namespace
 
 void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
@@ -306,50 +312,32 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   });
 
   // --- metrics ---------------------------------------------------------------
-  // Bridge the counters other subsystems own into kmetrics once (the
-  // registry replaces callbacks on re-registration, so multi-Kernel
-  // tests don't duplicate series), then expose the whole registry.
-  metrics::kmetrics().gauge_fn(
-      "usk_trace_events_emitted", "ktrace events emitted since reset", {},
-      [] { return static_cast<std::int64_t>(trace::ktrace().emitted()); });
-  metrics::kmetrics().gauge_fn(
-      "usk_trace_events_dropped",
-      "ktrace events lost to full per-CPU rings", {},
-      [] { return static_cast<std::int64_t>(trace::ktrace().dropped()); });
-  metrics::kmetrics().gauge_fn(
-      "usk_sched_steals", "runqueue picks served by work stealing", {}, [&k] {
-        return static_cast<std::int64_t>(k.scheduler().stats().steals.load());
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_sched_migrations", "tasks entered on a CPU other than their last",
-      {}, [&k] {
-        return static_cast<std::int64_t>(
-            k.scheduler().stats().migrations.load());
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_sched_wakeups", "WaitQueue wake_one/wake_all calls", {}, [] {
-        return static_cast<std::int64_t>(
-            sched::waitqueue_stats().wakeups.load());
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_sched_parks", "tasks parked on WaitQueues (cumulative)", {}, [] {
-        return static_cast<std::int64_t>(sched::waitqueue_stats().parks.load());
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_sched_parked_tasks", "tasks parked on WaitQueues right now", {},
-      [] { return sched::waitqueue_stats().parked_now.load(); });
-  metrics::kmetrics().gauge_fn(
-      "usk_sched_wait_timeouts",
-      "parked waits ended by a user-requested deadline", {}, [] {
-        return static_cast<std::int64_t>(
-            sched::waitqueue_stats().timeouts.load());
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_spans_started", "spans opened since reset", {},
-      [] { return static_cast<std::int64_t>(trace::kspan().stats().started); });
-  metrics::kmetrics().gauge_fn(
-      "usk_spans_dropped", "finished spans evicted from the store", {},
-      [] { return static_cast<std::int64_t>(trace::kspan().stats().dropped); });
+  // /metrics renders this ProcFs's gauges, then the process-wide kmetrics
+  // registry. The gauges bridge counters other subsystems own; they live
+  // with this ProcFs, so each Kernel's scrape reads its own values.
+  gauge(pfs, "usk_trace_events_emitted", "ktrace events emitted since reset",
+        [] { return trace::ktrace().emitted(); });
+  gauge(pfs, "usk_trace_events_dropped",
+        "ktrace events lost to full per-CPU rings",
+        [] { return trace::ktrace().dropped(); });
+  gauge(pfs, "usk_sched_steals", "runqueue picks served by work stealing",
+        [&k] { return k.scheduler().stats().steals.load(); });
+  gauge(pfs, "usk_sched_migrations",
+        "tasks entered on a CPU other than their last",
+        [&k] { return k.scheduler().stats().migrations.load(); });
+  gauge(pfs, "usk_sched_wakeups", "WaitQueue wake_one/wake_all calls",
+        [] { return sched::waitqueue_stats().wakeups.load(); });
+  gauge(pfs, "usk_sched_parks", "tasks parked on WaitQueues (cumulative)",
+        [] { return sched::waitqueue_stats().parks.load(); });
+  gauge(pfs, "usk_sched_parked_tasks", "tasks parked on WaitQueues right now",
+        [] { return sched::waitqueue_stats().parked_now.load(); });
+  gauge(pfs, "usk_sched_wait_timeouts",
+        "parked waits ended by a user-requested deadline",
+        [] { return sched::waitqueue_stats().timeouts.load(); });
+  gauge(pfs, "usk_spans_started", "spans opened since reset",
+        [] { return trace::kspan().stats().started; });
+  gauge(pfs, "usk_spans_dropped", "finished spans evicted from the store",
+        [] { return trace::kspan().stats().dropped; });
   metrics::kmetrics().add_scrape_fn("ktrace.syscall_latency", [](std::string&
                                                                      out) {
     // Per-syscall latency quantiles computed from the SAME histograms
@@ -371,60 +359,44 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   });
 
   // --- /proc/dl: deadlines, cancellation, admission (dl/dl.hpp) -------------
+  dl::Kdl& kdl = k.dl();
   pfs.add_file(
       "/dl/enable",
-      [] {
-        return std::string(dl::Kdl::instance().enabled() ? "1\n" : "0\n");
-      },
-      [](std::string_view in) {
+      [&kdl] { return std::string(kdl.enabled() ? "1\n" : "0\n"); },
+      [&kdl](std::string_view in) {
         std::size_t end = in.find_last_not_of(" \t\n");
         if (end == std::string_view::npos) return Errno::kEINVAL;
         std::string_view v = in.substr(0, end + 1);
-        if (v == "1") {
-          dl::Kdl::instance().set_enabled(true);
-        } else if (v == "0") {
-          dl::Kdl::instance().set_enabled(false);
-        } else {
-          return Errno::kEINVAL;
-        }
+        if (v != "1" && v != "0") return Errno::kEINVAL;
+        kdl.set_enabled(v == "1");
         return Errno::kOk;
       });
   pfs.add_file(
-      "/dl/stats", [] { return dl::Kdl::instance().format_stats(); },
-      [](std::string_view) {
-        dl::Kdl::instance().reset();
+      "/dl/stats", [&kdl] { return kdl.format_stats(); },
+      [&kdl](std::string_view) {
+        kdl.reset();
         return Errno::kOk;
       });
-  pfs.add_file("/dl/tenants",
-               [] { return dl::Kdl::instance().format_tenants(); });
+  pfs.add_file("/dl/tenants", [&kdl] { return kdl.format_tenants(); });
 
-  metrics::kmetrics().gauge_fn(
-      "usk_dl_active", "live DeadlineScopes (requests in flight under kdl)",
-      {}, [] { return dl::Kdl::instance().stats().active.load(); });
-  metrics::kmetrics().gauge_fn(
-      "usk_dl_expired", "requests retired past their deadline", {}, [] {
-        return static_cast<std::int64_t>(
-            dl::Kdl::instance().stats().retired_expired.load());
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_dl_canceled", "requests retired by cooperative cancel", {}, [] {
-        return static_cast<std::int64_t>(
-            dl::Kdl::instance().stats().retired_canceled.load());
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_dl_sheds", "requests shed by admission control", {}, [] {
-        return static_cast<std::int64_t>(
-            dl::Kdl::instance().stats().sheds.load());
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_dl_gateway_failfast",
-      "syscalls refused at the gateway (expired + canceled)", {}, [] {
-        const dl::DlStats& s = dl::Kdl::instance().stats();
-        return static_cast<std::int64_t>(s.gateway_expired.load() +
-                                         s.gateway_canceled.load());
-      });
+  gauge(pfs, "usk_dl_active",
+        "live DeadlineScopes (requests in flight under kdl)",
+        [&kdl] { return kdl.stats().active.load(); });
+  gauge(pfs, "usk_dl_expired", "requests retired past their deadline",
+        [&kdl] { return kdl.stats().retired_expired.load(); });
+  gauge(pfs, "usk_dl_canceled", "requests retired by cooperative cancel",
+        [&kdl] { return kdl.stats().retired_canceled.load(); });
+  gauge(pfs, "usk_dl_sheds", "requests shed by admission control",
+        [&kdl] { return kdl.stats().sheds.load(); });
+  gauge(pfs, "usk_dl_gateway_failfast",
+        "syscalls refused at the gateway (expired + canceled)", [&kdl] {
+          return kdl.stats().gateway_expired.load() +
+                 kdl.stats().gateway_canceled.load();
+        });
 
-  pfs.add_file("/metrics", [] { return metrics::kmetrics().expose(); });
+  pfs.add_file("/metrics", [&pfs] {
+    return pfs.expose_gauges() + metrics::kmetrics().expose();
+  });
 
   // --- /proc/fail: runtime fault-injection control (see fault/kfail.hpp) ----
   // Reading /proc/fail/spec shows the armed configuration; writing a spec
@@ -486,29 +458,18 @@ void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
               cache->writeback_running() ? 1 : 0);
       return out;
     });
-    metrics::kmetrics().gauge_fn(
-        "usk_cache_hits", "buffer cache lookup hits", {},
-        [cache] { return static_cast<std::int64_t>(cache->stats().hits); });
-    metrics::kmetrics().gauge_fn(
-        "usk_cache_misses", "buffer cache lookup misses", {},
-        [cache] { return static_cast<std::int64_t>(cache->stats().misses); });
-    metrics::kmetrics().gauge_fn(
-        "usk_cache_writebacks", "dirty blocks written back", {}, [cache] {
-          return static_cast<std::int64_t>(cache->stats().writebacks);
-        });
-    metrics::kmetrics().gauge_fn(
-        "usk_cache_bg_writebacks", "writebacks by the flusher thread", {},
-        [cache] {
-          return static_cast<std::int64_t>(cache->stats().bg_writebacks);
-        });
-    metrics::kmetrics().gauge_fn(
-        "usk_cache_dirty_blocks", "currently dirty cached blocks", {},
-        [cache] { return static_cast<std::int64_t>(cache->dirty_count()); });
-    metrics::kmetrics().gauge_fn(
-        "usk_cache_gate_rejects", "writes refused by the dirty gate", {},
-        [cache] {
-          return static_cast<std::int64_t>(cache->stats().gate_rejects);
-        });
+    gauge(pfs, "usk_cache_hits", "buffer cache lookup hits",
+          [cache] { return cache->stats().hits; });
+    gauge(pfs, "usk_cache_misses", "buffer cache lookup misses",
+          [cache] { return cache->stats().misses; });
+    gauge(pfs, "usk_cache_writebacks", "dirty blocks written back",
+          [cache] { return cache->stats().writebacks; });
+    gauge(pfs, "usk_cache_bg_writebacks", "writebacks by the flusher thread",
+          [cache] { return cache->stats().bg_writebacks; });
+    gauge(pfs, "usk_cache_dirty_blocks", "currently dirty cached blocks",
+          [cache] { return cache->dirty_count(); });
+    gauge(pfs, "usk_cache_gate_rejects", "writes refused by the dirty gate",
+          [cache] { return cache->stats().gate_rejects; });
   }
   if (store == nullptr) return;
 
@@ -553,41 +514,32 @@ void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
     return out;
   });
 
-  metrics::kmetrics().gauge_fn(
-      "usk_store_checkpoints", "store checkpoints completed", {},
-      [store] { return static_cast<std::int64_t>(store->stats().checkpoints); });
-  metrics::kmetrics().gauge_fn(
-      "usk_store_stable_seq", "last checkpointed commit-unit seq", {},
-      [store] { return static_cast<std::int64_t>(store->stable_seq()); });
-  metrics::kmetrics().gauge_fn(
-      "usk_store_image_fsyncs", "backing-image fsync calls", {}, [store] {
-        return static_cast<std::int64_t>(store->image().stats().fsyncs);
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_journal_commit_units", "group-commit units written (fsyncs)", {},
-      [store] {
-        store::GroupCommitJournal* j = store->journal();
-        return j != nullptr
-                   ? static_cast<std::int64_t>(j->stats().commit_units)
-                   : 0;
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_journal_txns_committed", "transactions made durable", {},
-      [store] {
-        store::GroupCommitJournal* j = store->journal();
-        return j != nullptr
-                   ? static_cast<std::int64_t>(j->stats().txns_committed)
-                   : 0;
-      });
-  metrics::kmetrics().gauge_fn(
-      "usk_journal_txns_per_flush_x100",
-      "group-commit amortization (txns per fsync, x100)", {}, [store] {
-        store::GroupCommitJournal* j = store->journal();
-        return j != nullptr
-                   ? static_cast<std::int64_t>(j->stats().txns_per_flush() *
-                                               100.0)
-                   : 0;
-      });
+  gauge(pfs, "usk_store_checkpoints", "store checkpoints completed",
+        [store] { return store->stats().checkpoints; });
+  gauge(pfs, "usk_store_stable_seq", "last checkpointed commit-unit seq",
+        [store] { return store->stable_seq(); });
+  gauge(pfs, "usk_store_image_fsyncs", "backing-image fsync calls",
+        [store] { return store->image().stats().fsyncs; });
+  // Journal counters; a store without a journal reads 0.
+  const auto journal = [store](auto field) {
+    return [store, field] {
+      store::GroupCommitJournal* j = store->journal();
+      return j != nullptr ? field(j->stats()) : 0;
+    };
+  };
+  gauge(pfs, "usk_journal_commit_units", "group-commit units written (fsyncs)",
+        journal([](const store::JournalStats& s) {
+          return static_cast<std::int64_t>(s.commit_units);
+        }));
+  gauge(pfs, "usk_journal_txns_committed", "transactions made durable",
+        journal([](const store::JournalStats& s) {
+          return static_cast<std::int64_t>(s.txns_committed);
+        }));
+  gauge(pfs, "usk_journal_txns_per_flush_x100",
+        "group-commit amortization (txns per fsync, x100)",
+        journal([](const store::JournalStats& s) {
+          return static_cast<std::int64_t>(s.txns_per_flush() * 100.0);
+        }));
 }
 
 }  // namespace usk::uk

@@ -36,7 +36,7 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs);
 ///   /store/stats      store + backing-image counters, stable seq
 ///   /store/journal    group-commit journal counters, txns/flush, tail
 ///
-/// Also bridges the same counters into kmetrics as gauges (usk_cache_*,
+/// Also adds the same counters to `pfs`'s /metrics gauges (usk_cache_*,
 /// usk_store_*, usk_journal_*). `store` may be null (cache-only setups
 /// register /blockdev/cache alone). Pointers must outlive the readers.
 void register_storage_proc(fs::ProcFs& pfs, store::Store* store,

@@ -28,7 +28,7 @@ std::string overload_path(const OverloadConfig& cfg, std::size_t i) {
 /// arrival, the task registry the canceller picks victims from, and the
 /// one Admission instance the pool sheds through.
 struct SrvShared {
-  explicit SrvShared(const dl::AdmissionConfig& a) : adm(a) {}
+  SrvShared(dl::Kdl& kdl, const dl::AdmissionConfig& a) : adm(kdl, a) {}
   std::atomic<bool> stop{false};
   std::mutex mu;
   std::vector<sched::Task*> tasks;
@@ -130,12 +130,13 @@ void handle_request(uk::Proc& srv, net::Net& net, const OverloadConfig& cfg,
   // stack as kspan, so the gateway and every park below see it for free.
   std::optional<dl::DeadlineScope> scope;
   if (cfg.deadlines) {
-    scope.emplace(std::chrono::nanoseconds(std::max<std::int64_t>(
-                      rem_at_ingress, 0)),
+    scope.emplace(srv.kernel().dl(),
+                  std::chrono::nanoseconds(
+                      std::max<std::int64_t>(rem_at_ingress, 0)),
                   &srv.task(), tenant);
   }
 
-  const bool admitting = cfg.shedding && dl::dl_enabled();
+  const bool admitting = cfg.shedding && srv.kernel().dl().enabled();
   if (admitting) {
     const std::int64_t rem =
         scope && dl::DeadlineScope::current() != nullptr
@@ -486,7 +487,7 @@ OverloadReport run_overload(uk::Kernel& k, net::Net& net,
   const auto km_before =
       static_cast<std::int64_t>(k.kmalloc().stats().outstanding_bytes);
 
-  SrvShared srv_sh(cfg.admission);
+  SrvShared srv_sh(k.dl(), cfg.admission);
   CliShared cli_sh;
   cli_sh.inter = std::chrono::nanoseconds(
       cfg.offered_rps > 0 ? static_cast<std::uint64_t>(1e9 / cfg.offered_rps)
@@ -494,8 +495,8 @@ OverloadReport run_overload(uk::Kernel& k, net::Net& net,
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
     dl::RetryBudgetConfig rc = cfg.retry;
     rc.seed = cfg.retry.seed + t;
-    cli_sh.budgets.push_back(
-        std::make_unique<dl::RetryBudget>("tenant" + std::to_string(t), rc));
+    cli_sh.budgets.push_back(std::make_unique<dl::RetryBudget>(
+        k.dl(), "tenant" + std::to_string(t), rc));
     cli_sh.tenant_ext.push_back(
         cfg.supervisor != nullptr
             ? cfg.supervisor->register_extension("tenant" + std::to_string(t),
@@ -582,7 +583,7 @@ OverloadReport run_overload(uk::Kernel& k, net::Net& net,
 void calibrate_overload(uk::Kernel& k, net::Net& net,
                         const OverloadConfig& cfg, double* rps,
                         std::uint64_t* p99_ns) {
-  SrvShared sh(cfg.admission);
+  SrvShared sh(k.dl(), cfg.admission);
   std::vector<SrvSample> samples(cfg.workers);
   std::vector<std::unique_ptr<std::atomic<bool>>> ready;
   for (std::size_t w = 0; w < cfg.workers; ++w) {

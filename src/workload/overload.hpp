@@ -139,9 +139,9 @@ struct OverloadReport {
 void populate_overload_www(uk::Proc& p, const OverloadConfig& cfg);
 
 /// Run one open-loop episode against `k` + `net`. populate_overload_www
-/// must have been called. The caller owns kdl arming (dl::Kdl::
-/// instance().set_enabled) -- a disabled kdl turns cfg.deadlines /
-/// cfg.shedding into no-ops, which is the unprotected baseline.
+/// must have been called. The caller owns kdl arming (`k.dl()
+/// .set_enabled`) -- a disabled kdl turns cfg.deadlines / cfg.shedding
+/// into no-ops, which is the unprotected baseline.
 OverloadReport run_overload(uk::Kernel& k, net::Net& net,
                             const OverloadConfig& cfg);
 

@@ -16,6 +16,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cosy/compound.hpp"
@@ -42,16 +43,14 @@ class DlTest : public ::testing::Test {
         proc_(kernel_, "dl-test") {
     fs_.set_cost_hook(kernel_.charge_hook());
     fault::kfail().disarm_all();
-    Kdl::instance().set_enabled(true);
-    Kdl::instance().reset();
+    kdl().set_enabled(true);
   }
-  ~DlTest() override {
-    fault::kfail().disarm_all();
-    proc_.task().set_cancel_pending(false);
-    Kdl::instance().set_enabled(false);
-  }
+  ~DlTest() override { fault::kfail().disarm_all(); }
 
   uk::Process& p() { return proc_.process(); }
+  Kdl& kdl() { return kernel_.dl(); }
+  /// The gateway's fail-fast verdict for the test task, right now.
+  Errno gate() { return kdl().fail_fast(&proc_.task(), Kdl::Site::kGateway); }
 
   /// Listener + connected pair (nothing blocks: connect queues first).
   struct Trio {
@@ -81,22 +80,22 @@ class DlTest : public ::testing::Test {
 // --- DeadlineScope: stacking, inertness, retirement ---------------------------
 
 TEST_F(DlTest, ScopeIsInertWhenDisabled) {
-  Kdl::instance().set_enabled(false);
-  const std::uint64_t attached0 = Kdl::instance().stats().attached.load();
+  kdl().set_enabled(false);
+  const std::uint64_t attached0 = kdl().stats().attached.load();
   {
-    DeadlineScope s(5ms, &proc_.task(), /*tenant=*/3);
+    DeadlineScope s(kdl(), 5ms, &proc_.task(), /*tenant=*/3);
     EXPECT_EQ(DeadlineScope::current(), nullptr);
   }
-  EXPECT_EQ(Kdl::instance().stats().attached.load(), attached0);
-  Kdl::instance().set_enabled(true);
+  EXPECT_EQ(kdl().stats().attached.load(), attached0);
+  kdl().set_enabled(true);
 }
 
 TEST_F(DlTest, ScopesStackAndInnermostWins) {
   EXPECT_EQ(DeadlineScope::current(), nullptr);
-  DeadlineScope outer(10s, &proc_.task(), 1);
+  DeadlineScope outer(kdl(), 10s, &proc_.task(), 1);
   EXPECT_EQ(DeadlineScope::current(), &outer);
   {
-    DeadlineScope inner(5s, &proc_.task(), 2);
+    DeadlineScope inner(kdl(), 5s, &proc_.task(), 2);
     EXPECT_EQ(DeadlineScope::current(), &inner);
     EXPECT_EQ(DeadlineScope::current()->tenant(), 2u);
     // The inner (tighter) deadline is the binding one.
@@ -105,25 +104,25 @@ TEST_F(DlTest, ScopesStackAndInnermostWins) {
   EXPECT_EQ(DeadlineScope::current(), &outer);
   EXPECT_GT(outer.remaining_ns(), 0);
   EXPECT_FALSE(outer.expired());
-  EXPECT_EQ(Kdl::instance().stats().active.load(), 1);
+  EXPECT_EQ(kdl().stats().active.load(), 1);
 }
 
 TEST_F(DlTest, CancelOutranksExpiryAndScopeRetirementClearsTheFlag) {
   {
-    DeadlineScope s(std::chrono::nanoseconds(0), &proc_.task());
+    DeadlineScope s(kdl(), std::chrono::nanoseconds(0), &proc_.task());
     EXPECT_TRUE(s.expired());
     // Expired only: ETIMEDOUT.
-    EXPECT_EQ(check(&proc_.task()), Errno::kETIMEDOUT);
+    EXPECT_EQ(gate(), Errno::kETIMEDOUT);
     // Cancel pending too: the canceler asked for a deterministic
     // ECANCELED, so cancel outranks expiry.
     proc_.task().set_cancel_pending(true);
-    EXPECT_EQ(check(&proc_.task()), Errno::kECANCELED);
+    EXPECT_EQ(gate(), Errno::kECANCELED);
   }
   // Retiring the ingress scope absorbs the cancel: the flag must not
   // poison the worker's next request.
   EXPECT_FALSE(proc_.task().cancel_pending());
-  EXPECT_EQ(check(&proc_.task()), Errno::kOk);
-  EXPECT_GE(Kdl::instance().stats().retired_canceled.load(), 1u);
+  EXPECT_EQ(gate(), Errno::kOk);
+  EXPECT_GE(kdl().stats().retired_canceled.load(), 1u);
 }
 
 // --- the syscall gateway -------------------------------------------------------
@@ -131,15 +130,15 @@ TEST_F(DlTest, CancelOutranksExpiryAndScopeRetirementClearsTheFlag) {
 TEST_F(DlTest, GatewayFailsFastOnExpiryAndCancel) {
   EXPECT_GE(proc_.getpid(), 0);
   {
-    DeadlineScope s(std::chrono::nanoseconds(0), &proc_.task());
+    DeadlineScope s(kdl(), std::chrono::nanoseconds(0), &proc_.task());
     EXPECT_EQ(proc_.getpid(), sysret_err(Errno::kETIMEDOUT));
-    EXPECT_GE(Kdl::instance().stats().gateway_expired.load(), 1u);
+    EXPECT_GE(kdl().stats().gateway_expired.load(), 1u);
   }
   {
-    DeadlineScope s(10s, &proc_.task());
+    DeadlineScope s(kdl(), 10s, &proc_.task());
     proc_.task().set_cancel_pending(true);
     EXPECT_EQ(proc_.getpid(), sysret_err(Errno::kECANCELED));
-    EXPECT_GE(Kdl::instance().stats().gateway_canceled.load(), 1u);
+    EXPECT_GE(kdl().stats().gateway_canceled.load(), 1u);
   }
   // Scope retired, flag cleared: the gateway is clean again.
   EXPECT_GE(proc_.getpid(), 0);
@@ -189,17 +188,17 @@ TEST_F(DlTest, ErrnoContractAcrossBlockingSyscalls) {
   for (const Case& c : cases) {
     // Deadline expiry -> ETIMEDOUT, uniformly at the gateway.
     {
-      DeadlineScope s(std::chrono::nanoseconds(0), &proc_.task());
+      DeadlineScope s(kdl(), std::chrono::nanoseconds(0), &proc_.task());
       EXPECT_EQ(c.call(), sysret_err(Errno::kETIMEDOUT)) << c.name;
     }
     // Cooperative cancel -> ECANCELED, and it outranks expiry.
     {
-      DeadlineScope s(10s, &proc_.task());
+      DeadlineScope s(kdl(), 10s, &proc_.task());
       proc_.task().set_cancel_pending(true);
       EXPECT_EQ(c.call(), sysret_err(Errno::kECANCELED)) << c.name;
     }
     {
-      DeadlineScope s(std::chrono::nanoseconds(0), &proc_.task());
+      DeadlineScope s(kdl(), std::chrono::nanoseconds(0), &proc_.task());
       proc_.task().set_cancel_pending(true);
       EXPECT_EQ(c.call(), sysret_err(Errno::kECANCELED)) << c.name;
     }
@@ -256,45 +255,95 @@ TEST_F(DlTest, KillWhileBlockedReturnsEintrUniformly) {
 
 TEST_F(DlTest, BlockedRecvHonorsDeadlineWithEtimedout) {
   Trio t = make_pair_on(7101);
-  const std::uint64_t parked0 = Kdl::instance().stats().park_expired.load();
+  const std::uint64_t parked0 = kdl().stats().park_expired.load();
   char buf[8];
-  DeadlineScope s(10ms, &proc_.task());
+  DeadlineScope s(kdl(), 10ms, &proc_.task());
   const auto t0 = Clock::now();
   EXPECT_EQ(net_.sys_recv(p(), t.srv, buf, sizeof buf),
             sysret_err(Errno::kETIMEDOUT));
   // Woke at the deadline, not after some unrelated poll interval.
   EXPECT_LT(Clock::now() - t0, 2s);
-  EXPECT_GT(Kdl::instance().stats().park_expired.load(), parked0);
+  EXPECT_GT(kdl().stats().park_expired.load(), parked0);
   proc_.close(t.srv);
   proc_.close(t.cli);
   proc_.close(t.lfd);
 }
 
 TEST_F(DlTest, BlockedEpollAndRingHonorDeadline) {
+  const std::atomic<std::uint64_t>& expired = kdl().stats().park_expired;
   int ep = static_cast<int>(net_.sys_epoll_create(p()));
   ASSERT_GE(ep, 0);
   net::EpollEvent ev{};
   {
     // User asked to wait forever; the request deadline bounds it anyway.
-    DeadlineScope s(10ms, &proc_.task());
+    const std::uint64_t expired0 = expired.load();
+    DeadlineScope s(kdl(), 10ms, &proc_.task());
     EXPECT_EQ(net_.sys_epoll_wait(p(), ep, &ev, 1, -1),
               sysret_err(Errno::kETIMEDOUT));
+    EXPECT_EQ(expired.load(), expired0 + 1);
   }
   {
     // A user timeout tighter than the deadline keeps its own semantics:
-    // epoll_wait returns 0, not ETIMEDOUT.
-    DeadlineScope s(10s, &proc_.task());
+    // epoll_wait returns 0, not ETIMEDOUT, and no park expired.
+    const std::uint64_t expired0 = expired.load();
+    DeadlineScope s(kdl(), 10s, &proc_.task());
     EXPECT_EQ(net_.sys_epoll_wait(p(), ep, &ev, 1, 5), 0);
+    EXPECT_EQ(expired.load(), expired0);
   }
   int ringfd = static_cast<int>(rdev_.sys_ring_setup(p(), 8, 1024));
   ASSERT_GE(ringfd, 0);
   {
-    DeadlineScope s(10ms, &proc_.task());
+    const std::uint64_t expired0 = expired.load();
+    DeadlineScope s(kdl(), 10ms, &proc_.task());
     EXPECT_EQ(rdev_.sys_ring_enter(p(), ringfd, 0, 1, -1),
               sysret_err(Errno::kETIMEDOUT));
+    EXPECT_EQ(expired.load(), expired0 + 1);
   }
   proc_.close(ringfd);
   proc_.close(ep);
+}
+
+TEST_F(DlTest, CancelWhileParkedReturnsEcanceledUniformly) {
+  Trio t = make_pair_on(7103);
+  int ep = static_cast<int>(net_.sys_epoll_create(p()));
+  ASSERT_GE(ep, 0);
+  net::EpollEvent ev{};
+  int ringfd = static_cast<int>(rdev_.sys_ring_setup(p(), 8, 1024));
+  ASSERT_GE(ringfd, 0);
+
+  // Another thread cancels the task once it is parked: the park ends
+  // with ECANCELED and ticks park_canceled once, whichever vehicle.
+  char buf[8];
+  const std::pair<const char*, std::function<SysRet()>> cases[] = {
+      {"recv", [&] { return net_.sys_recv(p(), t.srv, buf, sizeof buf); }},
+      {"epoll_wait",
+       [&] { return net_.sys_epoll_wait(p(), ep, &ev, 1, -1); }},
+      {"ring_enter",
+       [&] { return rdev_.sys_ring_enter(p(), ringfd, 0, 1, -1); }},
+  };
+  for (const auto& [name, call] : cases) {
+    const std::uint64_t canceled0 = kdl().stats().park_canceled.load();
+    std::atomic<bool> returned{false};
+    std::thread canceller([&] {
+      while (proc_.task().parked_on() == nullptr) {
+        if (returned.load()) return;
+        std::this_thread::yield();
+      }
+      kernel_.scheduler().cancel(proc_.task());
+    });
+    EXPECT_EQ(call(), sysret_err(Errno::kECANCELED)) << name;
+    returned = true;
+    canceller.join();
+    EXPECT_EQ(kdl().stats().park_canceled.load(), canceled0 + 1) << name;
+    // No DeadlineScope retires to absorb the cancel: clear it by hand.
+    proc_.task().set_cancel_pending(false);
+  }
+
+  proc_.close(ringfd);
+  proc_.close(ep);
+  proc_.close(t.srv);
+  proc_.close(t.cli);
+  proc_.close(t.lfd);
 }
 
 // --- ring chains + Cosy compounds: abort with rollback ------------------------
@@ -333,14 +382,14 @@ TEST_F(DlTest, RingChainDeadlineAbortRollsBackOpenedFd) {
   ASSERT_TRUE(r.user_prepare(cl));
 
   const std::size_t fds0 = p().fds.open_count();
-  const std::uint64_t aborts0 = Kdl::instance().stats().ring_aborts.load();
+  const std::uint64_t aborts0 = kdl().stats().ring_aborts.load();
 
   // Deadline expires BETWEEN SQEs: check #1 is the syscall gateway,
   // check #2 admits the open, check #3 (before the read) reads a skewed
   // clock that is already past the deadline. The abort must ride the
   // existing cancel cascade: read -> ETIMEDOUT, close -> ECANCELED, and
   // the open's fd is rolled back.
-  DeadlineScope s(10s, &proc_.task());
+  DeadlineScope s(kdl(), 10s, &proc_.task());
   fault::SiteConfig skew;
   skew.nth = 3;
   skew.budget = 1;
@@ -360,7 +409,7 @@ TEST_F(DlTest, RingChainDeadlineAbortRollsBackOpenedFd) {
   EXPECT_EQ(read_res, sysret_err(Errno::kETIMEDOUT));
   EXPECT_EQ(close_res, sysret_err(Errno::kECANCELED));
   EXPECT_EQ(p().fds.open_count(), fds0);  // the open was rolled back
-  EXPECT_GT(Kdl::instance().stats().ring_aborts.load(), aborts0);
+  EXPECT_GT(kdl().stats().ring_aborts.load(), aborts0);
 
   proc_.close(ringfd);
 }
@@ -379,21 +428,21 @@ TEST_F(DlTest, CosyCompoundAbortsBetweenOpsWithoutLeaking) {
 
   // Cancel pending at entry: the compound's own syscall gateway fails
   // fast before any op runs.
-  const std::uint64_t gwc0 = Kdl::instance().stats().gateway_canceled.load();
+  const std::uint64_t gwc0 = kdl().stats().gateway_canceled.load();
   {
-    DeadlineScope s(10s, &proc_.task());
+    DeadlineScope s(kdl(), 10s, &proc_.task());
     proc_.task().set_cancel_pending(true);
     cosy::CosyResult res = ext.execute(p(), c, shared);
     EXPECT_EQ(res.ret, sysret_err(Errno::kECANCELED));
     EXPECT_EQ(p().fds.open_count(), fds0);
   }
   EXPECT_FALSE(proc_.task().cancel_pending());
-  EXPECT_GT(Kdl::instance().stats().gateway_canceled.load(), gwc0);
+  EXPECT_GT(kdl().stats().gateway_canceled.load(), gwc0);
 
   // Deadline expiry mid-compound (skewed clock at check #2, after the
   // open ran): the abort reuses the fault path's fd rollback.
   {
-    DeadlineScope s(10s, &proc_.task());
+    DeadlineScope s(kdl(), 10s, &proc_.task());
     fault::SiteConfig skew;
     skew.nth = 2;
     skew.budget = 1;
@@ -403,7 +452,7 @@ TEST_F(DlTest, CosyCompoundAbortsBetweenOpsWithoutLeaking) {
     EXPECT_EQ(res.ret, sysret_err(Errno::kETIMEDOUT));
     EXPECT_EQ(p().fds.open_count(), fds0);
   }
-  EXPECT_GE(Kdl::instance().stats().cosy_aborts.load(), 1u);
+  EXPECT_GE(kdl().stats().cosy_aborts.load(), 1u);
 
   // Clean replay completes.
   cosy::CosyResult ok = ext.execute(p(), c, shared);
@@ -416,7 +465,7 @@ TEST_F(DlTest, CosyCompoundAbortsBetweenOpsWithoutLeaking) {
 TEST_F(DlTest, AdmissionColdStartAdmitsAndInflightBounds) {
   AdmissionConfig cfg;
   cfg.max_inflight = 2;
-  Admission adm(cfg);
+  Admission adm(kdl(), cfg);
   // Cold histogram: the estimate floors at min_service_ns, so feasible
   // requests are admitted rather than shed on zero data.
   EXPECT_TRUE(adm.try_admit(1'000'000'000));
@@ -427,12 +476,12 @@ TEST_F(DlTest, AdmissionColdStartAdmitsAndInflightBounds) {
   adm.depart(1'000'000);
   adm.depart(1'000'000);
   EXPECT_EQ(adm.inflight(), 0u);
-  EXPECT_GE(Kdl::instance().stats().admits.load(), 2u);
-  EXPECT_GE(Kdl::instance().stats().sheds.load(), 1u);
+  EXPECT_GE(kdl().stats().admits.load(), 2u);
+  EXPECT_GE(kdl().stats().sheds.load(), 1u);
 }
 
 TEST_F(DlTest, AdmissionShedsInfeasibleBudgets) {
-  Admission adm;
+  Admission adm(kdl());
   // Feed the service histogram ~2ms departs until the cached estimate
   // refreshes (every 32 departs).
   for (int i = 0; i < 40; ++i) {
@@ -460,8 +509,8 @@ TEST_F(DlTest, RetryBudgetDeterministicJitterAndExhaustion) {
   cfg.multiplier = 2.0;
   cfg.max_backoff_ns = 100'000'000;
   cfg.seed = 99;
-  RetryBudget a("tenant.a", cfg);
-  RetryBudget b("tenant.b", cfg);
+  RetryBudget a(kdl(), "tenant.a", cfg);
+  RetryBudget b(kdl(), "tenant.b", cfg);
 
   std::vector<std::uint64_t> seq_a, seq_b;
   for (int i = 0; i < 3; ++i) {
@@ -513,9 +562,9 @@ TEST_F(DlTest, ExhaustedBudgetTripsTheTenantBreaker) {
 // --- kfail dl.* sites ----------------------------------------------------------
 
 TEST_F(DlTest, ClockSkewSiteInjectsSpuriousExpiry) {
-  DeadlineScope s(10s, &proc_.task());
+  DeadlineScope s(kdl(), 10s, &proc_.task());
   const std::uint64_t skews0 =
-      Kdl::instance().stats().clock_skew_injected.load();
+      kdl().stats().clock_skew_injected.load();
   fault::SiteConfig cfg;
   cfg.p = 1.0;
   cfg.budget = 1;
@@ -524,14 +573,14 @@ TEST_F(DlTest, ClockSkewSiteInjectsSpuriousExpiry) {
   // gateway surfaces it as a normal ETIMEDOUT.
   EXPECT_LT(s.remaining_ns(), 0);
   fault::kfail().disarm_all();
-  EXPECT_EQ(Kdl::instance().stats().clock_skew_injected.load(), skews0 + 1);
+  EXPECT_EQ(kdl().stats().clock_skew_injected.load(), skews0 + 1);
   // Budget spent: the next read is sane again.
   EXPECT_GT(s.remaining_ns(), 0);
-  EXPECT_EQ(check(&proc_.task()), Errno::kOk);
+  EXPECT_EQ(gate(), Errno::kOk);
 }
 
 TEST_F(DlTest, SpuriousWakeSiteForcesRecheckWithoutHanging) {
-  const std::uint64_t wakes0 = Kdl::instance().stats().spurious_wakes.load();
+  const std::uint64_t wakes0 = kdl().stats().spurious_wakes.load();
   int ep = static_cast<int>(net_.sys_epoll_create(p()));
   ASSERT_GE(ep, 0);
   net::EpollEvent ev{};
@@ -543,7 +592,7 @@ TEST_F(DlTest, SpuriousWakeSiteForcesRecheckWithoutHanging) {
   // condition; the user timeout still lands (returns 0, no hang).
   EXPECT_EQ(net_.sys_epoll_wait(p(), ep, &ev, 1, 5), 0);
   fault::kfail().disarm_all();
-  EXPECT_GT(Kdl::instance().stats().spurious_wakes.load(), wakes0);
+  EXPECT_GT(kdl().stats().spurious_wakes.load(), wakes0);
   proc_.close(ep);
 }
 
@@ -569,18 +618,18 @@ TEST_F(DlTest, ProcDlFilesToggleRenderAndReset) {
   ASSERT_GE(fd, 0);
   EXPECT_EQ(proc_.write(fd, "0\n", 2), 2);
   proc_.close(fd);
-  EXPECT_FALSE(dl_enabled());
+  EXPECT_FALSE(kdl().enabled());
   fd = proc_.open("/proc/dl/enable", fs::kOWrOnly);
   EXPECT_EQ(proc_.write(fd, "1\n", 2), 2);
   proc_.close(fd);
-  EXPECT_TRUE(dl_enabled());
+  EXPECT_TRUE(kdl().enabled());
 
   // Generate some traffic so the stats body has live numbers.
   {
-    DeadlineScope s(std::chrono::nanoseconds(0), &proc_.task());
+    DeadlineScope s(kdl(), std::chrono::nanoseconds(0), &proc_.task());
     (void)proc_.getpid();
   }
-  RetryBudget tb("tenant.proc", {});
+  RetryBudget tb(kdl(), "tenant.proc", {});
   (void)tb.on_reject();
   const std::string stats = cat("/proc/dl/stats");
   EXPECT_NE(stats.find("attached"), std::string::npos);
@@ -593,7 +642,7 @@ TEST_F(DlTest, ProcDlFilesToggleRenderAndReset) {
   ASSERT_GE(fd, 0);
   EXPECT_EQ(proc_.write(fd, "0\n", 2), 2);
   proc_.close(fd);
-  EXPECT_EQ(Kdl::instance().stats().attached.load(), 0u);
+  EXPECT_EQ(kdl().stats().attached.load(), 0u);
 
   const std::string metrics = cat("/proc/metrics");
   EXPECT_NE(metrics.find("usk_dl_active"), std::string::npos);

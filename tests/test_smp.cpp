@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "base/percpu.hpp"
+#include "dl/dl.hpp"
 #include "fs/dcache.hpp"
 #include "mm/kmalloc.hpp"
 #include "sup/supervisor.hpp"
@@ -467,6 +468,51 @@ TEST(SmpDispatchTest, TwoKernelsKeepTheirSubscribersApart) {
   EXPECT_EQ(sup_a.stats(on_a).units_total, units);
   EXPECT_EQ(sup_a.stats(on_b).units_total, 0u);
   EXPECT_TRUE(b.audit().records().empty());
+}
+
+TEST(SmpDispatchTest, TwoKernelsKeepTheirKdlApart) {
+  constexpr int kCalls = 400;
+  fs::MemFs fs_a;
+  fs::MemFs fs_b;
+  uk::Kernel a(fs_a);
+  uk::Kernel b(fs_b);
+  fs_a.set_cost_hook(a.charge_hook());
+  fs_b.set_cost_hook(b.charge_hook());
+  uk::Proc pa(a, "a");
+  uk::Proc pb(b, "b");
+  b.mount_procfs();
+
+  // Only A arms kdl. Both threads dispatch under already-expired
+  // deadlines; only A's gateway may refuse them.
+  a.dl().set_enabled(true);
+  b.dl().set_enabled(false);
+  std::atomic<int> ready{0};
+  auto work = [&ready](uk::Proc& p, SysRet want) {
+    ++ready;
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int i = 0; i < kCalls; ++i) {
+      dl::DeadlineScope s(p.kernel().dl(), std::chrono::nanoseconds(0),
+                          &p.task());
+      EXPECT_EQ(p.getpid(), want);
+    }
+  };
+  std::thread ta(work, std::ref(pa), sysret_err(Errno::kETIMEDOUT));
+  std::thread tb(work, std::ref(pb), static_cast<SysRet>(pb.task().pid()));
+  ta.join();
+  tb.join();
+
+  EXPECT_EQ(a.dl().stats().gateway_expired.load(),
+            static_cast<std::uint64_t>(kCalls));
+  const int fd = pb.open("/proc/dl/stats", fs::kORdOnly);
+  ASSERT_GE(fd, 0);
+  std::string stats;
+  char buf[1024];
+  for (SysRet n; (n = pb.read(fd, buf, sizeof buf)) > 0;) {
+    stats.append(buf, static_cast<std::size_t>(n));
+  }
+  pb.close(fd);
+  EXPECT_NE(stats.find("\nattached 0\n"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\ngateway_expired 0\n"), std::string::npos) << stats;
 }
 
 /// Counts calls that run, or are still running, once unsubscribe returned.

@@ -23,7 +23,6 @@
 #include "fs/journalfs.hpp"
 #include "fs/memfs.hpp"
 #include "fs/procfs.hpp"
-#include "metrics/metrics.hpp"
 #include "store/image.hpp"
 #include "store/journal.hpp"
 #include "store/store.hpp"
@@ -785,12 +784,67 @@ TEST_F(StoreTest, ProcFilesRenderCacheAndStoreCounters) {
   EXPECT_NE(journalf.find("commit_units 1"), std::string::npos);
   EXPECT_NE(journalf.find("torn_payloads 0"), std::string::npos);
 
-  const std::string metrics = metrics::kmetrics().expose();
+  const std::string metrics = cat("/proc/metrics");
   EXPECT_NE(metrics.find("usk_cache_hits"), std::string::npos);
   EXPECT_NE(metrics.find("usk_cache_dirty_blocks"), std::string::npos);
   EXPECT_NE(metrics.find("usk_store_checkpoints"), std::string::npos);
   EXPECT_NE(metrics.find("usk_journal_commit_units"), std::string::npos);
   st.close();
+}
+
+/// One Kernel with its own store, cache and mounted /proc.
+struct StorageKernel {
+  explicit StorageKernel(const std::string& path)
+      : kernel(rootfs), proc(kernel, "storage"), cache(disk, 16), be(64) {
+    rootfs.set_cost_hook(kernel.charge_hook());
+    cache.set_backend(&be);
+    StoreConfig cfg;
+    cfg.data_blocks = 16;
+    cfg.journal_blocks = 8;
+    EXPECT_TRUE(st.open(path, cfg).ok());
+    uk::register_storage_proc(kernel.mount_procfs(), &st, &cache);
+  }
+  ~StorageKernel() { st.close(); }
+
+  /// The value of `name`'s sample line in this Kernel's /proc/metrics.
+  std::int64_t scrape(const std::string& name) {
+    const int fd = proc.open("/proc/metrics", fs::kORdOnly);
+    std::string text;
+    char buf[4096];
+    for (SysRet n; (n = proc.read(fd, buf, sizeof buf)) > 0;) {
+      text.append(buf, static_cast<std::size_t>(n));
+    }
+    proc.close(fd);
+    const std::size_t at = text.find("\n" + name + " ");
+    if (at == std::string::npos) return -1;
+    return std::stoll(text.substr(at + name.size() + 2));
+  }
+
+  fs::MemFs rootfs;
+  uk::Kernel kernel;
+  uk::Proc proc;
+  blockdev::Disk disk{64};
+  blockdev::BufferCache cache;
+  TestBackend be;
+  Store st;
+};
+
+TEST_F(StoreTest, MetricsGaugesReadTheirOwnKernelsStorage) {
+  StorageKernel a(img("ts_metrics_a.img"));
+  StorageKernel b(img("ts_metrics_b.img"));
+  std::vector<std::uint8_t> rb(store::kBlockBytes);
+  ASSERT_TRUE(a.cache.write_data(1, pattern(1).data()).ok());
+  ASSERT_TRUE(b.cache.write_data(1, pattern(1).data()).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(a.cache.read_data(1, rb.data()).ok());
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(b.cache.read_data(1, rb.data()).ok());
+  ASSERT_NE(a.cache.stats().hits, b.cache.stats().hits);
+
+  // Each Kernel's /proc/metrics reports its own cache, registered last
+  // or not.
+  EXPECT_EQ(a.scrape("usk_cache_hits"),
+            static_cast<std::int64_t>(a.cache.stats().hits));
+  EXPECT_EQ(b.scrape("usk_cache_hits"),
+            static_cast<std::int64_t>(b.cache.stats().hits));
 }
 
 }  // namespace

@@ -329,14 +329,14 @@ struct Kill {
   Errno err;  ///< what the aborted op reports
 };
 
-/// Arms `kill` (if any) for the lifetime of the guard.
+/// Arms `kill` (if any) on `k` for the lifetime of the guard.
 class Armed {
  public:
-  explicit Armed(const Kill* kill) : kill_(kill) {
+  Armed(uk::Kernel& k, const Kill* kill) : kdl_(k.dl()), kill_(kill) {
     if (kill_ == nullptr) return;
     if (kill_->site == fault::Site::kDlClockSkew) {
-      dl::Kdl::instance().set_enabled(true);
-      scope_.emplace(std::chrono::seconds(10));
+      kdl_.set_enabled(true);
+      scope_.emplace(kdl_, std::chrono::seconds(10));
     }
     fault::SiteConfig cfg;
     cfg.nth = kill_->nth;
@@ -347,12 +347,13 @@ class Armed {
     if (kill_ == nullptr) return;
     fault::kfail().disarm_all();
     scope_.reset();
-    dl::Kdl::instance().set_enabled(false);
+    kdl_.set_enabled(false);
   }
   Armed(const Armed&) = delete;
   Armed& operator=(const Armed&) = delete;
 
  private:
+  dl::Kdl& kdl_;
   const Kill* kill_;
   std::optional<dl::DeadlineScope> scope_;
 };
@@ -447,7 +448,7 @@ Outcome run_cosy(const Program& prog, const std::vector<SysRet>& classic,
   const cosy::Compound c = b.finish();
   cosy::CosyResult r;
   {
-    Armed armed(kill);
+    Armed armed(m.k, kill);
     r = ext.execute(m.p, c, shared);
   }
   if (compound_ret != nullptr) *compound_ret = r.ret;
@@ -539,7 +540,7 @@ Outcome run_ring_chain(const Program& prog, const std::vector<SysRet>& res,
     EXPECT_TRUE(m.ring->user_prepare(s));
   }
   {
-    Armed armed(&kill);
+    Armed armed(m.k, &kill);
     m.rdev.sys_ring_enter(m.p, m.ringfd, ring::RingDev::kDrainAll, 0, 0);
   }
   Outcome out;

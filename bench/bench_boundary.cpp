@@ -4,8 +4,15 @@
 // real CPU cost of the simulated primitives every experiment is built on
 // -- one boundary crossing, copy_{to,from}_user at several sizes, a null
 // syscall (getpid), a dcache-hit stat, and Cosy compound dispatch -- so
-// the relative costs behind E1-E9 can be independently checked.
+// the relative costs behind E1-E9 can be independently checked. After the
+// google-benchmark table it prints one more row: the null syscall with
+// the cost model set to zero (min of N batches), which is the gateway's
+// own real cost -- the yardstick the instrument budgets are held to.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <utility>
 
 #include "bench/common.hpp"
 #include "cosy/compiler.hpp"
@@ -136,6 +143,25 @@ class JsonForwardReporter : public benchmark::ConsoleReporter {
   bench::JsonWriter& json_;
 };
 
+/// Min over `batches` of the per-call wall time of getpid through the
+/// full gateway with CostModel{0,0,0,0}: nothing simulated, only the
+/// framework's own work. Returns {ns per call, seconds of the best batch}.
+std::pair<double, double> zero_cost_null_syscall(int batches, int calls) {
+  fs::MemFs fs;
+  uk::KernelConfig cfg;
+  cfg.boundary = uk::CostModel{0, 0, 0, 0};
+  uk::Kernel kernel(fs, cfg);
+  uk::Proc proc(kernel, "null");
+  for (int i = 0; i < calls; ++i) proc.getpid();  // warm up
+  double best = 1e99;
+  for (int b = 0; b < batches; ++b) {
+    best = std::min(best, bench::time_once([&] {
+      for (int i = 0; i < calls; ++i) proc.getpid();
+    }));
+  }
+  return {best * 1e9 / calls, best};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,5 +171,12 @@ int main(int argc, char** argv) {
   JsonForwardReporter reporter(json);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+
+  constexpr int kBatches = 15;
+  constexpr int kCalls = 200'000;
+  const auto [ns, best_s] = zero_cost_null_syscall(kBatches, kCalls);
+  std::printf("null syscall, zero cost model (min of %d x %d calls): %.1f ns\n",
+              kBatches, kCalls, ns);
+  json.record("null-syscall-zero-cost", 1, ns > 0 ? 1e9 / ns : 0.0, best_s);
   return 0;
 }

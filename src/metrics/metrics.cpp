@@ -120,18 +120,6 @@ Histogram& Registry::histogram(const char* name, const char* help,
   return *s.hist;
 }
 
-void Registry::add_scrape_fn(const char* id,
-                             std::function<void(std::string&)> fn) {
-  std::lock_guard lk(mu_);
-  for (ScrapeFn& s : scrape_fns_) {
-    if (s.id == id) {
-      s.fn = std::move(fn);
-      return;
-    }
-  }
-  scrape_fns_.push_back(ScrapeFn{id, std::move(fn)});
-}
-
 std::string Registry::expose() const {
   std::string out;
   out.reserve(4096);
@@ -198,9 +186,6 @@ std::string Registry::expose() const {
         }
       }
     }
-  }
-  for (const ScrapeFn& s : scrape_fns_) {
-    if (s.fn) s.fn(out);
   }
   return out;
 }

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -101,12 +100,6 @@ class Registry {
   Histogram& histogram(const char* name, const char* help,
                        Labels labels = {});
 
-  /// Raw exposition provider appended after the typed families, keyed by
-  /// `id` (re-registration replaces). For series whose label sets are
-  /// only known at scrape time (per-syscall latency quantiles bridged
-  /// from ktrace).
-  void add_scrape_fn(const char* id, std::function<void(std::string&)> fn);
-
   /// Prometheus text format: # HELP / # TYPE, one line per series;
   /// histograms expose _bucket{le=}/_sum/_count plus summary-style
   /// {quantile="0.5"|"0.99"} lines computed from the same snapshot the
@@ -133,17 +126,11 @@ class Registry {
     Kind kind = Kind::kCounter;
     std::deque<Series> series;
   };
-  struct ScrapeFn {
-    std::string id;
-    std::function<void(std::string&)> fn;
-  };
-
   Family& family_locked(const char* name, const char* help, Kind kind);
   Series& series_locked(Family& fam, Labels&& labels);
 
   mutable std::mutex mu_;
   std::deque<Family> families_;
-  std::vector<ScrapeFn> scrape_fns_;
 };
 
 /// Shorthand for the process-wide registry.

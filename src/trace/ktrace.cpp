@@ -146,7 +146,6 @@ void Ktrace::reset() {
   for (std::uint16_t i = 0; i < n; ++i) {
     sites_[i].hits.store(0, std::memory_order_relaxed);
   }
-  for (auto& h : syscall_hist_) h.reset();
   std::uint16_t m = op_hist_count_.load(std::memory_order_acquire);
   for (std::uint16_t i = 0; i < m; ++i) op_hists_[i].hist->reset();
 }

@@ -64,6 +64,8 @@ void append_hist(std::string& out, const trace::HistogramSnapshot& h) {
   }
 }
 
+constexpr std::size_t kSysCount = static_cast<std::size_t>(Sys::kMaxSys);
+
 /// A ProcFs gauge from any callable returning an integer.
 template <class Fn>
 void gauge(fs::ProcFs& pfs, const char* name, const char* help, Fn fn) {
@@ -227,11 +229,11 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
     return out;
   });
 
-  pfs.add_file("/trace/hist/syscall", [] {
+  pfs.add_file("/trace/hist/syscall", [&k] {
     std::string out;
-    for (std::uint16_t nr = 0; nr < trace::Ktrace::kMaxSyscalls; ++nr) {
-      trace::HistogramSnapshot h =
-          trace::ktrace().syscall_hist(nr).snapshot();
+    for (std::size_t nr = 0; nr < kSysCount; ++nr) {
+      const trace::HistogramSnapshot h =
+          k.syscall_latency(static_cast<Sys>(nr));
       if (h.count == 0) continue;
       appendf(out, "%s ", sys_name(static_cast<Sys>(nr)));
       append_hist(out, h);
@@ -338,26 +340,6 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
         [] { return trace::kspan().stats().started; });
   gauge(pfs, "usk_spans_dropped", "finished spans evicted from the store",
         [] { return trace::kspan().stats().dropped; });
-  metrics::kmetrics().add_scrape_fn("ktrace.syscall_latency", [](std::string&
-                                                                     out) {
-    // Per-syscall latency quantiles computed from the SAME histograms
-    // /proc/trace/hist/syscall renders, so the two surfaces agree.
-    out +=
-        "# HELP usk_syscall_latency_ns syscall wall latency (ktrace log2 "
-        "histograms)\n# TYPE usk_syscall_latency_ns gauge\n";
-    for (std::uint16_t nr = 0; nr < trace::Ktrace::kMaxSyscalls; ++nr) {
-      trace::HistogramSnapshot h = trace::ktrace().syscall_hist(nr).snapshot();
-      if (h.count == 0) continue;
-      const char* name = sys_name(static_cast<Sys>(nr));
-      appendf(out, "usk_syscall_latency_ns{syscall=\"%s\",quantile=\"0.5\"} %" PRIu64 "\n",
-              name, h.percentile(50.0));
-      appendf(out, "usk_syscall_latency_ns{syscall=\"%s\",quantile=\"0.99\"} %" PRIu64 "\n",
-              name, h.percentile(99.0));
-      appendf(out, "usk_syscall_latency_ns_count{syscall=\"%s\"} %" PRIu64 "\n",
-              name, h.count);
-    }
-  });
-
   // --- /proc/dl: deadlines, cancellation, admission (dl/dl.hpp) -------------
   dl::Kdl& kdl = k.dl();
   pfs.add_file(
@@ -394,8 +376,27 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
                  kdl.stats().gateway_canceled.load();
         });
 
-  pfs.add_file("/metrics", [&pfs] {
-    return pfs.expose_gauges() + metrics::kmetrics().expose();
+  // This Kernel's gauges and syscall latency quantiles (computed from the
+  // same per-CPU rows /proc/trace/hist/syscall renders, so the two
+  // surfaces agree), then the process-wide registry.
+  pfs.add_file("/metrics", [&k, &pfs] {
+    std::string out = pfs.expose_gauges();
+    out +=
+        "# HELP usk_syscall_latency_ns syscall wall latency (log2 "
+        "histograms)\n# TYPE usk_syscall_latency_ns gauge\n";
+    for (std::size_t nr = 0; nr < kSysCount; ++nr) {
+      const trace::HistogramSnapshot h =
+          k.syscall_latency(static_cast<Sys>(nr));
+      if (h.count == 0) continue;
+      const char* name = sys_name(static_cast<Sys>(nr));
+      appendf(out, "usk_syscall_latency_ns{syscall=\"%s\",quantile=\"0.5\"} %" PRIu64 "\n",
+              name, h.percentile(50.0));
+      appendf(out, "usk_syscall_latency_ns{syscall=\"%s\",quantile=\"0.99\"} %" PRIu64 "\n",
+              name, h.percentile(99.0));
+      appendf(out, "usk_syscall_latency_ns_count{syscall=\"%s\"} %" PRIu64 "\n",
+              name, h.count);
+    }
+    return out + metrics::kmetrics().expose();
   });
 
   // --- /proc/fail: runtime fault-injection control (see fault/kfail.hpp) ----

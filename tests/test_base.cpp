@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/cycles.hpp"
 #include "base/errno.hpp"
 #include "base/klog.hpp"
 #include "base/rng.hpp"
@@ -444,6 +445,15 @@ TEST(WorkEngineTest, AccumulatesUnits) {
   EXPECT_GT(e.total_units(), before);
 }
 
+TEST(WorkEngineTest, ZeroUnitsDoNoWork) {
+  base::WorkEngine e;
+  e.alu(10);
+  const std::uint64_t before = e.total_units();
+  e.alu(0);
+  e.cache_touch(0);
+  EXPECT_EQ(e.total_units(), before);
+}
+
 TEST(WorkEngineTest, WorkScalesWithUnits) {
   base::WorkEngine e;
   auto t0 = std::chrono::steady_clock::now();
@@ -454,6 +464,26 @@ TEST(WorkEngineTest, WorkScalesWithUnits) {
   auto small = t1 - t0;
   auto big = t2 - t1;
   EXPECT_GT(big, small);  // 10x work takes measurably longer
+}
+
+// --- cycles ------------------------------------------------------------------
+
+TEST(CyclesTest, AgreesWithSteadyClockOverASleep) {
+  const auto s0 = std::chrono::steady_clock::now();
+  const std::uint64_t c0 = base::cycles();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::uint64_t c1 = base::cycles();
+  const auto s1 = std::chrono::steady_clock::now();
+  const double steady =
+      std::chrono::duration<double, std::nano>(s1 - s0).count();
+  const double cyc = static_cast<double>(base::cycles_to_ns(c0, c1));
+  EXPECT_NEAR(cyc, steady, steady * 0.01);
+}
+
+TEST(CyclesTest, BackwardsDeltaClampsToZero) {
+  const std::uint64_t c = base::cycles();
+  EXPECT_EQ(base::cycles_to_ns(c + 1000, c), 0u);
+  EXPECT_EQ(base::cycles_to_ns(c, c), 0u);
 }
 
 }  // namespace

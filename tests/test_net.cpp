@@ -272,6 +272,19 @@ TEST_F(NetTest, EpollLevelTriggeredRearm) {
   proc_.close(t.lfd);
 }
 
+TEST_F(NetTest, BlockingEpollWaitCountsItsWaitAsKernelTime) {
+  // The gateway clock spans the whole call, the park included: a 5 ms
+  // epoll_wait timeout adds at least 5 ms of system time.
+  uk::Process& p = proc_.process();
+  int ep = static_cast<int>(net_.sys_epoll_create(p));
+  ASSERT_GE(ep, 0);
+  EpollEvent evs[1];
+  const std::uint64_t wall0 = p.task.kernel_wall_ns;
+  EXPECT_EQ(net_.sys_epoll_wait(p, ep, evs, 1, 5), 0);
+  EXPECT_GE(p.task.kernel_wall_ns - wall0, 5'000'000u);
+  proc_.close(ep);
+}
+
 TEST_F(NetTest, EpollCtlErrnoPaths) {
   uk::Process& p = proc_.process();
   Trio t = make_pair_on(7080);

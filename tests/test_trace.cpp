@@ -244,15 +244,9 @@ TEST_F(KtraceTest, SyscallHistogramIsAlwaysOn) {
   uk::Kernel kernel(rootfs);
   uk::Proc p(kernel, "hist");
   ASSERT_FALSE(trace::enabled());
-  const std::uint64_t before =
-      trace::ktrace()
-          .syscall_hist(static_cast<std::uint16_t>(uk::Sys::kGetpid))
-          .count();
+  const std::uint64_t before = kernel.syscall_latency(uk::Sys::kGetpid).count;
   for (int i = 0; i < 10; ++i) p.getpid();
-  const std::uint64_t after =
-      trace::ktrace()
-          .syscall_hist(static_cast<std::uint16_t>(uk::Sys::kGetpid))
-          .count();
+  const std::uint64_t after = kernel.syscall_latency(uk::Sys::kGetpid).count;
   EXPECT_EQ(after - before, 10u);
 }
 

@@ -55,26 +55,6 @@ std::string head_lines(const std::string& text, int n) {
   return text.substr(0, pos);
 }
 
-/// The /proc/metrics scrape minus per-bucket histogram rows: counters,
-/// gauges, and the p50/p99 quantile lines are the top-level story; the
-/// cumulative le="..." rows are for a real scraper, not a terminal.
-std::string scrape_summary(const std::string& text) {
-  std::string out;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.find("_bucket{") != std::string::npos) continue;
-    if (line.find("_sum{") != std::string::npos) continue;
-    if (line.find("_count{") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
 /// First token of the line containing `key`, after the key ("opens 12" ->
 /// "12"); empty if absent.
 std::string value_after(const std::string& text, const std::string& key) {
@@ -452,8 +432,8 @@ int main() {
   std::printf("\nretry budgets by tenant (/proc/dl/tenants):\n%s",
               read_proc_file(top, "/proc/dl/tenants").c_str());
 
-  std::printf("\nmetrics scrape, buckets elided (/proc/metrics):\n%s",
-              scrape_summary(read_proc_file(top, "/proc/metrics")).c_str());
+  std::printf("\nmetrics scrape (/proc/metrics):\n%s",
+              read_proc_file(top, "/proc/metrics").c_str());
 
   std::printf("\ntracepoint sites (/proc/trace/events):\n%s",
               read_proc_file(top, "/proc/trace/events").c_str());

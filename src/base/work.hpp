@@ -14,6 +14,28 @@
 
 namespace usk::base {
 
+inline constexpr std::uint64_t kWorkSeed = 0x853C49E6748FEA9Bull;
+
+/// `units` rounds of the fixed ALU chain one work unit is. Touches no
+/// memory.
+[[nodiscard]] inline std::uint64_t alu_chain(std::uint64_t units) {
+  std::uint64_t x = kWorkSeed;
+  for (std::uint64_t i = 0; i < units; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+/// `units` of ALU work that writes nothing: a lock's hold work (Dcache)
+/// needs no engine and no shared counter.
+inline void alu_hold(std::uint64_t units) {
+  const std::uint64_t x = alu_chain(units);
+  // The optimizer may not drop what feeds an asm input.
+  asm volatile("" : : "r"(x));
+}
+
 class WorkEngine {
  public:
   WorkEngine() {
@@ -23,13 +45,7 @@ class WorkEngine {
   /// Execute `units` of pure ALU work.
   void alu(std::uint64_t units) {
     if (units == 0) return;
-    std::uint64_t x = seed_;
-    for (std::uint64_t i = 0; i < units; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-    }
-    sink(x);
+    sink(alu_chain(units));
   }
 
   /// Execute `units` of cache-touching work (one line per unit). The
@@ -38,7 +54,7 @@ class WorkEngine {
   /// without a data race.
   void cache_touch(std::uint64_t units) {
     if (units == 0) return;
-    std::uint64_t x = seed_;
+    std::uint64_t x = kWorkSeed;
     std::uint64_t acc = 0;
     for (std::uint64_t i = 0; i < units; ++i) {
       // Stride by a cache line; the xorshift makes the pattern
@@ -64,7 +80,6 @@ class WorkEngine {
   }
 
   static constexpr std::size_t kScratchWords = 1 << 15;  // 256 KiB of u64
-  std::uint64_t seed_ = 0x853C49E6748FEA9Bull;
   std::atomic<std::uint64_t> total_{0};
   alignas(64) std::array<std::atomic<std::uint64_t>, kScratchWords> scratch_{};
 };

@@ -1,9 +1,10 @@
 #include "dl/dl.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "base/appendf.hpp"
 
 namespace usk::dl {
 
@@ -131,14 +132,11 @@ std::string Kdl::format_tenants() const {
   std::string out = "tenant budget streak retries exhausted successes\n";
   std::lock_guard lk(tenants_mu_);
   for (const RetryBudget* t : tenants_) {
-    char line[192];
-    int n = std::snprintf(
-        line, sizeof line, "%-12s %6u %6u %7llu %9llu %9llu\n",
-        t->name().c_str(), t->budget(), t->streak(),
-        static_cast<unsigned long long>(t->retries()),
-        static_cast<unsigned long long>(t->exhausted()),
-        static_cast<unsigned long long>(t->successes()));
-    if (n > 0) out.append(line, static_cast<std::size_t>(n));
+    base::appendf(out, "%-12s %6u %6u %7llu %9llu %9llu\n",
+                  t->name().c_str(), t->budget(), t->streak(),
+                  static_cast<unsigned long long>(t->retries()),
+                  static_cast<unsigned long long>(t->exhausted()),
+                  static_cast<unsigned long long>(t->successes()));
   }
   return out;
 }

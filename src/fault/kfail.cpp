@@ -1,11 +1,11 @@
 #include "fault/kfail.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "base/appendf.hpp"
 #include "base/klog.hpp"
 #include "trace/tracepoint.hpp"
 
@@ -312,36 +312,31 @@ void Kfail::reset_stats() {
 
 std::string Kfail::format_stats() const {
   std::string out;
-  char buf[192];
   for (std::size_t i = 0; i < kNumSites; ++i) {
     const SiteState& st = sites_[i];
-    int n = std::snprintf(
-        buf, sizeof buf,
+    base::appendf(
+        out,
         "%-12s armed %d checks %" PRIu64 " injected %" PRIu64
         " transient %" PRIu64 "\n",
         kSiteDesc[i].name, st.armed.load(std::memory_order_relaxed) ? 1 : 0,
         st.checks.load(std::memory_order_relaxed),
         st.injected.load(std::memory_order_relaxed),
         st.transients.load(std::memory_order_relaxed));
-    if (n > 0) out.append(buf, static_cast<std::size_t>(n));
   }
   return out;
 }
 
 std::string Kfail::format_spec() const {
   std::string out = "seed=" + std::to_string(seed());
-  char buf[160];
   for (std::size_t i = 0; i < kNumSites; ++i) {
     const SiteState& st = sites_[i];
     if (!st.armed.load(std::memory_order_relaxed)) continue;
     const double p =
         static_cast<double>(st.threshold.load(std::memory_order_relaxed)) /
         18446744073709551616.0;
-    int n = std::snprintf(buf, sizeof buf, ",%s:p=%g", kSiteDesc[i].name,
-                          st.threshold.load(std::memory_order_relaxed) == ~0ull
-                              ? 1.0
-                              : p);
-    if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+    base::appendf(out, ",%s:p=%g", kSiteDesc[i].name,
+                  st.threshold.load(std::memory_order_relaxed) == ~0ull ? 1.0
+                                                                        : p);
     if (std::uint64_t nth = st.nth.load(std::memory_order_relaxed)) {
       out += ":nth=" + std::to_string(nth);
     }

@@ -13,7 +13,7 @@ InodeNum Dcache::lookup(InodeNum parent, std::string_view name,
   InodeNum found = kInvalidInode;
   {
     USK_SPIN_GUARD(locks_.at(si));
-    if (hold_work_ != 0) work_.alu(hold_work_);  // chain walk under the lock
+    base::alu_hold(hold_work_);  // chain walk under the lock
     ++s.stats.lookups;
     auto it = s.map.find(key);
     if (it != s.map.end()) {
@@ -38,7 +38,7 @@ void Dcache::insert(InodeNum parent, std::string_view name, InodeNum child,
   std::size_t si = shard_of(key);
   Shard& s = shards_[si];
   USK_SPIN_GUARD(locks_.at(si));
-  if (hold_work_ != 0) work_.alu(hold_work_);
+  base::alu_hold(hold_work_);
   ++s.stats.inserts;
   auto it = s.map.find(key);
   if (it != s.map.end()) {
@@ -63,7 +63,7 @@ void Dcache::invalidate(InodeNum parent, std::string_view name,
   std::size_t si = shard_of(key);
   Shard& s = shards_[si];
   USK_SPIN_GUARD(locks_.at(si));
-  if (hold_work_ != 0) work_.alu(hold_work_);
+  base::alu_hold(hold_work_);
   ++s.stats.invalidations;
   auto it = s.map.find(key);
   if (it == s.map.end()) return;

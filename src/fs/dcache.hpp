@@ -129,7 +129,6 @@ class Dcache {
   std::vector<Shard> shards_;
   std::size_t per_shard_capacity_;
   std::uint32_t hold_work_ = 0;
-  base::WorkEngine work_;
 };
 
 }  // namespace usk::fs

@@ -101,29 +101,80 @@ InodeNum ProcFs::add_dir(std::string_view path) {
 }
 
 void ProcFs::add_gauge(const char* name, const char* help, GaugeFn fn) {
-  std::lock_guard lk(gauges_mu_);
-  gauges_.push_back(Gauge{name, help, std::move(fn)});
+  add_gauges(name, help, nullptr, [fn = std::move(fn)] {
+    return Rows<std::int64_t>{{std::string(), fn()}};
+  });
 }
 
-std::string ProcFs::expose_gauges() const {
-  std::vector<Gauge> gauges;
-  {
-    std::lock_guard lk(gauges_mu_);
-    gauges = gauges_;
+void ProcFs::add_gauges(const char* name, const char* help, const char* label,
+                        GaugeRowsFn fn, const void* owner) {
+  std::lock_guard lk(metrics_mu_);
+  families_.push_back(Family{name, help, label, owner, std::move(fn), {}});
+}
+
+void ProcFs::add_summary(const char* name, const char* help,
+                         const char* label, SummaryRowsFn fn,
+                         const void* owner) {
+  std::lock_guard lk(metrics_mu_);
+  families_.push_back(Family{name, help, label, owner, {}, std::move(fn)});
+}
+
+void ProcFs::remove_metrics(const void* owner) {
+  std::lock_guard lk(metrics_mu_);
+  std::erase_if(families_,
+                [owner](const Family& f) { return f.owner == owner; });
+}
+
+namespace {
+
+/// `key="value"`, the value escaped as the text format asks.
+std::string label_pair(const char* key, const std::string& value) {
+  std::string out = std::string(key) + "=\"";
+  for (char c : value) {
+    if (c == '\\' || c == '"' || c == '\n') out += '\\';
+    out += c == '\n' ? 'n' : c;
   }
+  return out + '"';
+}
+
+void append_sample(std::string& out, const char* name, const char* suffix,
+                   const std::string& labels, const std::string& value) {
+  out += name;
+  out += suffix;
+  if (!labels.empty()) out += '{' + labels + '}';
+  out += ' ' + value + '\n';
+}
+
+}  // namespace
+
+std::string ProcFs::expose_metrics() const {
+  std::lock_guard lk(metrics_mu_);
   std::string out;
-  for (const Gauge& g : gauges) {
+  for (const Family& f : families_) {
     out += "# HELP ";
-    out += g.name;
+    out += f.name;
     out += ' ';
-    out += g.help;
+    out += f.help;
     out += "\n# TYPE ";
-    out += g.name;
-    out += " gauge\n";
-    out += g.name;
-    out += ' ';
-    out += std::to_string(g.fn());
-    out += '\n';
+    out += f.name;
+    out += f.summaries ? " summary\n" : " gauge\n";
+    if (f.gauges) {
+      for (const auto& [value, v] : f.gauges()) {
+        append_sample(out, f.name, "",
+                      f.label != nullptr ? label_pair(f.label, value) : "",
+                      std::to_string(v));
+      }
+      continue;
+    }
+    for (const auto& [value, h] : f.summaries()) {
+      const std::string l = label_pair(f.label, value);
+      append_sample(out, f.name, "", l + ",quantile=\"0.5\"",
+                    std::to_string(h.percentile(50.0)));
+      append_sample(out, f.name, "", l + ",quantile=\"0.99\"",
+                    std::to_string(h.percentile(99.0)));
+      append_sample(out, f.name, "_sum", l, std::to_string(h.sum));
+      append_sample(out, f.name, "_count", l, std::to_string(h.count));
+    }
   }
   return out;
 }

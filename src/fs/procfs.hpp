@@ -20,9 +20,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fs/filesystem.hpp"
+#include "trace/histogram.hpp"
 
 namespace usk::fs {
 
@@ -45,15 +47,36 @@ class ProcFs final : public FileSystem {
   /// Create a directory (and parents). Idempotent.
   InodeNum add_dir(std::string_view path);
 
-  /// A gauge whose value is owned by what registered this filesystem (its
-  /// Kernel, store or cache), read at scrape time. It lives exactly as
-  /// long as this ProcFs, so two Kernels never read each other's values.
-  /// `name` and `help` must be literals; names are not de-duplicated.
+  // --- /metrics -------------------------------------------------------------
+  // Metric families. Their values belong to what registered them (its
+  // Kernel, store, cache or SLO monitor) and are read at scrape time. A
+  // family lives with this ProcFs, so two Kernels never read each other's
+  // values. `name`, `help` and `label` must be literals; names are not
+  // de-duplicated.
+
+  /// A labelled family's samples: (label value, sample) per series.
+  template <class V>
+  using Rows = std::vector<std::pair<std::string, V>>;
   using GaugeFn = std::function<std::int64_t()>;
+  using GaugeRowsFn = std::function<Rows<std::int64_t>()>;
+  using SummaryRowsFn = std::function<Rows<trace::HistogramSnapshot>()>;
+
+  /// One unlabelled gauge.
   void add_gauge(const char* name, const char* help, GaugeFn fn);
-  /// Prometheus text (# HELP / # TYPE / value) of every gauge, in
-  /// registration order: the head of /metrics.
-  [[nodiscard]] std::string expose_gauges() const;
+  /// A gauge family, one series per row. A family added with an `owner`
+  /// is taken off again by remove_metrics(owner).
+  void add_gauges(const char* name, const char* help, const char* label,
+                  GaugeRowsFn fn, const void* owner = nullptr);
+  /// A log2-histogram summary family (`label` required): each row's
+  /// quantile 0.5 and 0.99, _sum and _count, all from its one snapshot.
+  void add_summary(const char* name, const char* help, const char* label,
+                   SummaryRowsFn fn, const void* owner = nullptr);
+  /// Take off every family added with `owner`. Once it returns, no
+  /// scrape calls their functions again.
+  void remove_metrics(const void* owner);
+  /// Prometheus text (# HELP / # TYPE / samples) of every family, in
+  /// registration order: the body of /metrics.
+  [[nodiscard]] std::string expose_metrics() const;
 
   // --- FileSystem -----------------------------------------------------------
   [[nodiscard]] InodeNum root() const override { return kRootIno; }
@@ -92,18 +115,22 @@ class ProcFs final : public FileSystem {
   std::pair<InodeNum, std::string> ensure_parents(std::string_view path);
   void render_locked(InodeNum ino, Node& n);
 
-  struct Gauge {
+  struct Family {
     const char* name;
     const char* help;
-    GaugeFn fn;
+    const char* label;  ///< nullptr: one unlabelled series
+    const void* owner;
+    GaugeRowsFn gauges;  ///< exactly one of gauges / summaries is set
+    SummaryRowsFn summaries;
   };
 
   mutable std::mutex mu_;
   std::unordered_map<InodeNum, Node> nodes_;
   InodeNum next_ino_ = 2;
-  /// Its own lock: /metrics renders the gauges while holding mu_.
-  mutable std::mutex gauges_mu_;
-  std::vector<Gauge> gauges_;
+  /// Its own lock, held across a scrape: /metrics renders the families
+  /// while holding mu_, and remove_metrics must wait out a scrape.
+  mutable std::mutex metrics_mu_;
+  std::vector<Family> families_;
 };
 
 }  // namespace usk::fs

@@ -10,29 +10,15 @@
 //   /net/listeners  listening sockets with backlog occupancy
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
+#include "base/appendf.hpp"
 #include "fs/procfs.hpp"
 #include "net/net.hpp"
 
 namespace usk::net {
 
-namespace {
-
-void appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
-
-}  // namespace
+using base::appendf;
 
 std::string Net::format_stats() const {
   NetStats s = stats();

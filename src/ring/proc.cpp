@@ -6,28 +6,15 @@
 // Render-on-open like /net/* and /sup/*: snapshot under the table lock,
 // format outside it.
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 
+#include "base/appendf.hpp"
 #include "fs/procfs.hpp"
 #include "ring/ring.hpp"
 
 namespace usk::ring {
 
-namespace {
-
-__attribute__((format(printf, 2, 3))) void appendf(std::string& out,
-                                                   const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n),
-                                      sizeof(buf) - 1));
-}
-
-}  // namespace
+using base::appendf;
 
 std::string RingDev::format_rings() const {
   struct Row {

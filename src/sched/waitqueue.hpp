@@ -43,8 +43,8 @@
 namespace usk::sched {
 
 /// Process-wide park/wake accounting, aggregated over every WaitQueue
-/// (sockets, epoll instances, rings, journals). Exposed through kmetrics
-/// and /proc/sched/runqueues; the "timeouts" counter is the acceptance
+/// (sockets, epoll instances, rings, journals). Exposed as /proc/metrics
+/// gauges and in /proc/sched/runqueues; the "timeouts" counter is the acceptance
 /// gate for zero interval-polling wakeups -- only user-requested
 /// deadlines may ever tick it.
 struct WaitStats {

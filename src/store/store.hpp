@@ -31,7 +31,8 @@
 //     state the new stable image.
 //
 // kspan: store.commit / store.writeback / store.checkpoint spans;
-// kmetrics + /proc/store/** wiring lives in store/proc.cpp.
+// The /proc/metrics gauges and /proc/store/** files are wired by
+// uk::register_storage_proc (uk/kproc.cpp).
 #pragma once
 
 #include <cstdint>

@@ -7,29 +7,16 @@
 // Render-on-open like /net/*: each open snapshots state under the
 // supervisor lock and formats outside it.
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <string_view>
 
+#include "base/appendf.hpp"
 #include "fs/procfs.hpp"
 #include "sup/supervisor.hpp"
 
 namespace usk::sup {
 
-namespace {
-
-__attribute__((format(printf, 2, 3))) void appendf(std::string& out,
-                                                   const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n),
-                                      sizeof(buf) - 1));
-}
-
-}  // namespace
+using base::appendf;
 
 std::string Supervisor::format_extensions() const {
   struct Row {

@@ -1,53 +1,37 @@
 #include "sup/slo.hpp"
 
-#include <algorithm>
-#include <cstdarg>
-#include <cstdio>
+#include <utility>
+#include <vector>
 
+#include "base/appendf.hpp"
 #include "base/klog.hpp"
 #include "fs/procfs.hpp"
-#include "metrics/metrics.hpp"
 #include "trace/tracepoint.hpp"
 
 namespace usk::sup {
 
-namespace {
-
-__attribute__((format(printf, 2, 3))) void appendf(std::string& out,
-                                                   const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n),
-                                      sizeof(buf) - 1));
-}
-
-}  // namespace
+using base::appendf;
 
 SloMonitor::SloMonitor(Supervisor& s) : s_(s) {
   s_.set_slo_monitor(this);
 }
 
-SloMonitor::~SloMonitor() { s_.set_slo_monitor(nullptr); }
+SloMonitor::~SloMonitor() {
+  s_.set_slo_monitor(nullptr);
+  if (pfs_ == nullptr) return;
+  // Both wait out a render in flight, so no reader calls into this
+  // monitor once they return.
+  pfs_->remove_metrics(this);
+  pfs_->add_file("/sup/slo", [] { return std::string(); });
+}
 
 SloMonitor::Slot& SloMonitor::slot_locked(ExtId id) {
   const auto idx = static_cast<std::size_t>(id);
-  if (idx >= slots_.size()) slots_.resize(idx + 1);
+  while (slots_.size() <= idx) slots_.emplace_back();
   Slot& sl = slots_[idx];
   if (!sl.touched) {
     sl.policy = default_policy_;
     sl.touched = true;
-    // Intern the kmetrics series once per extension. The name copy is
-    // the label value; the series references stay valid forever.
-    const std::string name = s_.extension_name(id);
-    sl.hist = &metrics::kmetrics().histogram(
-        "usk_ext_latency_ns", "supervised invocation wall latency",
-        {{"extension", name}});
-    sl.violations = &metrics::kmetrics().counter(
-        "usk_slo_breaches_total", "sustained SLO burns raised on ksup",
-        {{"extension", name}});
   }
   return sl;
 }
@@ -67,11 +51,10 @@ void SloMonitor::set_policy(ExtId id, const SloPolicy& p) {
 
 void SloMonitor::observe(ExtId id, std::uint64_t wall_ns, bool ok) {
   bool raise = false;
-  metrics::Counter* breach_counter = nullptr;
   {
     std::lock_guard lk(mu_);
     Slot& sl = slot_locked(id);
-    sl.hist->record(wall_ns);
+    sl.latency.record(wall_ns);
     ++sl.state.observed;
     if (!ok) ++sl.state.errors;
     const SloPolicy& p = sl.policy;
@@ -93,7 +76,6 @@ void SloMonitor::observe(ExtId id, std::uint64_t wall_ns, bool ok) {
           sl.state.breach_streak = 0;
           ++sl.state.violations;
           raise = true;
-          breach_counter = sl.violations;
         }
       } else {
         sl.state.breach_streak = 0;
@@ -103,7 +85,6 @@ void SloMonitor::observe(ExtId id, std::uint64_t wall_ns, bool ok) {
   if (!raise) return;
   // Outside mu_: record_violation takes the supervisor lock, and the
   // breaker can quarantine right here.
-  breach_counter->inc();
   USK_TRACEPOINT("sup", "slo_breach", static_cast<std::uint64_t>(id));
   USK_KLOG_RATELIMIT_NAMED(
       "sup.slo", base::LogLevel::kWarn, 16u,
@@ -164,9 +145,44 @@ std::string SloMonitor::format() const {
   return out;
 }
 
+template <class Pick>
+auto SloMonitor::rows(Pick pick) const {
+  using V = decltype(pick(std::declval<const Slot&>()));
+  std::vector<std::pair<ExtId, V>> picked;
+  {
+    std::lock_guard lk(mu_);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].touched) {
+        picked.emplace_back(static_cast<ExtId>(i), pick(slots_[i]));
+      }
+    }
+  }
+  // Names outside mu_: extension_name takes the supervisor lock.
+  fs::ProcFs::Rows<V> out;
+  for (auto& [id, v] : picked) {
+    out.emplace_back(s_.extension_name(id), std::move(v));
+  }
+  return out;
+}
+
 void SloMonitor::register_proc(fs::ProcFs& pfs) {
+  pfs_ = &pfs;
   pfs.add_dir("/sup");
   pfs.add_file("/sup/slo", [this] { return format(); });
+  pfs.add_summary("usk_ext_latency_ns", "supervised invocation wall latency",
+                  "extension", [this] {
+                    return rows([](const Slot& sl) {
+                      return sl.latency.snapshot();
+                    });
+                  },
+                  this);
+  pfs.add_gauges("usk_slo_breaches_total",
+                 "sustained SLO burns raised on ksup", "extension", [this] {
+                   return rows([](const Slot& sl) {
+                     return static_cast<std::int64_t>(sl.state.violations);
+                   });
+                 },
+                 this);
 }
 
 }  // namespace usk::sup

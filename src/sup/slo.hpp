@@ -12,9 +12,12 @@
 // run of `breach_windows` consecutive bad windows is a sustained burn,
 // not noise, and raises ViolationKind::kSloBreach on the supervisor --
 // from there the ordinary breaker machinery takes over: probation,
-// quarantine, classic fallback, backoff probes, re-admission. Latencies
-// are also recorded into kmetrics (usk_ext_latency_ns{extension=...}),
-// so /proc/metrics shows the same percentiles this monitor judged.
+// quarantine, classic fallback, backoff probes, re-admission. Each
+// extension's latencies also go into a log2 histogram the monitor owns;
+// register_proc adds it to that Kernel's /proc/metrics as
+// usk_ext_latency_ns{extension=...}, next to usk_slo_breaches_total, so
+// the scrape shows the same percentiles this monitor judged. The monitor
+// takes both families off again when it is destroyed.
 //
 // Locking: observe() takes slo mu_, releases it, and only then calls
 // Supervisor::record_violation (slo.mu_ is never held across sup.mu_;
@@ -22,23 +25,15 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "sup/supervisor.hpp"
+#include "trace/histogram.hpp"
 
 namespace usk::fs {
 class ProcFs;
-}
-
-namespace usk::metrics {
-class Counter;
-class Registry;
-}
-
-namespace usk::trace {
-class Histogram;
 }
 
 namespace usk::sup {
@@ -86,6 +81,8 @@ class SloMonitor {
 
   /// /proc/sup/slo body: one row per extension seen or configured.
   [[nodiscard]] std::string format() const;
+  /// Adds /sup/slo and this monitor's two /metrics families to `pfs`,
+  /// which must outlive the monitor; the destructor takes them off.
   void register_proc(fs::ProcFs& pfs);
 
   [[nodiscard]] Supervisor& supervisor() const { return s_; }
@@ -94,17 +91,20 @@ class SloMonitor {
   struct Slot {
     SloPolicy policy;
     SloState state;
-    bool touched = false;           ///< observed or configured at least once
-    trace::Histogram* hist = nullptr;       ///< kmetrics latency histogram
-    metrics::Counter* violations = nullptr; ///< kmetrics breach counter
+    bool touched = false;  ///< observed or configured at least once
+    trace::Histogram latency;
   };
 
   Slot& slot_locked(ExtId id);
+  /// (extension name, pick(slot)) per touched slot: a /metrics family.
+  template <class Pick>
+  auto rows(Pick pick) const;
 
   Supervisor& s_;
   SloPolicy default_policy_;
   mutable std::mutex mu_;
-  std::vector<Slot> slots_;  ///< indexed by ExtId, grown on demand
+  std::deque<Slot> slots_;  ///< indexed by ExtId, grown on demand
+  fs::ProcFs* pfs_ = nullptr;  ///< where register_proc added files
 };
 
 }  // namespace usk::sup

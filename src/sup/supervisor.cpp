@@ -438,7 +438,7 @@ void Supervisor::finish_invocation(ExtId id, Route route, SysRet result,
                                    : classify(e.vehicle, err);
     finish_invocation_locked(e, id, route, result, kind, err);
   }
-  // SLO observation outside mu_: the monitor records into kmetrics and a
+  // SLO observation outside mu_: the monitor records its histogram and a
   // breach verdict calls record_violation(), which takes mu_ again. Only
   // kernel-path runs are observed -- scoring the deliberately-slower
   // fallback would keep a quarantined extension breaching forever and

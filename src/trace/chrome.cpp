@@ -5,18 +5,18 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "base/appendf.hpp"
+
 namespace usk::trace {
 
 namespace {
 
 void append_common(std::string* out, const TraceEvent& e) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
+  base::appendf(*out,
                 "\"ts\":%.3f,\"pid\":%u,\"tid\":%u,\"args\":{\"seq\":%" PRIu64
                 ",\"arg0\":%" PRIu64 ",\"arg1\":%" PRIu64 "}",
                 static_cast<double>(e.ts_ns) / 1000.0, e.pid, e.cpu, e.seq,
                 e.arg0, e.arg1);
-  out->append(buf);
 }
 
 }  // namespace
@@ -42,13 +42,11 @@ std::string export_chrome(const std::vector<TraceEvent>& events) {
           const TraceEvent& enter = it->second;
           if (!first) out += ",";
           first = false;
-          char buf[96];
-          std::snprintf(buf, sizeof(buf),
+          base::appendf(out,
                         "{\"name\":\"sys_%" PRIu64
                         "\",\"ph\":\"X\",\"dur\":%.3f,",
                         e.arg0,
                         static_cast<double>(e.ts_ns - enter.ts_ns) / 1000.0);
-          out += buf;
           append_common(&out, enter);
           out += "}";
           open_syscall.erase(it);

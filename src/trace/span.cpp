@@ -1,9 +1,10 @@
 #include "trace/span.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "base/appendf.hpp"
 
 namespace usk::trace {
 
@@ -123,7 +124,6 @@ std::uint64_t SpanScope::current_id() {
 std::string export_chrome_spans(const std::vector<SpanRecord>& spans) {
   std::string out = "[";
   bool first = true;
-  char buf[512];
   for (const SpanRecord& s : spans) {
     if (!first) out += ",";
     first = false;
@@ -132,8 +132,8 @@ std::string export_chrome_spans(const std::vector<SpanRecord>& spans) {
         static_cast<double>(s.end_ns >= s.start_ns ? s.end_ns - s.start_ns
                                                    : 0) /
         1000.0;
-    std::snprintf(
-        buf, sizeof buf,
+    base::appendf(
+        out,
         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
         "\"dur\":%.3f,\"pid\":%u,\"tid\":%u,\"args\":{\"span\":%" PRIu64
         ",\"parent\":%" PRIu64 ",\"ext\":%d,\"crossings\":%" PRIu64
@@ -142,12 +142,11 @@ std::string export_chrome_spans(const std::vector<SpanRecord>& spans) {
         s.name, span_vehicle_name(s.vehicle), ts_us, dur_us, s.pid, s.pid,
         s.id, s.parent, s.ext, s.crossings, s.bytes_in, s.bytes_out,
         s.kernel_units, s.status);
-    out += buf;
     if (s.parent != 0) {
       // Flow pair: an "s" (start) at the parent's timeline position and
       // an "f" (finish) at the child's start, keyed by the child id --
       // Perfetto draws the arrow parent -> child.
-      std::snprintf(buf, sizeof buf,
+      base::appendf(out,
                     ",{\"name\":\"span\",\"cat\":\"flow\",\"ph\":\"s\","
                     "\"id\":%" PRIu64
                     ",\"ts\":%.3f,\"pid\":%u,\"tid\":%u}"
@@ -155,7 +154,6 @@ std::string export_chrome_spans(const std::vector<SpanRecord>& spans) {
                     "\"bp\":\"e\",\"id\":%" PRIu64
                     ",\"ts\":%.3f,\"pid\":%u,\"tid\":%u}",
                     s.id, ts_us, s.pid, s.pid, s.id, ts_us, s.pid, s.pid);
-      out += buf;
     }
   }
   out += "]";

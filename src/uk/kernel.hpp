@@ -94,11 +94,13 @@ class CallerBuf {
         buf_(reinterpret_cast<std::byte*>(static_cast<std::uintptr_t>(buf))),
         n_(n) {}
 
-  /// Kernel-side bytes for the handler to fill or consume.
+  /// Kernel-side bytes for the handler to fill or consume. The kUser
+  /// bounce buffer is not zeroed: in() or the handler overwrites it, and
+  /// out() copies only the bytes the handler wrote.
   std::byte* data() {
     if (shared_) return buf_;
-    bounce_.resize(n_);
-    return bounce_.data();
+    if (!bounce_) bounce_ = std::make_unique_for_overwrite<std::byte[]>(n_);
+    return bounce_.get();
   }
   /// Buffer in: the caller's n bytes into data().
   Result<std::size_t> in() {
@@ -119,7 +121,7 @@ class CallerBuf {
   const bool shared_;
   std::byte* const buf_;
   const std::size_t n_;
-  std::vector<std::byte> bounce_;
+  std::unique_ptr<std::byte[]> bounce_;
 };
 
 /// Wire format for sys_readdirplus: stat + header + name bytes.

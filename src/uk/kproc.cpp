@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <string>
 
+#include "base/appendf.hpp"
 #include "dl/dl.hpp"
 #include "fault/kfail.hpp"
 #include "fs/vfs.hpp"
-#include "metrics/metrics.hpp"
 #include "mm/kmalloc.hpp"
 #include "trace/ktrace.hpp"
 #include "trace/span.hpp"
@@ -18,19 +17,9 @@
 
 namespace usk::uk {
 
+using base::appendf;
+
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
 
 const char* state_name(sched::TaskState s) {
   switch (s) {
@@ -314,9 +303,9 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   });
 
   // --- metrics ---------------------------------------------------------------
-  // /metrics renders this ProcFs's gauges, then the process-wide kmetrics
-  // registry. The gauges bridge counters other subsystems own; they live
-  // with this ProcFs, so each Kernel's scrape reads its own values.
+  // /metrics renders this ProcFs's metric families. The gauges bridge
+  // counters other subsystems own; they live with this ProcFs, so each
+  // Kernel's scrape reads its own values.
   gauge(pfs, "usk_trace_events_emitted", "ktrace events emitted since reset",
         [] { return trace::ktrace().emitted(); });
   gauge(pfs, "usk_trace_events_dropped",
@@ -376,28 +365,19 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
                  kdl.stats().gateway_canceled.load();
         });
 
-  // This Kernel's gauges and syscall latency quantiles (computed from the
-  // same per-CPU rows /proc/trace/hist/syscall renders, so the two
-  // surfaces agree), then the process-wide registry.
-  pfs.add_file("/metrics", [&k, &pfs] {
-    std::string out = pfs.expose_gauges();
-    out +=
-        "# HELP usk_syscall_latency_ns syscall wall latency (log2 "
-        "histograms)\n# TYPE usk_syscall_latency_ns gauge\n";
-    for (std::size_t nr = 0; nr < kSysCount; ++nr) {
-      const trace::HistogramSnapshot h =
-          k.syscall_latency(static_cast<Sys>(nr));
-      if (h.count == 0) continue;
-      const char* name = sys_name(static_cast<Sys>(nr));
-      appendf(out, "usk_syscall_latency_ns{syscall=\"%s\",quantile=\"0.5\"} %" PRIu64 "\n",
-              name, h.percentile(50.0));
-      appendf(out, "usk_syscall_latency_ns{syscall=\"%s\",quantile=\"0.99\"} %" PRIu64 "\n",
-              name, h.percentile(99.0));
-      appendf(out, "usk_syscall_latency_ns_count{syscall=\"%s\"} %" PRIu64 "\n",
-              name, h.count);
-    }
-    return out + metrics::kmetrics().expose();
-  });
+  // Computed from the same per-Kernel histograms /proc/trace/hist/syscall
+  // renders, so the two surfaces agree.
+  pfs.add_summary("usk_syscall_latency_ns",
+                  "syscall wall latency (log2 histograms)", "syscall", [&k] {
+                    fs::ProcFs::Rows<trace::HistogramSnapshot> rows;
+                    for (std::size_t nr = 0; nr < kSysCount; ++nr) {
+                      const auto sys = static_cast<Sys>(nr);
+                      trace::HistogramSnapshot h = k.syscall_latency(sys);
+                      if (h.count != 0) rows.emplace_back(sys_name(sys), h);
+                    }
+                    return rows;
+                  });
+  pfs.add_file("/metrics", [&pfs] { return pfs.expose_metrics(); });
 
   // --- /proc/fail: runtime fault-injection control (see fault/kfail.hpp) ----
   // Reading /proc/fail/spec shows the armed configuration; writing a spec

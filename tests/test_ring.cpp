@@ -157,6 +157,45 @@ TEST_F(RingTest, OneCrossingPerEnterAndCopyAttribution) {
   proc_.close(m.fd);
 }
 
+TEST_F(RingTest, ShortReadLeavesTheRestOfTheCallerBufferUntouched) {
+  // A 10-byte file read into a 4 KiB buffer: only the 10 bytes the read
+  // produced reach the caller, classic and ring alike.
+  constexpr std::size_t kBuf = 4096;
+  int fd = proc_.open("/short", fs::kOWrOnly | fs::kOCreat);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(proc_.write(fd, "0123456789", 10), 10);
+  proc_.close(fd);
+  auto untouched_after_10 = [](const std::byte* b) {
+    for (std::size_t i = 10; i < kBuf; ++i) {
+      if (std::to_integer<int>(b[i]) != 0xC5) return false;
+    }
+    return std::memcmp(b, "0123456789", 10) == 0;
+  };
+
+  std::vector<std::byte> buf(kBuf, std::byte{0xC5});
+  fd = proc_.open("/short", fs::kORdOnly);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(proc_.read(fd, buf.data(), kBuf), 10);
+  EXPECT_TRUE(untouched_after_10(buf.data()));
+  proc_.close(fd);
+
+  Mapped m = make_ring(8, kBuf);
+  std::memset(m.rg->user_data(0, kBuf), 0xC5, kBuf);
+  fd = proc_.open("/short", fs::kORdOnly);
+  ASSERT_GE(fd, 0);
+  Sqe s{};
+  s.nr = uk::Sys::kRead;
+  s.args = {uk::Kernel::iarg(fd), 0, kBuf};
+  ASSERT_TRUE(m.rg->user_prepare(s));
+  EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 1);
+  std::vector<Cqe> cqes = reap_all(*m.rg);
+  ASSERT_EQ(cqes.size(), 1u);
+  EXPECT_EQ(cqes[0].res, 10);
+  EXPECT_TRUE(untouched_after_10(m.rg->user_data(0, kBuf)));
+  proc_.close(fd);
+  proc_.close(m.fd);
+}
+
 // --- errno ordering through the drain (satellite: handler audit) -------------
 
 TEST_F(RingTest, EbadfBeforeEfaultThroughDrain) {

@@ -726,7 +726,7 @@ TEST_F(StoreTest, DirtyQuotaOutlivesANestedSupervisor) {
   ASSERT_TRUE(cache.sync_barrier().ok());
 }
 
-// --- /proc + kmetrics -----------------------------------------------------------
+// --- /proc + /proc/metrics ------------------------------------------------------
 
 TEST_F(StoreTest, ProcFilesRenderCacheAndStoreCounters) {
   const std::string path = img("ts_proc.img");

@@ -25,7 +25,6 @@
 #include "fs/memfs.hpp"
 #include "fs/procfs.hpp"
 #include "net/net.hpp"
-#include "metrics/metrics.hpp"
 #include "sup/fallback.hpp"
 #include "sup/monitor.hpp"
 #include "sup/slo.hpp"
@@ -1014,7 +1013,7 @@ TEST_F(SupTest, SloProcFileAndMetricsRenderMatchingPercentiles) {
   EXPECT_NE(slo.find("slo.metrics"), std::string::npos);
   EXPECT_NE(slo.find("100"), std::string::npos);  // observed column
 
-  const std::string prom = metrics::kmetrics().expose();
+  const std::string prom = cat("/proc/metrics");
   const trace::HistogramSnapshot snap = ref.snapshot();
   char line[160];
   std::snprintf(line, sizeof line,
@@ -1029,6 +1028,75 @@ TEST_F(SupTest, SloProcFileAndMetricsRenderMatchingPercentiles) {
   EXPECT_NE(prom.find(line), std::string::npos) << prom;
   EXPECT_NE(prom.find("usk_slo_breaches_total{extension=\"slo.metrics\"}"),
             std::string::npos);
+}
+
+/// The whole text of `path` as `p` reads it.
+std::string read_proc(uk::Proc& p, const char* path) {
+  std::string out;
+  const int fd = p.open(path, fs::kORdOnly);
+  if (fd < 0) return out;
+  char buf[2048];
+  for (SysRet n; (n = p.read(fd, buf, sizeof buf)) > 0;) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  p.close(fd);
+  return out;
+}
+
+TEST(SloMetricsTest, EachKernelScrapesOnlyItsOwnMonitorsSeries) {
+  struct Box {
+    fs::MemFs fs;
+    uk::Kernel kernel{fs};
+    uk::Proc proc{kernel, "scrape"};
+  };
+  Box a;
+  Box b;
+  Box c;
+  Supervisor sa(a.kernel);
+  Supervisor sb(b.kernel);
+  sup::SloMonitor ma(sa);
+  sup::SloMonitor mb(sb);
+  ma.register_proc(a.kernel.mount_procfs());
+  mb.register_proc(b.kernel.mount_procfs());
+  c.kernel.mount_procfs();
+  // Same extension name on both monitors: two series, never merged.
+  const ExtId xa = sa.register_extension("x", Vehicle::kCosy);
+  const ExtId xb = sb.register_extension("x", Vehicle::kCosy);
+  for (int i = 0; i < 10; ++i) ma.observe(xa, 1'000, true);
+  for (int i = 0; i < 30; ++i) mb.observe(xb, 1'000, true);
+
+  const std::string pa = read_proc(a.proc, "/proc/metrics");
+  const std::string pb = read_proc(b.proc, "/proc/metrics");
+  const std::string pc = read_proc(c.proc, "/proc/metrics");
+  EXPECT_NE(pa.find("usk_ext_latency_ns_count{extension=\"x\"} 10\n"),
+            std::string::npos)
+      << pa;
+  EXPECT_NE(pb.find("usk_ext_latency_ns_count{extension=\"x\"} 30\n"),
+            std::string::npos)
+      << pb;
+  EXPECT_EQ(pc.find("usk_ext_latency_ns"), std::string::npos) << pc;
+  EXPECT_EQ(pc.find("usk_slo_breaches_total"), std::string::npos) << pc;
+}
+
+TEST_F(SupTest, SloSeriesLeaveProcMetricsWithTheirMonitor) {
+  Supervisor s(kernel_);
+  fs::ProcFs& pfs = kernel_.mount_procfs();
+  const ExtId id = s.register_extension("slo.gone", Vehicle::kCosy);
+  {
+    sup::SloMonitor mon(s);
+    mon.register_proc(pfs);
+    mon.observe(id, 1'000, true);
+    const std::string live = read_proc(proc_, "/proc/metrics");
+    EXPECT_NE(live.find("usk_ext_latency_ns_count{extension=\"slo.gone\"} 1\n"),
+              std::string::npos)
+        << live;
+  }
+  // The scrape after the monitor is gone must not call into it.
+  const std::string prom = read_proc(proc_, "/proc/metrics");
+  EXPECT_EQ(prom.find("usk_ext_latency_ns"), std::string::npos) << prom;
+  EXPECT_EQ(prom.find("usk_slo_breaches_total"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("usk_syscall_latency_ns"), std::string::npos) << prom;
+  EXPECT_EQ(read_proc(proc_, "/proc/sup/slo"), "");
 }
 
 // --- the full degradation story under a fault storm ----------------------------

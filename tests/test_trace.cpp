@@ -338,6 +338,23 @@ TEST_F(ProcSyscallTest, SelfStatReflectsCurrentTask) {
   EXPECT_NE(text.find("syscalls "), std::string::npos);
 }
 
+TEST_F(ProcSyscallTest, SelfStatCarriesALongTaskNameWhole) {
+  // A line longer than any fixed formatting buffer: the name must come
+  // back whole, with nothing after it that the renderer did not write.
+  const std::string name(600, 'n');
+  uk::Proc p(kernel_, name);
+  std::string text;
+  const int fd = p.open("/proc/self/stat", fs::kORdOnly);
+  ASSERT_GE(fd, 0);
+  char buf[512];
+  for (SysRet n; (n = p.read(fd, buf, sizeof buf)) > 0;) {
+    text.append(buf, static_cast<std::size_t>(n));
+  }
+  p.close(fd);
+  EXPECT_NE(text.find("name " + name + "\nstate "), std::string::npos);
+  EXPECT_EQ(text.find('\0'), std::string::npos);
+}
+
 TEST_F(ProcSyscallTest, VfsStatsCountTheReadingItself) {
   std::string first = cat("/proc/vfs/stats");
   EXPECT_NE(first.find("opens "), std::string::npos);

@@ -7,7 +7,7 @@ namespace usk::fs {
 InodeNum Dcache::lookup(InodeNum parent, std::string_view name,
                         std::uint32_t fs_id) {
   USK_TRACE_LATENCY("dcache", "lookup");
-  Key key{fs_id, parent, std::string(name)};
+  const KeyView key{fs_id, parent, name};
   std::size_t si = shard_of(key);
   Shard& s = shards_[si];
   InodeNum found = kInvalidInode;
@@ -18,7 +18,7 @@ InodeNum Dcache::lookup(InodeNum parent, std::string_view name,
     auto it = s.map.find(key);
     if (it != s.map.end()) {
       ++s.stats.hits;
-      touch(s, it->first, it->second);
+      touch(s, it->second);
       found = it->second.child;
     }
   }
@@ -34,7 +34,7 @@ InodeNum Dcache::lookup(InodeNum parent, std::string_view name,
 
 void Dcache::insert(InodeNum parent, std::string_view name, InodeNum child,
                     std::uint32_t fs_id) {
-  Key key{fs_id, parent, std::string(name)};
+  const KeyView key{fs_id, parent, name};
   std::size_t si = shard_of(key);
   Shard& s = shards_[si];
   USK_SPIN_GUARD(locks_.at(si));
@@ -43,23 +43,25 @@ void Dcache::insert(InodeNum parent, std::string_view name, InodeNum child,
   auto it = s.map.find(key);
   if (it != s.map.end()) {
     it->second.child = child;
-    touch(s, it->first, it->second);
+    touch(s, it->second);
     return;
   }
   if (s.map.size() >= per_shard_capacity_) {
     // Evict this shard's least-recently used.
-    const Key& victim = s.lru.back();
-    s.map.erase(victim);
+    s.map.erase(s.map.find(*s.lru.back()));
     s.lru.pop_back();
     ++s.stats.evictions;
   }
-  s.lru.push_front(key);
-  s.map.emplace(std::move(key), Entry{child, s.lru.begin()});
+  auto ins =
+      s.map.emplace(Key{fs_id, parent, std::string(name)}, Entry{child, {}})
+          .first;
+  s.lru.push_front(&ins->first);
+  ins->second.lru_it = s.lru.begin();
 }
 
 void Dcache::invalidate(InodeNum parent, std::string_view name,
                         std::uint32_t fs_id) {
-  Key key{fs_id, parent, std::string(name)};
+  const KeyView key{fs_id, parent, name};
   std::size_t si = shard_of(key);
   Shard& s = shards_[si];
   USK_SPIN_GUARD(locks_.at(si));
@@ -122,12 +124,6 @@ std::size_t Dcache::size() const {
 std::size_t Dcache::shard_size(std::size_t shard) const {
   USK_SPIN_GUARD(locks_.at(shard));
   return shards_[shard].map.size();
-}
-
-void Dcache::touch(Shard& s, const Key& k, Entry& e) {
-  s.lru.erase(e.lru_it);
-  s.lru.push_front(k);
-  e.lru_it = s.lru.begin();
 }
 
 }  // namespace usk::fs

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "base/sync.hpp"
@@ -96,34 +97,58 @@ class Dcache {
   [[nodiscard]] std::uint32_t hold_work() const { return hold_work_; }
 
  private:
+  /// A probe key: it borrows the name, so lookup and invalidate build no
+  /// string. Only insert makes an owning Key.
+  struct KeyView {
+    std::uint32_t fs_id;
+    InodeNum parent;
+    std::string_view name;
+  };
   struct Key {
     std::uint32_t fs_id;
     InodeNum parent;
     std::string name;
-    bool operator==(const Key&) const = default;
+    operator KeyView() const {  // NOLINT(google-explicit-constructor)
+      return {fs_id, parent, name};
+    }
   };
+  // Transparent over Key and KeyView (a Key converts to its view), so a
+  // borrowed probe hashes and compares exactly like the stored key.
   struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::string>()(k.name) ^
+    using is_transparent = void;
+    std::size_t operator()(const KeyView& k) const {
+      return std::hash<std::string_view>()(k.name) ^
              (std::hash<InodeNum>()(k.parent) * 0x9E3779B97F4A7C15ull) ^
              (static_cast<std::size_t>(k.fs_id) << 17);
     }
   };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const KeyView& a, const KeyView& b) const {
+      return a.fs_id == b.fs_id && a.parent == b.parent && a.name == b.name;
+    }
+  };
   struct Entry {
     InodeNum child;
-    std::list<Key>::iterator lru_it;
+    /// This entry's node in its shard's LRU list. The list holds the
+    /// address of the map's own key (stable until the entry is erased),
+    /// so each name is stored once.
+    std::list<const Key*>::iterator lru_it;
   };
   struct Shard {
-    std::unordered_map<Key, Entry, KeyHash> map;
-    std::list<Key> lru;  // front = most recent
+    std::unordered_map<Key, Entry, KeyHash, KeyEq> map;
+    std::list<const Key*> lru;  // front = most recent
     DcacheStats stats;
   };
 
-  [[nodiscard]] std::size_t shard_of(const Key& k) const {
+  [[nodiscard]] std::size_t shard_of(const KeyView& k) const {
     return KeyHash{}(k) % shards_.size();
   }
 
-  static void touch(Shard& s, const Key& k, Entry& e);
+  /// Move `e` to the front of the LRU: relinks its node, allocates nothing.
+  static void touch(Shard& s, Entry& e) {
+    s.lru.splice(s.lru.begin(), s.lru, e.lru_it);
+  }
 
   mutable base::ShardedLock locks_;
   std::vector<Shard> shards_;

@@ -43,18 +43,24 @@ std::size_t FdTable::open_count() const {
 // --- path walking -----------------------------------------------------------------
 
 namespace {
-/// Split "/a/b/c" into components; empty components are skipped.
-std::vector<std::string_view> split_path(std::string_view path) {
-  std::vector<std::string_view> parts;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t start = i;
-    while (i < path.size() && path[i] != '/') ++i;
-    if (i > start) parts.push_back(path.substr(start, i - start));
+/// The components of "/a//b/c" in order, each a view into the path; empty
+/// components are skipped.
+class Components {
+ public:
+  explicit Components(std::string_view path) : rest_(path) {}
+  /// The next component, or an empty view when none is left.
+  std::string_view next() {
+    const std::size_t start = rest_.find_first_not_of('/');
+    if (start == std::string_view::npos) return {};
+    rest_.remove_prefix(start);
+    const std::string_view part = rest_.substr(0, rest_.find('/'));
+    rest_.remove_prefix(part.size());
+    return part;
   }
-  return parts;
-}
+
+ private:
+  std::string_view rest_;
+};
 
 /// The filesystem a file handle belongs to.
 FileSystem& file_fs(FileSystem& root, const OpenFile& f) {
@@ -82,16 +88,32 @@ Result<Vfs::Loc> Vfs::step(const Loc& dir, std::string_view name) {
   return next;
 }
 
-Result<Vfs::Loc> Vfs::resolve_loc(std::string_view path) {
+Result<Vfs::Parent> Vfs::walk_parent(std::string_view path) {
   if (path.empty()) return Errno::kEINVAL;
+  Components parts(path);
   Loc cur = root_loc();
-  for (std::string_view part : split_path(path)) {
-    if (part == ".") continue;
-    Result<Loc> next = step(cur, part);
-    if (!next) return next;
-    cur = next.value();
+  std::string_view part = parts.next();
+  for (std::string_view after = parts.next(); !after.empty();
+       after = parts.next()) {
+    if (part != ".") {
+      Result<Loc> next = step(cur, part);
+      if (!next) return next.error();
+      cur = next.value();
+    }
+    part = after;
   }
-  return cur;
+  return Parent{cur, part};
+}
+
+Result<Vfs::Loc> Vfs::step_leaf(const Parent& p) {
+  if (p.leaf.empty() || p.leaf == ".") return p.dir;
+  return step(p.dir, p.leaf);
+}
+
+Result<Vfs::Loc> Vfs::resolve_loc(std::string_view path) {
+  Result<Parent> parent = walk_parent(path);
+  if (!parent) return parent.error();
+  return step_leaf(parent.value());
 }
 
 Result<InodeNum> Vfs::resolve(std::string_view path) {
@@ -100,18 +122,10 @@ Result<InodeNum> Vfs::resolve(std::string_view path) {
   return loc.value().ino;
 }
 
-Result<std::pair<Vfs::Loc, std::string>> Vfs::resolve_parent(
-    std::string_view path) {
-  auto parts = split_path(path);
-  if (parts.empty()) return Errno::kEINVAL;
-  Loc cur = root_loc();
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    if (parts[i] == ".") continue;
-    Result<Loc> next = step(cur, parts[i]);
-    if (!next) return next.error();
-    cur = next.value();
-  }
-  return std::make_pair(cur, std::string(parts.back()));
+Result<Vfs::Parent> Vfs::resolve_parent(std::string_view path) {
+  Result<Parent> parent = walk_parent(path);
+  if (parent && parent.value().leaf.empty()) return Errno::kEINVAL;
+  return parent;
 }
 
 // --- mounts --------------------------------------------------------------------------
@@ -155,19 +169,20 @@ Result<int> Vfs::open(FdTable& fds, std::string_view path, int flags,
   USK_TRACEPOINT("vfs", "open", path.size(),
                  static_cast<std::uint64_t>(flags));
   ++vstats_.opens;
-  Result<Loc> loc = resolve_loc(path);
+  // One walk: the parent directory, then the leaf, which O_CREAT creates
+  // in that same directory when it is missing.
+  Result<Parent> parent = walk_parent(path);
+  if (!parent) return parent.error();
+  Result<Loc> loc = step_leaf(parent.value());
   if (!loc) {
     if ((flags & kOCreat) == 0 || loc.error() != Errno::kENOENT) {
       return loc.error();
     }
-    auto parent = resolve_parent(path);
-    if (!parent) return parent.error();
-    const Loc& dir = parent.value().first;
-    Result<InodeNum> created = dir.fs->create(
-        dir.ino, parent.value().second, FileType::kRegular, mode);
+    const auto& [dir, leaf] = parent.value();
+    Result<InodeNum> created =
+        dir.fs->create(dir.ino, leaf, FileType::kRegular, mode);
     if (!created) return created.error();
-    dcache_.insert(dir.ino, parent.value().second, created.value(),
-                   dir.fs_id);
+    dcache_.insert(dir.ino, leaf, created.value(), dir.fs_id);
     loc = Loc{dir.fs, created.value(), dir.fs_id};
   } else if ((flags & kOTrunc) != 0) {
     Errno e = loc.value().fs->truncate(loc.value().ino, 0);
@@ -329,28 +344,28 @@ Result<void> Vfs::getattr_at(const Loc& loc, StatBuf* st) {
 Result<void> Vfs::mkdir(std::string_view path, std::uint32_t mode) {
   auto parent = resolve_parent(path);
   if (!parent) return parent.error();
-  const Loc& dir = parent.value().first;
-  Result<InodeNum> r = dir.fs->create(dir.ino, parent.value().second,
+  const Loc& dir = parent.value().dir;
+  Result<InodeNum> r = dir.fs->create(dir.ino, parent.value().leaf,
                                       FileType::kDirectory, mode);
   if (!r) return r.error();
-  dcache_.insert(dir.ino, parent.value().second, r.value(), dir.fs_id);
+  dcache_.insert(dir.ino, parent.value().leaf, r.value(), dir.fs_id);
   return Errno::kOk;
 }
 
 Result<void> Vfs::rmdir(std::string_view path) {
   auto parent = resolve_parent(path);
   if (!parent) return parent.error();
-  const Loc& dir = parent.value().first;
-  Result<Loc> victim = step(dir, parent.value().second);
+  const Loc& dir = parent.value().dir;
+  Result<Loc> victim = step(dir, parent.value().leaf);
   if (victim && mounts_.contains({victim.value().fs_id,
                                   victim.value().ino})) {
     return Errno::kEBUSY;  // mounted directories cannot be removed
   }
   // A mount point itself is also busy (victim resolved INTO the mount).
   if (victim && victim.value().fs != dir.fs) return Errno::kEBUSY;
-  Errno e = dir.fs->rmdir(dir.ino, parent.value().second);
+  Errno e = dir.fs->rmdir(dir.ino, parent.value().leaf);
   if (e == Errno::kOk) {
-    dcache_.invalidate(dir.ino, parent.value().second, dir.fs_id);
+    dcache_.invalidate(dir.ino, parent.value().leaf, dir.fs_id);
     if (victim) {
       dcache_.invalidate_dir(victim.value().ino, victim.value().fs_id);
     }
@@ -361,10 +376,10 @@ Result<void> Vfs::rmdir(std::string_view path) {
 Result<void> Vfs::unlink(std::string_view path) {
   auto parent = resolve_parent(path);
   if (!parent) return parent.error();
-  const Loc& dir = parent.value().first;
-  Errno e = dir.fs->unlink(dir.ino, parent.value().second);
+  const Loc& dir = parent.value().dir;
+  Errno e = dir.fs->unlink(dir.ino, parent.value().leaf);
   if (e == Errno::kOk) {
-    dcache_.invalidate(dir.ino, parent.value().second, dir.fs_id);
+    dcache_.invalidate(dir.ino, parent.value().leaf, dir.fs_id);
   }
   return e;
 }
@@ -374,11 +389,11 @@ Result<void> Vfs::link(std::string_view from, std::string_view to) {
   if (!target) return target.error();
   auto parent = resolve_parent(to);
   if (!parent) return parent.error();
-  const Loc& dir = parent.value().first;
+  const Loc& dir = parent.value().dir;
   if (dir.fs != target.value().fs) return Errno::kEXDEV;
-  Errno e = dir.fs->link(dir.ino, parent.value().second, target.value().ino);
+  Errno e = dir.fs->link(dir.ino, parent.value().leaf, target.value().ino);
   if (e == Errno::kOk) {
-    dcache_.insert(dir.ino, parent.value().second, target.value().ino,
+    dcache_.insert(dir.ino, parent.value().leaf, target.value().ino,
                    dir.fs_id);
   }
   return e;
@@ -395,15 +410,15 @@ Result<void> Vfs::rename(std::string_view from, std::string_view to) {
   if (!src) return src.error();
   auto dst = resolve_parent(to);
   if (!dst) return dst.error();
-  if (src.value().first.fs != dst.value().first.fs) return Errno::kEXDEV;
-  Errno e = src.value().first.fs->rename(
-      src.value().first.ino, src.value().second, dst.value().first.ino,
-      dst.value().second);
+  if (src.value().dir.fs != dst.value().dir.fs) return Errno::kEXDEV;
+  Errno e = src.value().dir.fs->rename(
+      src.value().dir.ino, src.value().leaf, dst.value().dir.ino,
+      dst.value().leaf);
   if (e == Errno::kOk) {
-    dcache_.invalidate(src.value().first.ino, src.value().second,
-                       src.value().first.fs_id);
-    dcache_.invalidate(dst.value().first.ino, dst.value().second,
-                       dst.value().first.fs_id);
+    dcache_.invalidate(src.value().dir.ino, src.value().leaf,
+                       src.value().dir.fs_id);
+    dcache_.invalidate(dst.value().dir.ino, dst.value().leaf,
+                       dst.value().dir.fs_id);
   }
   return e;
 }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -78,11 +77,18 @@ class Vfs {
   Result<void> unmount(std::string_view dir_path);
   [[nodiscard]] std::size_t mount_count() const { return mounts_.size(); }
 
+  /// A path's parent directory and its last component.
+  struct Parent {
+    Loc dir;
+    std::string_view leaf;  ///< a view into the walked path
+  };
+
   // --- path resolution -----------------------------------------------------
   /// Resolve an absolute path (every component must exist).
   Result<Loc> resolve_loc(std::string_view path);
-  /// Resolve the parent directory of `path`; returns (dir loc, leaf name).
-  Result<std::pair<Loc, std::string>> resolve_parent(std::string_view path);
+  /// Resolve the parent directory of `path` and name its leaf. The leaf
+  /// borrows from `path`; a path with no components is EINVAL.
+  Result<Parent> resolve_parent(std::string_view path);
   /// Root-filesystem-inode shorthand kept for single-fs callers.
   Result<InodeNum> resolve(std::string_view path);
 
@@ -141,6 +147,12 @@ class Vfs {
   /// One component step within the current filesystem, then a mount-point
   /// redirect if the result is covered.
   Result<Loc> step(const Loc& dir, std::string_view name);
+  /// Step every component of `path` but the last, reading them in place.
+  /// "." components are skipped. An empty path is EINVAL; the leaf is
+  /// empty when the path has no components ("/").
+  Result<Parent> walk_parent(std::string_view path);
+  /// The location the leaf names: the directory itself for "" and ".".
+  Result<Loc> step_leaf(const Parent& p);
 
   FileSystem& fs_;
   Dcache dcache_;

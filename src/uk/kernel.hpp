@@ -86,8 +86,14 @@ enum class BufMode : std::uint8_t { kUser, kKernel };
 /// it and data() costs nothing. With Kernel::fetch_path, the only place
 /// the copy-or-share decision is made: every table handler (file and
 /// net) moves its buffers through here and never branches on the mode.
+///
+/// A CallerBuf lives on the handler's stack, and so does its bounce
+/// buffer for up to kInlineBytes: a warm kUser call of that size never
+/// enters the host allocator. Only a larger buffer is staged on the heap.
 class CallerBuf {
  public:
+  static constexpr std::size_t kInlineBytes = 4096;
+
   CallerBuf(Boundary& b, sched::Task& t, BufMode m, std::uint64_t buf,
             std::size_t n)
       : b_(b), t_(t), shared_(m == BufMode::kKernel),
@@ -99,8 +105,9 @@ class CallerBuf {
   /// out() copies only the bytes the handler wrote.
   std::byte* data() {
     if (shared_) return buf_;
-    if (!bounce_) bounce_ = std::make_unique_for_overwrite<std::byte[]>(n_);
-    return bounce_.get();
+    if (n_ <= kInlineBytes) return inline_;
+    if (!heap_) heap_ = std::make_unique_for_overwrite<std::byte[]>(n_);
+    return heap_.get();
   }
   /// Buffer in: the caller's n bytes into data().
   Result<std::size_t> in() {
@@ -121,7 +128,8 @@ class CallerBuf {
   const bool shared_;
   std::byte* const buf_;
   const std::size_t n_;
-  std::unique_ptr<std::byte[]> bounce_;
+  std::unique_ptr<std::byte[]> heap_;
+  std::byte inline_[kInlineBytes];  // not zeroed, like heap_
 };
 
 /// Wire format for sys_readdirplus: stat + header + name bytes.

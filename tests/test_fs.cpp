@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "fs/dcache.hpp"
 #include "fs/memfs.hpp"
@@ -299,6 +302,124 @@ TEST(DcacheTest, ShardedLockAcquisitionsAggregated) {
   EXPECT_EQ(dc.lock_acquisitions(), before + 3);
 }
 
+/// The shard `name` under `parent` lands in: the one whose size grows when
+/// it is inserted into an empty cache of `shards` shards.
+std::size_t shard_of(std::size_t shards, InodeNum parent,
+                     std::string_view name, std::uint32_t fs_id = 0) {
+  Dcache probe(shards * 8, shards);
+  probe.insert(parent, name, 1, fs_id);
+  for (std::size_t s = 0; s < shards; ++s) {
+    if (probe.shard_size(s) == 1) return s;
+  }
+  ADD_FAILURE() << "no shard holds " << name;
+  return 0;
+}
+
+/// `count` names under parent 1 that share one shard of a `shards`-shard
+/// cache.
+std::vector<std::string> names_in_one_shard(std::size_t shards,
+                                            std::size_t count) {
+  std::vector<std::string> names;
+  const std::size_t target = shard_of(shards, 1, "n0");
+  for (int i = 0; names.size() < count; ++i) {
+    std::string n = testutil::numbered("n", i);
+    if (shard_of(shards, 1, n) == target) names.push_back(std::move(n));
+  }
+  return names;
+}
+
+class DcacheLruTest : public ::testing::TestWithParam<std::size_t> {};
+
+// A hit moves the entry to the front of its shard's LRU, so the next
+// eviction takes a different victim than it would have without the hit.
+TEST_P(DcacheLruTest, HitMovesTheEntryToTheFront) {
+  const std::size_t shards = GetParam();
+  const std::vector<std::string> n = names_in_one_shard(shards, 3);
+  for (bool hit : {false, true}) {
+    Dcache dc(2 * shards, shards);  // two entries per shard
+    dc.insert(1, n[0], 10);
+    dc.insert(1, n[1], 11);
+    if (hit) {
+      EXPECT_EQ(dc.lookup(1, n[0]), 10u);
+    }
+    dc.insert(1, n[2], 12);  // the shard is full: one entry goes
+    EXPECT_EQ(dc.stats().evictions, 1u);
+    EXPECT_EQ(dc.lookup(1, n[2]), 12u);
+    // Without the hit the oldest (n0) goes; after it, n1 is the oldest.
+    EXPECT_EQ(dc.lookup(1, n[0]), hit ? 10u : kInvalidInode) << "hit " << hit;
+    EXPECT_EQ(dc.lookup(1, n[1]), hit ? kInvalidInode : 11u) << "hit " << hit;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, DcacheLruTest,
+                         ::testing::Values(std::size_t{1},
+                                           Dcache::kDefaultShards));
+
+// Names past std::string's inline capacity round-trip through a borrowed
+// probe: lookups and invalidations compare the bytes, not the buffer.
+TEST(DcacheTest, LongNamesRoundTrip) {
+  Dcache dc(64);
+  for (std::size_t len : {16u, 64u, 255u}) {
+    const std::string name(len, 'k');
+    dc.insert(7, name, 1000 + len);
+    const std::string copy = name;  // another buffer, the same bytes
+    EXPECT_EQ(dc.lookup(7, copy), 1000 + len) << len;
+    std::string other = name;
+    other.back() = 'x';
+    EXPECT_EQ(dc.lookup(7, other), kInvalidInode) << len;
+    EXPECT_EQ(dc.lookup(7, std::string_view(name).substr(0, len - 1)),
+              kInvalidInode)
+        << len;
+    EXPECT_EQ(dc.lookup(8, name), kInvalidInode) << len;
+    EXPECT_EQ(dc.lookup(7, name, /*fs_id=*/1), kInvalidInode) << len;
+    dc.invalidate(7, copy);
+    EXPECT_EQ(dc.lookup(7, name), kInvalidInode) << len;
+  }
+  EXPECT_EQ(dc.size(), 0u);
+}
+
+// A key's shard is the hash of its owned name, parent and fs id, whether
+// a lookup borrows the name or not.
+TEST(DcacheTest, ShardIsTheHashOfTheFullKey) {
+  constexpr std::size_t kShards = Dcache::kDefaultShards;
+  for (std::string_view name :
+       {std::string_view("a"), std::string_view("postmark-file-0042"),
+        std::string_view("a-leaf-name-past-the-sso-limit-36")}) {
+    for (InodeNum parent : {InodeNum{1}, InodeNum{77}}) {
+      for (std::uint32_t fs_id : {0u, 3u}) {
+        const std::size_t h =
+            std::hash<std::string>()(std::string(name)) ^
+            (std::hash<InodeNum>()(parent) * 0x9E3779B97F4A7C15ull) ^
+            (static_cast<std::size_t>(fs_id) << 17);
+        EXPECT_EQ(shard_of(kShards, parent, name, fs_id), h % kShards)
+            << name << " parent " << parent << " fs " << fs_id;
+      }
+    }
+  }
+}
+
+// invalidate_dir drops every child even after hits relinked their LRU
+// nodes, and the LRU stays in step with the map for later evictions.
+TEST(DcacheTest, InvalidateDirAfterSplicedTouches) {
+  Dcache dc(8, 1);
+  for (int i = 0; i < 4; ++i) dc.insert(5, testutil::numbered("x", i), i);
+  dc.insert(6, "keep", 99);
+  EXPECT_EQ(dc.lookup(5, "x0"), 0u);
+  EXPECT_EQ(dc.lookup(5, "x2"), 2u);
+  EXPECT_EQ(dc.lookup(6, "keep"), 99u);
+  dc.invalidate_dir(5);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(dc.lookup(5, testutil::numbered("x", i)), kInvalidInode) << i;
+  }
+  EXPECT_EQ(dc.size(), 1u);
+  // Fill past capacity: "keep" is the oldest entry left, so it goes first.
+  for (int i = 0; i < 8; ++i) dc.insert(9, testutil::numbered("y", i), i);
+  EXPECT_EQ(dc.size(), 8u);
+  EXPECT_EQ(dc.stats().evictions, 1u);
+  EXPECT_EQ(dc.lookup(6, "keep"), kInvalidInode);
+  EXPECT_EQ(dc.lookup(9, "y0"), 0u);
+}
+
 // --- Vfs ---------------------------------------------------------------------------------
 
 class VfsTest : public ::testing::Test {
@@ -414,6 +535,88 @@ TEST_F(VfsTest, BadFdErrors) {
   auto rfd = vfs_.open(fds_, "/ro", kORdOnly, 0);
   EXPECT_EQ(vfs_.write(fds_, rfd.value(), bytes("x")).error(), Errno::kEBADF);
   vfs_.close(fds_, rfd.value());
+}
+
+// --- O_CREAT: one walk to the parent, then the leaf ---------------------------
+
+TEST_F(VfsTest, CreateInAMissingDirectoryIsENOENT) {
+  EXPECT_EQ(vfs_.open(fds_, "/nodir/f", kOWrOnly | kOCreat, 0644).error(),
+            Errno::kENOENT);
+  EXPECT_EQ(vfs_.open(fds_, "/nodir/sub/f", kOWrOnly | kOCreat, 0644).error(),
+            Errno::kENOENT);
+  EXPECT_EQ(vfs_.open(fds_, "/nodir/.", kOWrOnly | kOCreat, 0644).error(),
+            Errno::kENOENT);
+  EXPECT_EQ(fs_.stats().creates, 0u);
+  EXPECT_EQ(vfs_.open(fds_, "", kOWrOnly | kOCreat, 0644).error(),
+            Errno::kEINVAL);
+}
+
+TEST_F(VfsTest, CreateOnAnExistingFileNeitherFailsNorTruncates) {
+  auto fd = vfs_.open(fds_, "/t", kOWrOnly | kOCreat, 0644);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(vfs_.write(fds_, fd.value(), bytes("contents")).ok());
+  vfs_.close(fds_, fd.value());
+  const std::uint64_t creates = fs_.stats().creates;
+
+  auto again = vfs_.open(fds_, "/t", kOWrOnly | kOCreat, 0644);
+  ASSERT_TRUE(again.ok());
+  vfs_.close(fds_, again.value());
+  StatBuf st;
+  ASSERT_EQ(vfs_.stat("/t", &st), Errno::kOk);
+  EXPECT_EQ(st.size, 8u);
+
+  auto trunc = vfs_.open(fds_, "/t", kOWrOnly | kOCreat | kOTrunc, 0644);
+  ASSERT_TRUE(trunc.ok());
+  vfs_.close(fds_, trunc.value());
+  ASSERT_EQ(vfs_.stat("/t", &st), Errno::kOk);
+  EXPECT_EQ(st.size, 0u);
+  EXPECT_EQ(fs_.stats().creates, creates);
+}
+
+TEST_F(VfsTest, CreateOnADirectoryIsEISDIR) {
+  ASSERT_EQ(vfs_.mkdir("/dir", 0755), Errno::kOk);
+  for (const char* path : {"/dir", "/dir/.", "/dir/", "/"}) {
+    EXPECT_EQ(vfs_.open(fds_, path, kOWrOnly | kOCreat, 0644).error(),
+              Errno::kEISDIR)
+        << path;
+  }
+  auto rd = vfs_.open(fds_, "/dir/.", kORdOnly | kOCreat, 0644);
+  ASSERT_TRUE(rd.ok());
+  vfs_.close(fds_, rd.value());
+  EXPECT_EQ(vfs_.open(fds_, "/dir/f/g", kOWrOnly | kOCreat, 0644).error(),
+            Errno::kENOENT);
+}
+
+TEST_F(VfsTest, CreateThroughAMountPointUsesTheMountedFilesystem) {
+  MemFs other;
+  ASSERT_EQ(vfs_.mkdir("/mnt", 0755), Errno::kOk);
+  ASSERT_EQ(vfs_.mount("/mnt", other), Errno::kOk);
+  const std::uint64_t root_creates = fs_.stats().creates;
+  auto fd = vfs_.open(fds_, "/mnt/new", kOWrOnly | kOCreat, 0644);
+  ASSERT_TRUE(fd.ok());
+  vfs_.close(fds_, fd.value());
+  EXPECT_EQ(fs_.stats().creates, root_creates);
+  EXPECT_EQ(other.stats().creates, 1u);
+  EXPECT_TRUE(other.lookup(other.root(), "new").ok());
+  EXPECT_EQ(fs_.lookup(fs_.root(), "new").error(), Errno::kENOENT);
+  ASSERT_EQ(vfs_.unmount("/mnt"), Errno::kOk);
+}
+
+// Creating /pm/fN steps each component once: "pm", then the missing leaf,
+// which is created in the directory the walk already reached.
+TEST_F(VfsTest, CreateWalksEachComponentOnce) {
+  ASSERT_EQ(vfs_.mkdir("/pm", 0755), Errno::kOk);
+  std::uint64_t before = vfs_.stats().path_components;
+  auto fd = vfs_.open(fds_, "/pm/f1", kOWrOnly | kOCreat, 0644);
+  ASSERT_TRUE(fd.ok());
+  vfs_.close(fds_, fd.value());
+  EXPECT_EQ(vfs_.stats().path_components - before, 2u);
+
+  before = vfs_.stats().path_components;
+  fd = vfs_.open(fds_, "/pm/f1", kOWrOnly | kOCreat, 0644);
+  ASSERT_TRUE(fd.ok());
+  vfs_.close(fds_, fd.value());
+  EXPECT_EQ(vfs_.stats().path_components - before, 2u);
 }
 
 TEST_F(VfsTest, FdsAreReusedAfterClose) {

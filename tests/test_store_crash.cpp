@@ -23,9 +23,15 @@
 // The workload fsyncs each file into its own commit unit and checkpoints
 // every few files, so cuts exercise group-commit units, the dual-slot
 // superblock, and the writeback path in one sweep.
+//
+// The image is an anonymous tmpfs file (memfd) that the store opens by
+// path through /proc/self/fd, as uskbench postmark-store does: every seed
+// rewrites and fsyncs it, and on tmpfs that fsync waits on no disk. The
+// store tests in test_store.cpp keep their images on real files.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
@@ -37,7 +43,6 @@
 #include "fs/journalfs.hpp"
 #include "store/image.hpp"
 #include "store/store.hpp"
-#include "temp_dir.hpp"
 #include "numbered.hpp"
 
 namespace usk {
@@ -85,10 +90,33 @@ struct CrashOutcome {
   int recovered_files = 0;
 };
 
+/// The oracle's backing image, private to one test: a memfd reached by
+/// its /proc/self/fd path.
+class MemImage {
+ public:
+  MemImage() : fd_(memfd_create("usk-crash-oracle", MFD_CLOEXEC)) {
+    if (fd_ >= 0) path_ = "/proc/self/fd/" + std::to_string(fd_);
+  }
+  ~MemImage() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  MemImage(const MemImage&) = delete;
+  MemImage& operator=(const MemImage&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+  /// Back to an empty file, like a newly created one. Fails if the memfd
+  /// could not be created.
+  [[nodiscard]] bool reset() { return ::ftruncate(fd_, 0) == 0; }
+
+ private:
+  int fd_;
+  std::string path_;
+};
+
 /// One seeded crash/recover cycle. Fatal gtest assertions fire inside.
-void run_one_crash(const std::string& path, std::uint64_t seed,
-                   CrashOutcome* out) {
-  std::remove(path.c_str());
+void run_one_crash(MemImage& image, std::uint64_t seed, CrashOutcome* out) {
+  ASSERT_TRUE(image.reset());
+  const std::string& path = image.path();
   const StoreConfig cfg = oracle_config();
 
   // marks[k] = log length right after file k's fsync returned: a cut at
@@ -200,8 +228,7 @@ class StoreCrashTest : public ::testing::Test {
     fault::kfail().disarm_all();
     fault::kfail().reset_stats();
   }
-  testutil::TempDir dir_;
-  std::string path_ = dir_.file("ts_crash_oracle.img");
+  MemImage image_;
 };
 
 // A quick pass over the early cut positions -- kept cheap so tier-1 always
@@ -209,7 +236,7 @@ class StoreCrashTest : public ::testing::Test {
 TEST_F(StoreCrashTest, CrashOracleSmoke) {
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
     CrashOutcome out;
-    run_one_crash(path_, seed, &out);
+    run_one_crash(image_, seed, &out);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -224,7 +251,7 @@ TEST_F(StoreCrashTest, CrashOracleSweepTwoHundredCuts) {
   constexpr std::uint64_t kSeeds = 224;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     CrashOutcome out;
-    run_one_crash(path_, seed, &out);
+    run_one_crash(image_, seed, &out);
     if (::testing::Test::HasFatalFailure()) return;
     ++kinds[out.kind];
     torn += out.torn ? 1 : 0;

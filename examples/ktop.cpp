@@ -341,8 +341,8 @@ int main() {
   store::Store store;
   const bool store_up = store.open(tmp.file("ktop_store.img")).ok();
   if (store_up) store.attach_cache(&cache);
-  uk::register_storage_proc(kernel.mount_procfs(),
-                            store_up ? &store : nullptr, &cache);
+  const fs::ProcFs::Registration storage_proc = uk::register_storage_proc(
+      kernel.mount_procfs(), store_up ? &store : nullptr, &cache);
   cache.start_writeback();
 
   uk::Proc top(kernel, "ktop");

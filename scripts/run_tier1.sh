@@ -42,9 +42,11 @@
 #           watchdog still killing a runaway task, and ZERO park timeouts
 #           (all wakeups event-driven; no interval re-polling anywhere)
 #   asan    the fault soak again under AddressSanitizer, proving the
-#           injected error paths free everything they unwind past
-#   ubsan   the fault + sup soaks under UndefinedBehaviorSanitizer
-#           (halt_on_error: any UB report is a red run)
+#           injected error paths free everything they unwind past and
+#           that no /proc renderer outlives its owner (test_proc)
+#   ubsan   the fault + sup soaks and the required suite under
+#           UndefinedBehaviorSanitizer (halt_on_error: any UB report is a
+#           red run)
 #   tsan    the SMP, supervisor and kdl suites under ThreadSanitizer
 #           (subscribers join and leave a Kernel while other threads
 #           dispatch; cancels race parks in the kdl cancellation storm)
@@ -134,7 +136,7 @@ run_asan()   { build build-asan -DUSK_SANITIZE=address;
 run_ubsan()  { build build-ubsan -DUSK_SANITIZE=undefined;
                (cd build-ubsan &&
                 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-                  ctest -L 'faults|sup' -j "$jobs" --output-on-failure); }
+                  ctest -L 'faults|sup|tier1' -j "$jobs" --output-on-failure); }
 run_tsan()   { build build-tsan -DUSK_SANITIZE=thread;
                (cd build-tsan && ctest -R 'Smp|SupTest|DlTest' -j "$jobs" --output-on-failure); }
 run_release(){ build build-release -DCMAKE_BUILD_TYPE=Release;

@@ -1,7 +1,6 @@
 #include "cosy/exec.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 
 #include "base/klog.hpp"
@@ -106,7 +105,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
   auto path_arg = [&](const Arg& a, char* kpath) -> std::uint64_t {
     const std::size_t n =
         std::min(static_cast<std::size_t>(a.b), uk::Kernel::kMaxPath);
-    std::memcpy(kpath, c.strpool.data() + a.a, n);
+    std::copy_n(c.strpool.data() + a.a, n, kpath);  // n may be 0, pool empty
     kpath[n] = '\0';
     return uk::Kernel::uarg(kpath);
   };

@@ -5,124 +5,124 @@
 
 namespace usk::fs {
 
-namespace {
-/// Split "/a/b/c" into components; empty components are skipped.
-std::vector<std::string_view> split(std::string_view path) {
-  std::vector<std::string_view> parts;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t start = i;
-    while (i < path.size() && path[i] != '/') ++i;
-    if (i > start) parts.push_back(path.substr(start, i - start));
-  }
-  return parts;
-}
-}  // namespace
-
 ProcFs::ProcFs() {
-  Node root;
+  Node& root = nodes_[kRootIno];
   root.type = FileType::kDirectory;
   root.mode = 0555;
-  nodes_.emplace(kRootIno, std::move(root));
 }
 
 ProcFs::Node* ProcFs::get(InodeNum ino) {
   auto it = nodes_.find(ino);
-  return it == nodes_.end() ? nullptr : &it->second;
+  if (it == nodes_.end()) return nullptr;
+  Node& n = it->second;
+  return n.type == FileType::kDirectory || n.render ? &n : nullptr;
 }
 
-std::pair<InodeNum, std::string> ProcFs::ensure_parents(
-    std::string_view path) {
-  auto parts = split(path);
-  if (parts.empty()) return {kInvalidInode, std::string()};
-  InodeNum cur = kRootIno;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    Node* dir = get(cur);
-    auto it = dir->children.find(parts[i]);
-    if (it != dir->children.end()) {
-      cur = it->second;
-      continue;
-    }
-    InodeNum ino = next_ino_++;
-    Node d;
-    d.type = FileType::kDirectory;
-    d.mode = 0555;
-    dir->children.emplace(std::string(parts[i]), ino);
-    nodes_.emplace(ino, std::move(d));
-    cur = ino;
-  }
-  return {cur, std::string(parts.back())};
-}
-
-InodeNum ProcFs::add_file(std::string_view path, Renderer render,
-                          WriteHandler on_write) {
+Result<InodeNum> ProcFs::add_file(std::string_view path, Renderer render,
+                                  WriteHandler on_write) {
+  if (!render) return Errno::kEINVAL;
   std::lock_guard lk(mu_);
-  auto [dir_ino, leaf] = ensure_parents(path);
-  if (dir_ino == kInvalidInode) return kInvalidInode;
-  Node* dir = get(dir_ino);
-  auto it = dir->children.find(leaf);
-  InodeNum ino;
-  if (it != dir->children.end()) {
+  InodeNum ino = kRootIno;
+  PathComponents parts(path);
+  for (auto part = parts.next(); !part.empty(); part = parts.next()) {
+    Node& dir = nodes_.at(ino);
+    if (dir.type != FileType::kDirectory) {
+      if (dir.render) return Errno::kENOTDIR;
+      dir.type = FileType::kDirectory;  // a removed file's name, reused
+      dir.mode = 0555;
+    }
+    auto [it, fresh] = dir.children.try_emplace(std::string(part), next_ino_);
     ino = it->second;
-  } else {
-    ino = next_ino_++;
-    dir->children.emplace(leaf, ino);
-    nodes_.emplace(ino, Node{});
+    if (fresh) nodes_.emplace(next_ino_++, Node{});
   }
-  Node* n = get(ino);
-  n->type = FileType::kRegular;
-  n->mode = on_write ? 0644 : 0444;
-  n->render = std::move(render);
-  n->on_write = std::move(on_write);
+  // Every component but the leaf is a directory now; a fresh leaf is an
+  // absent regular file, and so is one whose Registration took it off.
+  if (ino == kRootIno) return Errno::kEINVAL;
+  if (get(ino) != nullptr) return Errno::kEEXIST;
+  Node& n = nodes_.at(ino);
+  n.mode = on_write ? 0644 : 0444;
+  n.render = std::move(render);
+  n.on_write = std::move(on_write);
   return ino;
 }
 
-InodeNum ProcFs::add_dir(std::string_view path) {
-  std::lock_guard lk(mu_);
-  auto parts = split(path);
-  InodeNum cur = kRootIno;
-  for (const auto& part : parts) {
-    Node* dir = get(cur);
-    auto it = dir->children.find(part);
-    if (it != dir->children.end()) {
-      cur = it->second;
-      continue;
-    }
-    InodeNum ino = next_ino_++;
-    Node d;
-    d.type = FileType::kDirectory;
-    d.mode = 0555;
-    dir->children.emplace(std::string(part), ino);
-    nodes_.emplace(ino, std::move(d));
-    cur = ino;
+Errno ProcFs::add_family(Family f) {
+  std::lock_guard lk(metrics_mu_);
+  for (const Family& g : families_) {
+    if (std::strcmp(g.name, f.name) == 0) return Errno::kEEXIST;
   }
-  return cur;
+  families_.push_back(std::move(f));
+  return Errno::kOk;
 }
 
-void ProcFs::add_gauge(const char* name, const char* help, GaugeFn fn) {
-  add_gauges(name, help, nullptr, [fn = std::move(fn)] {
-    return Rows<std::int64_t>{{std::string(), fn()}};
+Errno ProcFs::add_gauges(const char* name, const char* help,
+                         const char* label, GaugeRowsFn fn) {
+  return add_family(Family{name, help, label, std::move(fn), {}});
+}
+
+Errno ProcFs::add_summary(const char* name, const char* help,
+                          const char* label, SummaryRowsFn fn) {
+  return add_family(Family{name, help, label, {}, std::move(fn)});
+}
+
+// --- Registration --------------------------------------------------------------
+
+ProcFs::Registration& ProcFs::Registration::operator=(
+    Registration&& o) noexcept {
+  if (this != &o) {
+    reset();
+    pfs_ = std::exchange(o.pfs_, nullptr);
+    status_ = o.status_;
+    files_ = std::exchange(o.files_, {});
+    families_ = std::exchange(o.families_, {});
+  }
+  return *this;
+}
+
+void ProcFs::Registration::add_file(std::string_view path, Renderer render) {
+  if (status_ != Errno::kOk) return;
+  Result<InodeNum> r = pfs_->add_file(path, std::move(render));
+  if (r) files_.push_back(r.value());
+  track(nullptr, r ? Errno::kOk : r.error());
+}
+
+void ProcFs::Registration::add_gauges(const char* name, const char* help,
+                                      const char* label, GaugeRowsFn fn) {
+  if (status_ != Errno::kOk) return;
+  track(name, pfs_->add_gauges(name, help, label, std::move(fn)));
+}
+
+void ProcFs::Registration::add_summary(const char* name, const char* help,
+                                       const char* label, SummaryRowsFn fn) {
+  if (status_ != Errno::kOk) return;
+  track(name, pfs_->add_summary(name, help, label, std::move(fn)));
+}
+
+void ProcFs::Registration::track(const char* family, Errno e) {
+  if (e != Errno::kOk) {
+    reset();
+    status_ = e;
+  } else if (family != nullptr) {
+    families_.push_back(family);
+  }
+}
+
+void ProcFs::Registration::reset() {
+  if (pfs_ == nullptr) return;
+  // The lock order of a /metrics read: a render holds mu_ and then
+  // scrapes under metrics_mu_. Holding both waits out either in flight.
+  std::lock_guard lk(pfs_->mu_);
+  std::lock_guard mlk(pfs_->metrics_mu_);
+  for (InodeNum ino : files_) {
+    Node& n = pfs_->nodes_.at(ino);
+    n.render = nullptr;
+    n.snapshot = std::string();
+  }
+  std::erase_if(pfs_->families_, [this](const Family& f) {
+    return std::ranges::count(families_, f.name) != 0;
   });
-}
-
-void ProcFs::add_gauges(const char* name, const char* help, const char* label,
-                        GaugeRowsFn fn, const void* owner) {
-  std::lock_guard lk(metrics_mu_);
-  families_.push_back(Family{name, help, label, owner, std::move(fn), {}});
-}
-
-void ProcFs::add_summary(const char* name, const char* help,
-                         const char* label, SummaryRowsFn fn,
-                         const void* owner) {
-  std::lock_guard lk(metrics_mu_);
-  families_.push_back(Family{name, help, label, owner, {}, std::move(fn)});
-}
-
-void ProcFs::remove_metrics(const void* owner) {
-  std::lock_guard lk(metrics_mu_);
-  std::erase_if(families_,
-                [owner](const Family& f) { return f.owner == owner; });
+  files_.clear();
+  families_.clear();
 }
 
 namespace {
@@ -185,7 +185,9 @@ Result<InodeNum> ProcFs::lookup(InodeNum dir, std::string_view name) {
   if (d == nullptr) return Errno::kENOENT;
   if (d->type != FileType::kDirectory) return Errno::kENOTDIR;
   auto it = d->children.find(name);
-  if (it == d->children.end()) return Errno::kENOENT;
+  if (it == d->children.end() || get(it->second) == nullptr) {
+    return Errno::kENOENT;
+  }
   return it->second;
 }
 
@@ -200,15 +202,11 @@ Result<void> ProcFs::rename(InodeNum, std::string_view, InodeNum,
   return Errno::kEROFS;
 }
 
-void ProcFs::render_locked(InodeNum, Node& n) {
-  if (n.render) n.snapshot = n.render();
-}
-
 Result<void> ProcFs::open_file(InodeNum ino) {
   std::lock_guard lk(mu_);
   Node* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
-  if (n->type == FileType::kRegular) render_locked(ino, *n);
+  if (n->type == FileType::kRegular) n->snapshot = n->render();
   return Errno::kOk;
 }
 
@@ -220,7 +218,7 @@ Result<std::size_t> ProcFs::read(InodeNum ino, std::uint64_t offset,
   if (n->type != FileType::kRegular) return Errno::kEISDIR;
   // A fresh sequential read re-renders, so readers that seek back to 0
   // (or never open_file'd, e.g. direct FileSystem users) see live data.
-  if (offset == 0) render_locked(ino, *n);
+  if (offset == 0) n->snapshot = n->render();
   if (offset >= n->snapshot.size()) return std::size_t{0};
   std::size_t len =
       std::min(out.size(), n->snapshot.size() - static_cast<std::size_t>(offset));
@@ -276,7 +274,7 @@ Result<std::vector<DirEntry>> ProcFs::readdir(InodeNum dir) {
   std::vector<DirEntry> out;
   out.reserve(d->children.size());
   for (const auto& [name, ino] : d->children) {
-    out.push_back(DirEntry{name, ino, nodes_.at(ino).type});
+    if (const Node* n = get(ino)) out.push_back(DirEntry{name, ino, n->type});
   }
   return out;
 }

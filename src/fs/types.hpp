@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace usk::fs {
 
@@ -47,6 +48,25 @@ struct DirEntry {
 struct DirEntryPlus {
   DirEntry entry;
   StatBuf stat;
+};
+
+/// The components of "/a//b/c" in order, each a view into the path; empty
+/// components are skipped.
+class PathComponents {
+ public:
+  explicit PathComponents(std::string_view path) : rest_(path) {}
+  /// The next component, or an empty view when none is left.
+  std::string_view next() {
+    const std::size_t start = rest_.find_first_not_of('/');
+    if (start == std::string_view::npos) return {};
+    rest_.remove_prefix(start);
+    const std::string_view part = rest_.substr(0, rest_.find('/'));
+    rest_.remove_prefix(part.size());
+    return part;
+  }
+
+ private:
+  std::string_view rest_;
 };
 
 // open(2) flags (subset).

@@ -43,25 +43,6 @@ std::size_t FdTable::open_count() const {
 // --- path walking -----------------------------------------------------------------
 
 namespace {
-/// The components of "/a//b/c" in order, each a view into the path; empty
-/// components are skipped.
-class Components {
- public:
-  explicit Components(std::string_view path) : rest_(path) {}
-  /// The next component, or an empty view when none is left.
-  std::string_view next() {
-    const std::size_t start = rest_.find_first_not_of('/');
-    if (start == std::string_view::npos) return {};
-    rest_.remove_prefix(start);
-    const std::string_view part = rest_.substr(0, rest_.find('/'));
-    rest_.remove_prefix(part.size());
-    return part;
-  }
-
- private:
-  std::string_view rest_;
-};
-
 /// The filesystem a file handle belongs to.
 FileSystem& file_fs(FileSystem& root, const OpenFile& f) {
   return f.fsp != nullptr ? *f.fsp : root;
@@ -90,7 +71,7 @@ Result<Vfs::Loc> Vfs::step(const Loc& dir, std::string_view name) {
 
 Result<Vfs::Parent> Vfs::walk_parent(std::string_view path) {
   if (path.empty()) return Errno::kEINVAL;
-  Components parts(path);
+  PathComponents parts(path);
   Loc cur = root_loc();
   std::string_view part = parts.next();
   for (std::string_view after = parts.next(); !after.empty();

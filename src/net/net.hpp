@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "fs/procfs.hpp"
 #include "net/socket.hpp"
 #include "uk/kernel.hpp"
 
@@ -179,9 +180,10 @@ class Net {
   [[nodiscard]] std::string format_sockets();
   [[nodiscard]] std::string format_listeners();
 
-  /// Register /proc/net/{stats,sockets,listeners} on `pfs`. Lives here
-  /// rather than uk/kproc.cpp because uk cannot depend on net.
-  void register_proc(fs::ProcFs& pfs);
+  /// Register /proc/net/{stats,sockets,listeners} on `pfs` until this
+  /// Net is destroyed (EEXIST: another Net holds them). Lives here rather
+  /// than uk/kproc.cpp because uk cannot depend on net.
+  Errno register_proc(fs::ProcFs& pfs);
 
   /// Charge modelled network work to the engine + current task.
   void charge(std::uint64_t units);
@@ -251,6 +253,7 @@ class Net {
 
   mutable std::mutex stats_mu_;
   NetStats nstats_;
+  fs::ProcFs::Registration proc_;  ///< last: leaves before the state
 };
 
 }  // namespace usk::net

@@ -75,10 +75,12 @@ std::string Net::format_listeners() {
   return out;
 }
 
-void Net::register_proc(fs::ProcFs& pfs) {
-  pfs.add_file("/net/stats", [this] { return format_stats(); });
-  pfs.add_file("/net/sockets", [this] { return format_sockets(); });
-  pfs.add_file("/net/listeners", [this] { return format_listeners(); });
+Errno Net::register_proc(fs::ProcFs& pfs) {
+  proc_ = fs::ProcFs::Registration(pfs);
+  proc_.add_file("/net/stats", [this] { return format_stats(); });
+  proc_.add_file("/net/sockets", [this] { return format_sockets(); });
+  proc_.add_file("/net/listeners", [this] { return format_listeners(); });
+  return proc_.status();
 }
 
 }  // namespace usk::net

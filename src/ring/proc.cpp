@@ -71,41 +71,17 @@ std::string RingDev::format_stats() const {
   const std::size_t live = live_rings();
   std::string out;
   appendf(out, "rings_live %zu\n", live);
-  appendf(out, "enters %llu\n",
-          static_cast<unsigned long long>(s.enters));
-  appendf(out, "enters_fallback %llu\n",
-          static_cast<unsigned long long>(s.enters_fallback));
-  appendf(out, "sqes %llu\n", static_cast<unsigned long long>(s.sqes));
-  appendf(out, "chains %llu\n", static_cast<unsigned long long>(s.chains));
-  appendf(out, "chains_failed %llu\n",
-          static_cast<unsigned long long>(s.chains_failed));
-  appendf(out, "chains_malformed %llu\n",
-          static_cast<unsigned long long>(s.chains_malformed));
-  appendf(out, "cqes_posted %llu\n",
-          static_cast<unsigned long long>(s.cqes_posted));
-  appendf(out, "cqes_canceled %llu\n",
-          static_cast<unsigned long long>(s.cqes_canceled));
-  appendf(out, "fds_rolled_back %llu\n",
-          static_cast<unsigned long long>(s.fds_rolled_back));
-  appendf(out, "cq_backpressure %llu\n",
-          static_cast<unsigned long long>(s.cq_backpressure));
-  appendf(out, "sqes_discarded %llu\n",
-          static_cast<unsigned long long>(s.sqes_discarded));
-  appendf(out, "sqe_corrupt_hard %llu\n",
-          static_cast<unsigned long long>(s.sqe_corrupt_hard));
-  appendf(out, "sqe_corrupt_transient %llu\n",
-          static_cast<unsigned long long>(s.sqe_corrupt_transient));
-  appendf(out, "cqe_drop_hard %llu\n",
-          static_cast<unsigned long long>(s.cqe_drop_hard));
-  appendf(out, "cqe_drop_transient %llu\n",
-          static_cast<unsigned long long>(s.cqe_drop_transient));
+  for (const auto& [name, field] : kRingCounters) {
+    appendf(out, "%s %llu\n", name, static_cast<unsigned long long>(s.*field));
+  }
   return out;
 }
 
-void RingDev::register_proc(fs::ProcFs& pfs) {
-  pfs.add_dir("/ring");
-  pfs.add_file("/ring/rings", [this] { return format_rings(); });
-  pfs.add_file("/ring/stats", [this] { return format_stats(); });
+Errno RingDev::register_proc(fs::ProcFs& pfs) {
+  proc_ = fs::ProcFs::Registration(pfs);
+  proc_.add_file("/ring/rings", [this] { return format_rings(); });
+  proc_.add_file("/ring/stats", [this] { return format_stats(); });
+  return proc_.status();
 }
 
 }  // namespace usk::ring

@@ -38,21 +38,7 @@ std::size_t round_pow2(std::size_t n) {
 }  // namespace
 
 RingStats& RingStats::operator+=(const RingStats& o) {
-  enters += o.enters;
-  enters_fallback += o.enters_fallback;
-  sqes += o.sqes;
-  chains += o.chains;
-  chains_failed += o.chains_failed;
-  chains_malformed += o.chains_malformed;
-  cqes_posted += o.cqes_posted;
-  cqes_canceled += o.cqes_canceled;
-  fds_rolled_back += o.fds_rolled_back;
-  cq_backpressure += o.cq_backpressure;
-  sqes_discarded += o.sqes_discarded;
-  sqe_corrupt_hard += o.sqe_corrupt_hard;
-  sqe_corrupt_transient += o.sqe_corrupt_transient;
-  cqe_drop_hard += o.cqe_drop_hard;
-  cqe_drop_transient += o.cqe_drop_transient;
+  for (const auto& [name, field] : kRingCounters) this->*field += o.*field;
   return *this;
 }
 

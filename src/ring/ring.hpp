@@ -37,9 +37,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/mpmc_ring.hpp"
+#include "fs/procfs.hpp"
 #include "uk/kernel.hpp"
 
 namespace usk::fs {
@@ -122,6 +124,26 @@ struct RingStats {
   std::uint64_t cqe_drop_transient = 0;
 
   RingStats& operator+=(const RingStats& o);
+};
+
+/// Every RingStats counter with its /proc/ring/stats name, in file order.
+inline constexpr std::pair<const char*, std::uint64_t RingStats::*>
+    kRingCounters[] = {
+        {"enters", &RingStats::enters},
+        {"enters_fallback", &RingStats::enters_fallback},
+        {"sqes", &RingStats::sqes},
+        {"chains", &RingStats::chains},
+        {"chains_failed", &RingStats::chains_failed},
+        {"chains_malformed", &RingStats::chains_malformed},
+        {"cqes_posted", &RingStats::cqes_posted},
+        {"cqes_canceled", &RingStats::cqes_canceled},
+        {"fds_rolled_back", &RingStats::fds_rolled_back},
+        {"cq_backpressure", &RingStats::cq_backpressure},
+        {"sqes_discarded", &RingStats::sqes_discarded},
+        {"sqe_corrupt_hard", &RingStats::sqe_corrupt_hard},
+        {"sqe_corrupt_transient", &RingStats::sqe_corrupt_transient},
+        {"cqe_drop_hard", &RingStats::cqe_drop_hard},
+        {"cqe_drop_transient", &RingStats::cqe_drop_transient},
 };
 
 class RingDev;
@@ -292,9 +314,10 @@ class RingDev {
   Result<void> supervise(uk::Process& p, int ringfd, sup::Supervisor& s,
                          int ext_id);
 
-  /// Register /proc/ring/{rings,stats} with `proc`. Lives here rather
+  /// Register /proc/ring/{rings,stats} with `pfs` until this RingDev is
+  /// destroyed (EEXIST: another RingDev holds them). Lives here rather
   /// than uk/kproc.cpp because uk cannot depend on ring.
-  void register_proc(fs::ProcFs& proc);
+  Errno register_proc(fs::ProcFs& pfs);
 
   [[nodiscard]] std::string format_rings() const;
   [[nodiscard]] std::string format_stats() const;
@@ -344,6 +367,7 @@ class RingDev {
   std::map<fs::InodeNum, std::shared_ptr<Ring>> rings_;
   fs::InodeNum next_ino_ = 1;
   RingStats retired_;  ///< stats of closed rings (under tab_mu_)
+  fs::ProcFs::Registration proc_;  ///< last: leaves before the state
 };
 
 }  // namespace usk::ring

@@ -124,11 +124,12 @@ std::string Supervisor::format_events() const {
   return out;
 }
 
-void Supervisor::register_proc(fs::ProcFs& pfs) {
-  pfs.add_dir("/sup");
-  pfs.add_file("/sup/extensions", [this] { return format_extensions(); });
-  pfs.add_file("/sup/quotas", [this] { return format_quotas(); });
-  pfs.add_file("/sup/events", [this] { return format_events(); });
+Errno Supervisor::register_proc(fs::ProcFs& pfs) {
+  proc_ = fs::ProcFs::Registration(pfs);
+  proc_.add_file("/sup/extensions", [this] { return format_extensions(); });
+  proc_.add_file("/sup/quotas", [this] { return format_quotas(); });
+  proc_.add_file("/sup/events", [this] { return format_events(); });
+  return proc_.status();
 }
 
 }  // namespace usk::sup

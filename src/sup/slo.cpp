@@ -16,14 +16,7 @@ SloMonitor::SloMonitor(Supervisor& s) : s_(s) {
   s_.set_slo_monitor(this);
 }
 
-SloMonitor::~SloMonitor() {
-  s_.set_slo_monitor(nullptr);
-  if (pfs_ == nullptr) return;
-  // Both wait out a render in flight, so no reader calls into this
-  // monitor once they return.
-  pfs_->remove_metrics(this);
-  pfs_->add_file("/sup/slo", [] { return std::string(); });
-}
+SloMonitor::~SloMonitor() { s_.set_slo_monitor(nullptr); }
 
 SloMonitor::Slot& SloMonitor::slot_locked(ExtId id) {
   const auto idx = static_cast<std::size_t>(id);
@@ -165,24 +158,22 @@ auto SloMonitor::rows(Pick pick) const {
   return out;
 }
 
-void SloMonitor::register_proc(fs::ProcFs& pfs) {
-  pfs_ = &pfs;
-  pfs.add_dir("/sup");
-  pfs.add_file("/sup/slo", [this] { return format(); });
-  pfs.add_summary("usk_ext_latency_ns", "supervised invocation wall latency",
-                  "extension", [this] {
-                    return rows([](const Slot& sl) {
-                      return sl.latency.snapshot();
+Errno SloMonitor::register_proc(fs::ProcFs& pfs) {
+  proc_ = fs::ProcFs::Registration(pfs);
+  proc_.add_file("/sup/slo", [this] { return format(); });
+  proc_.add_summary("usk_ext_latency_ns", "supervised invocation wall latency",
+                    "extension", [this] {
+                      return rows([](const Slot& sl) {
+                        return sl.latency.snapshot();
+                      });
                     });
-                  },
-                  this);
-  pfs.add_gauges("usk_slo_breaches_total",
-                 "sustained SLO burns raised on ksup", "extension", [this] {
-                   return rows([](const Slot& sl) {
-                     return static_cast<std::int64_t>(sl.state.violations);
+  proc_.add_gauges("usk_slo_breaches_total",
+                   "sustained SLO burns raised on ksup", "extension", [this] {
+                     return rows([](const Slot& sl) {
+                       return static_cast<std::int64_t>(sl.state.violations);
+                     });
                    });
-                 },
-                 this);
+  return proc_.status();
 }
 
 }  // namespace usk::sup

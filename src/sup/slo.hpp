@@ -16,8 +16,8 @@
 // extension's latencies also go into a log2 histogram the monitor owns;
 // register_proc adds it to that Kernel's /proc/metrics as
 // usk_ext_latency_ns{extension=...}, next to usk_slo_breaches_total, so
-// the scrape shows the same percentiles this monitor judged. The monitor
-// takes both families off again when it is destroyed.
+// the scrape shows the same percentiles this monitor judged. Both
+// families and /sup/slo leave with the monitor.
 //
 // Locking: observe() takes slo mu_, releases it, and only then calls
 // Supervisor::record_violation (slo.mu_ is never held across sup.mu_;
@@ -31,10 +31,6 @@
 
 #include "sup/supervisor.hpp"
 #include "trace/histogram.hpp"
-
-namespace usk::fs {
-class ProcFs;
-}
 
 namespace usk::sup {
 
@@ -82,8 +78,9 @@ class SloMonitor {
   /// /proc/sup/slo body: one row per extension seen or configured.
   [[nodiscard]] std::string format() const;
   /// Adds /sup/slo and this monitor's two /metrics families to `pfs`,
-  /// which must outlive the monitor; the destructor takes them off.
-  void register_proc(fs::ProcFs& pfs);
+  /// which must outlive the monitor, until the monitor is destroyed.
+  /// EEXIST: another live monitor holds them there, and keeps them.
+  Errno register_proc(fs::ProcFs& pfs);
 
   [[nodiscard]] Supervisor& supervisor() const { return s_; }
 
@@ -104,7 +101,7 @@ class SloMonitor {
   SloPolicy default_policy_;
   mutable std::mutex mu_;
   std::deque<Slot> slots_;  ///< indexed by ExtId, grown on demand
-  fs::ProcFs* pfs_ = nullptr;  ///< where register_proc added files
+  fs::ProcFs::Registration proc_;  ///< last: leaves before the state
 };
 
 }  // namespace usk::sup

@@ -42,6 +42,7 @@
 
 #include "base/errno.hpp"
 #include "blockdev/buffer_cache.hpp"
+#include "fs/procfs.hpp"
 #include "sched/task.hpp"
 #include "uk/kernel.hpp"
 
@@ -271,8 +272,10 @@ class Supervisor final : private uk::SyscallSubscriber {
   [[nodiscard]] std::string format_extensions() const;
   [[nodiscard]] std::string format_quotas() const;
   [[nodiscard]] std::string format_events() const;
-  /// Mount /sup/{extensions,quotas,events} on a ProcFs (sup/proc.cpp).
-  void register_proc(fs::ProcFs& pfs);
+  /// Mount /sup/{extensions,quotas,events} on a ProcFs (sup/proc.cpp)
+  /// until this supervisor is destroyed. EEXIST: another live supervisor
+  /// holds them there.
+  Errno register_proc(fs::ProcFs& pfs);
 
   /// Parse a BreakerPolicy spec ("threshold=N,window=N,probation=N,
   /// backoff=N,mult=N,cap=N", clauses optional). Returns false on a
@@ -330,6 +333,7 @@ class Supervisor final : private uk::SyscallSubscriber {
   std::deque<SupEvent> events_;
   std::uint64_t event_seq_ = 0;
   static constexpr std::size_t kMaxEvents = 1024;
+  fs::ProcFs::Registration proc_;  ///< last: leaves before the state
 };
 
 }  // namespace usk::sup

@@ -55,10 +55,30 @@ void append_hist(std::string& out, const trace::HistogramSnapshot& h) {
 
 constexpr std::size_t kSysCount = static_cast<std::size_t>(Sys::kMaxSys);
 
-/// A ProcFs gauge from any callable returning an integer.
-template <class Fn>
-void gauge(fs::ProcFs& pfs, const char* name, const char* help, Fn fn) {
-  pfs.add_gauge(name, help, [fn] { return static_cast<std::int64_t>(fn()); });
+/// A 0|1 control file: reads `get()`, and a write of "1" or "0" (trailing
+/// whitespace allowed, as `echo` adds) calls `set(bool)`.
+template <class Get, class Set>
+void add_switch(fs::ProcFs& pfs, const char* path, Get get, Set set) {
+  pfs.add_file(
+      path, [get] { return std::string(get() ? "1\n" : "0\n"); },
+      [set](std::string_view in) {
+        const std::size_t end = in.find_last_not_of(" \t\n");
+        if (end == std::string_view::npos) return Errno::kEINVAL;
+        const std::string_view v = in.substr(0, end + 1);
+        if (v != "1" && v != "0") return Errno::kEINVAL;
+        set(v == "1");
+        return Errno::kOk;
+      });
+}
+
+/// One unlabelled gauge, on a ProcFs or a Registration, from any callable
+/// returning an integer.
+template <class To, class Fn>
+void gauge(To& to, const char* name, const char* help, Fn fn) {
+  to.add_gauges(name, help, nullptr, [fn] {
+    return fs::ProcFs::Rows<std::int64_t>{
+        {std::string(), static_cast<std::int64_t>(fn())}};
+  });
 }
 
 }  // namespace
@@ -189,23 +209,10 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   });
 
   // --- tracing control + views ----------------------------------------------
-  pfs.add_file(
-      "/trace/enable",
-      [] { return std::string(trace::enabled() ? "1\n" : "0\n"); },
-      [](std::string_view in) {
-        // Accept "0"/"1" with optional trailing whitespace (echo's \n).
-        std::size_t end = in.find_last_not_of(" \t\n");
-        if (end == std::string_view::npos) return Errno::kEINVAL;
-        std::string_view v = in.substr(0, end + 1);
-        if (v == "1") {
-          trace::ktrace().enable();
-        } else if (v == "0") {
-          trace::ktrace().disable();
-        } else {
-          return Errno::kEINVAL;
-        }
-        return Errno::kOk;
-      });
+  add_switch(pfs, "/trace/enable", [] { return trace::enabled(); },
+             [](bool on) {
+               on ? trace::ktrace().enable() : trace::ktrace().disable();
+             });
 
   pfs.add_file("/trace/events", [] {
     std::string out;
@@ -256,22 +263,10 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   });
 
   // --- spans ----------------------------------------------------------------
-  pfs.add_file(
-      "/span/enable",
-      [] { return std::string(trace::span_enabled() ? "1\n" : "0\n"); },
-      [](std::string_view in) {
-        std::size_t end = in.find_last_not_of(" \t\n");
-        if (end == std::string_view::npos) return Errno::kEINVAL;
-        std::string_view v = in.substr(0, end + 1);
-        if (v == "1") {
-          trace::kspan().enable();
-        } else if (v == "0") {
-          trace::kspan().disable();
-        } else {
-          return Errno::kEINVAL;
-        }
-        return Errno::kOk;
-      });
+  add_switch(pfs, "/span/enable", [] { return trace::span_enabled(); },
+             [](bool on) {
+               on ? trace::kspan().enable() : trace::kspan().disable();
+             });
 
   pfs.add_file("/span/stats", [] {
     const trace::SpanStats s = trace::kspan().stats();
@@ -331,17 +326,8 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
         [] { return trace::kspan().stats().dropped; });
   // --- /proc/dl: deadlines, cancellation, admission (dl/dl.hpp) -------------
   dl::Kdl& kdl = k.dl();
-  pfs.add_file(
-      "/dl/enable",
-      [&kdl] { return std::string(kdl.enabled() ? "1\n" : "0\n"); },
-      [&kdl](std::string_view in) {
-        std::size_t end = in.find_last_not_of(" \t\n");
-        if (end == std::string_view::npos) return Errno::kEINVAL;
-        std::string_view v = in.substr(0, end + 1);
-        if (v != "1" && v != "0") return Errno::kEINVAL;
-        kdl.set_enabled(v == "1");
-        return Errno::kOk;
-      });
+  add_switch(pfs, "/dl/enable", [&kdl] { return kdl.enabled(); },
+             [&kdl](bool on) { kdl.set_enabled(on); });
   pfs.add_file(
       "/dl/stats", [&kdl] { return kdl.format_stats(); },
       [&kdl](std::string_view) {
@@ -419,10 +405,11 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
       });
 }
 
-void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
-                           blockdev::BufferCache* cache) {
+fs::ProcFs::Registration register_storage_proc(
+    fs::ProcFs& pfs, store::Store* store, blockdev::BufferCache* cache) {
+  fs::ProcFs::Registration reg(pfs);
   if (cache != nullptr) {
-    pfs.add_file("/blockdev/cache", [cache] {
+    reg.add_file("/blockdev/cache", [cache] {
       const blockdev::CacheStats s = cache->stats();
       std::string out;
       appendf(out,
@@ -439,22 +426,22 @@ void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
               cache->writeback_running() ? 1 : 0);
       return out;
     });
-    gauge(pfs, "usk_cache_hits", "buffer cache lookup hits",
+    gauge(reg, "usk_cache_hits", "buffer cache lookup hits",
           [cache] { return cache->stats().hits; });
-    gauge(pfs, "usk_cache_misses", "buffer cache lookup misses",
+    gauge(reg, "usk_cache_misses", "buffer cache lookup misses",
           [cache] { return cache->stats().misses; });
-    gauge(pfs, "usk_cache_writebacks", "dirty blocks written back",
+    gauge(reg, "usk_cache_writebacks", "dirty blocks written back",
           [cache] { return cache->stats().writebacks; });
-    gauge(pfs, "usk_cache_bg_writebacks", "writebacks by the flusher thread",
+    gauge(reg, "usk_cache_bg_writebacks", "writebacks by the flusher thread",
           [cache] { return cache->stats().bg_writebacks; });
-    gauge(pfs, "usk_cache_dirty_blocks", "currently dirty cached blocks",
+    gauge(reg, "usk_cache_dirty_blocks", "currently dirty cached blocks",
           [cache] { return cache->dirty_count(); });
-    gauge(pfs, "usk_cache_gate_rejects", "writes refused by the dirty gate",
+    gauge(reg, "usk_cache_gate_rejects", "writes refused by the dirty gate",
           [cache] { return cache->stats().gate_rejects; });
   }
-  if (store == nullptr) return;
+  if (store == nullptr) return reg;
 
-  pfs.add_file("/store/stats", [store] {
+  reg.add_file("/store/stats", [store] {
     const store::StoreStats ss = store->stats();
     const store::ImageStats is = store->image().stats();
     std::string out;
@@ -474,7 +461,7 @@ void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
     return out;
   });
 
-  pfs.add_file("/store/journal", [store] {
+  reg.add_file("/store/journal", [store] {
     std::string out;
     store::GroupCommitJournal* j = store->journal();
     if (j == nullptr) return std::string("no journal\n");
@@ -495,11 +482,11 @@ void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
     return out;
   });
 
-  gauge(pfs, "usk_store_checkpoints", "store checkpoints completed",
+  gauge(reg, "usk_store_checkpoints", "store checkpoints completed",
         [store] { return store->stats().checkpoints; });
-  gauge(pfs, "usk_store_stable_seq", "last checkpointed commit-unit seq",
+  gauge(reg, "usk_store_stable_seq", "last checkpointed commit-unit seq",
         [store] { return store->stable_seq(); });
-  gauge(pfs, "usk_store_image_fsyncs", "backing-image fsync calls",
+  gauge(reg, "usk_store_image_fsyncs", "backing-image fsync calls",
         [store] { return store->image().stats().fsyncs; });
   // Journal counters; a store without a journal reads 0.
   const auto journal = [store](auto field) {
@@ -508,19 +495,20 @@ void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
       return j != nullptr ? field(j->stats()) : 0;
     };
   };
-  gauge(pfs, "usk_journal_commit_units", "group-commit units written (fsyncs)",
+  gauge(reg, "usk_journal_commit_units", "group-commit units written (fsyncs)",
         journal([](const store::JournalStats& s) {
           return static_cast<std::int64_t>(s.commit_units);
         }));
-  gauge(pfs, "usk_journal_txns_committed", "transactions made durable",
+  gauge(reg, "usk_journal_txns_committed", "transactions made durable",
         journal([](const store::JournalStats& s) {
           return static_cast<std::int64_t>(s.txns_committed);
         }));
-  gauge(pfs, "usk_journal_txns_per_flush_x100",
+  gauge(reg, "usk_journal_txns_per_flush_x100",
         "group-commit amortization (txns per fsync, x100)",
         journal([](const store::JournalStats& s) {
           return static_cast<std::int64_t>(s.txns_per_flush() * 100.0);
         }));
+  return reg;
 }
 
 }  // namespace usk::uk

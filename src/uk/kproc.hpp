@@ -25,8 +25,8 @@ namespace usk::uk {
 
 class Kernel;
 
-/// Populate `pfs` with the standard kernel proc tree backed by `k`.
-/// Both must outlive the filesystem's readers.
+/// Populate `pfs` with the standard kernel proc tree backed by `k`. The
+/// entries stay with `pfs`, which `k` owns.
 void register_kernel_proc(Kernel& k, fs::ProcFs& pfs);
 
 /// Storage-tier proc tree (PR-8), for kernels with a persistent store:
@@ -38,8 +38,9 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs);
 ///
 /// Also adds the same counters to `pfs`'s /metrics gauges (usk_cache_*,
 /// usk_store_*, usk_journal_*). `store` may be null (cache-only setups
-/// register /blockdev/cache alone). Pointers must outlive the readers.
-void register_storage_proc(fs::ProcFs& pfs, store::Store* store,
-                           blockdev::BufferCache* cache);
+/// register /blockdev/cache alone). The entries leave with the returned
+/// Registration, which the caller destroys before the store and cache.
+fs::ProcFs::Registration register_storage_proc(
+    fs::ProcFs& pfs, store::Store* store, blockdev::BufferCache* cache);
 
 }  // namespace usk::uk

@@ -292,9 +292,9 @@ TEST_F(MountTest, ProcfsNamespaceIsReadOnlyAcrossTheMount) {
 }
 
 TEST_F(MountTest, ProcfsRegisteredFilesAppearImmediately) {
-  fs::ProcFs& pfs = kernel_.mount_procfs();
   int value = 0;
-  pfs.add_file("/test/value",
+  fs::ProcFs::Registration reg(kernel_.mount_procfs());
+  reg.add_file("/test/value",
                [&value] { return std::to_string(value) + "\n"; });
 
   // Rendered fresh on each open: consecutive reads see live state.

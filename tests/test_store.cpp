@@ -744,7 +744,8 @@ TEST_F(StoreTest, ProcFilesRenderCacheAndStoreCounters) {
   cfg.journal_blocks = 8;
   Store st;
   ASSERT_TRUE(st.open(path, cfg).ok());
-  uk::register_storage_proc(kernel.mount_procfs(), &st, &cache);
+  const fs::ProcFs::Registration reg =
+      uk::register_storage_proc(kernel.mount_procfs(), &st, &cache);
 
   ASSERT_TRUE(cache.write_data(5, pattern(5).data()).ok());
   std::vector<std::uint8_t> rb(store::kBlockBytes);
@@ -802,7 +803,7 @@ struct StorageKernel {
     cfg.data_blocks = 16;
     cfg.journal_blocks = 8;
     EXPECT_TRUE(st.open(path, cfg).ok());
-    uk::register_storage_proc(kernel.mount_procfs(), &st, &cache);
+    reg = uk::register_storage_proc(kernel.mount_procfs(), &st, &cache);
   }
   ~StorageKernel() { st.close(); }
 
@@ -827,6 +828,7 @@ struct StorageKernel {
   blockdev::BufferCache cache;
   TestBackend be;
   Store st;
+  fs::ProcFs::Registration reg;
 };
 
 TEST_F(StoreTest, MetricsGaugesReadTheirOwnKernelsStorage) {

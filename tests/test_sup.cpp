@@ -1096,7 +1096,8 @@ TEST_F(SupTest, SloSeriesLeaveProcMetricsWithTheirMonitor) {
   EXPECT_EQ(prom.find("usk_ext_latency_ns"), std::string::npos) << prom;
   EXPECT_EQ(prom.find("usk_slo_breaches_total"), std::string::npos) << prom;
   EXPECT_NE(prom.find("usk_syscall_latency_ns"), std::string::npos) << prom;
-  EXPECT_EQ(read_proc(proc_, "/proc/sup/slo"), "");
+  EXPECT_EQ(proc_.open("/proc/sup/slo", fs::kORdOnly),
+            sysret_err(Errno::kENOENT));
 }
 
 // --- the full degradation story under a fault storm ----------------------------

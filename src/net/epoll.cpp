@@ -11,7 +11,11 @@
 // wait is the caller's own timeout_ms.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstring>
+#include <iterator>
+#include <vector>
 
 #include "net/net.hpp"
 #include "trace/tracepoint.hpp"
@@ -29,6 +33,42 @@ Result<std::shared_ptr<Epoll>> epoll_of(Net& net, uk::Process& p, int epfd) {
   if (ep == nullptr) return Errno::kEINVAL;  // a plain socket fd
   return ep;
 }
+
+/// Watches staged in place by one epoll_wait scan.
+constexpr std::size_t kInline = 64;
+
+/// Up to N elements on the stack; the (N+1)th push moves them all to the
+/// heap. clear() keeps the inline slots' old values until overwritten.
+template <typename T, std::size_t N>
+class InlineVec {
+ public:
+  void push_back(T v) {
+    if (size_ < N) {
+      inline_[size_++] = std::move(v);
+      return;
+    }
+    if (size_ == N) {
+      heap_.assign(std::make_move_iterator(inline_.begin()),
+                   std::make_move_iterator(inline_.end()));
+    }
+    heap_.push_back(std::move(v));
+    ++size_;
+  }
+  void clear() {
+    size_ = 0;
+    heap_.clear();
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  T* data() { return size_ <= N ? inline_.data() : heap_.data(); }
+  T* begin() { return data(); }
+  T* end() { return data() + size_; }
+
+ private:
+  std::array<T, N> inline_{};
+  std::vector<T> heap_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -134,7 +174,14 @@ SysRet Net::handle_epoll_wait(uk::Process& p, const SysArgs& a,
       forever ? clock::time_point::max()
               : clock::now() + std::chrono::milliseconds(timeout_ms);
 
-  std::vector<EpollEvent> out;
+  // Staged on this stack frame: a wait over up to kInline watches never
+  // enters the host allocator.
+  struct Cand {
+    int fd;
+    std::weak_ptr<Socket> sock;
+    std::uint32_t events;
+  };
+  InlineVec<Cand, kInline> cands;
   for (;;) {
     // 0. Token first: a signal() from any watched socket between here
     // and the park voids the park, so readiness rising mid-scan is never
@@ -142,28 +189,28 @@ SysRet Net::handle_epoll_wait(uk::Process& p, const SysArgs& a,
     const sched::WaitQueue::Token tok = ep.wq_.prepare();
 
     // 1. Snapshot the watch list (epoll lock only).
-    struct Cand {
-      int fd;
-      std::weak_ptr<Socket> sock;
-      std::uint32_t events;
-    };
-    std::vector<Cand> cands;
+    cands.clear();
     {
       std::lock_guard elk(ep.mu_);
-      cands.reserve(ep.entries_.size());
       for (const auto& [fd, e] : ep.entries_) {
         cands.push_back(Cand{fd, e.sock, e.events});
       }
     }
 
-    // 2. Check each socket under its own lock (level-triggered re-arm).
-    out.clear();
-    std::vector<int> dead;
+    // 2. Check each socket under its own lock (level-triggered re-arm),
+    // writing each ready event straight into the copy-out buffer (the
+    // caller's own buffer for a kKernel caller, else CallerBuf's bounce).
+    const std::size_t cap =
+        std::min(cands.size(), static_cast<std::size_t>(maxevents));
+    uk::CallerBuf buf(k_.boundary(), p.task, m, a.a1, cap * sizeof(EpollEvent));
+    std::size_t n = 0;
+    bool dead = false;
     for (const Cand& c : cands) {
+      if (n == cap) break;
       charge(costs_.poll_op);
       std::shared_ptr<Socket> s = c.sock.lock();
       if (s == nullptr) {
-        dead.push_back(c.fd);  // closed while registered: prune silently
+        dead = true;  // closed while registered: prune silently
         continue;
       }
       std::uint32_t mask = 0;
@@ -171,18 +218,30 @@ SysRet Net::handle_epoll_wait(uk::Process& p, const SysArgs& a,
         std::lock_guard slk(s->mu_);
         mask = s->readiness_locked() & (c.events | kEpollHup);
       }
-      if (mask != 0) out.push_back(EpollEvent{c.fd, mask});
-      if (static_cast<int>(out.size()) >= maxevents) break;
+      if (mask != 0) {
+        const EpollEvent ev{c.fd, mask};
+        std::memcpy(buf.data() + n++ * sizeof ev, &ev, sizeof ev);
+      }
     }
 
-    // 3. Prune entries whose socket is gone.
-    if (!dead.empty()) {
+    // 3. Prune entries whose socket is gone. A live registration that
+    // took over a dead entry's fd since the snapshot is kept.
+    if (dead) {
       std::lock_guard elk(ep.mu_);
-      for (int fd : dead) ep.entries_.erase(fd);
+      std::erase_if(ep.entries_,
+                    [](const auto& kv) { return kv.second.sock.expired(); });
     }
 
-    if (!out.empty()) break;
-    if (!forever && (timeout_ms == 0 || clock::now() >= deadline)) break;
+    if (n > 0) {
+      // Readiness is level-triggered here, so a faulted copy-out loses
+      // no events: the next wait re-reports them.
+      if (Result<std::size_t> c = buf.out(buf.data(), n * sizeof(EpollEvent));
+          !c) {
+        return sysret_err(c.error());
+      }
+      return static_cast<SysRet>(n);
+    }
+    if (!forever && (timeout_ms == 0 || clock::now() >= deadline)) return 0;
 
     // 4. Park until a socket signals or the caller's deadline passes
     // (the watchdog runs at the park, as at every schedule-out). The
@@ -192,18 +251,6 @@ SysRet Net::handle_epoll_wait(uk::Process& p, const SysArgs& a,
         k_.park(ep.wq_, tok, forever ? nullptr : &deadline);
     if (!w) return sysret_err(w.error());
   }
-
-  std::size_t n = std::min(out.size(), static_cast<std::size_t>(maxevents));
-  if (n > 0) {
-    // Readiness is level-triggered here, so a faulted copy-out loses no
-    // events: the next wait re-reports them.
-    const std::size_t bytes = n * sizeof(EpollEvent);
-    uk::CallerBuf buf(k_.boundary(), p.task, m, a.a1, bytes);
-    if (Result<std::size_t> c = buf.out(out.data(), bytes); !c) {
-      return sysret_err(c.error());
-    }
-  }
-  return static_cast<SysRet>(n);
 }
 
 }  // namespace usk::net

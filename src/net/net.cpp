@@ -108,8 +108,15 @@ void Net::charge(std::uint64_t units) {
 }
 
 NetStats Net::stats() const {
-  std::lock_guard lk(stats_mu_);
-  return nstats_;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  return NetStats{
+      .sockets_created = nstats_.sockets_created.load(kRelaxed),
+      .conns_accepted = nstats_.conns_accepted.load(kRelaxed),
+      .conns_refused = nstats_.conns_refused.load(kRelaxed),
+      .bytes_sent = nstats_.bytes_sent.load(kRelaxed),
+      .packets_sent = nstats_.packets_sent.load(kRelaxed),
+      .sendfile_bytes = nstats_.sendfile_bytes.load(kRelaxed),
+  };
 }
 
 template <typename Pred>
@@ -139,10 +146,7 @@ std::shared_ptr<Socket> Net::make_socket(bool nonblock) {
   fs::InodeNum ino = next_ino_++;
   auto s = std::make_shared<Socket>(ino, costs_, nonblock);
   sockets_[ino] = s;
-  {
-    std::lock_guard slk(stats_mu_);
-    ++nstats_.sockets_created;
-  }
+  nstats_.sockets_created.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
 
@@ -260,8 +264,7 @@ SysRet Net::handle_connect(uk::Process& p, const SysArgs& a,
     refused = lsn->state_ != SockState::kListening;
   }
   if (refused) {
-    std::lock_guard slk(stats_mu_);
-    ++nstats_.conns_refused;
+    nstats_.conns_refused.fetch_add(1, std::memory_order_relaxed);
     return sysret_err(Errno::kECONNREFUSED);
   }
 
@@ -347,10 +350,7 @@ Result<int> Net::accept_pop(uk::Process& p, Socket& ls) {
     drop_socket(conn);
     return fd.error();
   }
-  {
-    std::lock_guard slk(stats_mu_);
-    ++nstats_.conns_accepted;
-  }
+  nstats_.conns_accepted.fetch_add(1, std::memory_order_relaxed);
   return fd;
 }
 
@@ -414,22 +414,24 @@ Result<std::size_t> Net::send_from(Socket& s,
       peer->bytes_rx_ += pushed;
       peer->pkts_rx_ += (pushed + costs_.mtu - 1) / costs_.mtu;
       notify_watchers_locked(*peer);  // socket -> epoll lock order
-      peer->wq_.wake_all();
     }
     // The modelled wire: per-packet protocol work + per-KiB data work.
+    // A receiver parked on the queue is woken only after it: delivery
+    // follows transmit work, and the peer's next step never overlaps
+    // this charge (whether it did would depend on which host CPU the
+    // woken thread landed on). The push above was under the peer's lock,
+    // so a sleeper's token is already stale or this wake reaches it.
     std::uint64_t pkts = (pushed + costs_.mtu - 1) / costs_.mtu;
     charge(pkts * costs_.per_packet +
            ((pushed + 1023) / 1024) * costs_.per_kib);
+    peer->wq_.wake_all();
     {
       std::lock_guard slk(s.mu_);
       s.bytes_tx_ += pushed;
       s.pkts_tx_ += pkts;
     }
-    {
-      std::lock_guard stlk(stats_mu_);
-      nstats_.bytes_sent += pushed;
-      nstats_.packets_sent += pkts;
-    }
+    nstats_.bytes_sent.fetch_add(pushed, std::memory_order_relaxed);
+    nstats_.packets_sent.fetch_add(pkts, std::memory_order_relaxed);
     sent += pushed;
   }
   return sent;
@@ -585,10 +587,7 @@ SysRet Net::handle_sendfile(uk::Process& p, const SysArgs& a, uk::BufMode m) {
   }
   k_.dispatch_nested(p, Sys::kClose, {ufd}, m);
   if (total == 0 && err < 0) return err;
-  {
-    std::lock_guard lk(stats_mu_);
-    nstats_.sendfile_bytes += total;
-  }
+  nstats_.sendfile_bytes.fetch_add(total, std::memory_order_relaxed);
   return static_cast<SysRet>(total);
 }
 

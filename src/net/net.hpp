@@ -13,6 +13,7 @@
 // work on connections with no special cases.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -251,8 +252,17 @@ class Net {
   std::map<fs::InodeNum, std::shared_ptr<Epoll>> epolls_;
   std::map<std::uint16_t, std::weak_ptr<Socket>> ports_;
 
-  mutable std::mutex stats_mu_;
-  NetStats nstats_;
+  /// NetStats as relaxed atomics: a send bumps two of them with no
+  /// Net-wide lock; stats() loads each into a snapshot.
+  struct Counters {
+    std::atomic<std::uint64_t> sockets_created{0};
+    std::atomic<std::uint64_t> conns_accepted{0};
+    std::atomic<std::uint64_t> conns_refused{0};
+    std::atomic<std::uint64_t> bytes_sent{0};
+    std::atomic<std::uint64_t> packets_sent{0};
+    std::atomic<std::uint64_t> sendfile_bytes{0};
+  };
+  Counters nstats_;
   fs::ProcFs::Registration proc_;  ///< last: leaves before the state
 };
 

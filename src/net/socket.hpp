@@ -7,7 +7,9 @@
 // connections unchanged). The loopback "wire" is modelled the way
 // blockdev models the disk: moving bytes costs per-packet and per-KiB
 // work units charged to the sending/receiving task, so crossings and
-// copies measured by benchmarks are backed by real CPU time.
+// copies measured by benchmarks are backed by real CPU time. The host's
+// own cost of the move stays small beneath that charge: ByteQueue copies
+// in at most two memcpys and its storage is not zero-filled.
 //
 // Locking: each Socket has one mutex. The documented lock order is
 // socket -> epoll (a socket holding its own lock may signal an epoll
@@ -15,14 +17,16 @@
 // lock). Send locks only the *peer* socket when pushing into its queue;
 // no path ever holds two socket locks at once. The socket's WaitQueue
 // mutex is a leaf below all of these (see sched/waitqueue.hpp): wakers
-// call wq_.wake_all() with mu_ held, sleepers take their token under mu_
-// and park after dropping it.
+// mutate a socket's state under its mu_ and call wq_.wake_all() after
+// (send wakes the receiver only once its wire charge is done), sleepers
+// take their token under mu_ and park after dropping it.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -51,29 +55,38 @@ struct NetCosts {
   int backlog_max = 128;              ///< listen() backlog ceiling
 };
 
-/// Bounded byte ring: the per-connection receive queue.
+/// Bounded byte ring: the per-connection receive queue. push and pop move
+/// their bytes in at most two memcpys (the run up to the wrap point, then
+/// the rest from index 0) and update head_/size_ once per call. The
+/// storage is not zero-filled: no byte is read before push writes it.
 class ByteQueue {
  public:
   explicit ByteQueue(std::size_t capacity)
-      : buf_(capacity), cap_(capacity) {}
+      : buf_(std::make_unique_for_overwrite<std::byte[]>(capacity)),
+        cap_(capacity) {}
 
   /// Append as much of `in` as fits; returns bytes accepted.
   std::size_t push(std::span<const std::byte> in) {
-    std::size_t n = std::min(in.size(), cap_ - size_);
-    for (std::size_t i = 0; i < n; ++i) {
-      buf_[(head_ + size_ + i) % cap_] = in[i];
-    }
+    const std::size_t n = std::min(in.size(), cap_ - size_);
+    if (n == 0) return 0;  // an empty span may carry a null data()
+    std::size_t tail = head_ + size_;
+    if (tail >= cap_) tail -= cap_;
+    const std::size_t first = std::min(n, cap_ - tail);
+    std::memcpy(buf_.get() + tail, in.data(), first);
+    if (first < n) std::memcpy(buf_.get(), in.data() + first, n - first);
     size_ += n;
     return n;
   }
 
   /// Remove up to out.size() bytes; returns bytes delivered.
   std::size_t pop(std::span<std::byte> out) {
-    std::size_t n = std::min(out.size(), size_);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = buf_[(head_ + i) % cap_];
-    }
-    head_ = (head_ + n) % cap_;
+    const std::size_t n = std::min(out.size(), size_);
+    if (n == 0) return 0;
+    const std::size_t first = std::min(n, cap_ - head_);
+    std::memcpy(out.data(), buf_.get() + head_, first);
+    if (first < n) std::memcpy(out.data() + first, buf_.get(), n - first);
+    head_ += n;
+    if (head_ >= cap_) head_ -= cap_;
     size_ -= n;
     return n;
   }
@@ -83,9 +96,9 @@ class ByteQueue {
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
  private:
-  std::vector<std::byte> buf_;
+  std::unique_ptr<std::byte[]> buf_;
   std::size_t cap_;
-  std::size_t head_ = 0;
+  std::size_t head_ = 0;  ///< index of the oldest byte
   std::size_t size_ = 0;
 };
 

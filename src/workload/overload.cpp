@@ -25,14 +25,11 @@ std::string overload_path(const OverloadConfig& cfg, std::size_t i) {
 }
 
 /// Shared server-pool state: the stop flag flipped after the last
-/// arrival, the task registry the canceller picks victims from, and the
-/// one Admission instance the pool sheds through.
+/// arrival and the task registry the canceller picks victims from.
 struct SrvShared {
-  SrvShared(dl::Kdl& kdl, const dl::AdmissionConfig& a) : adm(kdl, a) {}
   std::atomic<bool> stop{false};
   std::mutex mu;
   std::vector<sched::Task*> tasks;
-  dl::Admission adm;
 };
 
 struct SrvSample {
@@ -100,7 +97,7 @@ bool serve_file(uk::Proc& srv, net::Net& net, int connfd, const char* path,
 /// One request: attach the deadline parsed off the wire, consult
 /// admission, serve under the scope.
 void handle_request(uk::Proc& srv, net::Net& net, const OverloadConfig& cfg,
-                    SrvShared& sh, int connfd, const char* req,
+                    dl::Admission& adm, int connfd, const char* req,
                     SrvSample& out) {
   char path[48] = {};
   long long abs_dl_ns = -1;
@@ -142,7 +139,7 @@ void handle_request(uk::Proc& srv, net::Net& net, const OverloadConfig& cfg,
         scope && dl::DeadlineScope::current() != nullptr
             ? dl::DeadlineScope::current()->remaining_ns()
             : rem_at_ingress;
-    if (!sh.adm.try_admit(rem)) {
+    if (!adm.try_admit(rem)) {
       ++out.sheds;
       // Retire the scope BEFORE answering: a shed request's budget is
       // often already gone, and an expired scope would fail the very
@@ -161,7 +158,7 @@ void handle_request(uk::Proc& srv, net::Net& net, const OverloadConfig& cfg,
   int file_fd = -1;
   const bool ok = serve_file(srv, net, connfd, path, &file_fd);
   if (admitting) {
-    sh.adm.depart(static_cast<std::uint64_t>(
+    adm.depart(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(dl::Clock::now() -
                                                              svc0)
             .count()));
@@ -182,7 +179,7 @@ void handle_request(uk::Proc& srv, net::Net& net, const OverloadConfig& cfg,
 /// worker clears the flag and goes back to waiting -- nothing was held,
 /// nothing leaks.
 int server_step(uk::Proc& srv, net::Net& net, const OverloadConfig& cfg,
-                SrvShared& sh, int lfd, int ep,
+                dl::Admission& adm, int lfd, int ep,
                 std::vector<net::EpollEvent>& evs, int timeout_ms,
                 SrvSample& out) {
   uk::Process& p = srv.process();
@@ -216,7 +213,7 @@ int server_step(uk::Proc& srv, net::Net& net, const OverloadConfig& cfg,
       srv.task().set_cancel_pending(false);
       ++out.cancels_observed;
     } else if (r > 0) {
-      handle_request(srv, net, cfg, sh, ev.fd, req, out);
+      handle_request(srv, net, cfg, adm, ev.fd, req, out);
     }
     cancel_immune(srv, out, [&] {
       return net.sys_epoll_ctl(p, ep, net::kEpollCtlDel, ev.fd, 0);
@@ -246,11 +243,16 @@ void server_worker(uk::Kernel& k, net::Net& net, const OverloadConfig& cfg,
     std::lock_guard lk(sh.mu);
     sh.tasks.push_back(&srv.task());
   }
+  // One Admission per worker, not one per pool: each worker is a serial
+  // loop behind its own port, so a request it reads waits for none of
+  // the other workers' requests. Its wait in this worker's backlog is
+  // already spent from the absolute deadline it carries.
+  dl::Admission adm(k.dl(), cfg.admission);
   ready.store(true, std::memory_order_release);
 
   std::vector<net::EpollEvent> evs(16);
   while (!sh.stop.load(std::memory_order_acquire)) {
-    if (server_step(srv, net, cfg, sh, lfd, ep, evs, 10, out) < 0) break;
+    if (server_step(srv, net, cfg, adm, lfd, ep, evs, 10, out) < 0) break;
   }
   {
     std::lock_guard lk(sh.mu);
@@ -261,7 +263,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const OverloadConfig& cfg,
   // requests (or EOFs) may still be watched. Bounded pass so every conn
   // fd is retired before the leak-oracle sample.
   for (int i = 0; i < 256; ++i) {
-    if (server_step(srv, net, cfg, sh, lfd, ep, evs, 0, out) <= 0) break;
+    if (server_step(srv, net, cfg, adm, lfd, ep, evs, 0, out) <= 0) break;
   }
   cancel_immune(srv, out, [&] {
     return net.sys_epoll_ctl(p, ep, net::kEpollCtlDel, lfd, 0);
@@ -487,7 +489,7 @@ OverloadReport run_overload(uk::Kernel& k, net::Net& net,
   const auto km_before =
       static_cast<std::int64_t>(k.kmalloc().stats().outstanding_bytes);
 
-  SrvShared srv_sh(k.dl(), cfg.admission);
+  SrvShared srv_sh;
   CliShared cli_sh;
   cli_sh.inter = std::chrono::nanoseconds(
       cfg.offered_rps > 0 ? static_cast<std::uint64_t>(1e9 / cfg.offered_rps)
@@ -583,7 +585,7 @@ OverloadReport run_overload(uk::Kernel& k, net::Net& net,
 void calibrate_overload(uk::Kernel& k, net::Net& net,
                         const OverloadConfig& cfg, double* rps,
                         std::uint64_t* p99_ns) {
-  SrvShared sh(k.dl(), cfg.admission);
+  SrvShared sh;
   std::vector<SrvSample> samples(cfg.workers);
   std::vector<std::unique_ptr<std::atomic<bool>>> ready;
   for (std::size_t w = 0; w < cfg.workers; ++w) {

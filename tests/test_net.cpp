@@ -1,15 +1,18 @@
-// Tests for the loopback network stack: socket lifecycle and errno
-// paths, fd-table interop (dup, read/write parity), the epoll
-// multiplexer, the consolidated server calls, /proc/net, and a
-// multi-threaded client/server stress run (TSan target).
+// Tests for the loopback network stack: the ByteQueue ring against a
+// reference model, socket lifecycle and errno paths, fd-table interop
+// (dup, read/write parity), the epoll multiplexer, the consolidated
+// server calls, /proc/net, and multi-threaded client/server runs (TSan
+// targets).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/rng.hpp"
 #include "consolidation/newcalls.hpp"
 #include "fault/kfail.hpp"
 #include "net/net.hpp"
@@ -17,6 +20,101 @@
 
 namespace usk::net {
 namespace {
+
+/// `n` bytes of a seeded stream, as a queue's producer would push them.
+std::vector<std::byte> seeded_bytes(std::uint64_t seed, std::size_t n) {
+  base::Rng rng(seed);
+  std::vector<std::byte> v(n);
+  for (std::byte& b : v) b = static_cast<std::byte>(rng.next() >> 56);
+  return v;
+}
+
+/// Random push and pop sizes against a std::deque model: every call's
+/// count, every delivered byte, and size()/free_space() after each step.
+TEST(ByteQueueTest, MatchesADequeModel) {
+  for (std::size_t cap : {std::size_t{1}, std::size_t{7}, std::size_t{4096},
+                          std::size_t{65536}}) {
+    SCOPED_TRACE(cap);
+    ByteQueue q(cap);
+    std::deque<std::byte> model;
+    base::Rng rng(cap * 31 + 7);
+    const std::vector<std::byte> src = seeded_bytes(cap, 2 * cap + 1);
+    std::vector<std::byte> dst(2 * cap + 1);
+    for (int step = 0; step < 2000; ++step) {
+      const std::size_t len = rng.below(2 * cap + 2);  // 0 .. 2*cap+1
+      if (rng.chance(1, 2)) {
+        const std::size_t off = rng.below(src.size() - len + 1);
+        const std::size_t want = std::min(len, cap - model.size());
+        ASSERT_EQ(q.push(std::span(src).subspan(off, len)), want);
+        model.insert(model.end(), src.begin() + off, src.begin() + off + want);
+      } else {
+        const std::size_t want = std::min(len, model.size());
+        ASSERT_EQ(q.pop(std::span(dst).first(len)), want);
+        for (std::size_t i = 0; i < want; ++i) {
+          ASSERT_EQ(dst[i], model.front()) << "step " << step << " byte " << i;
+          model.pop_front();
+        }
+      }
+      ASSERT_EQ(q.size(), model.size());
+      ASSERT_EQ(q.free_space(), cap - model.size());
+      ASSERT_EQ(q.capacity(), cap);
+    }
+  }
+}
+
+/// For the small capacities, every run length pushed and popped from
+/// every head offset: each wrap point is crossed by push and by pop.
+TEST(ByteQueueTest, WrapsAtEveryOffset) {
+  for (std::size_t cap : {std::size_t{1}, std::size_t{7}}) {
+    const std::vector<std::byte> src = seeded_bytes(cap + 100, cap);
+    for (std::size_t head = 0; head < cap; ++head) {
+      for (std::size_t len = 1; len <= cap; ++len) {
+        SCOPED_TRACE(testing::Message() << "cap " << cap << " head " << head
+                                        << " len " << len);
+        ByteQueue q(cap);
+        std::vector<std::byte> dst(cap);
+        ASSERT_EQ(q.push(std::span(src).first(head)), head);
+        ASSERT_EQ(q.pop(std::span(dst).first(head)), head);
+        ASSERT_EQ(q.push(std::span(src).first(len)), len);
+        ASSERT_EQ(q.free_space(), cap - len);
+        std::fill(dst.begin(), dst.end(), std::byte{0});
+        ASSERT_EQ(q.pop(dst), len);
+        ASSERT_TRUE(std::equal(dst.begin(), dst.begin() + len, src.begin()));
+        ASSERT_EQ(q.size(), 0u);
+      }
+    }
+  }
+}
+
+/// A push into a nearly full queue takes what fits; a short pop leaves the
+/// rest queued in order; empty spans (null data) move nothing.
+TEST(ByteQueueTest, PartialPushShortPopAndEmptySpans) {
+  ByteQueue q(16);
+  const std::vector<std::byte> src = seeded_bytes(3, 32);
+  std::vector<std::byte> dst(32);
+  EXPECT_EQ(q.push({}), 0u);
+  EXPECT_EQ(q.pop({}), 0u);
+  EXPECT_EQ(q.pop(dst), 0u);
+  EXPECT_EQ(q.push(std::span(src).first(10)), 10u);
+  EXPECT_EQ(q.size(), 10u);
+  EXPECT_EQ(q.free_space(), 6u);
+  EXPECT_EQ(q.push(std::span(src).subspan(10, 10)), 6u);  // partial: full
+  EXPECT_EQ(q.size(), 16u);
+  EXPECT_EQ(q.free_space(), 0u);
+  EXPECT_EQ(q.push(std::span(src).subspan(16, 1)), 0u);
+  EXPECT_EQ(q.push({}), 0u);
+  EXPECT_EQ(q.pop(std::span(dst).first(4)), 4u);  // shorter than queued
+  EXPECT_TRUE(std::equal(dst.begin(), dst.begin() + 4, src.begin()));
+  EXPECT_EQ(q.size(), 12u);
+  EXPECT_EQ(q.free_space(), 4u);
+  EXPECT_EQ(q.push(std::span(src).subspan(16, 8)), 4u);  // wraps the tail
+  EXPECT_EQ(q.size(), 16u);
+  EXPECT_EQ(q.pop({}), 0u);
+  EXPECT_EQ(q.pop(dst), 16u);  // wraps the head
+  EXPECT_TRUE(std::equal(dst.begin(), dst.begin() + 16, src.begin() + 4));
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.free_space(), 16u);
+}
 
 class NetTest : public ::testing::Test {
  protected:
@@ -570,6 +668,124 @@ TEST_F(NetTest, StressEpollEchoServerMt) {
   for (std::thread& t : clients) t.join();
   server.join();
   EXPECT_EQ(echoed.load(), kClients * kMsgsPerClient);
+}
+
+// Two tasks stream seeded bytes both ways over one connection through a
+// 61-byte receive queue, so each direction wraps thousands of times at
+// shifting offsets, while a third thread reads Net::stats(). Nonblocking
+// sockets let each task interleave its send and its recv. Every byte
+// arrives in order, and bytes_sent ends at the sum sent. Its name puts it
+// in the ThreadSanitizer run (run_tier1.sh tsan selects 'Smp').
+TEST(SmpSocketTest, StreamBothWaysThroughAWrappingQueue) {
+  constexpr std::size_t kBytes = 192 * 1024;
+  constexpr std::uint16_t kPort = 7300;
+  fs::MemFs fs;
+  uk::Kernel kernel(fs);
+  NetCosts costs;
+  costs.rx_capacity = 61;
+  Net net(kernel, costs);
+  const std::vector<std::byte> streams[2] = {seeded_bytes(11, kBytes),
+                                             seeded_bytes(12, kBytes)};
+  std::atomic<bool> listening{false};
+  std::atomic<bool> connected{false};
+  std::atomic<int> finished{0};
+  // Set by either side on a failed check, so that every wait below ends
+  // and the test fails instead of hanging on its peer.
+  std::atomic<bool> failed{false};
+  const auto check = [&failed](bool ok) {
+    if (!ok) failed.store(true, std::memory_order_release);
+    return ok;
+  };
+  const auto wait_for = [&failed](const auto& cond) {
+    while (!cond() && !failed.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    return !failed.load(std::memory_order_acquire);
+  };
+
+  // Side 0 is the client; side 1 accepts. Each sends streams[side] and
+  // must receive streams[1 - side].
+  auto side = [&](int me) {
+    uk::Proc proc(kernel, me == 0 ? "smp-cli" : "smp-srv");
+    uk::Process& p = proc.process();
+    int fd = -1;
+    if (me == 1) {
+      const int lfd = static_cast<int>(net.sys_socket(p, kSockNonblock));
+      EXPECT_TRUE(check(net.sys_bind(p, lfd, kPort) == 0 &&
+                        net.sys_listen(p, lfd, 1) == 0));
+      listening.store(true, std::memory_order_release);
+      if (wait_for([&] { return connected.load(std::memory_order_acquire); })) {
+        fd = static_cast<int>(net.sys_accept(p, lfd));
+        EXPECT_TRUE(check(fd >= 0)) << fd;
+      }
+      proc.close(lfd);
+    } else if (wait_for(
+                   [&] { return listening.load(std::memory_order_acquire); })) {
+      fd = static_cast<int>(net.sys_socket(p, kSockNonblock));
+      EXPECT_TRUE(check(net.sys_connect(p, fd, kPort) == 0));
+      connected.store(true, std::memory_order_release);
+    }
+    const std::vector<std::byte>& out = streams[me];
+    const std::vector<std::byte>& want = streams[1 - me];
+    std::vector<std::byte> got(kBytes);
+    base::Rng rng(static_cast<std::uint64_t>(me) + 40);
+    std::size_t sent = 0;
+    std::size_t recvd = 0;
+    while (!failed.load(std::memory_order_acquire) &&
+           (sent < kBytes || recvd < kBytes)) {
+      bool moved = false;
+      if (sent < kBytes) {
+        const std::size_t n = std::min<std::size_t>(rng.range(1, 150),
+                                                    kBytes - sent);
+        const SysRet r = net.sys_send(p, fd, out.data() + sent, n);
+        if (!check(r > 0 || r == sysret_err(Errno::kEAGAIN))) {
+          ADD_FAILURE() << "send returned " << r;
+          break;
+        }
+        if (r > 0) sent += static_cast<std::size_t>(r);
+        moved |= r > 0;
+      }
+      if (recvd < kBytes) {
+        const std::size_t n = std::min<std::size_t>(rng.range(1, 150),
+                                                    kBytes - recvd);
+        const SysRet r = net.sys_recv(p, fd, got.data() + recvd, n);
+        if (!check(r > 0 || r == sysret_err(Errno::kEAGAIN))) {
+          ADD_FAILURE() << "recv returned " << r;
+          break;
+        }
+        if (r > 0) recvd += static_cast<std::size_t>(r);
+        moved |= r > 0;
+      }
+      if (!moved) std::this_thread::yield();
+    }
+    if (!failed.load(std::memory_order_acquire)) {
+      EXPECT_EQ(got, want);
+    }
+    // Close only once the peer has drained this side's bytes too.
+    finished.fetch_add(1, std::memory_order_acq_rel);
+    wait_for([&] { return finished.load(std::memory_order_acquire) == 2; });
+    if (fd >= 0) proc.close(fd);
+  };
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const NetStats st = net.stats();
+      EXPECT_GE(st.bytes_sent, last);
+      EXPECT_LE(st.bytes_sent, 2 * kBytes);
+      last = st.bytes_sent;
+      std::this_thread::yield();
+    }
+  });
+  std::thread a(side, 0);
+  std::thread b(side, 1);
+  a.join();
+  b.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(net.stats().bytes_sent, 2 * kBytes);
+  EXPECT_EQ(net.stats().conns_accepted, 1u);
 }
 
 }  // namespace

@@ -5,11 +5,11 @@
 // acceptance claims pin the tax:
 //
 //  1. DISABLED spans are free (<= 1% of a null syscall). A disabled
-//     SpanScope site is one relaxed atomic load and a predicted branch
-//     (the object never joins the thread-local stack, the epilogue
-//     check is one thread-local load). This bench measures a full
-//     construct+destruct of a disabled site and reports it as a
-//     fraction of the measured null syscall.
+//     SpanScope site is one relaxed atomic load of its Kernel's Kspan
+//     and a predicted branch (the object never becomes the thread's
+//     innermost span, the epilogue check is one thread-local load).
+//     This bench measures a full construct+destruct of a disabled site
+//     and reports it as a fraction of the measured null syscall.
 //
 //  2. ENABLED spans cost <= 5% webserver throughput. The N1 workload
 //     runs A/B (spans off / spans on) in alternating pairs, and the
@@ -67,15 +67,8 @@ workload::WebServerReport run_ws(bool spans_on, bool quick) {
   uk::Proc setup(kernel, "setup");
   workload::populate_www(setup, cfg);
 
-  if (spans_on) {
-    trace::kspan().enable();
-  } else {
-    trace::kspan().disable();
-  }
-  trace::kspan().reset();
-  workload::WebServerReport rep = workload::run_webserver(kernel, net, cfg);
-  trace::kspan().disable();
-  return rep;
+  kernel.kspan().set_enabled(spans_on);
+  return workload::run_webserver(kernel, net, cfg);
 }
 
 }  // namespace
@@ -92,11 +85,12 @@ int main(int argc, char** argv) {
   uk::Proc proc(kernel, "obs-bench");
 
   // --- 1. disabled span site vs the null syscall ---------------------------
-  trace::kspan().disable();
+  trace::Kspan& ks = kernel.kspan();
+  ks.set_enabled(false);
   const double null_ns = bench::null_syscall_ns(proc, kNullCalls);
-  double span_s = bench::time_best(3, [] {
+  double span_s = bench::time_best(3, [&ks] {
     for (int i = 0; i < kSpanLoops; ++i) {
-      trace::SpanScope s("bench.site", trace::SpanVehicle::kNone);
+      trace::SpanScope s(ks, "bench.site", trace::SpanVehicle::kNone);
     }
   });
   const double span_ns = span_s * 1e9 / kSpanLoops;

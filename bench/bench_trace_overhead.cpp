@@ -3,23 +3,27 @@
 // Two claims to prove:
 //
 //  1. DISABLED tracepoints are free (<1% on a null syscall). A disabled
-//     site is one relaxed atomic load + predicted branch; this bench
-//     measures that check directly, counts how many checks one getpid()
-//     crosses (by enabling the tracer and counting the events one getpid
-//     emits), and reports the product against the measured null-syscall
-//     time. It also A/Bs the same loop disabled vs enabled.
+//     site is one load of the running call's tracer from base::Current
+//     and a predicted branch; this bench times that check where sites
+//     make it -- inside a call on a Kernel whose tracer is off -- counts
+//     how many checks one getpid() crosses (by arming that Kernel's
+//     tracer and counting the events one getpid emits), and reports the
+//     product against the measured null-syscall time. It also A/Bs the
+//     same loop disabled vs enabled.
 //
 //  2. ENABLED tracing is lossless under parallel dispatch. 4 threads
 //     hammer syscalls on their own CPUs; afterwards the merged drain must
 //     equal the per-CPU emit counters exactly (drained == emitted -
 //     dropped, dropped == 0 with adequately sized rings) and the sequence
 //     numbers must come out sorted.
+#include <atomic>
 #include <cinttypes>
 #include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "trace/ktrace.hpp"
+#include "trace/tracepoint.hpp"
 #include "uk/userlib.hpp"
 
 namespace {
@@ -42,30 +46,35 @@ int main() {
   uk::Proc proc(kernel, "trace-bench");
 
   // --- 1a. per-check cost of a disabled tracepoint -------------------------
-  trace::ktrace().disable();
-  volatile unsigned sink = 0;
-  double check_s = bench::time_best(3, [&] {
-    unsigned acc = 0;
-    for (int i = 0; i < kCheckLoops; ++i) {
-      acc += static_cast<unsigned>(trace::enabled());
-    }
-    sink = sink + acc;
-  });
+  // Timed inside one call on this Kernel, whose tracer is off: the state
+  // every site in a syscall sees. The signal fence makes each iteration
+  // reload the context, as a site between other kernel code does.
+  trace::Ktrace& kt = kernel.ktrace();
+  kt.set_enabled(false);
+  double check_s = 0;
+  {
+    uk::Kernel::Scope call(kernel, proc.process(), uk::Sys::kGetpid);
+    check_s = bench::time_best(3, [] {
+      for (int i = 0; i < kCheckLoops; ++i) {
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+        USK_TRACEPOINT("bench", "disabled_check");
+      }
+    });
+  }
   const double check_ns = check_s * 1e9 / kCheckLoops;
 
   // --- 1b. how many tracepoint checks does one getpid() cross? -------------
-  // Enable briefly and count the events a single getpid emits: every
-  // emitted event was one enabled check, and the disabled path checks the
-  // same sites.
-  trace::ktrace().reset();
-  trace::ktrace().enable();
+  // Arm this Kernel's tracer briefly and count the events a single getpid
+  // emits: every emitted event was one enabled check, and the disabled
+  // path checks the same sites.
+  kt.reset();
+  kt.set_enabled(true);
   proc.getpid();
-  trace::ktrace().disable();
-  const std::uint64_t checks_per_call = trace::ktrace().emitted();
-  (void)trace::ktrace().drain();
+  kt.set_enabled(false);
+  const std::uint64_t checks_per_call = kt.emitted();
 
   // --- 1c. null syscall with tracing disabled ------------------------------
-  trace::ktrace().reset();
+  kt.reset();
   const double null_ns = bench::null_syscall_ns(proc, kNullCalls);
   const double overhead_pct =
       100.0 * (static_cast<double>(checks_per_call) * check_ns) / null_ns;
@@ -81,12 +90,12 @@ int main() {
               null_ns * kNullCalls / 1e9);
 
   // --- 1d. A/B: the same loop with tracing enabled -------------------------
-  trace::ktrace().reset();
-  trace::ktrace().configure(1 << 16);
-  trace::ktrace().enable();
+  kt.reset();
+  kt.configure(1 << 16);
+  kt.set_enabled(true);
   const double null_on_ns = bench::null_syscall_ns(proc, 20000);
-  trace::ktrace().disable();
-  trace::ktrace().reset();
+  kt.set_enabled(false);
+  kt.reset();
   std::printf("%-34s %12.1f ns  (x%.2f)\n", "null syscall (tracing on)",
               null_on_ns, null_on_ns / null_ns);
   json.record("null_syscall_enabled", 1, 1e9 / null_on_ns,
@@ -95,8 +104,8 @@ int main() {
   // --- 2. lossless enabled tracing under 4-thread dispatch -----------------
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 4000;
-  trace::ktrace().configure(1 << 16);  // >> events per CPU: no drops
-  trace::ktrace().enable();
+  kt.configure(1 << 16);  // >> events per CPU: no drops
+  kt.set_enabled(true);
 
   double par_s = bench::time_once([&] {
     std::vector<std::thread> workers;
@@ -124,11 +133,11 @@ int main() {
     }
     for (auto& w : workers) w.join();
   });
-  trace::ktrace().disable();
+  kt.set_enabled(false);
 
-  const std::uint64_t emitted = trace::ktrace().emitted();
-  const std::uint64_t dropped = trace::ktrace().dropped();
-  std::vector<trace::TraceEvent> events = trace::ktrace().drain();
+  const std::uint64_t emitted = kt.emitted();
+  const std::uint64_t dropped = kt.dropped();
+  std::vector<trace::TraceEvent> events = kt.drain();
   bool sorted = true;
   for (std::size_t i = 1; i < events.size(); ++i) {
     if (events[i - 1].seq >= events[i].seq) sorted = false;
@@ -144,7 +153,6 @@ int main() {
               lossless && sorted ? "PASS" : "FAIL");
   json.record("parallel_traced_syscalls", kThreads,
               static_cast<double>(kThreads) * kCallsPerThread / par_s, par_s);
-  trace::ktrace().reset();
 
   bench::print_note("disabled overhead = checks/call x check cost vs the "
                     "measured null syscall; lossless = merged drain equals "

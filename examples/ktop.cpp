@@ -360,7 +360,8 @@ int main() {
     // Each frame's burst runs under a root span, so every syscall Scope
     // below attributes its crossings and copy bytes to "ktop.frame".
     {
-      trace::SpanScope span("ktop.frame", trace::SpanVehicle::kPlain);
+      trace::SpanScope span(kernel.kspan(), "ktop.frame",
+                            trace::SpanVehicle::kPlain);
       for (int round = 0; round < 8; ++round) workload(top, round);
       socket_workload(net, top, static_cast<std::uint16_t>(9000 + frame));
     }

@@ -28,11 +28,10 @@
 //     written back and the backend flushed before it returns.
 //
 //   * Dirty accounting for ksup. Each clean->dirty transition consults
-//     the calling thread's dirty-charge hook (tl_dirty_charge), which a
-//     supervised invocation installs for its lifetime to charge its
-//     dirty-page budget; a rejecting hook fails the write with EDQUOT
-//     before any state changes. The hook is a raw fn+ctx pair because
-//     blockdev cannot depend on sup.
+//     the calling thread's dirty-page charge (base::Current::dirty),
+//     which a supervised invocation installs for its lifetime to charge
+//     its dirty-page budget; a rejecting charge fails the write with
+//     EDQUOT before any state changes.
 //
 // Writeback failure semantics are unchanged from the seed: a block whose
 // writeback fails STAYS cached and dirty -- sync can be retried; no data
@@ -51,6 +50,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/current.hpp"
 #include "blockdev/block_backend.hpp"
 #include "blockdev/disk.hpp"
 
@@ -78,16 +78,6 @@ struct WritebackConfig {
   std::uint32_t max_age_ms = 500;     ///< any dirty block older than this goes
   std::uint32_t max_batch = 64;       ///< blocks per wakeup
 };
-
-/// Per-thread dirty-charge hook (supervisor dirty-page budgets), called
-/// with the blocks a clean->dirty transition is about to dirty; false
-/// fails the write with EDQUOT. sup::InvocationGuard installs one for its
-/// lifetime and restores the previous one at exit; none = no charge.
-struct DirtyCharge {
-  bool (*fn)(void* ctx, std::uint64_t blocks) = nullptr;
-  void* ctx = nullptr;
-};
-inline thread_local DirtyCharge tl_dirty_charge;
 
 class BufferCache {
  public:
@@ -277,10 +267,10 @@ class BufferCache {
     return {};
   }
 
-  /// Consult the thread's dirty-charge hook; a refusal is counted and
+  /// Consult the thread's dirty-page charge; a refusal is counted and
   /// fails the write with EDQUOT.
   Result<void> charge_dirty_locked(std::uint64_t blocks) {
-    const DirtyCharge& c = tl_dirty_charge;
+    const base::DirtyCharge& c = base::current().dirty;
     if (c.fn == nullptr || c.fn(c.ctx, blocks)) return {};
     ++stats_.gate_rejects;
     return Errno::kEDQUOT;

@@ -78,7 +78,8 @@ inline SysRet sys_open_fstat(uk::Kernel& k, uk::Process& p,
 /// Linux's accept4 drops the new file) and the call fails with EFAULT.
 inline SysRet sys_accept_recv(uk::Kernel& k, uk::Process& p, int listenfd,
                               void* ubuf, std::size_t n, int* uconnfd) {
-  trace::SpanScope span("net.accept_recv", trace::SpanVehicle::kConsolidated);
+  trace::SpanScope span(k.kspan(), "net.accept_recv",
+                        trace::SpanVehicle::kConsolidated);
   return k.syscall(p, uk::Sys::kAcceptRecv,
                    {uk::Kernel::iarg(listenfd), uk::Kernel::uarg(ubuf), n,
                     uk::Kernel::uarg(uconnfd)});
@@ -90,7 +91,8 @@ inline SysRet sys_accept_recv(uk::Kernel& k, uk::Process& p, int listenfd,
 inline SysRet sys_sendfile(uk::Kernel& k, uk::Process& p, int sockfd,
                            const char* upath, std::uint64_t offset,
                            std::size_t count) {
-  trace::SpanScope span("net.sendfile", trace::SpanVehicle::kConsolidated);
+  trace::SpanScope span(k.kspan(), "net.sendfile",
+                        trace::SpanVehicle::kConsolidated);
   return k.syscall(p, uk::Sys::kSendfile,
                    {uk::Kernel::iarg(sockfd), uk::Kernel::uarg(upath), offset,
                     count});

@@ -24,7 +24,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
   // a guard for this extension (a routed invocation or a re-admission
   // probe), reuse it instead of nesting a second accounting frame.
   std::optional<sup::InvocationGuard> own_guard;
-  sup::InvocationGuard* guard = sup::InvocationGuard::current();
+  sup::InvocationGuard* guard = base::current().guard;
   if (sup_ == nullptr) {
     guard = nullptr;
   } else if (guard == nullptr || !guard->matches(*sup_, sup_id_)) {
@@ -35,7 +35,8 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
   // Compound-entry span, declared BEFORE the syscall scope so the scope
   // epilogue attributes the kCosy crossing to it. Destruction order then
   // publishes the span after attribution lands.
-  trace::SpanScope span("cosy.compound", trace::SpanVehicle::kCosy,
+  trace::SpanScope span(k_.kspan(), "cosy.compound",
+                        trace::SpanVehicle::kCosy,
                         sup_ != nullptr ? sup_id_ : -1);
   span.watch_result(&out.ret);
   uk::Kernel::Scope scope(k_, p, uk::Sys::kCosy);
@@ -119,7 +120,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
   // opened, so an abort after any prefix (kfail, quota overrun, watchdog
   // kill, a faulting op) closes them: the caller never learned their
   // numbers, so nobody else would.
-  uk::Kernel::FdLedger ledger(k_, p);
+  uk::FdLedger ledger(k_, p);
   auto abort = [&](Errno e) {
     stats_.fds_rolled_back += ledger.rollback().size();
     ++stats_.aborted;

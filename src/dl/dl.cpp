@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "base/appendf.hpp"
+#include "base/current.hpp"
 
 namespace usk::dl {
 
 namespace {
-
-thread_local DeadlineScope* t_current = nullptr;
 
 /// SplitMix64 for retry-budget jitter: a pure function of (seed, draw#)
 /// so backoff schedules replay exactly from the tenant seed, like kfail
@@ -82,7 +82,7 @@ Errno Kdl::fail_fast_armed(sched::Task* task, Site site) {
   Errno e = Errno::kOk;
   if (task != nullptr && task->cancel_pending()) {
     e = Errno::kECANCELED;
-  } else if (DeadlineScope* ds = DeadlineScope::current();
+  } else if (const DeadlineScope* ds = base::current().deadline;
              ds != nullptr && ds->expired()) {
     e = Errno::kETIMEDOUT;
   } else {
@@ -151,8 +151,7 @@ DeadlineScope::DeadlineScope(Kdl& kdl, std::chrono::nanoseconds budget,
   deadline_ = start_ + budget;
   task_ = task;
   tenant_ = tenant;
-  prev_ = t_current;
-  t_current = this;
+  prev_ = std::exchange(base::current().deadline, this);
   DlStats& st = kdl_.stats();
   st.attached.fetch_add(1, std::memory_order_relaxed);
   st.active.fetch_add(1, std::memory_order_relaxed);
@@ -160,7 +159,7 @@ DeadlineScope::DeadlineScope(Kdl& kdl, std::chrono::nanoseconds budget,
 
 DeadlineScope::~DeadlineScope() {
   if (!armed_) return;
-  t_current = prev_;
+  base::current().deadline = prev_;
   DlStats& st = kdl_.stats();
   st.active.fetch_sub(1, std::memory_order_relaxed);
   // The unwind is over: a pending cancel must not leak into the serving
@@ -183,8 +182,6 @@ DeadlineScope::~DeadlineScope() {
     st.completed.fetch_add(1, std::memory_order_relaxed);
   }
 }
-
-DeadlineScope* DeadlineScope::current() { return t_current; }
 
 std::int64_t DeadlineScope::remaining_ns() const {
   if (auto f = USK_FAIL_POINT(fault::Site::kDlClockSkew); f.fail) {

@@ -6,8 +6,8 @@
 //
 //  1. Deadline propagation. A request picks up a dl::DeadlineScope at
 //     ingress (webserver accept, ring chain submission, Cosy compound
-//     entry). The scope rides the same thread-local mechanism as kspan
-//     (trace::SpanScope): synchronous kernel work on the serving thread
+//     entry). The scope rides the same per-thread context as kspan
+//     (base::Current): synchronous kernel work on the serving thread
 //     sees it for free, with zero per-request allocation. The syscall
 //     gateway (uk::Kernel::Scope), ring chains and Cosy compounds check
 //     it through Kdl::fail_fast, and every blocking vehicle parks
@@ -163,11 +163,11 @@ class Kdl {
   std::vector<RetryBudget*> tenants_;
 };
 
-/// RAII per-request deadline, stacked on a thread-local exactly like
-/// trace::SpanScope. Construct at ingress with the Kdl it reports to
-/// (the serving Kernel's), the request's budget and the serving Task
-/// (nullable for non-task contexts); nested scopes shadow the outer one
-/// (a sub-operation may run under a tighter deadline). When that Kdl is
+/// RAII per-request deadline, the thread's base::Current::deadline while
+/// it lives. Construct at ingress with the Kdl it reports to (the serving
+/// Kernel's), the request's budget and the serving Task (nullable for
+/// non-task contexts); nested scopes shadow the outer one (a
+/// sub-operation may run under a tighter deadline). When that Kdl is
 /// disabled at construction the scope is inert: no clock read, no stack
 /// push, no destructor work.
 class DeadlineScope {
@@ -178,9 +178,6 @@ class DeadlineScope {
 
   DeadlineScope(const DeadlineScope&) = delete;
   DeadlineScope& operator=(const DeadlineScope&) = delete;
-
-  /// Innermost live scope on this thread (nullptr when none / disabled).
-  static DeadlineScope* current();
 
   [[nodiscard]] Clock::time_point deadline() const { return deadline_; }
   [[nodiscard]] sched::Task* task() const { return task_; }

@@ -78,14 +78,6 @@ class FileSystem {
                                  v.begin() + static_cast<std::ptrdiff_t>(end));
   }
 
-  /// Hook invoked by the VFS when a file is opened (after the existence
-  /// and type checks pass). Synthetic filesystems (ProcFs) render their
-  /// content here; stored filesystems have nothing to do.
-  virtual Result<void> open_file(InodeNum ino) {
-    (void)ino;
-    return Errno::kOk;
-  }
-
   /// Hook invoked by the VFS when a file descriptor referencing `ino` is
   /// released (close) or duplicated (dup). Filesystems whose objects have
   /// fd-bound lifetimes (net::SocketFs refcounts its sockets) override

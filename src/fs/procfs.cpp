@@ -202,22 +202,14 @@ Result<void> ProcFs::rename(InodeNum, std::string_view, InodeNum,
   return Errno::kEROFS;
 }
 
-Result<void> ProcFs::open_file(InodeNum ino) {
-  std::lock_guard lk(mu_);
-  Node* n = get(ino);
-  if (n == nullptr) return Errno::kENOENT;
-  if (n->type == FileType::kRegular) n->snapshot = n->render();
-  return Errno::kOk;
-}
-
 Result<std::size_t> ProcFs::read(InodeNum ino, std::uint64_t offset,
                                  std::span<std::byte> out) {
   std::lock_guard lk(mu_);
   Node* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
   if (n->type != FileType::kRegular) return Errno::kEISDIR;
-  // A fresh sequential read re-renders, so readers that seek back to 0
-  // (or never open_file'd, e.g. direct FileSystem users) see live data.
+  // The one render: a read at offset 0 generates the text, and the
+  // following reads continue through that snapshot.
   if (offset == 0) n->snapshot = n->render();
   if (offset >= n->snapshot.size()) return std::size_t{0};
   std::size_t len =

@@ -1,9 +1,9 @@
 // ProcFs: a read-mostly synthetic filesystem (the /proc analogue).
 //
 // Nothing here is stored data: every regular file has a renderer that
-// generates its text when the file is opened (FileSystem::open_file), so
-// user tasks inspect the live kernel through ordinary open/read syscalls
-// -- syscalls that are themselves traced and histogrammed, closing the
+// generates its text when a read starts at offset 0, so user tasks
+// inspect the live kernel through ordinary open/read syscalls --
+// syscalls that are themselves traced and histogrammed, closing the
 // observability loop. Files stat with size 0, exactly like the real
 // /proc; readers loop until read() returns 0.
 //
@@ -121,7 +121,6 @@ class ProcFs final : public FileSystem {
   Result<void> truncate(InodeNum ino, std::uint64_t size) override;
   Result<void> getattr(InodeNum ino, StatBuf* st) override;
   Result<std::vector<DirEntry>> readdir(InodeNum dir) override;
-  Result<void> open_file(InodeNum ino) override;
 
  private:
   static constexpr InodeNum kRootIno = 1;

@@ -176,12 +176,6 @@ Result<int> Vfs::open(FdTable& fds, std::string_view path, int flags,
   if (st.type == FileType::kDirectory && (flags & kAccessMode) != kORdOnly) {
     return Errno::kEISDIR;
   }
-  if (st.type == FileType::kRegular) {
-    // Let the filesystem see the open: synthetic filesystems (ProcFs)
-    // render their content here.
-    Errno oe = loc.value().fs->open_file(loc.value().ino);
-    if (oe != Errno::kOk) return oe;
-  }
 
   OpenFile f;
   f.ino = loc.value().ino;

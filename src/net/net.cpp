@@ -365,7 +365,8 @@ SysRet Net::handle_accept(uk::Process& p, const SysArgs& a,
   if (!r) return sysret_err(r.error());
   // Request ingress: stamp the event stream with the enclosing span, so a
   // drained trace can join point events to the span tree.
-  USK_TRACEPOINT("span", "ingress", trace::SpanScope::current_id(),
+  USK_TRACEPOINT("span", "ingress",
+                 base::current().span ? base::current().span->id() : 0,
                  static_cast<std::uint64_t>(r.value()));
   return r.value();
 }
@@ -520,7 +521,7 @@ SysRet Net::handle_accept_recv(uk::Process& p, const SysArgs& a,
                                uk::BufMode m) {
   USK_TRACE_LATENCY("net", "accept_recv");
   if (a.a1 == 0 || a.a3 == 0) return sysret_err(Errno::kEFAULT);
-  Kernel::FdLedger ledger(k_, p);
+  uk::FdLedger ledger(k_, p);
   const SysRet connfd = ledger.call(Sys::kAccept, {a.a0}, m);
   if (connfd < 0) return connfd;
   const SysRet r =
@@ -556,10 +557,11 @@ SysRet Net::handle_sendfile(uk::Process& p, const SysArgs& a, uk::BufMode m) {
 
   // Pump file -> socket entirely kernel-side, one page-sized chunk at a
   // time: read and send share one kernel page in kernel-buffer mode, so
-  // no byte of the payload is copied to or from the caller.
+  // no byte of the payload is copied to or from the caller. The page is
+  // not zeroed: only the bytes a read wrote into it are ever sent.
   constexpr std::size_t kChunk = 4096;
-  std::vector<std::byte> page(kChunk);
-  const std::uint64_t kpage = Kernel::uarg(page.data());
+  std::byte page[kChunk];
+  const std::uint64_t kpage = Kernel::uarg(page);
   std::uint64_t pos = a.a2;
   std::uint64_t total = 0;
   SysRet err = 0;

@@ -234,7 +234,7 @@ Result<void> RingDev::supervise(uk::Process& p, int ringfd,
 // --- the submission engine --------------------------------------------------
 
 SysRet RingDev::exec_sqe(Ring& r, const Sqe& e, bool classic,
-                         uk::Kernel::FdLedger& ledger, std::size_t tag) {
+                         uk::FdLedger& ledger, std::size_t tag) {
   if (e.nr == uk::Sys{}) return 0;  // no-op
   const uk::SysSig& sig = uk::sys_sig(e.nr);
   // Only nestable calls: an SQE can never re-enter a ring.
@@ -286,13 +286,14 @@ void RingDev::exec_chain(uk::Process& p, Ring& r,
   // span submitted the enter (chains drain on the submitting thread).
   // Classic decomposition keeps the same parent, so a quarantined
   // ring's fallback work stays inside the original request tree.
-  sup::InvocationGuard* g = sup::InvocationGuard::current();
-  trace::SpanScope span(classic ? "ring.chain.classic" : "ring.chain",
+  const sup::InvocationGuard* g = base::current().guard;
+  trace::SpanScope span(k_.kspan(),
+                        classic ? "ring.chain.classic" : "ring.chain",
                         classic ? trace::SpanVehicle::kFallback
                                 : trace::SpanVehicle::kRing,
                         g != nullptr ? g->ext() : -1);
   const std::uint64_t kunits0 = p.task.times().kernel;
-  uk::Kernel::FdLedger ledger(k_, p);  ///< its latest() is kFdChain
+  uk::FdLedger ledger(k_, p);  ///< its latest() is kFdChain
   bool failed = false;
   out.reserve(out.size() + chain.size());
   for (const Sqe& e : chain) {

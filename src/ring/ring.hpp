@@ -356,7 +356,7 @@ class RingDev {
                   bool classic, Errno* violation, std::vector<Cqe>& out);
   /// One SQE through `ledger`, its registers translated by signature.
   SysRet exec_sqe(Ring& r, const Sqe& e, bool classic,
-                  uk::Kernel::FdLedger& ledger, std::size_t tag);
+                  uk::FdLedger& ledger, std::size_t tag);
   std::size_t post_cqes(Ring& r, std::vector<Cqe>& cqes, bool classic,
                         Errno* violation);
   void close_ring(const std::shared_ptr<Ring>& r);

@@ -1,7 +1,6 @@
 #include "store/image.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -28,8 +27,8 @@ Errno host_errno() {
 
 BackingImage::~BackingImage() { close(); }
 
-Result<void> BackingImage::open(const std::string& path, std::uint64_t blocks,
-                                ImageMode mode) {
+Result<void> BackingImage::open(const std::string& path,
+                                std::uint64_t blocks) {
   std::lock_guard lk(mu_);
   if (fd_ >= 0) return Errno::kEBUSY;
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -45,27 +44,14 @@ Result<void> BackingImage::open(const std::string& path, std::uint64_t blocks,
     ::close(fd);
     return host_errno();
   }
-  if (mode == ImageMode::kMmap) {
-    void* m = ::mmap(nullptr, want, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-    if (m == MAP_FAILED) {
-      ::close(fd);
-      return Errno::kENOMEM;
-    }
-    map_ = static_cast<std::uint8_t*>(m);
-  }
   fd_ = fd;
   path_ = path;
   blocks_ = blocks;
-  mode_ = mode;
   return {};
 }
 
 void BackingImage::close() {
   std::lock_guard lk(mu_);
-  if (map_ != nullptr) {
-    ::munmap(map_, blocks_ * kBlockBytes);
-    map_ = nullptr;
-  }
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -77,23 +63,19 @@ void BackingImage::close() {
 
 Result<void> BackingImage::pread_raw(std::uint64_t offset, void* buf,
                                      std::size_t len) {
-  if (mode_ == ImageMode::kMmap) {
-    std::memcpy(buf, map_ + offset, len);
-  } else {
-    std::size_t done = 0;
-    while (done < len) {
-      ssize_t n = ::pread(fd_, static_cast<std::uint8_t*>(buf) + done,
-                          len - done, static_cast<off_t>(offset + done));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return host_errno();
-      }
-      if (n == 0) {  // past EOF (shouldn't happen: file pre-sized)
-        std::memset(static_cast<std::uint8_t*>(buf) + done, 0, len - done);
-        break;
-      }
-      done += static_cast<std::size_t>(n);
+  std::size_t done = 0;
+  while (done < len) {
+    ssize_t n = ::pread(fd_, static_cast<std::uint8_t*>(buf) + done,
+                        len - done, static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return host_errno();
     }
+    if (n == 0) {  // past EOF (shouldn't happen: file pre-sized)
+      std::memset(static_cast<std::uint8_t*>(buf) + done, 0, len - done);
+      break;
+    }
+    done += static_cast<std::size_t>(n);
   }
   ++stats_.preads;
   stats_.bytes_read += len;
@@ -102,19 +84,15 @@ Result<void> BackingImage::pread_raw(std::uint64_t offset, void* buf,
 
 Result<void> BackingImage::pwrite_raw(std::uint64_t offset, const void* buf,
                                       std::size_t len) {
-  if (mode_ == ImageMode::kMmap) {
-    std::memcpy(map_ + offset, buf, len);
-  } else {
-    std::size_t done = 0;
-    while (done < len) {
-      ssize_t n = ::pwrite(fd_, static_cast<const std::uint8_t*>(buf) + done,
-                           len - done, static_cast<off_t>(offset + done));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return host_errno();
-      }
-      done += static_cast<std::size_t>(n);
+  std::size_t done = 0;
+  while (done < len) {
+    ssize_t n = ::pwrite(fd_, static_cast<const std::uint8_t*>(buf) + done,
+                         len - done, static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return host_errno();
     }
+    done += static_cast<std::size_t>(n);
   }
   ++stats_.pwrites;
   stats_.bytes_written += len;
@@ -194,11 +172,6 @@ Result<void> BackingImage::flush() {
     // Transient: first fsync attempt failed, retry succeeds below.
     ++stats_.fsync_failures;
   }
-  if (mode_ == ImageMode::kMmap) {
-    if (::msync(map_, blocks_ * kBlockBytes, MS_SYNC) != 0) {
-      return host_errno();
-    }
-  }
   if (::fsync(fd_) != 0) return host_errno();
   ++stats_.fsyncs;
   USK_TRACEPOINT("store", "fsync", stats_.fsyncs, 0);
@@ -275,11 +248,6 @@ Result<void> BackingImage::simulate_crash(std::size_t prefix,
                 std::min(tear_bytes, w.data.size()));
   }
   USK_TRY(pwrite_raw(0, img.data(), img.size()));
-  if (mode_ == ImageMode::kMmap) {
-    if (::msync(map_, blocks_ * kBlockBytes, MS_SYNC) != 0) {
-      return host_errno();
-    }
-  }
   if (::fsync(fd_) != 0) return host_errno();
   // The crash state is the new reality; recovery re-enables capture.
   capture_ = false;

@@ -1,16 +1,10 @@
 // BackingImage: the persistent storage tier's on-disk image file.
 //
 // Everything below this line in the storage stack is REAL: a block written
-// here lands in an actual file via pwrite (or a store into an mmap'd
-// region), and flush() is a genuine fsync/msync. This is what makes the
-// torn-write/replay oracle honest -- recovery reads back whatever the
-// simulated power cut left in the file, not an in-memory stand-in.
-//
-// Two access modes, chosen at open:
-//   * kPread  -- pread/pwrite per block (the default; no address-space
-//                cost, write sizes visible to the crash-capture log)
-//   * kMmap   -- the whole image mapped once; block access is memcpy,
-//                flush is msync. Same durability contract.
+// here lands in an actual file via pwrite, and flush() is a genuine
+// fsync. This is what makes the torn-write/replay oracle honest --
+// recovery reads back whatever the simulated power cut left in the file,
+// not an in-memory stand-in.
 //
 // Crash capture (enable_crash_capture) is the kill-9 oracle's substrate:
 // while enabled, every write is appended to a write log (the stable
@@ -41,8 +35,6 @@ namespace usk::store {
 
 inline constexpr std::size_t kBlockBytes = 4096;
 
-enum class ImageMode : std::uint8_t { kPread = 0, kMmap };
-
 struct ImageStats {
   std::uint64_t preads = 0;
   std::uint64_t pwrites = 0;
@@ -69,12 +61,11 @@ class BackingImage {
   /// Create-or-open `path` sized to `blocks` 4 KiB blocks. An existing
   /// file is kept (its contents are the persistent state); a new or short
   /// file is extended with zeroes.
-  [[nodiscard]] Result<void> open(const std::string& path, std::uint64_t blocks,
-                                  ImageMode mode = ImageMode::kPread);
+  [[nodiscard]] Result<void> open(const std::string& path,
+                                  std::uint64_t blocks);
   void close();
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   [[nodiscard]] std::uint64_t blocks() const { return blocks_; }
-  [[nodiscard]] ImageMode mode() const { return mode_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
   /// Whole-block read/write. `buf` is kBlockBytes long.
@@ -86,7 +77,7 @@ class BackingImage {
   [[nodiscard]] Result<void> read_bytes(std::uint64_t offset, void* buf,
                                         std::size_t len);
 
-  /// Durability barrier: fsync (pread mode) or msync+fsync (mmap mode).
+  /// Durability barrier: fsync.
   [[nodiscard]] Result<void> flush();
 
   [[nodiscard]] ImageStats stats() const;
@@ -133,8 +124,6 @@ class BackingImage {
   std::string path_;
   int fd_ = -1;
   std::uint64_t blocks_ = 0;
-  ImageMode mode_ = ImageMode::kPread;
-  std::uint8_t* map_ = nullptr;  ///< mmap base (kMmap mode)
   ImageStats stats_;
 
   bool capture_ = false;

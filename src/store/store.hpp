@@ -52,7 +52,6 @@ namespace usk::store {
 struct StoreConfig {
   std::uint64_t data_blocks = 1024;
   std::uint64_t journal_blocks = 256;
-  ImageMode mode = ImageMode::kPread;
   JournalConfig journal{};
 };
 

@@ -74,7 +74,8 @@ SysRet supervised_accept_recv(Supervisor& s, ExtId id, net::Net& net,
       // probe attempt distinctly from routine kernel-path requests.
       std::optional<trace::SpanScope> probe_span;
       if (r == Route::kProbe) {
-        probe_span.emplace("sup.probe", trace::SpanVehicle::kProbe, id);
+        probe_span.emplace(k.kspan(), "sup.probe", trace::SpanVehicle::kProbe,
+                           id);
       }
       InvocationGuard g(s, id, &p.task, r, &ret);
       // The kernel path stages the request into an n-byte kernel buffer;
@@ -96,8 +97,8 @@ SysRet supervised_accept_recv(Supervisor& s, ExtId id, net::Net& net,
   // inside the original request's tree (same span discipline as the
   // kernel path, different vehicle tag).
   SysRet ret = 0;
-  trace::SpanScope span("sup.fallback", trace::SpanVehicle::kFallback,
-                        id);
+  trace::SpanScope span(k.kspan(), "sup.fallback",
+                        trace::SpanVehicle::kFallback, id);
   InvocationGuard g(s, id, &p.task, Route::kFallback, &ret);
   if (auto f = USK_FAIL_POINT(fault::Site::kSupFallback); f.fail) {
     ret = sysret_err(f.err);
@@ -119,7 +120,8 @@ SysRet supervised_sendfile(Supervisor& s, ExtId id, net::Net& net,
     {
       std::optional<trace::SpanScope> probe_span;
       if (r == Route::kProbe) {
-        probe_span.emplace("sup.probe", trace::SpanVehicle::kProbe, id);
+        probe_span.emplace(k.kspan(), "sup.probe", trace::SpanVehicle::kProbe,
+                           id);
       }
       InvocationGuard g(s, id, &p.task, r, &ret);
       // Kernel-side staging page for the file->socket move.
@@ -135,8 +137,8 @@ SysRet supervised_sendfile(Supervisor& s, ExtId id, net::Net& net,
     // sys_sendfile fails only with zero bytes sent: decompose and retry.
   }
   SysRet ret = 0;
-  trace::SpanScope span("sup.fallback", trace::SpanVehicle::kFallback,
-                        id);
+  trace::SpanScope span(k.kspan(), "sup.fallback",
+                        trace::SpanVehicle::kFallback, id);
   InvocationGuard g(s, id, &p.task, Route::kFallback, &ret);
   if (auto f = USK_FAIL_POINT(fault::Site::kSupFallback); f.fail) {
     ret = sysret_err(f.err);

@@ -78,7 +78,8 @@ void SloMonitor::observe(ExtId id, std::uint64_t wall_ns, bool ok) {
   if (!raise) return;
   // Outside mu_: record_violation takes the supervisor lock, and the
   // breaker can quarantine right here.
-  USK_TRACEPOINT("sup", "slo_breach", static_cast<std::uint64_t>(id));
+  USK_TRACEPOINT_TO(s_.kernel().ktrace().armed(), "sup", "slo_breach",
+                    static_cast<std::uint64_t>(id));
   USK_KLOG_RATELIMIT_NAMED(
       "sup.slo", base::LogLevel::kWarn, 16u,
       "sup: extension %d sustained SLO burn (latency/error windows); "

@@ -15,10 +15,6 @@ namespace usk::sup {
 
 namespace {
 
-/// The innermost active guard on this thread; Supervisor::on_syscall
-/// reads it to attribute work units to the running invocation.
-thread_local InvocationGuard* tl_guard = nullptr;
-
 bool parse_u64(std::string_view s, std::uint64_t* out) {
   if (s.empty()) return false;
   std::uint64_t v = 0;
@@ -106,15 +102,14 @@ const char* event_name(EventKind k) {
 InvocationGuard::InvocationGuard(Supervisor& s, ExtId id, sched::Task* task,
                                  Route route, const SysRet* ret)
     : s_(s), id_(id), task_(task), route_(route), ret_ptr_(ret),
-      prev_(tl_guard) {
-  tl_guard = this;
+      prev_(std::exchange(base::current().guard, this)) {
   // The buffer cache charges this invocation's dirty-page budget on every
   // clean->dirty transition the thread causes; a fallback run is classic
   // user-space code, exempt.
-  blockdev::DirtyCharge charge;
+  base::DirtyCharge charge;
   if (route_ != Route::kFallback) charge = {&charge_dirty, this};
-  prev_dirty_ = std::exchange(blockdev::tl_dirty_charge, charge);
-  wall0_ = trace::ktrace().now_ns();
+  prev_dirty_ = std::exchange(base::current().dirty, charge);
+  wall0_ = trace::now_ns();
   if (task_ != nullptr) {
     units0_ = task_->times().kernel;
     old_budget_ = task_->kernel_budget();
@@ -132,8 +127,8 @@ InvocationGuard::InvocationGuard(Supervisor& s, ExtId id, sched::Task* task,
 }
 
 InvocationGuard::~InvocationGuard() {
-  tl_guard = prev_;
-  blockdev::tl_dirty_charge = prev_dirty_;
+  base::current().guard = prev_;
+  base::current().dirty = prev_dirty_;
   std::uint64_t units = 0;
   if (task_ != nullptr) {
     if (narrowed_) task_->set_kernel_budget(old_budget_);
@@ -151,7 +146,7 @@ InvocationGuard::~InvocationGuard() {
       forced = ViolationKind::kQuotaUnits;
     }
   }
-  const std::uint64_t wall_ns = trace::ktrace().now_ns() - wall0_;
+  const std::uint64_t wall_ns = trace::now_ns() - wall0_;
   s_.finish_invocation(id_, route_, result, wall_ns, forced);
 }
 
@@ -208,8 +203,6 @@ bool InvocationGuard::over_unit_quota() const {
   if (q.invocation_units == 0) return false;
   return task_->times().kernel - units0_ > q.invocation_units;
 }
-
-InvocationGuard* InvocationGuard::current() { return tl_guard; }
 
 // --- Supervisor -------------------------------------------------------------
 
@@ -319,7 +312,8 @@ void Supervisor::record_reisolation(ExtId id, std::string_view fn_name) {
   ++e.stats.reisolations;
   push_event_locked(e, id, EventKind::kReisolation, ViolationKind::kSegFault,
                     Errno::kEFAULT);
-  USK_TRACEPOINT("sup", "reisolation", static_cast<std::uint64_t>(id));
+  USK_TRACEPOINT_TO(k_.ktrace().armed(), "sup", "reisolation",
+                    static_cast<std::uint64_t>(id));
   USK_KLOG_RATELIMIT_NAMED(
       "sup.reisolation", base::LogLevel::kWarn, 16u,
       "sup: extension %d function '%.*s' re-isolated after violation", id,
@@ -380,7 +374,7 @@ bool Supervisor::policy_from_spec(std::string_view spec, BreakerPolicy* out) {
 }
 
 void Supervisor::on_syscall(const uk::SyscallRecord& r) {
-  InvocationGuard* g = tl_guard;
+  const InvocationGuard* g = base::current().guard;
   if (g == nullptr || &g->supervisor() != this) return;
   std::lock_guard lk(mu_);
   Ext& e = exts_.at(static_cast<std::size_t>(g->ext()));
@@ -491,14 +485,16 @@ void Supervisor::finish_invocation_locked(Ext& e, ExtId id, Route route,
       push_window_locked(e, false);
       push_event_locked(e, id, EventKind::kProbeClean, ViolationKind::kNone,
                         Errno::kOk);
-      USK_TRACEPOINT("sup", "probe_clean", static_cast<std::uint64_t>(id));
+      USK_TRACEPOINT_TO(k_.ktrace().armed(), "sup", "probe_clean",
+                        static_cast<std::uint64_t>(id));
       if (e.clean_streak >= e.policy.probation_clean_runs) {
         e.health = Health::kHealthy;
         ++e.stats.readmissions;
         e.backoff_current = e.policy.backoff_initial;
         push_event_locked(e, id, EventKind::kReadmission,
                           ViolationKind::kNone, Errno::kOk);
-        USK_TRACEPOINT("sup", "readmission", static_cast<std::uint64_t>(id));
+        USK_TRACEPOINT_TO(k_.ktrace().armed(), "sup", "readmission",
+                          static_cast<std::uint64_t>(id));
       }
     } else {
       ++e.stats.failed_probes;
@@ -510,8 +506,8 @@ void Supervisor::finish_invocation_locked(Ext& e, ExtId id, Route route,
       if (e.backoff_current == 0) e.backoff_current = 1;
       e.backoff_remaining = e.backoff_current;
       push_event_locked(e, id, EventKind::kProbeFailed, kind, err);
-      USK_TRACEPOINT("sup", "probe_failed", static_cast<std::uint64_t>(id),
-                     e.backoff_current);
+      USK_TRACEPOINT_TO(k_.ktrace().armed(), "sup", "probe_failed",
+                        static_cast<std::uint64_t>(id), e.backoff_current);
       USK_KLOG_RATELIMIT_NAMED(
           "sup.probe", base::LogLevel::kWarn, 16u,
           "sup: extension %d ('%s') probe failed (%s); backoff now %u", id,
@@ -532,7 +528,8 @@ void Supervisor::finish_invocation_locked(Ext& e, ExtId id, Route route,
         e.backoff_current = e.policy.backoff_initial;
         push_event_locked(e, id, EventKind::kReadmission,
                           ViolationKind::kNone, Errno::kOk);
-        USK_TRACEPOINT("sup", "readmission", static_cast<std::uint64_t>(id));
+        USK_TRACEPOINT_TO(k_.ktrace().armed(), "sup", "readmission",
+                          static_cast<std::uint64_t>(id));
         USK_KLOG_RATELIMIT_NAMED(
             "sup.readmit", base::LogLevel::kInfo, 16u,
             "sup: extension %d ('%s') re-admitted after %u clean runs", id,
@@ -560,13 +557,15 @@ void Supervisor::record_violation_locked(Ext& e, ExtId id,
   push_event_locked(e, id,
                     quota ? EventKind::kQuotaOverrun : EventKind::kViolation,
                     kind, err);
-  USK_TRACEPOINT("sup", "violation", static_cast<std::uint64_t>(id),
-                 static_cast<std::uint64_t>(kind));
+  USK_TRACEPOINT_TO(k_.ktrace().armed(), "sup", "violation",
+                    static_cast<std::uint64_t>(id),
+                    static_cast<std::uint64_t>(kind));
   switch (e.health) {
     case Health::kHealthy:
       e.health = Health::kProbation;
       push_event_locked(e, id, EventKind::kProbation, kind, err);
-      USK_TRACEPOINT("sup", "probation", static_cast<std::uint64_t>(id));
+      USK_TRACEPOINT_TO(k_.ktrace().armed(), "sup", "probation",
+                        static_cast<std::uint64_t>(id));
       break;
     case Health::kProbation:
       if (e.window_violations >= e.policy.violation_threshold) {
@@ -603,8 +602,8 @@ void Supervisor::enter_quarantine_locked(Ext& e, ExtId id) {
   e.backoff_remaining = e.backoff_current;
   push_event_locked(e, id, EventKind::kQuarantine, ViolationKind::kNone,
                     Errno::kOk);
-  USK_TRACEPOINT("sup", "quarantine", static_cast<std::uint64_t>(id),
-                 e.backoff_current);
+  USK_TRACEPOINT_TO(k_.ktrace().armed(), "sup", "quarantine",
+                    static_cast<std::uint64_t>(id), e.backoff_current);
   USK_KLOG_RATELIMIT_NAMED(
       "sup.quarantine", base::LogLevel::kWarn, 16u,
       "sup: extension %d ('%s') quarantined (%u violations in window); "

@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "base/errno.hpp"
-#include "blockdev/buffer_cache.hpp"
+#include "base/current.hpp"
 #include "fs/procfs.hpp"
 #include "sched/task.hpp"
 #include "uk/kernel.hpp"
@@ -150,10 +150,11 @@ class Supervisor;
 class SloMonitor;
 
 /// RAII for one supervised invocation. Create it AROUND the vehicle's
-/// syscall Scope (the guard binds the calling thread so the supervisor's
-/// subscription attributes every enclosed syscall's work units to the
-/// extension, and installs the thread's blockdev dirty-charge hook), give
-/// it a place to read the result from, and let the destructor classify
+/// syscall Scope (the guard binds the calling thread, as
+/// base::Current::guard, so the supervisor's subscription attributes
+/// every enclosed syscall's work units to the extension, and installs
+/// the thread's dirty-page charge), give it a place to read the result
+/// from, and let the destructor classify
 /// the outcome and drive the breaker. Vehicles running the classic
 /// fallback create one with Route::kFallback so degraded work is
 /// accounted too. Nestable; the innermost guard wins attribution.
@@ -178,7 +179,7 @@ class InvocationGuard {
   [[nodiscard]] bool charge_fuel(std::uint64_t n);
   [[nodiscard]] bool charge_kmalloc(std::uint64_t bytes);
   /// Dirty-page budget: fed by the buffer cache through the dirty-charge
-  /// hook this guard installs (blockdev::tl_dirty_charge) on every
+  /// hook this guard installs (base::Current::dirty) on every
   /// clean->dirty transition the invocation causes. A false return fails
   /// the write with EDQUOT before any cache state changes.
   [[nodiscard]] bool charge_dirty_pages(std::uint64_t blocks);
@@ -199,9 +200,6 @@ class InvocationGuard {
     return &s_ == &s && id_ == id;
   }
 
-  /// The innermost active guard on this thread (nullptr if none).
-  [[nodiscard]] static InvocationGuard* current();
-
  private:
   Supervisor& s_;
   ExtId id_;
@@ -209,10 +207,10 @@ class InvocationGuard {
   Route route_;
   const SysRet* ret_ptr_;
   SysRet result_ = 0;
-  InvocationGuard* prev_;           ///< previous tl guard (nesting)
-  blockdev::DirtyCharge prev_dirty_;  ///< restored at exit
+  InvocationGuard* prev_;           ///< enclosing guard (nesting)
+  base::DirtyCharge prev_dirty_;    ///< restored at exit
   std::uint64_t units0_ = 0;        ///< task kernel units at entry
-  std::uint64_t wall0_ = 0;         ///< ktrace timebase ns at entry (SLO)
+  std::uint64_t wall0_ = 0;         ///< trace::now_ns() at entry (SLO)
   std::uint64_t old_budget_ = 0;    ///< restored at exit
   bool narrowed_ = false;
   std::uint64_t fuel_used_ = 0;
@@ -229,6 +227,9 @@ class Supervisor final : private uk::SyscallSubscriber {
   ~Supervisor();
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
+
+  /// The Kernel this supervisor observes (its tracepoints emit there).
+  [[nodiscard]] uk::Kernel& kernel() const { return k_; }
 
   /// Register one extension (a Cosy entry point, a consolidated call
   /// site, a rule monitor). Thread-safe. Ids are dense and stable.

@@ -1,7 +1,6 @@
 #include "trace/chrome.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <unordered_map>
 
@@ -22,15 +21,14 @@ void append_common(std::string* out, const TraceEvent& e) {
 }  // namespace
 
 std::string export_chrome(const std::vector<TraceEvent>& events) {
-  Ktrace& kt = ktrace();
   std::string out = "[";
   bool first = true;
   // Open "syscall:enter" per pid, waiting for the matching exit.
   std::unordered_map<std::uint32_t, TraceEvent> open_syscall;
 
   for (const TraceEvent& e : events) {
-    const char* subsys = kt.site_subsys(e.site);
-    const char* name = kt.site_name(e.site);
+    const char* subsys = site_subsys(e.site);
+    const char* name = site_name(e.site);
     if (std::strcmp(subsys, "syscall") == 0) {
       if (std::strcmp(name, "enter") == 0) {
         open_syscall[e.pid] = e;
@@ -66,16 +64,6 @@ std::string export_chrome(const std::vector<TraceEvent>& events) {
   }
   out += "]";
   return out;
-}
-
-bool export_chrome_file(const std::vector<TraceEvent>& events,
-                        const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  std::string json = export_chrome(events);
-  std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return n == json.size();
 }
 
 }  // namespace usk::trace

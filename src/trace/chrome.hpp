@@ -16,8 +16,4 @@ namespace usk::trace {
 /// "syscall"; everything else is an instant ("i") event.
 [[nodiscard]] std::string export_chrome(const std::vector<TraceEvent>& events);
 
-/// export_chrome straight to a file; returns false on I/O error.
-bool export_chrome_file(const std::vector<TraceEvent>& events,
-                        const char* path);
-
 }  // namespace usk::trace

@@ -1,15 +1,78 @@
 #include "trace/ktrace.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <mutex>
 
+#include "base/current.hpp"
 #include "base/klog.hpp"
 
 namespace usk::trace {
 
-Ktrace& Ktrace::instance() {
-  static Ktrace t;
-  return t;
+namespace {
+
+/// The interned (subsys, name) pairs: a fixed array plus a published
+/// count, so lookups by id take no lock while registration appends under
+/// the mutex.
+struct Names {
+  std::mutex mu;
+  std::array<std::pair<const char*, const char*>, kMaxSites> at{};
+  std::atomic<std::uint16_t> count{0};
+};
+
+Names& names() {
+  static Names n;
+  return n;
+}
+
+}  // namespace
+
+std::uint16_t register_site(const char* subsys, const char* name) {
+  Names& t = names();
+  std::lock_guard lk(t.mu);
+  const std::uint16_t n = t.count.load(std::memory_order_relaxed);
+  for (std::uint16_t i = 0; i < n; ++i) {
+    if (std::strcmp(t.at[i].first, subsys) == 0 &&
+        std::strcmp(t.at[i].second, name) == 0) {
+      return i;
+    }
+  }
+  if (n >= kMaxSites) return kMaxSites - 1;  // overflow bucket
+  t.at[n] = {subsys, name};
+  t.count.store(static_cast<std::uint16_t>(n + 1), std::memory_order_release);
+  return n;
+}
+
+const char* site_subsys(std::uint16_t site) {
+  Names& t = names();
+  return site < t.count.load(std::memory_order_acquire) ? t.at[site].first
+                                                        : "?";
+}
+
+const char* site_name(std::uint16_t site) {
+  Names& t = names();
+  return site < t.count.load(std::memory_order_acquire) ? t.at[site].second
+                                                        : "?";
+}
+
+std::uint64_t now_ns() {
+  static const auto epoch = std::chrono::steady_clock::now();
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - epoch)
+          .count());
+}
+
+Ktrace::~Ktrace() {
+  set_enabled(false);
+  for (std::atomic<Histogram*>& h : hists_) delete h.load();
+}
+
+void Ktrace::set_enabled(bool on) {
+  if (enabled_.exchange(on) != on) {
+    detail::g_armed_ktraces.fetch_add(on ? 1 : -1, std::memory_order_relaxed);
+  }
 }
 
 void Ktrace::configure(std::size_t per_cpu_capacity) {
@@ -19,51 +82,20 @@ void Ktrace::configure(std::size_t per_cpu_capacity) {
   ring_capacity_.store(cap, std::memory_order_relaxed);
 }
 
-std::uint16_t Ktrace::register_site(const char* subsys, const char* name) {
-  std::lock_guard lk(reg_mu_);
-  std::uint16_t n = site_count_.load(std::memory_order_relaxed);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    if (std::strcmp(sites_[i].subsys, subsys) == 0 &&
-        std::strcmp(sites_[i].name, name) == 0) {
-      return i;
-    }
-  }
-  if (n >= kMaxSites) return kMaxSites - 1;  // overflow bucket
-  sites_[n].subsys = subsys;
-  sites_[n].name = name;
-  site_count_.store(static_cast<std::uint16_t>(n + 1),
-                    std::memory_order_release);
-  return n;
-}
-
 std::vector<SiteInfo> Ktrace::sites() const {
-  std::uint16_t n = site_count_.load(std::memory_order_acquire);
   std::vector<SiteInfo> out;
-  out.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    out.push_back(SiteInfo{sites_[i].subsys, sites_[i].name,
-                           sites_[i].hits.load(std::memory_order_relaxed)});
+  for (std::uint16_t i = 0; i < kMaxSites; ++i) {
+    const std::uint64_t hits = hits_[i].load(std::memory_order_relaxed);
+    if (hits != 0) out.push_back(SiteInfo{site_subsys(i), site_name(i), hits});
   }
   return out;
-}
-
-const char* Ktrace::site_subsys(std::uint16_t site) const {
-  return site < site_count_.load(std::memory_order_acquire)
-             ? sites_[site].subsys
-             : "?";
-}
-
-const char* Ktrace::site_name(std::uint16_t site) const {
-  return site < site_count_.load(std::memory_order_acquire)
-             ? sites_[site].name
-             : "?";
 }
 
 void Ktrace::emit(std::uint16_t site, std::uint64_t a0, std::uint64_t a1) {
   TraceEvent e;
   e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   e.ts_ns = now_ns();
-  e.pid = detail::g_current_pid;
+  e.pid = base::current().pid;
   e.site = site;
   e.cpu = static_cast<std::uint16_t>(base::current_cpu());
   e.arg0 = a0;
@@ -86,9 +118,7 @@ void Ktrace::emit(std::uint16_t site, std::uint64_t a0, std::uint64_t a1) {
         "drain more often or configure() a larger ring",
         static_cast<unsigned>(e.cpu), buf.ring->capacity());
   }
-  if (site < site_count_.load(std::memory_order_acquire)) {
-    sites_[site].hits.fetch_add(1, std::memory_order_relaxed);
-  }
+  hits_[site % kMaxSites].fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<TraceEvent> Ktrace::drain() {
@@ -142,41 +172,33 @@ void Ktrace::reset() {
     buf.drop_warned = false;
   });
   seq_.store(0, std::memory_order_relaxed);
-  std::uint16_t n = site_count_.load(std::memory_order_acquire);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    sites_[i].hits.store(0, std::memory_order_relaxed);
+  for (std::atomic<std::uint64_t>& h : hits_) {
+    h.store(0, std::memory_order_relaxed);
   }
-  std::uint16_t m = op_hist_count_.load(std::memory_order_acquire);
-  for (std::uint16_t i = 0; i < m; ++i) op_hists_[i].hist->reset();
+  for (std::atomic<Histogram*>& h : hists_) {
+    if (Histogram* p = h.load(std::memory_order_acquire)) p->reset();
+  }
 }
 
-Histogram& Ktrace::op_hist(const char* subsys, const char* name) {
-  std::lock_guard lk(reg_mu_);
-  std::uint16_t n = op_hist_count_.load(std::memory_order_relaxed);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    if (std::strcmp(op_hists_[i].subsys, subsys) == 0 &&
-        std::strcmp(op_hists_[i].name, name) == 0) {
-      return *op_hists_[i].hist;
-    }
+Histogram& Ktrace::op_hist(std::uint16_t id) {
+  std::atomic<Histogram*>& slot = hists_[id % kMaxSites];
+  Histogram* h = slot.load(std::memory_order_acquire);
+  if (h != nullptr) return *h;
+  // First use: racing threads each build one; the loser frees its own.
+  auto fresh = std::make_unique<Histogram>();
+  if (slot.compare_exchange_strong(h, fresh.get(),
+                                   std::memory_order_acq_rel)) {
+    return *fresh.release();
   }
-  std::uint16_t slot = n < kMaxOpHists ? n : kMaxOpHists - 1;
-  if (n < kMaxOpHists) {
-    op_hists_[slot].subsys = subsys;
-    op_hists_[slot].name = name;
-    op_hists_[slot].hist = std::make_unique<Histogram>();
-    op_hist_count_.store(static_cast<std::uint16_t>(n + 1),
-                         std::memory_order_release);
-  }
-  return *op_hists_[slot].hist;
+  return *h;
 }
 
 std::vector<OpHistInfo> Ktrace::op_hists() const {
-  std::uint16_t n = op_hist_count_.load(std::memory_order_acquire);
   std::vector<OpHistInfo> out;
-  out.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    out.push_back(OpHistInfo{op_hists_[i].subsys, op_hists_[i].name,
-                             op_hists_[i].hist->snapshot()});
+  for (std::uint16_t i = 0; i < kMaxSites; ++i) {
+    if (const Histogram* h = hists_[i].load(std::memory_order_acquire)) {
+      out.push_back(OpHistInfo{site_subsys(i), site_name(i), h->snapshot()});
+    }
   }
   return out;
 }

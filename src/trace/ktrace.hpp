@@ -1,31 +1,33 @@
-// ktrace: kernel-wide tracing with per-CPU lock-free buffers.
+// ktrace: per-Kernel tracing with per-CPU lock-free buffers.
 //
 // Design goals, in order:
-//   1. Near-zero disabled cost. A tracepoint that is off is one relaxed
-//      atomic load of a process-global flag and a predicted-not-taken
+//   1. Near-zero disabled cost. A tracepoint that is off is one load of
+//      the thread's base::Current::ktrace and a predicted-not-taken
 //      branch -- nothing else, so instrumented hot paths (the boundary,
 //      the dcache) measure the same as uninstrumented ones.
 //   2. No lost events while enabled. Each CPU appends to its own
 //      base::MpmcRing, so emitters never contend on a shared cache line;
-//      a global sequence counter lets the drain path merge the per-CPU
-//      streams back into one ordered timeline at a quiescent point,
-//      exactly like the audit subsystem's per-CPU buffers.
+//      a per-tracer sequence counter lets the drain path merge the
+//      per-CPU streams back into one ordered timeline at a quiescent
+//      point, exactly like the audit subsystem's per-CPU buffers.
 //   3. Aggregation in the kernel. Log2 latency histograms (eBPF-style)
 //      accumulate per-operation latencies with one relaxed increment, so
 //      percentile observability never needs the event stream at all.
-//      (The always-on per-syscall histograms are per-Kernel:
-//      uk::Kernel::syscall_latency.)
+//      (The always-on syscall histograms: uk::Kernel::syscall_latency.)
 //
-// The simulated machine has one tracer (like one ftrace instance); every
-// Kernel in the process shares it. Tests call reset() between scenarios.
+// Every uk::Kernel owns one tracer (Kernel::ktrace()), with its own
+// arming flag, site hit counts, rings and op histograms; arming one
+// Kernel's tracer leaves every other Kernel's off. uk::Kernel::Scope
+// picks the call's tracer once, at entry, into base::Current, and every
+// tracepoint the call crosses emits there. A thread in no Kernel call
+// emits nothing. Site and op-histogram NAMES are interned process-wide,
+// because each macro's function-local static needs one id.
 #pragma once
 
+#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "base/mpmc_ring.hpp"
@@ -38,38 +40,51 @@ namespace usk::trace {
 /// 4K-slot per-CPU ring costs ~200 KiB and large enough for two payload
 /// words (fd, size, syscall nr, return value...).
 struct TraceEvent {
-  std::uint64_t seq = 0;    ///< global order (merge key)
-  std::uint64_t ts_ns = 0;  ///< steady-clock ns since tracer start
+  std::uint64_t seq = 0;    ///< the tracer's order (merge key)
+  std::uint64_t ts_ns = 0;  ///< trace timebase (now_ns)
   std::uint32_t pid = 0;    ///< task that emitted (0 = none/unknown)
-  std::uint16_t site = 0;   ///< tracepoint site id (see Ktrace::sites)
+  std::uint16_t site = 0;   ///< tracepoint site id (register_site)
   std::uint16_t cpu = 0;    ///< emitting CPU
   std::uint64_t arg0 = 0;
   std::uint64_t arg1 = 0;
 };
 
 namespace detail {
-/// THE disabled-cost hot path: one process-global flag, read relaxed.
-inline std::atomic<bool> g_enabled{false};
-/// Task the calling CPU is currently running (set by the syscall
-/// prologue); stamps events so the merged stream can be grouped per task.
-inline thread_local std::uint32_t g_current_pid = 0;
+/// Armed Ktraces and Kspans in this process. Reports for bench headers
+/// only: no kernel path reads them.
+inline std::atomic<int> g_armed_ktraces{0};
+inline std::atomic<int> g_armed_kspans{0};
 }  // namespace detail
 
+/// True while some Kernel in this process has its tracer armed (bench
+/// headers refuse to measure an armed build). Tracepoints gate on the
+/// running call's own tracer.
 [[nodiscard]] inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-inline void set_current_pid(std::uint32_t pid) {
-  detail::g_current_pid = pid;
+  return detail::g_armed_ktraces.load(std::memory_order_relaxed) != 0;
 }
 
-/// A registered tracepoint site (static strings from the macro).
+// --- process-wide names -------------------------------------------------
+inline constexpr std::size_t kMaxSites = 256;
+
+/// Intern (subsys, name) -> id, for a tracepoint site or an operation
+/// histogram (vfs:open, dcache:lookup, ...). Called once per site through
+/// the macro's function-local static; both strings must be literals.
+std::uint16_t register_site(const char* subsys, const char* name);
+[[nodiscard]] const char* site_subsys(std::uint16_t site);
+[[nodiscard]] const char* site_name(std::uint16_t site);
+
+/// Nanoseconds on the trace timebase, shared by every tracer: event,
+/// span and supervisor-SLO timestamps.
+[[nodiscard]] std::uint64_t now_ns();
+
+/// A tracepoint site with this tracer's hit count.
 struct SiteInfo {
   const char* subsys = nullptr;
   const char* name = nullptr;
   std::uint64_t hits = 0;
 };
 
-/// A named operation histogram (vfs:open, dcache:lookup, ...).
+/// A named operation histogram with this tracer's samples.
 struct OpHistInfo {
   const char* subsys = nullptr;
   const char* name = nullptr;
@@ -78,17 +93,18 @@ struct OpHistInfo {
 
 class Ktrace {
  public:
-  static constexpr std::size_t kMaxSites = 256;
-  static constexpr std::size_t kMaxOpHists = 128;
   static constexpr std::size_t kDefaultRingCapacity = 1 << 14;
 
-  /// The process-wide tracer.
-  static Ktrace& instance();
+  ~Ktrace();
 
   // --- control --------------------------------------------------------------
-  void enable() { detail::g_enabled.store(true, std::memory_order_relaxed); }
-  void disable() { detail::g_enabled.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] bool is_enabled() const { return enabled(); }
+  void set_enabled(bool on);
+  [[nodiscard]] bool is_enabled() const {
+    return enabled_.load(std::memory_order_relaxed);
+  }
+  /// This tracer while it is armed, else nullptr: what Kernel::Scope
+  /// installs as the call's base::Current::ktrace.
+  [[nodiscard]] Ktrace* armed() { return is_enabled() ? this : nullptr; }
 
   /// Per-CPU ring capacity (power of two) for subsequently allocated
   /// rings. Call before enabling; live rings keep their size.
@@ -98,18 +114,11 @@ class Ktrace {
   /// operation: callers stop emitters first (tests, bench setup).
   void reset();
 
-  // --- tracepoint sites ------------------------------------------------------
-  /// Intern (subsys, name) -> site id. Called once per site through the
-  /// macro's function-local static; both strings must be literals.
-  std::uint16_t register_site(const char* subsys, const char* name);
-
-  /// Registered sites with their hit counts, id order.
+  /// Sites this tracer has counted hits on, with their counts, id order.
   [[nodiscard]] std::vector<SiteInfo> sites() const;
 
-  [[nodiscard]] const char* site_subsys(std::uint16_t site) const;
-  [[nodiscard]] const char* site_name(std::uint16_t site) const;
-
   // --- emit (enabled path) ----------------------------------------------------
+  /// Stamp and buffer one event; the pid is the running call's.
   void emit(std::uint16_t site, std::uint64_t a0 = 0, std::uint64_t a1 = 0);
 
   // --- drain / accounting ----------------------------------------------------
@@ -134,35 +143,17 @@ class Ktrace {
   [[nodiscard]] std::vector<CpuStats> per_cpu_stats() const;
 
   // --- histograms ------------------------------------------------------------
-  /// Intern a named operation histogram (stable reference; call through a
-  /// function-local static). Recording into it is the caller's business
-  /// and normally gated on enabled() because it needs clock reads.
-  Histogram& op_hist(const char* subsys, const char* name);
+  /// This tracer's operation histogram for name id `id` (register_site),
+  /// allocated on first use. Recording into it is the caller's business
+  /// and normally gated on the tracer being armed, because it needs clock
+  /// reads (ScopedLatency).
+  Histogram& op_hist(std::uint16_t id);
+  /// The op histograms this tracer has allocated, id order.
   [[nodiscard]] std::vector<OpHistInfo> op_hists() const;
 
-  /// Nanoseconds since tracer construction (the event timestamp base).
-  [[nodiscard]] std::uint64_t now_ns() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
-  }
-
  private:
-  Ktrace() : epoch_(std::chrono::steady_clock::now()) {}
-
   using Ring = base::MpmcRing<TraceEvent>;
 
-  struct SiteSlot {
-    const char* subsys = nullptr;
-    const char* name = nullptr;
-    std::atomic<std::uint64_t> hits{0};
-  };
-  struct OpHistSlot {
-    const char* subsys = nullptr;
-    const char* name = nullptr;
-    std::unique_ptr<Histogram> hist;
-  };
   /// Per-CPU emit state: the ring is allocated on the CPU's first emit so
   /// idle slots cost nothing; `emitted` is owner-thread-only (merged at
   /// quiescent points, like every other PerCpu counter).
@@ -172,22 +163,12 @@ class Ktrace {
     bool drop_warned = false;  ///< first-drop warning fired for this CPU
   };
 
-  const std::chrono::steady_clock::time_point epoch_;
-
-  // Site/ophist registries: fixed arrays + a published count, so emit()
-  // indexes without locks while registration appends under the mutex.
-  mutable std::mutex reg_mu_;
-  std::array<SiteSlot, kMaxSites> sites_{};
-  std::atomic<std::uint16_t> site_count_{0};
-  std::array<OpHistSlot, kMaxOpHists> op_hists_{};
-  std::atomic<std::uint16_t> op_hist_count_{0};
-
+  std::atomic<bool> enabled_{false};
+  std::array<std::atomic<std::uint64_t>, kMaxSites> hits_{};
+  std::array<std::atomic<Histogram*>, kMaxSites> hists_{};  ///< owned
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::size_t> ring_capacity_{kDefaultRingCapacity};
   base::PerCpu<CpuBuf> cpus_;
 };
-
-/// Shorthand for the process-wide tracer.
-[[nodiscard]] inline Ktrace& ktrace() { return Ktrace::instance(); }
 
 }  // namespace usk::trace

@@ -2,20 +2,12 @@
 
 #include <cinttypes>
 #include <cstdlib>
-#include <cstring>
+#include <utility>
 
 #include "base/appendf.hpp"
+#include "base/current.hpp"
 
 namespace usk::trace {
-
-namespace {
-
-/// Innermost open span on this thread (the propagation mechanism: every
-/// vehicle runs a request's work on the accepting thread, so the stack
-/// IS the causal chain).
-thread_local SpanScope* tl_span = nullptr;
-
-}  // namespace
 
 const char* span_vehicle_name(SpanVehicle v) {
   switch (v) {
@@ -30,16 +22,19 @@ const char* span_vehicle_name(SpanVehicle v) {
   return "?";
 }
 
-Kspan& Kspan::instance() {
-  static Kspan s;
-  return s;
-}
-
 Kspan::Kspan() {
   // Env arming lets the `obs` ctest soak run whole suites span-enabled
   // without touching each test (the USK_FAIL_SPEC / USK_SUP_SPEC idiom).
   if (const char* v = std::getenv("USK_SPAN")) {
-    if (v[0] == '1' && v[1] == '\0') enable();
+    if (v[0] == '1' && v[1] == '\0') set_enabled(true);
+  }
+}
+
+Kspan::~Kspan() { set_enabled(false); }
+
+void Kspan::set_enabled(bool on) {
+  if (enabled_.exchange(on) != on) {
+    detail::g_armed_kspans.fetch_add(on ? 1 : -1, std::memory_order_relaxed);
   }
 }
 
@@ -85,40 +80,44 @@ void Kspan::reset() {
   active_.store(0, std::memory_order_relaxed);
 }
 
-SpanScope::SpanScope(const char* name, SpanVehicle vehicle,
+SpanScope::SpanScope(Kspan& ks, const char* name, SpanVehicle vehicle,
                      std::int32_t ext) {
-  if (!span_enabled()) [[likely]] {
-    return;  // inert: not on the stack, nothing allocated
+  if (!ks.is_enabled()) [[likely]] {
+    return;  // inert: not the innermost span, nothing allocated
   }
-  Kspan& ks = kspan();
+  open(ks, name, vehicle, ext);
+}
+
+SpanScope::SpanScope(const char* name) {
+  if (SpanScope* outer = base::current().span) {
+    open(*outer->ks_, name, SpanVehicle::kNone, -1);
+  }
+}
+
+void SpanScope::open(Kspan& ks, const char* name, SpanVehicle vehicle,
+                     std::int32_t ext) {
+  base::Current& cur = base::current();
+  ks_ = &ks;
   rec_.id = ks.next_id();
-  rec_.parent = tl_span != nullptr ? tl_span->rec_.id : 0;
-  rec_.pid = detail::g_current_pid;
+  const SpanScope* outer = cur.span;
+  rec_.parent = outer != nullptr && outer->ks_ == &ks ? outer->rec_.id : 0;
+  rec_.pid = cur.pid;
   rec_.ext = ext;
   rec_.vehicle = vehicle;
   rec_.name = name;
-  rec_.start_ns = ktrace().now_ns();
+  rec_.start_ns = now_ns();
   ks.started_.fetch_add(1, std::memory_order_relaxed);
   ks.active_.fetch_add(1, std::memory_order_relaxed);
-  prev_ = tl_span;
-  tl_span = this;
-  armed_ = true;
+  prev_ = std::exchange(cur.span, this);
 }
 
 SpanScope::~SpanScope() {
-  if (!armed_) return;
-  tl_span = prev_;
+  if (ks_ == nullptr) return;
+  base::current().span = prev_;
   if (watch_ != nullptr && *watch_ < 0) rec_.status = *watch_;
-  rec_.end_ns = ktrace().now_ns();
-  Kspan& ks = kspan();
-  ks.active_.fetch_sub(1, std::memory_order_relaxed);
-  ks.publish(rec_);
-}
-
-SpanScope* SpanScope::current() { return tl_span; }
-
-std::uint64_t SpanScope::current_id() {
-  return tl_span != nullptr ? tl_span->rec_.id : 0;
+  rec_.end_ns = now_ns();
+  ks_->active_.fetch_sub(1, std::memory_order_relaxed);
+  ks_->publish(rec_);
 }
 
 std::string export_chrome_spans(const std::vector<SpanRecord>& spans) {

@@ -10,16 +10,21 @@
 // every syscall Scope that retires while it is the innermost span on
 // the thread.
 //
+// Every uk::Kernel owns one span store (Kernel::kspan()) with its own
+// arming flag; a SpanScope names the store it publishes to, so arming
+// spans on one Kernel leaves every other Kernel's off.
+//
 // Discipline (same as USK_TRACEPOINT and the syscall subscribers):
 //   * Disabled cost is ONE relaxed atomic load in the SpanScope
 //     constructor and one thread-local load in the syscall epilogue --
 //     no clock reads, no allocation, no id traffic.
-//   * Propagation is the thread-local span stack. Every vehicle in this
-//     kernel executes a request's work on the thread that accepted it
-//     (nested dispatch, consolidated calls, ring drains, and the classic
-//     fallback decomposition all included), so parent links come for
-//     free and a quarantined extension's decomposed syscalls land in a
-//     child span of the original request -- one tree, never orphans.
+//   * Propagation is base::Current::span, the thread's innermost open
+//     span. Every vehicle in this kernel executes a request's work on
+//     the thread that accepted it (nested dispatch, consolidated calls,
+//     ring drains, and the classic fallback decomposition all included),
+//     so parent links come for free and a quarantined extension's
+//     decomposed syscalls land in a child span of the original request --
+//     one tree, never orphans.
 //   * Span fields are mutated by the owning thread only; finished spans
 //     are published to a bounded store (drop-oldest, counted) merged by
 //     readers at quiescent points.
@@ -29,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "trace/ktrace.hpp"
@@ -53,11 +59,11 @@ enum class SpanVehicle : std::uint8_t {
 struct SpanRecord {
   std::uint64_t id = 0;
   std::uint64_t parent = 0;  ///< 0 = root
-  std::uint32_t pid = 0;     ///< task at span open (0 = none)
+  std::uint32_t pid = 0;     ///< task at open, or of its first syscall
   std::int32_t ext = -1;     ///< sup::ExtId, -1 = unsupervised
   SpanVehicle vehicle = SpanVehicle::kNone;
   const char* name = "";     ///< static string (span site)
-  std::uint64_t start_ns = 0;  ///< ktrace timebase
+  std::uint64_t start_ns = 0;  ///< trace timebase (now_ns)
   std::uint64_t end_ns = 0;
   std::uint64_t crossings = 0;
   std::uint64_t bytes_in = 0;   ///< copy_from_user bytes
@@ -73,32 +79,27 @@ struct SpanStats {
   std::uint64_t active = 0;    ///< open right now
 };
 
-namespace spandetail {
-/// THE disabled-cost hot path for span creation sites.
-inline std::atomic<bool> g_span_enabled{false};
-}  // namespace spandetail
-
+/// True while some Kernel in this process has spans armed. SpanScope
+/// sites gate on their own Kspan.
 [[nodiscard]] inline bool span_enabled() {
-  return spandetail::g_span_enabled.load(std::memory_order_relaxed);
+  return detail::g_armed_kspans.load(std::memory_order_relaxed) != 0;
 }
 
-/// Process-wide span store (one per process, like Ktrace). First use
-/// honours USK_SPAN=1 so env-driven soaks run span-enabled end to end.
+/// One Kernel's span store. Built armed when USK_SPAN=1, so env-driven
+/// soaks run span-enabled end to end.
 class Kspan {
  public:
   /// Bounded finished-span store: ~1.4 MiB at the default size; overflow
   /// evicts the oldest record and counts it in stats().dropped.
   static constexpr std::size_t kMaxFinished = 1 << 14;
 
-  static Kspan& instance();
+  Kspan();
+  ~Kspan();
 
-  void enable() {
-    spandetail::g_span_enabled.store(true, std::memory_order_relaxed);
+  void set_enabled(bool on);
+  [[nodiscard]] bool is_enabled() const {
+    return enabled_.load(std::memory_order_relaxed);
   }
-  void disable() {
-    spandetail::g_span_enabled.store(false, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool is_enabled() const { return span_enabled(); }
 
   /// Pop every buffered finished span, oldest first. Quiescent-point
   /// operation, like Ktrace::drain.
@@ -113,13 +114,13 @@ class Kspan {
 
  private:
   friend class SpanScope;
-  Kspan();
 
   std::uint64_t next_id() {
     return id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
   void publish(const SpanRecord& r);
 
+  std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> id_{0};
   std::atomic<std::uint64_t> started_{0};
   std::atomic<std::uint64_t> finished_{0};
@@ -129,34 +130,33 @@ class Kspan {
   std::deque<SpanRecord> store_;
 };
 
-[[nodiscard]] inline Kspan& kspan() { return Kspan::instance(); }
-
 /// RAII span. Construct at an ingress or decomposition point; the parent
-/// link is whatever span is innermost on this thread. When spans are
-/// disabled the constructor is one relaxed load and the object is inert
-/// (it does not join the thread-local stack).
+/// link is whatever span of the same store is innermost on this thread.
+/// When its store is disabled the constructor is one relaxed load and
+/// the object is inert (it does not become the innermost span).
 class SpanScope {
  public:
-  explicit SpanScope(const char* name,
-                     SpanVehicle vehicle = SpanVehicle::kNone,
-                     std::int32_t ext = -1);
+  /// A span published to `ks`, the serving Kernel's store.
+  SpanScope(Kspan& ks, const char* name,
+            SpanVehicle vehicle = SpanVehicle::kNone, std::int32_t ext = -1);
+  /// A span of code that has no Kernel (the store's commit, checkpoint
+  /// and writeback): a child of this thread's innermost span, published
+  /// to that span's store. Inert when no span is open.
+  explicit SpanScope(const char* name);
   ~SpanScope();
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
-  [[nodiscard]] bool armed() const { return armed_; }
-  [[nodiscard]] std::uint64_t id() const { return armed_ ? rec_.id : 0; }
+  [[nodiscard]] bool armed() const { return ks_ != nullptr; }
+  [[nodiscard]] std::uint64_t id() const { return armed() ? rec_.id : 0; }
 
   /// Re-label the span once its real role is known (e.g. an epoll data
   /// event promotes "ws.data" to "ws.request" after a nonempty recv).
   void set_name(const char* name) {
-    if (armed_) rec_.name = name;
-  }
-  void set_ext(std::int32_t ext) {
-    if (armed_) rec_.ext = ext;
+    if (armed()) rec_.name = name;
   }
   void set_status(std::int64_t s) {
-    if (armed_) rec_.status = s;
+    if (armed()) rec_.status = s;
   }
   /// Read *ret at destruction (an InvocationGuard-style result watch).
   void watch_result(const std::int64_t* ret) { watch_ = ret; }
@@ -164,18 +164,16 @@ class SpanScope {
   /// Charge vehicle-internal work that never retires a syscall Scope
   /// (ring chains executed via dispatch_nested under one outer enter).
   void add_units(std::uint64_t units) {
-    if (armed_) rec_.kernel_units += units;
+    if (armed()) rec_.kernel_units += units;
   }
 
-  /// The innermost open span on this thread (nullptr if none).
-  [[nodiscard]] static SpanScope* current();
-  /// Its id, or 0. For annotating point events with the span.
-  [[nodiscard]] static std::uint64_t current_id();
-
   /// Syscall-epilogue attribution (Kernel::Scope destructor): one
-  /// crossing plus this call's byte/unit deltas onto `this`.
-  void attribute_syscall(std::uint64_t bytes_in, std::uint64_t bytes_out,
-                         std::uint64_t units, std::int64_t ret) {
+  /// crossing plus this call's byte/unit deltas onto `this`. A span
+  /// opened outside any call takes the task of its first one.
+  void attribute_syscall(std::uint32_t pid, std::uint64_t bytes_in,
+                         std::uint64_t bytes_out, std::uint64_t units,
+                         std::int64_t ret) {
+    if (rec_.pid == 0) rec_.pid = pid;
     rec_.crossings += 1;
     rec_.bytes_in += bytes_in;
     rec_.bytes_out += bytes_out;
@@ -184,10 +182,13 @@ class SpanScope {
   }
 
  private:
+  void open(Kspan& ks, const char* name, SpanVehicle vehicle,
+            std::int32_t ext);
+
+  Kspan* ks_ = nullptr;  ///< the store it publishes to; nullptr = inert
   SpanRecord rec_;
   SpanScope* prev_ = nullptr;
   const std::int64_t* watch_ = nullptr;
-  bool armed_ = false;
 };
 
 /// Render spans (a drain() result) as chrome://tracing JSON: one "X"

@@ -6,10 +6,11 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
+#include "base/current.hpp"
 #include "base/cycles.hpp"
 #include "fs/procfs.hpp"
-#include "trace/span.hpp"
 #include "trace/tracepoint.hpp"
 #include "uk/kproc.hpp"
 
@@ -125,7 +126,11 @@ Kernel::Scope::Scope(Kernel& k, Process& p, Sys nr)
   in0_ = p_.task.bytes_from_user;
   out0_ = p_.task.bytes_to_user;
   kunits0_ = p_.task.times().kernel;
-  trace::set_current_pid(p_.task.pid());
+  // The call's tracer is picked once, here: every tracepoint it crosses
+  // reads it from base::Current.
+  base::Current& cur = base::current();
+  outer_ktrace_ = std::exchange(cur.ktrace, k_.ktrace_.armed());
+  outer_pid_ = std::exchange(cur.pid, p_.task.pid());
   USK_TRACEPOINT("syscall", "enter", static_cast<std::uint64_t>(nr));
   k_.boundary_.enter_kernel(p_.task);
   ++p_.task.syscalls;
@@ -153,11 +158,14 @@ Kernel::Scope::~Scope() {
                  static_cast<std::uint64_t>(r.ret));
   // Span attribution: the innermost open span (if any) absorbs this
   // call's crossing and deltas. No span -> one thread-local load.
-  if (trace::SpanScope* sp = trace::SpanScope::current()) {
-    sp->attribute_syscall(r.bytes_in, r.bytes_out, r.kunits, r.ret);
+  base::Current& cur = base::current();
+  if (trace::SpanScope* sp = cur.span) {
+    sp->attribute_syscall(r.pid, r.bytes_in, r.bytes_out, r.kunits, r.ret);
   }
   // Subscribers (audit, supervisors): one relaxed load when there are none.
   if (k_.has_subscribers()) k_.publish(r);
+  cur.ktrace = outer_ktrace_;
+  cur.pid = outer_pid_;
 }
 
 // --- park -------------------------------------------------------------------
@@ -171,7 +179,7 @@ Result<Kernel::Parked> Kernel::park(sched::WaitQueue& wq,
   const sched::WaitQueue::Deadline* bound = user;
   sched::WaitQueue::Deadline request_deadline;
   bool request_bound = false;
-  if (const dl::DeadlineScope* ds = dl::DeadlineScope::current();
+  if (const dl::DeadlineScope* ds = base::current().deadline;
       ds != nullptr && (user == nullptr || ds->deadline() < *user)) {
     request_deadline = ds->deadline();
     bound = &request_deadline;
@@ -281,27 +289,22 @@ void Kernel::unregister_syscall(Sys nr) {
 
 // --- the fd ledger ----------------------------------------------------------
 
-/// The innermost live ledger on this thread (FdLedger nesting).
-static thread_local Kernel::FdLedger* t_ledger = nullptr;
+FdLedger::FdLedger(Kernel& k, Process& p)
+    : k_(k), p_(p), outer_(std::exchange(base::current().ledger, this)) {}
 
-Kernel::FdLedger::FdLedger(Kernel& k, Process& p)
-    : k_(k), p_(p), outer_(t_ledger) {
-  t_ledger = this;
-}
-
-Kernel::FdLedger::~FdLedger() {
-  t_ledger = outer_;
+FdLedger::~FdLedger() {
+  base::current().ledger = outer_;
   if (outer_ != nullptr) {
     for (const Held& h : held_) outer_->hold(h.fd);
   }
 }
 
-void Kernel::FdLedger::hold(int fd) {
+void FdLedger::hold(int fd) {
   held_.push_back(Held{fd, tag_});
   latest_ = fd;
 }
 
-SysRet Kernel::FdLedger::note(Sys nr, const SysArgs& a, SysRet ret) {
+SysRet FdLedger::note(Sys nr, const SysArgs& a, SysRet ret) {
   if (ret < 0) return ret;
   switch (sys_sig(nr).ret) {
     case RetType::kFdNew:
@@ -319,7 +322,7 @@ SysRet Kernel::FdLedger::note(Sys nr, const SysArgs& a, SysRet ret) {
   return ret;
 }
 
-std::vector<std::size_t> Kernel::FdLedger::rollback(bool classic) {
+std::vector<std::size_t> FdLedger::rollback(bool classic) {
   std::vector<std::size_t> closed;
   for (const Held& h : held_) {
     const SysArgs a{static_cast<std::uint64_t>(h.fd)};

@@ -25,6 +25,8 @@
 #include "mm/vmalloc.hpp"
 #include "sched/scheduler.hpp"
 #include "trace/histogram.hpp"
+#include "trace/ktrace.hpp"
+#include "trace/span.hpp"
 #include "uk/audit.hpp"
 #include "uk/boundary.hpp"
 #include "vm/address_space.hpp"
@@ -165,11 +167,14 @@ class Kernel {
   [[nodiscard]] base::WorkEngine& engine() { return engine_; }
   [[nodiscard]] sched::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] vm::PhysMem& phys() { return phys_; }
-  [[nodiscard]] vm::AddressSpace& kernel_as() { return kernel_as_; }
   [[nodiscard]] mm::Kmalloc& kmalloc() { return kmalloc_; }
   [[nodiscard]] mm::Vmalloc& vmalloc() { return vmalloc_; }
   /// This Kernel's kdl: deadlines, cancellation and admission (dl/dl.hpp).
   [[nodiscard]] dl::Kdl& dl() { return dl_; }
+  /// This Kernel's tracer: the tracepoints its calls cross emit here.
+  [[nodiscard]] trace::Ktrace& ktrace() { return ktrace_; }
+  /// This Kernel's span store: its vehicles' SpanScopes publish here.
+  [[nodiscard]] trace::Kspan& kspan() { return kspan_; }
   /// Wall-ns latency of every `nr` call this Kernel retired. Always on:
   /// each Scope records its call here (/proc/trace/hist/syscall,
   /// usk_syscall_latency_ns).
@@ -225,7 +230,9 @@ class Kernel {
 
   /// RAII syscall prologue/epilogue: one crossing, one SyscallRecord for
   /// the accounting and the subscribers. Built by syscall(), the ring and
-  /// Cosy entry points.
+  /// Cosy entry points. For its lifetime it installs the call in
+  /// base::Current -- this Kernel's tracer if armed, the task's pid --
+  /// and restores the enclosing call's at exit.
   class Scope {
    public:
     Scope(Kernel& k, Process& p, Sys nr);
@@ -260,6 +267,8 @@ class Kernel {
     std::uint64_t in0_, out0_;
     std::uint64_t kunits0_;  ///< kernel units at entry
     std::uint64_t cycles0_;  ///< base::cycles() at entry
+    trace::Ktrace* outer_ktrace_;  ///< the enclosing call's, restored
+    std::uint32_t outer_pid_;
   };
 
   // --- the syscall gateway -----------------------------------------------------
@@ -288,61 +297,6 @@ class Kernel {
   /// crossing, return ENOSYS.
   SysRet dispatch_nested(Process& p, Sys nr, const SysArgs& a = SysArgs{},
                          BufMode mode = BufMode::kUser);
-
-  /// The fd ledger of one nested invocation: a Cosy compound, a ring
-  /// chain, a consolidated call's steps. The invocation makes its calls
-  /// through call() (nested, under its own crossing) or syscall() (a full
-  /// syscall: the ring's quarantine fallback). By each callee's signature
-  /// the ledger records the descriptor a call produces and drops the one
-  /// a call releases, so it always holds exactly the fds the invocation
-  /// opened and still owns. rollback() is the one abort path: an aborted
-  /// invocation never leaks a descriptor its caller has not learned.
-  /// Ledgers nest on the calling thread: one that ends without rollback
-  /// hands what it holds to the enclosing ledger (accept_recv's connection,
-  /// returned through an out slot, is then counted and rolled back too).
-  class FdLedger {
-   public:
-    FdLedger(Kernel& k, Process& p);
-    ~FdLedger();
-    FdLedger(const FdLedger&) = delete;
-    FdLedger& operator=(const FdLedger&) = delete;
-
-    /// dispatch_nested(), recording the result under `tag`.
-    SysRet call(Sys nr, const SysArgs& a, BufMode m = BufMode::kUser,
-                std::size_t tag = 0) {
-      tag_ = tag;
-      return note(nr, a, k_.dispatch_nested(p_, nr, a, m));
-    }
-    /// A full syscall (one crossing), recording the result under `tag`.
-    SysRet syscall(Sys nr, const SysArgs& a, std::size_t tag = 0) {
-      tag_ = tag;
-      return note(nr, a, k_.syscall(p_, nr, a));
-    }
-    /// Descriptors held now.
-    [[nodiscard]] std::size_t live() const { return held_.size(); }
-    /// The descriptor most recently produced, while it is still held;
-    /// -1 once it is closed (or before any call produced one).
-    [[nodiscard]] int latest() const { return latest_; }
-    /// Close every descriptor still held -- nested, or through the full
-    /// gateway when `classic` -- and return the tags of the calls whose
-    /// descriptors were closed, in the order they were produced.
-    std::vector<std::size_t> rollback(bool classic = false);
-
-   private:
-    SysRet note(Sys nr, const SysArgs& a, SysRet ret);
-    void hold(int fd);
-
-    struct Held {
-      int fd;
-      std::size_t tag;
-    };
-    Kernel& k_;
-    Process& p_;
-    FdLedger* const outer_;  ///< the enclosing ledger on this thread
-    std::size_t tag_ = 0;    ///< tag of the call in progress
-    int latest_ = -1;
-    std::vector<Held> held_;
-  };
 
   // --- the numbered syscall table ---------------------------------------------
   /// A subsystem layered above uk (net::Net, ring::RingDev) fills its
@@ -460,6 +414,8 @@ class Kernel {
   Boundary boundary_;
   Audit audit_;
   dl::Kdl dl_;
+  trace::Ktrace ktrace_;
+  trace::Kspan kspan_;
   fs::Vfs vfs_;
   std::array<SysEntry, static_cast<std::size_t>(Sys::kMaxSys)> table_{};
   std::array<trace::Histogram, static_cast<std::size_t>(Sys::kMaxSys)>
@@ -469,6 +425,62 @@ class Kernel {
   std::unique_ptr<fs::ProcFs> procfs_;  ///< created by mount_procfs()
   std::mutex mu_;  ///< guards procs_, procfs_ and subscription changes
   std::vector<std::unique_ptr<Process>> procs_;
+};
+
+/// The fd ledger of one nested invocation: a Cosy compound, a ring
+/// chain, a consolidated call's steps. The invocation makes its calls
+/// through call() (nested, under its own crossing) or syscall() (a full
+/// syscall: the ring's quarantine fallback). By each callee's signature
+/// the ledger records the descriptor a call produces and drops the one
+/// a call releases, so it always holds exactly the fds the invocation
+/// opened and still owns. rollback() is the one abort path: an aborted
+/// invocation never leaks a descriptor its caller has not learned.
+/// Ledgers nest on the calling thread (base::Current::ledger): one that
+/// ends without rollback hands what it holds to the enclosing ledger
+/// (accept_recv's connection, returned through an out slot, is then
+/// counted and rolled back too).
+class FdLedger {
+ public:
+  FdLedger(Kernel& k, Process& p);
+  ~FdLedger();
+  FdLedger(const FdLedger&) = delete;
+  FdLedger& operator=(const FdLedger&) = delete;
+
+  /// dispatch_nested(), recording the result under `tag`.
+  SysRet call(Sys nr, const SysArgs& a, BufMode m = BufMode::kUser,
+              std::size_t tag = 0) {
+    tag_ = tag;
+    return note(nr, a, k_.dispatch_nested(p_, nr, a, m));
+  }
+  /// A full syscall (one crossing), recording the result under `tag`.
+  SysRet syscall(Sys nr, const SysArgs& a, std::size_t tag = 0) {
+    tag_ = tag;
+    return note(nr, a, k_.syscall(p_, nr, a));
+  }
+  /// Descriptors held now.
+  [[nodiscard]] std::size_t live() const { return held_.size(); }
+  /// The descriptor most recently produced, while it is still held;
+  /// -1 once it is closed (or before any call produced one).
+  [[nodiscard]] int latest() const { return latest_; }
+  /// Close every descriptor still held -- nested, or through the full
+  /// gateway when `classic` -- and return the tags of the calls whose
+  /// descriptors were closed, in the order they were produced.
+  std::vector<std::size_t> rollback(bool classic = false);
+
+ private:
+  SysRet note(Sys nr, const SysArgs& a, SysRet ret);
+  void hold(int fd);
+
+  struct Held {
+    int fd;
+    std::size_t tag;
+  };
+  Kernel& k_;
+  Process& p_;
+  FdLedger* const outer_;  ///< the enclosing ledger on this thread
+  std::size_t tag_ = 0;    ///< tag of the call in progress
+  int latest_ = -1;
+  std::vector<Held> held_;
 };
 
 }  // namespace usk::uk

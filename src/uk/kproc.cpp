@@ -209,17 +209,19 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   });
 
   // --- tracing control + views ----------------------------------------------
-  add_switch(pfs, "/trace/enable", [] { return trace::enabled(); },
-             [](bool on) {
-               on ? trace::ktrace().enable() : trace::ktrace().disable();
-             });
+  trace::Ktrace& kt = k.ktrace();
+  add_switch(pfs, "/trace/enable", [&kt] { return kt.is_enabled(); },
+             [&kt](bool on) { kt.set_enabled(on); });
 
-  pfs.add_file("/trace/events", [] {
+  auto trace_totals = [&kt] {
     std::string out;
     appendf(out, "enabled %d\nemitted %" PRIu64 "\ndropped %" PRIu64 "\n",
-            trace::enabled() ? 1 : 0, trace::ktrace().emitted(),
-            trace::ktrace().dropped());
-    for (const trace::SiteInfo& s : trace::ktrace().sites()) {
+            kt.is_enabled() ? 1 : 0, kt.emitted(), kt.dropped());
+    return out;
+  };
+  pfs.add_file("/trace/events", [&kt, trace_totals] {
+    std::string out = trace_totals();
+    for (const trace::SiteInfo& s : kt.sites()) {
       appendf(out, "%s:%s %" PRIu64 "\n", s.subsys, s.name, s.hits);
     }
     return out;
@@ -237,9 +239,9 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
     return out;
   });
 
-  pfs.add_file("/trace/hist/ops", [] {
+  pfs.add_file("/trace/hist/ops", [&kt] {
     std::string out;
-    for (const trace::OpHistInfo& o : trace::ktrace().op_hists()) {
+    for (const trace::OpHistInfo& o : kt.op_hists()) {
       if (o.hist.count == 0) continue;
       appendf(out, "%s:%s ", o.subsys, o.name);
       append_hist(out, o.hist);
@@ -249,13 +251,10 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
 
   // Ring accounting: totals plus one row per CPU that has emitted, so a
   // wraparound on one hot CPU is visible even when the totals look tame.
-  pfs.add_file("/trace/stats", [] {
-    std::string out;
-    appendf(out, "enabled %d\nemitted %" PRIu64 "\ndropped %" PRIu64 "\n",
-            trace::enabled() ? 1 : 0, trace::ktrace().emitted(),
-            trace::ktrace().dropped());
+  pfs.add_file("/trace/stats", [&kt, trace_totals] {
+    std::string out = trace_totals();
     appendf(out, "# cpu emitted dropped capacity\n");
-    for (const auto& c : trace::ktrace().per_cpu_stats()) {
+    for (const auto& c : kt.per_cpu_stats()) {
       appendf(out, "%zu %" PRIu64 " %" PRIu64 " %zu\n", c.cpu, c.emitted,
               c.dropped, c.capacity);
     }
@@ -263,28 +262,27 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   });
 
   // --- spans ----------------------------------------------------------------
-  add_switch(pfs, "/span/enable", [] { return trace::span_enabled(); },
-             [](bool on) {
-               on ? trace::kspan().enable() : trace::kspan().disable();
-             });
+  trace::Kspan& ks = k.kspan();
+  add_switch(pfs, "/span/enable", [&ks] { return ks.is_enabled(); },
+             [&ks](bool on) { ks.set_enabled(on); });
 
-  pfs.add_file("/span/stats", [] {
-    const trace::SpanStats s = trace::kspan().stats();
+  pfs.add_file("/span/stats", [&ks] {
+    const trace::SpanStats s = ks.stats();
     std::string out;
     appendf(out,
             "enabled %d\nstarted %" PRIu64 "\nfinished %" PRIu64
             "\ndropped %" PRIu64 "\nactive %" PRIu64 "\n",
-            trace::span_enabled() ? 1 : 0, s.started, s.finished, s.dropped,
+            ks.is_enabled() ? 1 : 0, s.started, s.finished, s.dropped,
             s.active);
     return out;
   });
 
-  pfs.add_file("/span/spans", [] {
+  pfs.add_file("/span/spans", [&ks] {
     std::string out;
     appendf(out,
             "# id parent pid ext vehicle name dur_ns crossings bytes_in "
             "bytes_out kernel_units status\n");
-    for (const trace::SpanRecord& s : trace::kspan().snapshot()) {
+    for (const trace::SpanRecord& s : ks.snapshot()) {
       appendf(out,
               "%" PRIu64 " %" PRIu64 " %u %d %s %s %" PRIu64 " %" PRIu64
               " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRId64 "\n",
@@ -302,10 +300,10 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
   // counters other subsystems own; they live with this ProcFs, so each
   // Kernel's scrape reads its own values.
   gauge(pfs, "usk_trace_events_emitted", "ktrace events emitted since reset",
-        [] { return trace::ktrace().emitted(); });
+        [&kt] { return kt.emitted(); });
   gauge(pfs, "usk_trace_events_dropped",
         "ktrace events lost to full per-CPU rings",
-        [] { return trace::ktrace().dropped(); });
+        [&kt] { return kt.dropped(); });
   gauge(pfs, "usk_sched_steals", "runqueue picks served by work stealing",
         [&k] { return k.scheduler().stats().steals.load(); });
   gauge(pfs, "usk_sched_migrations",
@@ -321,9 +319,9 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
         "parked waits ended by a user-requested deadline",
         [] { return sched::waitqueue_stats().timeouts.load(); });
   gauge(pfs, "usk_spans_started", "spans opened since reset",
-        [] { return trace::kspan().stats().started; });
+        [&ks] { return ks.stats().started; });
   gauge(pfs, "usk_spans_dropped", "finished spans evicted from the store",
-        [] { return trace::kspan().stats().dropped; });
+        [&ks] { return ks.stats().dropped; });
   // --- /proc/dl: deadlines, cancellation, admission (dl/dl.hpp) -------------
   dl::Kdl& kdl = k.dl();
   add_switch(pfs, "/dl/enable", [&kdl] { return kdl.enabled(); },

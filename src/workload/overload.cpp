@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/current.hpp"
 #include "sched/scheduler.hpp"
 #include "sup/supervisor.hpp"
 
@@ -136,8 +137,8 @@ void handle_request(uk::Proc& srv, net::Net& net, const OverloadConfig& cfg,
   const bool admitting = cfg.shedding && srv.kernel().dl().enabled();
   if (admitting) {
     const std::int64_t rem =
-        scope && dl::DeadlineScope::current() != nullptr
-            ? dl::DeadlineScope::current()->remaining_ns()
+        scope && base::current().deadline != nullptr
+            ? base::current().deadline->remaining_ns()
             : rem_at_ingress;
     if (!adm.try_admit(rem)) {
       ++out.sheds;

@@ -187,7 +187,8 @@ int serve_ring_conn(RingConn& rc, const WebServerConfig& cfg,
   // Request ingress for the ring vehicle: the whole keep-alive
   // connection is one root span; each drained chain opens a child span
   // inside Ring::exec_chain, and the classic rescues attribute here.
-  trace::SpanScope span("ws.conn", trace::SpanVehicle::kRing);
+  trace::SpanScope span(rc.srv.kernel().kspan(), "ws.conn",
+                        trace::SpanVehicle::kRing);
   uk::Process& p = rc.srv.process();
   const std::size_t B = std::max<std::size_t>(1, cfg.ring_batch);
   const std::size_t fb = cfg.file_bytes;
@@ -396,7 +397,8 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
           case ServeMode::kRing:
             break;  // served by ring_server_worker, never reaches here
           case ServeMode::kPlain: {
-            trace::SpanScope span("ws.accept", trace::SpanVehicle::kPlain);
+            trace::SpanScope span(k.kspan(), "ws.accept",
+                                  trace::SpanVehicle::kPlain);
             int connfd = static_cast<int>(net.sys_accept(p, lfd));
             if (connfd >= 0) {
               net.sys_epoll_ctl(p, ep, net::kEpollCtlAdd, connfd,
@@ -408,7 +410,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
             // Ingress span: the consolidated accept branch serves the
             // connection's first request itself, so the span is promoted
             // to ws.request once a response goes out.
-            trace::SpanScope span("ws.accept",
+            trace::SpanScope span(k.kspan(), "ws.accept",
                                   trace::SpanVehicle::kConsolidated, ext_id);
             int connfd = -1;
             std::memset(req, 0, sizeof req);
@@ -443,8 +445,8 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
             // (the compound serves all its requests). The quarantine
             // fallback and the classic rescue open CHILD spans below, so
             // a degraded connection still reads as one tree.
-            trace::SpanScope span("ws.conn", trace::SpanVehicle::kCosy,
-                                  ext_id);
+            trace::SpanScope span(k.kspan(), "ws.conn",
+                                  trace::SpanVehicle::kCosy, ext_id);
             std::memset(req, 0, sizeof req);
             if (net.sys_recv(p, connfd, req, kRequestBytes) > 0) {
               const std::string path = parse_path(req);
@@ -457,7 +459,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
                   // classic user-space loop, accounted as a fallback run.
                   // The decomposed syscalls land in this child span, so
                   // they stay inside the original request's tree.
-                  trace::SpanScope fb("sup.fallback",
+                  trace::SpanScope fb(k.kspan(), "sup.fallback",
                                       trace::SpanVehicle::kFallback, ext_id);
                   SysRet fres = 0;
                   sup::InvocationGuard g(*sup, ext_id, &srv.task(), route,
@@ -479,7 +481,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
                     // Aborted before op 0 (fuel voided at entry, rejected
                     // compound): no side effects yet, so the classic loop
                     // can serve the connection in full.
-                    trace::SpanScope rescue("sup.fallback",
+                    trace::SpanScope rescue(k.kspan(), "sup.fallback",
                                             trace::SpanVehicle::kFallback,
                                             ext_id);
                     serve_classic_conn(srv, net, cfg, connfd, path);
@@ -496,7 +498,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
         int connfd = ev.fd;
         // Data-event ingress span, promoted to ws.request once a
         // nonempty request is actually served.
-        trace::SpanScope span("ws.data",
+        trace::SpanScope span(k.kspan(), "ws.data",
                               cfg.mode == ServeMode::kConsolidated
                                   ? trace::SpanVehicle::kConsolidated
                                   : trace::SpanVehicle::kPlain,

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/current.hpp"
 #include "cosy/compound.hpp"
 #include "cosy/exec.hpp"
 #include "dl/dl.hpp"
@@ -84,24 +85,24 @@ TEST_F(DlTest, ScopeIsInertWhenDisabled) {
   const std::uint64_t attached0 = kdl().stats().attached.load();
   {
     DeadlineScope s(kdl(), 5ms, &proc_.task(), /*tenant=*/3);
-    EXPECT_EQ(DeadlineScope::current(), nullptr);
+    EXPECT_EQ(base::current().deadline, nullptr);
   }
   EXPECT_EQ(kdl().stats().attached.load(), attached0);
   kdl().set_enabled(true);
 }
 
 TEST_F(DlTest, ScopesStackAndInnermostWins) {
-  EXPECT_EQ(DeadlineScope::current(), nullptr);
+  EXPECT_EQ(base::current().deadline, nullptr);
   DeadlineScope outer(kdl(), 10s, &proc_.task(), 1);
-  EXPECT_EQ(DeadlineScope::current(), &outer);
+  EXPECT_EQ(base::current().deadline, &outer);
   {
     DeadlineScope inner(kdl(), 5s, &proc_.task(), 2);
-    EXPECT_EQ(DeadlineScope::current(), &inner);
-    EXPECT_EQ(DeadlineScope::current()->tenant(), 2u);
+    EXPECT_EQ(base::current().deadline, &inner);
+    EXPECT_EQ(base::current().deadline->tenant(), 2u);
     // The inner (tighter) deadline is the binding one.
     EXPECT_LT(inner.deadline(), outer.deadline());
   }
-  EXPECT_EQ(DeadlineScope::current(), &outer);
+  EXPECT_EQ(base::current().deadline, &outer);
   EXPECT_GT(outer.remaining_ns(), 0);
   EXPECT_FALSE(outer.expired());
   EXPECT_EQ(kdl().stats().active.load(), 1);

@@ -8,8 +8,9 @@
 // which the AddressSanitizer build reports (these tests run there through
 // the `faults` label). A removed path keeps its inode, so registering it
 // again works through a warm VFS dcache. A second live owner of a path or
-// family name is refused with EEXIST. The Smp test races /proc readers
-// against owner teardown under ThreadSanitizer.
+// family name is refused with EEXIST. One open and read of a file renders
+// it once. The Smp test races /proc readers against owner teardown under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -236,6 +237,20 @@ TEST_F(ProcLifetime, ReRegisteredPathIsFoundThroughAWarmDcache) {
   fs::StatBuf after;
   ASSERT_EQ(proc_.stat("/proc/test/value", &after), 0);
   EXPECT_EQ(after.ino, before.ino);  // the dcache's entry is still right
+}
+
+TEST_F(ProcLifetime, OneOpenAndReadRendersOnce) {
+  // The read at offset 0 is the only render: opening the file does not
+  // generate text that the first read would throw away.
+  int renders = 0;
+  fs::ProcFs::Registration reg(pfs_);
+  reg.add_file("/test/counted", [&renders] {
+    ++renders;
+    return std::string("counted\n");
+  });
+  ASSERT_EQ(reg.status(), Errno::kOk);
+  EXPECT_EQ(read_proc(proc_, "/proc/test/counted").text, "counted\n");
+  EXPECT_EQ(renders, 1);
 }
 
 TEST_F(ProcLifetime, ARemovedFileNameCanBecomeADirectory) {

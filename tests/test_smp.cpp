@@ -20,6 +20,7 @@
 #include "fs/dcache.hpp"
 #include "mm/kmalloc.hpp"
 #include "sup/supervisor.hpp"
+#include "trace/span.hpp"
 #include "uk/userlib.hpp"
 #include "numbered.hpp"
 
@@ -617,6 +618,97 @@ TEST(SmpDispatchTest, TwoKernelsKeepTheirSyscallHistogramsApart) {
   EXPECT_NE(hist_b.find("sync count " + std::to_string(kCallsB) + " "),
             std::string::npos)
       << hist_b;
+}
+
+/// Write `text` into `path` through `p`'s own syscalls.
+void echo(uk::Proc& p, const char* path, const char* text) {
+  const int fd = p.open(path, fs::kOWrOnly);
+  ASSERT_GE(fd, 0) << path;
+  const auto n = static_cast<SysRet>(std::strlen(text));
+  EXPECT_EQ(p.write(fd, text, static_cast<std::size_t>(n)), n) << path;
+  p.close(fd);
+}
+
+/// Lines of `text` that contain `needle`.
+std::size_t count_lines(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = 0; (at = text.find(needle, at)) != std::string::npos;
+       at += needle.size()) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SmpDispatchTest, TwoKernelsKeepTheirTracersApart) {
+  constexpr int kCalls = 200;
+  fs::MemFs fs_a;
+  fs::MemFs fs_b;
+  uk::Kernel a(fs_a);
+  uk::Kernel b(fs_b);
+  uk::Proc pa(a, "a");
+  uk::Proc pb(b, "b");
+  a.mount_procfs();
+  b.mount_procfs();
+
+  // Only A is armed, through its own /proc; B is left as it was built.
+  echo(pa, "/proc/trace/enable", "1\n");
+  echo(pa, "/proc/span/enable", "1\n");
+  EXPECT_EQ(cat(pb, "/proc/trace/enable"), "0\n");
+  EXPECT_EQ(cat(pb, "/proc/span/enable"), "0\n");
+
+  // Both dispatch the same traced, span-wrapped call at the same time.
+  std::atomic<int> ready{0};
+  auto work = [&ready](uk::Proc& p, const char* name) {
+    ++ready;
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int i = 0; i < kCalls; ++i) {
+      trace::SpanScope span(p.kernel().kspan(), name);
+      EXPECT_EQ(p.getpid(), static_cast<SysRet>(p.task().pid()));
+    }
+  };
+  std::thread ta(work, std::ref(pa), "a.req");
+  std::thread tb(work, std::ref(pb), "b.req");
+  ta.join();
+  tb.join();
+  echo(pa, "/proc/trace/enable", "0\n");
+  echo(pa, "/proc/span/enable", "0\n");
+
+  // B stayed disarmed and saw none of it.
+  EXPECT_FALSE(b.ktrace().is_enabled());
+  EXPECT_FALSE(b.kspan().is_enabled());
+  const std::string events_b = cat(pb, "/proc/trace/events");
+  EXPECT_NE(events_b.find("emitted 0\n"), std::string::npos) << events_b;
+  EXPECT_EQ(events_b.find("syscall:"), std::string::npos) << events_b;
+  EXPECT_EQ(count_lines(cat(pb, "/proc/span/spans"), ".req"), 0u);
+  const std::string prom_b = cat(pb, "/proc/metrics");
+  EXPECT_NE(prom_b.find("\nusk_trace_events_emitted 0\n"), std::string::npos);
+  EXPECT_NE(prom_b.find("\nusk_spans_started 0\n"), std::string::npos);
+
+  // A counted its own calls only: every getpid it traced is one of pa's
+  // kCalls, every span is one of its a.req spans.
+  const std::string spans_a = cat(pa, "/proc/span/spans");
+  EXPECT_EQ(count_lines(spans_a, " a.req "), static_cast<std::size_t>(kCalls));
+  EXPECT_EQ(count_lines(spans_a, " b.req "), 0u);
+  const std::string prom_a = cat(pa, "/proc/metrics");
+  EXPECT_NE(prom_a.find("\nusk_spans_started " + std::to_string(kCalls) +
+                        "\n"),
+            std::string::npos)
+      << prom_a;
+  const std::vector<trace::TraceEvent> events = a.ktrace().drain();
+  EXPECT_NE(prom_a.find("\nusk_trace_events_emitted " +
+                        std::to_string(events.size()) + "\n"),
+            std::string::npos)
+      << prom_a;
+  std::size_t getpid_enters = 0;
+  for (const trace::TraceEvent& e : events) {
+    EXPECT_EQ(e.pid, pa.task().pid());
+    if (std::string(trace::site_subsys(e.site)) == "syscall" &&
+        std::string(trace::site_name(e.site)) == "enter" &&
+        e.arg0 == static_cast<std::uint64_t>(uk::Sys::kGetpid)) {
+      ++getpid_enters;
+    }
+  }
+  EXPECT_EQ(getpid_enters, static_cast<std::size_t>(kCalls));
 }
 
 /// Counts calls that run, or are still running, once unsubscribe returned.

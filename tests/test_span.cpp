@@ -8,15 +8,17 @@
 // an extension mid-run (the decomposed fallback syscalls must stay in
 // the original request's tree, never orphans).
 //
-// Kspan is process-wide (like Ktrace), so every test starts from reset()
-// and restores the disabled state on exit.
+// Every Kernel owns its span store, so each test arms the store of its
+// own fresh Kernel.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "base/current.hpp"
 #include "fault/kfail.hpp"
 #include "fs/memfs.hpp"
 #include "fs/procfs.hpp"
@@ -41,12 +43,9 @@ class SpanTest : public ::testing::Test {
     fault::kfail().disarm_all();
     fault::kfail().reset_stats();
     fault::kfail().set_seed(0x5eed);
-    trace::kspan().reset();
-    trace::kspan().enable();
+    kernel_.kspan().set_enabled(true);
   }
   ~SpanTest() override {
-    trace::kspan().disable();
-    trace::kspan().reset();
     fault::kfail().disarm_all();
     fault::kfail().reset_stats();
   }
@@ -102,13 +101,12 @@ class SpanTest : public ::testing::Test {
     if (mode == workload::ServeMode::kRing) cfg.ring = &rdev;
     workload::populate_www(proc_, cfg);
 
-    trace::kspan().reset();
     workload::WebServerReport rep = workload::run_webserver(kernel_, net, cfg);
     EXPECT_EQ(rep.requests,
               cfg.workers * cfg.conns_per_worker * cfg.requests_per_conn);
-    EXPECT_EQ(trace::kspan().stats().dropped, 0u);
-    EXPECT_EQ(trace::kspan().stats().active, 0u);
-    return trace::kspan().drain();
+    EXPECT_EQ(kernel_.kspan().stats().dropped, 0u);
+    EXPECT_EQ(kernel_.kspan().stats().active, 0u);
+    return kernel_.kspan().drain();
   }
 
   fs::MemFs fs_;
@@ -119,20 +117,18 @@ class SpanTest : public ::testing::Test {
 // --- SpanScope mechanics -------------------------------------------------------
 
 TEST_F(SpanTest, ScopeIsInertWhenDisabled) {
-  trace::kspan().disable();
-  trace::kspan().reset();
+  kernel_.kspan().set_enabled(false);
   {
-    SpanScope s("off", SpanVehicle::kPlain);
+    SpanScope s(kernel_.kspan(), "off", SpanVehicle::kPlain);
     EXPECT_FALSE(s.armed());
     EXPECT_EQ(s.id(), 0u);
-    EXPECT_EQ(SpanScope::current(), nullptr);
-    EXPECT_EQ(SpanScope::current_id(), 0u);
+    EXPECT_EQ(base::current().span, nullptr);
     proc_.getpid();  // the epilogue must not attribute anywhere
   }
-  const trace::SpanStats st = trace::kspan().stats();
+  const trace::SpanStats st = kernel_.kspan().stats();
   EXPECT_EQ(st.started, 0u);
   EXPECT_EQ(st.finished, 0u);
-  EXPECT_TRUE(trace::kspan().drain().empty());
+  EXPECT_TRUE(kernel_.kspan().drain().empty());
 }
 
 TEST_F(SpanTest, NestedScopesLinkParentsAndAttributeInnermost) {
@@ -143,23 +139,24 @@ TEST_F(SpanTest, NestedScopesLinkParentsAndAttributeInnermost) {
   std::uint64_t outer_id = 0;
   std::uint64_t inner_id = 0;
   {
-    SpanScope outer("outer", SpanVehicle::kPlain);
+    SpanScope outer(kernel_.kspan(), "outer", SpanVehicle::kPlain);
     outer_id = outer.id();
-    EXPECT_EQ(SpanScope::current(), &outer);
+    EXPECT_EQ(base::current().span, &outer);
     proc_.getpid();  // 1 crossing on the outer span
     {
-      SpanScope inner("inner", SpanVehicle::kCosy, /*ext=*/3);
+      SpanScope inner(kernel_.kspan(), "inner", SpanVehicle::kCosy,
+                      /*ext=*/3);
       inner_id = inner.id();
-      EXPECT_EQ(SpanScope::current_id(), inner_id);
+      EXPECT_EQ(base::current().span, &inner);
       // 1 crossing + 128 copied-in bytes on the INNER span only.
       EXPECT_EQ(proc_.write(fd, block, sizeof block),
                 static_cast<SysRet>(sizeof block));
     }
-    EXPECT_EQ(SpanScope::current(), &outer);
+    EXPECT_EQ(base::current().span, &outer);
   }
   proc_.close(fd);
 
-  std::vector<SpanRecord> spans = trace::kspan().drain();
+  std::vector<SpanRecord> spans = kernel_.kspan().drain();
   ASSERT_EQ(spans.size(), 2u);  // finished inner-first
   const SpanRecord& inner = spans[0];
   const SpanRecord& outer = spans[1];
@@ -179,11 +176,11 @@ TEST_F(SpanTest, NestedScopesLinkParentsAndAttributeInnermost) {
 TEST_F(SpanTest, WatchedResultSetsErrorStatus) {
   std::int64_t ret = 0;
   {
-    SpanScope s("watched", SpanVehicle::kFallback);
+    SpanScope s(kernel_.kspan(), "watched", SpanVehicle::kFallback);
     s.watch_result(&ret);
     ret = sysret_err(Errno::kEIO);
   }
-  std::vector<SpanRecord> spans = trace::kspan().drain();
+  std::vector<SpanRecord> spans = kernel_.kspan().drain();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].status, sysret_err(Errno::kEIO));
 }
@@ -191,21 +188,21 @@ TEST_F(SpanTest, WatchedResultSetsErrorStatus) {
 TEST_F(SpanTest, StoreEvictsOldestAndCountsDrops) {
   const std::size_t extra = 32;
   for (std::size_t i = 0; i < trace::Kspan::kMaxFinished + extra; ++i) {
-    SpanScope s("churn", SpanVehicle::kNone);
+    SpanScope s(kernel_.kspan(), "churn", SpanVehicle::kNone);
   }
-  const trace::SpanStats st = trace::kspan().stats();
+  const trace::SpanStats st = kernel_.kspan().stats();
   EXPECT_EQ(st.started, trace::Kspan::kMaxFinished + extra);
   EXPECT_EQ(st.finished, trace::Kspan::kMaxFinished + extra);
   EXPECT_EQ(st.dropped, extra);
-  EXPECT_EQ(trace::kspan().drain().size(), trace::Kspan::kMaxFinished);
+  EXPECT_EQ(kernel_.kspan().drain().size(), trace::Kspan::kMaxFinished);
 }
 
 TEST_F(SpanTest, ChromeExportBindsChildrenWithFlowEvents) {
   {
-    SpanScope parent("req", SpanVehicle::kPlain);
-    SpanScope child("part", SpanVehicle::kConsolidated);
+    SpanScope parent(kernel_.kspan(), "req", SpanVehicle::kPlain);
+    SpanScope child(kernel_.kspan(), "part", SpanVehicle::kConsolidated);
   }
-  std::vector<SpanRecord> spans = trace::kspan().drain();
+  std::vector<SpanRecord> spans = kernel_.kspan().drain();
   ASSERT_EQ(spans.size(), 2u);
   const std::string json = trace::export_chrome_spans(spans);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -213,6 +210,27 @@ TEST_F(SpanTest, ChromeExportBindsChildrenWithFlowEvents) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(json.find("req"), std::string::npos);
   EXPECT_NE(json.find("part"), std::string::npos);
+}
+
+TEST_F(SpanTest, KernelLessSpanJoinsTheInnermostSpan) {
+  {
+    SpanScope alone("store.commit");  // no span open: nothing to join
+    EXPECT_FALSE(alone.armed());
+  }
+  std::uint64_t req_id = 0;
+  {
+    SpanScope req(kernel_.kspan(), "req", SpanVehicle::kPlain);
+    req_id = req.id();
+    SpanScope commit("store.commit");
+    EXPECT_TRUE(commit.armed());
+    proc_.getpid();  // attributes to the innermost span: the commit
+  }
+  const std::vector<SpanRecord> spans = kernel_.kspan().drain();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(std::string(spans[0].name), "store.commit");
+  EXPECT_EQ(spans[0].parent, req_id);
+  EXPECT_EQ(spans[0].crossings, 1u);
+  EXPECT_EQ(spans[1].crossings, 0u);
 }
 
 // --- one tree per request, per vehicle -----------------------------------------
@@ -361,17 +379,17 @@ TEST_F(SpanTest, ProcSpanFilesToggleAndRender) {
   ASSERT_GE(fd, 0);
   EXPECT_EQ(proc_.write(fd, "0\n", 2), 2);
   proc_.close(fd);
-  EXPECT_FALSE(trace::span_enabled());
+  EXPECT_FALSE(kernel_.kspan().is_enabled());
   EXPECT_EQ(cat("/proc/span/enable"), "0\n");
 
   fd = proc_.open("/proc/span/enable", fs::kOWrOnly);
   EXPECT_EQ(proc_.write(fd, "1\n", 2), 2);
   proc_.close(fd);
-  EXPECT_TRUE(trace::span_enabled());
+  EXPECT_TRUE(kernel_.kspan().is_enabled());
 
-  trace::kspan().reset();
   {
-    SpanScope sp("proc.sample", SpanVehicle::kCosy, /*ext=*/7);
+    SpanScope sp(kernel_.kspan(), "proc.sample", SpanVehicle::kCosy,
+                 /*ext=*/7);
     proc_.getpid();
   }
   const std::string stats = cat("/proc/span/stats");
@@ -379,6 +397,27 @@ TEST_F(SpanTest, ProcSpanFilesToggleAndRender) {
   const std::string spans = cat("/proc/span/spans");
   EXPECT_NE(spans.find("proc.sample"), std::string::npos);
   EXPECT_NE(spans.find("cosy"), std::string::npos);
+}
+
+// --- USK_SPAN: the obs soak arms every Kernel at construction -----------------
+
+TEST(SpanEnvTest, UskSpanArmsEveryNewKernel) {
+  const char* env = std::getenv("USK_SPAN");
+  if (env == nullptr || std::string(env) != "1") {
+    GTEST_SKIP() << "runs under USK_SPAN=1 (ctest -L obs)";
+  }
+  fs::MemFs fs;
+  uk::Kernel k(fs);
+  uk::Proc p(k, "env");
+  ASSERT_TRUE(k.kspan().is_enabled());
+  {
+    SpanScope s(k.kspan(), "env.probe", SpanVehicle::kPlain);
+    p.getpid();
+  }
+  const std::vector<SpanRecord> spans = k.kspan().drain();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].crossings, 1u);
+  EXPECT_EQ(spans[0].pid, p.task().pid());
 }
 
 }  // namespace

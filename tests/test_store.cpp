@@ -37,7 +37,6 @@ namespace usk {
 namespace {
 
 using store::BackingImage;
-using store::ImageMode;
 using store::JTxn;
 using store::Store;
 using store::StoreConfig;
@@ -133,24 +132,6 @@ TEST_F(StoreTest, ImagePersistsAcrossReopen) {
     ASSERT_TRUE(im.read_bytes(2 * store::kBlockBytes + 100, hdr, 7).ok());
     EXPECT_STREQ(hdr, "SBMAGIC");
   }
-}
-
-TEST_F(StoreTest, MmapModeParityWithPread) {
-  const std::string path = img("ts_mmap.img");
-  std::vector<std::uint8_t> a = pattern(0x33);
-  {
-    BackingImage im;
-    ASSERT_TRUE(im.open(path, 4, ImageMode::kMmap).ok());
-    ASSERT_TRUE(im.write_block(1, a.data()).ok());
-    ASSERT_TRUE(im.flush().ok());
-    im.close();
-  }
-  // What mmap wrote, pread reads -- same file, same contract.
-  BackingImage im;
-  ASSERT_TRUE(im.open(path, 4, ImageMode::kPread).ok());
-  std::vector<std::uint8_t> rb(store::kBlockBytes);
-  ASSERT_TRUE(im.read_block(1, rb.data()).ok());
-  EXPECT_EQ(rb, a);
 }
 
 // --- buffer cache: LRU + data plane -------------------------------------------

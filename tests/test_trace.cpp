@@ -3,14 +3,17 @@
 // under parallel dispatch, the /proc synthetic filesystem read through
 // the normal syscall path, and the chrome://tracing exporter.
 //
-// Ktrace is process-wide (the machine has one tracer), so every test
-// that touches it starts from reset() and leaves tracing disabled.
+// Every Kernel owns its tracer, so each test builds a fresh Kernel and
+// arms only that Kernel's tracer. A tracepoint emits into the tracer of
+// the call it runs in, so the tests that fire the macros directly do it
+// inside a uk::Kernel::Scope.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/current.hpp"
 #include "base/klog.hpp"
 #include "fs/memfs.hpp"
 #include "fs/procfs.hpp"
@@ -90,63 +93,94 @@ TEST(HistogramTest, MergeAndReset) {
 
 class KtraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    trace::ktrace().disable();
-    trace::ktrace().reset();
+  KtraceTest() : kernel_(rootfs_), proc_(kernel_, "ktrace") {
+    rootfs_.set_cost_hook(kernel_.charge_hook());
   }
-  void TearDown() override {
-    trace::ktrace().disable();
-    trace::ktrace().reset();
+
+  /// This test's events at `name`, in drain order.
+  static std::vector<trace::TraceEvent> at_site(
+      const std::vector<trace::TraceEvent>& events, const char* name) {
+    std::vector<trace::TraceEvent> out;
+    for (const trace::TraceEvent& e : events) {
+      if (std::string(trace::site_name(e.site)) == name) out.push_back(e);
+    }
+    return out;
   }
+
+  fs::MemFs rootfs_;
+  uk::Kernel kernel_;
+  uk::Proc proc_;
+  trace::Ktrace& kt_ = kernel_.ktrace();
 };
 
 TEST_F(KtraceTest, SiteRegistrationDedupes) {
-  std::uint16_t a = trace::ktrace().register_site("test", "site_a");
-  std::uint16_t b = trace::ktrace().register_site("test", "site_b");
-  std::uint16_t a2 = trace::ktrace().register_site("test", "site_a");
+  std::uint16_t a = trace::register_site("test", "site_a");
+  std::uint16_t b = trace::register_site("test", "site_b");
+  std::uint16_t a2 = trace::register_site("test", "site_a");
   EXPECT_EQ(a, a2);
   EXPECT_NE(a, b);
-  EXPECT_STREQ(trace::ktrace().site_subsys(a), "test");
-  EXPECT_STREQ(trace::ktrace().site_name(b), "site_b");
+  EXPECT_STREQ(trace::site_subsys(a), "test");
+  EXPECT_STREQ(trace::site_name(b), "site_b");
 }
 
 TEST_F(KtraceTest, DisabledTracepointEmitsNothing) {
-  ASSERT_FALSE(trace::enabled());
-  for (int i = 0; i < 100; ++i) {
-    USK_TRACEPOINT("test", "disabled_site", 1, 2);
+  ASSERT_FALSE(kt_.is_enabled());
+  {
+    uk::Kernel::Scope call(kernel_, proc_.process(), uk::Sys::kGetpid);
+    for (int i = 0; i < 100; ++i) {
+      USK_TRACEPOINT("test", "disabled_site", 1, 2);
+    }
   }
-  EXPECT_EQ(trace::ktrace().emitted(), 0u);
-  EXPECT_TRUE(trace::ktrace().drain().empty());
+  EXPECT_EQ(kt_.emitted(), 0u);
+  EXPECT_TRUE(kt_.drain().empty());
+}
+
+TEST_F(KtraceTest, TracepointOutsideAnyCallEmitsNothing) {
+  // An armed tracer only hears the calls made on its Kernel: this thread
+  // is in none, so the site has no tracer to emit into.
+  kt_.set_enabled(true);
+  for (int i = 0; i < 10; ++i) USK_TRACEPOINT("test", "no_call_site");
+  kt_.set_enabled(false);
+  EXPECT_EQ(base::current().ktrace, nullptr);
+  EXPECT_EQ(kt_.emitted(), 0u);
+  EXPECT_TRUE(kt_.sites().empty());
 }
 
 TEST_F(KtraceTest, EnabledTracepointEmitsAndDrainsInOrder) {
-  trace::ktrace().enable();
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    USK_TRACEPOINT("test", "ordered_site", i, i * 2);
+  kt_.set_enabled(true);
+  {
+    uk::Kernel::Scope call(kernel_, proc_.process(), uk::Sys::kGetpid);
+    for (std::uint64_t i = 0; i < 50; ++i) {
+      USK_TRACEPOINT("test", "ordered_site", i, i * 2);
+    }
   }
-  trace::ktrace().disable();
-  std::vector<trace::TraceEvent> events = trace::ktrace().drain();
+  kt_.set_enabled(false);
+  const std::vector<trace::TraceEvent> all = kt_.drain();
+  EXPECT_EQ(all.size(), kt_.emitted());
+  EXPECT_EQ(kt_.dropped(), 0u);
+  const std::vector<trace::TraceEvent> events = at_site(all, "ordered_site");
   ASSERT_EQ(events.size(), 50u);
-  EXPECT_EQ(trace::ktrace().emitted(), 50u);
-  EXPECT_EQ(trace::ktrace().dropped(), 0u);
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (i > 0) {
       EXPECT_LT(events[i - 1].seq, events[i].seq);
     }
     EXPECT_EQ(events[i].arg0, i);
     EXPECT_EQ(events[i].arg1, i * 2);
-    EXPECT_STREQ(trace::ktrace().site_name(events[i].site), "ordered_site");
+    EXPECT_EQ(events[i].pid, proc_.task().pid());
   }
   // Drain consumed everything.
-  EXPECT_TRUE(trace::ktrace().drain().empty());
+  EXPECT_TRUE(kt_.drain().empty());
 }
 
 TEST_F(KtraceTest, SiteHitCountsAccumulate) {
-  trace::ktrace().enable();
-  for (int i = 0; i < 7; ++i) USK_TRACEPOINT("test", "hit_counted");
-  trace::ktrace().disable();
+  kt_.set_enabled(true);
+  {
+    uk::Kernel::Scope call(kernel_, proc_.process(), uk::Sys::kGetpid);
+    for (int i = 0; i < 7; ++i) USK_TRACEPOINT("test", "hit_counted");
+  }
+  kt_.set_enabled(false);
   bool found = false;
-  for (const trace::SiteInfo& s : trace::ktrace().sites()) {
+  for (const trace::SiteInfo& s : kt_.sites()) {
     if (std::string(s.subsys) == "test" &&
         std::string(s.name) == "hit_counted") {
       EXPECT_EQ(s.hits, 7u);
@@ -157,60 +191,51 @@ TEST_F(KtraceTest, SiteHitCountsAccumulate) {
 }
 
 TEST_F(KtraceTest, FullRingDropsAndCounts) {
-  trace::ktrace().configure(8);
-  trace::ktrace().enable();
-  std::uint16_t site = trace::ktrace().register_site("test", "drop_site");
-  for (int i = 0; i < 100; ++i) trace::ktrace().emit(site);
-  trace::ktrace().disable();
-  EXPECT_EQ(trace::ktrace().emitted(), 100u);
-  EXPECT_GT(trace::ktrace().dropped(), 0u);
-  std::vector<trace::TraceEvent> events = trace::ktrace().drain();
+  kt_.configure(8);
+  std::uint16_t site = trace::register_site("test", "drop_site");
+  for (int i = 0; i < 100; ++i) kt_.emit(site);
+  EXPECT_EQ(kt_.emitted(), 100u);
+  EXPECT_GT(kt_.dropped(), 0u);
+  std::vector<trace::TraceEvent> events = kt_.drain();
   // Conservation: drained == emitted - dropped, exactly.
-  EXPECT_EQ(events.size(),
-            trace::ktrace().emitted() - trace::ktrace().dropped());
+  EXPECT_EQ(events.size(), kt_.emitted() - kt_.dropped());
 }
 
 TEST_F(KtraceTest, PerCpuStatsAccountEveryDropAndWarnOnce) {
-  trace::ktrace().configure(8);
-  trace::ktrace().enable();
-  std::uint16_t site = trace::ktrace().register_site("test", "wrap_site");
-  for (int i = 0; i < 100; ++i) trace::ktrace().emit(site);
-  trace::ktrace().disable();
-  ASSERT_GT(trace::ktrace().dropped(), 0u);
+  kt_.configure(8);
+  std::uint16_t site = trace::register_site("test", "wrap_site");
+  for (int i = 0; i < 100; ++i) kt_.emit(site);
+  ASSERT_GT(kt_.dropped(), 0u);
 
   // The per-CPU rows must reconcile exactly with the merged totals.
   std::uint64_t emitted = 0;
   std::uint64_t dropped = 0;
-  for (const trace::Ktrace::CpuStats& c : trace::ktrace().per_cpu_stats()) {
+  for (const trace::Ktrace::CpuStats& c : kt_.per_cpu_stats()) {
     emitted += c.emitted;
     dropped += c.dropped;
     EXPECT_EQ(c.capacity, 8u);
   }
-  EXPECT_EQ(emitted, trace::ktrace().emitted());
-  EXPECT_EQ(dropped, trace::ktrace().dropped());
+  EXPECT_EQ(emitted, kt_.emitted());
+  EXPECT_EQ(dropped, kt_.dropped());
 
   // Losing events silently is the observability sin: the first drop on
   // this CPU logged a rate-limited warning through klog.
   EXPECT_TRUE(base::klog().contains("ktrace: cpu"));
 
   // reset() clears the rows and re-arms the first-drop warning.
-  trace::ktrace().reset();
-  EXPECT_TRUE(trace::ktrace().per_cpu_stats().empty());
+  kt_.reset();
+  EXPECT_TRUE(kt_.per_cpu_stats().empty());
 }
 
 TEST_F(KtraceTest, LosslessUnderParallelSyscallDispatch) {
-  fs::MemFs rootfs;
-  uk::Kernel kernel(rootfs);
-  rootfs.set_cost_hook(kernel.charge_hook());
-
-  trace::ktrace().configure(1 << 15);
-  trace::ktrace().enable();
+  kt_.configure(1 << 15);
+  kt_.set_enabled(true);
   constexpr int kThreads = 4;
   constexpr int kCalls = 2000;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&kernel, t] {
-      uk::Proc p(kernel, testutil::numbered("w", t));
+    workers.emplace_back([this, t] {
+      uk::Proc p(kernel_, testutil::numbered("w", t));
       std::string path = "/f" + std::to_string(t);
       int fd = p.open(path.c_str(), fs::kOWrOnly | fs::kOCreat);
       char block[64] = {};
@@ -226,11 +251,11 @@ TEST_F(KtraceTest, LosslessUnderParallelSyscallDispatch) {
     });
   }
   for (auto& w : workers) w.join();
-  trace::ktrace().disable();
+  kt_.set_enabled(false);
 
-  const std::uint64_t emitted = trace::ktrace().emitted();
-  const std::uint64_t dropped = trace::ktrace().dropped();
-  std::vector<trace::TraceEvent> events = trace::ktrace().drain();
+  const std::uint64_t emitted = kt_.emitted();
+  const std::uint64_t dropped = kt_.dropped();
+  std::vector<trace::TraceEvent> events = kt_.drain();
   EXPECT_GT(emitted, static_cast<std::uint64_t>(kThreads * kCalls));
   EXPECT_EQ(dropped, 0u) << "rings sized to hold the full event volume";
   EXPECT_EQ(events.size(), emitted - dropped);
@@ -240,51 +265,50 @@ TEST_F(KtraceTest, LosslessUnderParallelSyscallDispatch) {
 }
 
 TEST_F(KtraceTest, SyscallHistogramIsAlwaysOn) {
-  fs::MemFs rootfs;
-  uk::Kernel kernel(rootfs);
-  uk::Proc p(kernel, "hist");
-  ASSERT_FALSE(trace::enabled());
-  const std::uint64_t before = kernel.syscall_latency(uk::Sys::kGetpid).count;
-  for (int i = 0; i < 10; ++i) p.getpid();
-  const std::uint64_t after = kernel.syscall_latency(uk::Sys::kGetpid).count;
+  ASSERT_FALSE(kt_.is_enabled());
+  const std::uint64_t before =
+      kernel_.syscall_latency(uk::Sys::kGetpid).count;
+  for (int i = 0; i < 10; ++i) proc_.getpid();
+  const std::uint64_t after = kernel_.syscall_latency(uk::Sys::kGetpid).count;
   EXPECT_EQ(after - before, 10u);
 }
 
 TEST_F(KtraceTest, ScopedLatencyRecordsOnlyWhenEnabled) {
-  trace::Histogram& h = trace::ktrace().op_hist("test", "scoped_lat");
-  {
-    trace::ScopedLatency lat(h);
-    (void)lat;
-  }
-  EXPECT_EQ(h.count(), 0u) << "disabled: no clock sampling, no record";
-  trace::ktrace().enable();
-  {
-    trace::ScopedLatency lat(h);
-    (void)lat;
-  }
-  trace::ktrace().disable();
-  EXPECT_EQ(h.count(), 1u);
-  bool listed = false;
-  for (const trace::OpHistInfo& o : trace::ktrace().op_hists()) {
-    if (std::string(o.subsys) == "test" &&
-        std::string(o.name) == "scoped_lat") {
-      listed = true;
+  const std::uint16_t id = trace::register_site("test", "scoped_lat");
+  auto listed = [this] {
+    for (const trace::OpHistInfo& o : kt_.op_hists()) {
+      if (std::string(o.subsys) == "test" &&
+          std::string(o.name) == "scoped_lat") {
+        return o.hist.count;
+      }
     }
+    return std::uint64_t{0};
+  };
+  {
+    uk::Kernel::Scope call(kernel_, proc_.process(), uk::Sys::kGetpid);
+    trace::ScopedLatency lat(id);
+    (void)lat;
   }
-  EXPECT_TRUE(listed);
+  EXPECT_EQ(listed(), 0u) << "disabled: no clock sampling, no record";
+  kt_.set_enabled(true);
+  {
+    uk::Kernel::Scope call(kernel_, proc_.process(), uk::Sys::kGetpid);
+    trace::ScopedLatency lat(id);
+    (void)lat;
+  }
+  kt_.set_enabled(false);
+  EXPECT_EQ(kt_.op_hist(id).count(), 1u);
+  EXPECT_EQ(listed(), 1u);
 }
 
 // --- chrome://tracing exporter -------------------------------------------
 
 TEST_F(KtraceTest, ChromeExportPairsSyscallSpans) {
-  fs::MemFs rootfs;
-  uk::Kernel kernel(rootfs);
-  uk::Proc p(kernel, "chrome");
-  trace::ktrace().enable();
-  p.getpid();
-  p.getpid();
-  trace::ktrace().disable();
-  std::vector<trace::TraceEvent> events = trace::ktrace().drain();
+  kt_.set_enabled(true);
+  proc_.getpid();
+  proc_.getpid();
+  kt_.set_enabled(false);
+  std::vector<trace::TraceEvent> events = kt_.drain();
   ASSERT_FALSE(events.empty());
   std::string json = trace::export_chrome(events);
   EXPECT_EQ(json.front(), '[');
@@ -300,13 +324,7 @@ class ProcSyscallTest : public ::testing::Test {
  protected:
   ProcSyscallTest() : kernel_(rootfs_), proc_(kernel_, "proctest") {
     rootfs_.set_cost_hook(kernel_.charge_hook());
-    trace::ktrace().disable();
-    trace::ktrace().reset();
     kernel_.mount_procfs();
-  }
-  ~ProcSyscallTest() override {
-    trace::ktrace().disable();
-    trace::ktrace().reset();
   }
 
   /// Read a whole /proc file with open/read/close syscalls.
@@ -379,13 +397,13 @@ TEST_F(ProcSyscallTest, TraceEnableTogglesViaWrite) {
   ASSERT_GE(fd, 0);
   EXPECT_EQ(proc_.write(fd, "1\n", 2), 2);
   proc_.close(fd);
-  EXPECT_TRUE(trace::enabled());
+  EXPECT_TRUE(kernel_.ktrace().is_enabled());
   EXPECT_NE(cat("/proc/trace/enable").find("1"), std::string::npos);
 
   fd = proc_.open("/proc/trace/enable", fs::kOWrOnly);
   EXPECT_EQ(proc_.write(fd, "0\n", 2), 2);
   proc_.close(fd);
-  EXPECT_FALSE(trace::enabled());
+  EXPECT_FALSE(kernel_.ktrace().is_enabled());
 }
 
 TEST_F(ProcSyscallTest, TraceEnableRejectsGarbage) {
@@ -424,12 +442,12 @@ TEST_F(ProcSyscallTest, TraceEventsListsFiredSites) {
 }
 
 TEST_F(ProcSyscallTest, TraceStatsRendersPerCpuDropRows) {
-  trace::ktrace().configure(8);
+  kernel_.ktrace().configure(8);
   int fd = proc_.open("/proc/trace/enable", fs::kOWrOnly);
   proc_.write(fd, "1", 1);
   proc_.close(fd);
-  std::uint16_t site = trace::ktrace().register_site("test", "proc_wrap");
-  for (int i = 0; i < 100; ++i) trace::ktrace().emit(site);
+  std::uint16_t site = trace::register_site("test", "proc_wrap");
+  for (int i = 0; i < 100; ++i) kernel_.ktrace().emit(site);
   fd = proc_.open("/proc/trace/enable", fs::kOWrOnly);
   proc_.write(fd, "0", 1);
   proc_.close(fd);
@@ -443,11 +461,12 @@ TEST_F(ProcSyscallTest, TraceStatsRendersPerCpuDropRows) {
 }
 
 TEST_F(ProcSyscallTest, MetricsExposeBridgesTraceAndSpanCounters) {
-  trace::ktrace().configure(8);
-  trace::ktrace().enable();
-  std::uint16_t site = trace::ktrace().register_site("test", "metrics_wrap");
-  for (int i = 0; i < 100; ++i) trace::ktrace().emit(site);
-  trace::ktrace().disable();
+  trace::Ktrace& kt = kernel_.ktrace();
+  kt.configure(8);
+  kt.set_enabled(true);
+  std::uint16_t site = trace::register_site("test", "metrics_wrap");
+  for (int i = 0; i < 100; ++i) kt.emit(site);
+  kt.set_enabled(false);
   proc_.getpid();  // give the syscall-latency scrape a live histogram
 
   std::string prom = cat("/proc/metrics");

@@ -38,10 +38,6 @@ inline void alu_hold(std::uint64_t units) {
 
 class WorkEngine {
  public:
-  WorkEngine() {
-    for (auto& w : scratch_) w.store(1, std::memory_order_relaxed);
-  }
-
   /// Execute `units` of pure ALU work.
   void alu(std::uint64_t units) {
     if (units == 0) return;

@@ -65,13 +65,14 @@ class AdaptiveRegion {
         compound_(std::move(compound)),
         calibration_runs_(calibration_runs) {}
 
-  /// Put the region under a supervisor: the classic form becomes the
-  /// registered fallback for the compound. Quarantine re-routes run() to
-  /// classic_ transparently; re-admission probes re-isolate every
-  /// installed function and retry the compound; and a compound failure
-  /// while supervised is RESCUED by classic_ instead of permanently
-  /// locking the region to kClassic (the breaker owns that policy now).
-  /// `id` must be the id `ext` is supervised under.
+  /// Put the region under a supervisor: every run() becomes one
+  /// Supervisor::invoke whose classic form is classic_. Quarantine serves
+  /// classic_; a re-admission probe re-isolates every installed function
+  /// and runs the compound; and a compound failure while supervised is
+  /// RESCUED by classic_ instead of permanently locking the region to
+  /// kClassic (the breaker owns that policy now). In the kernel route the
+  /// profiler still picks the form. `id` must be the id `ext` is
+  /// supervised under.
   void supervise(sup::Supervisor* s, sup::ExtId id) {
     sup_ = s;
     sup_id_ = id;
@@ -79,75 +80,68 @@ class AdaptiveRegion {
   }
 
   /// Execute the region once, the currently-chosen way. Returns the
-  /// implementation that ran.
+  /// implementation that served it.
   Decision run(uk::Proc& proc) {
-    if (sup_ != nullptr) {
-      const sup::Route route = sup_->route(sup_id_);
-      if (route == sup::Route::kFallback) {
-        // Quarantined: the registered classic form serves the request in
-        // user space, accounted as a fallback run.
-        SysRet ret = 0;
-        sup::InvocationGuard g(*sup_, sup_id_, &proc.task(), route, &ret);
-        classic_(proc);
-        return Decision::kClassic;
+    // The profiler's pick: alternate while calibrating (classic first),
+    // then the locked-in form.
+    const bool pick_classic =
+        decision_ == Decision::kClassic ||
+        (decision_ == Decision::kProfiling &&
+         profile_.classic_runs <= profile_.cosy_runs);
+    const std::uint64_t k0 = proc.task().times().kernel;
+    Decision ran = Decision::kClassic;
+    bool profiled = sup_ == nullptr;  // ran the profiler's pick
+    SysRet ret = 0;                   // the compound's result
+    auto classic = [&] {
+      classic_(proc);
+      return SysRet{0};
+    };
+    auto compound = [&] {
+      ret = ext_.execute(proc.process(), compound_, shared_).ret;
+      if (ret == 0) ran = Decision::kCosy;
+      return ret;
+    };
+    if (sup_ == nullptr) {
+      if (pick_classic) {
+        classic();
+      } else {
+        compound();
       }
-      if (route == sup::Route::kProbe) {
-        // Re-admission probe: full instrumentation (all trust revoked),
-        // classic rescue if the probe fails.
-        ext_.re_isolate_all();
-        SysRet ret = 0;
-        {
-          sup::InvocationGuard g(*sup_, sup_id_, &proc.task(), route, &ret);
-          CosyResult r = ext_.execute(proc.process(), compound_, shared_);
-          ret = r.ret;
-        }
-        if (ret != 0) classic_(proc);
-        return ret == 0 ? Decision::kCosy : Decision::kClassic;
-      }
-      // Route::kKernel falls through to the normal profiling/locked-in
-      // logic; ext_.execute opens its own guard.
+    } else {
+      sup_->invoke(
+          sup_id_, &proc.task(),
+          [&](sup::InvocationGuard&,
+              sup::Route route) -> sup::Supervisor::Attempt {
+            if (route == sup::Route::kProbe) {
+              ext_.re_isolate_all();  // full instrumentation: no trust
+            } else {
+              profiled = true;
+              if (pick_classic) return {classic(), false};
+            }
+            const SysRet r = compound();
+            return {r, r != 0};
+          },
+          classic);
     }
-    if (decision_ == Decision::kProfiling) {
-      // Alternate, classic first.
-      bool take_classic = profile_.classic_runs <= profile_.cosy_runs;
-      std::uint64_t k0 = proc.task().times().kernel;
-      if (take_classic) {
-        classic_(proc);
-        profile_.classic_units += proc.task().times().kernel - k0;
+    if (ret != 0) {
+      // Supervised, classic_ rescued the run and the breaker decides
+      // what comes next. Unsupervised, a failing compound can never be
+      // the offload choice.
+      if (sup_ == nullptr) decision_ = Decision::kClassic;
+      return ran;
+    }
+    if (profiled && decision_ == Decision::kProfiling) {
+      const std::uint64_t units = proc.task().times().kernel - k0;
+      if (pick_classic) {
+        profile_.classic_units += units;
         ++profile_.classic_runs;
       } else {
-        CosyResult r = ext_.execute(proc.process(), compound_, shared_);
-        if (r.ret != 0) {
-          if (sup_ != nullptr) {
-            // Supervised: rescue with the classic form and keep
-            // profiling; quarantine (not a one-shot lock-in) is the
-            // response to a persistently failing compound.
-            classic_(proc);
-            return Decision::kClassic;
-          }
-          // A failing compound can never be the offload choice.
-          decision_ = Decision::kClassic;
-          return Decision::kClassic;
-        }
-        profile_.cosy_units += proc.task().times().kernel - k0;
+        profile_.cosy_units += units;
         ++profile_.cosy_runs;
       }
       maybe_decide();
-      return take_classic ? Decision::kClassic : Decision::kCosy;
     }
-    if (decision_ == Decision::kCosy) {
-      CosyResult r = ext_.execute(proc.process(), compound_, shared_);
-      if (r.ret != 0) {
-        if (sup_ != nullptr) {
-          classic_(proc);  // rescue; the breaker decides what's next
-          return Decision::kClassic;
-        }
-        decision_ = Decision::kClassic;  // fail back
-      }
-      return Decision::kCosy;
-    }
-    classic_(proc);
-    return Decision::kClassic;
+    return ran;
   }
 
   [[nodiscard]] Decision decision() const { return decision_; }

@@ -284,8 +284,10 @@ void RingDev::exec_chain(uk::Process& p, Ring& r,
                          Errno* violation, std::vector<Cqe>& out) {
   // One span per chain (the ring's request unit), a child of whatever
   // span submitted the enter (chains drain on the submitting thread).
-  // Classic decomposition keeps the same parent, so a quarantined
-  // ring's fallback work stays inside the original request tree.
+  // A classic decomposition runs inside Supervisor::invoke's
+  // "sup.fallback" span, itself a child of that submitter, so a
+  // quarantined ring's fallback work stays inside the original request
+  // tree.
   const sup::InvocationGuard* g = base::current().guard;
   trace::SpanScope span(k_.kspan(),
                         classic ? "ring.chain.classic" : "ring.chain",
@@ -541,64 +543,45 @@ SysRet RingDev::sys_ring_enter(uk::Process& p, int ringfd,
                                /*classic=*/false, nullptr, &viol));
   }
 
-  const sup::Route route = sup->route(ext);
-  if (route != sup::Route::kFallback) {
-    SysRet vres = 0;
-    SysRet ret = 0;
-    Errno viol = Errno::kOk;
-    std::size_t kernel_posted = 0;
-    {
-      sup::InvocationGuard g(*sup, ext, &p.task, route, &vres);
-      // The drain stages up to one chain of SQEs kernel-side; charge
-      // that staging against the kmalloc quota before any side effect.
-      if (!g.charge_kmalloc(r.max_chain() * sizeof(Sqe))) {
-        vres = sysret_err(sup::InvocationGuard::quota_errno());
-        ret = vres;
-      } else {
+  return sup->invoke(
+      ext, &p.task,
+      [&](sup::InvocationGuard& g, sup::Route) -> sup::Supervisor::Attempt {
+        // The drain stages up to one chain of SQEs kernel-side; charge
+        // that staging against the kmalloc quota before any side effect.
+        if (!g.charge_kmalloc(r.max_chain() * sizeof(Sqe))) {
+          return {sysret_err(sup::InvocationGuard::quota_errno()), true};
+        }
+        Errno viol = Errno::kOk;
         r.n_.enters.fetch_add(1, std::memory_order_relaxed);
         uk::Kernel::Scope scope(k_, p, uk::Sys::kRingEnter);
-        if (SysRet gr = scope.gate(); gr != 0) return gr;
+        if (SysRet gr = scope.gate(); gr != 0) return {gr, false};
         USK_TRACE_LATENCY("ring", "enter");
         USK_TRACEPOINT("ring", "enter", to_submit, min_complete);
-        ret = scope.done(do_enter(p, r, to_submit, min_complete, timeout_ms,
-                                  /*classic=*/false, &g, &viol));
-        kernel_posted = ret > 0 ? static_cast<std::size_t>(ret) : 0;
+        const SysRet ret = scope.done(do_enter(p, r, to_submit, min_complete,
+                                               timeout_ms, /*classic=*/false,
+                                               &g, &viol));
         // The guard judges the DRAIN, not the per-op results: data-plane
         // errnos live in the CQEs; a corrupt SQE, a dropped completion
         // or a quota trip is the extension misbehaving.
-        vres = viol != Errno::kOk ? sysret_err(viol) : (ret < 0 ? ret : 0);
-      }
-    }
-    // Mirror the other vehicles' contract: if the kernel path produced
-    // nothing and misbehaved, decompose the still-queued SQEs below;
-    // anything already posted must not be re-executed.
-    if (kernel_posted > 0 || (viol == Errno::kOk && !sysret_is_err(ret))) {
-      return ret;
-    }
-  }
-
-  // Quarantined (or zero-yield misbehaving) path: classic syscall-at-a-
-  // time decomposition. Same chains, same semantics, one crossing per
-  // op -- each nested Scope feeds the gateway so the breaker keeps
-  // observing the extension while it serves its backoff.
-  r.n_.enters_fallback.fetch_add(1, std::memory_order_relaxed);
-  USK_TRACEPOINT("ring", "fallback_enter", to_submit);
-  SysRet vres = 0;
-  SysRet ret = 0;
-  {
-    sup::InvocationGuard g(*sup, ext, &p.task, sup::Route::kFallback, &vres);
-    if (auto f = USK_FAIL_POINT(fault::Site::kSupFallback); f.fail) {
-      vres = sysret_err(f.err);
-      return sysret_err(f.err);
-    } else if (f.transient) {
-      k_.engine().alu(200);  // simulated user-space retry
-    }
-    Errno viol = Errno::kOk;
-    ret = do_enter(p, r, to_submit, min_complete, timeout_ms,
-                   /*classic=*/true, nullptr, &viol);
-    vres = ret < 0 ? ret : 0;
-  }
-  return ret;
+        const SysRet drain = viol != Errno::kOk ? sysret_err(viol)
+                                                : (ret < 0 ? ret : 0);
+        g.set_result(drain);
+        // A drain that posted nothing and misbehaved is decomposed below;
+        // anything already posted must not be re-executed.
+        if (ret <= 0 && sysret_is_err(drain)) return {drain, true};
+        return {ret, false};
+      },
+      [&] {
+        // Classic syscall-at-a-time decomposition: same chains, same
+        // semantics, one crossing per op -- each nested Scope feeds the
+        // gateway so the breaker keeps observing the extension while it
+        // serves its backoff.
+        r.n_.enters_fallback.fetch_add(1, std::memory_order_relaxed);
+        USK_TRACEPOINT("ring", "fallback_enter", to_submit);
+        Errno viol = Errno::kOk;
+        return do_enter(p, r, to_submit, min_complete, timeout_ms,
+                        /*classic=*/true, nullptr, &viol);
+      });
 }
 
 }  // namespace usk::ring

@@ -22,12 +22,12 @@
 // result, which is what lets accept->recv and open->read->send->close
 // subsume accept_recv and sendfile generically.
 //
-// Supervision: a ring bound to a ksup extension runs every drain under
-// an InvocationGuard (fuel charged per SQE, staging memory per enter).
+// Supervision: a ring bound to a ksup extension runs every enter through
+// Supervisor::invoke (fuel charged per SQE, staging memory per enter).
 // A quarantined ring degrades to classic syscall-at-a-time
 // decomposition: the same chains, executed through the full gateway
-// with one crossing per op -- correct, slow, and safe, exactly the
-// fallback contract of the other vehicles.
+// with one crossing per op -- correct, slow, and safe, the same
+// fallback every other vehicle takes.
 #pragma once
 
 #include <algorithm>

@@ -3,11 +3,11 @@
 // The paper's consolidated calls (§2.2) buy one-crossing execution of a
 // multi-syscall pattern -- but a consolidated call is in-kernel user
 // logic, so it is exactly what the supervisor quarantines. These wrappers
-// are the degradation seam: a healthy extension runs the one-crossing
-// kernel path under an InvocationGuard; a quarantined one decomposes the
-// pattern back into its classic component syscalls (accept+recv; open/
-// read/send.../close), paying the crossings the consolidation saved but
-// keeping the SERVICE up. Callers see the same contract either way.
+// hand Supervisor::invoke the two forms of each call: the one-crossing
+// kernel path (with its kmalloc charge and its rescue predicate) and the
+// classic decomposition into component syscalls (accept+recv; open/
+// read/send.../close), which pays the crossings the consolidation saved
+// but keeps the SERVICE up. Callers see the same contract either way.
 //
 // Kernel-path failures that provably happened before any side effect
 // (quota overrun before the accept, an injected reset at the accept site)

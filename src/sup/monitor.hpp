@@ -13,6 +13,11 @@
 //     kernel stops paying for the monitor.
 //   * probes -- when the backoff expires, one event is fed under full
 //     instrumentation; clean probes walk the monitor back to healthy.
+//
+// feed() is the one supervised entry point that does not go through
+// Supervisor::invoke: a monitor has no task and makes no syscalls, and
+// its "fallback" is only a deferral -- there is no classic form to run,
+// no span to open and no kfail site to pass.
 #pragma once
 
 #include <cstddef>

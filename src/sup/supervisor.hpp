@@ -20,8 +20,12 @@
 //   * graceful degradation -- a quarantined extension's entry point
 //     re-routes to its classic user-space implementation (AdaptiveRegion
 //     classic form, consolidated calls decomposed into their component
-//     syscalls, monitor events deferred to a user-space log): the system
-//     slows down instead of falling over.
+//     syscalls, ring chains run one syscall per op, a Cosy web
+//     connection served by the classic loop): the system slows down
+//     instead of falling over. Supervisor::invoke is the one place that
+//     routes, guards and falls back; a vehicle supplies only its kernel
+//     path (quota charges, rescue predicate) and its classic form. The
+//     monitor (sup/monitor.hpp) is the exception: it defers events.
 //   * backoff re-admission -- after `backoff` fallback invocations a
 //     probe runs the kernel path under full instrumentation; a clean
 //     probe starts probation and N clean runs restore healthy, a failed
@@ -36,14 +40,17 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "base/errno.hpp"
 #include "base/current.hpp"
+#include "fault/kfail.hpp"
 #include "fs/procfs.hpp"
 #include "sched/task.hpp"
+#include "trace/span.hpp"
 #include "uk/kernel.hpp"
 
 namespace usk::fs {
@@ -155,9 +162,9 @@ class SloMonitor;
 /// every enclosed syscall's work units to the extension, and installs
 /// the thread's dirty-page charge), give it a place to read the result
 /// from, and let the destructor classify
-/// the outcome and drive the breaker. Vehicles running the classic
-/// fallback create one with Route::kFallback so degraded work is
-/// accounted too. Nestable; the innermost guard wins attribution.
+/// the outcome and drive the breaker. Supervisor::invoke opens one per
+/// route, Route::kFallback included, so degraded work is accounted too.
+/// Nestable; the innermost guard wins attribution.
 class InvocationGuard {
  public:
   /// `task` may be null (monitor feeds have no task context): no budget
@@ -170,7 +177,12 @@ class InvocationGuard {
   InvocationGuard(const InvocationGuard&) = delete;
   InvocationGuard& operator=(const InvocationGuard&) = delete;
 
-  void set_result(SysRet r) { result_ = r; }
+  /// Judge the invocation by `r` instead of the watched result (a ring
+  /// returns the completions it posted but is judged by its drain).
+  void set_result(SysRet r) {
+    result_ = r;
+    ret_ptr_ = nullptr;
+  }
 
   /// Quota checks for the executor. A false return means the cap is
   /// exceeded: abort the invocation with quota_errno() after rolling
@@ -245,6 +257,54 @@ class Supervisor final : private uk::SyscallSubscriber {
   /// extensions count down their backoff here (each fallback invocation
   /// is one tick) and emit kProbe when it reaches zero.
   Route route(ExtId id);
+
+  /// What a vehicle's kernel path hands back to invoke(): the result the
+  /// caller sees (and the guard judges, unless the path called
+  /// set_result), and whether a failure happened before any side effect,
+  /// so the classic form may serve the same request.
+  struct Attempt {
+    SysRet ret;
+    bool rescue;
+  };
+
+  /// One supervised invocation, the same for every vehicle. Routes once;
+  /// off quarantine, runs `kernel(guard, route) -> Attempt` under a guard
+  /// for that route (a probe inside a "sup.probe" span). A quarantined
+  /// extension, or a failed attempt marked `rescue`, runs `classic() ->
+  /// SysRet` instead: in a child "sup.fallback" span, under a
+  /// Route::kFallback guard, past the sup.fallback kfail site.
+  template <typename KernelPath, typename ClassicPath>
+  SysRet invoke(ExtId id, sched::Task* task, KernelPath&& kernel,
+                ClassicPath&& classic) {
+    const Route r = route(id);
+    if (r != Route::kFallback) {
+      Attempt a{0, false};
+      {
+        std::optional<trace::SpanScope> probe;
+        if (r == Route::kProbe) {
+          probe.emplace(k_.kspan(), "sup.probe", trace::SpanVehicle::kProbe,
+                        id);
+        }
+        InvocationGuard g(*this, id, task, r, &a.ret);
+        a = kernel(g, r);
+      }
+      if (!sysret_is_err(a.ret) || !a.rescue) return a.ret;
+    }
+    // The decomposed syscalls land in this child span, so a degraded
+    // request stays one tree.
+    trace::SpanScope span(k_.kspan(), "sup.fallback",
+                          trace::SpanVehicle::kFallback, id);
+    SysRet ret = 0;
+    InvocationGuard g(*this, id, task, Route::kFallback, &ret);
+    if (auto f = USK_FAIL_POINT(fault::Site::kSupFallback); f.fail) {
+      ret = sysret_err(f.err);
+      return ret;
+    } else if (f.transient) {
+      k_.engine().alu(200);  // simulated user-space retry
+    }
+    ret = classic();
+    return ret;
+  }
 
   [[nodiscard]] Health health(ExtId id) const;
   [[nodiscard]] ExtStats stats(ExtId id) const;

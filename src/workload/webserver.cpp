@@ -442,9 +442,10 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
             int connfd = static_cast<int>(net.sys_accept(p, lfd));
             if (connfd < 0) break;
             // Request ingress: one root span per keep-alive connection
-            // (the compound serves all its requests). The quarantine
-            // fallback and the classic rescue open CHILD spans below, so
-            // a degraded connection still reads as one tree.
+            // (the compound serves all its requests). Supervisor::invoke
+            // runs the quarantine fallback and the classic rescue in a
+            // CHILD span, so a degraded connection still reads as one
+            // tree.
             trace::SpanScope span(k.kspan(), "ws.conn",
                                   trace::SpanVehicle::kCosy, ext_id);
             std::memset(req, 0, sizeof req);
@@ -453,40 +454,22 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
               if (sup == nullptr) {
                 serve_cosy(srv, ext, cfg, connfd, path);
               } else {
-                const sup::Route route = sup->route(ext_id);
-                if (route == sup::Route::kFallback) {
-                  // Quarantined: the whole connection is served by the
-                  // classic user-space loop, accounted as a fallback run.
-                  // The decomposed syscalls land in this child span, so
-                  // they stay inside the original request's tree.
-                  trace::SpanScope fb(k.kspan(), "sup.fallback",
-                                      trace::SpanVehicle::kFallback, ext_id);
-                  SysRet fres = 0;
-                  sup::InvocationGuard g(*sup, ext_id, &srv.task(), route,
-                                         &fres);
-                  serve_classic_conn(srv, net, cfg, connfd, path);
-                } else {
-                  if (route == sup::Route::kProbe) ext.re_isolate_all();
-                  SysRet cret = 0;
-                  std::size_t ops_run = 0;
-                  {
-                    sup::InvocationGuard g(*sup, ext_id, &srv.task(), route,
-                                           &cret);
-                    cosy::CosyResult r2 =
-                        serve_cosy(srv, ext, cfg, connfd, path);
-                    cret = r2.ret;
-                    ops_run = r2.ops_run;
-                  }
-                  if (cret != 0 && ops_run == 0) {
-                    // Aborted before op 0 (fuel voided at entry, rejected
-                    // compound): no side effects yet, so the classic loop
-                    // can serve the connection in full.
-                    trace::SpanScope rescue(k.kspan(), "sup.fallback",
-                                            trace::SpanVehicle::kFallback,
-                                            ext_id);
-                    serve_classic_conn(srv, net, cfg, connfd, path);
-                  }
-                }
+                sup->invoke(
+                    ext_id, &srv.task(),
+                    [&](sup::InvocationGuard&, sup::Route route) {
+                      if (route == sup::Route::kProbe) ext.re_isolate_all();
+                      const cosy::CosyResult r2 =
+                          serve_cosy(srv, ext, cfg, connfd, path);
+                      // Aborted before op 0 (fuel voided at entry,
+                      // rejected compound): no side effects yet, so the
+                      // classic loop can serve the connection in full.
+                      return sup::Supervisor::Attempt{r2.ret,
+                                                      r2.ops_run == 0};
+                    },
+                    [&] {
+                      serve_classic_conn(srv, net, cfg, connfd, path);
+                      return SysRet{0};
+                    });
               }
             }
             srv.close(connfd);

@@ -11,6 +11,8 @@
 
 #include <array>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,11 +27,13 @@
 #include "fs/memfs.hpp"
 #include "fs/procfs.hpp"
 #include "net/net.hpp"
+#include "ring/ring.hpp"
 #include "sup/fallback.hpp"
 #include "sup/monitor.hpp"
 #include "sup/slo.hpp"
 #include "sup/supervisor.hpp"
 #include "trace/histogram.hpp"
+#include "trace/span.hpp"
 #include "uk/kernel.hpp"
 #include "uk/userlib.hpp"
 #include "workload/webserver.hpp"
@@ -813,6 +817,193 @@ TEST_F(SupTest, AdaptiveRegionDegradesToClassicAndRecovers) {
   EXPECT_EQ(region.run(proc_), cosy::AdaptiveRegion::Decision::kCosy);
   EXPECT_EQ(s.health(id), Health::kHealthy);
   EXPECT_EQ(s.stats(id).readmissions, 1u);
+}
+
+// --- one supervised invocation: every vehicle degrades the same way ----------
+
+/// A region whose compound and classic form each make one getpid; the
+/// classic form counts its runs in *classic_runs.
+cosy::AdaptiveRegion getpid_region(cosy::CosyExtension& ext,
+                                   cosy::SharedBuffer& shared,
+                                   int* classic_runs) {
+  cosy::CompoundBuilder b;
+  b.getpid(0);
+  return cosy::AdaptiveRegion(
+      ext, shared, "getpid",
+      [classic_runs](uk::Proc& pr) {
+        ++*classic_runs;
+        pr.getpid();
+      },
+      b.finish());
+}
+
+/// The degradation contract Supervisor::invoke gives every vehicle, driven
+/// through one vehicle's entry point. `run` makes one invocation of `id`
+/// and returns what its caller sees, or nullopt when the entry point
+/// reports no errno (AdaptiveRegion::run returns the form that served).
+void expect_uniform_degradation(
+    Supervisor& s, ExtId id, uk::Kernel& k,
+    const std::function<std::optional<SysRet>()>& run) {
+  BreakerPolicy pol;
+  pol.violation_threshold = 1;
+  pol.backoff_initial = 1;
+  s.set_policy(pol);
+  auto quarantine = [&] {
+    while (s.health(id) != Health::kQuarantined) {
+      s.record_violation(id, ViolationKind::kSegFault, Errno::kEFAULT);
+    }
+  };
+  auto spans_named = [](const std::vector<trace::SpanRecord>& spans,
+                        const char* name) {
+    std::vector<trace::SpanRecord> out;
+    for (const trace::SpanRecord& sp : spans) {
+      if (std::string_view(sp.name) == name) out.push_back(sp);
+    }
+    return out;
+  };
+  k.kspan().set_enabled(true);
+  (void)k.kspan().drain();
+
+  // Quarantined: one fallback run, in one child span of the request.
+  quarantine();
+  std::uint64_t request = 0;
+  {
+    trace::SpanScope req(k.kspan(), "test.request");
+    request = req.id();
+    const std::optional<SysRet> r = run();
+    if (r) {
+      EXPECT_GE(*r, 0);
+    }
+  }
+  EXPECT_EQ(s.stats(id).fallback_runs, 1u);
+  std::vector<trace::SpanRecord> fb =
+      spans_named(k.kspan().drain(), "sup.fallback");
+  ASSERT_EQ(fb.size(), 1u);
+  EXPECT_EQ(fb[0].vehicle, trace::SpanVehicle::kFallback);
+  EXPECT_NE(request, 0u);
+  EXPECT_EQ(fb[0].parent, request);
+
+  // Backoff 1: the next invocation is the re-admission probe.
+  (void)run();
+  EXPECT_EQ(s.stats(id).probes, 1u);
+  EXPECT_EQ(spans_named(k.kspan().drain(), "sup.probe").size(), 1u);
+
+  // A hard fault at the fallback site surfaces as a fallback error.
+  quarantine();
+  fault::SiteConfig cfg;
+  cfg.nth = 1;
+  fault::kfail().arm(fault::Site::kSupFallback, cfg);
+  const std::optional<SysRet> r = run();
+  fault::kfail().disarm(fault::Site::kSupFallback);
+  if (r) {
+    EXPECT_EQ(*r, sysret_err(Errno::kEIO));
+  }
+  EXPECT_EQ(s.stats(id).fallback_errors, 1u);
+  k.kspan().set_enabled(false);
+}
+
+TEST_F(SupTest, EveryVehicleDegradesTheSameWay) {
+  uk::Process& p = proc_.process();
+  {
+    SCOPED_TRACE("consolidated sendfile");
+    make_file("/parity.bin", "parity");
+    net::Net net(kernel_);
+    Supervisor s(kernel_);
+    ExtId id = s.register_extension("sendfile", Vehicle::kConsolidated);
+    int lfd = static_cast<int>(net.sys_socket(p));
+    ASSERT_EQ(net.sys_bind(p, lfd, 7311), 0);
+    ASSERT_EQ(net.sys_listen(p, lfd, 4), 0);
+    int cli = static_cast<int>(net.sys_socket(p));
+    ASSERT_EQ(net.sys_connect(p, cli, 7311), 0);
+    int srv = static_cast<int>(net.sys_accept(p, lfd));
+    ASSERT_GE(srv, 0);
+    expect_uniform_degradation(s, id, kernel_, [&]() -> std::optional<SysRet> {
+      const SysRet n = sup::supervised_sendfile(s, id, net, kernel_, p, srv,
+                                                "/parity.bin", 0, 6);
+      char buf[8];
+      if (n > 0) {
+        EXPECT_EQ(net.sys_recv(p, cli, buf, sizeof buf), n);
+      }
+      return n;
+    });
+    proc_.close(srv);
+    proc_.close(cli);
+    proc_.close(lfd);
+  }
+  {
+    SCOPED_TRACE("ring_enter");
+    ring::RingDev rdev(kernel_);
+    Supervisor s(kernel_);
+    ExtId id = s.register_extension("ring", Vehicle::kRing);
+    const int fd = static_cast<int>(rdev.sys_ring_setup(p, 8, 256));
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(rdev.supervise(p, fd, s, id).ok());
+    std::shared_ptr<ring::Ring> rg = rdev.user_map(p, fd).value();
+    expect_uniform_degradation(s, id, kernel_, [&]() -> std::optional<SysRet> {
+      ring::Sqe nop{};
+      EXPECT_TRUE(rg->user_prepare(nop));
+      const SysRet n =
+          rdev.sys_ring_enter(p, fd, ring::RingDev::kDrainAll, 0, 0);
+      ring::Cqe cqes[8];
+      if (n > 0) {
+        EXPECT_EQ(rg->user_reap(cqes, 8), static_cast<std::size_t>(n));
+      }
+      return n;
+    });
+    proc_.close(fd);
+  }
+  {
+    SCOPED_TRACE("AdaptiveRegion");
+    cosy::CosyExtension ext(kernel_);
+    cosy::SharedBuffer shared(1 << 12);
+    int classic_runs = 0;
+    cosy::AdaptiveRegion region = getpid_region(ext, shared, &classic_runs);
+    Supervisor s(kernel_);
+    ExtId id = s.register_extension("adaptive", Vehicle::kCosy);
+    region.supervise(&s, id);
+    expect_uniform_degradation(s, id, kernel_, [&]() -> std::optional<SysRet> {
+      (void)region.run(proc_);
+      return std::nullopt;
+    });
+    // Only the quarantined run was served classically: the probe ran the
+    // compound, and the injected fallback fault ran nothing.
+    EXPECT_EQ(classic_runs, 1);
+  }
+}
+
+TEST_F(SupTest, SideEffectFreeFailureIsRescuedAsAFallbackRun) {
+  Supervisor s(kernel_);
+  cosy::CosyExtension ext(kernel_);
+  cosy::SharedBuffer shared(1 << 12);
+  int classic_runs = 0;
+  cosy::AdaptiveRegion region = getpid_region(ext, shared, &classic_runs);
+  ExtId id = s.register_extension("adaptive", Vehicle::kCosy);
+  BreakerPolicy pol = quick_policy();
+  pol.backoff_initial = 1;
+  s.set_policy(pol);
+  region.supervise(&s, id);
+  s.record_violation(id, ViolationKind::kSegFault, Errno::kEFAULT);
+  s.record_violation(id, ViolationKind::kSegFault, Errno::kEFAULT);
+  ASSERT_EQ(s.health(id), Health::kQuarantined);
+  EXPECT_EQ(region.run(proc_), cosy::AdaptiveRegion::Decision::kClassic);
+  ASSERT_EQ(s.stats(id).fallback_runs, 1u);
+  const std::uint64_t units0 = s.stats(id).units_total;
+
+  // The probe's compound loses its fuel at entry, before op 0: nothing
+  // happened yet, so the classic form serves the run, as a fallback run
+  // whose syscalls the supervisor sees.
+  fault::SiteConfig cfg;
+  cfg.nth = 1;
+  fault::kfail().arm(fault::Site::kCosyFuel, cfg);
+  EXPECT_EQ(region.run(proc_), cosy::AdaptiveRegion::Decision::kClassic);
+  fault::kfail().disarm(fault::Site::kCosyFuel);
+
+  EXPECT_EQ(classic_runs, 2);
+  EXPECT_EQ(s.stats(id).failed_probes, 1u);
+  EXPECT_EQ(s.stats(id).fallback_runs, 2u);
+  EXPECT_EQ(s.stats(id).fallback_errors, 0u);
+  EXPECT_GT(s.stats(id).units_total, units0);
+  EXPECT_EQ(s.health(id), Health::kQuarantined);
 }
 
 // --- /proc/sup -----------------------------------------------------------------

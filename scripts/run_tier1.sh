@@ -41,9 +41,11 @@
 #           single-lock kernel), work stealing live (>= 1 steal), the
 #           watchdog still killing a runaway task, and ZERO park timeouts
 #           (all wakeups event-driven; no interval re-polling anywhere)
-#   asan    the fault soak again under AddressSanitizer, proving the
-#           injected error paths free everything they unwind past and
-#           that no /proc renderer outlives its owner (test_proc)
+#   asan    the fault and storage soaks again under AddressSanitizer,
+#           proving the injected error paths free everything they unwind
+#           past, that no /proc renderer outlives its owner (test_proc)
+#           and that group commit never reads a committer's records or
+#           result slot after it returned (test_store, crash oracle)
 #   ubsan   the fault + sup soaks and the required suite under
 #           UndefinedBehaviorSanitizer (halt_on_error: any UB report is a
 #           red run)
@@ -132,7 +134,7 @@ run_dl()     { build build; (cd build && ctest -L dl -j "$jobs" --output-on-fail
                  "$json"
                rm -f "$json"; }
 run_asan()   { build build-asan -DUSK_SANITIZE=address;
-               (cd build-asan && ctest -L faults -j "$jobs" --output-on-failure); }
+               (cd build-asan && ctest -L 'faults|storage' -j "$jobs" --output-on-failure); }
 run_ubsan()  { build build-ubsan -DUSK_SANITIZE=undefined;
                (cd build-ubsan &&
                 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \

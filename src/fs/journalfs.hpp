@@ -974,8 +974,10 @@ class JournalFs final : public FileSystem {
   }
 
   /// Feed a (clean) redo record into the running store transaction and
-  /// note which home blocks its post-image dirties. The batch commits at
-  /// sync()/fsync()/commit-interval boundaries, never per record.
+  /// note which home blocks its post-image dirties. A target already in
+  /// the transaction is overwritten in place (JTxn absorbs), so a block
+  /// written many times is journaled once per commit. The batch commits
+  /// at sync()/fsync()/commit-interval boundaries, never per record.
   void store_append(const JournalRecord& rec) {
     if (store_ == nullptr) return;
     store_txn_.append(rec.kind, rec.target, rec.payload, rec.len);
@@ -1016,8 +1018,8 @@ class JournalFs final : public FileSystem {
       return flush_home_writes();
     }
     Result<std::uint64_t> r = store_->commit_txn(
-        std::move(store_txn_), [this] { return flush_home_writes(); });
-    store_txn_ = store::JTxn{};
+        store_txn_, [this] { return flush_home_writes(); });
+    store_txn_.clear();
     if (!r.ok()) return r.error();
     ++jstats_.store_commits;
     return {};
@@ -1030,11 +1032,11 @@ class JournalFs final : public FileSystem {
   /// records until a later checkpoint succeeds.
   Result<void> flush_home_writes() {
     if (pending_home_.empty()) return {};
-    std::vector<std::uint8_t> buf(kBlockSize);
+    std::uint8_t buf[kBlockSize];
     for (auto it = pending_home_.begin(); it != pending_home_.end();) {
-      rebuild_home_block(*it, buf.data());
+      rebuild_home_block(*it, buf);
       if (Result<void> w =
-              io_->write_data(static_cast<blockdev::Lba>(*it), buf.data());
+              io_->write_data(static_cast<blockdev::Lba>(*it), buf);
           !w.ok()) {
         return w;
       }
@@ -1044,39 +1046,44 @@ class JournalFs final : public FileSystem {
     return {};
   }
 
+  /// Raw address of elements [first, first + n) of a policy array, n > 0.
+  /// The range's first and last elements are dereferenced through the
+  /// policy, so a checking policy bounds-checks both ends before the
+  /// caller copies the range as one block (a checked memcpy).
+  template <typename T>
+  static const T* policy_range(const Ptr<T>& p, std::size_t first,
+                               std::size_t n) {
+    (void)p[first + n - 1];
+    return &p[first];
+  }
+
   /// Reconstruct the authoritative content of home block `lba` from the
-  /// live arrays (byte-wise through the policy pointers: inodes straddle
-  /// block boundaries, so whole blocks are rebuilt, not records copied).
+  /// live arrays. Each home block is one contiguous byte range of one
+  /// array -- the inode table, the bitmap or a data block -- so it is one
+  /// range copy; inodes straddle block boundaries, which is why whole
+  /// blocks are rebuilt rather than records copied.
   void rebuild_home_block(std::size_t lba, std::uint8_t* out) {
-    std::memset(out, 0, kBlockSize);
+    std::size_t n = 0;
     if (lba < inode_table_blocks()) {
       const std::size_t lo = lba * kBlockSize;
-      const std::size_t hi = lo + kBlockSize;
-      const std::size_t table_bytes = max_inodes_ * sizeof(DiskInode);
-      for (std::size_t k = lo / sizeof(DiskInode);
-           k < max_inodes_ && k * sizeof(DiskInode) < hi; ++k) {
-        const DiskInode tmp = inodes_[k];
-        const auto* src = reinterpret_cast<const std::uint8_t*>(&tmp);
-        const std::size_t base = k * sizeof(DiskInode);
-        for (std::size_t i = 0; i < sizeof(DiskInode); ++i) {
-          const std::size_t off = base + i;
-          if (off >= lo && off < hi && off < table_bytes) {
-            out[off - lo] = src[i];
-          }
-        }
-      }
-      return;
-    }
-    if (lba < fsdata_base()) {
+      n = std::min(kBlockSize, max_inodes_ * sizeof(DiskInode) - lo);
+      const std::size_t k0 = lo / sizeof(DiskInode);
+      const std::size_t k1 = (lo + n - 1) / sizeof(DiskInode);
+      const auto* first = reinterpret_cast<const std::uint8_t*>(
+          policy_range(inodes_, k0, k1 - k0 + 1));
+      std::memcpy(out, first + (lo - k0 * sizeof(DiskInode)), n);
+    } else if (lba < fsdata_base()) {
       const std::size_t lo = (lba - inode_table_blocks()) * kBlockSize;
-      if (lo >= data_blocks_) return;
-      const std::size_t n = std::min(kBlockSize, data_blocks_ - lo);
-      for (std::size_t i = 0; i < n; ++i) out[i] = bitmap_[lo + i];
-      return;
+      if (lo < data_blocks_) {
+        n = std::min(kBlockSize, data_blocks_ - lo);
+        std::memcpy(out, policy_range(bitmap_, lo, n), n);
+      }
+    } else {
+      const std::size_t blk = lba - fsdata_base();  // 0-based fs data block
+      n = kBlockSize;
+      std::memcpy(out, policy_range(data_, blk * kBlockSize, n), n);
     }
-    const std::size_t blk = lba - fsdata_base();  // 0-based fs data block
-    Ptr<std::uint8_t> src = data_ + blk * kBlockSize;
-    for (std::size_t i = 0; i < kBlockSize; ++i) out[i] = src[i];
+    std::memset(out + n, 0, kBlockSize - n);
   }
 
   /// Replay one recovered journal record into the live arrays: the one
@@ -1183,7 +1190,7 @@ class JournalFs final : public FileSystem {
   blockdev::BufferCache* io_ = nullptr;
   // --- persistent store state (PR-8) ---
   store::Store* store_ = nullptr;
-  store::JTxn store_txn_{};          ///< redo batch since the last commit
+  store::JTxn store_txn_{};  ///< redo set since the last commit (absorbing)
   std::set<std::size_t> pending_home_;  ///< home LBAs the batch dirties
   store::Store::RecoveryReport last_recovery_{};
 };

@@ -1,5 +1,6 @@
 #include "store/journal.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -86,6 +87,49 @@ std::uint64_t serialized_record_bytes(const JRecord& r) {
 
 }  // namespace
 
+void JTxn::append(std::uint8_t kind, std::uint32_t target, const void* data,
+                  std::size_t len) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  find_or_add(kind, target).payload.assign(p, p + len);
+}
+
+void JTxn::clear() {
+  n_ = 0;
+  std::fill(index_.begin(), index_.end(), 0u);
+}
+
+JRecord& JTxn::find_or_add(std::uint8_t kind, std::uint32_t target) {
+  if ((n_ + 1) * 2 > index_.size()) grow_index();
+  const std::uint64_t key = (std::uint64_t{kind} << 32) | target;
+  const std::size_t mask = index_.size() - 1;
+  // Fibonacci hashing, then linear probing: the index stays at most half
+  // full, so a probe ends after a slot or two.
+  for (std::size_t i = ((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;;
+       i = (i + 1) & mask) {
+    std::uint32_t& slot = index_[i];
+    if (slot == 0) {  // first appearance: claim the next record slot
+      if (n_ == recs_.size()) recs_.emplace_back();
+      JRecord& r = recs_[n_];
+      r.kind = kind;
+      r.target = target;
+      slot = static_cast<std::uint32_t>(++n_);
+      return r;
+    }
+    JRecord& r = recs_[slot - 1];
+    if (r.kind == kind && r.target == target) return r;
+  }
+}
+
+void JTxn::grow_index() {
+  index_.assign(std::max<std::size_t>(16, index_.size() * 2), 0u);
+  const std::size_t live = n_;
+  n_ = 0;
+  // Re-inserting in order hands every record back its own slot.
+  for (std::size_t k = 0; k < live; ++k) {
+    (void)find_or_add(recs_[k].kind, recs_[k].target);
+  }
+}
+
 GroupCommitJournal::GroupCommitJournal(BackingImage& img,
                                        std::uint64_t region_off,
                                        std::uint64_t region_bytes,
@@ -95,19 +139,19 @@ GroupCommitJournal::GroupCommitJournal(BackingImage& img,
 
 std::uint64_t GroupCommitJournal::unit_bytes(const JTxn& txn) {
   std::uint64_t n = sizeof(CommitHeader);
-  for (const JRecord& r : txn.records) n += serialized_record_bytes(r);
+  for (const JRecord& r : txn.records()) n += serialized_record_bytes(r);
   return n;
 }
 
-Result<std::uint64_t> GroupCommitJournal::commit(JTxn&& txn) {
+Result<std::uint64_t> GroupCommitJournal::commit(const JTxn& txn) {
   if (txn.empty()) {
     std::lock_guard lk(mu_);
     return unit_seq_;
   }
-  auto res = std::make_shared<TxnResult>();
+  TxnResult res;
   std::unique_lock lk(mu_);
-  pending_.push_back(PendingTxn{std::move(txn.records), res});
-  while (!res->done) {
+  pending_.push_back(PendingTxn{txn.records(), &res});
+  while (!res.done) {
     if (!flushing_ && !pending_.empty()) {
       // This thread becomes the leader for the next commit unit.
       flushing_ = true;
@@ -119,28 +163,30 @@ Result<std::uint64_t> GroupCommitJournal::commit(JTxn&& txn) {
             std::chrono::microseconds(cfg_.leader_wait_us));
         lk.lock();
       }
-      std::vector<PendingTxn> batch;
+      // batch_ is empty here; swapping hands pending_ its spare capacity.
       if (cfg_.group_commit) {
-        batch.swap(pending_);
+        batch_.swap(pending_);
       } else {
-        batch.push_back(std::move(pending_.front()));
+        batch_.push_back(pending_.front());
         pending_.erase(pending_.begin());
       }
       std::uint64_t need = sizeof(CommitHeader);
       std::uint64_t recs = 0;
-      for (const PendingTxn& t : batch) {
-        for (const JRecord& r : t.records) {
-          need += serialized_record_bytes(r);
-          ++recs;
-        }
+      for (const PendingTxn& t : batch_) {
+        for (const JRecord& r : t.records) need += serialized_record_bytes(r);
+        recs += t.records.size();
       }
+      // Every exit below sets each committer's done under mu_; after that
+      // its records and result slot may be gone, so batch_ is cleared.
       if (tail_ + need > region_bytes_) {
         // Out of journal space: fail the whole batch with ENOSPC; the
         // store checkpoints (reclaiming the region) and retries.
-        for (PendingTxn& t : batch) {
+        ++stats_.enospc_batches;
+        for (PendingTxn& t : batch_) {
           t.res->err = Errno::kENOSPC;
           t.res->done = true;
         }
+        batch_.clear();
         flushing_ = false;
         wq_.wake_all();
         continue;
@@ -148,18 +194,20 @@ Result<std::uint64_t> GroupCommitJournal::commit(JTxn&& txn) {
       const std::uint64_t seq = ++unit_seq_;
       const std::uint64_t tail = tail_;
       lk.unlock();
-      Result<std::uint64_t> wr = write_unit(batch, tail, seq);
+      Result<std::uint64_t> wr =
+          write_unit(tail, seq, need - sizeof(CommitHeader),
+                     static_cast<std::uint32_t>(recs));
       lk.lock();
       if (wr) {
         tail_ = tail + need;
-        stats_.txns_committed += batch.size();
+        stats_.txns_committed += batch_.size();
         stats_.commit_units += 1;
         stats_.records_written += recs;
         stats_.bytes_written += need;
-        if (batch.size() > stats_.max_batch_txns) {
-          stats_.max_batch_txns = batch.size();
+        if (batch_.size() > stats_.max_batch_txns) {
+          stats_.max_batch_txns = batch_.size();
         }
-        for (PendingTxn& t : batch) {
+        for (PendingTxn& t : batch_) {
           t.res->seq = seq;
           t.res->done = true;
         }
@@ -168,11 +216,12 @@ Result<std::uint64_t> GroupCommitJournal::commit(JTxn&& txn) {
         // transaction in the batch observes the error. The seq is burned
         // -- recovery only requires monotonicity, not density -- and the
         // tail stays put, so a later unit overwrites the failed bytes.
-        for (PendingTxn& t : batch) {
+        for (PendingTxn& t : batch_) {
           t.res->err = wr.error();
           t.res->done = true;
         }
       }
+      batch_.clear();
       flushing_ = false;
       wq_.wake_all();
     } else {
@@ -182,41 +231,40 @@ Result<std::uint64_t> GroupCommitJournal::commit(JTxn&& txn) {
       // under -- so the park cannot miss a wake. No task is passed:
       // this is the one uninterruptible wait (see journal.hpp).
       sched::WaitQueue::Token tok = wq_.prepare();
-      if (res->done || (!flushing_ && !pending_.empty())) continue;
+      if (res.done || (!flushing_ && !pending_.empty())) continue;
       lk.unlock();
       wq_.wait(tok, nullptr);
       lk.lock();
     }
   }
-  if (res->err != Errno::kOk) return res->err;
-  return res->seq;
+  if (res.err != Errno::kOk) return res.err;
+  return res.seq;
 }
 
 Result<std::uint64_t> GroupCommitJournal::write_unit(
-    std::vector<PendingTxn>& batch, std::uint64_t tail, std::uint64_t seq) {
+    std::uint64_t tail, std::uint64_t seq, std::uint64_t payload_bytes,
+    std::uint32_t n_records) {
   // Serialize the whole unit: header placeholder, then every record of
-  // every transaction in arrival order.
-  std::uint64_t payload_bytes = 0;
-  std::uint32_t n_records = 0;
-  for (const PendingTxn& t : batch) {
-    for (const JRecord& r : t.records) {
-      payload_bytes += serialized_record_bytes(r);
-      ++n_records;
-    }
-  }
-  std::vector<std::uint8_t> buf(sizeof(CommitHeader) + payload_bytes, 0);
+  // every transaction in arrival order. The buffer only grows and is
+  // never zeroed: every byte of the unit is written below, the alignment
+  // padding included.
+  const std::uint64_t unit_bytes = sizeof(CommitHeader) + payload_bytes;
+  if (unit_buf_.size() < unit_bytes) unit_buf_.resize(unit_bytes);
+  std::uint8_t* const buf = unit_buf_.data();
   std::uint64_t off = sizeof(CommitHeader);
   std::uint64_t first_rec_seq = rec_seq_ + 1;
-  for (const PendingTxn& t : batch) {
+  for (const PendingTxn& t : batch_) {
     for (const JRecord& r : t.records) {
       RecHeader rh{};
       rh.checksum = record_checksum(r);
       rh.target = r.target;
       rh.len = static_cast<std::uint32_t>(r.payload.size());
       rh.kind = r.kind;
-      std::memcpy(buf.data() + off, &rh, sizeof(rh));
-      std::memcpy(buf.data() + off + sizeof(rh), r.payload.data(),
-                  r.payload.size());
+      std::memcpy(buf + off, &rh, sizeof(rh));
+      std::memcpy(buf + off + sizeof(rh), r.payload.data(), r.payload.size());
+      const std::uint64_t pad =
+          align8(r.payload.size()) - r.payload.size();
+      std::memset(buf + off + sizeof(rh) + r.payload.size(), 0, pad);
       off += serialized_record_bytes(r);
       ++rec_seq_;
     }
@@ -226,15 +274,15 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
   h.unit_seq = seq;
   h.first_rec_seq = first_rec_seq;
   h.n_records = n_records;
-  h.n_txns = static_cast<std::uint32_t>(batch.size());
+  h.n_txns = static_cast<std::uint32_t>(batch_.size());
   h.payload_bytes = payload_bytes;
   h.payload_checksum =
-      fnv1a_mix(kFnvBasis, buf.data() + sizeof(CommitHeader), payload_bytes);
+      fnv1a_mix(kFnvBasis, buf + sizeof(CommitHeader), payload_bytes);
   h.header_checksum = header_checksum(h);
-  std::memcpy(buf.data(), &h, sizeof(h));
+  std::memcpy(buf, &h, sizeof(h));
 
   const std::uint64_t base = region_off_ + tail;
-  const std::uint8_t* payload = buf.data() + sizeof(CommitHeader);
+  const std::uint8_t* payload = buf + sizeof(CommitHeader);
   // Records first. The header is the unit's validity bit: until it is on
   // the medium, the records are garbage to recovery.
   bool payload_torn = false;
@@ -266,7 +314,7 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
     // and the damage only shows at recovery, where the unit (and
     // everything after it) is discarded: committed-prefix semantics.
     ++stats_.torn_headers;
-    USK_TRY(img_.write_bytes(base, buf.data(), sizeof(CommitHeader) / 2));
+    USK_TRY(img_.write_bytes(base, buf, sizeof(CommitHeader) / 2));
     if (f.fail) {
       USK_TRY(img_.flush());
       USK_TRACEPOINT("store", "torn_commit_header", h.unit_seq, tail);
@@ -274,7 +322,7 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
     }
     // Transient: the retry rewrites the full header below.
   }
-  USK_TRY(img_.write_bytes(base, buf.data(), sizeof(CommitHeader)));
+  USK_TRY(img_.write_bytes(base, buf, sizeof(CommitHeader)));
   // The single ordered flush the whole batch shares.
   USK_TRY(img_.flush());
   USK_TRACEPOINT("store", "commit_unit", h.unit_seq, n_records);

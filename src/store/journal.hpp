@@ -9,8 +9,17 @@
 // SINGLE fsync -- so N writers share one flush instead of paying N
 // (the classic group-commit amortization, bench_storage S1).
 //
+// A transaction is a redo set (xv6's and jbd's log absorption): a record
+// whose (kind, target) is already in the transaction overwrites that
+// record's payload in place and keeps its first-appearance position, so
+// a block written eight times before a commit is journaled once. Every
+// record is a full post-image of its target and distinct keys never
+// overlap, so replaying the absorbed set gives exactly the state that
+// replaying every append would have given.
+//
 // Commit protocol (leader/follower, one mutex + condvar):
-//   * commit(txn) enqueues the closed transaction and waits;
+//   * commit(txn) enqueues a reference to the transaction's records and
+//     a result slot on the committer's own stack, then waits;
 //   * the first waiter finding no flush in progress becomes the LEADER:
 //     it takes the whole pending queue (optionally waiting
 //     leader_wait_us for stragglers), serializes every transaction into
@@ -19,6 +28,10 @@
 //     leader publishes durability. While the leader's fsync runs, new
 //     committers pile into the queue -- the next leader takes them all,
 //     so the slower the medium, the bigger the batch.
+// Nothing is copied on the way in. The references stay valid because a
+// committer cannot return from commit() until a leader has set its
+// result's `done` under mu_, and a leader touches a batch entry only
+// before that point: the records and the result slot outlive every read.
 //
 // On-disk unit format (all little-endian, FNV-1a checksums):
 //   CommitHeader { magic, unit_seq, first_rec_seq, n_records, n_txns,
@@ -39,8 +52,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "base/errno.hpp"
@@ -58,20 +71,32 @@ struct JRecord {
   std::vector<std::uint8_t> payload;
 };
 
-/// A transaction under construction. Built by one thread, then moved
-/// into commit(); empty transactions commit as a no-op without queueing.
-struct JTxn {
-  std::vector<JRecord> records;
-  [[nodiscard]] bool empty() const { return records.empty(); }
-  void append(std::uint8_t kind, std::uint32_t target, const void* data,
-              std::size_t len) {
-    JRecord r;
-    r.kind = kind;
-    r.target = target;
-    r.payload.assign(static_cast<const std::uint8_t*>(data),
-                     static_cast<const std::uint8_t*>(data) + len);
-    records.push_back(std::move(r));
+/// A transaction under construction: a redo set keyed by (kind, target).
+/// Built by one thread and committed by reference; clear() empties it for
+/// the next batch while keeping its record slots and their payload
+/// buffers, so a steady-state append allocates nothing.
+class JTxn {
+ public:
+  [[nodiscard]] bool empty() const { return n_ == 0; }
+  /// Live records in first-appearance order.
+  [[nodiscard]] std::span<const JRecord> records() const {
+    return {recs_.data(), n_};
   }
+  /// Add a record, or overwrite the payload of the record already held
+  /// for (kind, target). The lookup is one hash probe, not a scan.
+  void append(std::uint8_t kind, std::uint32_t target, const void* data,
+              std::size_t len);
+  void clear();
+
+ private:
+  JRecord& find_or_add(std::uint8_t kind, std::uint32_t target);
+  void grow_index();
+
+  std::vector<JRecord> recs_;  ///< [0, n_) live; the rest are spare slots
+  std::size_t n_ = 0;
+  /// Open addressing over recs_, power-of-two size, at most half full:
+  /// each slot holds a record's index + 1, or 0 when empty.
+  std::vector<std::uint32_t> index_;
 };
 
 struct JournalStats {
@@ -83,6 +108,7 @@ struct JournalStats {
   std::uint64_t torn_headers = 0;   ///< kfail store.torn_commit_header hits
   std::uint64_t torn_payloads = 0;  ///< kfail disk.torn hits
   std::uint64_t resets = 0;         ///< checkpoint tail resets
+  std::uint64_t enospc_batches = 0; ///< batches failed back for lack of room
 
   [[nodiscard]] double txns_per_flush() const {
     return commit_units ? static_cast<double>(txns_committed) /
@@ -108,10 +134,11 @@ class GroupCommitJournal {
   GroupCommitJournal& operator=(const GroupCommitJournal&) = delete;
 
   /// Commit a closed transaction; blocks until its records are durable
-  /// (or the whole batch failed). Returns the commit unit's seq.
-  /// kENOSPC: the transaction cannot fit in the remaining region -- the
-  /// caller must checkpoint (reset_tail) and retry.
-  [[nodiscard]] Result<std::uint64_t> commit(JTxn&& txn);
+  /// (or the whole batch failed). Returns the commit unit's seq. The
+  /// records are read in place, never copied, and `txn` is left as it
+  /// was. kENOSPC: the transaction cannot fit in the remaining region --
+  /// the caller must checkpoint (reset_tail) and retry with the same txn.
+  [[nodiscard]] Result<std::uint64_t> commit(const JTxn& txn);
 
   /// Bytes consumed in the region (next unit starts here).
   [[nodiscard]] std::uint64_t tail_bytes() const;
@@ -148,23 +175,28 @@ class GroupCommitJournal {
                       apply);
 
  private:
-  /// Per-transaction completion slot, shared between the enqueuing
-  /// committer and whichever thread leads its batch.
+  /// Per-transaction completion slot on the committer's stack, written
+  /// by whichever thread leads its batch (always under mu_).
   struct TxnResult {
     bool done = false;
     Errno err = Errno::kOk;
     std::uint64_t seq = 0;
   };
+  /// A queued transaction: borrowed records and result slot, both valid
+  /// until the leader sets res->done (see the header comment).
   struct PendingTxn {
-    std::vector<JRecord> records;
-    std::shared_ptr<TxnResult> res;
+    std::span<const JRecord> records;
+    TxnResult* res;
   };
 
-  /// Serialize and persist one batch as unit `seq` at region offset
-  /// `tail`; returns the unit seq. Called WITHOUT mu_ held; single-
-  /// flighted by flushing_ (mutex handoff orders successive leaders).
-  Result<std::uint64_t> write_unit(std::vector<PendingTxn>& batch,
-                                   std::uint64_t tail, std::uint64_t seq);
+  /// Serialize and persist batch_ (`n_records` records, `payload_bytes`
+  /// serialized) as unit `seq` at region offset `tail`; returns the unit
+  /// seq. Called WITHOUT mu_ held; single-flighted by flushing_ (mutex
+  /// handoff orders successive leaders), which is what makes batch_ and
+  /// unit_buf_ the leader's own.
+  Result<std::uint64_t> write_unit(std::uint64_t tail, std::uint64_t seq,
+                                   std::uint64_t payload_bytes,
+                                   std::uint32_t n_records);
 
   BackingImage& img_;
   const std::uint64_t region_off_;
@@ -179,6 +211,8 @@ class GroupCommitJournal {
   /// sched::WaitQueue handshake), so wakeups are lossless.
   sched::WaitQueue wq_;
   std::vector<PendingTxn> pending_;
+  std::vector<PendingTxn> batch_;       ///< the leader's batch (flushing_)
+  std::vector<std::uint8_t> unit_buf_;  ///< reused unit encoding (flushing_)
   bool flushing_ = false;
   std::uint64_t tail_ = 0;        ///< bytes used in region
   std::uint64_t unit_seq_ = 0;    ///< last assigned unit seq

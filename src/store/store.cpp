@@ -108,20 +108,17 @@ Result<void> Store::DataBackend::backend_write(std::uint64_t lba,
 Result<void> Store::DataBackend::backend_flush() { return s_.image_.flush(); }
 
 Result<std::uint64_t> Store::commit_txn(
-    JTxn&& txn, const std::function<Result<void>()>& post_commit) {
+    const JTxn& txn, const std::function<Result<void>()>& post_commit) {
   if (journal_ == nullptr) return Errno::kEBADF;
   if (txn.empty()) return journal_->durable_seq();
   trace::SpanScope span("store.commit");
-  // Keep the records so an ENOSPC round-trip through checkpoint can
-  // rebuild and retry the transaction.
-  const std::vector<JRecord> backup = txn.records;
   const std::uint64_t need = GroupCommitJournal::unit_bytes(txn);
   for (int attempt = 0; attempt < 3; ++attempt) {
     // Proactive reclaim: checkpoint before the region is actually full
     // so concurrent batches rarely see ENOSPC.
     if (journal_->tail_bytes() + need > journal_region_bytes() * 3 / 4) {
       USK_TRY(checkpoint());
-      ++stats_.enospc_retries;
+      count_enospc_retry();
     }
     Result<std::uint64_t> r = Errno::kEIO;
     {
@@ -129,19 +126,25 @@ Result<std::uint64_t> Store::commit_txn(
       // post-commit home application) is in flight the journal tail
       // cannot be reset under it.
       std::shared_lock sl(apply_mu_);
-      r = journal_->commit(std::move(txn));
+      r = journal_->commit(txn);
       if (r.ok() && post_commit) USK_TRY(post_commit());
     }
     if (r.ok()) {
       span.add_units(need);
       return r;
     }
+    // ENOSPC: the journal left `txn` untouched, so the retry after the
+    // checkpoint commits the caller's own records again.
     if (r.error() != Errno::kENOSPC) return r.error();
-    ++stats_.enospc_retries;
+    count_enospc_retry();
     USK_TRY(checkpoint());
-    txn.records = backup;
   }
   return Errno::kENOSPC;
+}
+
+void Store::count_enospc_retry() {
+  std::lock_guard lk(mu_);  // concurrent committers retry concurrently
+  ++stats_.enospc_retries;
 }
 
 Result<void> Store::checkpoint() {

@@ -83,14 +83,19 @@ class Store {
   // --- transactions ----------------------------------------------------------
   [[nodiscard]] JTxn begin_txn() const { return JTxn{}; }
   /// Group-commit the transaction; durable on return. Checkpoints and
-  /// retries when the journal region is full. `post_commit`, if given,
+  /// retries when the journal region is full. The journal reads the
+  /// records in place: there is no backup copy, because a commit that
+  /// fails with ENOSPC leaves `txn` untouched and the retry simply
+  /// commits it again. `txn` is unchanged on return; the caller clears
+  /// it for its next batch. `post_commit`, if given,
   /// runs after the unit is durable but still inside the checkpoint
   /// exclusion -- the filesystem uses it to apply home-location
   /// post-images to the page cache, guaranteeing no checkpoint can
   /// reclaim the unit before its home writes are at least cached. A
   /// post_commit error is returned, but the commit itself stays durable.
   [[nodiscard]] Result<std::uint64_t> commit_txn(
-      JTxn&& txn, const std::function<Result<void>()>& post_commit = nullptr);
+      const JTxn& txn,
+      const std::function<Result<void>()>& post_commit = nullptr);
 
   /// Force a checkpoint (sync(2) path): cache barrier, superblock bump,
   /// journal reclaim.
@@ -139,6 +144,7 @@ class Store {
     Store& s_;
   };
 
+  void count_enospc_retry();
   Result<void> write_superblock_locked(std::uint64_t stable_seq);
   Result<void> checkpoint_locked();
 

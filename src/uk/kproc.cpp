@@ -471,8 +471,10 @@ fs::ProcFs::Registration register_storage_proc(
             s.bytes_written);
     appendf(out,
             "max_batch_txns %" PRIu64 "\ntorn_headers %" PRIu64
-            "\ntorn_payloads %" PRIu64 "\nresets %" PRIu64 "\n",
-            s.max_batch_txns, s.torn_headers, s.torn_payloads, s.resets);
+            "\ntorn_payloads %" PRIu64 "\nresets %" PRIu64
+            "\nenospc_batches %" PRIu64 "\n",
+            s.max_batch_txns, s.torn_headers, s.torn_payloads, s.resets,
+            s.enospc_batches);
     appendf(out, "txns_per_flush_x100 %" PRIu64 "\n",
             static_cast<std::uint64_t>(s.txns_per_flush() * 100.0));
     appendf(out, "tail_bytes %" PRIu64 "\nregion_bytes %" PRIu64 "\n",

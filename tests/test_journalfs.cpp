@@ -7,9 +7,13 @@
 #include <set>
 
 #include "bcc/checked_ptr.hpp"
+#include "blockdev/buffer_cache.hpp"
+#include "blockdev/disk.hpp"
 #include "fs/journalfs.hpp"
 #include "fs/vfs.hpp"
+#include "mem_image.hpp"
 #include "numbered.hpp"
+#include "store/store.hpp"
 
 namespace usk::fs {
 namespace {
@@ -356,6 +360,69 @@ TYPED_TEST(JournalFsTest, FsckDetectsDanglingDirent) {
     if (p.find("unused inode") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// --- store mode ------------------------------------------------------------------
+
+// A checkpoint writes every home block rebuilt from the live arrays (one
+// range copy per block, both ends dereferenced through the policy), and
+// a remount after it reads only those home blocks: the files come back
+// byte for byte under either policy, and the checked policy reports no
+// bounds error. 50 inodes cover the inode that straddles the first two
+// inode-table home blocks.
+TYPED_TEST(JournalFsTest, StoreHomeBlocksRoundTripThroughACheckpoint) {
+  testutil::MemImage mem;
+  ASSERT_FALSE(mem.path().empty());
+  store::StoreConfig cfg;
+  cfg.data_blocks = 192;  // >= inode table (2) + bitmap (1) + 128 fs blocks
+  cfg.journal_blocks = 64;
+  constexpr int kFiles = 50;
+  auto body = [](int k) {
+    std::vector<std::byte> b(100 + std::size_t(k) * 37);
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      b[j] = static_cast<std::byte>((k * 29 + j * 3) & 0xff);
+    }
+    return b;
+  };
+  const std::size_t errors_before = bcc::Runtime::instance().errors().size();
+  {
+    blockdev::Disk disk(4096);
+    blockdev::BufferCache cache(disk, 256);
+    store::Store st;
+    ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+    JournalFs<TypeParam> jfs(64, 128, 512, 8);
+    ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+    for (int k = 0; k < kFiles; ++k) {
+      auto ino = jfs.create(jfs.root(), testutil::numbered("f", k),
+                            FileType::kRegular, 0644);
+      ASSERT_TRUE(ino.ok());
+      ASSERT_TRUE(jfs.write(ino.value(), 0, body(k)).ok());
+    }
+    ASSERT_EQ(jfs.sync(), Errno::kOk);
+    ASSERT_TRUE(st.checkpoint().ok());
+    st.close();
+  }
+  blockdev::Disk disk(4096);
+  blockdev::BufferCache cache(disk, 256);
+  store::Store st;
+  ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+  JournalFs<TypeParam> jfs(64, 128, 512, 8);
+  ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+  EXPECT_EQ(jfs.last_recovery().scan.units_applied, 0u);
+  for (int k = 0; k < kFiles; ++k) {
+    auto ino = jfs.lookup(jfs.root(), testutil::numbered("f", k));
+    ASSERT_TRUE(ino.ok()) << k;
+    const std::vector<std::byte> want = body(k);
+    std::vector<std::byte> got(want.size());
+    auto r = jfs.read(ino.value(), 0, got);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), want.size());
+    EXPECT_EQ(got, want) << k;
+  }
+  auto fsck = jfs.fsck();
+  EXPECT_TRUE(fsck.clean) << (fsck.problems.empty() ? "" : fsck.problems[0]);
+  st.close();
+  EXPECT_EQ(bcc::Runtime::instance().errors().size(), errors_before);
 }
 
 TEST(JournalFsKgccTest, CheckedPolicyPerformsChecks) {

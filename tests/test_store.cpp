@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "uk/kernel.hpp"
 #include "uk/kproc.hpp"
 #include "uk/userlib.hpp"
+#include "mem_image.hpp"
 #include "temp_dir.hpp"
 #include "numbered.hpp"
 
@@ -40,6 +44,7 @@ using store::BackingImage;
 using store::JTxn;
 using store::Store;
 using store::StoreConfig;
+using testutil::MemImage;
 
 /// kfail is process-wide: start and end disarmed (same discipline as
 /// test_fault) so an armed store.* site can never leak into a sibling.
@@ -316,6 +321,104 @@ TEST_F(StoreTest, PerUpdateModePaysOneFlushPerTransaction) {
   st.close();
 }
 
+// Commit by reference across threads: every ENOSPC batch fails back to
+// committers that are still parked, each checkpoints and recommits its
+// OWN records. Recovery must then see every transaction -- in its home
+// block if a checkpoint wrote it back, else in the replayed journal.
+TEST_F(StoreTest, SmpCommittersRetryTheirOwnRecordsAfterEnospc) {
+  MemImage mem;
+  ASSERT_FALSE(mem.path().empty());
+  constexpr int kThreads = 4, kRounds = 16;
+  // A one-block (4 KiB) journal region. Each round starts from a
+  // checkpoint, then one 2,000-B filler unit. Every thread's 856-B txn
+  // still passes the proactive check behind it (2,856 B <= 3/4 of the
+  // region), but a batch of three or four (2,456 or 3,256 B) does not
+  // fit: that batch fails with ENOSPC. A retry always fits: after the
+  // retrying thread's own checkpoint only its round's four txns can
+  // commit (3,424 B even as four one-txn units).
+  constexpr std::size_t kPayload = 776, kFillerPayload = 1920;
+  constexpr std::uint32_t kTargets = kThreads * kRounds + kRounds;
+  StoreConfig cfg;
+  cfg.data_blocks = kTargets;
+  cfg.journal_blocks = 1;
+  // Long enough for the whole round to join the first leader's batch.
+  cfg.journal.leader_wait_us = 2000;
+  auto payload_of = [](std::uint32_t target) {
+    std::vector<std::uint8_t> p(target < kThreads * kRounds ? kPayload
+                                                            : kFillerPayload);
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      p[j] = static_cast<std::uint8_t>(target * 7 + j);
+    }
+    return p;
+  };
+  {
+    blockdev::Disk disk(4096);
+    blockdev::BufferCache cache(disk, 64);
+    Store st;
+    ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+    st.attach_cache(&cache);
+    std::atomic<int> failures{0};
+    // Redo ordering: the home block is dirtied after the commit, so a
+    // checkpoint writes it back before reclaiming its unit.
+    auto commit = [&](std::uint32_t target) {
+      const std::vector<std::uint8_t> p = payload_of(target);
+      JTxn txn = st.begin_txn();
+      txn.append(1, target, p.data(), p.size());
+      Result<std::uint64_t> r = st.commit_txn(txn, [&] {
+        std::uint8_t home[store::kBlockBytes] = {};
+        std::memcpy(home, p.data(), p.size());
+        return cache.write_data(target, home);
+      });
+      if (!r.ok()) ++failures;
+    };
+    std::barrier sync(kThreads);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        for (int i = 0; i < kRounds; ++i) {
+          sync.arrive_and_wait();
+          if (t == 0) {
+            if (!st.checkpoint().ok()) ++failures;
+            commit(static_cast<std::uint32_t>(kThreads * kRounds + i));
+          }
+          sync.arrive_and_wait();
+          commit(static_cast<std::uint32_t>(i * kThreads + t));
+        }
+      });
+    }
+    for (auto& th : ts) th.join();
+    ASSERT_EQ(failures.load(), 0);
+    const store::JournalStats js = st.journal()->stats();
+    EXPECT_EQ(js.txns_committed, std::uint64_t(kTargets));
+    EXPECT_GE(js.enospc_batches, 3u);
+    st.close();  // kill -9 analogue: dirty home blocks are lost
+  }
+  blockdev::Disk disk(4096);
+  blockdev::BufferCache cache(disk, 64);
+  Store st;
+  ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+  st.attach_cache(&cache);
+  std::map<std::uint32_t, std::vector<std::uint8_t>> replayed;
+  const Store::RecoveryReport rep =
+      st.recover([&replayed](const store::JRecord& r, std::uint64_t) {
+        replayed[r.target] = r.payload;
+      });
+  EXPECT_GE(rep.scan.units_applied, 1u);
+  for (std::uint32_t target = 0; target < kTargets; ++target) {
+    const std::vector<std::uint8_t> want = payload_of(target);
+    auto it = replayed.find(target);
+    if (it != replayed.end()) {
+      EXPECT_EQ(it->second, want) << "replayed target " << target;
+      continue;
+    }
+    std::uint8_t home[store::kBlockBytes];
+    ASSERT_TRUE(cache.read_data(target, home).ok());
+    EXPECT_EQ(0, std::memcmp(home, want.data(), want.size()))
+        << "home block of target " << target;
+  }
+  st.close();
+}
+
 // --- checkpoint + recovery ------------------------------------------------------
 
 TEST_F(StoreTest, JournalFullTriggersCheckpointAndRetrySucceeds) {
@@ -374,6 +477,118 @@ TEST_F(StoreTest, RecoveryReplaysCommittedPrefixAndStopsAtTornUnit) {
   ASSERT_EQ(targets.size(), 2u);
   EXPECT_EQ(targets[0], 100u);
   EXPECT_EQ(targets[1], 101u);
+  st.close();
+}
+
+// --- log absorption ---------------------------------------------------------------
+
+TEST_F(StoreTest, RepeatedRecordsInOneTxnAreAbsorbed) {
+  MemImage mem;
+  ASSERT_FALSE(mem.path().empty());
+  StoreConfig cfg;
+  cfg.data_blocks = 8;
+  cfg.journal_blocks = 16;
+  constexpr std::uint8_t kBlock = 0, kInode = 1;
+  auto fill = [](std::uint8_t v) { return std::vector<std::uint8_t>(64, v); };
+  {
+    Store st;
+    ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+    JTxn txn = st.begin_txn();
+    txn.append(kBlock, 7, fill(0xA1).data(), 64);
+    txn.append(kInode, 7, fill(0xD4).data(), 64);
+    txn.append(kBlock, 7, fill(0xB2).data(), 64);
+    txn.append(kBlock, 7, fill(0xC3).data(), 64);
+    // One record per (kind, target), in first-appearance order, each
+    // holding its last payload.
+    ASSERT_EQ(txn.records().size(), 2u);
+    EXPECT_EQ(txn.records()[0].kind, kBlock);
+    EXPECT_EQ(txn.records()[0].payload, fill(0xC3));
+    EXPECT_EQ(txn.records()[1].kind, kInode);
+    EXPECT_EQ(txn.records()[1].payload, fill(0xD4));
+    const std::uint64_t before = st.journal()->stats().records_written;
+    ASSERT_TRUE(st.commit_txn(txn).ok());
+    EXPECT_EQ(st.journal()->stats().records_written, before + 2);
+    st.close();  // no checkpoint: the unit is replayed below
+  }
+  Store st;
+  ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+  std::vector<store::JRecord> applied;
+  const Store::RecoveryReport rep = st.recover(
+      [&applied](const store::JRecord& r, std::uint64_t) {
+        applied.push_back(r);
+      });
+  EXPECT_EQ(rep.scan.units_applied, 1u);
+  ASSERT_EQ(applied.size(), 2u);
+  EXPECT_EQ(applied[0].kind, kBlock);
+  EXPECT_EQ(applied[0].target, 7u);
+  EXPECT_EQ(applied[0].payload, fill(0xC3));
+  EXPECT_EQ(applied[1].kind, kInode);
+  EXPECT_EQ(applied[1].target, 7u);
+  EXPECT_EQ(applied[1].payload, fill(0xD4));
+  st.close();
+}
+
+TEST_F(StoreTest, JournalFsJournalsEachBlockOncePerCommit) {
+  using JFs = fs::JournalFs<fs::RawPtrPolicy>;
+  MemImage mem;
+  ASSERT_FALSE(mem.path().empty());
+  StoreConfig cfg;
+  cfg.data_blocks = 192;  // >= inode table (2) + bitmap (1) + 128 fs blocks
+  cfg.journal_blocks = 64;
+  std::vector<std::byte> body(8 * 512);
+  for (std::size_t j = 0; j < body.size(); ++j) {
+    body[j] = static_cast<std::byte>((j * 11 + j / 512) & 0xff);
+  }
+  std::uint32_t blk = 0;
+  {
+    blockdev::Disk disk(4096);
+    blockdev::BufferCache cache(disk, 256);
+    Store st;
+    ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+    // Commit interval out of reach: only fsync commits.
+    JFs jfs(64, 128, 512, 1 << 20);
+    ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+    auto ino = jfs.create(jfs.root(), "f", fs::FileType::kRegular, 0644);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(jfs.fsync(ino.value(), false).ok());
+    for (std::size_t k = 0; k < 8; ++k) {
+      const std::span<const std::byte> chunk(body.data() + k * 512, 512);
+      ASSERT_TRUE(jfs.write(ino.value(), k * 512, chunk).ok());
+    }
+    ASSERT_TRUE(jfs.fsync(ino.value(), false).ok());
+    blk = jfs.debug_inode(ino.value()).direct[0];
+    ASSERT_NE(blk, 0u);
+    st.close();  // kill -9 analogue: the log alone carries the writes
+  }
+  {
+    // The journal holds exactly one post-image of the written block.
+    Store st;
+    ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+    int block_records = 0;
+    (void)st.recover([&](const store::JRecord& r, std::uint64_t) {
+      if (r.kind == static_cast<std::uint8_t>(JFs::JRecKind::kBlock) &&
+          r.target == blk) {
+        ++block_records;
+      }
+    });
+    EXPECT_EQ(block_records, 1);
+    st.close();
+  }
+  blockdev::Disk disk(4096);
+  blockdev::BufferCache cache(disk, 256);
+  Store st;
+  ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+  JFs jfs(64, 128, 512, 1 << 20);
+  ASSERT_TRUE(jfs.attach_store(&st, &cache).ok());
+  auto ino = jfs.lookup(jfs.root(), "f");
+  ASSERT_TRUE(ino.ok());
+  std::vector<std::byte> got(body.size());
+  auto r = jfs.read(ino.value(), 0, got);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), body.size());
+  EXPECT_EQ(got, body);
+  auto fsck = jfs.fsck();
+  EXPECT_TRUE(fsck.clean) << (fsck.problems.empty() ? "" : fsck.problems[0]);
   st.close();
 }
 

@@ -115,16 +115,6 @@ double disarmed_check_ns() {
   return secs / kChecks * 1e9;
 }
 
-/// The default-cost-model null syscall (getpid), timed in this run the
-/// way T1 times it: the denominator every disarmed-check share uses.
-double default_null_syscall_ns() {
-  fs::MemFs memfs;
-  uk::Kernel kernel(memfs);
-  memfs.set_cost_hook(kernel.charge_hook());
-  uk::Proc proc(kernel, "nuller");
-  return bench::null_syscall_ns(proc, 200000);
-}
-
 /// Small-write throughput with the given spec armed; the fault points on
 /// this path are copy_in (per write) and kmalloc (page-cache behaviour of
 /// MemFs is in-memory, so the copy dominates).
@@ -198,7 +188,7 @@ int main(int argc, char** argv) {
   // The acceptance bound: a disarmed site must cost <= 0.5% of a null
   // syscall. Measured directly, like T1's disabled-tracepoint check.
   double ns = disarmed_check_ns();
-  const double null_syscall_ns = default_null_syscall_ns();
+  const double null_syscall_ns = bench::default_null_syscall_ns();
   std::printf("\ndisarmed fault point: %.3f ns/check (%.3f%% of a %.0f ns "
               "null syscall; budget 0.5%%)\n",
               ns, ns / null_syscall_ns * 100.0, null_syscall_ns);

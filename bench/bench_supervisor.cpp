@@ -171,16 +171,6 @@ double gateway_check_ns() {
   return secs / kChecks * 1e9;
 }
 
-/// The default-cost-model null syscall (getpid), timed in this run the
-/// way T1 times it: the denominator every disarmed-check share uses.
-double default_null_syscall_ns() {
-  fs::MemFs memfs;
-  uk::Kernel kernel(memfs);
-  memfs.set_cost_hook(kernel.charge_hook());
-  uk::Proc proc(kernel, "nuller");
-  return bench::null_syscall_ns(proc, 200000);
-}
-
 /// Null-syscall throughput with and without a supervisor on the Kernel
 /// and a healthy guard bound to the calling thread (subscription +
 /// per-syscall attribution): the full healthy-path cost for SUPERVISED
@@ -277,7 +267,7 @@ int main(int argc, char** argv) {
   json.record("classic", 1, classic.req_per_sec, classic.elapsed_s);
 
   double ns = gateway_check_ns();
-  const double null_syscall_ns = default_null_syscall_ns();
+  const double null_syscall_ns = bench::default_null_syscall_ns();
   std::printf("\nhealthy-path gateway check: %.3f ns/syscall (%.3f%% of a "
               "%.0f ns null syscall; budget 0.5%%)\n",
               ns, ns / null_syscall_ns * 100.0, null_syscall_ns);

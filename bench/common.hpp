@@ -1,6 +1,6 @@
-// Shared helpers for the reproduction benchmarks: wall-clock timing,
-// paper-style table printing, improvement math, and machine-readable
-// result emission.
+// Shared helpers for the reproduction benchmarks: wall-clock timing, the
+// null-syscall denominator, paper-style table printing, improvement math,
+// and machine-readable result emission.
 //
 // Each bench binary regenerates one of the paper's reported results (see
 // DESIGN.md's experiment index). Binaries print self-contained tables so
@@ -18,6 +18,9 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+
+#include "fs/memfs.hpp"
+#include "uk/userlib.hpp"
 
 namespace usk::bench {
 
@@ -81,6 +84,17 @@ double null_syscall_ns(Proc& proc, int calls) {
     for (int i = 0; i < calls; ++i) proc.getpid();
   });
   return s * 1e9 / calls;
+}
+
+/// The default-cost-model null syscall (getpid) on a fresh MemFs kernel,
+/// timed in this run the way T1 times it: the denominator every
+/// disarmed-check share uses.
+inline double default_null_syscall_ns() {
+  fs::MemFs memfs;
+  uk::Kernel kernel(memfs);
+  memfs.set_cost_hook(kernel.charge_hook());
+  uk::Proc proc(kernel, "nuller");
+  return null_syscall_ns(proc, 200000);
 }
 
 /// Percentage improvement of `better` over `baseline` (paper convention:

@@ -23,7 +23,9 @@
 #           oracle sweep (label `storage`), then bench_storage --quick
 #           gated by the group-commit amortization (>= 3 txns/flush at 8
 #           writers); its PostMark store-vs-memory slowdown is recorded
-#           unbounded
+#           unbounded. bench_kgcc (E7) runs the journal under the checked
+#           pointer policy and aborts on any bounds error, so it is a gate
+#           too
 #   dl      the request-path suites re-run with kdl armed end to end
 #           (label `dl`: USK_DL=1 plus seeded transient clock skew and
 #           spurious park wakeups at the dl fault sites), then
@@ -103,9 +105,11 @@ run_obs()    { build build; (cd build && ctest -L obs -j "$jobs" --output-on-fai
 run_storage(){ build build; (cd build && ctest -L storage -j "$jobs" --output-on-failure);
                local json; json="$(mktemp)"
                USK_BENCH_JSON="$json" ./build/bench/bench_storage --quick
+               USK_BENCH_JSON="$json" ./build/bench/bench_kgcc
                python3 scripts/check_bench_json.py \
                  --expect bench_storage \
                  --expect-min 'bench_storage:commits-per-flush-8w:3.0' \
+                 --expect bench_kgcc \
                  "$json"
                rm -f "$json"; }
 run_sched()  { build build; (cd build && ctest -L sched -j "$jobs" --output-on-failure);

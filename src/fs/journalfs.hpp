@@ -1,28 +1,30 @@
 // JournalFs: a block-based journaling filesystem, the reproduction's
 // Reiserfs stand-in (paper §3.4 compiles Reiserfs with KGCC).
 //
-// The entire on-disk state -- inode table, block bitmap, data blocks, and
-// the journal -- lives in arrays allocated and *accessed* through a
-// pointer Policy. With RawPolicy the accesses are plain pointers (the
-// "vanilla GCC" build); with the BCC policy every dereference and every
-// pointer arithmetic step consults the bounds-checking runtime (the
-// "KGCC" build), reproducing the instrumentation cost structure: cheap for
-// CPU-bound workloads, brutal for metadata-heavy ones like PostMark.
+// The entire on-disk state -- inode table, block bitmap and data blocks --
+// lives in arrays allocated and *accessed* through a pointer Policy. With
+// RawPolicy the accesses are plain pointers (the "vanilla GCC" build);
+// with the BCC policy every dereference and every pointer arithmetic step
+// consults the bounds-checking runtime (the "KGCC" build), reproducing
+// the instrumentation cost structure: cheap for CPU-bound workloads,
+// brutal for metadata-heavy ones like PostMark.
 //
 // Layout (all sizes in 4 KiB blocks):
 //   inode table  : kMaxInodes DiskInode records
 //   block bitmap : one byte per data block
 //   data blocks  : file contents + directory blocks (64-byte dirents)
-//   journal      : circular log; every metadata update appends a record
-//                  containing a copy of the touched block
 //
 // Every mutating operation is one transaction: its block, inode and
 // bitmap records fully redo it, a commit record closes it, and
-// checkpoints only happen at transaction boundaries. Without a store the
-// in-memory journal is the E5 cost model -- written, never replayed. With
-// a store attached (attach_store) every record also flows into the
-// store's group-commit journal, and Store::recover replaying those
-// records through apply_store_record is the one recovery path.
+// checkpoints only happen at transaction boundaries. There is one
+// journal, a store::JTxn: each record's payload is written once, straight
+// into it (the block read through the policy pointer -- the KGCC hot
+// path), and a commit hands it over whole. Without a store a commit just
+// clears it: the E7 cost model, written and never replayed, with each
+// append priced as a sequential write to a journal strip of
+// `journal_slots` LBAs. With a store attached (attach_store) the commit
+// is the store's group commit, and Store::recover replaying those records
+// through apply_store_record is the one recovery path.
 //
 // Files use 12 direct block pointers plus one single-indirect block,
 // giving a max file size of 12*4K + 1024*4K = 4.2 MB, plenty for the
@@ -33,6 +35,7 @@
 #include <cstring>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,13 +119,6 @@ class JournalFs final : public FileSystem {
     kCommit = 3,  ///< transaction commit record (the commit-block write)
   };
 
-  struct JournalRecord {
-    std::uint32_t target;
-    std::uint32_t len;  ///< valid payload bytes
-    std::uint8_t kind;
-    std::uint8_t payload[kBlockSize];
-  };
-
   JournalFs(std::size_t max_inodes, std::size_t data_blocks,
             std::size_t journal_slots, std::size_t commit_interval = 64)
       : max_inodes_(max_inodes),
@@ -133,7 +129,6 @@ class JournalFs final : public FileSystem {
     bitmap_ = Policy::template alloc_array<std::uint8_t>(data_blocks_);
     data_ = Policy::template alloc_array<std::uint8_t>(data_blocks_ *
                                                        kBlockSize);
-    journal_ = Policy::template alloc_array<JournalRecord>(journal_slots_);
 
     // Format: inode 0 is the root directory.
     DiskInode root{};
@@ -148,7 +143,6 @@ class JournalFs final : public FileSystem {
     Policy::template free_array<DiskInode>(inodes_, max_inodes_);
     Policy::template free_array<std::uint8_t>(bitmap_, data_blocks_);
     Policy::template free_array<std::uint8_t>(data_, data_blocks_ * kBlockSize);
-    Policy::template free_array<JournalRecord>(journal_, journal_slots_);
   }
 
   JournalFs(const JournalFs&) = delete;
@@ -460,11 +454,12 @@ class JournalFs final : public FileSystem {
     store_ = s;
     io_ = cache;
     s->attach_cache(cache);
+    txn_.clear();  // records from before the attach are not the image's
     // Fresh vs existing image: the root inode's home bytes decide.
-    std::vector<std::uint8_t> blk(kBlockSize);
-    USK_TRY(io_->read_data(0, blk.data()));
+    std::uint8_t blk[kBlockSize];
+    USK_TRY(io_->read_data(0, blk));
     DiskInode root_home{};
-    std::memcpy(&root_home, blk.data(), sizeof(DiskInode));
+    std::memcpy(&root_home, blk, sizeof(DiskInode));
     if (root_home.used != 0) return restore_from_store();
     return format_store();
   }
@@ -636,8 +631,8 @@ class JournalFs final : public FileSystem {
     // journal (real image writes); the LBA-strip pricing would double-
     // charge them.
     if (io_ == nullptr || store_ != nullptr) return;
-    // Journal-strip write errors are absorbed: the in-memory journal only
-    // prices the sequential append and is never replayed.
+    // Journal-strip write errors are absorbed: without a store the
+    // journal only prices the sequential append and is never replayed.
     (void)io_->write(static_cast<blockdev::Lba>(slot) % io_->disk().size());
   }
 
@@ -865,37 +860,39 @@ class JournalFs final : public FileSystem {
     }
   };
 
-  /// Keep this many free journal slots when deciding to checkpoint, so a
-  /// transaction never wraps the circular log over its own records.
+  /// Commit once fewer than this many of the journal_slots are left, so a
+  /// transaction never wraps the priced journal strip over its own
+  /// records.
   static constexpr std::size_t kJournalMargin = 16;
 
-  JournalRecord& next_record(JRecKind kind, std::uint32_t target,
-                             std::uint32_t len) {
-    JournalRecord& rec = journal_[journal_head_ % journal_slots_];
+  /// Append one record to the journal's accounting: count it against both
+  /// commit triggers (journal_seq_ for the interval, journal_head_ for the
+  /// slot margin) and price it as the next journal-strip write.
+  void count_record() {
     ++journal_seq_;
-    rec.kind = static_cast<std::uint8_t>(kind);
-    rec.target = target;
-    rec.len = len;
-    return rec;
-  }
-
-  /// Finish an append: touch the journal strip on the io model and
-  /// advance the head.
-  void seal_record() {
     io_touch_journal(journal_head_ % journal_slots_);
     ++journal_head_;
   }
 
-  /// Append a copy of data block `blk` to the journal (byte loop through
-  /// policy pointers: this is the KGCC hot path).
-  void journal_block(std::uint32_t blk) {
-    JournalRecord& rec = next_record(JRecKind::kBlock, blk, kBlockSize);
-    Ptr<std::uint8_t> src = data_ + (blk - 1) * kBlockSize;
-    for (std::size_t i = 0; i < kBlockSize; ++i) rec.payload[i] = src[i];
-    store_append(rec);
-    seal_record();
-    ++jstats_.journal_records;
+  /// Count a redo record and return its payload slot in the running
+  /// transaction, where the caller writes the post-image: the record's
+  /// one copy. A target already in the transaction is overwritten in
+  /// place (JTxn absorbs), so a block written many times is journaled
+  /// once per commit.
+  std::uint8_t* record(JRecKind kind, std::uint32_t target, std::size_t len) {
+    count_record();
     txn_dirty_ = true;
+    if (store_ != nullptr) mark_home(kind, target);
+    return txn_.record(static_cast<std::uint8_t>(kind), target, len);
+  }
+
+  /// Journal a copy of data block `blk` (byte loop through the policy
+  /// pointer: this is the KGCC hot path).
+  void journal_block(std::uint32_t blk) {
+    std::uint8_t* dst = record(JRecKind::kBlock, blk, kBlockSize);
+    Ptr<std::uint8_t> src = data_ + (blk - 1) * kBlockSize;
+    for (std::size_t i = 0; i < kBlockSize; ++i) dst[i] = src[i];
+    ++jstats_.journal_records;
     charge(journal_cost_);
     // The checkpoint waits for the transaction boundary, so a commit
     // never carries half a transaction.
@@ -904,33 +901,24 @@ class JournalFs final : public FileSystem {
 
   /// Journal an inode update (the inode table region).
   void journal_inode(InodeNum ino) {
-    JournalRecord& rec = next_record(JRecKind::kInode, static_cast<std::uint32_t>(ino),
-                                     static_cast<std::uint32_t>(sizeof(DiskInode)));
+    std::uint8_t* dst = record(
+        JRecKind::kInode, static_cast<std::uint32_t>(ino), sizeof(DiskInode));
     const DiskInode& n = inodes_[ino - 1];
-    const auto* src = reinterpret_cast<const std::uint8_t*>(&n);
-    for (std::size_t i = 0; i < sizeof(DiskInode); ++i) rec.payload[i] = src[i];
-    store_append(rec);
-    seal_record();
+    std::memcpy(dst, &n, sizeof(DiskInode));
     ++jstats_.journal_records;
-    txn_dirty_ = true;
   }
 
   /// Journal a bitmap delta: block allocation state must replay or
   /// recovered inodes would point into "free" blocks.
   void journal_bitmap(std::uint32_t blk, std::uint8_t used) {
-    JournalRecord& rec = next_record(JRecKind::kBitmap, blk, 1);
-    rec.payload[0] = used;
-    store_append(rec);
-    seal_record();
-    txn_dirty_ = true;
+    *record(JRecKind::kBitmap, blk, 1) = used;
   }
 
   /// Outermost mutation scope exit: append the commit record and run any
   /// deferred checkpoint.
   void end_txn() {
     if (!txn_dirty_) return;
-    (void)next_record(JRecKind::kCommit, 0, 0);
-    seal_record();
+    count_record();  // the commit record: accounting only, no payload
     txn_dirty_ = false;
     if (commit_pending_ || journal_head_ + kJournalMargin >= journal_slots_) {
       commit_pending_ = false;
@@ -949,8 +937,9 @@ class JournalFs final : public FileSystem {
       // group-commit journal. The store checkpoints itself on region
       // pressure.
       r = store_commit();
-    } else if (io_ != nullptr) {
-      r = io_->flush();
+    } else {
+      txn_.clear();  // never replayed: the commit just drops the batch
+      if (io_ != nullptr) r = io_->flush();
     }
     ++jstats_.journal_commits;
     journal_head_ = 0;
@@ -973,17 +962,9 @@ class JournalFs final : public FileSystem {
     return fsdata_base() + data_blocks_;
   }
 
-  /// Feed a (clean) redo record into the running store transaction and
-  /// note which home blocks its post-image dirties. A target already in
-  /// the transaction is overwritten in place (JTxn absorbs), so a block
-  /// written many times is journaled once per commit. The batch commits
-  /// at sync()/fsync()/commit-interval boundaries, never per record.
-  void store_append(const JournalRecord& rec) {
-    if (store_ == nullptr) return;
-    store_txn_.append(rec.kind, rec.target, rec.payload, rec.len);
-    mark_home(static_cast<JRecKind>(rec.kind), rec.target);
-  }
-
+  /// Note which home blocks a redo record's post-image dirties; they are
+  /// written after the batch commits (sync()/fsync()/commit triggers,
+  /// never per record).
   void mark_home(JRecKind kind, std::uint32_t target) {
     switch (kind) {
       case JRecKind::kBlock:
@@ -1012,14 +993,14 @@ class JournalFs final : public FileSystem {
   /// writeback can never push uncommitted state into the image.
   Result<void> store_commit() {
     if (store_ == nullptr) return {};
-    if (store_txn_.empty()) {
+    if (txn_.empty()) {
       // Nothing journaled since the last commit; retry any home writes a
       // previous commit failed to apply.
       return flush_home_writes();
     }
     Result<std::uint64_t> r = store_->commit_txn(
-        store_txn_, [this] { return flush_home_writes(); });
-    store_txn_.clear();
+        txn_, [this] { return flush_home_writes(); });
+    txn_.clear();
     if (!r.ok()) return r.error();
     ++jstats_.store_commits;
     return {};
@@ -1051,39 +1032,42 @@ class JournalFs final : public FileSystem {
   /// policy, so a checking policy bounds-checks both ends before the
   /// caller copies the range as one block (a checked memcpy).
   template <typename T>
-  static const T* policy_range(const Ptr<T>& p, std::size_t first,
-                               std::size_t n) {
+  static T* policy_range(const Ptr<T>& p, std::size_t first, std::size_t n) {
     (void)p[first + n - 1];
     return &p[first];
   }
 
-  /// Reconstruct the authoritative content of home block `lba` from the
-  /// live arrays. Each home block is one contiguous byte range of one
-  /// array -- the inode table, the bitmap or a data block -- so it is one
-  /// range copy; inodes straddle block boundaries, which is why whole
-  /// blocks are rebuilt rather than records copied.
-  void rebuild_home_block(std::size_t lba, std::uint8_t* out) {
-    std::size_t n = 0;
+  /// The live bytes behind home block `lba`: one contiguous byte range of
+  /// one array -- the inode table, the bitmap or a data block -- short
+  /// only for the last inode-table and bitmap blocks. Inodes straddle
+  /// block boundaries, which is why whole blocks are copied rather than
+  /// records.
+  std::span<std::uint8_t> home_range(std::size_t lba) {
     if (lba < inode_table_blocks()) {
       const std::size_t lo = lba * kBlockSize;
-      n = std::min(kBlockSize, max_inodes_ * sizeof(DiskInode) - lo);
+      const std::size_t n =
+          std::min(kBlockSize, max_inodes_ * sizeof(DiskInode) - lo);
       const std::size_t k0 = lo / sizeof(DiskInode);
       const std::size_t k1 = (lo + n - 1) / sizeof(DiskInode);
-      const auto* first = reinterpret_cast<const std::uint8_t*>(
+      auto* first = reinterpret_cast<std::uint8_t*>(
           policy_range(inodes_, k0, k1 - k0 + 1));
-      std::memcpy(out, first + (lo - k0 * sizeof(DiskInode)), n);
-    } else if (lba < fsdata_base()) {
-      const std::size_t lo = (lba - inode_table_blocks()) * kBlockSize;
-      if (lo < data_blocks_) {
-        n = std::min(kBlockSize, data_blocks_ - lo);
-        std::memcpy(out, policy_range(bitmap_, lo, n), n);
-      }
-    } else {
-      const std::size_t blk = lba - fsdata_base();  // 0-based fs data block
-      n = kBlockSize;
-      std::memcpy(out, policy_range(data_, blk * kBlockSize, n), n);
+      return {first + (lo - k0 * sizeof(DiskInode)), n};
     }
-    std::memset(out + n, 0, kBlockSize - n);
+    if (lba < fsdata_base()) {
+      const std::size_t lo = (lba - inode_table_blocks()) * kBlockSize;
+      const std::size_t n = std::min(kBlockSize, data_blocks_ - lo);
+      return {policy_range(bitmap_, lo, n), n};
+    }
+    const std::size_t blk = lba - fsdata_base();  // 0-based fs data block
+    return {policy_range(data_, blk * kBlockSize, kBlockSize), kBlockSize};
+  }
+
+  /// Reconstruct the authoritative content of home block `lba` from the
+  /// live arrays, zero-padded to a whole block.
+  void rebuild_home_block(std::size_t lba, std::uint8_t* out) {
+    const std::span<std::uint8_t> home = home_range(lba);
+    std::memcpy(out, home.data(), home.size());
+    std::memset(out + home.size(), 0, kBlockSize - home.size());
   }
 
   /// Replay one recovered journal record into the live arrays: the one
@@ -1130,30 +1114,11 @@ class JournalFs final : public FileSystem {
   /// post-images home, and re-checkpoint -- the recovered state becomes
   /// the new stable image.
   Result<void> restore_from_store() {
-    std::vector<std::uint8_t> blk(kBlockSize);
-    const std::size_t it_blocks = inode_table_blocks();
-    std::vector<std::uint8_t> table(it_blocks * kBlockSize);
-    for (std::size_t b = 0; b < it_blocks; ++b) {
-      USK_TRY(io_->read_data(static_cast<blockdev::Lba>(b), blk.data()));
-      std::memcpy(table.data() + b * kBlockSize, blk.data(), kBlockSize);
-    }
-    for (std::size_t k = 0; k < max_inodes_; ++k) {
-      DiskInode n;
-      std::memcpy(&n, table.data() + k * sizeof(DiskInode), sizeof(DiskInode));
-      inodes_[k] = n;
-    }
-    for (std::size_t b = 0; b < bitmap_table_blocks(); ++b) {
-      USK_TRY(io_->read_data(static_cast<blockdev::Lba>(it_blocks + b),
-                             blk.data()));
-      const std::size_t lo = b * kBlockSize;
-      const std::size_t n = std::min(kBlockSize, data_blocks_ - lo);
-      for (std::size_t i = 0; i < n; ++i) bitmap_[lo + i] = blk[i];
-    }
-    for (std::size_t b = 0; b < data_blocks_; ++b) {
-      USK_TRY(io_->read_data(static_cast<blockdev::Lba>(fsdata_base() + b),
-                             blk.data()));
-      Ptr<std::uint8_t> dst = data_ + b * kBlockSize;
-      for (std::size_t i = 0; i < kBlockSize; ++i) dst[i] = blk[i];
+    std::uint8_t blk[kBlockSize];
+    for (std::size_t lba = 0; lba < total_home_blocks(); ++lba) {
+      USK_TRY(io_->read_data(static_cast<blockdev::Lba>(lba), blk));
+      const std::span<std::uint8_t> home = home_range(lba);
+      std::memcpy(home.data(), blk, home.size());
     }
     last_recovery_ =
         store_->recover([this](const store::JRecord& r, std::uint64_t) {
@@ -1174,12 +1139,12 @@ class JournalFs final : public FileSystem {
   Ptr<DiskInode> inodes_{};
   Ptr<std::uint8_t> bitmap_{};
   Ptr<std::uint8_t> data_{};
-  Ptr<JournalRecord> journal_{};
   std::size_t bitmap_cursor_ = 0;
   std::uint64_t clock_ = 0;
-  std::uint64_t journal_seq_ = 0;
-  std::size_t journal_head_ = 0;
+  std::uint64_t journal_seq_ = 0;  ///< records ever appended
+  std::size_t journal_head_ = 0;   ///< records since the last commit_journal
   // --- transaction state ---
+  store::JTxn txn_{};  ///< the journal: redo set since the last commit
   bool txn_dirty_ = false;      ///< records appended since last commit record
   bool commit_pending_ = false; ///< checkpoint deferred to txn boundary
   int txn_depth_ = 0;
@@ -1190,7 +1155,6 @@ class JournalFs final : public FileSystem {
   blockdev::BufferCache* io_ = nullptr;
   // --- persistent store state (PR-8) ---
   store::Store* store_ = nullptr;
-  store::JTxn store_txn_{};  ///< redo set since the last commit (absorbing)
   std::set<std::size_t> pending_home_;  ///< home LBAs the batch dirties
   store::Store::RecoveryReport last_recovery_{};
 };

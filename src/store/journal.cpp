@@ -87,10 +87,17 @@ std::uint64_t serialized_record_bytes(const JRecord& r) {
 
 }  // namespace
 
+std::uint8_t* JTxn::record(std::uint8_t kind, std::uint32_t target,
+                           std::size_t len) {
+  std::vector<std::uint8_t>& payload = find_or_add(kind, target).payload;
+  payload.resize(len);
+  return payload.data();
+}
+
 void JTxn::append(std::uint8_t kind, std::uint32_t target, const void* data,
                   std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  find_or_add(kind, target).payload.assign(p, p + len);
+  std::uint8_t* dst = record(kind, target, len);
+  if (len != 0) std::memcpy(dst, data, len);
 }
 
 void JTxn::clear() {
@@ -245,11 +252,18 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
     std::uint64_t tail, std::uint64_t seq, std::uint64_t payload_bytes,
     std::uint32_t n_records) {
   // Serialize the whole unit: header placeholder, then every record of
-  // every transaction in arrival order. The buffer only grows and is
-  // never zeroed: every byte of the unit is written below, the alignment
-  // padding included.
+  // every transaction in arrival order, then the zeroed end mark when it
+  // fits in the region (see journal.hpp). The buffer only grows and is
+  // never zeroed: every byte written is set below, the alignment padding
+  // included.
   const std::uint64_t unit_bytes = sizeof(CommitHeader) + payload_bytes;
-  if (unit_buf_.size() < unit_bytes) unit_buf_.resize(unit_bytes);
+  const std::uint64_t end_mark =
+      tail + unit_bytes + sizeof(CommitHeader) <= region_bytes_
+          ? sizeof(CommitHeader)
+          : 0;
+  if (unit_buf_.size() < unit_bytes + end_mark) {
+    unit_buf_.resize(unit_bytes + end_mark);
+  }
   std::uint8_t* const buf = unit_buf_.data();
   std::uint64_t off = sizeof(CommitHeader);
   std::uint64_t first_rec_seq = rec_seq_ + 1;
@@ -269,6 +283,7 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
       ++rec_seq_;
     }
   }
+  std::memset(buf + unit_bytes, 0, end_mark);
   CommitHeader h{};
   h.magic = kUnitMagic;
   h.unit_seq = seq;
@@ -283,8 +298,9 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
 
   const std::uint64_t base = region_off_ + tail;
   const std::uint8_t* payload = buf + sizeof(CommitHeader);
-  // Records first. The header is the unit's validity bit: until it is on
-  // the medium, the records are garbage to recovery.
+  const std::uint64_t payload_write = payload_bytes + end_mark;
+  // Records (and the end mark) first. The header is the unit's validity
+  // bit: until it is on the medium, the records are garbage to recovery.
   bool payload_torn = false;
   if (auto f = USK_FAIL_POINT(fault::Site::kDiskTorn);
       f.fail || f.transient) {
@@ -294,18 +310,18 @@ Result<std::uint64_t> GroupCommitJournal::write_unit(
     // to succeed; recovery's payload checksum discards the unit (and
     // everything after it).
     ++stats_.torn_payloads;
-    std::vector<std::uint8_t> torn(payload, payload + payload_bytes);
+    std::vector<std::uint8_t> torn(payload, payload + payload_write);
     for (std::uint64_t i = payload_bytes / 2; i < payload_bytes; ++i) {
       torn[i] = static_cast<std::uint8_t>(~torn[i]);
     }
     USK_TRY(img_.write_bytes(base + sizeof(CommitHeader), torn.data(),
-                             payload_bytes));
+                             payload_write));
     // Transient: the retry rewrites the whole payload below.
     payload_torn = f.fail;
   }
   if (!payload_torn) {
     USK_TRY(img_.write_bytes(base + sizeof(CommitHeader), payload,
-                             payload_bytes));
+                             payload_write));
   }
   if (auto f = USK_FAIL_POINT(fault::Site::kStoreTornHeader);
       f.fail || f.transient) {
@@ -361,9 +377,10 @@ GroupCommitJournal::ScanReport GroupCommitJournal::scan(
     CommitHeader h{};
     if (!img_.read_bytes(region_off_ + off, &h, sizeof(h))) break;
     if (h.magic != kUnitMagic || h.header_checksum != header_checksum(h)) {
-      // Zeroed tail (clean end of log) vs torn header: either way the
-      // usable log ends here. Count a discard only if the bytes are not
-      // all-zero, i.e. something was started and lost.
+      // Zeroed slot (clean end of log: a fresh region or the end mark the
+      // last unit wrote) vs torn header: either way the usable log ends
+      // here. Count a discard only if the bytes are not all-zero, i.e.
+      // something was started and lost.
       if (h.magic != 0 || h.unit_seq != 0 || h.header_checksum != 0) {
         rep.torn = true;
         rep.units_discarded += 1;

@@ -1,13 +1,13 @@
 // Group-committed journal over the backing image.
 //
-// JournalFs's in-memory journal appends one record per metadata update
-// and never pays a durability cost (it is the E5 cost model, never
-// replayed). This journal is the real thing and the one recovery path:
-// transactions from CONCURRENT writers are batched into one commit
+// Without a store, JournalFs's journal (a JTxn) is cleared at every
+// commit and never pays a durability cost (it is the E7 cost model,
+// never replayed). This journal is the real thing and the one recovery
+// path: transactions from CONCURRENT writers are batched into one commit
 // unit -- records serialized sequentially into the image's journal
 // region, closed by a checksummed commit header, made durable by a
-// SINGLE fsync -- so N writers share one flush instead of paying N
-// (the classic group-commit amortization, bench_storage S1).
+// SINGLE fsync -- so N writers share one flush instead of paying N (the
+// classic group-commit amortization, bench_storage S1).
 //
 // A transaction is a redo set (xv6's and jbd's log absorption): a record
 // whose (kind, target) is already in the transaction overwrites that
@@ -37,7 +37,12 @@
 //   CommitHeader { magic, unit_seq, first_rec_seq, n_records, n_txns,
 //                  payload_bytes, payload_checksum, header_checksum }
 //   followed by payload_bytes of records, each
-//   RecHeader { rec_checksum, target, len, kind } + payload (8-aligned).
+//   RecHeader { rec_checksum, target, len, kind } + payload (8-aligned),
+//   then, when it fits in the region, a zeroed header-sized end mark
+//   (written by the same pwrite as the records). After a checkpoint
+//   resets the tail, new units overwrite an earlier epoch's; the end mark
+//   makes the scan stop cleanly behind the last new unit instead of
+//   misreading the old bytes there as a torn header.
 //
 // A unit is committed iff its header validates AND the payload checksum
 // matches: the header is written AFTER the records, and the checksum
@@ -82,8 +87,13 @@ class JTxn {
   [[nodiscard]] std::span<const JRecord> records() const {
     return {recs_.data(), n_};
   }
-  /// Add a record, or overwrite the payload of the record already held
-  /// for (kind, target). The lookup is one hash probe, not a scan.
+  /// The `len`-byte payload of the record for (kind, target): a new
+  /// record, or the one already held for that key, which the caller
+  /// overwrites (absorption). The caller fills every byte before the
+  /// next call. The lookup is one hash probe, not a scan.
+  [[nodiscard]] std::uint8_t* record(std::uint8_t kind, std::uint32_t target,
+                                     std::size_t len);
+  /// record() filled from `data`.
   void append(std::uint8_t kind, std::uint32_t target, const void* data,
               std::size_t len);
   void clear();

@@ -118,7 +118,6 @@ Result<std::uint64_t> Store::commit_txn(
     // so concurrent batches rarely see ENOSPC.
     if (journal_->tail_bytes() + need > journal_region_bytes() * 3 / 4) {
       USK_TRY(checkpoint());
-      count_enospc_retry();
     }
     Result<std::uint64_t> r = Errno::kEIO;
     {

@@ -57,7 +57,7 @@ struct StoreConfig {
 
 struct StoreStats {
   std::uint64_t checkpoints = 0;
-  std::uint64_t enospc_retries = 0;  ///< commits that had to checkpoint first
+  std::uint64_t enospc_retries = 0;  ///< commits retried after ENOSPC
   std::uint64_t recoveries = 0;
 };
 

@@ -425,6 +425,66 @@ TYPED_TEST(JournalFsTest, StoreHomeBlocksRoundTripThroughACheckpoint) {
   EXPECT_EQ(bcc::Runtime::instance().errors().size(), errors_before);
 }
 
+// The two commit triggers, pinned. Interval: a block record whose
+// sequence number (every record counts, commit records included) is a
+// multiple of commit_interval. Slot margin: the records since the last
+// commit reach journal_slots - 16. The workload runs three phases on one
+// file: a 32 KiB allocating write (its block records alternate with
+// bitmap records on odd sequence numbers, so nothing fires), 36 chmods
+// (inode records only, so only the margin can fire: 2 records per chmod,
+// one commit per 12 once the head reaches 24), and six 32 KiB overwrites
+// (8 consecutive block records each, so the interval fires every time
+// while 10 records stay under the margin). Nothing calls fsync or sync.
+// With a store every commit is one store commit and one group-commit
+// unit.
+TYPED_TEST(JournalFsTest, CommitCadenceOfBothTriggersIsPinned) {
+  constexpr std::size_t kSlots = 40;
+  constexpr std::size_t kInterval = 8;
+  const std::vector<std::byte> body(8 * 4096, std::byte{0x5e});
+  auto run = [&](JournalFs<TypeParam>& fs, auto&& after_phase) {
+    auto ino = fs.create(fs.root(), "f", FileType::kRegular, 0644);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(fs.write(ino.value(), 0, body).ok());
+    after_phase(0);
+    for (std::uint32_t i = 0; i < 36; ++i) {
+      ASSERT_EQ(fs.chmod(ino.value(), 0600 + i % 8), Errno::kOk);
+    }
+    after_phase(1);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(fs.write(ino.value(), 0, body).ok());
+    }
+    after_phase(2);
+  };
+  // {journal_records, journal_commits} after each phase.
+  const std::uint64_t want[3][2] = {{12, 0}, {48, 3}, {102, 9}};
+  {
+    JournalFs<TypeParam> fs(64, 128, kSlots, kInterval);
+    run(fs, [&](int p) {
+      EXPECT_EQ(fs.jstats().journal_records, want[p][0]) << "phase " << p;
+      EXPECT_EQ(fs.jstats().journal_commits, want[p][1]) << "phase " << p;
+    });
+  }
+  testutil::MemImage mem;
+  ASSERT_FALSE(mem.path().empty());
+  store::StoreConfig cfg;
+  cfg.data_blocks = 192;
+  cfg.journal_blocks = 64;
+  blockdev::Disk disk(4096);
+  blockdev::BufferCache cache(disk, 256);
+  store::Store st;
+  ASSERT_TRUE(st.open(mem.path(), cfg).ok());
+  JournalFs<TypeParam> fs(64, 128, kSlots, kInterval);
+  ASSERT_TRUE(fs.attach_store(&st, &cache).ok());
+  run(fs, [&](int p) {
+    EXPECT_EQ(fs.jstats().journal_records, want[p][0]) << "phase " << p;
+    EXPECT_EQ(fs.jstats().journal_commits, want[p][1]) << "phase " << p;
+    EXPECT_EQ(fs.jstats().store_commits, want[p][1]) << "phase " << p;
+    EXPECT_EQ(st.journal()->stats().commit_units, want[p][1])
+        << "phase " << p;
+  });
+  st.close();
+}
+
 TEST(JournalFsKgccTest, CheckedPolicyPerformsChecks) {
   bcc::Runtime& rt = bcc::Runtime::instance();
   rt.clear_errors();

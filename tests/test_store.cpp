@@ -439,6 +439,65 @@ TEST_F(StoreTest, JournalFullTriggersCheckpointAndRetrySucceeds) {
   st.close();
 }
 
+// A single committer never sees ENOSPC: commit_txn checkpoints before the
+// region is 3/4 full. Those checkpoints are counted as checkpoints, not
+// as ENOSPC retries.
+TEST_F(StoreTest, ProactiveCheckpointsAreNotEnospcRetries) {
+  const std::string path = img("ts_proactive.img");
+  StoreConfig cfg;
+  cfg.data_blocks = 8;
+  cfg.journal_blocks = 4;  // 16 KiB region, checkpoint past 12 KiB
+  Store st;
+  ASSERT_TRUE(st.open(path, cfg).ok());
+  std::vector<std::uint8_t> payload(1024, 0x3C);
+  for (int i = 0; i < 40; ++i) {
+    JTxn txn = st.begin_txn();
+    txn.append(2, std::uint32_t(i), payload.data(), payload.size());
+    ASSERT_TRUE(st.commit_txn(txn).ok()) << "txn " << i;
+  }
+  EXPECT_EQ(st.journal()->stats().enospc_batches, 0u);
+  EXPECT_GE(st.stats().checkpoints, 3u);
+  EXPECT_EQ(st.stats().enospc_retries, 0u);
+  st.close();
+}
+
+// After a checkpoint the next epoch's units overwrite the region from
+// the start. Smaller units leave the log's end inside an earlier epoch's
+// unit; a clean close must still recover as a clean log.
+TEST_F(StoreTest, CleanLogAfterACheckpointIsNotTorn) {
+  const std::string path = img("ts_epochs.img");
+  StoreConfig cfg;
+  cfg.data_blocks = 8;
+  cfg.journal_blocks = 16;
+  auto commit = [](Store& st, std::uint32_t target, std::size_t len) {
+    std::vector<std::uint8_t> payload(len, std::uint8_t(0xA0 + target));
+    JTxn txn = st.begin_txn();
+    txn.append(1, target, payload.data(), payload.size());
+    return st.commit_txn(txn).ok();
+  };
+  {
+    Store st;
+    ASSERT_TRUE(st.open(path, cfg).ok());
+    for (std::uint32_t t = 1; t <= 3; ++t) ASSERT_TRUE(commit(st, t, 2000));
+    ASSERT_TRUE(st.checkpoint().ok());
+    for (std::uint32_t t = 11; t <= 12; ++t) ASSERT_TRUE(commit(st, t, 100));
+    st.close();  // clean close, no checkpoint: units 4 and 5 replay
+  }
+  Store st;
+  ASSERT_TRUE(st.open(path, cfg).ok());
+  std::vector<std::uint32_t> targets;
+  Store::RecoveryReport rep = st.recover(
+      [&targets](const store::JRecord& r, std::uint64_t) {
+        targets.push_back(r.target);
+      });
+  EXPECT_EQ(rep.stable_seq, 3u);
+  EXPECT_EQ(rep.scan.units_applied, 2u);
+  EXPECT_FALSE(rep.scan.torn);
+  EXPECT_EQ(rep.scan.units_discarded, 0u);
+  EXPECT_EQ(targets, (std::vector<std::uint32_t>{11, 12}));
+  st.close();
+}
+
 TEST_F(StoreTest, RecoveryReplaysCommittedPrefixAndStopsAtTornUnit) {
   const std::string path = img("ts_prefix.img");
   StoreConfig cfg;

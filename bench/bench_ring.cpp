@@ -134,11 +134,10 @@ StormOut run_storm(double rate, bool quick) {
   } else {
     std::snprintf(spec, sizeof spec, "off");
   }
-  if (!fault::kfail().apply_spec(spec).ok()) {
+  if (!kernel.kfail().apply_spec(spec).ok()) {
     std::fprintf(stderr, "bad spec: %s\n", spec);
     std::exit(1);
   }
-  fault::kfail().reset_stats();
 
   StormOut out;
   out.rep = workload::run_webserver(kernel, net, cfg);
@@ -149,7 +148,6 @@ StormOut run_storm(double rate, bool quick) {
     out.violations += st.violations;
     out.fallback_runs += st.fallback_runs;
   }
-  (void)fault::kfail().apply_spec("off");
   return out;
 }
 

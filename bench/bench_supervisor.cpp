@@ -109,11 +109,10 @@ SupPoint run_supervised(double rate, bool quick) {
   } else {
     std::snprintf(spec, sizeof spec, "off");
   }
-  if (!fault::kfail().apply_spec(spec).ok()) {
+  if (!kernel.kfail().apply_spec(spec).ok()) {
     std::fprintf(stderr, "bad spec: %s\n", spec);
     std::exit(1);
   }
-  fault::kfail().reset_stats();
 
   SupPoint pt;
   pt.rate = rate;
@@ -130,7 +129,6 @@ SupPoint run_supervised(double rate, bool quick) {
     pt.readmissions += st.readmissions;
   }
   pt.ledger = event_ledger(s);
-  (void)fault::kfail().apply_spec("off");
   return pt;
 }
 
@@ -147,7 +145,6 @@ workload::WebServerReport run_classic(bool quick) {
   cfg.mode = workload::ServeMode::kPlain;
   uk::Proc setup(kernel, "setup");
   workload::populate_www(setup, cfg);
-  (void)fault::kfail().apply_spec("off");
   return workload::run_webserver(kernel, net, cfg);
 }
 

@@ -1,19 +1,22 @@
 // current: the one per-thread context of the simulated kernel, the way
 // Linux keeps "the call this CPU is running" in `current`.
 //
-// uk::Kernel::Scope installs the call's fields -- its Kernel's tracer,
-// when armed, and the task's pid -- at entry and restores the enclosing
-// call's at exit. Every other field has one RAII owner that saves it at
-// construction and restores it at destruction: span (trace::SpanScope),
-// ledger (uk::FdLedger), deadline (dl::DeadlineScope), and guard and
-// dirty (sup::InvocationGuard). The pointee types are only declared
-// here, so the lowest layers (blockdev) read the context without
-// depending on its owners. On a thread in no Kernel call every field is
-// empty: its tracepoints, span attribution and dirty charges do nothing.
+// uk::Kernel::Scope installs the call's fields -- its Kernel's tracer and
+// injector, when armed, and the task's pid -- at entry and restores the
+// enclosing call's at exit. Every other field has one RAII owner that
+// saves it at construction and restores it at destruction: kfail outside
+// a call (fault::Kfail::Bind), span (trace::SpanScope), ledger
+// (uk::FdLedger), deadline (dl::DeadlineScope), and guard and dirty
+// (sup::InvocationGuard). The pointee types are only declared here, so
+// the lowest layers (mm, blockdev) read the context without depending on
+// its owners. On a thread in no call or Bind every field is empty.
 #pragma once
 
 #include <cstdint>
 
+namespace usk::fault {
+class Kfail;
+}
 namespace usk::trace {
 class Ktrace;
 class SpanScope;
@@ -42,6 +45,9 @@ struct Current {
   /// The running call's Kernel tracer while it is armed, else nullptr:
   /// the one load a disarmed tracepoint makes.
   trace::Ktrace* ktrace = nullptr;
+  /// The running call's Kernel injector while armed (or a Kfail::Bind's),
+  /// else nullptr: the one load a disarmed fault point makes.
+  fault::Kfail* kfail = nullptr;
   std::uint32_t pid = 0;                  ///< the call's task (0 = none)
   trace::SpanScope* span = nullptr;       ///< innermost open span
   uk::FdLedger* ledger = nullptr;         ///< innermost fd ledger

@@ -24,8 +24,9 @@
 //     that wakes every interval and writes dirty blocks back, oldest
 //     first, when the dirty ratio exceeds its threshold or a block's
 //     dirty age exceeds max_age (the pdflush/bdi-writeback ratio+age
-//     policy). sync_barrier() is the foreground barrier: all dirty blocks
-//     written back and the backend flushed before it returns.
+//     policy) under its starting thread's fault injector, which must
+//     outlive it. sync_barrier() is the foreground barrier: all dirty
+//     blocks written back and the backend flushed before it returns.
 //
 //   * Dirty accounting for ksup. Each clean->dirty transition consults
 //     the calling thread's dirty-page charge (base::Current::dirty),
@@ -173,7 +174,10 @@ class BufferCache {
       wb_cfg_ = cfg;
       wb_stop_ = false;
     }
-    flusher_ = std::thread([this] { flusher_loop(); });
+    flusher_ = std::thread([this, kf = base::current().kfail] {
+      fault::Kfail::Bind bind(kf);
+      flusher_loop();
+    });
   }
 
   void stop_writeback() {

@@ -55,7 +55,7 @@ constexpr NamedCounter kCounters[] = {
 
 }  // namespace
 
-Kdl::Kdl() {
+Kdl::Kdl(fault::Kfail& kfail) : kfail_(kfail) {
   if (const char* env = std::getenv("USK_DL");
       env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0') {
     set_enabled(true);
@@ -184,7 +184,9 @@ DeadlineScope::~DeadlineScope() {
 }
 
 std::int64_t DeadlineScope::remaining_ns() const {
-  if (auto f = USK_FAIL_POINT(fault::Site::kDlClockSkew); f.fail) {
+  if (auto f = USK_FAIL_POINT_IN(kdl_.kfail().armed(),
+                                 fault::Site::kDlClockSkew);
+      f.fail) {
     // A skewed clock read lands past the deadline: the request expires
     // spuriously. Callers must unwind leak-free exactly as for a real
     // expiry -- that symmetry is what the soak checks.

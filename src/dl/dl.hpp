@@ -107,9 +107,11 @@ class RetryBudget;
 /// One Kernel's kdl state: the arming flag, stats, the served-latency
 /// histogram feeding admission estimates, and the tenant registry behind
 /// /proc/dl/tenants. Built armed when USK_DL is set (non-empty, not "0").
+/// `kfail` is its Kernel's injector: deadline reads outside any call (a
+/// request's ingress) still check that Kernel's dl.clock_skew.
 class Kdl {
  public:
-  Kdl();
+  explicit Kdl(fault::Kfail& kfail);
   ~Kdl();
   Kdl(const Kdl&) = delete;
   Kdl& operator=(const Kdl&) = delete;
@@ -137,6 +139,7 @@ class Kdl {
 
   DlStats& stats() { return stats_; }
   [[nodiscard]] const DlStats& stats() const { return stats_; }
+  [[nodiscard]] fault::Kfail& kfail() const { return kfail_; }
 
   /// Wall latency of retired admitted requests (ns). Admission reads a
   /// percentile of this to estimate queue delay at ingress.
@@ -156,6 +159,7 @@ class Kdl {
  private:
   Errno fail_fast_armed(sched::Task* task, Site site);
 
+  fault::Kfail& kfail_;
   std::atomic<bool> enabled_{false};
   DlStats stats_;
   trace::Histogram service_hist_;

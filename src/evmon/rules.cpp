@@ -4,40 +4,6 @@
 
 namespace usk::evmon {
 
-// --- ObjectRegistry ------------------------------------------------------------
-
-ObjectRegistry& ObjectRegistry::instance() {
-  static ObjectRegistry r;
-  return r;
-}
-
-void ObjectRegistry::register_object(const void* obj, std::string klass,
-                                     std::string name) {
-  std::lock_guard lk(mu_);
-  map_[obj] = Info{std::move(klass), std::move(name)};
-}
-
-void ObjectRegistry::unregister_object(const void* obj) {
-  std::lock_guard lk(mu_);
-  map_.erase(obj);
-}
-
-const ObjectRegistry::Info* ObjectRegistry::find(const void* obj) const {
-  std::lock_guard lk(mu_);
-  auto it = map_.find(obj);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-void ObjectRegistry::clear() {
-  std::lock_guard lk(mu_);
-  map_.clear();
-}
-
-std::size_t ObjectRegistry::size() const {
-  std::lock_guard lk(mu_);
-  return map_.size();
-}
-
 // --- helpers -----------------------------------------------------------------------
 
 std::string_view event_class(std::int32_t type) {
@@ -120,10 +86,15 @@ RuleParseResult RuleSet::parse(std::string_view text) {
   return res;
 }
 
+void RuleSet::register_object(const void* obj, std::string klass,
+                              std::string name) {
+  objects_[obj] = ObjectInfo{std::move(klass), std::move(name)};
+}
+
 bool RuleSet::allows(const Event& e) const {
   std::string_view klass = event_class(e.type);
-  const ObjectRegistry::Info* info =
-      ObjectRegistry::instance().find(e.object);
+  auto it = objects_.find(e.object);
+  const ObjectInfo* info = it == objects_.end() ? nullptr : &it->second;
   std::string_view name = info != nullptr ? std::string_view(info->name)
                                           : std::string_view("<anon>");
   // A registered object may override the type-derived class (e.g., a

@@ -7,9 +7,9 @@
 // instrument, in the spirit of aspect-oriented programming."
 //
 // We cannot patch a compiler, so the rules select events at the dispatch
-// point instead: kernel objects are registered with a class and a name,
-// and a RuleSet compiled from a small declarative language decides which
-// events reach the monitors and the ring buffer. One rule per line:
+// point instead: kernel objects are registered with a RuleSet under a
+// class and a name, and the RuleSet, compiled from a small declarative
+// language, decides which events reach the monitors and the ring buffer. One rule per line:
 //
 //     # instrument every operation on an inode's reference count
 //     monitor refcount inode*
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -33,30 +32,6 @@
 #include "evmon/event.hpp"
 
 namespace usk::evmon {
-
-/// Process-wide registry naming monitored kernel objects. Objects are
-/// registered by the code that owns them (class + instance name), which is
-/// what lets rules talk about "an inode's reference count".
-class ObjectRegistry {
- public:
-  struct Info {
-    std::string klass;  ///< "refcount", "spinlock", ...
-    std::string name;   ///< "inode_ref", "dcache_lock", ...
-  };
-
-  static ObjectRegistry& instance();
-
-  void register_object(const void* obj, std::string klass, std::string name);
-  void unregister_object(const void* obj);
-  /// Lookup; returns nullptr for anonymous objects.
-  const Info* find(const void* obj) const;
-  void clear();
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<const void*, Info> map_;
-};
 
 /// Event-class name derived from the event's type code ("spinlock",
 /// "refcount", "semaphore", "irq", "user").
@@ -84,8 +59,13 @@ class RuleSet {
   /// Parse rule text (one rule per line, '#' comments, blank lines ok).
   RuleParseResult parse(std::string_view text);
 
-  /// Should this event be instrumented? Objects not in the registry match
-  /// name "<anon>". First matching rule wins; default is NOT instrumented
+  /// Name a monitored kernel object (class + instance name), which is
+  /// what lets rules talk about "an inode's reference count". A non-empty
+  /// class overrides the event type's. Register before dispatch starts.
+  void register_object(const void* obj, std::string klass, std::string name);
+
+  /// Should this event be instrumented? Unregistered objects match name
+  /// "<anon>". First matching rule wins; default is NOT instrumented
   /// (an empty ruleset instruments nothing).
   [[nodiscard]] bool allows(const Event& e) const;
 
@@ -97,7 +77,13 @@ class RuleSet {
   mutable std::uint64_t suppressed = 0;
 
  private:
+  struct ObjectInfo {
+    std::string klass;  ///< "refcount", "spinlock", ...
+    std::string name;   ///< "inode_ref", "dcache_lock", ...
+  };
+
   std::vector<Rule> rules_;
+  std::unordered_map<const void*, ObjectInfo> objects_;
 };
 
 }  // namespace usk::evmon

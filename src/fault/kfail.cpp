@@ -87,8 +87,8 @@ Errno site_default_errno(Site s) {
 }
 
 Kfail::Kfail() {
-  // One-shot environment arming: lets `ctest -L faults` (and any user
-  // shell) run unmodified binaries under injection.
+  // Environment arming: lets `ctest -L faults` (and any user shell) run
+  // unmodified binaries under injection, on every injector they make.
   if (const char* spec = std::getenv("USK_FAIL_SPEC")) {
     if (Result<void> r = apply_spec(spec); !r.ok()) {
       base::klogf(base::LogLevel::kErr, "kfail: bad USK_FAIL_SPEC '%s' (%.*s)",
@@ -98,10 +98,7 @@ Kfail::Kfail() {
   }
 }
 
-Kfail& Kfail::instance() {
-  static Kfail k;
-  return k;
-}
+Kfail::~Kfail() { disarm_all(); }
 
 Outcome Kfail::check(Site s) {
   SiteState& st = sites_[static_cast<std::size_t>(s)];
@@ -158,16 +155,18 @@ void Kfail::arm(Site s, const SiteConfig& cfg) {
   st.transient.store(cfg.transient, std::memory_order_relaxed);
   st.err.store(static_cast<std::int32_t>(cfg.err), std::memory_order_relaxed);
   st.counter.store(0, std::memory_order_relaxed);
-  if (!st.armed.exchange(true, std::memory_order_relaxed)) {
-    detail::g_armed.fetch_add(1, std::memory_order_relaxed);
+  if (!st.armed.exchange(true, std::memory_order_relaxed) &&
+      armed_sites_.fetch_add(1, std::memory_order_relaxed) == 0) {
+    detail::g_armed_kfails.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void Kfail::disarm(Site s) {
   std::lock_guard lk(mu_);
   SiteState& st = sites_[static_cast<std::size_t>(s)];
-  if (st.armed.exchange(false, std::memory_order_relaxed)) {
-    detail::g_armed.fetch_sub(1, std::memory_order_relaxed);
+  if (st.armed.exchange(false, std::memory_order_relaxed) &&
+      armed_sites_.fetch_sub(1, std::memory_order_relaxed) == 1) {
+    detail::g_armed_kfails.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

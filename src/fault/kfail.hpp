@@ -4,14 +4,17 @@
 // point -- kmalloc/vmalloc (ENOMEM), the disk (EIO, latency spikes, torn
 // journal writes), the user/kernel copy routines (EFAULT), the network
 // (ECONNRESET/EAGAIN storms), and the Cosy executor (abort between ops).
-// A disarmed fault point costs ONE relaxed atomic load and a predicted
-// branch, the same discipline as USK_TRACEPOINT, so instrumented hot
-// paths measure identically with injection compiled in.
+// Each uk::Kernel owns an injector (Kfail), which its Kernel::Scope
+// installs in base::Current while armed; a thread in no Kernel call binds
+// one with Kfail::Bind. A fault point checks the running call's injector,
+// so arming one Kernel never injects into another, and a disarmed point
+// costs ONE thread-local load and a predicted branch, the same discipline
+// as USK_TRACEPOINT.
 //
 // Determinism: each site keeps a check counter; the injection decision for
-// check #n is a pure function of (global seed, site, n), so a failing
-// schedule replays exactly from the same seed -- the failure analogue of
-// the workload generators' seeded RNGs.
+// check #n is a pure function of (seed, site, n), so a failing schedule
+// replays exactly from the same seed -- the failure analogue of the
+// workload generators' seeded RNGs.
 //
 // Faults come in two severities:
 //   * hard (`fail`): the site returns its errno to the caller, exercising
@@ -24,7 +27,8 @@
 //     user-visible failures while still driving the injection plumbing.
 //
 // Control: programmatic (arm/disarm), the USK_FAIL_SPEC environment
-// variable (read once at process start), and /proc/fail/** write files
+// variable (applied by every injector's constructor, as each Kspan
+// applies USK_SPAN), and the owning Kernel's /proc/fail/** write files
 // (uk/kproc.cpp). Spec grammar, clauses comma-separated:
 //
 //   seed=<u64>                     reseed the decision function
@@ -44,7 +48,9 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "base/current.hpp"
 #include "base/errno.hpp"
 
 namespace usk::fault {
@@ -110,18 +116,47 @@ struct SiteStats {
 };
 
 namespace detail {
-/// THE disarmed-cost hot path: count of armed sites, read relaxed.
-inline std::atomic<int> g_armed{0};
+/// Armed injectors in this process. Reports for bench headers only: no
+/// fault point reads it.
+inline std::atomic<int> g_armed_kfails{0};
 }  // namespace detail
 
+/// True while some injector in this process has a site armed (bench
+/// headers refuse to measure an armed build). Fault points check the
+/// running call's own injector.
 [[nodiscard]] inline bool armed() {
-  return detail::g_armed.load(std::memory_order_relaxed) != 0;
+  return detail::g_armed_kfails.load(std::memory_order_relaxed) != 0;
 }
 
 class Kfail {
  public:
-  /// The process-wide injector (one per simulated machine, like ktrace).
-  static Kfail& instance();
+  /// Applies USK_FAIL_SPEC, if set, so every new injector starts armed
+  /// the way the environment asks.
+  Kfail();
+  ~Kfail();
+  Kfail(const Kfail&) = delete;
+  Kfail& operator=(const Kfail&) = delete;
+
+  /// This injector while any of its sites is armed, else nullptr: what
+  /// Kernel::Scope installs as the call's base::Current::kfail.
+  [[nodiscard]] Kfail* armed() {
+    return armed_sites_.load(std::memory_order_relaxed) != 0 ? this : nullptr;
+  }
+
+  /// Installs `kf` as this thread's injector for its lifetime, and
+  /// restores the enclosing one at exit: for a thread in no Kernel call
+  /// (a Kernel-less fixture, the BufferCache flusher). nullptr = none.
+  class Bind {
+   public:
+    explicit Bind(Kfail* kf)
+        : outer_(std::exchange(base::current().kfail, kf)) {}
+    ~Bind() { base::current().kfail = outer_; }
+    Bind(const Bind&) = delete;
+    Bind& operator=(const Bind&) = delete;
+
+   private:
+    Kfail* outer_;
+  };
 
   /// Slow path behind USK_FAIL_POINT: decide check #n for `s`.
   Outcome check(Site s);
@@ -151,8 +186,6 @@ class Kfail {
   [[nodiscard]] std::string format_spec() const;
 
  private:
-  Kfail();
-
   struct SiteState {
     // Configuration, written under mu_ and read relaxed by check().
     std::atomic<bool> armed{false};
@@ -169,19 +202,28 @@ class Kfail {
   };
 
   SiteState sites_[kNumSites];
+  std::atomic<int> armed_sites_{0};
   std::atomic<std::uint64_t> seed_{0x9E3779B97F4A7C15ull};
   mutable std::mutex mu_;  ///< serialises arm/disarm/apply_spec
 };
 
-[[nodiscard]] inline Kfail& kfail() { return Kfail::instance(); }
+/// The fault-point check against `kf` (nullptr = nothing armed).
+[[nodiscard]] inline Outcome check(Kfail* kf, Site s) {
+  if (kf == nullptr) [[likely]] return Outcome{};
+  return kf->check(s);
+}
 
 }  // namespace usk::fault
 
-/// A fault point: one relaxed load when nothing is armed. Use as
+/// A fault point against the running call's injector: one thread-local
+/// load when nothing is armed. Use as
 ///   if (auto f = USK_FAIL_POINT(fault::Site::kKmalloc); f.fail)
 ///     return ...error path using f.err...;
 ///   // f.transient: simulated recovered failure -- charge retry cost.
-#define USK_FAIL_POINT(site)                     \
-  (::usk::fault::armed()                         \
-       ? ::usk::fault::Kfail::instance().check(site) \
-       : ::usk::fault::Outcome{})
+#define USK_FAIL_POINT(site) \
+  ::usk::fault::check(::usk::base::current().kfail, (site))
+
+/// A fault point against a named injector (pass Kfail::armed()): for code
+/// that knows its Kernel but also runs outside its calls, such as a
+/// supervised invocation's epilogue.
+#define USK_FAIL_POINT_IN(kf, site) ::usk::fault::check((kf), (site))

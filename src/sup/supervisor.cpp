@@ -473,7 +473,9 @@ void Supervisor::finish_invocation_locked(Ext& e, ExtId id, Route route,
     if (kind == ViolationKind::kNone) {
       // Deterministic probe-failure injection: a clean probe can still be
       // failed by the harness to exercise the backoff-doubling path.
-      if (auto f = USK_FAIL_POINT(fault::Site::kSupProbe); f.fail) {
+      if (auto f = USK_FAIL_POINT_IN(k_.kfail().armed(),
+                                     fault::Site::kSupProbe);
+          f.fail) {
         kind = ViolationKind::kProbeFailure;
       }
     } else if (kind != ViolationKind::kProbeFailure) {

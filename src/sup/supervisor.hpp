@@ -296,7 +296,9 @@ class Supervisor final : private uk::SyscallSubscriber {
                           trace::SpanVehicle::kFallback, id);
     SysRet ret = 0;
     InvocationGuard g(*this, id, task, Route::kFallback, &ret);
-    if (auto f = USK_FAIL_POINT(fault::Site::kSupFallback); f.fail) {
+    if (auto f = USK_FAIL_POINT_IN(k_.kfail().armed(),
+                                   fault::Site::kSupFallback);
+        f.fail) {
       ret = sysret_err(f.err);
       return ret;
     } else if (f.transient) {

@@ -24,6 +24,7 @@ Kernel::Kernel(fs::FileSystem& rootfs, KernelConfig cfg)
       sched_(cfg.sched_quantum),
       boundary_(engine_, cfg.boundary),
       audit_(*this),
+      dl_(kfail_),
       vfs_(rootfs, cfg.dcache_capacity, cfg.dcache_shards) {
   register_syscall<&Kernel::do_open>(Sys::kOpen, this);
   register_syscall<&Kernel::do_close>(Sys::kClose, this);
@@ -126,10 +127,11 @@ Kernel::Scope::Scope(Kernel& k, Process& p, Sys nr)
   in0_ = p_.task.bytes_from_user;
   out0_ = p_.task.bytes_to_user;
   kunits0_ = p_.task.times().kernel;
-  // The call's tracer is picked once, here: every tracepoint it crosses
-  // reads it from base::Current.
+  // The call's tracer and injector are picked once, here: every
+  // tracepoint and fault point it crosses reads them from base::Current.
   base::Current& cur = base::current();
   outer_ktrace_ = std::exchange(cur.ktrace, k_.ktrace_.armed());
+  outer_kfail_ = std::exchange(cur.kfail, k_.kfail_.armed());
   outer_pid_ = std::exchange(cur.pid, p_.task.pid());
   USK_TRACEPOINT("syscall", "enter", static_cast<std::uint64_t>(nr));
   k_.boundary_.enter_kernel(p_.task);
@@ -165,6 +167,7 @@ Kernel::Scope::~Scope() {
   // Subscribers (audit, supervisors): one relaxed load when there are none.
   if (k_.has_subscribers()) k_.publish(r);
   cur.ktrace = outer_ktrace_;
+  cur.kfail = outer_kfail_;
   cur.pid = outer_pid_;
 }
 

@@ -19,6 +19,7 @@
 
 #include "base/work.hpp"
 #include "dl/dl.hpp"
+#include "fault/kfail.hpp"
 #include "fs/memfs.hpp"
 #include "fs/vfs.hpp"
 #include "mm/kmalloc.hpp"
@@ -169,6 +170,9 @@ class Kernel {
   [[nodiscard]] vm::PhysMem& phys() { return phys_; }
   [[nodiscard]] mm::Kmalloc& kmalloc() { return kmalloc_; }
   [[nodiscard]] mm::Vmalloc& vmalloc() { return vmalloc_; }
+  /// This Kernel's fault injector: the fault points its calls cross
+  /// check it (fault/kfail.hpp, /proc/fail).
+  [[nodiscard]] fault::Kfail& kfail() { return kfail_; }
   /// This Kernel's kdl: deadlines, cancellation and admission (dl/dl.hpp).
   [[nodiscard]] dl::Kdl& dl() { return dl_; }
   /// This Kernel's tracer: the tracepoints its calls cross emit here.
@@ -231,8 +235,8 @@ class Kernel {
   /// RAII syscall prologue/epilogue: one crossing, one SyscallRecord for
   /// the accounting and the subscribers. Built by syscall(), the ring and
   /// Cosy entry points. For its lifetime it installs the call in
-  /// base::Current -- this Kernel's tracer if armed, the task's pid --
-  /// and restores the enclosing call's at exit.
+  /// base::Current -- this Kernel's tracer and injector if armed, the
+  /// task's pid -- and restores the enclosing call's at exit.
   class Scope {
    public:
     Scope(Kernel& k, Process& p, Sys nr);
@@ -268,6 +272,7 @@ class Kernel {
     std::uint64_t kunits0_;  ///< kernel units at entry
     std::uint64_t cycles0_;  ///< base::cycles() at entry
     trace::Ktrace* outer_ktrace_;  ///< the enclosing call's, restored
+    fault::Kfail* outer_kfail_;    ///< the enclosing call's, restored
     std::uint32_t outer_pid_;
   };
 
@@ -405,6 +410,7 @@ class Kernel {
   SysRet open_io_close(Process& p, const SysArgs& a, BufMode m, Sys io,
                        int flags, std::uint32_t mode, bool seek);
 
+  fault::Kfail kfail_;  ///< first: outlives every member that checks it
   base::WorkEngine engine_;
   vm::PhysMem phys_;
   vm::AddressSpace kernel_as_;

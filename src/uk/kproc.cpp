@@ -363,33 +363,33 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
                   });
   pfs.add_file("/metrics", [&pfs] { return pfs.expose_metrics(); });
 
-  // --- /proc/fail: runtime fault-injection control (see fault/kfail.hpp) ----
+  // --- /proc/fail: this Kernel's fault injector (see fault/kfail.hpp) ----
   // Reading /proc/fail/spec shows the armed configuration; writing a spec
   // string ("kmalloc:p=0.01:transient", "off", ...) applies it live.
+  fault::Kfail& kf = k.kfail();
   pfs.add_file(
-      "/fail/spec", [] { return fault::kfail().format_spec(); },
-      [](std::string_view in) {
+      "/fail/spec", [&kf] { return kf.format_spec(); },
+      [&kf](std::string_view in) {
         // Trim the trailing newline an `echo >` writer appends.
         while (!in.empty() && (in.back() == '\n' || in.back() == ' ')) {
           in.remove_suffix(1);
         }
-        Result<void> r = fault::kfail().apply_spec(in);
+        Result<void> r = kf.apply_spec(in);
         return r.ok() ? Errno::kOk : r.error();
       });
-  pfs.add_file("/fail/stats",
-               [] { return fault::kfail().format_stats(); },
-               [](std::string_view) {
-                 fault::kfail().reset_stats();
+  pfs.add_file("/fail/stats", [&kf] { return kf.format_stats(); },
+               [&kf](std::string_view) {
+                 kf.reset_stats();
                  return Errno::kOk;
                });
   pfs.add_file(
       "/fail/seed",
-      [] {
+      [&kf] {
         std::string out;
-        appendf(out, "%" PRIu64 "\n", fault::kfail().seed());
+        appendf(out, "%" PRIu64 "\n", kf.seed());
         return out;
       },
-      [](std::string_view in) {
+      [&kf](std::string_view in) {
         std::uint64_t seed = 0;
         bool any = false;
         for (char ch : in) {
@@ -398,7 +398,7 @@ void register_kernel_proc(Kernel& k, fs::ProcFs& pfs) {
           any = true;
         }
         if (!any) return Errno::kEINVAL;
-        fault::kfail().set_seed(seed);
+        kf.set_seed(seed);
         return Errno::kOk;
       });
 }

@@ -2,6 +2,8 @@
 // the MemFs I/O-model integration, and the lock-hold profiler.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "base/rng.hpp"
@@ -12,14 +14,47 @@
 #include "evmon/profiler.hpp"
 #include "fs/journalfs.hpp"
 #include "fs/memfs.hpp"
+#include "uk/kernel.hpp"
+#include "kfail_fixture.hpp"
 #include "numbered.hpp"
 
 namespace usk {
 namespace {
 
+using DiskTest = testutil::KfailTest;
+using BufferCacheTest = testutil::KfailTest;
+using MemFsIoModelTest = testutil::KfailTest;
+using JournalFsIoModelTest = testutil::KfailTest;
+
+// --- kfail from the environment ------------------------------------------------
+
+TEST(KfailEnvTest, UskFailSpecArmsEveryNewInjector) {
+  if (std::getenv("USK_FAIL_SPEC") == nullptr) {
+    GTEST_SKIP() << "runs under a USK_FAIL_SPEC soak label (faults, storage)";
+  }
+  fault::Kfail first;
+  const std::string armed = first.format_spec();
+  ASSERT_NE(armed.find("disk.read:"), std::string::npos) << armed;
+  // Disarming one injector leaves every new one armed from the
+  // environment: a Kernel's and a thread's bound one alike.
+  first.disarm_all();
+  fs::MemFs fs;
+  uk::Kernel k(fs);
+  EXPECT_EQ(k.kfail().format_spec(), armed);
+  fault::Kfail kf;
+  fault::Kfail::Bind bind(&kf);
+  EXPECT_EQ(kf.format_spec(), armed);
+
+  blockdev::Disk disk(1 << 12);
+  for (std::uint64_t lba = 0; lba < 2000; ++lba) {
+    ASSERT_TRUE(disk.read(lba).ok());
+  }
+  EXPECT_GT(kf.stats(fault::Site::kDiskRead).transients, 0u);
+}
+
 // --- Disk ------------------------------------------------------------------------------
 
-TEST(DiskTest, SequentialIsCheapRandomSeeks) {
+TEST_F(DiskTest, SequentialIsCheapRandomSeeks) {
   blockdev::Disk disk(1 << 20);
   std::uint64_t charged = 0;
   disk.set_charge_hook([&](std::uint64_t u) { charged += u; });
@@ -40,7 +75,7 @@ TEST(DiskTest, SequentialIsCheapRandomSeeks) {
   EXPECT_GT(charged, seq_units * 5);
 }
 
-TEST(DiskTest, SeekCostGrowsWithDistance) {
+TEST_F(DiskTest, SeekCostGrowsWithDistance) {
   blockdev::Disk disk(1 << 20);
   std::uint64_t charged = 0;
   disk.set_charge_hook([&](std::uint64_t u) { charged = u; });
@@ -54,7 +89,7 @@ TEST(DiskTest, SeekCostGrowsWithDistance) {
   EXPECT_GT(long_seek, short_seek);
 }
 
-TEST(DiskTest, HeadFollowsTransfers) {
+TEST_F(DiskTest, HeadFollowsTransfers) {
   blockdev::Disk disk(1024);
   ASSERT_TRUE(disk.read(10).ok());
   EXPECT_EQ(disk.head(), 11u);
@@ -64,7 +99,7 @@ TEST(DiskTest, HeadFollowsTransfers) {
 
 // --- BufferCache --------------------------------------------------------------------------
 
-TEST(BufferCacheTest, HitsAvoidTheDisk) {
+TEST_F(BufferCacheTest, HitsAvoidTheDisk) {
   blockdev::Disk disk(4096);
   blockdev::BufferCache cache(disk, 64);
   for (int round = 0; round < 10; ++round) {
@@ -76,7 +111,7 @@ TEST(BufferCacheTest, HitsAvoidTheDisk) {
   EXPECT_GT(cache.stats().hit_rate(), 0.89);
 }
 
-TEST(BufferCacheTest, LruEvictionOrder) {
+TEST_F(BufferCacheTest, LruEvictionOrder) {
   blockdev::Disk disk(4096);
   blockdev::BufferCache cache(disk, 4);
   ASSERT_TRUE(cache.read(1).ok());
@@ -92,7 +127,7 @@ TEST(BufferCacheTest, LruEvictionOrder) {
   EXPECT_EQ(cache.stats().misses, misses + 1);
 }
 
-TEST(BufferCacheTest, WriteBackOnlyOnEvictionOrFlush) {
+TEST_F(BufferCacheTest, WriteBackOnlyOnEvictionOrFlush) {
   blockdev::Disk disk(4096);
   blockdev::BufferCache cache(disk, 8);
   for (blockdev::Lba lba = 0; lba < 8; ++lba) ASSERT_TRUE(cache.write(lba).ok());
@@ -106,7 +141,7 @@ TEST(BufferCacheTest, WriteBackOnlyOnEvictionOrFlush) {
   EXPECT_EQ(disk.stats().writes, 8u);
 }
 
-TEST(BufferCacheTest, DirtyEvictionWritesBack) {
+TEST_F(BufferCacheTest, DirtyEvictionWritesBack) {
   blockdev::Disk disk(4096);
   blockdev::BufferCache cache(disk, 2);
   ASSERT_TRUE(cache.write(1).ok());
@@ -118,7 +153,7 @@ TEST(BufferCacheTest, DirtyEvictionWritesBack) {
 
 // --- MemFs integration -------------------------------------------------------------------
 
-TEST(MemFsIoModelTest, SequentialFileBeatsRandomProbes) {
+TEST_F(MemFsIoModelTest, SequentialFileBeatsRandomProbes) {
   blockdev::Disk disk(1 << 16);
   std::uint64_t charged = 0;
   disk.set_charge_hook([&](std::uint64_t u) { charged += u; });
@@ -152,7 +187,7 @@ TEST(MemFsIoModelTest, SequentialFileBeatsRandomProbes) {
   EXPECT_GT(rnd, seq * 3);  // random I/O pays seeks
 }
 
-TEST(MemFsIoModelTest, DetachedModelTouchesNoDisk) {
+TEST_F(MemFsIoModelTest, DetachedModelTouchesNoDisk) {
   blockdev::Disk disk(4096);
   blockdev::BufferCache cache(disk, 64);
   fs::MemFs fs;
@@ -167,7 +202,7 @@ TEST(MemFsIoModelTest, DetachedModelTouchesNoDisk) {
   EXPECT_EQ(cache.stats().lookups, before);
 }
 
-TEST(JournalFsIoModelTest, JournalWritesAreSequentialCheckpointsSeek) {
+TEST_F(JournalFsIoModelTest, JournalWritesAreSequentialCheckpointsSeek) {
   blockdev::Disk disk(1 << 16);
   blockdev::BufferCache cache(disk, 512);
   fs::JournalFs<fs::RawPtrPolicy> jfs(256, 2048, /*journal_slots=*/256,

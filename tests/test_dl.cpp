@@ -43,10 +43,8 @@ class DlTest : public ::testing::Test {
       : kernel_(fs_), net_(kernel_), rdev_(kernel_),
         proc_(kernel_, "dl-test") {
     fs_.set_cost_hook(kernel_.charge_hook());
-    fault::kfail().disarm_all();
     kdl().set_enabled(true);
   }
-  ~DlTest() override { fault::kfail().disarm_all(); }
 
   uk::Process& p() { return proc_.process(); }
   Kdl& kdl() { return kernel_.dl(); }
@@ -394,10 +392,10 @@ TEST_F(DlTest, RingChainDeadlineAbortRollsBackOpenedFd) {
   fault::SiteConfig skew;
   skew.nth = 3;
   skew.budget = 1;
-  fault::kfail().arm(fault::Site::kDlClockSkew, skew);
+  kernel_.kfail().arm(fault::Site::kDlClockSkew, skew);
   EXPECT_EQ(rdev_.sys_ring_enter(p(), ringfd, ring::RingDev::kDrainAll, 0, 0),
             3);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
 
   ring::Cqe cq[8];
   const std::size_t n = r.user_reap(cq, 8);
@@ -447,9 +445,9 @@ TEST_F(DlTest, CosyCompoundAbortsBetweenOpsWithoutLeaking) {
     fault::SiteConfig skew;
     skew.nth = 2;
     skew.budget = 1;
-    fault::kfail().arm(fault::Site::kDlClockSkew, skew);
+    kernel_.kfail().arm(fault::Site::kDlClockSkew, skew);
     cosy::CosyResult res = ext.execute(p(), c, shared);
-    fault::kfail().disarm_all();
+    kernel_.kfail().disarm_all();
     EXPECT_EQ(res.ret, sysret_err(Errno::kETIMEDOUT));
     EXPECT_EQ(p().fds.open_count(), fds0);
   }
@@ -569,11 +567,11 @@ TEST_F(DlTest, ClockSkewSiteInjectsSpuriousExpiry) {
   fault::SiteConfig cfg;
   cfg.p = 1.0;
   cfg.budget = 1;
-  fault::kfail().arm(fault::Site::kDlClockSkew, cfg);
+  kernel_.kfail().arm(fault::Site::kDlClockSkew, cfg);
   // The skewed read lands past the deadline: spurious expiry, and the
   // gateway surfaces it as a normal ETIMEDOUT.
   EXPECT_LT(s.remaining_ns(), 0);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
   EXPECT_EQ(kdl().stats().clock_skew_injected.load(), skews0 + 1);
   // Budget spent: the next read is sane again.
   EXPECT_GT(s.remaining_ns(), 0);
@@ -588,11 +586,11 @@ TEST_F(DlTest, SpuriousWakeSiteForcesRecheckWithoutHanging) {
   fault::SiteConfig cfg;
   cfg.nth = 1;
   cfg.budget = 1;
-  fault::kfail().arm(fault::Site::kDlSpuriousWake, cfg);
+  kernel_.kfail().arm(fault::Site::kDlSpuriousWake, cfg);
   // The park loop absorbs the spurious wake by re-checking its wait
   // condition; the user timeout still lands (returns 0, no hang).
   EXPECT_EQ(net_.sys_epoll_wait(p(), ep, &ev, 1, 5), 0);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
   EXPECT_GT(kdl().stats().spurious_wakes.load(), wakes0);
   proc_.close(ep);
 }

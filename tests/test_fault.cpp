@@ -23,6 +23,7 @@
 #include "uk/kernel.hpp"
 #include "uk/userlib.hpp"
 #include "vm/phys.hpp"
+#include "kfail_fixture.hpp"
 #include "temp_dir.hpp"
 #include "numbered.hpp"
 
@@ -32,21 +33,11 @@ namespace {
 using fault::Site;
 using fault::SiteConfig;
 
-/// Every test starts and ends with injection fully disarmed: the injector
-/// is process-wide (like the real kernel's failslab), so leaking an armed
-/// site would poison sibling tests.
-class FaultTest : public ::testing::Test {
+/// Each test arms its own injector: a Kernel's for calls on that Kernel,
+/// else the fixture's, which it binds to the test thread for the fault
+/// points hit outside any Kernel call.
+class FaultTest : public testutil::KfailTest {
  protected:
-  FaultTest() {
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
-    fault::kfail().set_seed(0x1234);
-  }
-  ~FaultTest() override {
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
-  }
-
   static SiteConfig always(Errno err = Errno::kOk) {
     SiteConfig c;
     c.p = 1.0;
@@ -61,13 +52,13 @@ TEST_F(FaultTest, SameSeedSameSchedule) {
   SiteConfig c;
   c.p = 0.3;
   auto run = [&] {
-    fault::kfail().set_seed(99);
-    fault::kfail().arm(Site::kKmalloc, c);
+    kf_.set_seed(99);
+    kf_.arm(Site::kKmalloc, c);
     std::vector<bool> hits;
     for (int i = 0; i < 64; ++i) {
       hits.push_back(USK_FAIL_POINT(Site::kKmalloc).fail);
     }
-    fault::kfail().disarm_all();
+    kf_.disarm_all();
     return hits;
   };
   std::vector<bool> a = run();
@@ -78,8 +69,8 @@ TEST_F(FaultTest, SameSeedSameSchedule) {
 
   // A different seed gives a different schedule (with 64 draws at p=0.3
   // a collision is astronomically unlikely).
-  fault::kfail().set_seed(100);
-  fault::kfail().arm(Site::kKmalloc, c);
+  kf_.set_seed(100);
+  kf_.arm(Site::kKmalloc, c);
   std::vector<bool> d;
   for (int i = 0; i < 64; ++i) d.push_back(USK_FAIL_POINT(Site::kKmalloc).fail);
   EXPECT_NE(a, d);
@@ -88,7 +79,7 @@ TEST_F(FaultTest, SameSeedSameSchedule) {
 TEST_F(FaultTest, NthFailsExactlyOnce) {
   SiteConfig c;
   c.nth = 3;
-  fault::kfail().arm(Site::kDiskRead, c);
+  kf_.arm(Site::kDiskRead, c);
   int failures = 0;
   int failed_at = 0;
   for (int i = 1; i <= 10; ++i) {
@@ -104,51 +95,50 @@ TEST_F(FaultTest, NthFailsExactlyOnce) {
 TEST_F(FaultTest, BudgetCapsInjections) {
   SiteConfig c = always();
   c.budget = 2;
-  fault::kfail().arm(Site::kCopyIn, c);
+  kf_.arm(Site::kCopyIn, c);
   int failures = 0;
   for (int i = 0; i < 10; ++i) {
     if (USK_FAIL_POINT(Site::kCopyIn).fail) ++failures;
   }
   EXPECT_EQ(failures, 2);
-  EXPECT_EQ(fault::kfail().stats(Site::kCopyIn).injected, 2u);
-  EXPECT_EQ(fault::kfail().stats(Site::kCopyIn).checks, 10u);
+  EXPECT_EQ(kf_.stats(Site::kCopyIn).injected, 2u);
+  EXPECT_EQ(kf_.stats(Site::kCopyIn).checks, 10u);
 }
 
 TEST_F(FaultTest, DisarmedCostsNothingAndCountsNothing) {
   EXPECT_FALSE(fault::armed());
   EXPECT_FALSE(USK_FAIL_POINT(Site::kKmalloc).fail);
-  EXPECT_EQ(fault::kfail().stats(Site::kKmalloc).checks, 0u);
+  EXPECT_EQ(kf_.stats(Site::kKmalloc).checks, 0u);
 }
 
 // --- spec parsing -------------------------------------------------------------
 
 TEST_F(FaultTest, SpecRoundTrip) {
-  ASSERT_TRUE(fault::kfail()
-                  .apply_spec("seed=42,kmalloc:p=0.5,disk.*:p=0.25:transient")
-                  .ok());
-  EXPECT_EQ(fault::kfail().seed(), 42u);
-  EXPECT_TRUE(fault::kfail().site_armed(Site::kKmalloc));
-  EXPECT_TRUE(fault::kfail().site_armed(Site::kDiskRead));
-  EXPECT_TRUE(fault::kfail().site_armed(Site::kDiskWrite));
-  EXPECT_TRUE(fault::kfail().site_armed(Site::kDiskTorn));
-  EXPECT_FALSE(fault::kfail().site_armed(Site::kNetRecv));
-  std::string spec = fault::kfail().format_spec();
+  ASSERT_TRUE(
+      kf_.apply_spec("seed=42,kmalloc:p=0.5,disk.*:p=0.25:transient").ok());
+  EXPECT_EQ(kf_.seed(), 42u);
+  EXPECT_TRUE(kf_.site_armed(Site::kKmalloc));
+  EXPECT_TRUE(kf_.site_armed(Site::kDiskRead));
+  EXPECT_TRUE(kf_.site_armed(Site::kDiskWrite));
+  EXPECT_TRUE(kf_.site_armed(Site::kDiskTorn));
+  EXPECT_FALSE(kf_.site_armed(Site::kNetRecv));
+  std::string spec = kf_.format_spec();
   EXPECT_NE(spec.find("kmalloc:p=0.5"), std::string::npos) << spec;
 
-  ASSERT_TRUE(fault::kfail().apply_spec("off").ok());
+  ASSERT_TRUE(kf_.apply_spec("off").ok());
   EXPECT_FALSE(fault::armed());
 }
 
 TEST_F(FaultTest, BadSpecRejectedAtomically) {
-  EXPECT_FALSE(fault::kfail().apply_spec("kmalloc:p=0.5,nosuchsite:p=1").ok());
+  EXPECT_FALSE(kf_.apply_spec("kmalloc:p=0.5,nosuchsite:p=1").ok());
   // The valid clause before the bad one must NOT have been applied.
-  EXPECT_FALSE(fault::kfail().site_armed(Site::kKmalloc));
-  EXPECT_FALSE(fault::kfail().apply_spec("kmalloc:p=2.0").ok());
-  EXPECT_FALSE(fault::kfail().apply_spec("kmalloc:errno=EMAGIC").ok());
+  EXPECT_FALSE(kf_.site_armed(Site::kKmalloc));
+  EXPECT_FALSE(kf_.apply_spec("kmalloc:p=2.0").ok());
+  EXPECT_FALSE(kf_.apply_spec("kmalloc:errno=EMAGIC").ok());
 }
 
 TEST_F(FaultTest, ErrnoOverride) {
-  fault::kfail().arm(Site::kDiskWrite, always(Errno::kENOSPC));
+  kf_.arm(Site::kDiskWrite, always(Errno::kENOSPC));
   fault::Outcome f = USK_FAIL_POINT(Site::kDiskWrite);
   EXPECT_TRUE(f.fail);
   EXPECT_EQ(f.err, Errno::kENOSPC);
@@ -162,12 +152,12 @@ TEST_F(FaultTest, KmallocEnomemLeaksNoFrames) {
   std::size_t free_before = phys.free_frames();
   std::uint64_t failed_before = km.stats().failed_allocs;
 
-  fault::kfail().arm(Site::kKmalloc, always());
+  kf_.arm(Site::kKmalloc, always());
   for (int i = 0; i < 32; ++i) {
     mm::BufferHandle h = km.alloc(512, __FILE__, __LINE__);
     EXPECT_FALSE(h.valid());
   }
-  fault::kfail().disarm_all();
+  kf_.disarm_all();
 
   EXPECT_EQ(km.stats().failed_allocs, failed_before + 32);
   // Failed allocations must not consume physical frames.
@@ -181,12 +171,12 @@ TEST_F(FaultTest, KmallocEnomemLeaksNoFrames) {
 
 TEST_F(FaultTest, DiskEioSurfacesAndCounts) {
   blockdev::Disk disk(1 << 12);
-  fault::kfail().arm(Site::kDiskRead, always());
+  kf_.arm(Site::kDiskRead, always());
   Result<void> r = disk.read(7);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Errno::kEIO);
   EXPECT_EQ(disk.stats().media_errors, 1u);
-  fault::kfail().disarm_all();
+  kf_.disarm_all();
   EXPECT_TRUE(disk.read(7).ok());
 }
 
@@ -198,7 +188,7 @@ TEST_F(FaultTest, DiskLatencySpikeChargesMore) {
   ASSERT_TRUE(disk.read(1).ok());
   std::uint64_t normal = charged;
 
-  fault::kfail().arm(Site::kDiskLatency, always());
+  kf_.arm(Site::kDiskLatency, always());
   ASSERT_TRUE(disk.read(2).ok());  // a spike delays, it does not fail
   EXPECT_GT(charged, normal * 5);
   EXPECT_EQ(disk.stats().latency_spikes, 1u);
@@ -209,11 +199,11 @@ TEST_F(FaultTest, BufferCacheKeepsDirtyBlockOnFailedWriteback) {
   blockdev::BufferCache cache(disk, /*capacity=*/64);
   ASSERT_TRUE(cache.write(5).ok());
 
-  fault::kfail().arm(Site::kDiskWrite, always());
+  kf_.arm(Site::kDiskWrite, always());
   Result<void> r = cache.flush();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Errno::kEIO);
-  fault::kfail().disarm_all();
+  kf_.disarm_all();
 
   // The dirty block survived the failed flush and lands on the second try.
   std::uint64_t wb_before = cache.stats().writebacks;
@@ -233,12 +223,12 @@ TEST_F(FaultTest, CopyFaultFailsSyscallWithoutLeakingFds) {
   std::size_t open_before = proc.process().fds.open_count();
 
   // Every path copy-in faults: open must return EFAULT and install no fd.
-  fault::kfail().arm(Site::kCopyIn, always());
+  kernel.kfail().arm(Site::kCopyIn, always());
   EXPECT_EQ(proc.open("/g", fs::kORdWr | fs::kOCreat),
             -static_cast<int>(Errno::kEFAULT));
   char buf[8] = {};
   EXPECT_EQ(proc.write(fd, buf, 4), sysret_err(Errno::kEFAULT));
-  fault::kfail().disarm_all();
+  kernel.kfail().disarm_all();
 
   EXPECT_EQ(proc.process().fds.open_count(), open_before);
   EXPECT_FALSE(fs.lookup(fs.root(), "g").ok());  // no orphan inode either
@@ -258,9 +248,9 @@ TEST_F(FaultTest, CopyOutFaultRewindsReadPosition) {
   ASSERT_EQ(proc.lseek(fd, 0, fs::kSeekSet), 0);
 
   char buf[8] = {};
-  fault::kfail().arm(Site::kCopyOut, always());
+  kernel.kfail().arm(Site::kCopyOut, always());
   EXPECT_EQ(proc.read(fd, buf, 6), sysret_err(Errno::kEFAULT));
-  fault::kfail().disarm_all();
+  kernel.kfail().disarm_all();
 
   // The faulted read consumed nothing: the same bytes come back now.
   EXPECT_EQ(proc.read(fd, buf, 6), 6);
@@ -278,10 +268,10 @@ TEST_F(FaultTest, MemFsSurfacesDiskEio) {
   std::vector<std::byte> big(64 * 1024);  // > cache capacity: must touch disk
   ASSERT_TRUE(fs.write(ino.value(), 0, big).ok());
 
-  fault::kfail().arm(Site::kDiskRead, always());
+  kf_.arm(Site::kDiskRead, always());
   // Cold cache after the writes evicted everything; reads hit the disk.
   Result<std::size_t> r = fs.read(ino.value(), 0, big);
-  fault::kfail().disarm_all();
+  kf_.disarm_all();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Errno::kEIO);
   EXPECT_TRUE(fs.read(ino.value(), 0, big).ok());
@@ -306,26 +296,26 @@ TEST_F(FaultTest, NetFaultsSurfaceRightErrnos) {
   ASSERT_EQ(net.sys_connect(client.process(), cs, 80), 0);
 
   std::size_t srv_fds = server.process().fds.open_count();
-  fault::kfail().arm(Site::kNetAccept, always());
+  kernel.kfail().arm(Site::kNetAccept, always());
   EXPECT_EQ(net.sys_accept(server.process(), ls),
             sysret_err(Errno::kECONNRESET));
-  fault::kfail().disarm_all();
+  kernel.kfail().disarm_all();
   // The refused accept installed no fd; the connection is still queued.
   EXPECT_EQ(server.process().fds.open_count(), srv_fds);
   int conn = static_cast<int>(net.sys_accept(server.process(), ls));
   ASSERT_GE(conn, 0);
 
-  fault::kfail().arm(Site::kNetSend, always(Errno::kEAGAIN));
+  kernel.kfail().arm(Site::kNetSend, always(Errno::kEAGAIN));
   EXPECT_EQ(net.sys_send(client.process(), cs, "x", 1),
             sysret_err(Errno::kEAGAIN));
-  fault::kfail().disarm_all();
+  kernel.kfail().disarm_all();
   ASSERT_EQ(net.sys_send(client.process(), cs, "x", 1), 1);
 
-  fault::kfail().arm(Site::kNetRecv, always());
+  kernel.kfail().arm(Site::kNetRecv, always());
   char b[4];
   EXPECT_EQ(net.sys_recv(server.process(), conn, b, sizeof b),
             sysret_err(Errno::kECONNRESET));
-  fault::kfail().disarm_all();
+  kernel.kfail().disarm_all();
   EXPECT_EQ(net.sys_recv(server.process(), conn, b, sizeof b), 1);
 
   server.close(conn);
@@ -358,9 +348,9 @@ TEST_F(FaultTest, CosyAbortRollsBackOpenedFds) {
   // never runs. The executor must close the orphan itself.
   SiteConfig cfg;
   cfg.nth = 3;
-  fault::kfail().arm(Site::kCosyOp, cfg);
+  kernel.kfail().arm(Site::kCosyOp, cfg);
   cosy::CosyResult r = ext.execute(proc.process(), c, shared);
-  fault::kfail().disarm_all();
+  kernel.kfail().disarm_all();
 
   EXPECT_EQ(r.ret, sysret_err(Errno::kEINTR));
   EXPECT_EQ(proc.process().fds.open_count(), fds_before);
@@ -452,10 +442,10 @@ TEST_F(FaultTest, TornWritesNeverBreakConsistency) {
         JFs& jfs = m.jfs;
         m.st.image().enable_crash_capture();
 
-        fault::kfail().set_seed(seed);
+        kf_.set_seed(seed);
         SiteConfig cfg;
         cfg.p = p;
-        fault::kfail().arm(Site::kDiskTorn, cfg);
+        kf_.arm(Site::kDiskTorn, cfg);
 
         for (int i = 0; i < 8; ++i) {
           std::string name = testutil::numbered("f", i);
@@ -470,7 +460,7 @@ TEST_F(FaultTest, TornWritesNeverBreakConsistency) {
           // One commit unit per iteration: each is a chance to tear.
           (void)jfs.fsync(jfs.root(), false);
         }
-        fault::kfail().disarm_all();
+        kf_.disarm_all();
         m.crash();
       }
 
@@ -599,7 +589,7 @@ TEST_F(FaultTest, ProcFailControlFiles) {
   ASSERT_EQ(proc.write(fd, spec, sizeof(spec) - 1),
             static_cast<SysRet>(sizeof(spec) - 1));
   proc.close(fd);
-  EXPECT_TRUE(fault::kfail().site_armed(Site::kKmalloc));
+  EXPECT_TRUE(kernel.kfail().site_armed(Site::kKmalloc));
 
   // A bad spec is rejected with EINVAL at the write().
   fd = proc.open("/proc/fail/spec", fs::kOWrOnly);
@@ -608,7 +598,7 @@ TEST_F(FaultTest, ProcFailControlFiles) {
   proc.close(fd);
 
   // Drive the armed site, then read the stats file back.
-  (void)USK_FAIL_POINT(Site::kKmalloc);
+  (void)USK_FAIL_POINT_IN(&kernel.kfail(), Site::kKmalloc);
   fd = proc.open("/proc/fail/stats", fs::kORdOnly);
   ASSERT_GE(fd, 0);
   char buf[2048] = {};
@@ -621,9 +611,7 @@ TEST_F(FaultTest, ProcFailControlFiles) {
   ASSERT_GE(fd, 0);
   ASSERT_EQ(proc.write(fd, "777\n", 4), 4);
   proc.close(fd);
-  EXPECT_EQ(fault::kfail().seed(), 777u);
-
-  ASSERT_TRUE(fault::kfail().apply_spec("off").ok());
+  EXPECT_EQ(kernel.kfail().seed(), 777u);
 }
 
 }  // namespace

@@ -326,10 +326,9 @@ TEST(Integration, FullStackKitchenSink) {
   evmon::LockProfiler profiler;
   lock_mon.attach(dispatcher);
   profiler.attach(dispatcher);
-  evmon::ObjectRegistry::instance().clear();
-  evmon::ObjectRegistry::instance().register_object(
-      &kernel.vfs().dcache().lock(), "spinlock", "dcache_lock");
   evmon::RuleSet rules;
+  rules.register_object(&kernel.vfs().dcache().lock(), "spinlock",
+                        "dcache_lock");
   ASSERT_TRUE(rules.parse("monitor spinlock dcache_lock\n").ok);
   dispatcher.set_filter([&](const evmon::Event& e) { return rules.allows(e); });
   dispatcher.install_sync_bridge();
@@ -386,7 +385,6 @@ TEST(Integration, FullStackKitchenSink) {
   // Both namespaces remained consistent.
   auto a_entries = alice.list_dir("/a");
   EXPECT_GT(a_entries.size(), 10u);
-  evmon::ObjectRegistry::instance().clear();
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "blockdev/disk.hpp"
 #include "fs/journalfs.hpp"
 #include "fs/vfs.hpp"
+#include "kfail_fixture.hpp"
 #include "mem_image.hpp"
 #include "numbered.hpp"
 #include "store/store.hpp"
@@ -29,7 +30,7 @@ std::unique_ptr<JournalFs<Policy>> make_fs() {
 }
 
 template <typename Policy>
-class JournalFsTest : public ::testing::Test {
+class JournalFsTest : public testutil::KfailTest {
  protected:
   JournalFsTest() : fs_(make_fs<Policy>()) {}
   std::unique_ptr<JournalFs<Policy>> fs_;

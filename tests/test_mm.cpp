@@ -9,11 +9,15 @@
 #include "base/rng.hpp"
 #include "mm/kmalloc.hpp"
 #include "mm/vmalloc.hpp"
+#include "kfail_fixture.hpp"
 
 namespace usk::mm {
 namespace {
 
-TEST(KmallocTest, SizeClasses) {
+using KmallocTest = testutil::KfailTest;
+using VmallocProperty = testutil::KfailTest;
+
+TEST_F(KmallocTest, SizeClasses) {
   EXPECT_EQ(Kmalloc::size_class(1), 32u);
   EXPECT_EQ(Kmalloc::size_class(32), 32u);
   EXPECT_EQ(Kmalloc::size_class(33), 64u);
@@ -21,7 +25,7 @@ TEST(KmallocTest, SizeClasses) {
   EXPECT_EQ(Kmalloc::size_class(4096), 4096u);
 }
 
-TEST(KmallocTest, AllocWriteReadFree) {
+TEST_F(KmallocTest, AllocWriteReadFree) {
   vm::PhysMem pm(64);
   Kmalloc km(pm);
   BufferHandle h = km.alloc(80, "here", 1);
@@ -36,7 +40,7 @@ TEST(KmallocTest, AllocWriteReadFree) {
   EXPECT_EQ(km.stats().outstanding_allocs, 0u);
 }
 
-TEST(KmallocTest, ChunkReuseAfterFree) {
+TEST_F(KmallocTest, ChunkReuseAfterFree) {
   vm::PhysMem pm(64);
   Kmalloc km(pm);
   BufferHandle a = km.alloc(100, "a", 1);
@@ -47,7 +51,7 @@ TEST(KmallocTest, ChunkReuseAfterFree) {
   km.free(b);
 }
 
-TEST(KmallocTest, LargeAllocationUsesWholePages) {
+TEST_F(KmallocTest, LargeAllocationUsesWholePages) {
   vm::PhysMem pm(64);
   Kmalloc km(pm);
   std::uint64_t frames_before = pm.stats().allocated_frames;
@@ -58,7 +62,7 @@ TEST(KmallocTest, LargeAllocationUsesWholePages) {
   EXPECT_EQ(pm.stats().allocated_frames, frames_before);
 }
 
-TEST(KmallocTest, OverflowCorruptsSilently) {
+TEST_F(KmallocTest, OverflowCorruptsSilently) {
   // The defining property kmalloc has and Kefence fixes: writing past the
   // chunk succeeds and clobbers the neighbour.
   vm::PhysMem pm(64);
@@ -74,7 +78,7 @@ TEST(KmallocTest, OverflowCorruptsSilently) {
   km.free(b);
 }
 
-TEST(KmallocTest, MeanRequestSizeTracked) {
+TEST_F(KmallocTest, MeanRequestSizeTracked) {
   vm::PhysMem pm(64);
   Kmalloc km(pm);
   std::vector<BufferHandle> hs;
@@ -84,7 +88,7 @@ TEST(KmallocTest, MeanRequestSizeTracked) {
   for (auto& h : hs) km.free(h);
 }
 
-TEST(KmallocTest, EnomemWhenPoolExhausted) {
+TEST_F(KmallocTest, EnomemWhenPoolExhausted) {
   vm::PhysMem pm(1);
   Kmalloc km(pm);
   BufferHandle a = km.alloc(4096, "a", 1);  // takes the only frame
@@ -97,7 +101,7 @@ TEST(KmallocTest, EnomemWhenPoolExhausted) {
 
 // --- Vmalloc -------------------------------------------------------------------------------
 
-class VmallocTest : public ::testing::Test {
+class VmallocTest : public testutil::KfailTest {
  protected:
   VmallocTest() : pm_(512), as_(pm_, "vmalloc-test") {}
   vm::PhysMem pm_;
@@ -244,7 +248,7 @@ TEST_F(VmallocTest, PageGranularityWastesMemoryVsKmalloc) {
 
 // Property test: random alloc/free sequences keep stats consistent and
 // all data intact.
-TEST(VmallocProperty, RandomAllocFreeKeepsDataIntact) {
+TEST_F(VmallocProperty, RandomAllocFreeKeepsDataIntact) {
   vm::PhysMem pm(2048);
   vm::AddressSpace as(pm, "prop");
   Vmalloc vm(as, 0x2000000, 1 << 14);

@@ -497,12 +497,12 @@ TEST_F(NetTest, ConsolidatedAcceptRecvFdCopyFaultClosesTheConnection) {
   // copy-out is the fd slot's.
   fault::SiteConfig cfg;
   cfg.nth = 1;
-  fault::kfail().arm(fault::Site::kCopyOut, cfg);
+  kernel_.kfail().arm(fault::Site::kCopyOut, cfg);
   char buf[32] = {};
   int connfd = -1;
   const SysRet r = consolidation::sys_accept_recv(kernel_, p, lfd, buf,
                                                   sizeof(buf), &connfd);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
   EXPECT_EQ(r, sysret_err(Errno::kEFAULT));
   EXPECT_EQ(connfd, -1);
   EXPECT_EQ(p.fds.open_count(), fds0);

@@ -577,10 +577,10 @@ TEST_F(RingTest, AcceptRecvConnectionIsTheChainFd) {
 // --- fault injection ---------------------------------------------------------
 
 TEST_F(RingTest, SqeCorruptHardFailsTheChain) {
-  fault::kfail().set_seed(42);
+  kernel_.kfail().set_seed(42);
   fault::SiteConfig cfg;
   cfg.nth = 1;  // exactly the first SQE checked
-  fault::kfail().arm(fault::Site::kRingSqeCorrupt, cfg);
+  kernel_.kfail().arm(fault::Site::kRingSqeCorrupt, cfg);
   Mapped m = make_ring(8, 256);
   Sqe s{};
   s.user_data = 1;
@@ -594,16 +594,16 @@ TEST_F(RingTest, SqeCorruptHardFailsTheChain) {
   EXPECT_EQ(res_of(cqes, 1), sysret_err(Errno::kEFAULT));
   EXPECT_EQ(res_of(cqes, 2), sysret_err(Errno::kECANCELED));
   EXPECT_EQ(m.rg->stats().sqe_corrupt_hard, 1u);
-  fault::kfail().disarm(fault::Site::kRingSqeCorrupt);
+  kernel_.kfail().disarm(fault::Site::kRingSqeCorrupt);
   proc_.close(m.fd);
 }
 
 TEST_F(RingTest, SqeCorruptTransientRecovers) {
-  fault::kfail().set_seed(42);
+  kernel_.kfail().set_seed(42);
   fault::SiteConfig cfg;
   cfg.p = 1.0;
   cfg.transient = true;
-  fault::kfail().arm(fault::Site::kRingSqeCorrupt, cfg);
+  kernel_.kfail().arm(fault::Site::kRingSqeCorrupt, cfg);
   Mapped m = make_ring(8, 256);
   for (std::uint64_t i = 0; i < 4; ++i) {
     Sqe s{};
@@ -615,15 +615,15 @@ TEST_F(RingTest, SqeCorruptTransientRecovers) {
   for (const Cqe& c : reap_all(*m.rg)) EXPECT_EQ(c.res, 0);  // all recovered
   EXPECT_EQ(m.rg->stats().sqe_corrupt_transient, 4u);
   EXPECT_GT(proc_.task().times().kernel, k0);  // revalidation was charged
-  fault::kfail().disarm(fault::Site::kRingSqeCorrupt);
+  kernel_.kfail().disarm(fault::Site::kRingSqeCorrupt);
   proc_.close(m.fd);
 }
 
 TEST_F(RingTest, CqeDropHardLosesExactlyOneCompletion) {
-  fault::kfail().set_seed(7);
+  kernel_.kfail().set_seed(7);
   fault::SiteConfig cfg;
   cfg.nth = 1;
-  fault::kfail().arm(fault::Site::kRingCqeDrop, cfg);
+  kernel_.kfail().arm(fault::Site::kRingCqeDrop, cfg);
   Mapped m = make_ring(8, 256);
   for (std::uint64_t i = 0; i < 3; ++i) {
     Sqe s{};
@@ -634,16 +634,16 @@ TEST_F(RingTest, CqeDropHardLosesExactlyOneCompletion) {
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 2);
   EXPECT_EQ(reap_all(*m.rg).size(), 2u);
   EXPECT_EQ(m.rg->stats().cqe_drop_hard, 1u);
-  fault::kfail().disarm(fault::Site::kRingCqeDrop);
+  kernel_.kfail().disarm(fault::Site::kRingCqeDrop);
   proc_.close(m.fd);
 }
 
 TEST_F(RingTest, CqeDropTransientRepostsEverything) {
-  fault::kfail().set_seed(7);
+  kernel_.kfail().set_seed(7);
   fault::SiteConfig cfg;
   cfg.p = 1.0;
   cfg.transient = true;
-  fault::kfail().arm(fault::Site::kRingCqeDrop, cfg);
+  kernel_.kfail().arm(fault::Site::kRingCqeDrop, cfg);
   Mapped m = make_ring(8, 256);
   for (std::uint64_t i = 0; i < 3; ++i) {
     Sqe s{};
@@ -653,7 +653,7 @@ TEST_F(RingTest, CqeDropTransientRepostsEverything) {
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 3);
   EXPECT_EQ(reap_all(*m.rg).size(), 3u);
   EXPECT_EQ(m.rg->stats().cqe_drop_transient, 3u);
-  fault::kfail().disarm(fault::Site::kRingCqeDrop);
+  kernel_.kfail().disarm(fault::Site::kRingCqeDrop);
   proc_.close(m.fd);
 }
 
@@ -707,19 +707,19 @@ TEST_F(RingTest, QuarantineDegradesToClassicDecomposition) {
   // violation: healthy -> probation on the first, probation -> quarantine
   // on the second (threshold 1 means one window violation suffices once
   // probation is reached).
-  fault::kfail().set_seed(3);
+  kernel_.kfail().set_seed(3);
   fault::SiteConfig fc;
   fc.nth = 1;
-  fault::kfail().arm(fault::Site::kRingSqeCorrupt, fc);
+  kernel_.kfail().arm(fault::Site::kRingSqeCorrupt, fc);
   submit_read_chain(10);
   EXPECT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0), 3);
   EXPECT_EQ(s.health(id), sup::Health::kProbation);
   reap_all(*m.rg);
-  fault::kfail().arm(fault::Site::kRingSqeCorrupt, fc);  // re-arm: nth resets
+  kernel_.kfail().arm(fault::Site::kRingSqeCorrupt, fc);  // re-arm: nth resets
   submit_read_chain(30);
   SysRet second = rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 0, 0);
   EXPECT_GE(second, 0);
-  fault::kfail().disarm(fault::Site::kRingSqeCorrupt);
+  kernel_.kfail().disarm(fault::Site::kRingSqeCorrupt);
   EXPECT_EQ(s.health(id), sup::Health::kQuarantined);
   reap_all(*m.rg);
 
@@ -781,6 +781,23 @@ TEST_F(RingTest, MinCompleteParksUntilProducerSubmits) {
   EXPECT_TRUE(submitted.load(std::memory_order_acquire));
   producer.join();
   EXPECT_EQ(reap_all(*m.rg).size(), 1u);
+  proc_.close(m.fd);
+}
+
+TEST_F(RingTest, EmptyEnterWaitsOutItsTimeoutThroughSpuriousWakes) {
+  // Enough parks on one Kernel for the `dl` label's dl.spurious_wake spec
+  // to fire on this Kernel's injector: a woken enter re-checks its CQ and
+  // parks again, so each one still waits out its timeout with nothing
+  // posted.
+  Mapped m = make_ring(8, 256);
+  for (int i = 0; i < 64; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_EQ(rdev_.sys_ring_enter(p(), m.fd, RingDev::kDrainAll, 1, 1), 0)
+        << "enter " << i;
+    EXPECT_GE(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(1))
+        << "enter " << i;
+  }
   proc_.close(m.fd);
 }
 

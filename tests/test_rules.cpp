@@ -1,5 +1,5 @@
 // Tests for the selective-instrumentation rule language (§3.5 future
-// work): glob matching, parsing, the object registry, and end-to-end
+// work): glob matching, parsing, object registration, and end-to-end
 // filtering at the dispatcher.
 #include <gtest/gtest.h>
 
@@ -10,12 +10,6 @@
 
 namespace usk::evmon {
 namespace {
-
-class RegistryGuard {
- public:
-  RegistryGuard() { ObjectRegistry::instance().clear(); }
-  ~RegistryGuard() { ObjectRegistry::instance().clear(); }
-};
 
 // --- glob ---------------------------------------------------------------------
 
@@ -79,16 +73,11 @@ TEST(RuleParseTest, Errors) {
 // --- registry + matching semantics ------------------------------------------------------
 
 TEST(RuleSetTest, FirstMatchWinsDefaultDeny) {
-  RegistryGuard guard;
   int inode_ref = 0, dentry_ref = 0, lock = 0;
-  ObjectRegistry::instance().register_object(&inode_ref, "refcount",
-                                             "inode_ref");
-  ObjectRegistry::instance().register_object(&dentry_ref, "refcount",
-                                             "dentry_ref");
-  ObjectRegistry::instance().register_object(&lock, "spinlock",
-                                             "dcache_lock");
-
   RuleSet rs;
+  rs.register_object(&inode_ref, "refcount", "inode_ref");
+  rs.register_object(&dentry_ref, "refcount", "dentry_ref");
+  rs.register_object(&lock, "spinlock", "dcache_lock");
   ASSERT_TRUE(rs.parse("ignore  refcount dentry*\n"
                        "monitor refcount *\n"
                        "monitor spinlock dcache_lock\n").ok);
@@ -112,7 +101,6 @@ TEST(RuleSetTest, FirstMatchWinsDefaultDeny) {
 }
 
 TEST(RuleSetTest, AnonymousObjectsMatchAnonName) {
-  RegistryGuard guard;
   RuleSet rs;
   ASSERT_TRUE(rs.parse("monitor spinlock <anon>\n").ok);
   Event e;
@@ -123,13 +111,11 @@ TEST(RuleSetTest, AnonymousObjectsMatchAnonName) {
 }
 
 TEST(RuleSetTest, RegisteredClassOverridesTypeClass) {
-  RegistryGuard guard;
   int counter = 0;
   // A module logs its own counter with a user event type but registers it
   // as class "refcount": rules on "refcount" still apply.
-  ObjectRegistry::instance().register_object(&counter, "refcount",
-                                             "inode_ref");
   RuleSet rs;
+  rs.register_object(&counter, "refcount", "inode_ref");
   ASSERT_TRUE(rs.parse("monitor refcount inode*\n").ok);
   Event e;
   e.type = EventType::kUserBase + 1;
@@ -140,15 +126,11 @@ TEST(RuleSetTest, RegisteredClassOverridesTypeClass) {
 // --- end-to-end: filter on the dispatcher -----------------------------------------------
 
 TEST(RuleSetTest, DispatcherFiltersByRules) {
-  RegistryGuard guard;
   base::SpinLock dcache("dcache_lock");
   base::SpinLock console("console_lock");
-  ObjectRegistry::instance().register_object(&dcache, "spinlock",
-                                             "dcache_lock");
-  ObjectRegistry::instance().register_object(&console, "spinlock",
-                                             "console_lock");
-
   RuleSet rs;
+  rs.register_object(&dcache, "spinlock", "dcache_lock");
+  rs.register_object(&console, "spinlock", "console_lock");
   ASSERT_TRUE(rs.parse("monitor spinlock dcache*\n").ok);
 
   Dispatcher d;
@@ -172,7 +154,6 @@ TEST(RuleSetTest, DispatcherFiltersByRules) {
 }
 
 TEST(RuleSetTest, EmptyRulesetSuppressesEverything) {
-  RegistryGuard guard;
   RuleSet rs;
   ASSERT_TRUE(rs.parse("").ok);
   Dispatcher d;

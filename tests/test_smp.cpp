@@ -17,6 +17,7 @@
 
 #include "base/percpu.hpp"
 #include "dl/dl.hpp"
+#include "fault/kfail.hpp"
 #include "fs/dcache.hpp"
 #include "mm/kmalloc.hpp"
 #include "sup/supervisor.hpp"
@@ -709,6 +710,49 @@ TEST(SmpDispatchTest, TwoKernelsKeepTheirTracersApart) {
     }
   }
   EXPECT_EQ(getpid_enters, static_cast<std::size_t>(kCalls));
+}
+
+TEST(SmpDispatchTest, TwoKernelsKeepTheirInjectorsApart) {
+  constexpr int kCalls = 300;
+  fs::MemFs fs_a;
+  fs::MemFs fs_b;
+  uk::Kernel a(fs_a);
+  uk::Kernel b(fs_b);
+  uk::Proc pa(a, "a");
+  uk::Proc pb(b, "b");
+  a.mount_procfs();
+  b.mount_procfs();
+  ASSERT_EQ(pa.mkdir("/d"), 0);
+  ASSERT_EQ(pb.mkdir("/d"), 0);
+
+  // Only A is armed, through its own /proc: every copy-in on A faults.
+  echo(pa, "/proc/fail/spec", "copy_in:p=1\n");
+  ASSERT_TRUE(a.kfail().site_armed(fault::Site::kCopyIn));
+
+  // Both dispatch the same path-copying call at the same time.
+  std::atomic<int> ready{0};
+  auto work = [&ready](uk::Proc& p, SysRet want) {
+    ++ready;
+    while (ready.load() < 2) std::this_thread::yield();
+    fs::StatBuf st;
+    for (int i = 0; i < kCalls; ++i) EXPECT_EQ(p.stat("/d", &st), want);
+  };
+  std::thread ta(work, std::ref(pa), sysret_err(Errno::kEFAULT));
+  std::thread tb(work, std::ref(pb), SysRet{0});
+  ta.join();
+  tb.join();
+
+  // B's injector saw none of it: no site checked.
+  const std::string stats_b = cat(pb, "/proc/fail/stats");
+  EXPECT_EQ(count_lines(stats_b, " checks 0 "), fault::kNumSites) << stats_b;
+
+  // A counted its own calls only: one path copy-in each.
+  a.kfail().disarm_all();
+  const std::string stats_a = cat(pa, "/proc/fail/stats");
+  const std::string want = "copy_in      armed 0 checks " +
+                           std::to_string(kCalls) + " injected " +
+                           std::to_string(kCalls) + " ";
+  EXPECT_NE(stats_a.find(want), std::string::npos) << stats_a;
 }
 
 /// Counts calls that run, or are still running, once unsubscribe returned.

@@ -40,14 +40,7 @@ class SpanTest : public ::testing::Test {
  protected:
   SpanTest() : kernel_(fs_), proc_(kernel_, "span-proc") {
     fs_.set_cost_hook(kernel_.charge_hook());
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
-    fault::kfail().set_seed(0x5eed);
     kernel_.kspan().set_enabled(true);
-  }
-  ~SpanTest() override {
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
   }
 
   /// Every parent link must resolve inside the drained set (no orphans)
@@ -303,11 +296,11 @@ TEST_F(SpanTest, WebserverRingOneTreePerConnection) {
 }
 
 TEST_F(SpanTest, RingTreeSurvivesSqeCorruptFaults) {
-  ASSERT_TRUE(fault::kfail()
+  ASSERT_TRUE(kernel_.kfail()
                   .apply_spec("seed=29,ring.sqe_corrupt:p=0.05:transient")
                   .ok());
   std::vector<SpanRecord> spans = run_ws(workload::ServeMode::kRing, 8440);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
   // run_ws already asserted every request completed; the recovery
   // re-validation must not have detached any span from its tree.
   expect_well_formed(spans);
@@ -335,10 +328,10 @@ TEST_F(SpanTest, QuarantineFallbackKeepsOneTreeNoOrphans) {
   // A dense fuel storm (one compound per connection, so half the 8
   // connections void at entry) forces rescue + quarantine + backoff
   // probes mid-run; every voided compound decomposes to classic syscalls.
-  ASSERT_TRUE(fault::kfail().apply_spec("seed=11,cosy_fuel:p=0.5").ok());
+  ASSERT_TRUE(kernel_.kfail().apply_spec("seed=11,cosy_fuel:p=0.5").ok());
   std::vector<SpanRecord> spans =
       run_ws(workload::ServeMode::kCosy, 8450, &s, /*conns=*/8);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
 
   ASSERT_EQ(s.extension_count(), 1u);
   EXPECT_GT(s.stats(0).violations, 0u);  // the storm actually struck

@@ -33,6 +33,7 @@
 #include "uk/kernel.hpp"
 #include "uk/kproc.hpp"
 #include "uk/userlib.hpp"
+#include "kfail_fixture.hpp"
 #include "mem_image.hpp"
 #include "temp_dir.hpp"
 #include "numbered.hpp"
@@ -46,20 +47,10 @@ using store::Store;
 using store::StoreConfig;
 using testutil::MemImage;
 
-/// kfail is process-wide: start and end disarmed (same discipline as
-/// test_fault) so an armed store.* site can never leak into a sibling.
-class StoreTest : public ::testing::Test {
+/// Each test's fault points outside a Kernel call check the fixture's
+/// injector, bound to the test thread and to every thread it spawns.
+class StoreTest : public testutil::KfailTest {
  protected:
-  StoreTest() {
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
-    fault::kfail().set_seed(0x57012);
-  }
-  ~StoreTest() override {
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
-  }
-
   /// Path of an image file in this test's temporary directory.
   std::string img(const std::string& name) { return dir_.file(name); }
 
@@ -181,13 +172,13 @@ TEST_F(StoreTest, DirtyWritebackSurvivesTransientDiskFaults) {
   fault::SiteConfig c;
   c.p = 0.3;
   c.transient = true;
-  fault::kfail().arm(fault::Site::kDiskWrite, c);
+  kf_.arm(fault::Site::kDiskWrite, c);
 
   for (std::uint64_t lba = 0; lba < 24; ++lba) {
     ASSERT_TRUE(cache.write_data(lba, pattern(std::uint8_t(lba)).data()).ok());
   }
   ASSERT_TRUE(cache.sync_barrier().ok());
-  fault::kfail().disarm_all();
+  kf_.disarm_all();
 
   // No block lost, no block duplicated, every payload intact.
   std::vector<int> seen(24, 0);
@@ -201,7 +192,7 @@ TEST_F(StoreTest, DirtyWritebackSurvivesTransientDiskFaults) {
                              pattern(std::uint8_t(lba)).data(),
                              store::kBlockBytes));
   }
-  EXPECT_GT(fault::kfail().stats(fault::Site::kDiskWrite).transients, 0u);
+  EXPECT_GT(kf_.stats(fault::Site::kDiskWrite).transients, 0u);
 }
 
 TEST_F(StoreTest, HardWritebackFailureLeavesBlockDirtyForRetry) {
@@ -213,10 +204,10 @@ TEST_F(StoreTest, HardWritebackFailureLeavesBlockDirtyForRetry) {
   ASSERT_TRUE(cache.write_data(3, pattern(3).data()).ok());
   fault::SiteConfig c;
   c.p = 1.0;
-  fault::kfail().arm(fault::Site::kDiskWrite, c);
+  kf_.arm(fault::Site::kDiskWrite, c);
   EXPECT_FALSE(cache.flush().ok());
   EXPECT_EQ(cache.dirty_count(), 1u);  // still dirty: nothing dropped
-  fault::kfail().disarm_all();
+  kf_.disarm_all();
   ASSERT_TRUE(cache.flush().ok());
   EXPECT_EQ(cache.dirty_count(), 0u);
   EXPECT_EQ(0, std::memcmp(be.block(3), pattern(3).data(), store::kBlockBytes));
@@ -238,7 +229,8 @@ TEST_F(StoreTest, BackgroundFlusherWritesConcurrentlyWithWriters) {
   // (The `storage` soak re-runs this under TSan.)
   std::vector<std::thread> ts;
   for (int t = 0; t < 4; ++t) {
-    ts.emplace_back([&cache, t] {
+    ts.emplace_back([this, &cache, t] {
+      fault::Kfail::Bind bind(&kf_);
       for (int i = 0; i < 64; ++i) {
         auto blk = StoreTest::pattern(std::uint8_t(t * 64 + i));
         (void)cache.write_data(std::uint64_t((t * 64 + i) % 32), blk.data());
@@ -277,7 +269,8 @@ TEST_F(StoreTest, GroupCommitAmortizesFsyncsAcrossConcurrentWriters) {
   std::atomic<int> failures{0};
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&st, &failures, t] {
+    ts.emplace_back([this, &st, &failures, t] {
+      fault::Kfail::Bind bind(&kf_);
       std::uint8_t payload[256];
       for (int i = 0; i < kTxns; ++i) {
         std::memset(payload, t * 31 + i, sizeof(payload));
@@ -375,6 +368,7 @@ TEST_F(StoreTest, SmpCommittersRetryTheirOwnRecordsAfterEnospc) {
     std::vector<std::thread> ts;
     for (int t = 0; t < kThreads; ++t) {
       ts.emplace_back([&, t] {
+        fault::Kfail::Bind bind(&kf_);
         for (int i = 0; i < kRounds; ++i) {
           sync.arrive_and_wait();
           if (t == 0) {
@@ -699,12 +693,12 @@ TEST_F(StoreTest, ShortWriteSiteFailsBlockWriteWithEio) {
   fault::SiteConfig c;
   c.p = 1.0;
   c.budget = 1;
-  fault::kfail().arm(fault::Site::kStoreShortWrite, c);
+  kf_.arm(fault::Site::kStoreShortWrite, c);
   Result<void> r = im.write_block(1, pattern(1).data());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Errno::kEIO);
   EXPECT_EQ(im.stats().short_writes, 1u);
-  fault::kfail().disarm_all();
+  kf_.disarm_all();
   ASSERT_TRUE(im.write_block(1, pattern(1).data()).ok());
 }
 
@@ -716,12 +710,12 @@ TEST_F(StoreTest, FsyncFailSiteSurfacesEioAndRetryWorks) {
   fault::SiteConfig c;
   c.p = 1.0;
   c.budget = 1;
-  fault::kfail().arm(fault::Site::kStoreFsyncFail, c);
+  kf_.arm(fault::Site::kStoreFsyncFail, c);
   Result<void> r = im.flush();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Errno::kEIO);
   EXPECT_GE(im.stats().fsync_failures, 1u);
-  fault::kfail().disarm_all();
+  kf_.disarm_all();
   ASSERT_TRUE(im.flush().ok());
 }
 
@@ -741,13 +735,13 @@ TEST_F(StoreTest, TornCommitHeaderIsSilentUntilRecovery) {
     fault::SiteConfig c;
     c.p = 1.0;
     c.budget = 1;
-    fault::kfail().arm(fault::Site::kStoreTornHeader, c);
+    kf_.arm(fault::Site::kStoreTornHeader, c);
     JTxn torn_txn = st.begin_txn();
     torn_txn.append(1, 2, payload, sizeof(payload));
     // SILENT: the commit is acked -- the tear only shows at recovery,
     // exactly like a lying disk.
     ASSERT_TRUE(st.commit_txn(std::move(torn_txn)).ok());
-    fault::kfail().disarm_all();
+    kf_.disarm_all();
     EXPECT_EQ(st.journal()->stats().torn_headers, 1u);
     st.close();
   }
@@ -858,7 +852,7 @@ TEST_F(StoreTest, TornPayloadDiscardsItsUnitAndEverythingAfter) {
 
     fault::SiteConfig c;
     c.nth = kTorn;
-    fault::kfail().arm(fault::Site::kDiskTorn, c);
+    kf_.arm(fault::Site::kDiskTorn, c);
     for (int k = 1; k <= kUnits; ++k) {
       auto ino = jfs.create(jfs.root(), name(k), fs::FileType::kRegular, 0644);
       ASSERT_TRUE(ino.ok());
@@ -866,7 +860,7 @@ TEST_F(StoreTest, TornPayloadDiscardsItsUnitAndEverythingAfter) {
       // SILENT: the torn unit's fsync is acked like every other.
       ASSERT_TRUE(jfs.fsync(ino.value(), false).ok());
     }
-    fault::kfail().disarm_all();
+    kf_.disarm_all();
     const store::JournalStats js = st.journal()->stats();
     EXPECT_EQ(js.commit_units, std::uint64_t(kUnits));
     EXPECT_EQ(js.torn_payloads, 1u);

@@ -39,7 +39,6 @@
 
 #include "blockdev/buffer_cache.hpp"
 #include "blockdev/disk.hpp"
-#include "fault/kfail.hpp"
 #include "fs/journalfs.hpp"
 #include "store/image.hpp"
 #include "store/store.hpp"
@@ -224,10 +223,6 @@ void run_one_crash(MemImage& image, std::uint64_t seed, CrashOutcome* out) {
 
 class StoreCrashTest : public ::testing::Test {
  protected:
-  StoreCrashTest() {
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
-  }
   MemImage image_;
 };
 

@@ -52,19 +52,10 @@ using sup::Supervisor;
 using sup::Vehicle;
 using sup::ViolationKind;
 
-/// kfail is process-wide: start and end disarmed so an armed site can
-/// never leak into a sibling test (same discipline as test_fault).
 class SupTest : public ::testing::Test {
  protected:
   SupTest() : kernel_(fs_), proc_(kernel_, "sup-proc") {
     fs_.set_cost_hook(kernel_.charge_hook());
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
-    fault::kfail().set_seed(0x5eed);
-  }
-  ~SupTest() override {
-    fault::kfail().disarm_all();
-    fault::kfail().reset_stats();
   }
 
   /// A small, explicit policy so transitions take few invocations.
@@ -255,9 +246,9 @@ TEST_F(SupTest, ProbeFailureInjectionSite) {
   // The harness fails the (otherwise clean) probe deterministically.
   fault::SiteConfig cfg;
   cfg.nth = 1;
-  fault::kfail().arm(fault::Site::kSupProbe, cfg);
+  kernel_.kfail().arm(fault::Site::kSupProbe, cfg);
   run_invocation(s, id, Route::kProbe, 0);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
 
   EXPECT_EQ(s.health(id), Health::kQuarantined);
   EXPECT_EQ(s.stats(id).failed_probes, 1u);
@@ -468,7 +459,7 @@ TEST_F(SupTest, CosyFuelInjectionVoidsBudgetDeterministically) {
 
   fault::SiteConfig cfg;
   cfg.nth = 2;  // exactly the second compound
-  fault::kfail().arm(fault::Site::kCosyFuel, cfg);
+  kernel_.kfail().arm(fault::Site::kCosyFuel, cfg);
 
   cosy::CompoundBuilder b;
   b.getpid();
@@ -481,7 +472,7 @@ TEST_F(SupTest, CosyFuelInjectionVoidsBudgetDeterministically) {
   EXPECT_EQ(r.ret, sysret_err(Errno::kEDQUOT));
   EXPECT_EQ(r.ops_run, 0u);
   EXPECT_EQ(ext.execute(proc_.process(), c, shared).ret, 0);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
 
   EXPECT_EQ(ext.stats().quota_aborts, 1u);
   EXPECT_EQ(s.stats(id).quota_overruns, 1u);
@@ -493,6 +484,28 @@ TEST_F(SupTest, CosyFuelInjectionVoidsBudgetDeterministically) {
 }
 
 // --- the syscall gateway -------------------------------------------------------
+
+TEST_F(SupTest, TransientFaultsNeverSurfaceThroughSupervisedCompounds) {
+  // Enough compounds on one Kernel for the `sup` label's transient
+  // cosy_fuel spec to fire on this Kernel's injector: each recovered
+  // fault charges its refill stall and the compound still succeeds, so
+  // the supervisor records no violation.
+  Supervisor s(kernel_);
+  cosy::CosyExtension ext(kernel_);
+  ExtId id = s.register_extension("transient", Vehicle::kCosy);
+  ext.supervise(&s, id);
+
+  cosy::CompoundBuilder b;
+  b.getpid();
+  cosy::Compound c = b.finish();
+  cosy::SharedBuffer shared(1 << 12);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(ext.execute(proc_.process(), c, shared).ret, 0) << "run " << i;
+  }
+  EXPECT_EQ(s.stats(id).kernel_runs, 100u);
+  EXPECT_EQ(s.stats(id).violations, 0u);
+  EXPECT_EQ(s.health(id), Health::kHealthy);
+}
 
 TEST_F(SupTest, GatewayAttributesUnitsAndEnforcesWindowQuota) {
   Supervisor s(kernel_);
@@ -705,10 +718,10 @@ TEST_F(SupTest, FallbackInjectionSurfacesAsFallbackError) {
 
   fault::SiteConfig cfg;
   cfg.nth = 1;
-  fault::kfail().arm(fault::Site::kSupFallback, cfg);
+  kernel_.kfail().arm(fault::Site::kSupFallback, cfg);
   SysRet n = sup::supervised_sendfile(s, id, net, kernel_, p, srv, "/fb.bin",
                                       0, 3);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
 
   EXPECT_EQ(n, sysret_err(Errno::kEIO));
   EXPECT_EQ(s.stats(id).fallback_errors, 1u);
@@ -892,9 +905,9 @@ void expect_uniform_degradation(
   quarantine();
   fault::SiteConfig cfg;
   cfg.nth = 1;
-  fault::kfail().arm(fault::Site::kSupFallback, cfg);
+  k.kfail().arm(fault::Site::kSupFallback, cfg);
   const std::optional<SysRet> r = run();
-  fault::kfail().disarm(fault::Site::kSupFallback);
+  k.kfail().disarm(fault::Site::kSupFallback);
   if (r) {
     EXPECT_EQ(*r, sysret_err(Errno::kEIO));
   }
@@ -994,9 +1007,9 @@ TEST_F(SupTest, SideEffectFreeFailureIsRescuedAsAFallbackRun) {
   // whose syscalls the supervisor sees.
   fault::SiteConfig cfg;
   cfg.nth = 1;
-  fault::kfail().arm(fault::Site::kCosyFuel, cfg);
+  kernel_.kfail().arm(fault::Site::kCosyFuel, cfg);
   EXPECT_EQ(region.run(proc_), cosy::AdaptiveRegion::Decision::kClassic);
-  fault::kfail().disarm(fault::Site::kCosyFuel);
+  kernel_.kfail().disarm(fault::Site::kCosyFuel);
 
   EXPECT_EQ(classic_runs, 2);
   EXPECT_EQ(s.stats(id).failed_probes, 1u);
@@ -1321,9 +1334,9 @@ TEST_F(SupTest, SupervisedWebserverCompletesAllRequestsUnderFuelStorm) {
   // A hard fuel storm: ~15% of compounds have their budget voided at
   // entry. Every voided compound is rescued by the classic loop, so the
   // client still receives EVERY response in full.
-  ASSERT_TRUE(fault::kfail().apply_spec("seed=11,cosy_fuel:p=0.15").ok());
+  ASSERT_TRUE(kernel_.kfail().apply_spec("seed=11,cosy_fuel:p=0.15").ok());
   workload::WebServerReport rep = workload::run_webserver(kernel_, net, cfg);
-  fault::kfail().disarm_all();
+  kernel_.kfail().disarm_all();
 
   const std::uint64_t expect =
       cfg.workers * cfg.conns_per_worker * cfg.requests_per_conn;

@@ -332,7 +332,8 @@ struct Kill {
 /// Arms `kill` (if any) on `k` for the lifetime of the guard.
 class Armed {
  public:
-  Armed(uk::Kernel& k, const Kill* kill) : kdl_(k.dl()), kill_(kill) {
+  Armed(uk::Kernel& k, const Kill* kill)
+      : kf_(k.kfail()), kdl_(k.dl()), kill_(kill) {
     if (kill_ == nullptr) return;
     if (kill_->site == fault::Site::kDlClockSkew) {
       kdl_.set_enabled(true);
@@ -341,11 +342,11 @@ class Armed {
     fault::SiteConfig cfg;
     cfg.nth = kill_->nth;
     cfg.budget = 1;
-    fault::kfail().arm(kill_->site, cfg);
+    kf_.arm(kill_->site, cfg);
   }
   ~Armed() {
     if (kill_ == nullptr) return;
-    fault::kfail().disarm_all();
+    kf_.disarm_all();
     scope_.reset();
     kdl_.set_enabled(false);
   }
@@ -353,6 +354,7 @@ class Armed {
   Armed& operator=(const Armed&) = delete;
 
  private:
+  fault::Kfail& kf_;
   dl::Kdl& kdl_;
   const Kill* kill_;
   std::optional<dl::DeadlineScope> scope_;
@@ -945,7 +947,6 @@ ConsProgram gen_cons_program(std::uint64_t seed, std::size_t kinds,
 // --- the oracles -------------------------------------------------------------
 
 TEST(VehicleDifferential, ClassicAndCosyAgreeOnEveryOp) {
-  fault::kfail().disarm_all();
   ASSERT_EQ(all_calls(), table_nestable());
   std::map<SysRet, int> seen;  // errno -> count; 1 = any success
   Coverage classic_cov;
@@ -975,7 +976,6 @@ TEST(VehicleDifferential, ClassicAndCosyAgreeOnEveryOp) {
 
 TEST(VehicleDifferential, RingSubsetAgreesWithClassicAndCosy) {
   // Every nestable table entry, in all three vehicles.
-  fault::kfail().disarm_all();
   Coverage ring_cov;
   for (std::uint64_t seed = 1; seed <= 600; ++seed) {
     const Program prog = gen_program(seed ^ 0xa5a5, every_call(), 32);
@@ -991,7 +991,6 @@ TEST(VehicleDifferential, RingSubsetAgreesWithClassicAndCosy) {
 }
 
 TEST(VehicleDifferential, AbortBeforeOpKLeavesPrefixState) {
-  fault::kfail().disarm_all();
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     const Program prog = gen_clean_program(seed);
     const Outcome full = run_classic(prog);
@@ -1031,7 +1030,6 @@ TEST(VehicleDifferential, AbortBeforeOpKLeavesPrefixState) {
 }
 
 TEST(VehicleDifferential, NetOpsAgreeClassicAndRing) {
-  fault::kfail().disarm_all();
   std::map<SysRet, int> seen;  // errno -> count; 1 = any success, 0 = EOF
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const Program prog = gen_program(seed, net_calls(), 32);
@@ -1051,7 +1049,6 @@ TEST(VehicleDifferential, NetOpsAgreeClassicAndRing) {
 }
 
 TEST(VehicleDifferential, ConsolidatedCallsAgreeWithClassicExpansion) {
-  fault::kfail().disarm_all();
   std::map<SysRet, int> seen;
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     // File calls alone, then the whole set with the server calls.

@@ -55,7 +55,9 @@
 #           (subscribers join and leave a Kernel while other threads
 #           dispatch; cancels race parks in the kdl cancellation storm),
 #           plus the background flusher, which checks the fault injector
-#           its starting thread bound
+#           its starting thread bound, and the multi-threaded epoll echo
+#           server (StressEpollEchoServerMt), whose sockets and epoll
+#           instance live in the fd-object tables
 #   release the required suite in an optimised (-O3) build with the default
 #           USK_WERROR=ON: the Release build must be warning-free too
 #   repeat  the whole suite in the default build, 20 consecutive parallel
@@ -146,7 +148,7 @@ run_ubsan()  { build build-ubsan -DUSK_SANITIZE=undefined;
                 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
                   ctest -L 'faults|sup|tier1' -j "$jobs" --output-on-failure); }
 run_tsan()   { build build-tsan -DUSK_SANITIZE=thread;
-               (cd build-tsan && ctest -R 'Smp|SupTest|DlTest|BackgroundFlusher' -j "$jobs" --output-on-failure); }
+               (cd build-tsan && ctest -R 'Smp|SupTest|DlTest|BackgroundFlusher|StressEpollEchoServerMt' -j "$jobs" --output-on-failure); }
 run_release(){ build build-release -DCMAKE_BUILD_TYPE=Release;
                (cd build-release && ctest -L tier1 -j "$jobs" --output-on-failure); }
 run_repeat() { build build;

@@ -47,21 +47,6 @@ class Result {
     return ok() ? std::get<T>(v_) : std::move(fallback);
   }
 
-  /// Monadic chain: apply `f` (T -> Result<U>) when ok, else forward the
-  /// error. Keeps multi-step resource-acquisition paths linear.
-  template <typename F>
-  auto and_then(F&& f) const& -> decltype(f(std::declval<const T&>())) {
-    if (!ok()) return error();
-    return std::forward<F>(f)(std::get<T>(v_));
-  }
-
-  /// Map the value through `f` (T -> U), forwarding errors.
-  template <typename F>
-  auto transform(F&& f) const& -> Result<decltype(f(std::declval<const T&>()))> {
-    if (!ok()) return error();
-    return std::forward<F>(f)(std::get<T>(v_));
-  }
-
  private:
   std::variant<T, Errno> v_;
 };
@@ -81,13 +66,6 @@ class Result<void> {
   [[nodiscard]] Errno error() const { return e_; }
   /// Legacy interop: `Errno e = fs.sync();`, `r == Errno::kOk`.
   operator Errno() const { return e_; }  // NOLINT(google-explicit-constructor)
-
-  /// Chain: run `f` (-> Result<U>) when ok, else forward the error.
-  template <typename F>
-  auto and_then(F&& f) const -> decltype(f()) {
-    if (!ok()) return e_;
-    return std::forward<F>(f)();
-  }
 
  private:
   Errno e_{0};

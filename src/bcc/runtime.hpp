@@ -103,7 +103,6 @@ class Runtime {
   [[nodiscard]] const std::vector<BccError>& errors() const { return errors_; }
   [[nodiscard]] AddressMap& map() { return *map_; }
   [[nodiscard]] const RuntimeOptions& options() const { return opt_; }
-  void set_options(const RuntimeOptions& o) { opt_ = o; }
   void clear_errors() { errors_.clear(); }
 
   /// Process-wide instance used by the BccPtrPolicy (JournalFs builds).
@@ -114,7 +113,7 @@ class Runtime {
   void report(ErrorKind kind, std::uint64_t addr, std::size_t n,
               const MapEntry* obj);
 
-  RuntimeOptions opt_;
+  const RuntimeOptions opt_;
   std::unique_ptr<AddressMap> map_;
   std::vector<std::unique_ptr<CheckSite>> sites_;
   std::vector<BccError> errors_;

@@ -165,7 +165,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
     }
     const std::size_t cur = pc;
     const OpRecord& rec = c.ops[cur];
-    charge(decode_cost_);
+    charge(kDecodeCost);
     ++stats_.ops_executed;
     ++out.ops_run;
 
@@ -307,7 +307,7 @@ CosyResult CosyExtension::execute(uk::Process& p, const Compound& c,
         for (std::size_t i = 0; i < rec.nargs; ++i) fargs[i] = val(rec.args[i]);
         VmRunStats vstats;
         Result<std::int64_t> res =
-            fn->run(std::span(fargs, rec.nargs), sched, engine, vm_costs_,
+            fn->run(std::span(fargs, rec.nargs), sched, engine, kVmCosts,
                     guard != nullptr ? &vstats : nullptr);
         if (!res) {
           // A protection fault or watchdog kill inside the user function

@@ -95,7 +95,6 @@ class VmFunction {
                            const VmCosts& costs, VmRunStats* stats);
 
   [[nodiscard]] SafetyMode mode() const { return mode_; }
-  [[nodiscard]] seg::Selector data_selector() const { return data_sel_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Switch the safety mode at run time (the paper's §2.4 heuristic: after

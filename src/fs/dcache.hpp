@@ -94,7 +94,6 @@ class Dcache {
   /// hash chains *under* the lock; this models that occupancy. Default 0
   /// (pure map ops, the seed's behaviour). Set before worker threads start.
   void set_hold_work(std::uint32_t units) { hold_work_ = units; }
-  [[nodiscard]] std::uint32_t hold_work() const { return hold_work_; }
 
  private:
   /// A probe key: it borrows the name, so lookup and invalidate build no

@@ -80,7 +80,7 @@ class FileSystem {
 
   /// Hook invoked by the VFS when a file descriptor referencing `ino` is
   /// released (close) or duplicated (dup). Filesystems whose objects have
-  /// fd-bound lifetimes (net::SocketFs refcounts its sockets) override
+  /// fd-bound lifetimes (fs::AnonFs counts each object's fds) override
   /// these; stored filesystems have nothing to do.
   virtual void release_file(InodeNum ino) { (void)ino; }
   virtual void dup_file(InodeNum ino) { (void)ino; }

@@ -156,8 +156,6 @@ class JournalFs final : public FileSystem {
     charge_ = std::move(hook);
   }
   void set_costs(const FsCosts& c) { costs_ = c; }
-  /// Extra units per journal record (the commit path's write cost).
-  void set_journal_cost(std::uint64_t units) { journal_cost_ = units; }
 
   /// Attach a buffer cache over a simulated disk. The filesystem's block
   /// numbers map directly to LBAs in a data region; the journal occupies
@@ -893,7 +891,7 @@ class JournalFs final : public FileSystem {
     Ptr<std::uint8_t> src = data_ + (blk - 1) * kBlockSize;
     for (std::size_t i = 0; i < kBlockSize; ++i) dst[i] = src[i];
     ++jstats_.journal_records;
-    charge(journal_cost_);
+    charge(kJournalCost);
     // The checkpoint waits for the transaction boundary, so a commit
     // never carries half a transaction.
     if (journal_seq_ % commit_interval_ == 0) commit_pending_ = true;
@@ -1150,7 +1148,8 @@ class JournalFs final : public FileSystem {
   int txn_depth_ = 0;
   JournalFsStats jstats_;
   FsCosts costs_;
-  std::uint64_t journal_cost_ = 40;
+  /// Extra units per journal record (the commit path's write cost).
+  static constexpr std::uint64_t kJournalCost = 40;
   std::function<void(std::uint64_t)> charge_;
   blockdev::BufferCache* io_ = nullptr;
   // --- persistent store state (PR-8) ---

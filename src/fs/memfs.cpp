@@ -28,7 +28,7 @@ Result<MemFs::Inode*> MemFs::get_dir(InodeNum ino) {
 Result<InodeNum> MemFs::lookup(InodeNum dir, std::string_view name) {
   charge(costs_.lookup);
   ++stats_.lookups;
-  base::ReadGuard g(rw_);
+  std::shared_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
   auto it = d.value()->children.find(name);
@@ -42,7 +42,7 @@ Result<InodeNum> MemFs::create(InodeNum dir, std::string_view name,
   ++stats_.creates;
   if (name.empty() || name.size() > kMaxName) return Errno::kENAMETOOLONG;
   if (name.find('/') != std::string_view::npos) return Errno::kEINVAL;
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
   if (d.value()->children.contains(name)) return Errno::kEEXIST;
@@ -65,7 +65,7 @@ Result<InodeNum> MemFs::create(InodeNum dir, std::string_view name,
 Result<void> MemFs::unlink(InodeNum dir, std::string_view name) {
   charge(costs_.remove);
   ++stats_.removes;
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
   auto it = d.value()->children.find(name);
@@ -83,7 +83,7 @@ Result<void> MemFs::unlink(InodeNum dir, std::string_view name) {
 Result<void> MemFs::link(InodeNum dir, std::string_view name, InodeNum target) {
   charge(costs_.create);
   if (name.empty() || name.size() > kMaxName) return Errno::kENAMETOOLONG;
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
   Inode* t = get(target);
@@ -100,7 +100,7 @@ Result<void> MemFs::link(InodeNum dir, std::string_view name, InodeNum target) {
 
 Result<void> MemFs::chmod(InodeNum ino, std::uint32_t mode) {
   charge(costs_.getattr);
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   Inode* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
   n->mode = mode;
@@ -111,7 +111,7 @@ Result<void> MemFs::chmod(InodeNum ino, std::uint32_t mode) {
 Result<void> MemFs::rmdir(InodeNum dir, std::string_view name) {
   charge(costs_.remove);
   ++stats_.removes;
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
   auto it = d.value()->children.find(name);
@@ -132,7 +132,7 @@ Result<void> MemFs::rmdir(InodeNum dir, std::string_view name) {
 Result<void> MemFs::rename(InodeNum src_dir, std::string_view src_name,
                     InodeNum dst_dir, std::string_view dst_name) {
   charge(costs_.rename);
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   auto sd = get_dir(src_dir);
   if (!sd) return sd.error();
   auto dd = get_dir(dst_dir);
@@ -204,10 +204,10 @@ Result<std::size_t> MemFs::read(InodeNum ino, std::uint64_t offset,
   // Concurrent readers share the lock unless an io model is attached (the
   // buffer cache and extent map are not read-safe).
   if (io_ != nullptr) {
-    base::WriteGuard g(rw_);
+    std::unique_lock g(rw_);
     return read_locked(ino, offset, out);
   }
-  base::ReadGuard g(rw_);
+  std::shared_lock g(rw_);
   return read_locked(ino, offset, out);
 }
 
@@ -236,7 +236,7 @@ Result<std::size_t> MemFs::read_locked(InodeNum ino, std::uint64_t offset,
 Result<std::size_t> MemFs::write(InodeNum ino, std::uint64_t offset,
                                  std::span<const std::byte> in) {
   ++stats_.writes;
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   Inode* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
   if (n->type == FileType::kDirectory) return Errno::kEISDIR;
@@ -253,7 +253,7 @@ Result<std::size_t> MemFs::write(InodeNum ino, std::uint64_t offset,
 
 Result<void> MemFs::truncate(InodeNum ino, std::uint64_t size) {
   charge(costs_.truncate);
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   Inode* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
   if (n->type == FileType::kDirectory) return Errno::kEISDIR;
@@ -265,7 +265,7 @@ Result<void> MemFs::truncate(InodeNum ino, std::uint64_t size) {
 Result<void> MemFs::getattr(InodeNum ino, StatBuf* st) {
   charge(costs_.getattr);
   ++stats_.getattrs;
-  base::ReadGuard g(rw_);
+  std::shared_lock g(rw_);
   Inode* n = get(ino);
   if (n == nullptr) return Errno::kENOENT;
   st->ino = ino;
@@ -286,7 +286,7 @@ Result<void> MemFs::getattr(InodeNum ino, StatBuf* st) {
 
 Result<std::vector<DirEntry>> MemFs::readdir(InodeNum dir) {
   ++stats_.readdirs;
-  base::ReadGuard g(rw_);
+  std::shared_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
   charge(costs_.readdir_base +
@@ -322,7 +322,7 @@ Result<std::vector<DirEntry>> MemFs::readdir_window(InodeNum dir,
                                                     std::size_t max_entries) {
   ++stats_.readdirs;
   // Exclusive: dir_snapshot (re)builds the per-directory listing cache.
-  base::WriteGuard g(rw_);
+  std::unique_lock g(rw_);
   auto d = get_dir(dir);
   if (!d) return d.error();
   const std::vector<DirEntry>& all = dir_snapshot(dir, *d.value());

@@ -14,11 +14,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "base/sync.hpp"
 #include "blockdev/buffer_cache.hpp"
 #include "fs/filesystem.hpp"
 
@@ -90,12 +90,6 @@ class MemFs final : public FileSystem {
       InodeNum dir, std::size_t start, std::size_t max_entries) override;
 
   [[nodiscard]] const MemFsStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t inode_count() const {
-    base::ReadGuard g(rw_);
-    return inodes_.size();
-  }
-  /// The inode-table rwlock (exposed for contention reporting).
-  [[nodiscard]] base::RwLock& rwlock() const { return rw_; }
 
  private:
   static constexpr InodeNum kRootIno = 1;
@@ -140,7 +134,7 @@ class MemFs final : public FileSystem {
 
   // rw_ guards inodes_, dir_cache_, next_ino_, extent_, and the io model;
   // see the SMP note at the top of this header.
-  mutable base::RwLock rw_{"memfs_inodes"};
+  mutable std::shared_mutex rw_;
   std::unordered_map<InodeNum, Inode> inodes_;
   std::unordered_map<InodeNum, DirCache> dir_cache_;
   InodeNum next_ino_ = 2;

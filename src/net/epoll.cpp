@@ -24,16 +24,6 @@ namespace usk::net {
 
 namespace {
 
-/// Resolve an epoll fd through the fd table.
-Result<std::shared_ptr<Epoll>> epoll_of(Net& net, uk::Process& p, int epfd) {
-  fs::OpenFile* f = p.fds.get(epfd);
-  if (f == nullptr) return Errno::kEBADF;
-  if (f->fsp != &net.sockfs()) return Errno::kEINVAL;
-  std::shared_ptr<Epoll> ep = net.find_epoll(f->ino);
-  if (ep == nullptr) return Errno::kEINVAL;  // a plain socket fd
-  return ep;
-}
-
 /// Watches staged in place by one epoll_wait scan.
 constexpr std::size_t kInline = 64;
 
@@ -74,24 +64,8 @@ class InlineVec {
 
 SysRet Net::handle_epoll_create(uk::Process& p, const SysArgs& /*a*/,
                                 uk::BufMode /*m*/) {
-  std::shared_ptr<Epoll> ep;
-  fs::InodeNum ino = 0;
-  {
-    std::lock_guard tlk(tab_mu_);
-    ino = next_ino_++;
-    ep = std::make_shared<Epoll>(ino);
-    epolls_[ino] = ep;
-  }
-  fs::OpenFile f;
-  f.ino = ino;
-  f.flags = fs::kORdWr;
-  f.fsp = &sockfs_;
-  f.fs_id = 0xFFFFFFFFu;
-  Result<int> fd = p.fds.install(f);
-  if (!fd) {
-    drop_epoll(ep);
-    return sysret_err(fd.error());
-  }
+  Result<int> fd = epolls_.install(p.fds, epolls_.add()->id());
+  if (!fd) return sysret_err(fd.error());
   return fd.value();
 }
 
@@ -101,7 +75,7 @@ SysRet Net::handle_epoll_ctl(uk::Process& p, const SysArgs& a,
   const int op = static_cast<int>(a.a1);
   const int fd = static_cast<int>(a.a2);
   const auto events = static_cast<std::uint32_t>(a.a3);
-  Result<std::shared_ptr<Epoll>> rep = epoll_of(*this, p, epfd);
+  Result<std::shared_ptr<Epoll>> rep = epolls_.of(p.fds, epfd);
   if (!rep) return sysret_err(rep.error());
   Epoll& ep = *rep.value();
   Result<std::shared_ptr<Socket>> rs = socket_of(p, fd);
@@ -164,7 +138,7 @@ SysRet Net::handle_epoll_wait(uk::Process& p, const SysArgs& a,
   USK_TRACE_LATENCY("net", "epoll_wait");
   USK_TRACEPOINT("net", "epoll_wait", static_cast<std::uint64_t>(epfd));
   if (a.a1 == 0 || maxevents <= 0) return sysret_err(Errno::kEINVAL);
-  Result<std::shared_ptr<Epoll>> rep = epoll_of(*this, p, epfd);
+  Result<std::shared_ptr<Epoll>> rep = epolls_.of(p.fds, epfd);
   if (!rep) return sysret_err(rep.error());
   Epoll& ep = *rep.value();
 

@@ -22,12 +22,6 @@ const char* sock_state_name(SockState s) {
   return "?";
 }
 
-namespace {
-/// Sentinel fs_id for descriptors owned by SocketFs: sockets never take
-/// part in path-walk or mount bookkeeping, which is all fs_id is for.
-constexpr std::uint32_t kSockFsId = 0xFFFFFFFFu;
-}  // namespace
-
 using uk::Kernel;
 using uk::Sys;
 
@@ -35,7 +29,28 @@ using uk::Sys;
 static_assert(sizeof(EpollEvent) == uk::kEpollEventBytes);
 
 Net::Net(uk::Kernel& k, NetCosts costs)
-    : k_(k), costs_(costs), sockfs_(*this) {
+    : k_(k),
+      costs_(costs),
+      sockets_("sockfs", Errno::kENOTSOCK,
+               {
+                   .read = [this](Socket& s, std::span<std::byte> out) {
+                     return recv_into(s, out);
+                   },
+                   .write = [this](Socket& s, std::span<const std::byte> in) {
+                     return send_from(s, in);
+                   },
+                   .stat =
+                       [](Socket& s, fs::StatBuf* st) {
+                         std::lock_guard lk(s.mu_);
+                         st->type = fs::FileType::kSocket;
+                         st->size = s.rx_.size();  // readable bytes (FIONREAD)
+                       },
+                   .last_close =
+                       [this](const std::shared_ptr<Socket>& s) {
+                         drop_socket(s);
+                       },
+               }),
+      epolls_("eventpollfs", Errno::kEINVAL) {
   k_.register_syscall<&Net::handle_socket>(Sys::kSocket, this);
   k_.register_syscall<&Net::handle_bind>(Sys::kBind, this);
   k_.register_syscall<&Net::handle_listen>(Sys::kListen, this);
@@ -142,42 +157,8 @@ Errno Net::block_on(std::unique_lock<std::mutex>& lk, sched::WaitQueue& wq,
 }
 
 std::shared_ptr<Socket> Net::make_socket(bool nonblock) {
-  std::lock_guard lk(tab_mu_);
-  fs::InodeNum ino = next_ino_++;
-  auto s = std::make_shared<Socket>(ino, costs_, nonblock);
-  sockets_[ino] = s;
   nstats_.sockets_created.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
-std::shared_ptr<Socket> Net::find_socket(fs::InodeNum ino) {
-  std::lock_guard lk(tab_mu_);
-  auto it = sockets_.find(ino);
-  return it == sockets_.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<Epoll> Net::find_epoll(fs::InodeNum ino) {
-  std::lock_guard lk(tab_mu_);
-  auto it = epolls_.find(ino);
-  return it == epolls_.end() ? nullptr : it->second;
-}
-
-Result<std::shared_ptr<Socket>> Net::socket_of(uk::Process& p, int fd) {
-  fs::OpenFile* f = p.fds.get(fd);
-  if (f == nullptr) return Errno::kEBADF;
-  if (f->fsp != &sockfs_) return Errno::kENOTSOCK;
-  std::shared_ptr<Socket> s = find_socket(f->ino);
-  if (s == nullptr) return Errno::kENOTSOCK;  // an epoll fd, or stale
-  return s;
-}
-
-Result<int> Net::install_fd(uk::Process& p, const std::shared_ptr<Socket>& s) {
-  fs::OpenFile f;
-  f.ino = s->id();
-  f.flags = fs::kORdWr;
-  f.fsp = &sockfs_;
-  f.fs_id = kSockFsId;
-  return p.fds.install(f);
+  return sockets_.add(costs_, nonblock);
 }
 
 void Net::notify_watchers_locked(Socket& s) {
@@ -192,11 +173,8 @@ SysRet Net::handle_socket(uk::Process& p, const SysArgs& a,
                           uk::BufMode /*m*/) {
   const int flags = static_cast<int>(a.a0);
   std::shared_ptr<Socket> s = make_socket((flags & kSockNonblock) != 0);
-  Result<int> fd = install_fd(p, s);
-  if (!fd) {
-    drop_socket(s);
-    return sysret_err(fd.error());
-  }
+  Result<int> fd = sockets_.install(p.fds, s->id());
+  if (!fd) return sysret_err(fd.error());
   return fd.value();
 }
 
@@ -208,7 +186,7 @@ SysRet Net::handle_bind(uk::Process& p, const SysArgs& a,
   if (!rs) return sysret_err(rs.error());
   Socket& s = *rs.value();
   if (port == 0) return sysret_err(Errno::kEINVAL);
-  std::lock_guard tlk(tab_mu_);
+  std::lock_guard plk(ports_mu_);
   std::lock_guard slk(s.mu_);
   if (s.state_ != SockState::kNew) return sysret_err(Errno::kEINVAL);
   auto it = ports_.find(port);
@@ -254,7 +232,7 @@ SysRet Net::handle_connect(uk::Process& p, const SysArgs& a,
 
   std::shared_ptr<Socket> lsn;
   {
-    std::lock_guard tlk(tab_mu_);
+    std::lock_guard plk(ports_mu_);
     auto it = ports_.find(port);
     if (it != ports_.end()) lsn = it->second.lock();
   }
@@ -345,11 +323,8 @@ Result<int> Net::accept_pop(uk::Process& p, Socket& ls) {
     ls.wq_.wake_all();  // a connect parked on a full backlog
   }
   charge(costs_.accept_setup);
-  Result<int> fd = install_fd(p, conn);
-  if (!fd) {
-    drop_socket(conn);
-    return fd.error();
-  }
+  Result<int> fd = sockets_.install(p.fds, conn->id());
+  if (!fd) return fd.error();  // conn dropped: its client reads EOF
   nstats_.conns_accepted.fetch_add(1, std::memory_order_relaxed);
   return fd;
 }
@@ -638,9 +613,9 @@ void Net::drop_socket(const std::shared_ptr<Socket>& s) {
     notify_watchers_locked(*s);
     s->wq_.wake_all();
   }
+  sockets_.remove(s->id());
   {
-    std::lock_guard tlk(tab_mu_);
-    sockets_.erase(s->id());
+    std::lock_guard plk(ports_mu_);
     for (auto it = ports_.begin(); it != ports_.end();) {
       std::shared_ptr<Socket> owner = it->second.lock();
       if (owner == nullptr || owner == s) {
@@ -659,35 +634,6 @@ void Net::drop_socket(const std::shared_ptr<Socket>& s) {
   // Connections queued on a closing listener never reach accept: reset
   // both halves so their clients see EOF/ECONNRESET rather than hanging.
   for (const std::shared_ptr<Socket>& conn : orphans) drop_socket(conn);
-}
-
-void Net::drop_epoll(const std::shared_ptr<Epoll>& ep) {
-  std::lock_guard tlk(tab_mu_);
-  epolls_.erase(ep->id());
-}
-
-void Net::fd_released(fs::InodeNum ino) {
-  if (std::shared_ptr<Socket> s = find_socket(ino)) {
-    if (s->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      drop_socket(s);
-    }
-    return;
-  }
-  if (std::shared_ptr<Epoll> ep = find_epoll(ino)) {
-    if (ep->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      drop_epoll(ep);
-    }
-  }
-}
-
-void Net::fd_duped(fs::InodeNum ino) {
-  if (std::shared_ptr<Socket> s = find_socket(ino)) {
-    s->refs_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (std::shared_ptr<Epoll> ep = find_epoll(ino)) {
-    ep->refs_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace usk::net

@@ -1,16 +1,18 @@
 // The in-kernel network stack: loopback transport, server socket
 // syscalls, and the epoll multiplexer.
 //
-// Net owns the socket/epoll tables and the port namespace and fills the
+// Net owns the port namespace and two fd-object tables, and fills the
 // kernel's numbered syscall table with the socket family (socket/bind/
 // listen/accept/connect/send/recv/shutdown, epoll_create/ctl/wait), so
 // every vehicle reaches them the way it reaches the file calls: syscall()
 // for one crossing, dispatch_nested() inside a ring drain or a
 // consolidated call. Buffers move through uk::CallerBuf, so the copy
-// accounting is the file handlers'. SocketFs adapts sockets to
-// fs::FileSystem so a socket fd is a first-class VFS descriptor --
-// read(2)/write(2)/close(2)/dup(2) and Cosy compound kRead/kWrite ops
-// work on connections with no special cases.
+// accounting is the file handlers'. Sockets and epoll instances each live
+// in an fs::AnonFs, the anonymous-inode table rings share, so a socket fd
+// is a first-class VFS descriptor -- read(2)/write(2)/close(2)/dup(2) and
+// Cosy compound kRead/kWrite ops work on connections with no special
+// cases -- and Net keeps only the per-kind parts: recv/send/stat on a
+// socket fd, and drop_socket as a socket's last close.
 #pragma once
 
 #include <atomic>
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "fs/anonfs.hpp"
 #include "fs/procfs.hpp"
 #include "net/socket.hpp"
 #include "uk/kernel.hpp"
@@ -68,59 +71,9 @@ class Epoll {
     std::uint32_t events = 0;
   };
   std::map<int, Entry> entries_;  ///< userfd -> watched socket
-  std::atomic<int> refs_{1};
 
  private:
   const fs::InodeNum id_;
-};
-
-class Net;
-
-/// fs::FileSystem adapter: sockets (and epoll instances) behind the fd
-/// table. read() -> recv, write() -> send; namespace operations are
-/// rejected (a socket has no name). release_file/dup_file drive the
-/// per-socket fd refcount so dup'd descriptors share one connection.
-class SocketFs final : public fs::FileSystem {
- public:
-  explicit SocketFs(Net& net) : net_(net) {}
-
-  [[nodiscard]] fs::InodeNum root() const override { return 0; }
-  [[nodiscard]] const char* fstype() const override { return "sockfs"; }
-
-  Result<fs::InodeNum> lookup(fs::InodeNum, std::string_view) override {
-    return Errno::kENOENT;
-  }
-  Result<fs::InodeNum> create(fs::InodeNum, std::string_view, fs::FileType,
-                              std::uint32_t) override {
-    return Errno::kEPERM;
-  }
-  Result<void> unlink(fs::InodeNum, std::string_view) override {
-    return Errno::kEPERM;
-  }
-  Result<void> rmdir(fs::InodeNum, std::string_view) override {
-    return Errno::kEPERM;
-  }
-  Result<void> rename(fs::InodeNum, std::string_view, fs::InodeNum,
-               std::string_view) override {
-    return Errno::kEPERM;
-  }
-  Result<void> truncate(fs::InodeNum, std::uint64_t) override {
-    return Errno::kEINVAL;
-  }
-  Result<std::vector<fs::DirEntry>> readdir(fs::InodeNum) override {
-    return Errno::kENOTDIR;
-  }
-
-  Result<std::size_t> read(fs::InodeNum ino, std::uint64_t offset,
-                           std::span<std::byte> out) override;
-  Result<std::size_t> write(fs::InodeNum ino, std::uint64_t offset,
-                            std::span<const std::byte> in) override;
-  Result<void> getattr(fs::InodeNum ino, fs::StatBuf* st) override;
-  void release_file(fs::InodeNum ino) override;
-  void dup_file(fs::InodeNum ino) override;
-
- private:
-  Net& net_;
 };
 
 struct NetStats {
@@ -155,26 +108,21 @@ class Net {
                         int maxevents, int timeout_ms);
 
   /// The socket behind `fd`, or kEBADF / kENOTSOCK.
-  Result<std::shared_ptr<Socket>> socket_of(uk::Process& p, int fd);
-
-  // --- lifetime hooks (SocketFs) -------------------------------------------
-  void fd_released(fs::InodeNum ino);
-  void fd_duped(fs::InodeNum ino);
+  Result<std::shared_ptr<Socket>> socket_of(uk::Process& p, int fd) {
+    return sockets_.of(p.fds, fd);
+  }
 
   // --- introspection -------------------------------------------------------
   [[nodiscard]] uk::Kernel& kernel() { return k_; }
   [[nodiscard]] const NetCosts& costs() const { return costs_; }
-  [[nodiscard]] SocketFs& sockfs() { return sockfs_; }
   [[nodiscard]] NetStats stats() const;
-  [[nodiscard]] std::shared_ptr<Socket> find_socket(fs::InodeNum ino);
-  [[nodiscard]] std::shared_ptr<Epoll> find_epoll(fs::InodeNum ino);
+  [[nodiscard]] std::shared_ptr<Socket> find_socket(fs::InodeNum ino) const {
+    return sockets_.find(ino);
+  }
   /// Sockets still registered (not yet released by their last fd): the
   /// kdl leak oracle asserts this returns to its baseline after every
   /// cancellation storm.
-  [[nodiscard]] std::size_t live_sockets() const {
-    std::lock_guard lk(tab_mu_);
-    return sockets_.size();
-  }
+  [[nodiscard]] std::size_t live_sockets() const { return sockets_.size(); }
 
   /// Render /proc/net/** style tables (also used directly by tests).
   [[nodiscard]] std::string format_stats() const;
@@ -190,8 +138,6 @@ class Net {
   void charge(std::uint64_t units);
 
  private:
-  friend class SocketFs;
-
   // --- table handlers (Scope-free; see uk::Kernel::register_syscall) -------
   using SysArgs = uk::Kernel::SysArgs;
   SysRet handle_socket(uk::Process& p, const SysArgs& a, uk::BufMode m);
@@ -222,8 +168,6 @@ class Net {
   /// Push a kernel buffer into the peer's rx queue (blocking on a full
   /// queue unless the socket is nonblocking).
   Result<std::size_t> send_from(Socket& s, std::span<const std::byte> in);
-  /// Make a socket fd visible through the VFS.
-  Result<int> install_fd(uk::Process& p, const std::shared_ptr<Socket>& s);
 
   /// Park the current task on `wq` until pred() holds. `lk` must guard
   /// the state pred() reads AND be the lock wakers hold when they mutate
@@ -236,20 +180,21 @@ class Net {
   Errno block_on(std::unique_lock<std::mutex>& lk, sched::WaitQueue& wq,
                  Pred&& pred);
 
+  /// Register a socket; it counts as open until drop_socket.
   std::shared_ptr<Socket> make_socket(bool nonblock);
+  /// Close `s` (its last fd went, or it never got one) and unregister it.
   void drop_socket(const std::shared_ptr<Socket>& s);
-  void drop_epoll(const std::shared_ptr<Epoll>& ep);
   /// Wake every epoll watching `s`. Caller holds s.mu_ (socket -> epoll).
   static void notify_watchers_locked(Socket& s);
 
   uk::Kernel& k_;
   NetCosts costs_;
-  SocketFs sockfs_;
+  /// Socket fds: read/write are recv/send, the last close is drop_socket.
+  fs::AnonFs<Socket> sockets_;
+  /// Epoll fds: neither readable nor writable; the last close unregisters.
+  fs::AnonFs<Epoll> epolls_;
 
-  mutable std::mutex tab_mu_;
-  fs::InodeNum next_ino_ = 1;
-  std::map<fs::InodeNum, std::shared_ptr<Socket>> sockets_;
-  std::map<fs::InodeNum, std::shared_ptr<Epoll>> epolls_;
+  std::mutex ports_mu_;  ///< guards ports_; taken before a socket's mu_
   std::map<std::uint16_t, std::weak_ptr<Socket>> ports_;
 
   /// NetStats as relaxed atomics: a send bumps two of them with no

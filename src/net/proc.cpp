@@ -33,18 +33,11 @@ std::string Net::format_stats() const {
 }
 
 std::string Net::format_sockets() {
-  // Snapshot the table first: tab_mu_ and a socket's mu_ are never held
-  // together anywhere in the stack, and this keeps it that way.
-  std::vector<std::shared_ptr<Socket>> snap;
-  {
-    std::lock_guard tlk(tab_mu_);
-    snap.reserve(sockets_.size());
-    for (const auto& [ino, s] : sockets_) snap.push_back(s);
-  }
+  // Snapshot the table first: no socket lock is taken under the table's.
   std::string out =
       "ino state port peer_port rxq bytes_rx bytes_tx pkts_rx pkts_tx "
       "refs\n";
-  for (const std::shared_ptr<Socket>& s : snap) {
+  for (const auto& [s, fds] : sockets_.snapshot()) {
     std::lock_guard slk(s->mu_);
     appendf(out,
             "%" PRIu64 " %s %u %u %zu %" PRIu64 " %" PRIu64 " %" PRIu64
@@ -52,20 +45,14 @@ std::string Net::format_sockets() {
             static_cast<std::uint64_t>(s->id()),
             sock_state_name(s->state_), s->port_, s->peer_port_,
             s->rx_.size(), s->bytes_rx_, s->bytes_tx_, s->pkts_rx_,
-            s->pkts_tx_, s->refs_.load(std::memory_order_relaxed));
+            s->pkts_tx_, fds);
   }
   return out;
 }
 
 std::string Net::format_listeners() {
-  std::vector<std::shared_ptr<Socket>> snap;
-  {
-    std::lock_guard tlk(tab_mu_);
-    snap.reserve(sockets_.size());
-    for (const auto& [ino, s] : sockets_) snap.push_back(s);
-  }
   std::string out = "ino port backlog queued\n";
-  for (const std::shared_ptr<Socket>& s : snap) {
+  for (const auto& [s, fds] : sockets_.snapshot()) {
     std::lock_guard slk(s->mu_);
     if (s->state_ != SockState::kListening) continue;
     appendf(out, "%" PRIu64 " %u %d %zu\n",

@@ -2,7 +2,7 @@
 //
 // A Socket is the net analogue of an inode: a kernel object with a
 // bounded receive queue, addressed by an InodeNum so it can sit behind
-// the fd table like any file (net::SocketFs adapts it to fs::FileSystem,
+// the fd table like any file (Net keeps its sockets in an fs::AnonFs,
 // which is what makes read/write/close and Cosy compounds work on
 // connections unchanged). The loopback "wire" is modelled the way
 // blockdev models the disk: moving bytes costs per-packet and per-KiB
@@ -23,7 +23,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -163,10 +162,6 @@ class Socket {
   std::uint64_t bytes_tx_ = 0;
   std::uint64_t pkts_rx_ = 0;
   std::uint64_t pkts_tx_ = 0;
-
-  /// fd references (dup/close bookkeeping via SocketFs hooks). Atomic so
-  /// SocketFs can adjust it without the socket lock.
-  std::atomic<int> refs_{1};
 
   /// Current readiness mask. Caller holds mu_.
   [[nodiscard]] std::uint32_t readiness_locked() const {

@@ -18,10 +18,6 @@ namespace usk::ring {
 
 namespace {
 
-/// Sentinel fs_id for ring descriptors (the SocketFs convention: rings
-/// take no part in path walks or mount bookkeeping).
-constexpr std::uint32_t kRingFsId = 0xFFFFFFFEu;
-
 // Modelled engine work, in kernel units.
 constexpr std::uint64_t kSetupUnits = 600;        ///< ring allocation
 constexpr std::uint64_t kSetupPerKib = 8;         ///< arena zeroing
@@ -76,26 +72,22 @@ RingStats Ring::stats() const {
   return s;
 }
 
-// --- RingFs -----------------------------------------------------------------
-
-Result<void> RingFs::getattr(fs::InodeNum ino, fs::StatBuf* st) {
-  std::shared_ptr<Ring> r = dev_.find_ring(ino);
-  if (r == nullptr) return Errno::kEINVAL;
-  *st = fs::StatBuf{};
-  st->ino = ino;
-  st->type = fs::FileType::kRegular;
-  st->mode = 0600;
-  st->size = r->cq_size();  // reapable completions, like FIONREAD
-  return Errno::kOk;
-}
-
-void RingFs::release_file(fs::InodeNum ino) { dev_.fd_released(ino); }
-
-void RingFs::dup_file(fs::InodeNum ino) { dev_.fd_duped(ino); }
-
 // --- RingDev lifecycle ------------------------------------------------------
 
-RingDev::RingDev(uk::Kernel& k) : k_(k), ringfs_(*this) {
+RingDev::RingDev(uk::Kernel& k)
+    : k_(k),
+      rings_("ringfs", Errno::kEBADF,
+             {
+                 .read = nullptr,  // rings are driven by ring_enter: EINVAL
+                 .write = nullptr,
+                 .stat =
+                     [](Ring& r, fs::StatBuf* st) {
+                       st->type = fs::FileType::kRegular;
+                       st->size = r.cq_size();  // reapable completions
+                     },
+                 .last_close =
+                     [this](const std::shared_ptr<Ring>& r) { close_ring(r); },
+             }) {
   k_.register_syscall<&RingDev::handle_setup>(uk::Sys::kRingSetup, this);
   k_.register_syscall<&RingDev::handle_enter>(uk::Sys::kRingEnter, this);
 }
@@ -125,35 +117,9 @@ void RingDev::charge(std::uint64_t units) {
 }
 
 Result<std::shared_ptr<Ring>> RingDev::ring_of(uk::Process& p, int fd) {
-  fs::OpenFile* f = p.fds.get(fd);
-  if (f == nullptr) return Errno::kEBADF;
-  if (f->fsp != &ringfs_) return Errno::kEBADF;  // not a ring fd
-  std::shared_ptr<Ring> r = find_ring(f->ino);
-  if (r == nullptr || r->closed()) return Errno::kEBADF;
+  Result<std::shared_ptr<Ring>> r = rings_.of(p.fds, fd);
+  if (r && r.value()->closed()) return Errno::kEBADF;
   return r;
-}
-
-std::shared_ptr<Ring> RingDev::find_ring(fs::InodeNum ino) const {
-  std::lock_guard lk(tab_mu_);
-  auto it = rings_.find(ino);
-  return it == rings_.end() ? nullptr : it->second;
-}
-
-std::size_t RingDev::live_rings() const {
-  std::lock_guard lk(tab_mu_);
-  return rings_.size();
-}
-
-void RingDev::fd_duped(fs::InodeNum ino) {
-  if (std::shared_ptr<Ring> r = find_ring(ino)) {
-    r->refs_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void RingDev::fd_released(fs::InodeNum ino) {
-  std::shared_ptr<Ring> r = find_ring(ino);
-  if (r == nullptr) return;
-  if (r->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) close_ring(r);
 }
 
 void RingDev::close_ring(const std::shared_ptr<Ring>& r) {
@@ -176,9 +142,9 @@ void RingDev::close_ring(const std::shared_ptr<Ring>& r) {
     }
   }
   r->wq_.wake_all();  // unblock parked enters: they see closed()
-  std::lock_guard lk(tab_mu_);
+  std::lock_guard lk(retired_mu_);
   retired_ += r->stats();
-  rings_.erase(r->ino());
+  rings_.remove(r->ino());
   USK_TRACEPOINT("ring", "close", static_cast<std::uint64_t>(r->ino()));
 }
 
@@ -195,24 +161,10 @@ SysRet RingDev::sys_ring_setup(uk::Process& p, std::uint32_t entries,
   const std::size_t sq_entries = round_pow2(entries);
   // Modelled allocation: ring headers + arena zeroing.
   charge(kSetupUnits + kSetupPerKib * ((data_bytes + 1023) / 1024));
-  std::shared_ptr<Ring> r;
-  {
-    std::lock_guard lk(tab_mu_);
-    r = std::make_shared<Ring>(next_ino_++, p.task.pid(), sq_entries,
-                               data_bytes);
-    rings_[r->ino()] = r;
-  }
-  fs::OpenFile f;
-  f.ino = r->ino();
-  f.flags = fs::kORdWr;
-  f.fsp = &ringfs_;
-  f.fs_id = kRingFsId;
-  Result<int> fd = p.fds.install(f);
-  if (!fd) {
-    std::lock_guard lk(tab_mu_);
-    rings_.erase(r->ino());
-    return scope.fail(fd.error());
-  }
+  const std::shared_ptr<Ring> r =
+      rings_.add(p.task.pid(), sq_entries, data_bytes);
+  Result<int> fd = rings_.install(p.fds, r->ino());
+  if (!fd) return scope.fail(fd.error());
   return scope.done(fd.value());
 }
 

@@ -22,6 +22,11 @@
 // result, which is what lets accept->recv and open->read->send->close
 // subsume accept_recv and sendfile generically.
 //
+// Descriptors: a ring fd is an anonymous inode in RingDev's fs::AnonFs,
+// the fd-object table sockets and epoll instances use too. dup(2) holds
+// the ring open and the last close(2) runs close_ring; read(2)/write(2)
+// on a ring fd are EINVAL, fstat(2) reports its reapable completions.
+//
 // Supervision: a ring bound to a ksup extension runs every enter through
 // Supervisor::invoke (fuel charged per SQE, staging memory per enter).
 // A quarantined ring degrades to classic syscall-at-a-time
@@ -33,7 +38,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,6 +45,7 @@
 #include <vector>
 
 #include "base/mpmc_ring.hpp"
+#include "fs/anonfs.hpp"
 #include "fs/procfs.hpp"
 #include "uk/kernel.hpp"
 
@@ -210,7 +215,6 @@ class Ring {
   std::vector<std::byte> data_;
   std::size_t max_chain_;
   std::atomic<bool> closed_{false};
-  std::atomic<std::uint32_t> refs_{1};  ///< fd references (dup)
 
   // Supervision binding (set once by RingDev::supervise; sup_ last so a
   // racing reader pairing sup_ with ext_ sees both).
@@ -224,54 +228,6 @@ class Ring {
   sched::WaitQueue wq_;
 
   RingCounters n_;
-};
-
-/// fs::FileSystem adapter putting ring fds behind the descriptor table
-/// (the SocketFs pattern): close(2) releases the ring, dup(2) refs it.
-class RingFs final : public fs::FileSystem {
- public:
-  explicit RingFs(RingDev& dev) : dev_(dev) {}
-
-  [[nodiscard]] fs::InodeNum root() const override { return 0; }
-  [[nodiscard]] const char* fstype() const override { return "ringfs"; }
-
-  Result<fs::InodeNum> lookup(fs::InodeNum, std::string_view) override {
-    return Errno::kENOENT;
-  }
-  Result<fs::InodeNum> create(fs::InodeNum, std::string_view, fs::FileType,
-                              std::uint32_t) override {
-    return Errno::kEPERM;
-  }
-  Result<void> unlink(fs::InodeNum, std::string_view) override {
-    return Errno::kEPERM;
-  }
-  Result<void> rmdir(fs::InodeNum, std::string_view) override {
-    return Errno::kEPERM;
-  }
-  Result<void> rename(fs::InodeNum, std::string_view, fs::InodeNum,
-                      std::string_view) override {
-    return Errno::kEPERM;
-  }
-  Result<void> truncate(fs::InodeNum, std::uint64_t) override {
-    return Errno::kEINVAL;
-  }
-  Result<std::vector<fs::DirEntry>> readdir(fs::InodeNum) override {
-    return Errno::kENOTDIR;
-  }
-  Result<std::size_t> read(fs::InodeNum, std::uint64_t,
-                           std::span<std::byte>) override {
-    return Errno::kEINVAL;  // rings are driven via ring_enter, not read(2)
-  }
-  Result<std::size_t> write(fs::InodeNum, std::uint64_t,
-                            std::span<const std::byte>) override {
-    return Errno::kEINVAL;
-  }
-  Result<void> getattr(fs::InodeNum ino, fs::StatBuf* st) override;
-  void release_file(fs::InodeNum ino) override;
-  void dup_file(fs::InodeNum ino) override;
-
- private:
-  RingDev& dev_;
 };
 
 /// The ring device: setup/enter syscalls, the kernel-side submission
@@ -323,12 +279,7 @@ class RingDev {
   [[nodiscard]] std::string format_stats() const;
   /// Aggregate over live and already-closed rings.
   [[nodiscard]] RingStats total_stats() const;
-  [[nodiscard]] std::size_t live_rings() const;
-
-  // --- RingFs hooks --------------------------------------------------------
-  void fd_released(fs::InodeNum ino);
-  void fd_duped(fs::InodeNum ino);
-  std::shared_ptr<Ring> find_ring(fs::InodeNum ino) const;
+  [[nodiscard]] std::size_t live_rings() const { return rings_.size(); }
 
  private:
   SysRet handle_setup(uk::Process& p, const uk::Kernel::SysArgs& a,
@@ -359,14 +310,17 @@ class RingDev {
                   uk::FdLedger& ledger, std::size_t tag);
   std::size_t post_cqes(Ring& r, std::vector<Cqe>& cqes, bool classic,
                         Errno* violation);
+  /// A ring's last close: cancel its queued SQEs, fold its counters into
+  /// retired_ and unregister it.
   void close_ring(const std::shared_ptr<Ring>& r);
 
   uk::Kernel& k_;
-  RingFs ringfs_;
-  mutable std::mutex tab_mu_;
-  std::map<fs::InodeNum, std::shared_ptr<Ring>> rings_;
-  fs::InodeNum next_ino_ = 1;
-  RingStats retired_;  ///< stats of closed rings (under tab_mu_)
+  /// Ring fds: fstat reports reapable completions, read/write are EINVAL.
+  fs::AnonFs<Ring> rings_;
+  /// Guards retired_. Held across a closing ring's unregister and across
+  /// total_stats' table snapshot, so every ring is counted exactly once.
+  mutable std::mutex retired_mu_;
+  RingStats retired_;  ///< stats of closed rings
   fs::ProcFs::Registration proc_;  ///< last: leaves before the state
 };
 

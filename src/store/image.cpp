@@ -206,14 +206,6 @@ void BackingImage::enable_crash_capture() {
   (void)capture_snapshot_locked();
 }
 
-void BackingImage::disable_crash_capture() {
-  std::lock_guard lk(mu_);
-  capture_ = false;
-  stable_.clear();
-  write_log_.clear();
-  flush_marks_.clear();
-}
-
 std::vector<std::size_t> BackingImage::flush_marks() const {
   std::lock_guard lk(mu_);
   return flush_marks_;

@@ -86,7 +86,6 @@ class BackingImage {
   /// Start logging post-flush writes; the current (flushed) file contents
   /// become the stable snapshot.
   void enable_crash_capture();
-  void disable_crash_capture();
   /// Number of writes logged since capture was enabled. The log is NOT
   /// folded at flush -- cut points must be able to land before a commit's
   /// own fsync (mid-journal-write, mid-commit-header).

@@ -52,14 +52,6 @@ const char* vehicle_name(Vehicle v) {
   return "?";
 }
 
-const char* route_name(Route r) {
-  switch (r) {
-    case Route::kKernel: return "kernel";
-    case Route::kProbe: return "probe";
-    case Route::kFallback: return "fallback";
-  }
-  return "?";
-}
 
 const char* violation_name(ViolationKind k) {
   switch (k) {

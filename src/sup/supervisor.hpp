@@ -73,7 +73,6 @@ enum class Route {
   kProbe,     ///< run the in-kernel path under full instrumentation
   kFallback,  ///< run the classic user-space implementation
 };
-const char* route_name(Route r);
 
 enum class ViolationKind {
   kNone = 0,

@@ -125,7 +125,6 @@ class AddressSpace {
 
   [[nodiscard]] const TlbStats& tlb_stats() const { return tlb_; }
   [[nodiscard]] const AsStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t mapped_pages() const { return pt_.size(); }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] PhysMem& phys() { return phys_; }
 

@@ -454,6 +454,35 @@ TEST_F(NetTest, EpollCloseWhileRegistered) {
   proc_.close(t.lfd);
 }
 
+// An epoll instance lives as long as any descriptor for it: after the
+// original fd closes, a dup still adds, waits and reports; once the last
+// fd goes, the number is EBADF.
+TEST_F(NetTest, DupedEpollFdKeepsTheInstanceUntilTheLastClose) {
+  uk::Process& p = proc_.process();
+  Trio t = make_pair_on(7095);
+  const int ep = static_cast<int>(net_.sys_epoll_create(p));
+  ASSERT_EQ(net_.sys_epoll_ctl(p, ep, kEpollCtlAdd, t.srv, kEpollIn), 0);
+  const int d = proc_.dup(ep);
+  ASSERT_GE(d, 0);
+  EXPECT_EQ(proc_.close(ep), 0);
+
+  EpollEvent evs[4];
+  EXPECT_EQ(net_.sys_epoll_wait(p, d, evs, 4, 0), 0);
+  const char msg[] = "dup";
+  ASSERT_EQ(net_.sys_send(p, t.cli, msg, sizeof msg),
+            static_cast<SysRet>(sizeof msg));
+  ASSERT_EQ(net_.sys_epoll_wait(p, d, evs, 4, 1000), 1);
+  EXPECT_EQ(evs[0].fd, t.srv);
+  EXPECT_EQ(net_.sys_epoll_ctl(p, d, kEpollCtlAdd, t.cli, kEpollIn), 0);
+  EXPECT_EQ(net_.sys_epoll_ctl(p, d, kEpollCtlDel, t.srv, 0), 0);
+
+  EXPECT_EQ(proc_.close(d), 0);
+  EXPECT_EQ(net_.sys_epoll_wait(p, d, evs, 4, 0), sysret_err(Errno::kEBADF));
+  proc_.close(t.cli);
+  proc_.close(t.srv);
+  proc_.close(t.lfd);
+}
+
 TEST_F(NetTest, ConsolidatedAcceptRecv) {
   uk::Process& p = proc_.process();
   int lfd = static_cast<int>(net_.sys_socket(p));

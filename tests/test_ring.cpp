@@ -10,12 +10,14 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "fault/kfail.hpp"
 #include "fs/procfs.hpp"
 #include "net/net.hpp"
+#include "numbered.hpp"
 #include "ring/ring.hpp"
 #include "sup/supervisor.hpp"
 #include "uk/userlib.hpp"
@@ -314,6 +316,248 @@ TEST_F(RingTest, DupHoldsRingOpen) {
   EXPECT_EQ(rdev_.sys_ring_enter(p(), d, RingDev::kDrainAll, 0, 0), 1);
   EXPECT_EQ(proc_.close(d), 0);
   EXPECT_TRUE(m.rg->closed());
+}
+
+// --- the fd-object tables ----------------------------------------------------
+// Sockets, epoll instances and rings all sit behind the fd table; each
+// kind's calls refuse the other kinds' descriptors with their own errno.
+
+TEST_F(RingTest, EveryFdKindRefusesTheOthersWithItsOwnErrno) {
+  const int sock = static_cast<int>(net_.sys_socket(p()));
+  const int ep = static_cast<int>(net_.sys_epoll_create(p()));
+  Mapped m = make_ring(8, 256);
+  ASSERT_GE(sock, 0);
+  ASSERT_GE(ep, 0);
+  char c = 'x';
+  net::EpollEvent evs[2];
+  for (const int fd : {ep, m.fd}) {
+    SCOPED_TRACE(fd == ep ? "epoll fd" : "ring fd");
+    // Socket calls: ENOTSOCK, including epoll_ctl's watched fd.
+    const SysRet notsock = sysret_err(Errno::kENOTSOCK);
+    EXPECT_EQ(net_.sys_send(p(), fd, &c, 1), notsock);
+    EXPECT_EQ(net_.sys_recv(p(), fd, &c, 1), notsock);
+    EXPECT_EQ(net_.sys_bind(p(), fd, 7400), notsock);
+    EXPECT_EQ(net_.sys_listen(p(), fd, 4), notsock);
+    EXPECT_EQ(net_.sys_accept(p(), fd), notsock);
+    EXPECT_EQ(net_.sys_connect(p(), fd, 7400), notsock);
+    EXPECT_EQ(net_.sys_shutdown(p(), fd, net::kShutRdWr), notsock);
+    EXPECT_EQ(net_.sys_epoll_ctl(p(), ep, net::kEpollCtlAdd, fd, net::kEpollIn),
+              notsock);
+    // Neither kind is a byte stream: read(2)/write(2) are EINVAL.
+    EXPECT_EQ(proc_.read(fd, &c, 1), sysret_err(Errno::kEINVAL));
+    EXPECT_EQ(proc_.write(fd, &c, 1), sysret_err(Errno::kEINVAL));
+  }
+  for (const int fd : {sock, m.fd}) {
+    SCOPED_TRACE(fd == sock ? "socket fd" : "ring fd");
+    // Epoll calls on anything but an epoll fd: EINVAL.
+    EXPECT_EQ(net_.sys_epoll_ctl(p(), fd, net::kEpollCtlAdd, sock,
+                                 net::kEpollIn),
+              sysret_err(Errno::kEINVAL));
+    EXPECT_EQ(net_.sys_epoll_wait(p(), fd, evs, 2, 0),
+              sysret_err(Errno::kEINVAL));
+  }
+  for (const int fd : {sock, ep}) {
+    SCOPED_TRACE(fd == sock ? "socket fd" : "epoll fd");
+    // Ring calls on anything but a ring fd: EBADF.
+    EXPECT_EQ(rdev_.sys_ring_enter(p(), fd, RingDev::kDrainAll, 0, 0),
+              sysret_err(Errno::kEBADF));
+    EXPECT_EQ(rdev_.user_map(p(), fd).error(), Errno::kEBADF);
+  }
+  // fstat: a socket reports its queue, a ring its completions; an epoll
+  // instance has no attributes (EINVAL).
+  fs::StatBuf st;
+  EXPECT_EQ(proc_.fstat(sock, &st), 0);
+  EXPECT_EQ(st.type, fs::FileType::kSocket);
+  EXPECT_EQ(proc_.fstat(m.fd, &st), 0);
+  EXPECT_EQ(st.type, fs::FileType::kRegular);
+  EXPECT_EQ(proc_.fstat(ep, &st), sysret_err(Errno::kEINVAL));
+  proc_.close(m.fd);
+  proc_.close(ep);
+  proc_.close(sock);
+}
+
+// A full fd table refuses each fd-bound object after it was registered:
+// the registration is undone, so the tables and /proc rows read as
+// before. The refused accept drops its queued connection, whose client
+// then reads EOF.
+TEST_F(RingTest, EmfileLeavesNoFdObjectBehind) {
+  const int lfd = static_cast<int>(net_.sys_socket(p()));
+  ASSERT_EQ(net_.sys_bind(p(), lfd, 7401), 0);
+  ASSERT_EQ(net_.sys_listen(p(), lfd, 4), 0);
+  const int cli = static_cast<int>(net_.sys_socket(p()));
+  ASSERT_EQ(net_.sys_connect(p(), cli, 7401), 0);  // queued, not accepted
+  Mapped m = make_ring(8, 256);
+  ASSERT_EQ(net_.live_sockets(), 3u);  // listener, client, queued conn
+  ASSERT_EQ(rdev_.live_rings(), 1u);
+
+  const int file = proc_.open("/emfile", fs::kOWrOnly | fs::kOCreat);
+  ASSERT_GE(file, 0);
+  std::vector<int> fill;
+  for (int d; (d = proc_.dup(file)) >= 0;) fill.push_back(d);
+  ASSERT_EQ(proc_.dup(file), sysret_err(Errno::kEMFILE));
+
+  const std::string sockets0 = net_.format_sockets();
+  const std::string rings0 = rdev_.format_rings();
+  const RingStats stats0 = rdev_.total_stats();
+  const SysRet emfile = sysret_err(Errno::kEMFILE);
+  EXPECT_EQ(net_.sys_socket(p()), emfile);
+  EXPECT_EQ(net_.sys_epoll_create(p()), emfile);
+  EXPECT_EQ(rdev_.sys_ring_setup(p(), 8, 256), emfile);
+  EXPECT_EQ(net_.live_sockets(), 3u);
+  EXPECT_EQ(rdev_.live_rings(), 1u);
+  EXPECT_EQ(net_.format_sockets(), sockets0);
+  EXPECT_EQ(rdev_.format_rings(), rings0);
+  EXPECT_EQ(rdev_.total_stats().enters, stats0.enters);
+
+  EXPECT_EQ(net_.sys_accept(p(), lfd), emfile);
+  EXPECT_EQ(net_.live_sockets(), 2u);  // the refused connection is gone
+  EXPECT_EQ(net_.stats().conns_accepted, 0u);
+
+  for (int d : fill) proc_.close(d);
+  proc_.close(file);
+  char buf[8];
+  EXPECT_EQ(net_.sys_recv(p(), cli, buf, sizeof buf), 0);  // EOF
+  proc_.close(cli);
+  proc_.close(lfd);
+  proc_.close(m.fd);
+  EXPECT_EQ(net_.live_sockets(), 0u);
+  EXPECT_EQ(rdev_.live_rings(), 0u);
+}
+
+/// A descriptor in `to` for the object behind `from`'s `fd`, as fork(2)
+/// or SCM_RIGHTS would hand it over: a slot of its own, one more count.
+int inherit_fd(uk::Process& from, int fd, uk::Process& to) {
+  const fs::OpenFile f = *from.fds.get(fd);
+  Result<int> nfd = to.fds.install(f);
+  if (!nfd) return -1;
+  f.fsp->dup_file(f.ino);
+  return nfd.value();
+}
+
+/// The value of counter `name` in a /proc/ring/stats rendering (any line
+/// but the first, which is rings_live).
+std::uint64_t stat_of(const std::string& text, std::string_view name) {
+  std::string key = "\n";
+  key += name;
+  key += ' ';
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(text.substr(at + key.size()));
+}
+
+// Threads in their own processes share one connection and one ring
+// through inherited fds: each dups, uses and closes them, and sets up and
+// closes rings and sockets of its own, while another thread renders
+// /proc. The fd counts keep the shared objects open until the last close,
+// and /proc/ring/stats, summed over live and retired rings, never counts
+// a ring twice or misses one: its counters only grow, and end exact.
+TEST_F(RingTest, SmpFdObjectsSurviveDupCloseAndProcReaders) {
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 60;
+  constexpr char kMsg[] = "smp-fd!";  // 8 bytes with the NUL
+  fs::ProcFs& pfs = kernel_.mount_procfs();
+  ASSERT_EQ(rdev_.register_proc(pfs), Errno::kOk);
+  ASSERT_EQ(net_.register_proc(pfs), Errno::kOk);
+  const int lfd = static_cast<int>(net_.sys_socket(p()));
+  ASSERT_EQ(net_.sys_bind(p(), lfd, 7402), 0);
+  ASSERT_EQ(net_.sys_listen(p(), lfd, 4), 0);
+  const int cli = static_cast<int>(net_.sys_socket(p()));
+  ASSERT_EQ(net_.sys_connect(p(), cli, 7402), 0);
+  const int srv = static_cast<int>(net_.sys_accept(p(), lfd));
+  ASSERT_GE(srv, 0);
+  Mapped shared = make_ring(256, 256);
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    uk::Proc rp(kernel_, "smp-proc");
+    char buf[4096];
+    const auto render = [&](const char* path) {
+      const int fd = rp.open(path, fs::kORdOnly);
+      EXPECT_GE(fd, 0) << path;
+      std::string text;
+      for (SysRet n; (n = rp.read(fd, buf, sizeof buf)) > 0;) {
+        text.append(buf, static_cast<std::size_t>(n));
+      }
+      rp.close(fd);
+      return text;
+    };
+    std::uint64_t enters = 0;
+    std::uint64_t sqes = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_NE(render("/proc/net/sockets").find("connected"),
+                std::string::npos);
+      EXPECT_NE(render("/proc/ring/rings").find(" 256 512 256 "),
+                std::string::npos);
+      const std::string st = render("/proc/ring/stats");
+      EXPECT_GE(stat_of(st, "enters"), enters);
+      EXPECT_GE(stat_of(st, "sqes"), sqes);
+      enters = stat_of(st, "enters");
+      sqes = stat_of(st, "sqes");
+    }
+  });
+
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      uk::Proc wp(kernel_, testutil::numbered("smp-fd", t));
+      uk::Process& w = wp.process();
+      const int sock = inherit_fd(p(), cli, w);
+      const int ring = inherit_fd(p(), shared.fd, w);
+      ASSERT_GE(sock, 0);
+      ASSERT_GE(ring, 0);
+      for (int i = 0; i < kRounds; ++i) {
+        const int ds = wp.dup(sock);
+        ASSERT_EQ(net_.sys_send(w, ds, kMsg, sizeof kMsg),
+                  static_cast<SysRet>(sizeof kMsg));
+        ASSERT_EQ(wp.close(ds), 0);
+
+        const int dr = wp.dup(ring);
+        while (!shared.rg->user_prepare(Sqe{})) std::this_thread::yield();
+        ASSERT_GE(rdev_.sys_ring_enter(w, dr, RingDev::kDrainAll, 0, 0), 0);
+        ASSERT_EQ(wp.close(dr), 0);
+
+        // An object of its own, registered and retired in the race.
+        const int own = static_cast<int>(rdev_.sys_ring_setup(w, 8, 64));
+        ASSERT_GE(own, 0);
+        Result<std::shared_ptr<Ring>> rg = rdev_.user_map(w, own);
+        ASSERT_TRUE(rg.ok());
+        ASSERT_TRUE(rg.value()->user_prepare(Sqe{}));
+        ASSERT_EQ(rdev_.sys_ring_enter(w, own, RingDev::kDrainAll, 0, 0), 1);
+        ASSERT_EQ(wp.close(own), 0);
+        const int s = static_cast<int>(net_.sys_socket(w));
+        ASSERT_GE(s, 0);
+        ASSERT_EQ(wp.close(s), 0);
+      }
+      wp.close(sock);
+      wp.close(ring);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  // Only this process's fds are left; every byte and every SQE arrived.
+  EXPECT_EQ(net_.live_sockets(), 3u);
+  EXPECT_EQ(rdev_.live_rings(), 1u);
+  EXPECT_EQ(rdev_.sys_ring_enter(p(), shared.fd, RingDev::kDrainAll, 0, 0),
+            0);
+  std::string got(kThreads * kRounds * sizeof kMsg, '\0');
+  std::size_t n = 0;
+  while (n < got.size()) {
+    const SysRet r = net_.sys_recv(p(), srv, got.data() + n, got.size() - n);
+    ASSERT_GT(r, 0);
+    n += static_cast<std::size_t>(r);
+  }
+  proc_.close(shared.fd);
+  proc_.close(srv);
+  proc_.close(cli);
+  proc_.close(lfd);
+  EXPECT_EQ(net_.live_sockets(), 0u);
+  EXPECT_EQ(rdev_.live_rings(), 0u);
+  const RingStats total = rdev_.total_stats();
+  EXPECT_EQ(total.enters, 2u * kThreads * kRounds + 1);
+  EXPECT_EQ(total.sqes, 2u * kThreads * kRounds);
+  EXPECT_EQ(total.cqes_posted, 2u * kThreads * kRounds);
 }
 
 // --- linked chains -----------------------------------------------------------

@@ -290,9 +290,9 @@ void capture(Machine& m, Outcome& out) {
   }
   out.sockets = m.net.format_sockets();
   for (int fd : out.fds) {
-    const fs::OpenFile* f = m.p.fds.get(fd);
-    std::shared_ptr<net::Socket> s = m.net.find_socket(f->ino);
-    if (s == nullptr) continue;
+    Result<std::shared_ptr<net::Socket>> sock = m.net.socket_of(m.p, fd);
+    if (!sock) continue;
+    std::shared_ptr<net::Socket> s = sock.value();
     std::lock_guard lk(s->mu_);
     std::string bytes(s->rx_.size(), '\0');
     s->rx_.pop(std::as_writable_bytes(std::span(bytes)));

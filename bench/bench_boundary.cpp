@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
 
 #include "bench/common.hpp"
 #include "cosy/compiler.hpp"
@@ -130,11 +129,10 @@ class JsonForwardReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& r : runs) {
       if (r.run_type != Run::RT_Iteration || r.error_occurred) continue;
-      const double elapsed = r.real_accumulated_time;
-      const double ops =
-          elapsed > 0 ? static_cast<double>(r.iterations) / elapsed : 0.0;
-      json_.record(r.benchmark_name(), static_cast<int>(r.threads), ops,
-                   elapsed);
+      json_.record(r.benchmark_name(),
+                   r.real_accumulated_time /
+                       static_cast<double>(r.iterations) * 1e9,
+                   "ns", bench::Better::kLower);
     }
     ConsoleReporter::ReportRuns(runs);
   }
@@ -145,8 +143,8 @@ class JsonForwardReporter : public benchmark::ConsoleReporter {
 
 /// Min over `batches` of the per-call wall time of getpid through the
 /// full gateway with CostModel{0,0,0,0}: nothing simulated, only the
-/// framework's own work. Returns {ns per call, seconds of the best batch}.
-std::pair<double, double> zero_cost_null_syscall(int batches, int calls) {
+/// framework's own work, in ns per call.
+double zero_cost_null_syscall(int batches, int calls) {
   fs::MemFs fs;
   uk::KernelConfig cfg;
   cfg.boundary = uk::CostModel{0, 0, 0, 0};
@@ -159,7 +157,7 @@ std::pair<double, double> zero_cost_null_syscall(int batches, int calls) {
       for (int i = 0; i < calls; ++i) proc.getpid();
     }));
   }
-  return {best * 1e9 / calls, best};
+  return best * 1e9 / calls;
 }
 
 }  // namespace
@@ -174,9 +172,9 @@ int main(int argc, char** argv) {
 
   constexpr int kBatches = 15;
   constexpr int kCalls = 200'000;
-  const auto [ns, best_s] = zero_cost_null_syscall(kBatches, kCalls);
+  const double ns = zero_cost_null_syscall(kBatches, kCalls);
   std::printf("null syscall, zero cost model (min of %d x %d calls): %.1f ns\n",
               kBatches, kCalls, ns);
-  json.record("null-syscall-zero-cost", 1, ns > 0 ? 1e9 / ns : 0.0, best_s);
+  json.record("null-syscall-zero-cost", ns, "ns", bench::Better::kLower);
   return 0;
 }

@@ -60,9 +60,10 @@ void report(const char* name, Fixture& f, const std::function<void()>& classic,
             const std::function<void()>& consolidated) {
   Measure c = measure(f, classic);
   Measure n = measure(f, consolidated);
-  json().record(std::string("classic/") + name, 1, kReps / c.wall, c.wall);
-  json().record(std::string("consolidated/") + name, 1, kReps / n.wall,
-                n.wall);
+  json().record(std::string("classic/") + name, c.wall / kReps * 1e9, "ns",
+                bench::Better::kLower);
+  json().record(std::string("consolidated/") + name, n.wall / kReps * 1e9,
+                "ns", bench::Better::kLower);
   std::printf("%-18s %9" PRIu64 " %9" PRIu64 " %11" PRIu64 " %11" PRIu64
               " %8.1f%% %8.1f%%\n",
               name, c.crossings, n.crossings, c.units, n.units,

@@ -169,11 +169,11 @@ void report(bench::JsonWriter& json, const char* app, const char* intensity,
   }
   std::printf("%-18s %-14s %12.4f %12.4f %9.1f%%\n", app, intensity, tc, tz,
               usk::bench::improvement_pct(tc, tz));
-  // ops_per_sec is probe/scan passes per second for the classic and Cosy
-  // variants of one (application, compute intensity) cell.
+  // Wall seconds of one probe/scan pass for the classic and Cosy variants
+  // of one (application, compute intensity) cell.
   std::string base = std::string(app) + "/" + intensity;
-  json.record("classic/" + base, 1, 1.0 / tc, tc);
-  json.record("cosy/" + base, 1, 1.0 / tz, tz);
+  json.record("classic/" + base, tc, "s", bench::Better::kLower);
+  json.record("cosy/" + base, tz, "s", bench::Better::kLower);
 }
 
 }  // namespace

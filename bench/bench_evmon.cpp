@@ -215,9 +215,7 @@ int main() {
     std::printf("%-30s %10.3f %+9.1f%%   %s\n", name, r.elapsed,
                 100.0 * (bench::slowdown(none.elapsed, r.elapsed) - 1.0),
                 paper);
-    json.record(name, 1,
-                static_cast<double>(pm_cfg().transactions) / r.elapsed,
-                r.elapsed);
+    json.record(name, r.elapsed, "s", bench::Better::kLower);
   };
   std::printf("%-30s %10s %10s   %s\n", "configuration", "elapsed(s)",
               "overhead", "paper");

@@ -182,8 +182,7 @@ int main(int argc, char** argv) {
     std::printf("%-10s %8" PRIu64 " %10.0f %10" PRIu64 " %9.3f %11.0f %8.1f%%\n",
                 cfgname, pt.rep.requests, pt.rep.req_per_sec, pt.transients,
                 per_req, units_per_req, ratio);
-    json.record(cfgname, static_cast<int>(workers), pt.rep.req_per_sec,
-                pt.rep.elapsed_s);
+    json.record(cfgname, pt.rep.req_per_sec, "ops/s", bench::Better::kHigher);
   }
 
   // The acceptance bound: a disarmed site must cost <= 0.5% of a null
@@ -193,7 +192,7 @@ int main(int argc, char** argv) {
   std::printf("\ndisarmed fault point: %.3f ns/check (%.3f%% of a %.0f ns "
               "null syscall; budget 0.5%%)\n",
               ns, ns / null_syscall_ns * 100.0, null_syscall_ns);
-  json.record("disarmed-check", 1, 1e9 / ns, 0.0);
+  json.record("disarmed-check", ns, "ns", bench::Better::kLower);
 
   std::printf("\nfault-point cost on the write path (64 B writes):\n");
   std::printf("%-18s %14s\n", "config", "writes/s");
@@ -205,8 +204,8 @@ int main(int argc, char** argv) {
   std::printf("  armed-p0 overhead vs disarmed: %.2f%% (disarmed cost is "
               "one thread-local load/site)\n",
               disarmed > 0 ? (disarmed - armed_p0) / disarmed * 100.0 : 0.0);
-  json.record("write-disarmed", 1, disarmed, 0.0);
-  json.record("write-armed-p0", 1, armed_p0, 0.0);
+  json.record("write-disarmed", disarmed, "ops/s", bench::Better::kHigher);
+  json.record("write-armed-p0", armed_p0, "ops/s", bench::Better::kHigher);
 
   return 0;
 }

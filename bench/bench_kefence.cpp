@@ -54,7 +54,7 @@ int main() {
   bench::print_title("E5", "Kefence-instrumented Wrapfs, Am-utils build "
                            "(paper: +1.4% elapsed; 2,085 peak pages; 80 B "
                            "mean allocation)");
-  // ops_per_sec is Am-utils builds per second; elapsed is one build.
+  // Each record is the wall seconds of one Am-utils build.
   bench::JsonWriter json("bench_kefence");
 
   // Vanilla: kmalloc-backed WrapFs.
@@ -104,8 +104,8 @@ int main() {
               "(kmalloc)   (paper: 80 B)\n", mean_alloc, vanilla_mean_alloc);
   std::printf("  overflows detected         : %" PRIu64 " (build is clean)\n",
               overflows);
-  json.record("vanilla-wrapfs", 1, 1.0 / vanilla, vanilla);
-  json.record("kefence-wrapfs", 1, 1.0 / instrumented, instrumented);
+  json.record("vanilla-wrapfs", vanilla, "s", bench::Better::kLower);
+  json.record("kefence-wrapfs", instrumented, "s", bench::Better::kLower);
 
   // Breakout: the vfree hash-table fix (paper: "To speed up the default
   // vfree function we have added a hash table").
@@ -158,7 +158,8 @@ int main() {
                 interval, t, 100.0 * (bench::slowdown(vanilla, t) - 1.0),
                 kef.kstats().guarded_allocs,
                 kef.kstats().passthrough_allocs);
-    json.record("sampled-1-in-" + std::to_string(interval), 1, 1.0 / t, t);
+    json.record("sampled-1-in-" + std::to_string(interval), t, "s",
+                bench::Better::kLower);
   }
   return 0;
 }

@@ -13,7 +13,7 @@
 //
 // JSON acceptance metrics (checked by run_tier1.sh dl):
 //   overload-goodput-pct            >= 70   (kdl run at 2x capacity)
-//   overload-admitted-p99-ratio-x100 <= 500 (admitted p99 / uncontended p99)
+//   overload-admitted-p99-ratio     <= 5.0  (admitted p99 / uncontended p99)
 //   overload-shed-accuracy-pct      >= 70   (admitted requests in deadline)
 //   overload-baseline-degraded      >= 1    (baseline goodput collapsed)
 //   overload-cancels                >= 1000 (seeded cancellation storm)
@@ -37,7 +37,6 @@ namespace {
 
 using namespace usk;
 
-constexpr int kNullCalls = 200000;
 constexpr int kSiteLoops = 2000000;
 
 workload::OverloadConfig base_cfg(bool quick) {
@@ -106,10 +105,8 @@ int main(int argc, char** argv) {
   {
     fs::MemFs rootfs;
     uk::Kernel kernel(rootfs);
-    rootfs.set_cost_hook(kernel.charge_hook());
-    uk::Proc proc(kernel, "dl-bench");
     kernel.dl().set_enabled(false);
-    const double null_ns = bench::null_syscall_ns(proc, kNullCalls);
+    const double null_ns = bench::default_null_syscall_ns();
     const double site_s = bench::time_best(3, [&kernel] {
       for (int i = 0; i < kSiteLoops; ++i) {
         dl::DeadlineScope s(kernel.dl(), std::chrono::milliseconds(5));
@@ -122,9 +119,9 @@ int main(int argc, char** argv) {
     std::printf("%-34s %12.4f      %s (budget 0.01)\n",
                 "disarmed overhead fraction", fraction,
                 fraction <= 0.01 ? "PASS" : "FAIL");
-    json.record("null_syscall_dl_off", 1, 1e9 / null_ns,
-                null_ns * kNullCalls / 1e9);
-    json.record("dl-disarmed-overhead-pct", 1, fraction * 100.0, site_s);
+    json.record("null_syscall_dl_off", null_ns, "ns", bench::Better::kLower);
+    json.record("dl-disarmed-overhead-pct", fraction * 100.0, "%",
+                bench::Better::kLower);
     if (fraction > 0.01) return 1;
   }
 
@@ -216,18 +213,17 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12.1f %%   %s (kdl - 15 above it)\n",
               "baseline goodput", base_goodput,
               degraded == 1 ? "PASS" : "FAIL");
-  json.record("overload-goodput-pct", static_cast<int>(cfg.workers), goodput,
-              rd.elapsed_s);
-  json.record("overload-admitted-p99-ratio-x100", static_cast<int>(cfg.workers),
-              ratio * 100.0, rd.elapsed_s);
-  json.record("overload-shed-accuracy-pct", static_cast<int>(cfg.workers),
-              accuracy, rd.elapsed_s);
-  json.record("overload-baseline-degraded", static_cast<int>(cfg.workers),
-              degraded, rb.elapsed_s);
-  json.record("overload-baseline-goodput-pct", static_cast<int>(cfg.workers),
-              base_goodput, rb.elapsed_s);
-  json.record("overload-kdl-throughput-rps", static_cast<int>(cfg.workers),
-              rd.throughput_rps, rd.elapsed_s);
+  json.record("overload-goodput-pct", goodput, "%", bench::Better::kHigher);
+  json.record("overload-admitted-p99-ratio", ratio, "ratio",
+              bench::Better::kLower);
+  json.record("overload-shed-accuracy-pct", accuracy, "%",
+              bench::Better::kHigher);
+  json.record("overload-baseline-degraded", degraded, "count",
+              bench::Better::kHigher);
+  json.record("overload-baseline-goodput-pct", base_goodput, "%",
+              bench::Better::kHigher);
+  json.record("overload-kdl-throughput-rps", rd.throughput_rps, "ops/s",
+              bench::Better::kHigher);
 
   // --- 4. cancellation storm + leak oracle ---------------------------------
   // At ~1x capacity with a canceller firing every 100us, thousands of
@@ -252,10 +248,10 @@ int main(int argc, char** argv) {
               " kmalloc %+" PRId64 "B)\n",
               "leaks after storm", leaks, leaks == 0 ? "PASS" : "FAIL",
               rc.leaked_fds, rc.leaked_sockets, rc.kmalloc_delta);
-  json.record("overload-cancels", static_cast<int>(storm.workers),
-              static_cast<double>(rc.cancels_issued), rc.elapsed_s);
-  json.record("overload-cancel-leaks", static_cast<int>(storm.workers),
-              static_cast<double>(leaks), rc.elapsed_s);
+  json.record("overload-cancels", static_cast<double>(rc.cancels_issued),
+              "count", bench::Better::kHigher);
+  json.record("overload-cancel-leaks", static_cast<double>(leaks), "count",
+              bench::Better::kLower);
 
   bench::print_note("goodput = in-deadline responses / what the calibrated "
                     "capacity could serve in the same wall time; admitted p99 "

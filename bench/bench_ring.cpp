@@ -183,12 +183,10 @@ int main(int argc, char** argv) {
     std::string name = workload::serve_mode_name(m.mode);
     if (m.mode == workload::ServeMode::kRing) name += "-b8";
     print_row(name.c_str(), cmp_workers, r.rep);
-    json.record(name, static_cast<int>(cmp_workers),
-                smp_req_per_sec(cmp_workers, r.rep), r.rep.elapsed_s);
-    // Expose the crossing economics to threshold checks: ops_per_sec
-    // carries crossings/req under a crossings-* config name.
-    json.record("crossings-" + name, static_cast<int>(cmp_workers),
-                r.rep.crossings_per_req(), r.rep.elapsed_s);
+    json.record(name, smp_req_per_sec(cmp_workers, r.rep), "ops/s",
+                bench::Better::kHigher);
+    json.record("crossings-" + name, r.rep.crossings_per_req(), "count",
+                bench::Better::kLower);
   }
 
   // --- 2. batch sweep --------------------------------------------------------
@@ -207,9 +205,9 @@ int main(int argc, char** argv) {
                 r.rep.requests, r.rep.req_per_sec,
                 r.rep.crossings_per_req(), r.rep.user_bytes_per_req());
     sweep_cross[bi++] = r.rep.crossings_per_req();
-    json.record(name, 1, r.rep.req_per_sec, r.rep.elapsed_s);
-    json.record(std::string("crossings-") + name, 1,
-                r.rep.crossings_per_req(), r.rep.elapsed_s);
+    json.record(name, r.rep.req_per_sec, "ops/s", bench::Better::kHigher);
+    json.record(std::string("crossings-") + name, r.rep.crossings_per_req(),
+                "count", bench::Better::kLower);
   }
 
   // --- 3. MT scaling ---------------------------------------------------------
@@ -222,8 +220,8 @@ int main(int argc, char** argv) {
     std::printf("%-14s %6zu %8" PRIu64 " %10.0f %10.0f %12.2f\n", "ring-b8",
                 w, r.rep.requests, r.rep.req_per_sec,
                 smp_req_per_sec(w, r.rep), r.rep.crossings_per_req());
-    json.record("ring-scale", static_cast<int>(w),
-                smp_req_per_sec(w, r.rep), r.rep.elapsed_s);
+    json.record("ring-scale-" + std::to_string(w) + "w",
+                smp_req_per_sec(w, r.rep), "ops/s", bench::Better::kHigher);
   }
 
   // --- 4. fault storm --------------------------------------------------------
@@ -246,7 +244,7 @@ int main(int argc, char** argv) {
                 name, st.rep.requests, st.rep.req_per_sec, st.violations,
                 st.fallback_runs, st.quarantines,
                 complete ? "100%" : "INCOMPLETE");
-    json.record(name, 1, st.rep.req_per_sec, st.rep.elapsed_s);
+    json.record(name, st.rep.req_per_sec, "ops/s", bench::Better::kHigher);
     if (rate > 0.0) {
       if (!complete) storm_complete = false;
       storm_quar = st.quarantines;
@@ -280,7 +278,7 @@ int main(int argc, char** argv) {
         "quarantined ring decomposed via fallback enters");
   // The headline ratio, exported for threshold checks.
   json.record("crossing-ratio-plain-over-ring",
-              static_cast<int>(cmp_workers),
-              ring_cross > 0 ? plain_cross / ring_cross : 0.0, 0.0);
+              ring_cross > 0 ? plain_cross / ring_cross : 0.0, "ratio",
+              bench::Better::kHigher);
   return failures == 0 ? 0 : 1;
 }

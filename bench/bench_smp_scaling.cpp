@@ -302,8 +302,9 @@ void bench_runqueue(bench::JsonWriter& json, bool quick) {
               "%.0f picks/s, %.0f steals, %" PRIu64 " migrations\n",
               tasks_n, kWorkers, tasks_n / elapsed, steals,
               s.stats().migrations.load());
-  json.record("rq-picks-8t", kWorkers, tasks_n / elapsed, elapsed);
-  json.record("rq-steals-8t", kWorkers, steals, elapsed);
+  json.record("rq-picks-8t", tasks_n / elapsed, "ops/s",
+              bench::Better::kHigher);
+  json.record("rq-steals-8t", steals, "count", bench::Better::kHigher);
 }
 
 /// Two tasks ping-pong through two WaitQueues: every round is a
@@ -337,7 +338,8 @@ void bench_parkwake(bench::JsonWriter& json, bool quick) {
   std::printf("  park/wake ping-pong: %.0f roundtrips/s (%d rounds, "
               "no interval re-poll)\n",
               rounds / elapsed, rounds);
-  json.record("parkwake-roundtrips", 2, rounds / elapsed, elapsed);
+  json.record("parkwake-roundtrips", rounds / elapsed, "ops/s",
+              bench::Better::kHigher);
 }
 
 /// The paper's §2.3 defence, unchanged by the new scheduler: a task that
@@ -348,18 +350,17 @@ void bench_watchdog(bench::JsonWriter& json) {
   t.set_kernel_budget(10'000);
   t.enter_kernel();
   int points = 0;
-  double elapsed = bench::time_once([&] {
-    for (;;) {
-      t.charge_kernel(100);
-      ++points;
-      if (!s.preempt_point()) break;  // watchdog kill
-    }
-  });
+  for (;;) {
+    t.charge_kernel(100);
+    ++points;
+    if (!s.preempt_point()) break;  // watchdog kill
+  }
   const double kills = static_cast<double>(s.stats().watchdog_kills);
   std::printf("  watchdog: runaway task killed after %d preempt points "
               "(%.0f kill)\n",
               points, kills);
-  json.record("watchdog-kills-runaway", 1, kills, elapsed);
+  json.record("watchdog-kills-runaway", kills, "count",
+              bench::Better::kHigher);
 }
 
 }  // namespace
@@ -399,7 +400,8 @@ int main(int argc, char** argv) {
       std::printf("%-16s %8d %12.0f %12.0f %12.3f %13.3f %13.3f\n", c.name,
                   threads, r.wall_ops, r.smp_ops, r.elapsed, r.dcache_serial,
                   r.depot_serial);
-      json.record(c.name, threads, r.smp_ops, r.elapsed);
+      json.record(std::string(c.name) + "-" + std::to_string(threads) + "t",
+                  r.smp_ops, "ops/s", bench::Better::kHigher);
       if (threads == 1) ops_1t[ci] = r.smp_ops;
       if (threads == 8) ops_8t[ci] = r.smp_ops;
     }
@@ -412,7 +414,7 @@ int main(int argc, char** argv) {
     std::printf("  8-thread smp speedup, sharded+percpu vs global+shared: "
                 "%.2fx (target >= 6x)\n",
                 speedup);
-    json.record("smp-speedup-8t-x100", 8, speedup * 100.0, 0.0);
+    json.record("smp-speedup-8t", speedup, "ratio", bench::Better::kHigher);
   }
   if (ops_1t[0] > 0 && ops_1t[3] > 0) {
     std::printf("  1-thread cost of SMP structures: %.1f%% (sharded+percpu "
@@ -432,6 +434,7 @@ int main(int argc, char** argv) {
   std::printf("  park timeouts over the whole bench: %.0f (must be 0: all "
               "wakeups are event-driven)\n",
               timeout_wakeups);
-  json.record("park-timeout-wakeups", 1, timeout_wakeups, 0.0);
+  json.record("park-timeout-wakeups", timeout_wakeups, "count",
+              bench::Better::kLower);
   return 0;
 }

@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
                 cfgname, pt.rep.requests, pt.rep.req_per_sec,
                 pt.ext.violations, pt.ext.fallback_runs, pt.ext.probes,
                 pt.quarantines, pt.readmissions, ratio);
-    json.record(cfgname, 1, pt.rep.req_per_sec, pt.rep.elapsed_s);
+    json.record(cfgname, pt.rep.req_per_sec, "ops/s", bench::Better::kHigher);
   }
 
   workload::WebServerReport classic = run_classic(quick);
@@ -261,14 +261,14 @@ int main(int argc, char** argv) {
               "-", "-", "-",
               clean_rps > 0 ? classic.req_per_sec / clean_rps * 100.0
                             : 100.0);
-  json.record("classic", 1, classic.req_per_sec, classic.elapsed_s);
+  json.record("classic", classic.req_per_sec, "ops/s", bench::Better::kHigher);
 
   double ns = gateway_check_ns();
   const double null_syscall_ns = bench::default_null_syscall_ns();
   std::printf("\nhealthy-path gateway check: %.3f ns/syscall (%.3f%% of a "
               "%.0f ns null syscall; budget 0.5%%)\n",
               ns, ns / null_syscall_ns * 100.0, null_syscall_ns);
-  json.record("gateway-check", 1, 1e9 / ns, 0.0);
+  json.record("gateway-check", ns, "ns", bench::Better::kLower);
 
   // Context: the SUPERVISED healthy path (subscribed supervisor, bound
   // guard, per-syscall unit attribution) against the unsupervised null
@@ -280,8 +280,8 @@ int main(int argc, char** argv) {
                 "%.2f%%)\n",
                 guarded, plain,
                 plain > 0 ? (plain - guarded) / plain * 100.0 : 0.0);
-    json.record("getpid-plain", 1, plain, 0.0);
-    json.record("getpid-guarded", 1, guarded, 0.0);
+    json.record("getpid-plain", plain, "ops/s", bench::Better::kHigher);
+    json.record("getpid-guarded", guarded, "ops/s", bench::Better::kHigher);
   }
 
   // --- acceptance ----------------------------------------------------------

@@ -8,8 +8,9 @@
 //     make it -- inside a call on a Kernel whose tracer is off -- counts
 //     how many checks one getpid() crosses (by arming that Kernel's
 //     tracer and counting the events one getpid emits), and reports the
-//     product against the measured null-syscall time. It also A/Bs the
-//     same loop disabled vs enabled.
+//     product against the measured null-syscall time as
+//     disabled-overhead-pct (gated <= 1.0 by run_tier1.sh obs). It also
+//     A/Bs the same loop disabled vs enabled.
 //
 //  2. ENABLED tracing is lossless under parallel dispatch. 4 threads
 //     hammer syscalls on their own CPUs; afterwards the merged drain must
@@ -30,7 +31,6 @@ namespace {
 
 using namespace usk;
 
-constexpr int kNullCalls = 200000;
 constexpr int kCheckLoops = 20000000;
 
 }  // namespace
@@ -74,8 +74,7 @@ int main() {
   const std::uint64_t checks_per_call = kt.emitted();
 
   // --- 1c. null syscall with tracing disabled ------------------------------
-  kt.reset();
-  const double null_ns = bench::null_syscall_ns(proc, kNullCalls);
+  const double null_ns = bench::default_null_syscall_ns();
   const double overhead_pct =
       100.0 * (static_cast<double>(checks_per_call) * check_ns) / null_ns;
 
@@ -85,9 +84,10 @@ int main() {
   std::printf("%-34s %12.1f ns\n", "null syscall (tracing off)", null_ns);
   std::printf("%-34s %12.3f %%   %s (budget 1%%)\n", "disabled overhead",
               overhead_pct, overhead_pct < 1.0 ? "PASS" : "FAIL");
-  json.record("disabled_check_ns", 1, 1e9 / check_ns, check_s);
-  json.record("null_syscall_disabled", 1, 1e9 / null_ns,
-              null_ns * kNullCalls / 1e9);
+  json.record("disabled_check_ns", check_ns, "ns", bench::Better::kLower);
+  json.record("null_syscall_disabled", null_ns, "ns", bench::Better::kLower);
+  json.record("disabled-overhead-pct", overhead_pct, "%",
+              bench::Better::kLower);
 
   // --- 1d. A/B: the same loop with tracing enabled -------------------------
   kt.reset();
@@ -98,8 +98,7 @@ int main() {
   kt.reset();
   std::printf("%-34s %12.1f ns  (x%.2f)\n", "null syscall (tracing on)",
               null_on_ns, null_on_ns / null_ns);
-  json.record("null_syscall_enabled", 1, 1e9 / null_on_ns,
-              null_on_ns * 20000 / 1e9);
+  json.record("null_syscall_enabled", null_on_ns, "ns", bench::Better::kLower);
 
   // --- 2. lossless enabled tracing under 4-thread dispatch -----------------
   constexpr int kThreads = 4;
@@ -151,8 +150,9 @@ int main() {
               sorted ? "yes" : "NO");
   std::printf("%-34s %12s\n", "lossless (drained == emitted)",
               lossless && sorted ? "PASS" : "FAIL");
-  json.record("parallel_traced_syscalls", kThreads,
-              static_cast<double>(kThreads) * kCallsPerThread / par_s, par_s);
+  json.record("parallel_traced_syscalls",
+              static_cast<double>(kThreads) * kCallsPerThread / par_s, "ops/s",
+              bench::Better::kHigher);
 
   bench::print_note("disabled overhead = checks/call x check cost vs the "
                     "measured null syscall; lossless = merged drain equals "

@@ -94,9 +94,9 @@ int main(int argc, char** argv) {
       sum_rps[static_cast<int>(mode)] += r.req_per_sec;
       ++n_rps[static_cast<int>(mode)];
       print_row("keepalive", mode, workers, r);
-      json.record(std::string(workload::serve_mode_name(mode)) + "-keepalive",
-                  static_cast<int>(workers), smp_req_per_sec(workers, r),
-                  r.elapsed_s);
+      json.record(std::string(workload::serve_mode_name(mode)) +
+                      "-keepalive-" + std::to_string(workers) + "w",
+                  smp_req_per_sec(workers, r), "ops/s", bench::Better::kHigher);
       if (workers == 4) {
         if (mode == workload::ServeMode::kPlain) plain4 = r;
         if (mode == workload::ServeMode::kConsolidated) consolidated4 = r;
@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
     workload::WebServerReport r = run(mode, oneshot_workers, 1);
     print_row("oneshot", mode, oneshot_workers, r);
     json.record(std::string(workload::serve_mode_name(mode)) + "-oneshot",
-                static_cast<int>(oneshot_workers),
-                smp_req_per_sec(oneshot_workers, r), r.elapsed_s);
+                smp_req_per_sec(oneshot_workers, r), "ops/s",
+                bench::Better::kHigher);
   }
 
   if (!quick && plain4.requests > 0 && consolidated4.requests > 0) {

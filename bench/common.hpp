@@ -5,8 +5,9 @@
 // Each bench binary regenerates one of the paper's reported results (see
 // DESIGN.md's experiment index). Binaries print self-contained tables so
 // `for b in build/bench/*; do $b; done` reproduces the whole evaluation.
-// Setting USK_BENCH_JSON=<path> additionally appends one JSON record per
-// reported measurement to that file, for plotting/regression scripts.
+// Setting USK_BENCH_JSON=<path> additionally appends one record per
+// reported measurement to that file: {bench, metric, value, unit, better},
+// the value in its own unit (scripts/check_bench_json.py validates it).
 #pragma once
 
 #include <stdlib.h>
@@ -86,13 +87,16 @@ double null_syscall_ns(Proc& proc, int calls) {
   return s * 1e9 / calls;
 }
 
-/// The default-cost-model null syscall (getpid) on a fresh MemFs kernel,
-/// timed in this run the way T1 times it: the denominator every
-/// disarmed-check share uses.
+/// The default-cost-model null syscall (getpid) on a fresh MemFs kernel
+/// whose tracer, span store and kdl are off (whatever USK_SPAN or USK_DL
+/// say): the denominator of every disarmed-instrument budget.
 inline double default_null_syscall_ns() {
   fs::MemFs memfs;
   uk::Kernel kernel(memfs);
   memfs.set_cost_hook(kernel.charge_hook());
+  kernel.ktrace().set_enabled(false);
+  kernel.kspan().set_enabled(false);
+  kernel.dl().set_enabled(false);
   uk::Proc proc(kernel, "nuller");
   return null_syscall_ns(proc, 200000);
 }
@@ -121,11 +125,17 @@ inline void print_note(const std::string& note) {
   std::printf("  note: %s\n", note.c_str());
 }
 
+/// Which way a metric improves.
+enum class Better { kHigher, kLower };
+
 /// Appends JSON-lines records to the file named by USK_BENCH_JSON; a no-op
 /// when the variable is unset, so benches call it unconditionally:
 ///
 ///   JsonWriter json("bench_smp_scaling");
-///   json.record("sharded+percpu", 4, ops_per_sec, elapsed_s);
+///   json.record("smp-speedup-8t", 6.4, "ratio", Better::kHigher);
+///
+/// `unit` is one of the set check_bench_json.py lists; a sweep puts its
+/// parameter in the metric name ("ring-scale-2w").
 class JsonWriter {
  public:
   explicit JsonWriter(std::string bench) : bench_(std::move(bench)) {
@@ -140,17 +150,15 @@ class JsonWriter {
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
 
-  [[nodiscard]] bool active() const { return f_ != nullptr; }
-
-  /// One measurement: a named configuration at a thread count.
-  void record(const std::string& config, int threads, double ops_per_sec,
-              double elapsed_s) {
+  /// One measurement: `value` in `unit`, `better` its direction.
+  void record(const std::string& metric, double value, const char* unit,
+              Better better) {
     if (f_ == nullptr) return;
     std::fprintf(f_,
-                 "{\"bench\": \"%s\", \"config\": \"%s\", \"threads\": %d, "
-                 "\"ops_per_sec\": %.1f, \"elapsed_s\": %.6f}\n",
-                 bench_.c_str(), config.c_str(), threads, ops_per_sec,
-                 elapsed_s);
+                 "{\"bench\": \"%s\", \"metric\": \"%s\", \"value\": %.9g, "
+                 "\"unit\": \"%s\", \"better\": \"%s\"}\n",
+                 bench_.c_str(), metric.c_str(), value, unit,
+                 better == Better::kHigher ? "higher" : "lower");
     std::fflush(f_);
   }
 

@@ -7,95 +7,92 @@ is set:
     USK_BENCH_JSON=/tmp/bench.jsonl ./build/bench/bench_readdirplus
     scripts/check_bench_json.py /tmp/bench.jsonl
 
-The checker enforces the shared schema so plotting/regression scripts can
-rely on it:
+Each non-empty line must be a JSON object with exactly these keys:
 
-  - each non-empty line is a JSON object
-  - required keys: bench (str), config (str), threads (int >= 1),
-    ops_per_sec (number >= 0), elapsed_s (number >= 0)
-  - no unknown keys (catches format drift in one writer)
+  bench   str     the bench binary that wrote it
+  metric  str     what was measured; a sweep puts its parameter in the
+                  name ("ring-scale-2w", "commits-per-flush-8w")
+  value   number  finite, in its own unit: ns stay ns, a ratio a ratio
+  unit    str     one of UNITS below
+  better  str     "higher" or "lower"
 
 A repeatable --expect <bench> flag additionally fails the check when a
 named bench contributed no records -- so CI catches a bench binary that
 silently stopped emitting (crashed early, lost its JsonWriter wiring)
-even though every surviving line still validates:
+even though every surviving line still validates.
 
-    scripts/check_bench_json.py --expect bench_fault_storm \
-        --expect bench_supervisor /tmp/bench.jsonl
+Repeatable --expect-max / --expect-min <bench>:<metric>:<bound> flags
+turn a recorded value into an acceptance threshold, checked against
+every matching record's value:
 
-Repeatable --expect-max / --expect-min flags turn a recorded value into
-an acceptance threshold. The spec is <bench>:<config>:<bound> and is
-checked against every matching record's ops_per_sec (benches export
-dimensionless acceptance metrics -- crossings/req, improvement ratios --
-under dedicated config names for exactly this):
-
-    scripts/check_bench_json.py \
-        --expect-max 'bench_ring:crossings-ring-b8:0.5' \
-        --expect-min 'bench_ring:crossing-ratio-plain-over-ring:4.0' \
+    scripts/check_bench_json.py --expect bench_ring \\
+        --expect-max 'bench_ring:crossings-ring-b8:0.5' \\
+        --expect-min 'bench_ring:crossing-ratio-plain-over-ring:4.0' \\
         /tmp/bench.jsonl
 
-A threshold spec whose (bench, config) matches no record is itself a
+A threshold spec whose (bench, metric) matches no record is itself a
 failure: a silently missing metric must not pass the gate.
 
-Exit status: 0 if the whole file validates, 1 otherwise (each bad line is
-reported). Stdlib only.
+Exit status: 0 if the whole file validates, 1 otherwise (each problem is
+reported), 2 on a usage error. Stdlib only.
 """
 
 import json
+import math
 import sys
 
-REQUIRED = {
-    "bench": str,
-    "config": str,
-    "threads": int,
-    "ops_per_sec": (int, float),
-    "elapsed_s": (int, float),
-}
+# BENCHMARK.json's unit vocabulary, plus "%" for the percentage gates.
+UNITS = {"ops/s", "s", "ns", "us", "B", "MiB", "count", "ratio",
+         "fraction", "units", "%"}
+BETTER = {"higher", "lower"}
+KEYS = {"bench": str, "metric": str, "value": (int, float), "unit": str,
+        "better": str}
 
 
-def check_record(obj, lineno, errors):
+def check_record(obj, where, errors):
+    """Append `obj`'s problems to `errors`; True when it has none."""
     if not isinstance(obj, dict):
-        errors.append(f"line {lineno}: not a JSON object")
-        return
-    for key, typ in REQUIRED.items():
+        errors.append(f"{where}: not a JSON object")
+        return False
+    before = len(errors)
+    for key, typ in KEYS.items():
         if key not in obj:
-            errors.append(f"line {lineno}: missing key '{key}'")
-            continue
-        val = obj[key]
+            errors.append(f"{where}: missing key '{key}'")
         # bool is an int subclass; reject it explicitly.
-        if isinstance(val, bool) or not isinstance(val, typ):
-            errors.append(
-                f"line {lineno}: key '{key}' has type "
-                f"{type(val).__name__}, expected {typ}"
-            )
-    unknown = set(obj) - set(REQUIRED)
+        elif isinstance(obj[key], bool) or not isinstance(obj[key], typ):
+            errors.append(f"{where}: key '{key}' has type "
+                          f"{type(obj[key]).__name__}")
+    unknown = set(obj) - set(KEYS)
     if unknown:
-        errors.append(f"line {lineno}: unknown keys {sorted(unknown)}")
-    if isinstance(obj.get("threads"), int) and obj["threads"] < 1:
-        errors.append(f"line {lineno}: threads must be >= 1")
-    for key in ("ops_per_sec", "elapsed_s"):
-        val = obj.get(key)
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
-            if val < 0:
-                errors.append(f"line {lineno}: {key} must be >= 0")
+        errors.append(f"{where}: unknown keys {sorted(unknown)}")
+    if len(errors) > before:
+        return False
+    if obj["unit"] not in UNITS:
+        errors.append(f"{where}: unit '{obj['unit']}' not in {sorted(UNITS)}")
+    if obj["better"] not in BETTER:
+        errors.append(f"{where}: better '{obj['better']}' is not "
+                      "'higher' or 'lower'")
+    if not math.isfinite(obj["value"]):
+        errors.append(f"{where}: value {obj['value']} is not finite")
+    return len(errors) == before
 
 
 def parse_threshold(spec):
-    """Split '<bench>:<config>:<bound>' (config may contain ':'... no --
-    bench and config are known not to, so split from both ends)."""
+    """Split '<bench>:<metric>:<bound>': the bench name has no ':', the
+    bound is after the last one."""
     head, sep, bound = spec.rpartition(":")
-    bench, sep2, config = head.partition(":")
-    if not sep or not sep2 or not bench or not config:
+    bench, sep2, metric = head.partition(":")
+    if not sep or not sep2 or not bench or not metric:
         return None
     try:
-        return bench, config, float(bound)
+        return bench, metric, float(bound)
     except ValueError:
         return None
 
 
 def main(argv):
     expected = []
-    expect_max = []  # (bench, config, bound)
+    expect_max = []  # (bench, metric, bound)
     expect_min = []
     args = []
     it = iter(argv[1:])
@@ -110,10 +107,8 @@ def main(argv):
             spec = next(it, None)
             parsed = parse_threshold(spec) if spec is not None else None
             if parsed is None:
-                print(
-                    f"error: {arg} needs <bench>:<config>:<number>",
-                    file=sys.stderr,
-                )
+                print(f"error: {arg} needs <bench>:<metric>:<number>",
+                      file=sys.stderr)
                 return 2
             (expect_max if arg == "--expect-max" else expect_min).append(parsed)
         else:
@@ -121,15 +116,15 @@ def main(argv):
     if len(args) != 1:
         print(
             f"usage: {argv[0]} [--expect <bench>]... "
-            "[--expect-max <bench>:<config>:<bound>]... "
-            "[--expect-min <bench>:<config>:<bound>]... <bench.jsonl>",
+            "[--expect-max <bench>:<metric>:<bound>]... "
+            "[--expect-min <bench>:<metric>:<bound>]... <bench.jsonl>",
             file=sys.stderr,
         )
         return 2
     errors = []
     records = 0
     benches = set()
-    values = {}  # (bench, config) -> [ops_per_sec, ...]
+    values = {}  # (bench, metric) -> [value, ...]
     try:
         with open(args[0], encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
@@ -142,15 +137,10 @@ def main(argv):
                     errors.append(f"line {lineno}: invalid JSON: {e}")
                     continue
                 records += 1
-                check_record(obj, lineno, errors)
-                if isinstance(obj, dict) and isinstance(obj.get("bench"), str):
+                if check_record(obj, f"line {lineno}", errors):
                     benches.add(obj["bench"])
-                    ops = obj.get("ops_per_sec")
-                    if isinstance(obj.get("config"), str) and isinstance(
-                        ops, (int, float)
-                    ) and not isinstance(ops, bool):
-                        key = (obj["bench"], obj["config"])
-                        values.setdefault(key, []).append(float(ops))
+                    key = (obj["bench"], obj["metric"])
+                    values.setdefault(key, []).append(float(obj["value"]))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -162,19 +152,16 @@ def main(argv):
         (expect_max, lambda v, b: v <= b, "<="),
         (expect_min, lambda v, b: v >= b, ">="),
     ):
-        for bench, config, bound in checks:
-            got = values.get((bench, config))
+        for bench, metric, bound in checks:
+            got = values.get((bench, metric))
             if not got:
-                errors.append(
-                    f"threshold {bench}:{config}: no matching records"
-                )
+                errors.append(f"threshold {bench}:{metric}: no matching "
+                              "records")
                 continue
             for v in got:
                 if not op(v, bound):
-                    errors.append(
-                        f"threshold {bench}:{config}: value {v:g} not "
-                        f"{word} {bound:g}"
-                    )
+                    errors.append(f"threshold {bench}:{metric}: value {v:g} "
+                                  f"not {word} {bound:g}")
     for err in errors:
         print(err, file=sys.stderr)
     if errors:

@@ -15,9 +15,10 @@
 #           thresholds (<= 0.5 crossings/req at batch 8, >= 4x vs plain)
 #   obs     the request-path suites re-run span-enabled (label `obs`:
 #           USK_SPAN=1 arms every SpanScope for real under the existing
-#           assertions), then bench_obs --quick with its JSON gated by
-#           the overhead budgets (disabled span site <= 1% of a null
-#           syscall, span-enabled webserver slowdown <= 1.05x)
+#           assertions), then bench_obs --quick and bench_trace_overhead
+#           with their JSON gated by the overhead budgets (disabled span
+#           site and disabled tracepoints each <= 1% of a null syscall,
+#           span-enabled webserver slowdown <= 1.05x)
 #   storage the persistent-tier suites (store, journalfs, blockdev) with
 #           transient injection at the storage fault sites plus the crash
 #           oracle sweep (label `storage`), then bench_storage --quick
@@ -100,10 +101,13 @@ run_ring()   { build build; (cd build && ctest -L ring -j "$jobs" --output-on-fa
 run_obs()    { build build; (cd build && ctest -L obs -j "$jobs" --output-on-failure);
                local json; json="$(mktemp)"
                USK_BENCH_JSON="$json" ./build/bench/bench_obs --quick
+               USK_BENCH_JSON="$json" ./build/bench/bench_trace_overhead
                python3 scripts/check_bench_json.py \
                  --expect bench_obs \
                  --expect-max 'bench_obs:span-disabled-overhead-pct:1.0' \
                  --expect-max 'bench_obs:span-enabled-webserver-slowdown-pct:105' \
+                 --expect bench_trace_overhead \
+                 --expect-max 'bench_trace_overhead:disabled-overhead-pct:1.0' \
                  "$json"
                rm -f "$json"; }
 run_storage(){ build build; (cd build && ctest -L storage -j "$jobs" --output-on-failure);
@@ -121,7 +125,7 @@ run_sched()  { build build; (cd build && ctest -L sched -j "$jobs" --output-on-f
                USK_BENCH_JSON="$json" ./build/bench/bench_smp_scaling --quick
                python3 scripts/check_bench_json.py \
                  --expect bench_smp_scaling \
-                 --expect-min 'bench_smp_scaling:smp-speedup-8t-x100:600' \
+                 --expect-min 'bench_smp_scaling:smp-speedup-8t:6.0' \
                  --expect-min 'bench_smp_scaling:rq-steals-8t:1' \
                  --expect-min 'bench_smp_scaling:watchdog-kills-runaway:1' \
                  --expect-max 'bench_smp_scaling:park-timeout-wakeups:0' \
@@ -134,7 +138,7 @@ run_dl()     { build build; (cd build && ctest -L dl -j "$jobs" --output-on-fail
                  --expect bench_overload \
                  --expect-max 'bench_overload:dl-disarmed-overhead-pct:1.0' \
                  --expect-min 'bench_overload:overload-goodput-pct:70' \
-                 --expect-max 'bench_overload:overload-admitted-p99-ratio-x100:500' \
+                 --expect-max 'bench_overload:overload-admitted-p99-ratio:5.0' \
                  --expect-min 'bench_overload:overload-shed-accuracy-pct:70' \
                  --expect-min 'bench_overload:overload-baseline-degraded:1' \
                  --expect-min 'bench_overload:overload-cancels:1000' \

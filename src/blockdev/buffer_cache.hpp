@@ -77,7 +77,6 @@ struct WritebackConfig {
   std::uint32_t interval_ms = 50;     ///< flusher wakeup period
   std::uint32_t dirty_ratio_pct = 25; ///< start writing above this % of capacity
   std::uint32_t max_age_ms = 500;     ///< any dirty block older than this goes
-  std::uint32_t max_batch = 64;       ///< blocks per wakeup
 };
 
 class BufferCache {
@@ -214,6 +213,7 @@ class BufferCache {
 
  private:
   using Clock = std::chrono::steady_clock;
+  static constexpr std::uint32_t kWritebackBatch = 64;  ///< blocks per wakeup
 
   struct Entry {
     std::list<Lba>::iterator lru_it;
@@ -340,7 +340,7 @@ class BufferCache {
           capacity_ * wb_cfg_.dirty_ratio_pct / 100;
       std::uint32_t written = 0;
       for (const auto& [since, lba] : dirty) {
-        if (written >= wb_cfg_.max_batch) break;
+        if (written >= kWritebackBatch) break;
         const bool over_ratio = dirty_count_ > ratio_target;
         const bool aged =
             now - since >= std::chrono::milliseconds(wb_cfg_.max_age_ms);

@@ -24,10 +24,10 @@ namespace usk::blockdev {
 using Lba = std::uint64_t;
 inline constexpr std::size_t kBlockBytes = 4096;
 
-/// Cost parameters in work units. Defaults approximate a 2005 7,200 RPM
-/// disk relative to the boundary model's ~450-unit syscall crossing: a
-/// full-stroke seek is worth hundreds of syscalls, sequential transfer is
-/// nearly free.
+/// Cost parameters in work units, the same for every Disk. They
+/// approximate a 2005 7,200 RPM disk relative to the boundary model's
+/// ~450-unit syscall crossing: a full-stroke seek is worth hundreds of
+/// syscalls, sequential transfer is nearly free.
 struct DiskModel {
   std::uint64_t seek_base = 1200;      ///< head settle once the move starts
   std::uint64_t seek_per_log2 = 900;   ///< per log2(distance) step
@@ -51,8 +51,7 @@ struct DiskStats {
 
 class Disk {
  public:
-  Disk(Lba blocks, DiskModel model = DiskModel{})
-      : blocks_(blocks), model_(model) {}
+  explicit Disk(Lba blocks) : blocks_(blocks) {}
 
   /// Charge hook (work engine + task kernel time), same contract as the
   /// filesystem cost hooks.
@@ -73,7 +72,6 @@ class Disk {
   [[nodiscard]] Lba size() const { return blocks_; }
   [[nodiscard]] Lba head() const { return head_; }
   [[nodiscard]] const DiskStats& stats() const { return stats_; }
-  [[nodiscard]] const DiskModel& model() const { return model_; }
 
  private:
   Result<void> access(Lba lba, bool write) {

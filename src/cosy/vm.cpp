@@ -4,6 +4,9 @@
 
 namespace usk::cosy {
 
+constexpr std::uint64_t kUnitsPerInstr = 2;  ///< base interpreter step
+constexpr std::uint64_t kChargeBatch = 32;   ///< instructions per cost flush
+
 VmFunction::VmFunction(std::vector<VmInstr> code, std::size_t data_size,
                        SafetyMode mode, seg::DescriptorTable& gdt,
                        std::string name)
@@ -133,7 +136,7 @@ Result<std::int64_t> VmFunction::run(std::span<const std::int64_t> args,
   std::size_t pc = 0;
   std::uint64_t since_charge = 0;
   auto flush_charge = [&](std::uint64_t n) {
-    std::uint64_t units = n * costs.per_instr;
+    std::uint64_t units = n * kUnitsPerInstr;
     engine.alu(units);
     if (sched::Task* t = sched.current()) t->charge_kernel(units);
   };
@@ -146,7 +149,7 @@ Result<std::int64_t> VmFunction::run(std::span<const std::int64_t> args,
     }
     const VmInstr in = fi.value();
     ++stats->instructions;
-    if (++since_charge >= costs.charge_batch) {
+    if (++since_charge >= kChargeBatch) {
       flush_charge(since_charge);
       since_charge = 0;
     }

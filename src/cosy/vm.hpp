@@ -71,9 +71,7 @@ inline constexpr std::size_t kVmRegs = 16;
 
 /// Costs of the safety machinery, in work units.
 struct VmCosts {
-  std::uint64_t per_instr = 2;        ///< base interpreter step
-  std::uint64_t far_call = 400;       ///< cross-segment call (isolated mode)
-  std::uint64_t charge_batch = 32;    ///< instructions per cost flush
+  std::uint64_t far_call = 400;  ///< cross-segment call (isolated mode)
 };
 
 struct VmRunStats {

@@ -205,7 +205,7 @@ std::int64_t DeadlineScope::remaining_ns() const {
 
 std::uint64_t Admission::service_estimate_ns() const {
   std::uint64_t est = est_ns_.load(std::memory_order_relaxed);
-  return std::max(est, cfg_.min_service_ns);
+  return std::max(est, kMinServiceNs);
 }
 
 bool Admission::try_admit(std::int64_t remaining_ns) {

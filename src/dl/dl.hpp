@@ -211,7 +211,6 @@ class DeadlineScope {
 struct AdmissionConfig {
   std::size_t max_inflight = 64;  ///< hard inflight bound
   double percentile = 90.0;       ///< service-estimate percentile
-  std::uint64_t min_service_ns = 1000;  ///< estimate floor (cold hist)
 };
 
 class Admission {
@@ -235,6 +234,8 @@ class Admission {
   [[nodiscard]] std::uint64_t service_estimate_ns() const;
 
  private:
+  static constexpr std::uint64_t kMinServiceNs = 1000;  ///< cold-hist floor
+
   Kdl& kdl_;
   AdmissionConfig cfg_;
   std::atomic<std::size_t> inflight_{0};

@@ -116,9 +116,6 @@ class Net {
   [[nodiscard]] uk::Kernel& kernel() { return k_; }
   [[nodiscard]] const NetCosts& costs() const { return costs_; }
   [[nodiscard]] NetStats stats() const;
-  [[nodiscard]] std::shared_ptr<Socket> find_socket(fs::InodeNum ino) const {
-    return sockets_.find(ino);
-  }
   /// Sockets still registered (not yet released by their last fd): the
   /// kdl leak oracle asserts this returns to its baseline after every
   /// cancellation storm.

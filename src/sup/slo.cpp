@@ -12,6 +12,9 @@ namespace usk::sup {
 
 using base::appendf;
 
+/// A window breaches when more than this share of its observations were bad.
+constexpr double kMaxBreachFraction = 0.5;
+
 SloMonitor::SloMonitor(Supervisor& s) : s_(s) {
   s_.set_slo_monitor(this);
 }
@@ -53,14 +56,14 @@ void SloMonitor::observe(ExtId id, std::uint64_t wall_ns, bool ok) {
     const SloPolicy& p = sl.policy;
     const bool bad = (p.latency_threshold_ns != 0 &&
                       wall_ns > p.latency_threshold_ns) ||
-                     (p.count_errors && !ok);
+                     !ok;
     if (bad) ++sl.state.bad;
     ++sl.state.window_count;
     if (bad) ++sl.state.window_bad;
     if (sl.state.window_count >= p.window) {
       const bool breached =
           static_cast<double>(sl.state.window_bad) >
-          p.max_breach_fraction * static_cast<double>(sl.state.window_count);
+          kMaxBreachFraction * static_cast<double>(sl.state.window_count);
       sl.state.window_count = 0;
       sl.state.window_bad = 0;
       if (breached) {
@@ -128,7 +131,7 @@ std::string SloMonitor::format() const {
     appendf(out, "%d %s %llu %u %.2f %u %llu %llu %llu %llu %u %llu\n",
             r.id, name.c_str(),
             static_cast<unsigned long long>(r.p.latency_threshold_ns),
-            r.p.window, r.p.max_breach_fraction, r.p.breach_windows,
+            r.p.window, kMaxBreachFraction, r.p.breach_windows,
             static_cast<unsigned long long>(r.st.observed),
             static_cast<unsigned long long>(r.st.bad),
             static_cast<unsigned long long>(r.st.errors),

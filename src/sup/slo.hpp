@@ -35,15 +35,13 @@
 namespace usk::sup {
 
 /// Per-extension SLO. The defaults are deliberately loose: monitoring is
-/// opt-in by setting a real latency threshold for the extension.
+/// opt-in by setting a real latency threshold for the extension. A window
+/// breaches when more than half its observations were bad (over the
+/// threshold, or errors).
 struct SloPolicy {
   std::uint64_t latency_threshold_ns = 0;  ///< 0 = latency not scored
-  /// A window breaches when more than this fraction of its observations
-  /// were bad (over-threshold or, if counted, errors).
-  double max_breach_fraction = 0.5;
   std::uint32_t window = 32;         ///< observations per window
   std::uint32_t breach_windows = 2;  ///< consecutive bad windows -> violation
-  bool count_errors = true;          ///< errors are bad observations
 };
 
 struct SloState {

@@ -20,8 +20,8 @@ Kernel::Kernel(fs::FileSystem& rootfs, KernelConfig cfg)
     : phys_(cfg.phys_frames),
       kernel_as_(phys_, "kernel"),
       kmalloc_(phys_, cfg.kmalloc_per_cpu_cache),
-      vmalloc_(kernel_as_, cfg.vmalloc_base, cfg.vmalloc_pages),
-      sched_(cfg.sched_quantum),
+      vmalloc_(kernel_as_, /*base=*/0xFFFF800000000000ull, /*pages=*/1 << 15),
+      sched_(/*quantum=*/32),
       boundary_(engine_, cfg.boundary),
       audit_(*this),
       dl_(kfail_),

@@ -51,10 +51,6 @@ struct KernelConfig {
   /// (SLUB-style). Off by default: the single-allocator configuration is
   /// what the paper's experiments model.
   bool kmalloc_per_cpu_cache = false;
-  std::uint32_t sched_quantum = 32;
-  /// Base of the vmalloc virtual area and its size in pages.
-  vm::VAddr vmalloc_base = 0xFFFF800000000000ull;
-  std::size_t vmalloc_pages = 1 << 15;
 };
 
 /// A user process: one task plus its file-descriptor table.

@@ -248,7 +248,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const OverloadConfig& cfg,
   // loop behind its own port, so a request it reads waits for none of
   // the other workers' requests. Its wait in this worker's backlog is
   // already spent from the absolute deadline it carries.
-  dl::Admission adm(k.dl(), cfg.admission);
+  dl::Admission adm(k.dl());
   ready.store(true, std::memory_order_release);
 
   std::vector<net::EpollEvent> evs(16);

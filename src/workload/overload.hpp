@@ -71,7 +71,6 @@ struct OverloadConfig {
 
   bool deadlines = true;  ///< attach DeadlineScope at server ingress
   bool shedding = true;   ///< consult Admission before serving
-  dl::AdmissionConfig admission{};
   dl::RetryBudgetConfig retry{};
 
   /// > 0: a canceller thread issues Scheduler::cancel against a server

@@ -4,6 +4,12 @@
 
 namespace usk::workload {
 
+constexpr std::size_t kIoBlock = 512;
+/// Probability (percent) that a transaction's I/O half is a read (vs
+/// append), and that its file half is a create (vs delete).
+constexpr std::uint64_t kReadBias = 50;
+constexpr std::uint64_t kCreateBias = 50;
+
 std::string PostMark::file_path(std::size_t idx) const {
   return cfg_.dir + "/pmfile" + std::to_string(idx);
 }
@@ -17,13 +23,13 @@ void PostMark::create_file(uk::Proc& p, std::size_t idx, base::Rng& rng,
     return;
   }
   std::size_t size = rng.range(cfg_.min_size, cfg_.max_size);
-  std::vector<std::byte> block(cfg_.io_block);
+  std::vector<std::byte> block(kIoBlock);
   for (std::size_t i = 0; i < block.size(); ++i) {
     block[i] = static_cast<std::byte>(rng.next() & 0xff);
   }
   std::size_t written = 0;
   while (written < size) {
-    std::size_t chunk = std::min(cfg_.io_block, size - written);
+    std::size_t chunk = std::min(kIoBlock, size - written);
     SysRet n = p.write(fd, block.data(), chunk);
     if (n <= 0) {
       ++rep->errors;
@@ -51,12 +57,12 @@ PostMarkReport PostMark::run(uk::Proc& p) {
   }
 
   // Phase 2: transactions.
-  std::vector<std::byte> iobuf(cfg_.io_block);
+  std::vector<std::byte> iobuf(kIoBlock);
   for (std::size_t t = 0; t < cfg_.transactions && !live_.empty(); ++t) {
     // I/O half: read or append a random live file.
     std::size_t pick = live_[rng.below(live_.size())];
     std::string path = file_path(pick);
-    if (rng.chance(static_cast<std::uint64_t>(cfg_.read_bias), 100)) {
+    if (rng.chance(kReadBias, 100)) {
       int fd = p.open(path.c_str(), fs::kORdOnly);
       if (fd >= 0) {
         SysRet n;
@@ -81,7 +87,7 @@ PostMarkReport PostMark::run(uk::Proc& p) {
     }
 
     // File half: create or delete.
-    if (rng.chance(static_cast<std::uint64_t>(cfg_.create_bias), 100)) {
+    if (rng.chance(kCreateBias, 100)) {
       create_file(p, next_idx_++, rng, &rep);
     } else {
       std::size_t vi = rng.below(live_.size());

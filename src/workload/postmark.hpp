@@ -24,12 +24,7 @@ struct PostMarkConfig {
   std::size_t transactions = 5000;
   std::size_t min_size = 500;
   std::size_t max_size = 9770;   // PostMark's default 500..9.77k
-  std::size_t io_block = 512;
   std::string dir = "/pm";
-  /// Probability (percent) that a transaction's I/O half is a read (vs
-  /// append), and that its file half is a create (vs delete).
-  int read_bias = 50;
-  int create_bias = 50;
 };
 
 struct PostMarkReport {

@@ -540,12 +540,12 @@ void client_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
     char req[kRequestBytes] = {};
     std::snprintf(req, sizeof req, "GET %s", path.c_str());
     // Pipelined request loop: keep `depth` requests outstanding. Depth 1
-    // is the classic lock-step exchange; the ring server raises it so a
-    // window of chains has requests to drain in one crossing.
-    std::size_t depth = std::max<std::size_t>(1, cfg.pipeline_depth);
-    if (cfg.mode == ServeMode::kRing) {
-      depth = std::max(depth, std::max<std::size_t>(1, cfg.ring_batch));
-    }
+    // is the classic lock-step exchange; the ring client raises it to the
+    // ring batch so a window of chains has requests to drain in one
+    // crossing.
+    std::size_t depth = cfg.mode == ServeMode::kRing
+                            ? std::max<std::size_t>(1, cfg.ring_batch)
+                            : 1;
     depth = std::min(depth, cfg.requests_per_conn);
     std::size_t sent = 0;
     bool alive = true;

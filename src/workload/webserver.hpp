@@ -63,11 +63,6 @@ struct WebServerConfig {
   /// chains submitted per ring_enter window.
   ring::RingDev* ring = nullptr;
   std::size_t ring_batch = 8;
-  /// Client-side pipelining: how many requests a client keeps in flight
-  /// per connection. 1 = the classic lock-step request/response loop
-  /// (every mode's default); kRing needs depth >= 2 for batching to
-  /// overlap, and run_webserver raises it to ring_batch in that mode.
-  std::size_t pipeline_depth = 1;
 };
 
 /// Fixed-size request wire format ("GET /www/fN" null-padded).

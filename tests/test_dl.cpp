@@ -465,7 +465,7 @@ TEST_F(DlTest, AdmissionColdStartAdmitsAndInflightBounds) {
   AdmissionConfig cfg;
   cfg.max_inflight = 2;
   Admission adm(kdl(), cfg);
-  // Cold histogram: the estimate floors at min_service_ns, so feasible
+  // Cold histogram: the estimate floors at 1 us, so feasible
   // requests are admitted rather than shed on zero data.
   EXPECT_TRUE(adm.try_admit(1'000'000'000));
   EXPECT_TRUE(adm.try_admit(1'000'000'000));

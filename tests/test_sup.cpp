@@ -1147,7 +1147,7 @@ TEST_F(SupTest, SloToleratesBurstsBelowBreachFraction) {
   sup::SloPolicy sp;
   sp.latency_threshold_ns = 1'000'000;
   sp.window = 4;
-  sp.breach_windows = 1;  // max_breach_fraction stays at the 0.5 default
+  sp.breach_windows = 1;  // a window breaches above half bad
   mon.set_policy(id, sp);
 
   // Half the window slow is AT the fraction, not over it: no breach.

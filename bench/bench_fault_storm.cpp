@@ -189,9 +189,11 @@ int main(int argc, char** argv) {
   // syscall. Measured directly, like T1's disabled-tracepoint check.
   double ns = disarmed_check_ns();
   const double null_syscall_ns = bench::default_null_syscall_ns();
+  const double disarmed_pct = ns / null_syscall_ns * 100.0;
   std::printf("\ndisarmed fault point: %.3f ns/check (%.3f%% of a %.0f ns "
-              "null syscall; budget 0.5%%)\n",
-              ns, ns / null_syscall_ns * 100.0, null_syscall_ns);
+              "null syscall; budget 0.5%%) %s\n",
+              ns, disarmed_pct, null_syscall_ns,
+              disarmed_pct <= 0.5 ? "PASS" : "FAIL");
   json.record("disarmed-check", ns, "ns", bench::Better::kLower);
 
   std::printf("\nfault-point cost on the write path (64 B writes):\n");
@@ -207,5 +209,5 @@ int main(int argc, char** argv) {
   json.record("write-disarmed", disarmed, "ops/s", bench::Better::kHigher);
   json.record("write-armed-p0", armed_p0, "ops/s", bench::Better::kHigher);
 
-  return 0;
+  return disarmed_pct <= 0.5 ? 0 : 1;
 }

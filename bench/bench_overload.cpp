@@ -2,7 +2,8 @@
 // cancellation leak oracle, and the disarmed tax.
 //
 // The open-loop overload workload (src/workload/overload) drives the
-// serving pool at 2x its calibrated capacity. Without kdl every request
+// serving pool -- N1's epoll workers plus the kdl request handler -- at
+// 2x its calibrated capacity. Without kdl every request
 // is eventually served, far past its deadline, at full cost: goodput
 // (in-deadline responses as a fraction of what the calibrated capacity
 // could serve in the same wall time) collapses as the backlog grows.
@@ -76,8 +77,6 @@ workload::OverloadReport run_episode(const workload::OverloadConfig& cfg,
   uk::Kernel kernel(memfs);
   memfs.set_cost_hook(kernel.charge_hook());
   net::Net net(kernel);
-  uk::Proc setup(kernel, "setup");
-  workload::populate_overload_www(setup, cfg);
   kernel.dl().set_enabled(dl_on);
   return workload::run_overload(kernel, net, cfg);
 }
@@ -129,8 +128,6 @@ int main(int argc, char** argv) {
   workload::OverloadConfig cal = base_cfg(quick);
   cal.requests = quick ? 200 : 400;
   cal.deadline_ms = 1000;
-  cal.deadlines = false;
-  cal.shedding = false;
   double cal_rps = 0.0;
   std::uint64_t cal_p99 = 0;
   {
@@ -138,8 +135,6 @@ int main(int argc, char** argv) {
     uk::Kernel kernel(memfs);
     memfs.set_cost_hook(kernel.charge_hook());
     net::Net net(kernel);
-    uk::Proc setup(kernel, "setup");
-    workload::populate_overload_www(setup, cal);
     kernel.dl().set_enabled(false);
     workload::calibrate_overload(kernel, net, cal, &cal_rps, &cal_p99);
   }
@@ -170,10 +165,7 @@ int main(int argc, char** argv) {
   if (cfg.requests < 500) cfg.requests = 500;
   if (cfg.requests > 20000) cfg.requests = 20000;
 
-  workload::OverloadConfig base = cfg;
-  base.deadlines = false;
-  base.shedding = false;
-  workload::OverloadReport rb = run_episode(base, /*dl_on=*/false);
+  workload::OverloadReport rb = run_episode(cfg, /*dl_on=*/false);
   workload::OverloadReport rd = run_episode(cfg, /*dl_on=*/true);
 
   std::printf("\n");

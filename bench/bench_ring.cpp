@@ -177,16 +177,18 @@ int main(int argc, char** argv) {
               {workload::ServeMode::kConsolidated, &consolidated},
               {workload::ServeMode::kCosy, &cosy},
               {workload::ServeMode::kRing, &ring8}};
+  // Metric names carry the worker count: --quick runs 2, a full run 4.
+  const std::string wsuffix = "-" + std::to_string(cmp_workers) + "w";
   for (const ModeRow& m : rows) {
     RunOut r = run(m.mode, cmp_workers, 8, cmp_conns, 8);
     *m.out = r.rep;
     std::string name = workload::serve_mode_name(m.mode);
     if (m.mode == workload::ServeMode::kRing) name += "-b8";
     print_row(name.c_str(), cmp_workers, r.rep);
-    json.record(name, smp_req_per_sec(cmp_workers, r.rep), "ops/s",
+    json.record(name + wsuffix, smp_req_per_sec(cmp_workers, r.rep), "ops/s",
                 bench::Better::kHigher);
-    json.record("crossings-" + name, r.rep.crossings_per_req(), "count",
-                bench::Better::kLower);
+    json.record("crossings-" + name + wsuffix, r.rep.crossings_per_req(),
+                "count", bench::Better::kLower);
   }
 
   // --- 2. batch sweep --------------------------------------------------------
@@ -277,7 +279,7 @@ int main(int argc, char** argv) {
   check(storm_fallback_enters >= 1,
         "quarantined ring decomposed via fallback enters");
   // The headline ratio, exported for threshold checks.
-  json.record("crossing-ratio-plain-over-ring",
+  json.record("crossing-ratio-plain-over-ring" + wsuffix,
               ring_cross > 0 ? plain_cross / ring_cross : 0.0, "ratio",
               bench::Better::kHigher);
   return failures == 0 ? 0 : 1;

@@ -115,7 +115,8 @@ int main(int argc, char** argv) {
   for (workload::ServeMode mode : modes) {
     workload::WebServerReport r = run(mode, oneshot_workers, 1);
     print_row("oneshot", mode, oneshot_workers, r);
-    json.record(std::string(workload::serve_mode_name(mode)) + "-oneshot",
+    json.record(std::string(workload::serve_mode_name(mode)) + "-oneshot-" +
+                    std::to_string(oneshot_workers) + "w",
                 smp_req_per_sec(oneshot_workers, r), "ops/s",
                 bench::Better::kHigher);
   }

@@ -26,8 +26,8 @@ turn a recorded value into an acceptance threshold, checked against
 every matching record's value:
 
     scripts/check_bench_json.py --expect bench_ring \\
-        --expect-max 'bench_ring:crossings-ring-b8:0.5' \\
-        --expect-min 'bench_ring:crossing-ratio-plain-over-ring:4.0' \\
+        --expect-max 'bench_ring:crossings-ring-b8-2w:0.5' \\
+        --expect-min 'bench_ring:crossing-ratio-plain-over-ring-2w:4.0' \\
         /tmp/bench.jsonl
 
 A threshold spec whose (bench, metric) matches no record is itself a

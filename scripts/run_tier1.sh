@@ -4,15 +4,20 @@
 #   plain   the required suite (ctest label tier1) in the default build
 #   faults  the same kernel-path suites re-run with USK_FAIL_SPEC armed
 #           (label `faults`: seeded p=0.01 transient injection at kmalloc,
-#           the disk, and the network -- must pass with zero failures)
+#           the disk, and the network -- must pass with zero failures),
+#           then bench_fault_storm --quick (R1), which fails when a
+#           disarmed fault point costs over 0.5% of a null syscall
 #   sup     the supervisor-facing suites re-run with USK_SUP_SPEC armed
 #           (label `sup`: aggressive breaker policy + transient faults on
 #           the supervised paths, forcing probation/quarantine/re-admission
-#           cycles under every test's assertions)
+#           cycles under every test's assertions), then bench_supervisor
+#           (R2) in full: only the full storm reaches its quarantine and
+#           re-admission checks
 #   ring    the ring suites re-run with the aggressive breaker AND seeded
 #           transient injection at the ring fault sites (label `ring`),
 #           then bench_ring --quick with its JSON gated by the crossing
-#           thresholds (<= 0.5 crossings/req at batch 8, >= 4x vs plain)
+#           thresholds (<= 0.5 crossings/req at batch 8, >= 4x vs plain,
+#           both on the --quick run's 2 workers)
 #   obs     the request-path suites re-run span-enabled (label `obs`:
 #           USK_SPAN=1 arms every SpanScope for real under the existing
 #           assertions), then bench_obs --quick and bench_trace_overhead
@@ -87,15 +92,17 @@ build() {  # build <dir> [extra cmake args...]
 }
 
 run_plain()  { build build; (cd build && ctest -L tier1 -LE faults -j "$jobs" --output-on-failure); }
-run_faults() { build build; (cd build && ctest -L faults -j "$jobs" --output-on-failure); }
-run_sup()    { build build; (cd build && ctest -L sup -j "$jobs" --output-on-failure); }
+run_faults() { build build; (cd build && ctest -L faults -j "$jobs" --output-on-failure);
+               ./build/bench/bench_fault_storm --quick; }
+run_sup()    { build build; (cd build && ctest -L sup -j "$jobs" --output-on-failure);
+               ./build/bench/bench_supervisor; }
 run_ring()   { build build; (cd build && ctest -L ring -j "$jobs" --output-on-failure);
                local json; json="$(mktemp)"
                USK_BENCH_JSON="$json" ./build/bench/bench_ring --quick
                python3 scripts/check_bench_json.py \
                  --expect bench_ring \
-                 --expect-max 'bench_ring:crossings-ring-b8:0.5' \
-                 --expect-min 'bench_ring:crossing-ratio-plain-over-ring:4.0' \
+                 --expect-max 'bench_ring:crossings-ring-b8-2w:0.5' \
+                 --expect-min 'bench_ring:crossing-ratio-plain-over-ring-2w:4.0' \
                  "$json"
                rm -f "$json"; }
 run_obs()    { build build; (cd build && ctest -L obs -j "$jobs" --output-on-failure);

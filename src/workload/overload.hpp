@@ -23,39 +23,20 @@
 // while the request sat in the accept backlog, which is exactly where
 // overloaded requests spend their budget).
 //
-// The server is the plain epoll/recv/open/read/send loop with kdl
-// attached at ingress: a dl::DeadlineScope per request (budget parsed
-// from the wire), dl::Admission consulted before serving, and the
-// serving chunk loop unwinding through ETIMEDOUT/ECANCELED like any
-// other error. Clients run an executor pool over the arrival schedule
-// with one-shot connections, per-tenant RetryBudgets on shed/expired
-// responses, and the ksup hook on budget exhaustion.
+// The server is N1's epoll worker in kPlain mode (webserver.hpp) plus
+// the kdl handler, a RequestHook: a dl::DeadlineScope per request
+// (budget parsed from the wire), dl::Admission consulted before serving,
+// and serve_file's chunk loop unwinding through ETIMEDOUT/ECANCELED like
+// any other error. It serves /www/fN, written by populate_www. Clients
+// run an executor pool over the arrival schedule with one-shot
+// connections and per-tenant RetryBudgets on shed/expired responses.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "dl/dl.hpp"
-#include "net/net.hpp"
-#include "uk/userlib.hpp"
-
-namespace usk::sup {
-class Supervisor;
-}
+#include "workload/webserver.hpp"
 
 namespace usk::workload {
-
-/// Reuses the webserver's 64-byte fixed request frame size.
-inline constexpr std::size_t kOverloadRequestBytes = 64;
-
-/// Response header preceding the (optional) payload.
-struct OverloadHdr {
-  static constexpr std::uint32_t kMagic = 0x4F4C4431;  // "OLD1"
-  enum Status : std::uint32_t { kOk = 0, kShed = 1, kError = 2 };
-  std::uint32_t magic = kMagic;
-  std::uint32_t status = kOk;
-  std::uint64_t payload = 0;  ///< bytes following this header
-};
 
 struct OverloadConfig {
   std::size_t workers = 2;        ///< server epoll loops (one port each)
@@ -69,50 +50,36 @@ struct OverloadConfig {
   std::uint16_t base_port = 9100;
   std::uint64_t seed = 42;        ///< jitter / canceller determinism
 
-  bool deadlines = true;  ///< attach DeadlineScope at server ingress
-  bool shedding = true;   ///< consult Admission before serving
-  dl::RetryBudgetConfig retry{};
-
   /// > 0: a canceller thread issues Scheduler::cancel against a server
   /// worker task every `cancel_period_us` (seeded task choice) -- the
   /// cancellation storm behind the leak oracle.
   std::uint64_t cancel_period_us = 0;
-
-  /// Optional: tenants register as extensions; an exhausted retry
-  /// budget records a kRetryBudget violation so the breaker trips.
-  sup::Supervisor* supervisor = nullptr;
 };
 
 struct OverloadReport {
-  // Client-observed outcomes. offered counts scheduled arrivals;
-  // attempts counts wire exchanges (offered + retries).
+  // Client-observed outcomes, per scheduled arrival except shed and
+  // failed, which count attempts.
   std::uint64_t offered = 0;
-  std::uint64_t attempts = 0;
   std::uint64_t ok_in_deadline = 0;  ///< goodput
   std::uint64_t ok_late = 0;         ///< served, but past the deadline
   std::uint64_t shed = 0;            ///< kShed responses
   std::uint64_t failed = 0;          ///< conn error / aborted mid-response
-  std::uint64_t retries = 0;
-  std::uint64_t budget_exhausted = 0;
-  std::uint64_t dropped = 0;  ///< requests abandoned after exhaustion
+  std::uint64_t dropped = 0;  ///< requests abandoned, retries spent
 
   // End-to-end latency of served (kOk) requests, measured from the
   // *scheduled* arrival (open-loop convention: queueing behind a late
-  // executor and retry backoffs count). Exact percentiles.
-  std::uint64_t p50_ns = 0;
+  // executor and retry backoffs count). Exact percentile.
   std::uint64_t p99_ns = 0;
 
   // Latency of the successful attempt alone (connect -> payload
   // drained): what an *admitted* request experienced inside the server,
   // excluding schedule slip and earlier rejected attempts. The R3 p99
   // ceiling (<= 5x the uncontended p99) is on this.
-  std::uint64_t admitted_p50_ns = 0;
   std::uint64_t admitted_p99_ns = 0;
 
   // Server side.
   std::uint64_t admitted = 0;
   std::uint64_t server_sheds = 0;
-  std::uint64_t serve_aborts = 0;  ///< ETIMEDOUT/ECANCELED mid-serve
   std::uint64_t cancels_issued = 0;
 
   // Leak oracle, sampled after all workers/clients exited: open fds
@@ -134,19 +101,16 @@ struct OverloadReport {
   }
 };
 
-/// Create the served documents (any Proc on the kernel).
-void populate_overload_www(uk::Proc& p, const OverloadConfig& cfg);
-
-/// Run one open-loop episode against `k` + `net`. populate_overload_www
-/// must have been called. The caller owns kdl arming (`k.dl()
-/// .set_enabled`) -- a disabled kdl turns cfg.deadlines / cfg.shedding
-/// into no-ops, which is the unprotected baseline.
+/// Run one open-loop episode against `k` + `net`, writing the served
+/// documents first. The caller owns kdl arming (`k.dl().set_enabled`):
+/// a disabled kdl leaves every DeadlineScope inert and sheds nothing,
+/// which is the unprotected baseline.
 OverloadReport run_overload(uk::Kernel& k, net::Net& net,
                             const OverloadConfig& cfg);
 
-/// Closed-loop calibration: lock-step requests at low concurrency.
-/// Returns served requests/sec in `*rps` and the uncontended p99 (ns)
-/// in `*p99_ns`.
+/// Closed-loop calibration: lock-step requests at low concurrency, on
+/// the same server. Returns served requests/sec in `*rps` and the
+/// uncontended p99 (ns) in `*p99_ns`.
 void calibrate_overload(uk::Kernel& k, net::Net& net,
                         const OverloadConfig& cfg, double* rps,
                         std::uint64_t* p99_ns);

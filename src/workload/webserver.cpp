@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,10 @@ const char* serve_mode_name(ServeMode m) {
   return "?";
 }
 
+std::string www_path(const WebServerConfig& cfg, std::size_t i) {
+  return "/www/f" + std::to_string(i % cfg.files);
+}
+
 namespace {
 
 using uk::Kernel;
@@ -35,10 +40,6 @@ using uk::Sys;
 /// larger than one page take several read+send rounds in plain mode.
 constexpr std::size_t kChunk = 4096;
 
-std::string www_path(const WebServerConfig& cfg, std::size_t i) {
-  return "/www/f" + std::to_string(i % cfg.files);
-}
-
 /// "GET <path>" (null-padded to kRequestBytes) -> <path>.
 std::string parse_path(const char* req) {
   std::string s(req, strnlen(req, kRequestBytes));
@@ -47,27 +48,11 @@ std::string parse_path(const char* req) {
   return s.substr(sp + 1);
 }
 
-/// Classic per-request serving: stat (size / If-Modified-Since check the
-/// way Apache does it), open, read+send chunk loop, close. Every file
-/// byte crosses the boundary twice (read copy-out, send copy-in).
+/// N1's classic response: serve_file, closing the file at once.
 void serve_plain(uk::Proc& srv, net::Net& net, int connfd,
                  const std::string& path) {
-  uk::Process& p = srv.process();
-  fs::StatBuf st{};
-  if (srv.stat(path.c_str(), &st) != 0) return;
-  int fd = srv.open(path.c_str(), fs::kORdOnly);
-  if (fd < 0) return;
-  std::byte buf[kChunk];
-  std::uint64_t left = st.size;
-  while (left > 0) {
-    std::size_t want = left < kChunk ? static_cast<std::size_t>(left) : kChunk;
-    SysRet n = srv.read(fd, buf, want);
-    if (n <= 0) break;
-    SysRet sent = net.sys_send(p, connfd, buf, static_cast<std::size_t>(n));
-    if (sent <= 0) break;
-    left -= static_cast<std::uint64_t>(n);
-  }
-  srv.close(fd);
+  const int fd = serve_file(srv, net, connfd, path.c_str(), false);
+  if (fd >= 0) srv.close(fd);
 }
 
 /// One compound serves the whole keep-alive connection: the response to
@@ -100,10 +85,8 @@ cosy::CosyResult serve_cosy(uk::Proc& srv, cosy::CosyExtension& ext,
 /// degraded form of serve_cosy (same observable effects, one syscall per
 /// step). `path` is the already-received first request; the rest are
 /// recv'd until the client closes.
-void serve_classic_conn(uk::Proc& srv, net::Net& net,
-                        const WebServerConfig& cfg, int connfd,
+void serve_classic_conn(uk::Proc& srv, net::Net& net, int connfd,
                         const std::string& path) {
-  (void)cfg;
   uk::Process& p = srv.process();
   serve_plain(srv, net, connfd, path);
   char req[kRequestBytes];
@@ -115,12 +98,28 @@ void serve_classic_conn(uk::Proc& srv, net::Net& net,
   }
 }
 
-struct ServerSample {
-  std::uint64_t syscalls = 0;
-  std::uint64_t user_bytes = 0;
-  std::uint64_t kernel_units = 0;
-  std::uint64_t conns = 0;
+/// What run_servers shares with its workers: how many listen, whether
+/// the load is done (hooked workers drain and exit then), and the
+/// server-side sums each worker adds as it exits.
+struct Pool {
+  std::atomic<std::size_t> ready{0};
+  std::atomic<bool> stop{false};
+  std::mutex mu;
+  WebServerReport rep;
+
+  void add(uk::Proc& srv, std::size_t conns) {
+    std::lock_guard lk(mu);
+    rep.server_crossings += srv.task().syscalls;
+    rep.server_user_bytes +=
+        srv.task().bytes_from_user + srv.task().bytes_to_user;
+    rep.server_kernel_units += srv.task().times().kernel;
+    rep.conns += conns;
+  }
 };
+
+/// Listen backlog: R3's open loop keeps dozens of connects in flight on
+/// one port, and a full backlog would park them in connect.
+constexpr int kBacklog = 128;
 
 // --- kRing serving -----------------------------------------------------------
 // The worker needs no epoll at all: the accept SQE parks inside the
@@ -300,7 +299,7 @@ int serve_ring_conn(RingConn& rc, const WebServerConfig& cfg,
 
 void ring_server_worker(uk::Kernel& k, net::Net& net,
                         const WebServerConfig& cfg, std::size_t w,
-                        std::atomic<bool>& ready, ServerSample& out) {
+                        Pool& pool) {
   uk::Proc srv(k, "websrv" + std::to_string(w));
   uk::Process& p = srv.process();
   const auto port = static_cast<std::uint16_t>(cfg.base_port + w);
@@ -308,7 +307,7 @@ void ring_server_worker(uk::Kernel& k, net::Net& net,
 
   int lfd = static_cast<int>(net.sys_socket(p));
   net.sys_bind(p, lfd, port);
-  net.sys_listen(p, lfd, 32);
+  net.sys_listen(p, lfd, kBacklog);
 
   // SQ sized for a full window (5 SQEs per chain) plus the prologue.
   const auto entries = static_cast<std::uint32_t>(B * 5 + 8);
@@ -318,7 +317,7 @@ void ring_server_worker(uk::Kernel& k, net::Net& net,
               static_cast<int>(cfg.ring->sys_ring_setup(p, entries, arena)),
               lfd};
   if (rc.ringfd < 0) {
-    ready.store(true, std::memory_order_release);
+    pool.ready.fetch_add(1, std::memory_order_release);
     srv.close(lfd);
     return;
   }
@@ -328,7 +327,7 @@ void ring_server_worker(uk::Kernel& k, net::Net& net,
         "websrv" + std::to_string(w) + ".ring", sup::Vehicle::kRing);
     cfg.ring->supervise(p, rc.ringfd, *cfg.supervisor, id);
   }
-  ready.store(true, std::memory_order_release);
+  pool.ready.fetch_add(1, std::memory_order_release);
 
   std::size_t conns_done = 0;
   int prev_conn = -1;
@@ -341,18 +340,13 @@ void ring_server_worker(uk::Kernel& k, net::Net& net,
   if (prev_conn >= 0) srv.close(prev_conn);
   srv.close(rc.ringfd);
   srv.close(lfd);
-
-  out.syscalls = srv.task().syscalls;
-  out.user_bytes = srv.task().bytes_from_user + srv.task().bytes_to_user;
-  out.kernel_units = srv.task().times().kernel;
-  out.conns = conns_done;
+  pool.add(srv, conns_done);
 }
 
 void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
-                   std::size_t w, std::atomic<bool>& ready,
-                   ServerSample& out) {
+                   std::size_t w, RequestHook* hook, Pool& pool) {
   if (cfg.mode == ServeMode::kRing) {
-    ring_server_worker(k, net, cfg, w, ready, out);
+    ring_server_worker(k, net, cfg, w, pool);
     return;
   }
   uk::Proc srv(k, "websrv" + std::to_string(w));
@@ -378,18 +372,40 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
 
   int lfd = static_cast<int>(net.sys_socket(p));
   net.sys_bind(p, lfd, port);
-  net.sys_listen(p, lfd, 32);
+  net.sys_listen(p, lfd, kBacklog);
   int ep = static_cast<int>(net.sys_epoll_create(p));
   net.sys_epoll_ctl(p, ep, net::kEpollCtlAdd, lfd, net::kEpollIn);
-  ready.store(true, std::memory_order_release);
+  if (hook != nullptr) hook->start(srv);
+  pool.ready.fetch_add(1, std::memory_order_release);
 
   std::size_t conns_done = 0;
   std::vector<net::EpollEvent> evs(16);
   char req[kRequestBytes];
-  while (conns_done < cfg.conns_per_worker) {
+  // Consolidated response: sendfile moves the document kernel-side.
+  const auto send_file = [&](int connfd) {
+    const std::string path = parse_path(req);
+    if (sup != nullptr) {
+      sup::supervised_sendfile(*sup, ext_id, net, k, p, connfd, path.c_str(),
+                               0, cfg.file_bytes);
+    } else {
+      consolidation::sys_sendfile(k, p, connfd, path.c_str(), 0,
+                                  cfg.file_bytes);
+    }
+  };
+  // A hooked worker serves until the load is done, then drains: it polls
+  // without waiting until no event is left.
+  while (hook != nullptr || conns_done < cfg.conns_per_worker) {
+    const bool drain =
+        hook != nullptr && pool.stop.load(std::memory_order_acquire);
     SysRet n = net.sys_epoll_wait(p, ep, evs.data(),
-                                  static_cast<int>(evs.size()), 50);
-    if (n < 0) break;  // killed by the watchdog
+                                  static_cast<int>(evs.size()),
+                                  drain ? 0 : 50);
+    if (n == sysret_err(Errno::kECANCELED)) {
+      // A cancel with no request in flight holds nothing: wait again.
+      srv.task().set_cancel_pending(false);
+      continue;
+    }
+    if (n < 0 || (drain && n == 0)) break;  // killed by the watchdog
     for (SysRet i = 0; i < n; ++i) {
       const net::EpollEvent& ev = evs[static_cast<std::size_t>(i)];
       if (ev.fd == lfd) {
@@ -399,10 +415,13 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
           case ServeMode::kPlain: {
             trace::SpanScope span(k.kspan(), "ws.accept",
                                   trace::SpanVehicle::kPlain);
-            int connfd = static_cast<int>(net.sys_accept(p, lfd));
+            const auto connfd = static_cast<int>(
+                cancel_immune(srv, [&] { return net.sys_accept(p, lfd); }));
             if (connfd >= 0) {
-              net.sys_epoll_ctl(p, ep, net::kEpollCtlAdd, connfd,
-                                net::kEpollIn);
+              cancel_immune(srv, [&] {
+                return net.sys_epoll_ctl(p, ep, net::kEpollCtlAdd, connfd,
+                                         net::kEpollIn);
+              });
             }
             break;
           }
@@ -424,15 +443,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
             if (connfd < 0) break;
             if (r > 0) {
               span.set_name("ws.request");
-              if (sup != nullptr) {
-                sup::supervised_sendfile(*sup, ext_id, net, k, p, connfd,
-                                         parse_path(req).c_str(), 0,
-                                         cfg.file_bytes);
-              } else {
-                consolidation::sys_sendfile(k, p, connfd,
-                                            parse_path(req).c_str(), 0,
-                                            cfg.file_bytes);
-              }
+              send_file(connfd);
             }
             net.sys_epoll_ctl(p, ep, net::kEpollCtlAdd, connfd,
                               net::kEpollIn);
@@ -467,7 +478,7 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
                                                       r2.ops_run == 0};
                     },
                     [&] {
-                      serve_classic_conn(srv, net, cfg, connfd, path);
+                      serve_classic_conn(srv, net, connfd, path);
                       return SysRet{0};
                     });
               }
@@ -488,21 +499,20 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
                               ext_id);
         std::memset(req, 0, sizeof req);
         SysRet r = net.sys_recv(p, connfd, req, kRequestBytes);
-        if (r <= 0) {  // client closed (or error): retire the connection
-          net.sys_epoll_ctl(p, ep, net::kEpollCtlDel, connfd, 0);
-          srv.close(connfd);
+        if (r > 0 && hook != nullptr) {
+          span.set_name("ws.request");
+          hook->handle(w, srv, connfd, req);
+        }
+        // Client closed (or error), or a hooked one-shot answered: retire.
+        if (r <= 0 || hook != nullptr) {
+          cancel_immune(srv, [&] {
+            return net.sys_epoll_ctl(p, ep, net::kEpollCtlDel, connfd, 0);
+          });
+          cancel_immune(srv, [&] { return srv.close(connfd); });
           ++conns_done;
         } else if (cfg.mode == ServeMode::kConsolidated) {
           span.set_name("ws.request");
-          if (sup != nullptr) {
-            sup::supervised_sendfile(*sup, ext_id, net, k, p, connfd,
-                                     parse_path(req).c_str(), 0,
-                                     cfg.file_bytes);
-          } else {
-            consolidation::sys_sendfile(k, p, connfd,
-                                        parse_path(req).c_str(), 0,
-                                        cfg.file_bytes);
-          }
+          send_file(connfd);
         } else {
           span.set_name("ws.request");
           serve_plain(srv, net, connfd, parse_path(req));
@@ -510,24 +520,17 @@ void server_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
       }
     }
   }
-  srv.close(ep);
-  srv.close(lfd);
-
-  out.syscalls = srv.task().syscalls;
-  out.user_bytes = srv.task().bytes_from_user + srv.task().bytes_to_user;
-  out.kernel_units = srv.task().times().kernel;
-  out.conns = conns_done;
+  cancel_immune(srv, [&] { return srv.close(ep); });
+  cancel_immune(srv, [&] { return srv.close(lfd); });
+  if (hook != nullptr) hook->finish(srv);
+  pool.add(srv, conns_done);
 }
 
 void client_worker(uk::Kernel& k, net::Net& net, const WebServerConfig& cfg,
-                   std::size_t w, std::atomic<bool>& srv_ready,
-                   std::atomic<std::uint64_t>& requests_ok) {
+                   std::size_t w, std::atomic<std::uint64_t>& requests_ok) {
   uk::Proc cli(k, "webcli" + std::to_string(w));
   uk::Process& p = cli.process();
   const auto port = static_cast<std::uint16_t>(cfg.base_port + w);
-  while (!srv_ready.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
   std::vector<std::byte> buf(kChunk);
   for (std::size_t c = 0; c < cfg.conns_per_worker; ++c) {
     int fd = static_cast<int>(net.sys_socket(p));
@@ -591,29 +594,66 @@ void populate_www(uk::Proc& p, const WebServerConfig& cfg) {
   }
 }
 
+int serve_file(uk::Proc& srv, net::Net& net, int connfd, const char* path,
+               bool framed) {
+  const auto send_all = [&](const void* buf, std::size_t n) {
+    return net.sys_send(srv.process(), connfd, buf, n) ==
+           static_cast<SysRet>(n);
+  };
+  fs::StatBuf st{};
+  const bool found = srv.stat(path, &st) == 0;
+  if (framed) {
+    OverloadHdr h{};
+    h.status = found ? OverloadHdr::kOk : OverloadHdr::kError;
+    h.payload = found ? st.size : 0;
+    if (!send_all(&h, sizeof h)) return -1;
+  }
+  if (!found) return -1;
+  const int fd = srv.open(path, fs::kORdOnly);
+  std::byte buf[kChunk];
+  for (std::uint64_t left = st.size; fd >= 0 && left > 0;) {
+    const std::size_t want =
+        left < kChunk ? static_cast<std::size_t>(left) : kChunk;
+    const SysRet n = srv.read(fd, buf, want);
+    if (n <= 0 || !send_all(buf, static_cast<std::size_t>(n))) break;
+    left -= static_cast<std::uint64_t>(n);
+  }
+  return fd;
+}
+
+WebServerReport run_servers(uk::Kernel& k, net::Net& net,
+                            const WebServerConfig& cfg,
+                            const std::function<void()>& load,
+                            RequestHook* hook) {
+  Pool pool;
+  std::vector<std::thread> servers;
+  servers.reserve(cfg.workers);
+  for (std::size_t w = 0; w < cfg.workers; ++w) {
+    servers.emplace_back(server_worker, std::ref(k), std::ref(net),
+                         std::cref(cfg), w, hook, std::ref(pool));
+  }
+  while (pool.ready.load(std::memory_order_acquire) < cfg.workers) {
+    std::this_thread::yield();
+  }
+  load();
+  pool.stop.store(true, std::memory_order_release);
+  for (std::thread& t : servers) t.join();
+  return pool.rep;
+}
+
 WebServerReport run_webserver(uk::Kernel& k, net::Net& net,
                               const WebServerConfig& cfg) {
-  WebServerReport rep;
-  std::vector<ServerSample> samples(cfg.workers);
-  std::vector<std::unique_ptr<std::atomic<bool>>> ready;
-  ready.reserve(cfg.workers);
-  for (std::size_t w = 0; w < cfg.workers; ++w) {
-    ready.push_back(std::make_unique<std::atomic<bool>>(false));
-  }
   std::atomic<std::uint64_t> requests_ok{0};
-
   auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(cfg.workers * 2);
-  for (std::size_t w = 0; w < cfg.workers; ++w) {
-    threads.emplace_back(server_worker, std::ref(k), std::ref(net),
-                         std::cref(cfg), w, std::ref(*ready[w]),
-                         std::ref(samples[w]));
-    threads.emplace_back(client_worker, std::ref(k), std::ref(net),
-                         std::cref(cfg), w, std::ref(*ready[w]),
-                         std::ref(requests_ok));
-  }
-  for (std::thread& t : threads) t.join();
+  WebServerReport rep = run_servers(k, net, cfg, [&] {
+    std::vector<std::thread> clients;
+    clients.reserve(cfg.workers);
+    for (std::size_t w = 0; w < cfg.workers; ++w) {
+      clients.emplace_back(client_worker, std::ref(k), std::ref(net),
+                           std::cref(cfg), w, std::ref(requests_ok));
+    }
+    for (std::thread& t : clients) t.join();
+  });
   auto t1 = std::chrono::steady_clock::now();
 
   rep.requests = requests_ok.load();
@@ -621,12 +661,6 @@ WebServerReport run_webserver(uk::Kernel& k, net::Net& net,
   rep.req_per_sec =
       rep.elapsed_s > 0 ? static_cast<double>(rep.requests) / rep.elapsed_s
                         : 0.0;
-  for (const ServerSample& s : samples) {
-    rep.server_crossings += s.syscalls;
-    rep.server_user_bytes += s.user_bytes;
-    rep.server_kernel_units += s.kernel_units;
-    rep.conns += s.conns;
-  }
   return rep;
 }
 

@@ -18,9 +18,13 @@
 //                   queues linked SQE chains (accept->recv prologue,
 //                   recv->open->read->send->close per request) and one
 //                   ring_enter drains a window of ring_batch chains.
+//
+// R3's overload server (overload.hpp) is this epoll worker with a
+// RequestHook; serve_file is the one classic serving loop for both.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "net/net.hpp"
@@ -72,6 +76,56 @@ inline constexpr std::size_t kRequestBytes = 64;
 /// before run_webserver (any Proc will do; the files are shared).
 void populate_www(uk::Proc& p, const WebServerConfig& cfg);
 
+/// The served document for request `i`: /www/f{i % cfg.files}.
+[[nodiscard]] std::string www_path(const WebServerConfig& cfg, std::size_t i);
+
+/// R3's response header: it precedes the payload of a framed response.
+struct OverloadHdr {
+  static constexpr std::uint32_t kMagic = 0x4F4C4431;  // "OLD1"
+  enum Status : std::uint32_t { kOk = 0, kShed = 1, kError = 2 };
+  std::uint32_t magic = kMagic;
+  std::uint32_t status = kOk;
+  std::uint64_t payload = 0;  ///< bytes following this header
+};
+
+/// Classic per-request serving: stat (size / If-Modified-Since check the
+/// way Apache does it), open, read+send in 4 KiB chunks. Every file byte
+/// crosses the boundary twice (read copy-out, send copy-in). `framed`
+/// sends an OverloadHdr (the size, or kError) first. Any negative SysRet
+/// ends the loop, kdl's ETIMEDOUT/ECANCELED like every other errno.
+/// Returns the opened file fd (negative if none) for the caller to
+/// close: under an expired or cancelled DeadlineScope even close() fails
+/// at the gateway, so R3 releases it after the scope retires.
+int serve_file(uk::Proc& srv, net::Net& net, int connfd, const char* path,
+               bool framed);
+
+/// Run a cleanup syscall to completion through a cancellation storm:
+/// ECANCELED means a cancel landed after the request it was meant for
+/// unwound, so the worker absorbs it and retries. Without this a cancel
+/// racing a close would orphan the fd. With no cancel it is one call.
+SysRet cancel_immune(uk::Proc& srv, auto&& call) {
+  for (;;) {
+    const SysRet r = call();
+    if (r != sysret_err(Errno::kECANCELED)) return r;
+    srv.task().set_cancel_pending(false);
+  }
+}
+
+/// A request handler that takes over an epoll worker's serving (R3's kdl
+/// ingress). A hooked worker closes each connection after its one
+/// request, serves until its run_servers load returns and then drains
+/// its backlog. start/finish run on the worker's thread, once it listens
+/// and once it has closed its listener.
+class RequestHook {
+ public:
+  virtual ~RequestHook() = default;
+  virtual void start(uk::Proc& srv) = 0;
+  /// Answer `req`, received on `connfd` by worker `w`.
+  virtual void handle(std::size_t w, uk::Proc& srv, int connfd,
+                      const char* req) = 0;
+  virtual void finish(uk::Proc& srv) = 0;
+};
+
 struct WebServerReport {
   std::uint64_t requests = 0;  ///< responses fully received by clients
   std::uint64_t conns = 0;     ///< connections completed
@@ -99,5 +153,15 @@ struct WebServerReport {
 /// been called. Thread-safe with respect to other kernel users.
 WebServerReport run_webserver(uk::Kernel& k, net::Net& net,
                               const WebServerConfig& cfg);
+
+/// Run cfg.workers server workers, worker w on port cfg.base_port + w,
+/// while `load` runs on the calling thread once all of them listen; then
+/// join them. Unhooked, a worker exits after cfg.conns_per_worker
+/// connections; with `hook` (kPlain mode) every worker hands its
+/// requests to it. Fills the report's server-side fields.
+WebServerReport run_servers(uk::Kernel& k, net::Net& net,
+                            const WebServerConfig& cfg,
+                            const std::function<void()>& load,
+                            RequestHook* hook = nullptr);
 
 }  // namespace usk::workload

@@ -5,8 +5,8 @@
 // between-op aborts with fd rollback, admission feasibility, retry
 // budgets (deterministic jitter, exhaustion -> breaker), the kfail
 // dl.* sites, /proc/dl, WaitQueue timed waits, and TSan-targeted races
-// (timeout vs wake / kill / cancel) plus a cancellation-storm leak
-// oracle over the overload workload.
+// (timeout vs wake / kill / cancel), a cancellation-storm leak oracle
+// over the overload workload, and its serve and shed response paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -764,7 +764,6 @@ TEST_F(DlTest, CancelStormLeaksNothing) {
   cfg.base_port = 9300;
   cfg.seed = 7;
   cfg.cancel_period_us = 150;
-  workload::populate_overload_www(proc_, cfg);
   workload::OverloadReport rep = workload::run_overload(kernel_, net_, cfg);
 
   EXPECT_GE(rep.cancels_issued, 1000u);
@@ -775,6 +774,50 @@ TEST_F(DlTest, CancelStormLeaksNothing) {
   EXPECT_GE(rep.ok_in_deadline + rep.ok_late + rep.dropped + rep.failed +
                 rep.shed,
             rep.offered);
+}
+
+// --- the overload server's two response paths ---------------------------------
+
+/// A light open-loop episode: few arrivals, well under capacity.
+workload::OverloadConfig light_overload(std::uint16_t base_port) {
+  workload::OverloadConfig cfg;
+  cfg.workers = 2;
+  cfg.client_threads = 4;
+  cfg.tenants = 2;
+  cfg.requests = 60;
+  cfg.offered_rps = 600.0;
+  cfg.file_bytes = 4096;
+  cfg.files = 2;
+  cfg.base_port = base_port;
+  return cfg;
+}
+
+TEST_F(DlTest, OverloadServesEveryRequestWithKdlOff) {
+  kdl().set_enabled(false);
+  workload::OverloadConfig cfg = light_overload(9320);
+  cfg.deadline_ms = 60'000;
+  const workload::OverloadReport rep =
+      workload::run_overload(kernel_, net_, cfg);
+  EXPECT_EQ(rep.ok_in_deadline + rep.ok_late, rep.offered);
+  EXPECT_EQ(rep.server_sheds, 0u);
+  EXPECT_EQ(rep.leaked_fds, 0u);
+  EXPECT_EQ(rep.leaked_sockets, 0u);
+}
+
+// Admission sheds any request whose residual budget is <= 0, and a zero
+// budget is spent on arrival: every request is answered kShed, once.
+TEST_F(DlTest, OverloadShedsEveryRequestWithAZeroDeadline) {
+  workload::OverloadConfig cfg = light_overload(9330);
+  cfg.deadline_ms = 0;
+  const workload::OverloadReport rep =
+      workload::run_overload(kernel_, net_, cfg);
+  EXPECT_EQ(rep.admitted, 0u);
+  EXPECT_EQ(rep.server_sheds, rep.offered);
+  EXPECT_EQ(rep.shed, rep.offered);
+  EXPECT_EQ(rep.dropped, rep.offered);
+  EXPECT_EQ(rep.ok_in_deadline + rep.ok_late, 0u);
+  EXPECT_EQ(rep.leaked_fds, 0u);
+  EXPECT_EQ(rep.leaked_sockets, 0u);
 }
 
 }  // namespace

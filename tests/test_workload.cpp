@@ -1,14 +1,16 @@
 // Tests for the workload generators: PostMark, the Am-utils build
-// analogue, the synthetic trace generator, and the executable interactive
-// session.
+// analogue, the synthetic trace generator, the executable interactive
+// session, and the web server's copied bytes per request.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "net/net.hpp"
 #include "uk/userlib.hpp"
 #include "workload/amutils.hpp"
 #include "workload/postmark.hpp"
 #include "workload/tracegen.hpp"
+#include "workload/webserver.hpp"
 
 namespace usk::workload {
 namespace {
@@ -159,6 +161,43 @@ TEST_F(WorkloadTest, InteractiveSessionRunsAndAudits) {
     }
   }
   EXPECT_TRUE(found_burst);
+}
+
+// What crosses the boundary per request is exact, whatever the host's
+// timing: N1's plain loop copies every file byte twice, consolidation
+// none, and a Cosy compound only the request. Pinned per serve mode for
+// keep-alive (8 requests per connection) and one-shot connections on one
+// worker, so a serving-path change that adds or drops a copy shows here.
+TEST(WebServerTest, CopiedBytesPerRequestArePinned) {
+  struct Row {
+    ServeMode mode;
+    std::size_t requests_per_conn;
+    double bytes_per_req;
+  };
+  const Row rows[] = {
+      {ServeMode::kPlain, 8, 32930.0}, {ServeMode::kConsolidated, 8, 81.5},
+      {ServeMode::kCosy, 8, 9.0},       {ServeMode::kPlain, 1, 32944.0},
+      {ServeMode::kConsolidated, 1, 92.0}, {ServeMode::kCosy, 1, 72.0},
+  };
+  for (const Row& r : rows) {
+    fs::MemFs fs;
+    uk::Kernel kernel(fs);
+    fs.set_cost_hook(kernel.charge_hook());
+    net::Net net(kernel);
+    WebServerConfig cfg;
+    cfg.mode = r.mode;
+    cfg.workers = 1;
+    cfg.conns_per_worker = 8;
+    cfg.requests_per_conn = r.requests_per_conn;
+    cfg.file_bytes = 16384;
+    uk::Proc setup(kernel, "setup");
+    populate_www(setup, cfg);
+    const WebServerReport rep = run_webserver(kernel, net, cfg);
+    SCOPED_TRACE(std::string(serve_mode_name(r.mode)) + " x" +
+                 std::to_string(r.requests_per_conn));
+    EXPECT_EQ(rep.requests, cfg.conns_per_worker * r.requests_per_conn);
+    EXPECT_EQ(rep.user_bytes_per_req(), r.bytes_per_req);
+  }
 }
 
 }  // namespace
